@@ -161,18 +161,13 @@ class ClusterCoordinator:
         loss re-adds it to the ring)."""
         if not node_id or not url:
             raise BadRequest("registration needs 'node' and 'url'")
+        client = ServiceClient(url, timeout=self.client_timeout)
         with self._lock:
             node = self._nodes.get(node_id)
             fresh = node is None or node.lost
             if node is None:
-                node = WorkerNode(
-                    node_id=node_id,
-                    url=url,
-                    client=ServiceClient(url, timeout=self.client_timeout),
-                )
-                self._nodes[node_id] = node
-            node.url = url
-            node.client = ServiceClient(url, timeout=self.client_timeout)
+                node = self._nodes[node_id] = WorkerNode(node_id, url, client)
+            node.url, node.client = url, client
             node.lost = False
             node.last_beat = time.monotonic()
             self.ring.add(node_id)
@@ -461,12 +456,7 @@ class ClusterCoordinator:
         with self._lock:
             nodes = dict(self._nodes)
             ring_nodes = list(self.ring.nodes())
-            pending = sum(1 for j in self._pending if j not in self._settled)
-            orphaned = sum(
-                1
-                for jid, p in self._pending.items()
-                if p.node is None and jid not in self._settled
-            )
+            pending, orphaned = self._outstanding()
             settled = len(self._settled)
         per_node: dict[str, Any] = {}
         totals = {
@@ -510,22 +500,20 @@ class ClusterCoordinator:
             "fleet": totals,
         }
 
+    def _outstanding(self) -> tuple[int, int]:
+        """Unsettled jobs as ``(pending, orphaned)``; caller holds the lock."""
+        owners = [p.node for jid, p in self._pending.items() if jid not in self._settled]
+        return len(owners), owners.count(None)
+
     def render_metrics(self) -> str:
         with self._lock:
             live = sum(1 for n in self._nodes.values() if not n.lost)
-            gauges = {
-                "cluster_nodes": float(live),
-                "cluster_pending_jobs": float(
-                    sum(1 for j in self._pending if j not in self._settled)
-                ),
-                "cluster_orphaned_jobs": float(
-                    sum(
-                        1
-                        for jid, p in self._pending.items()
-                        if p.node is None and jid not in self._settled
-                    )
-                ),
-            }
+            pending, orphaned = self._outstanding()
+        gauges = {
+            "cluster_nodes": float(live),
+            "cluster_pending_jobs": float(pending),
+            "cluster_orphaned_jobs": float(orphaned),
+        }
         return self.metrics.render(gauges)
 
     # ----------------------------------------------------------- streaming

@@ -1,14 +1,18 @@
 """The coordinator's HTTP face: the single-node job API plus fleet and
 cache endpoints.
 
+A client pointed at the coordinator sees the same contract as a single
+node because it *is* the same code — the job routes (``/v1/jobs...``,
+``/healthz``, ``/metrics``), the request handler and the server are
+:mod:`repro.service.http`'s, answered here by the
+:class:`ClusterCoordinator` (fingerprint-routed submits, proxied status
+and cancel, relayed event streams, aggregated fleet counters) — which is
+what lets :class:`~repro.service.client.ServiceClient` drive a whole
+fleet unchanged.  This module adds only what is the fleet's own:
+
 ====== ================================== ==================================
 Method Path                               Meaning
 ====== ================================== ==================================
-POST   /v1/jobs                           submit; routed by fingerprint
-GET    /v1/jobs                           fleet-wide job list (node-tagged)
-GET    /v1/jobs/{id}                      proxied status (``?result=1``)
-GET    /v1/jobs/{id}/events               relayed chunked-JSONL stream
-DELETE /v1/jobs/{id}                      proxied cancel
 POST   /v1/workers                        worker registration
 POST   /v1/workers/{node}/heartbeat       one beat
 DELETE /v1/workers/{node}                 graceful leave (reassigns jobs)
@@ -17,346 +21,108 @@ GET    /v1/cache/{stage}/{key}            shared-cache read (text payload)
 PUT    /v1/cache/{stage}/{key}            shared-cache write (write-through)
 DELETE /v1/cache/{stage}/{key}            quarantine one entry
 DELETE /v1/cache                          purge live entries
-GET    /healthz                           aggregated fleet counters
-GET    /metrics                           coordinator Prometheus page
 ====== ================================== ==================================
-
-A client pointed at the coordinator sees the same contract as a single
-node — admission refusals carry the same statuses, event streams frame
-the same chunked NDJSON — which is what lets
-:class:`~repro.service.client.ServiceClient` drive a whole fleet
-unchanged."""
+"""
 
 from __future__ import annotations
 
-import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any
-from urllib.parse import parse_qs, unquote, urlparse
+from typing import Callable
 
 from repro.cluster.coordinator import ClusterCoordinator
-from repro.service.client import ServiceError
-from repro.service.http import MAX_BODY_BYTES
-from repro.service.queue import AdmissionError
+from repro.pipeline.cache import CacheStore
+from repro.service.http import JOB_ROUTES, ApiHandler, ApiServer, HttpError, Reply, route
 
 
-class CoordinatorHandler(BaseHTTPRequestHandler):
-    """One request; the coordinator lives on ``self.server``."""
+def _coordinator(request: ApiHandler) -> ClusterCoordinator:
+    return request.server.api  # type: ignore[attr-defined]
 
-    protocol_version = "HTTP/1.1"
-    server_version = "repro-synth-coordinator"
 
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        if getattr(self.server, "verbose", False):
-            super().log_message(format, *args)
+def _register(request: ApiHandler) -> Reply:
+    body = request.read_json()
+    node, url = str(body.get("node") or ""), str(body.get("url") or "")
+    return 200, _coordinator(request).register(node, url)
 
-    @property
-    def coordinator(self) -> ClusterCoordinator:
-        return self.server.coordinator  # type: ignore[attr-defined]
 
-    # ------------------------------------------------------------ plumbing
+def _heartbeat(request: ApiHandler, node: str) -> Reply:
+    if _coordinator(request).heartbeat(node):
+        return 200, {"node": node, "ok": True}
+    return 404, {"error": f"unknown node {node!r}; re-register", "ok": False}
 
-    def _send_json(
-        self,
-        status: int,
-        payload: dict[str, Any],
-        *,
-        retry_after: float | None = None,
-    ) -> None:
-        body = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if retry_after is not None:
-            self.send_header("Retry-After", str(max(1, round(retry_after))))
-        self.end_headers()
-        self.wfile.write(body)
 
-    def _send_text(self, status: int, text: str, content_type: str) -> None:
-        body = text.encode()
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+def _deregister(request: ApiHandler, node: str) -> Reply:
+    if not _coordinator(request).deregister(node):
+        raise HttpError(404, f"unknown node {node!r}")
+    return 200, {"node": node, "removed": True}
 
-    def _read_raw(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > MAX_BODY_BYTES:
-            raise ValueError(f"body exceeds {MAX_BODY_BYTES} bytes")
-        return self.rfile.read(length) if length else b""
 
-    def _read_json(self) -> Any:
-        raw = self._read_raw()
-        if not raw:
-            return {}
-        return json.loads(raw)
+def _cache_route(operation: Callable[..., Reply]) -> Callable[..., Reply]:
+    """A shared-cache route: ``operation`` also receives the store (404
+    when none is configured) and its I/O errors answer 500."""
 
-    def _client_id(self) -> str:
-        return self.headers.get("X-Client-Id") or self.client_address[0]
-
-    def _parts(self) -> list[str]:
-        return [unquote(p) for p in urlparse(self.path).path.split("/") if p]
-
-    # ------------------------------------------------------------- routing
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server convention
-        parts = self._parts()
-        if parts == ["v1", "jobs"]:
-            self._submit()
-            return
-        if parts == ["v1", "workers"]:
-            self._register()
-            return
-        if len(parts) == 4 and parts[:2] == ["v1", "workers"] and parts[3] == "heartbeat":
-            known = self.coordinator.heartbeat(parts[2])
-            if known:
-                self._send_json(200, {"node": parts[2], "ok": True})
-            else:
-                self._send_json(
-                    404,
-                    {"error": f"unknown node {parts[2]!r}; re-register", "ok": False},
-                )
-            return
-        self._send_json(404, {"error": f"no such resource: {self.path}"})
-
-    def _submit(self) -> None:
-        try:
-            payload = self._read_json()
-        except ValueError as exc:
-            self._send_json(400, {"error": f"unreadable body: {exc}"})
-            return
-        priority = 0
-        job_id: str | None = None
-        if isinstance(payload, dict):
-            try:
-                priority = int(payload.get("priority", 0))
-            except (TypeError, ValueError):
-                self._send_json(400, {"error": "'priority' must be an integer"})
-                return
-            raw_id = payload.pop("id", None)
-            if raw_id is not None:
-                if not isinstance(raw_id, str) or not raw_id:
-                    self._send_json(400, {"error": "'id' must be a non-empty string"})
-                    return
-                job_id = raw_id
-        try:
-            answer = self.coordinator.submit(
-                payload, client=self._client_id(), priority=priority, job_id=job_id
-            )
-        except AdmissionError as exc:
-            self._send_json(
-                exc.status, {"error": str(exc)}, retry_after=exc.retry_after
-            )
-            return
-        except ServiceError as exc:
-            self._send_json(exc.status or 502, {"error": exc.message})
-            return
-        self._send_json(202, answer)
-
-    def _register(self) -> None:
-        try:
-            body = self._read_json()
-        except ValueError as exc:
-            self._send_json(400, {"error": f"unreadable body: {exc}"})
-            return
-        node = str(body.get("node") or "")
-        url = str(body.get("url") or "")
-        try:
-            contract = self.coordinator.register(node, url)
-        except AdmissionError as exc:
-            self._send_json(exc.status, {"error": str(exc)})
-            return
-        self._send_json(200, contract)
-
-    def do_GET(self) -> None:  # noqa: N802
-        parsed = urlparse(self.path)
-        query = parse_qs(parsed.query)
-        parts = self._parts()
-        if parsed.path == "/healthz":
-            self._send_json(200, self.coordinator.stats())
-            return
-        if parsed.path == "/metrics":
-            self._send_text(
-                200,
-                self.coordinator.render_metrics(),
-                "text/plain; version=0.0.4; charset=utf-8",
-            )
-            return
-        if parts == ["v1", "jobs"]:
-            self._send_json(200, {"jobs": self.coordinator.jobs()})
-            return
-        if parts == ["v1", "workers"]:
-            self._send_json(200, {"workers": self.coordinator.stats()["nodes"]})
-            return
-        if len(parts) == 3 and parts[:2] == ["v1", "jobs"]:
-            include_result = query.get("result", ["0"])[0] not in ("0", "false", "")
-            try:
-                answer = self.coordinator.status(parts[2], result=include_result)
-            except ServiceError as exc:
-                self._send_json(exc.status or 502, {"error": exc.message})
-                return
-            if answer is None:
-                self._send_json(404, {"error": f"no such job: {parts[2]}"})
-                return
-            self._send_json(200, answer)
-            return
-        if len(parts) == 4 and parts[:2] == ["v1", "jobs"] and parts[3] == "events":
-            self._stream_events(parts[2], query)
-            return
-        if len(parts) == 4 and parts[:2] == ["v1", "cache"]:
-            self._cache_get(parts[2], parts[3])
-            return
-        self._send_json(404, {"error": f"no such resource: {parsed.path}"})
-
-    def do_PUT(self) -> None:  # noqa: N802
-        parts = self._parts()
-        if len(parts) == 4 and parts[:2] == ["v1", "cache"]:
-            self._cache_put(parts[2], parts[3])
-            return
-        self._send_json(404, {"error": "PUT only supports /v1/cache/{stage}/{key}"})
-
-    def do_DELETE(self) -> None:  # noqa: N802
-        parts = self._parts()
-        if len(parts) == 3 and parts[:2] == ["v1", "jobs"]:
-            try:
-                answer = self.coordinator.cancel(parts[2])
-            except (ServiceError, OSError) as exc:
-                self._send_json(502, {"error": str(exc)})
-                return
-            if answer is None:
-                self._send_json(404, {"error": f"no such job: {parts[2]}"})
-                return
-            self._send_json(200, answer)
-            return
-        if len(parts) == 3 and parts[:2] == ["v1", "workers"]:
-            if self.coordinator.deregister(parts[2]):
-                self._send_json(200, {"node": parts[2], "removed": True})
-            else:
-                self._send_json(404, {"error": f"unknown node {parts[2]!r}"})
-            return
-        if len(parts) == 4 and parts[:2] == ["v1", "cache"]:
-            self._cache_quarantine(parts[2], parts[3])
-            return
-        if parts == ["v1", "cache"]:
-            store = self.coordinator.store
-            if store is None:
-                self._send_json(404, {"error": "no shared cache configured"})
-                return
-            try:
-                removed = store.purge()
-            except OSError as exc:
-                self._send_json(500, {"error": str(exc)})
-                return
-            self._send_json(200, {"removed": removed})
-            return
-        self._send_json(404, {"error": f"no such resource: {self.path}"})
-
-    # --------------------------------------------------------- shared cache
-
-    def _cache_get(self, stage: str, key: str) -> None:
-        store = self.coordinator.store
+    def handler(request: ApiHandler, *entry: str) -> Reply:
+        store = _coordinator(request).store
         if store is None:
-            self._send_json(404, {"error": "no shared cache configured"})
-            return
+            raise HttpError(404, "no shared cache configured")
         try:
-            text = store.read(stage, key)
+            return operation(request, store, *entry)
         except OSError as exc:
-            self._send_json(500, {"error": str(exc)})
-            return
-        self.coordinator.metrics.inc(
-            "cache_requests_total", op="get", result="miss" if text is None else "hit"
-        )
-        if text is None:
-            self._send_json(404, {"error": "cache miss"})
-            return
-        self._send_text(200, text, "application/json")
+            raise HttpError(500, str(exc)) from exc
 
-    def _cache_put(self, stage: str, key: str) -> None:
-        store = self.coordinator.store
-        if store is None:
-            self._send_json(404, {"error": "no shared cache configured"})
-            return
-        try:
-            text = self._read_raw().decode()
-        except ValueError as exc:
-            self._send_json(400, {"error": str(exc)})
-            return
-        try:
-            store.write(stage, key, text)
-        except OSError as exc:
-            self._send_json(500, {"error": str(exc)})
-            return
-        self.coordinator.metrics.inc("cache_requests_total", op="put", result="ok")
-        self._send_no_content()
-
-    def _send_no_content(self) -> None:
-        self.send_response(204)
-        self.send_header("Content-Length", "0")
-        self.end_headers()
-
-    def _cache_quarantine(self, stage: str, key: str) -> None:
-        store = self.coordinator.store
-        if store is None:
-            self._send_json(404, {"error": "no shared cache configured"})
-            return
-        moved = store.quarantine(stage, key)
-        if moved is None:
-            self._send_json(404, {"error": "no such entry"})
-            return
-        self._send_json(200, {"quarantined": str(moved)})
-
-    # ------------------------------------------------------------ streaming
-
-    def _stream_events(self, job_id: str, query: dict[str, list[str]]) -> None:
-        try:
-            after = int(query.get("from", ["0"])[0])
-        except ValueError:
-            self._send_json(400, {"error": "'from' must be an integer"})
-            return
-        stream = self.coordinator.relay_events(job_id, after)
-        if stream is None:
-            self._send_json(404, {"error": f"no such job: {job_id}"})
-            return
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("Transfer-Encoding", "chunked")
-        self.send_header("Cache-Control", "no-store")
-        self.end_headers()
-        try:
-            for event in stream:
-                self._write_chunk(
-                    (json.dumps(event, sort_keys=True) + "\n").encode()
-                )
-            self._write_chunk(b"")  # terminal zero-length chunk
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away mid-stream
-
-    def _write_chunk(self, data: bytes) -> None:
-        self.wfile.write(f"{len(data):X}\r\n".encode() + data + b"\r\n")
-        self.wfile.flush()
+    return handler
 
 
-class CoordinatorServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer that owns a ClusterCoordinator."""
+@_cache_route
+def _cache_get(request: ApiHandler, store: CacheStore, stage: str, key: str) -> Reply:
+    text = store.read(stage, key)
+    outcome = "miss" if text is None else "hit"
+    _coordinator(request).metrics.inc("cache_requests_total", op="get", result=outcome)
+    if text is None:
+        raise HttpError(404, "cache miss")
+    return 200, text, "application/json"
 
-    daemon_threads = True
 
-    def __init__(
-        self,
-        address: tuple[str, int],
-        coordinator: ClusterCoordinator,
-        *,
-        verbose: bool = False,
-    ) -> None:
-        super().__init__(address, CoordinatorHandler)
-        self.coordinator = coordinator
-        self.verbose = verbose
+@_cache_route
+def _cache_put(request: ApiHandler, store: CacheStore, stage: str, key: str) -> Reply:
+    try:
+        text = request.read_body().decode()
+    except ValueError as exc:
+        raise HttpError(400, str(exc)) from exc
+    store.write(stage, key, text)
+    _coordinator(request).metrics.inc("cache_requests_total", op="put", result="ok")
+    return 204, None
 
-    @property
-    def port(self) -> int:
-        return self.server_address[1]
+
+@_cache_route
+def _cache_quarantine(request: ApiHandler, store: CacheStore, stage: str, key: str) -> Reply:
+    moved = store.quarantine(stage, key)
+    if moved is None:
+        raise HttpError(404, "no such entry")
+    return 200, {"quarantined": str(moved)}
+
+
+@_cache_route
+def _cache_purge(request: ApiHandler, store: CacheStore) -> Reply:
+    return 200, {"removed": store.purge()}
+
+
+FLEET_ROUTES = (
+    route("POST", "/v1/workers", _register),
+    route("POST", "/v1/workers/{node}/heartbeat", _heartbeat),
+    route("DELETE", "/v1/workers/{node}", _deregister),
+    route("GET", "/v1/workers", lambda r: (200, {"workers": _coordinator(r).stats()["nodes"]})),
+    route("GET", "/v1/cache/{stage}/{key}", _cache_get),
+    route("PUT", "/v1/cache/{stage}/{key}", _cache_put),
+    route("DELETE", "/v1/cache/{stage}/{key}", _cache_quarantine),
+    route("DELETE", "/v1/cache", _cache_purge),
+)
+
+
+class CoordinatorServer(ApiServer):
+    """The fleet: the job routes and the fleet's own over a coordinator."""
+
+    api: ClusterCoordinator
+    routes = JOB_ROUTES + FLEET_ROUTES
+    banner = "repro-synth-coordinator"
 
 
 def run_coordinator(
@@ -370,29 +136,18 @@ def run_coordinator(
     picks an ephemeral port; see ``.port``)."""
     server = CoordinatorServer((host, port), coordinator, verbose=verbose)
     coordinator.start()
-    thread = threading.Thread(
-        target=server.serve_forever, name="cluster-http", daemon=True
-    )
-    thread.start()
-    server._serve_thread = thread  # type: ignore[attr-defined]
+    server.start()
     return server
 
 
-def shutdown_coordinator(
-    server: CoordinatorServer, timeout: float | None = 30.0
-) -> None:
+def shutdown_coordinator(server: CoordinatorServer, timeout: float | None = 30.0) -> None:
     """Stop the monitor, close the listener."""
-    _ = timeout
-    server.coordinator.close()
-    server.shutdown()
-    server.server_close()
-    thread = getattr(server, "_serve_thread", None)
-    if thread is not None:
-        thread.join(5.0)
+    server.api.close()
+    server.stop()
 
 
 __all__ = [
-    "CoordinatorHandler",
+    "FLEET_ROUTES",
     "CoordinatorServer",
     "run_coordinator",
     "shutdown_coordinator",

@@ -18,15 +18,15 @@ fault point)."""
 
 from __future__ import annotations
 
+import json
 import threading
-import urllib.error
 import urllib.parse
-import urllib.request
 from pathlib import Path
 from typing import Callable
 
 from repro.pipeline.cache import CacheStore
 from repro.resilience.faults import InjectedFault, maybe_inject
+from repro.service.client import http_exchange
 
 
 class HttpCacheStore:
@@ -51,20 +51,20 @@ class HttpCacheStore:
     def _url(self, stage: str, key: str) -> str:
         return f"{self.base_url}/{urllib.parse.quote(stage, safe='')}/{urllib.parse.quote(key, safe='')}"
 
-    def _open(self, request: urllib.request.Request) -> tuple[int, bytes]:
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return int(response.status), response.read()
-        except urllib.error.HTTPError as exc:
-            body = exc.read()
-            exc.close()
-            return int(exc.code), body
-        except urllib.error.URLError as exc:
-            raise OSError(f"cache endpoint unreachable: {exc.reason}") from exc
+    def _call(self, method: str, url: str, text: str | None = None) -> tuple[int, bytes]:
+        """One exchange with the endpoint: ``(status, body)``; ``OSError``
+        when it is unreachable."""
+        status, _, body = http_exchange(
+            method,
+            url,
+            body=None if text is None else text.encode(),
+            headers={} if text is None else {"Content-Type": "application/json"},
+            timeout=self.timeout,
+        )
+        return status, body
 
     def read(self, stage: str, key: str) -> str | None:
-        request = urllib.request.Request(self._url(stage, key))
-        status, body = self._open(request)
+        status, body = self._call("GET", self._url(stage, key))
         if status == 200:
             return body.decode()
         if status == 404:
@@ -72,20 +72,13 @@ class HttpCacheStore:
         raise OSError(f"cache read answered HTTP {status}")
 
     def write(self, stage: str, key: str, text: str) -> None:
-        request = urllib.request.Request(
-            self._url(stage, key), data=text.encode(), method="PUT"
-        )
-        request.add_header("Content-Type", "application/json")
-        status, _ = self._open(request)
+        status, _ = self._call("PUT", self._url(stage, key), text)
         if status not in (200, 204):
             raise OSError(f"cache write answered HTTP {status}")
 
     def quarantine(self, stage: str, key: str) -> str | None:
-        request = urllib.request.Request(
-            self._url(stage, key) + "?quarantine=1", method="DELETE"
-        )
         try:
-            status, _ = self._open(request)
+            status, _ = self._call("DELETE", self._url(stage, key) + "?quarantine=1")
         except OSError:
             return None
         if status == 200:
@@ -93,13 +86,10 @@ class HttpCacheStore:
         return None
 
     def purge(self) -> int:
-        request = urllib.request.Request(self.base_url, method="DELETE")
-        status, body = self._open(request)
+        status, body = self._call("DELETE", self.base_url)
         if status != 200:
             raise OSError(f"cache purge answered HTTP {status}")
         try:
-            import json
-
             return int(json.loads(body).get("removed", 0))
         except ValueError:
             return 0

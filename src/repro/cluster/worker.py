@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import json
 import threading
-import urllib.error
-import urllib.request
 from typing import Any
 
 from repro.cluster.coordinator import HEARTBEAT_INTERVAL
 from repro.resilience.faults import InjectedFault, maybe_inject
+from repro.service.client import http_exchange
 from repro.service.jobs import JobManager
 
 
@@ -71,23 +70,19 @@ class WorkerAgent:
     # ------------------------------------------------------------ plumbing
 
     def _post(self, path: str, body: dict[str, Any] | None = None) -> tuple[int, dict[str, Any]]:
-        data = json.dumps(body or {}).encode()
-        request = urllib.request.Request(
-            self.coordinator_url + path, data=data, method="POST"
+        """POST to the coordinator: ``(status, JSON answer)``; ``OSError``
+        when it is unreachable."""
+        status, _, answer = http_exchange(
+            "POST",
+            self.coordinator_url + path,
+            body=json.dumps(body or {}).encode(),
+            headers={"Content-Type": "application/json"},
+            timeout=self.timeout,
         )
-        request.add_header("Content-Type", "application/json")
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return int(response.status), json.loads(response.read() or b"{}")
-        except urllib.error.HTTPError as exc:
-            try:
-                detail = json.loads(exc.read() or b"{}")
-            except ValueError:
-                detail = {}
-            exc.close()
-            return int(exc.code), detail
-        except urllib.error.URLError as exc:
-            raise OSError(f"coordinator unreachable: {exc.reason}") from exc
+            return status, json.loads(answer or b"{}")
+        except ValueError:
+            return status, {}
 
     # ----------------------------------------------------------- lifecycle
 
@@ -164,13 +159,12 @@ class WorkerAgent:
             self._thread.join(self.interval * 2 + 1.0)
         if deregister and self.registered:
             try:
-                request = urllib.request.Request(
+                http_exchange(
+                    "DELETE",
                     f"{self.coordinator_url}/v1/workers/{self.node_id}",
-                    method="DELETE",
+                    timeout=self.timeout,
                 )
-                with urllib.request.urlopen(request, timeout=self.timeout):
-                    pass
-            except (OSError, urllib.error.URLError):
+            except OSError:
                 pass  # the coordinator will notice via missed beats
         self.registered = False
 

@@ -68,8 +68,14 @@ differential mode).
 from __future__ import annotations
 
 import argparse
+import json
+import os
+import signal
 import sys
+import threading
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 from repro.hw.datatype import datatype_by_name
 from repro.hw.device import device_by_name
@@ -80,10 +86,92 @@ from repro.flow.compile import compile_c_source, synthesize_network
 from repro.flow.report import format_table, render_synthesis_report
 
 
+def _target_options(dse: bool = False) -> argparse.ArgumentParser:
+    """Parent parser: the platform flags and, with ``dse``, the DSE knobs."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--device", default="arria10_gt1150", help="target FPGA")
+    parent.add_argument(
+        "--datatype", default="float32", help="float32 | fixed8_16 | fixed16"
+    )
+    if dse:
+        parent.add_argument(
+            "--cs", type=float, default=0.8, help="minimum DSP utilization (Eq. 12 c_s)"
+        )
+        parent.add_argument("--top-n", type=int, default=14, help="phase-2 finalist count")
+        parent.add_argument(
+            "--clock", type=float, default=280.0, help="phase-1 assumed clock (MHz)"
+        )
+    return parent
+
+
+def _run_options(
+    jobs_help: str,
+    cache_dir_help: str,
+    cache_dir_metavar: str = "DIR",
+    quiet: bool = True,
+) -> argparse.ArgumentParser:
+    """Parent parser: DSE fan-out, the stage cache and (for the one-shot
+    subcommands) ``--quiet``; the wording of what ``--jobs`` and
+    ``--cache-dir`` mean is the subcommand's own."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("-j", "--jobs", type=int, default=1, help=jobs_help)
+    parent.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="disable the content-addressed stage cache",
+    )
+    parent.add_argument("--cache-dir", metavar=cache_dir_metavar, help=cache_dir_help)
+    if quiet:
+        parent.add_argument(
+            "-q",
+            "--quiet",
+            action="store_true",
+            help="suppress the per-stage progress lines on stderr",
+        )
+    return parent
+
+
+def _chaos_options(inject_help: str, retries_help: str) -> argparse.ArgumentParser:
+    """Parent parser: fault injection and the retry budget."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(
+        "--inject-fault", action="append", default=[], metavar="SPEC", help=inject_help
+    )
+    parent.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="seed of the deterministic fault-injection decision streams",
+    )
+    parent.add_argument(
+        "--max-retries", type=int, default=None, metavar="N", help=retries_help
+    )
+    return parent
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="systolic-synth",
         description="Automated systolic array synthesis for CNN loop nests (DAC'17).",
+        parents=[
+            _target_options(dse=True),
+            _run_options(
+                "DSE worker processes (0 = all cores); results are "
+                "bit-identical to --jobs 1",
+                "stage cache directory (default ~/.cache/repro-systolic, "
+                "or $REPRO_SYSTOLIC_CACHE_DIR)",
+            ),
+            _chaos_options(
+                "chaos testing: activate a fault-injection spec "
+                "'point:kind[:p=PROB][:times=N][:delay=SECS]', e.g. "
+                "'dse.worker:crash:p=0.3' (repeatable; points: "
+                "cache.read cache.write dse.worker testbench.compile "
+                "testbench.run sim.step service.queue service.worker; "
+                "kinds: crash corrupt delay)",
+                "retry budget (attempts) for external tools and cache I/O "
+                "(default 3)",
+            ),
+        ],
     )
     parser.add_argument("source", nargs="?", help="C file with a '#pragma systolic' nest")
     parser.add_argument(
@@ -92,24 +180,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="synthesize a unified design for a built-in CNN model instead",
     )
     parser.add_argument("-o", "--output", default="systolic_out", help="output directory")
-    parser.add_argument("--device", default="arria10_gt1150", help="target FPGA")
-    parser.add_argument(
-        "--datatype", default="float32", help="float32 | fixed8_16 | fixed16"
-    )
-    parser.add_argument(
-        "--cs", type=float, default=0.8, help="minimum DSP utilization (Eq. 12 c_s)"
-    )
-    parser.add_argument("--top-n", type=int, default=14, help="phase-2 finalist count")
-    parser.add_argument(
-        "--clock", type=float, default=280.0, help="phase-1 assumed clock (MHz)"
-    )
-    parser.add_argument(
-        "--dse-engine",
-        choices=["vector", "object"],
-        default="vector",
-        help="DSE evaluation engine: columnar NumPy batches (vector, "
-        "default) or the bit-identical scalar object walk (object)",
-    )
     parser.add_argument(
         "--save-design",
         metavar="JSON",
@@ -119,25 +189,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--save-result",
         metavar="JSON",
         help="also persist the full synthesis result (single-layer mode)",
-    )
-    parser.add_argument(
-        "-j",
-        "--jobs",
-        type=int,
-        default=1,
-        help="DSE worker processes (0 = all cores); results are "
-        "bit-identical to --jobs 1",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the content-addressed stage cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="stage cache directory (default ~/.cache/repro-systolic, "
-        "or $REPRO_SYSTOLIC_CACHE_DIR)",
     )
     parser.add_argument(
         "--trace-json",
@@ -154,38 +205,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "= compile and run the generated C testbench (degrades to fast "
         "when no toolchain is available)",
     )
-    parser.add_argument(
-        "--inject-fault",
-        action="append",
-        default=[],
-        metavar="SPEC",
-        help="chaos testing: activate a fault-injection spec "
-        "'point:kind[:p=PROB][:times=N][:delay=SECS]', e.g. "
-        "'dse.worker:crash:p=0.3' (repeatable; points: "
-        "cache.read cache.write dse.worker testbench.compile "
-        "testbench.run sim.step service.queue service.worker; "
-        "kinds: crash corrupt delay)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed of the deterministic fault-injection decision streams",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="retry budget (attempts) for external tools and cache I/O "
-        "(default 3)",
-    )
-    parser.add_argument(
-        "-q",
-        "--quiet",
-        action="store_true",
-        help="suppress the per-stage progress lines on stderr",
-    )
     return parser
 
 
@@ -193,6 +212,7 @@ def build_check_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="systolic-synth check",
         description="Statically check a restricted-C nest without synthesizing it.",
+        parents=[_target_options()],
     )
     parser.add_argument("source", help="C file to analyze")
     parser.add_argument(
@@ -203,10 +223,6 @@ def build_check_arg_parser() -> argparse.ArgumentParser:
         "full = +generated-code lint (default)",
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--device", default="arria10_gt1150", help="target FPGA")
-    parser.add_argument(
-        "--datatype", default="float32", help="float32 | fixed8_16 | fixed16"
-    )
     parser.add_argument(
         "--no-pragma",
         action="store_true",
@@ -220,6 +236,7 @@ def build_verify_arg_parser() -> argparse.ArgumentParser:
         prog="systolic-synth verify",
         description="Differentially verify a design: fast wavefront simulator "
         "vs. cycle-accurate engine vs. golden model vs. analytical cycles.",
+        parents=[_target_options()],
     )
     parser.add_argument(
         "source",
@@ -227,10 +244,6 @@ def build_verify_arg_parser() -> argparse.ArgumentParser:
         "whose DSE winner is checked",
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--device", default="arria10_gt1150", help="target FPGA")
-    parser.add_argument(
-        "--datatype", default="float32", help="float32 | fixed8_16 | fixed16"
-    )
     parser.add_argument(
         "--seed", type=int, default=0, help="synthetic-tensor RNG seed"
     )
@@ -280,6 +293,23 @@ def build_serve_arg_parser() -> argparse.ArgumentParser:
         prog="systolic-synth serve",
         description="Run the synthesis flow as a long-lived HTTP daemon "
         "with request coalescing, backpressure and progress streaming.",
+        parents=[
+            _run_options(
+                "DSE worker processes inside each synthesis (0 = all cores)",
+                "stage cache directory (default ~/.cache/repro-systolic); "
+                "also accepts a backend spec such as sqlite:PATH (coordinator/"
+                "standalone) — fleet workers always keep a local directory store "
+                "replicated through the coordinator",
+                cache_dir_metavar="DIR_OR_SPEC",
+                quiet=False,
+            ),
+            _chaos_options(
+                "chaos testing: same specs as compile, plus the service "
+                "points 'service.queue' (admission) and 'service.worker' "
+                "(synthesis attempts)",
+                "retry budget for faulted synthesis attempts (default 3)",
+            ),
+        ],
     )
     parser.add_argument("--host", default="127.0.0.1", help="bind address")
     parser.add_argument(
@@ -314,48 +344,6 @@ def build_serve_arg_parser() -> argparse.ArgumentParser:
         metavar="JSONL",
         help="accepted-work ledger; a restarted serve on the same journal "
         "resumes every job SIGTERM interrupted",
-    )
-    parser.add_argument(
-        "-j",
-        "--jobs",
-        type=int,
-        default=1,
-        help="DSE worker processes inside each synthesis (0 = all cores)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the content-addressed stage cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR_OR_SPEC",
-        help="stage cache directory (default ~/.cache/repro-systolic); "
-        "also accepts a backend spec such as sqlite:PATH (coordinator/"
-        "standalone) — fleet workers always keep a local directory store "
-        "replicated through the coordinator",
-    )
-    parser.add_argument(
-        "--inject-fault",
-        action="append",
-        default=[],
-        metavar="SPEC",
-        help="chaos testing: same specs as compile, plus the service "
-        "points 'service.queue' (admission) and 'service.worker' "
-        "(synthesis attempts)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed of the deterministic fault-injection decision streams",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="retry budget for faulted synthesis attempts (default 3)",
     )
     parser.add_argument(
         "-v", "--verbose", action="store_true", help="log every HTTP request"
@@ -412,6 +400,7 @@ def build_submit_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="systolic-synth submit",
         description="Submit a nest to a running synthesis server.",
+        parents=[_target_options(dse=True)],
     )
     parser.add_argument(
         "source", nargs="?", help="C file with a '#pragma systolic' nest, or "
@@ -445,23 +434,6 @@ def build_submit_arg_parser() -> argparse.ArgumentParser:
         default=None,
         help="fair-share identity (default: this connection's address)",
     )
-    parser.add_argument("--device", default="arria10_gt1150", help="target FPGA")
-    parser.add_argument(
-        "--datatype", default="float32", help="float32 | fixed8_16 | fixed16"
-    )
-    parser.add_argument(
-        "--cs", type=float, default=0.8, help="minimum DSP utilization (Eq. 12 c_s)"
-    )
-    parser.add_argument("--top-n", type=int, default=14, help="phase-2 finalist count")
-    parser.add_argument(
-        "--clock", type=float, default=280.0, help="phase-1 assumed clock (MHz)"
-    )
-    parser.add_argument(
-        "--dse-engine",
-        choices=["vector", "object"],
-        default="vector",
-        help="DSE evaluation engine (bit-identical; vector is faster)",
-    )
     parser.add_argument(
         "--sim-backend",
         choices=["fast", "rtl", "both", "testbench"],
@@ -482,6 +454,13 @@ def build_import_arg_parser() -> argparse.ArgumentParser:
         description="Import a network (declarative JSON spec or serialized "
         "ONNX model), lower it to layer descriptors and loop nests, and "
         "synthesize one unified systolic design for the whole model.",
+        parents=[
+            _target_options(dse=True),
+            _run_options(
+                "DSE worker processes (0 = all cores)",
+                "stage cache directory (default ~/.cache/repro-systolic)",
+            ),
+        ],
     )
     parser.add_argument(
         "source", help="network file: a .json spec or a serialized .onnx model"
@@ -494,47 +473,41 @@ def build_import_arg_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("-o", "--output", default="systolic_out", help="output directory")
-    parser.add_argument("--device", default="arria10_gt1150", help="target FPGA")
-    parser.add_argument(
-        "--datatype", default="float32", help="float32 | fixed8_16 | fixed16"
-    )
-    parser.add_argument(
-        "--cs", type=float, default=0.8, help="minimum DSP utilization (Eq. 12 c_s)"
-    )
-    parser.add_argument("--top-n", type=int, default=14, help="phase-2 finalist count")
-    parser.add_argument(
-        "--clock", type=float, default=280.0, help="phase-1 assumed clock (MHz)"
-    )
-    parser.add_argument(
-        "--dse-engine",
-        choices=["vector", "object"],
-        default="vector",
-        help="DSE evaluation engine (bit-identical; vector is faster)",
-    )
-    parser.add_argument(
-        "-j",
-        "--jobs",
-        type=int,
-        default=1,
-        help="DSE worker processes (0 = all cores)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the content-addressed stage cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="stage cache directory (default ~/.cache/repro-systolic)",
-    )
-    parser.add_argument(
-        "-q",
-        "--quiet",
-        action="store_true",
-        help="suppress the per-stage progress lines on stderr",
-    )
     return parser
+
+
+def _read_text(path: Path) -> str | None:
+    """The file's text — or None, after the usage-error line, when it is
+    missing or binary (the caller exits 2)."""
+    if not path.is_file():
+        print(f"error: no such file: {path}", file=sys.stderr)
+        return None
+    try:
+        return path.read_text()
+    except UnicodeDecodeError:
+        print(f"error: {path} is not a text file", file=sys.stderr)
+        return None
+
+
+def _platform(args: argparse.Namespace) -> Platform:
+    """The target platform a parsed command line names (parsers without
+    ``--clock`` price phase 1 at the platform default)."""
+    clock = {"assumed_clock_mhz": args.clock} if hasattr(args, "clock") else {}
+    return Platform(
+        device=device_by_name(args.device),
+        datatype=datatype_by_name(args.datatype),
+        **clock,
+    )
+
+
+def _dse_config(args: argparse.Namespace) -> DseConfig:
+    return DseConfig(min_dsp_utilization=args.cs, top_n=args.top_n)
+
+
+def _cache_spec(args: argparse.Namespace) -> bool | str:
+    """``--cache-dir`` roots the stage cache; otherwise the default
+    directory unless ``--no-cache``."""
+    return args.cache_dir or not args.no_cache
 
 
 def import_main(argv: list[str]) -> int:
@@ -549,8 +522,6 @@ def import_main(argv: list[str]) -> int:
     imported = load_network(path, strict=False)
     if not imported.ok:
         if args.json:
-            import json
-
             print(json.dumps(imported.report.to_dict(), indent=2))
         else:
             print(imported.report.render(), file=sys.stderr)
@@ -560,8 +531,6 @@ def import_main(argv: list[str]) -> int:
         print(diagnostic.render(), file=sys.stderr)
     if args.check_only:
         if args.json:
-            import json
-
             print(
                 json.dumps(
                     {
@@ -585,25 +554,12 @@ def import_main(argv: list[str]) -> int:
                 print(f"  {layer}")
         return 0
 
-    platform = Platform(
-        device=device_by_name(args.device),
-        datatype=datatype_by_name(args.datatype),
-        assumed_clock_mhz=args.clock,
-    )
-    config = DseConfig(
-        min_dsp_utilization=args.cs, top_n=args.top_n, engine=args.dse_engine
-    )
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    from repro.pipeline.events import Observer, ProgressPrinter
+    from repro.pipeline.events import ProgressPrinter
 
-    cache: bool | str = not args.no_cache
-    if args.cache_dir:
-        cache = args.cache_dir
-    observers: list[Observer] = [] if args.quiet else [ProgressPrinter()]
-    report = _synthesize_network(
-        network, platform, config, out_dir, cache, tuple(observers), args.jobs
-    )
+    observers = () if args.quiet else (ProgressPrinter(),)
+    report = _synthesize_network(args, network, out_dir, observers)
     (out_dir / "report.txt").write_text(report + "\n")
     print(report)
     print(f"\nartifacts written to {out_dir}/")
@@ -616,69 +572,64 @@ def serve_main(argv: list[str]) -> int:
     if args.workers < 1:
         print("error: --workers must be >= 1", file=sys.stderr)
         return 2
-    import os
-    import signal
-    import threading
-
-    from repro.resilience.faults import FAULT_PLAN_ENV_VAR, FAULT_SEED_ENV_VAR
-
-    prior_env = {
-        var: os.environ.get(var)
-        for var in (FAULT_PLAN_ENV_VAR, FAULT_SEED_ENV_VAR)
-    }
-    if args.inject_fault:
-        from repro.resilience.faults import FaultPlan, activate
-
-        try:
-            plan = FaultPlan.parse(";".join(args.inject_fault), seed=args.seed)
-        except ValueError as exc:
-            print(f"error: --inject-fault: {exc}", file=sys.stderr)
-            return 2
-        activate(plan, export_env=True)
-    if args.max_retries is not None:
-        if args.max_retries < 1:
-            print("error: --max-retries must be >= 1", file=sys.stderr)
-            return 2
-        from repro.resilience.retry import configure_retries
-
-        configure_retries(max_attempts=args.max_retries)
-
     if args.role == "worker" and not args.coordinator:
         print("error: --role worker requires --coordinator URL", file=sys.stderr)
-        _reset_resilience(prior_env)
         return 2
-    if args.role == "coordinator":
-        return _serve_coordinator(args, prior_env)
+    with _resilience_scope():
+        if not _configure_resilience(args):
+            return 2
+        if args.role == "coordinator":
+            return _serve_coordinator(args)
+        return _serve_node(args)
 
+
+def _bind(args: argparse.Namespace, run, backend):
+    """Start serving ``backend``; None (after the error line) when the
+    address cannot be bound."""
+    try:
+        return run(backend, host=args.host, port=args.port, verbose=args.verbose)
+    except OSError as exc:
+        print(f"error: cannot bind {args.host}:{args.port}: {exc}", file=sys.stderr)
+        return None
+
+
+def _announce(message: str) -> None:
+    print(f"systolic-synth serve: {message}", file=sys.stderr, flush=True)
+
+
+def _run_until_signal(banner: str) -> None:
+    """Announce the daemon and block until SIGTERM/SIGINT."""
+    stopping = threading.Event()
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, lambda *_: stopping.set())
+    _announce(banner)
+    while not stopping.wait(0.2):
+        pass
+
+
+def _serve_node(args: argparse.Namespace) -> int:
+    """``serve`` as a standalone daemon or a fleet worker."""
     from repro.service.http import run_server, shutdown_server
     from repro.service.jobs import JobManager
 
-    cache: bool | str = not args.no_cache
-    if args.cache_dir:
-        cache = args.cache_dir
-    if args.role == "worker":
-        # The replicated fleet cache needs the manager first (SA704
-        # degradations land on it); attach it after construction.
-        cache = False
+    worker = args.role == "worker"
     manager = JobManager(
         workers=args.workers,
         queue_depth=args.queue_depth,
-        cache=cache,
+        # The replicated fleet cache needs the manager first (SA704
+        # degradations land on it); a worker attaches it below.
+        cache=False if worker else _cache_spec(args),
         rate=args.rate,
         burst=args.burst,
         journal=args.journal,
         pipeline_jobs=args.jobs,
     )
-    try:
-        server = run_server(
-            manager, host=args.host, port=args.port, verbose=args.verbose
-        )
-    except OSError as exc:
-        print(f"error: cannot bind {args.host}:{args.port}: {exc}", file=sys.stderr)
-        _reset_resilience(prior_env)
+    server = _bind(args, run_server, manager)
+    if server is None:
         return 2
     agent = None
-    if args.role == "worker":
+    if worker:
+        from repro.cluster.coordinator import HEARTBEAT_INTERVAL
         from repro.cluster.worker import WorkerAgent, make_worker_cache
         from repro.pipeline.cache import default_cache_dir
 
@@ -691,61 +642,33 @@ def serve_main(argv: list[str]) -> int:
             coordinator_url=args.coordinator,
             advertise_url=advertise,
             node_id=args.node_id,
-            **(
-                {"interval": args.heartbeat_interval}
-                if args.heartbeat_interval
-                else {}
-            ),
+            interval=args.heartbeat_interval or HEARTBEAT_INTERVAL,
         )
         agent.start()
-    stopping = threading.Event()
-
-    def on_signal(signum, frame):
-        stopping.set()
-
-    signal.signal(signal.SIGTERM, on_signal)
-    signal.signal(signal.SIGINT, on_signal)
-    print(
-        f"systolic-synth serve: listening on http://{args.host}:{server.port} "
+    _run_until_signal(
+        f"listening on http://{args.host}:{server.port} "
         f"({args.workers} workers, queue depth {args.queue_depth}"
         + (f", journal {args.journal}" if args.journal else "")
-        + (f", worker of {args.coordinator}" if agent is not None else "")
-        + ")",
-        file=sys.stderr,
-        flush=True,
+        + (f", worker of {args.coordinator}" if worker else "")
+        + ")"
     )
-    try:
-        while not stopping.wait(0.2):
-            pass
-        print(
-            "systolic-synth serve: draining (running jobs finish, queued "
-            "jobs stay journaled)...",
-            file=sys.stderr,
-            flush=True,
-        )
-        if agent is not None:
-            # Leave the fleet first so the coordinator reassigns our
-            # journaled jobs immediately instead of after K misses.
-            agent.stop(deregister=True)
-        shutdown_server(server)
-        stats = manager.stats()
-        print(
-            f"systolic-synth serve: drained; {stats['done']} done, "
-            f"{stats['failed']} failed, {stats['cancelled']} cancelled",
-            file=sys.stderr,
-            flush=True,
-        )
-        return 0
-    finally:
-        _reset_resilience(prior_env)
+    _announce("draining (running jobs finish, queued jobs stay journaled)...")
+    if agent is not None:
+        # Leave the fleet first so the coordinator reassigns our
+        # journaled jobs immediately instead of after K misses.
+        agent.stop(deregister=True)
+    shutdown_server(server)
+    stats = manager.stats()
+    _announce(
+        f"drained; {stats['done']} done, {stats['failed']} failed, "
+        f"{stats['cancelled']} cancelled"
+    )
+    return 0
 
 
-def _serve_coordinator(args: argparse.Namespace, prior_env: dict) -> int:
+def _serve_coordinator(args: argparse.Namespace) -> int:
     """``serve --role coordinator``: route jobs across the fleet and serve
     the shared stage-cache store."""
-    import signal
-    import threading
-
     from repro.cluster.coordinator import (
         HEARTBEAT_INTERVAL,
         HEARTBEAT_MISSES,
@@ -764,42 +687,20 @@ def _serve_coordinator(args: argparse.Namespace, prior_env: dict) -> int:
         heartbeat_interval=args.heartbeat_interval or HEARTBEAT_INTERVAL,
         heartbeat_misses=args.heartbeat_misses or HEARTBEAT_MISSES,
     )
-    try:
-        server = run_coordinator(
-            coordinator, host=args.host, port=args.port, verbose=args.verbose
-        )
-    except OSError as exc:
-        print(f"error: cannot bind {args.host}:{args.port}: {exc}", file=sys.stderr)
-        _reset_resilience(prior_env)
+    server = _bind(args, run_coordinator, coordinator)
+    if server is None:
         return 2
-    stopping = threading.Event()
-
-    def on_signal(signum, frame):
-        stopping.set()
-
-    signal.signal(signal.SIGTERM, on_signal)
-    signal.signal(signal.SIGINT, on_signal)
-    print(
-        f"systolic-synth serve: coordinating on http://{args.host}:{server.port}"
-        + (f" (journal {args.journal})" if args.journal else ""),
-        file=sys.stderr,
-        flush=True,
+    _run_until_signal(
+        f"coordinating on http://{args.host}:{server.port}"
+        + (f" (journal {args.journal})" if args.journal else "")
     )
-    try:
-        while not stopping.wait(0.2):
-            pass
-        stats = coordinator.stats()
-        print(
-            "systolic-synth serve: coordinator stopping; "
-            f"{stats['settled']} settled, {stats['pending']} pending "
-            "(journaled jobs resume on restart)",
-            file=sys.stderr,
-            flush=True,
-        )
-        shutdown_coordinator(server)
-        return 0
-    finally:
-        _reset_resilience(prior_env)
+    stats = coordinator.stats()
+    _announce(
+        f"coordinator stopping; {stats['settled']} settled, {stats['pending']} "
+        "pending (journaled jobs resume on restart)"
+    )
+    shutdown_coordinator(server)
+    return 0
 
 
 def submit_main(argv: list[str]) -> int:
@@ -816,41 +717,23 @@ def submit_main(argv: list[str]) -> int:
         "cs": args.cs,
         "top_n": args.top_n,
         "clock": args.clock,
-        "engine": args.dse_engine,
     }
     if args.sim_backend:
         options["sim_backend"] = args.sim_backend
-    if args.network:
-        if args.network.endswith(".json"):
-            spec_path = Path(args.network)
-            if not spec_path.is_file():
-                print(f"error: no such file: {spec_path}", file=sys.stderr)
-                return 2
-            import json as _json
-
-            body: dict = {
-                "name": spec_path.stem,
-                "options": options,
-                "network": _json.loads(spec_path.read_text()),
-            }
-        else:
-            body = {"name": args.network, "options": options, "network": args.network}
+    path = Path(args.network or args.source)
+    body: dict = {"name": path.stem, "options": options}
+    if args.network and path.suffix != ".json":
+        body.update(name=args.network, network=args.network)  # a built-in model
     else:
-        path = Path(args.source)
-        if not path.is_file():
-            print(f"error: no such file: {path}", file=sys.stderr)
+        text = _read_text(path)
+        if text is None:
             return 2
-        body = {"name": path.stem, "options": options}
-        if path.suffix == ".json":
-            import json as _json
-
-            body["design"] = _json.loads(path.read_text())
+        if args.network:
+            body["network"] = json.loads(text)
+        elif path.suffix == ".json":
+            body["design"] = json.loads(text)
         else:
-            try:
-                body["source"] = path.read_text()
-            except UnicodeDecodeError:
-                print(f"error: {path} is not a text file", file=sys.stderr)
-                return 2
+            body["source"] = text
     client = ServiceClient(args.url, client_id=args.client_id)
     try:
         job = client.submit(priority=args.priority, **body)
@@ -903,21 +786,13 @@ def submit_main(argv: list[str]) -> int:
         out_dir = Path(args.output)
         out_dir.mkdir(parents=True, exist_ok=True)
         if status["result"].get("format") == UNIFIED_FORMAT:
-            import json as _json
-
             (out_dir / "unified_result.json").write_text(
-                _json.dumps(status["result"], indent=2) + "\n"
+                json.dumps(status["result"], indent=2) + "\n"
             )
             print(f"unified result written to {out_dir}/unified_result.json")
             return 0
         result = result_from_dict(status["result"])
-        (out_dir / "kernel.cl").write_text(result.kernel_source)
-        (out_dir / "host.cpp").write_text(result.host_source)
-        (out_dir / "testbench.c").write_text(result.testbench_source)
-        (out_dir / "driver.c").write_text(result.driver_source)
-        (out_dir / "opencl_shim.h").write_text(OPENCL_SHIM)
-        if result.rtl_source is not None:
-            (out_dir / "systolic.v").write_text(result.rtl_source)
+        _write_artifacts(out_dir, result)
         (out_dir / "report.txt").write_text(render_synthesis_report(result) + "\n")
         print(f"artifacts written to {out_dir}/")
     elif not args.follow:
@@ -936,10 +811,7 @@ def verify_main(argv: list[str]) -> int:
     )
 
     path = Path(args.source)
-    if not path.is_file():
-        print(f"error: no such file: {path}", file=sys.stderr)
-        return 2
-    if path.suffix == ".json":
+    if path.suffix == ".json" and path.is_file():
         from repro.model.serialize import load_design
 
         try:
@@ -950,18 +822,12 @@ def verify_main(argv: list[str]) -> int:
     else:
         from repro.analysis.check import run_checks
 
-        platform = Platform(
-            device=device_by_name(args.device),
-            datatype=datatype_by_name(args.datatype),
-        )
-        try:
-            source = path.read_text()
-        except UnicodeDecodeError:
-            print(f"error: {path} is not a text file", file=sys.stderr)
+        source = _read_text(path)
+        if source is None:
             return 2
         checked = run_checks(
             source,
-            platform=platform,
+            platform=_platform(args),
             level="design",
             name=path.stem,
             filename=str(path),
@@ -971,8 +837,6 @@ def verify_main(argv: list[str]) -> int:
             print(checked.report.render(source), file=sys.stderr)
             return checked.exit_code or 1
         design = checked.design
-    import os
-
     require_iverilog = args.require_iverilog or os.environ.get(
         "RTL_REQUIRE_IVERILOG"
     ) not in (None, "", "0")
@@ -994,8 +858,6 @@ def verify_main(argv: list[str]) -> int:
         iverilog="require" if require_iverilog else "auto",
     )
     if args.json:
-        import json
-
         print(json.dumps(conformance.to_dict(), indent=2))
     else:
         print(conformance.render())
@@ -1008,29 +870,18 @@ def check_main(argv: list[str]) -> int:
     from repro.analysis.check import run_checks
 
     path = Path(args.source)
-    if not path.is_file():
-        print(f"error: no such file: {path}", file=sys.stderr)
-        return 2
-    platform = Platform(
-        device=device_by_name(args.device),
-        datatype=datatype_by_name(args.datatype),
-    )
-    try:
-        source = path.read_text()
-    except UnicodeDecodeError:
-        print(f"error: {path} is not a text file", file=sys.stderr)
+    source = _read_text(path)
+    if source is None:
         return 2
     result = run_checks(
         source,
-        platform=platform,
+        platform=_platform(args),
         level=args.level,
         name=path.stem,
         filename=str(path),
         require_pragma=not args.no_pragma,
     )
     if args.json:
-        import json
-
         print(json.dumps(result.to_dict(), indent=2))
     else:
         print(result.report.render(source))
@@ -1088,8 +939,6 @@ def build_lint_arg_parser() -> argparse.ArgumentParser:
 def lint_main(argv: list[str]) -> int:
     """The ``lint`` subcommand: SA6xx static analysis + baseline ratchet."""
     args = build_lint_arg_parser().parse_args(argv)
-    import json
-
     from repro.analysis.program import (
         AnalyzeOptions,
         analyze_program,
@@ -1167,59 +1016,36 @@ def lint_main(argv: list[str]) -> int:
     return delta.exit_code
 
 
-def _reset_resilience(prior_env: dict[str, str | None]) -> None:
-    """Undo CLI-scoped chaos/retry configuration and restore the fault env
-    vars to their pre-``main`` values (keeps repeated in-process ``main()``
-    calls — tests, notebooks — independent of each other)."""
-    import os
-
-    from repro.resilience.faults import deactivate
+@contextmanager
+def _resilience_scope() -> Iterator[None]:
+    """Undo CLI-scoped chaos/retry configuration on the way out and restore
+    the fault env vars to their prior values (keeps repeated in-process
+    ``main()`` calls — tests, notebooks — independent of each other)."""
+    from repro.resilience.faults import (
+        FAULT_PLAN_ENV_VAR,
+        FAULT_SEED_ENV_VAR,
+        deactivate,
+    )
     from repro.resilience.retry import reset_retries
 
-    deactivate()
-    for var, value in prior_env.items():
-        if value is None:
-            os.environ.pop(var, None)
-        else:
-            os.environ[var] = value
-    reset_retries()
-
-
-def main(argv: list[str] | None = None) -> int:
-    raw = sys.argv[1:] if argv is None else argv
-    if raw and raw[0] == "check":
-        return check_main(raw[1:])
-    if raw and raw[0] == "verify":
-        return verify_main(raw[1:])
-    if raw and raw[0] == "serve":
-        return serve_main(raw[1:])
-    if raw and raw[0] == "submit":
-        return submit_main(raw[1:])
-    if raw and raw[0] == "lint":
-        return lint_main(raw[1:])
-    if raw and raw[0] == "import":
-        return import_main(raw[1:])
-    if raw and raw[0] == "compile":
-        raw = raw[1:]  # explicit subcommand name for the default action
-    args = build_arg_parser().parse_args(raw)
-    if bool(args.source) == bool(args.network):
-        print("error: provide exactly one of SOURCE or --network", file=sys.stderr)
-        return 2
-    import os
-
-    from repro.resilience.faults import FAULT_PLAN_ENV_VAR, FAULT_SEED_ENV_VAR
-
     prior_env = {
-        var: os.environ.get(var)
-        for var in (FAULT_PLAN_ENV_VAR, FAULT_SEED_ENV_VAR)
+        var: os.environ.get(var) for var in (FAULT_PLAN_ENV_VAR, FAULT_SEED_ENV_VAR)
     }
     try:
-        return _configured_main(args)
+        yield
     finally:
-        _reset_resilience(prior_env)
+        deactivate()
+        for var, value in prior_env.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
+        reset_retries()
 
 
-def _configured_main(args) -> int:
+def _configure_resilience(args: argparse.Namespace) -> bool:
+    """Activate ``--inject-fault`` / ``--max-retries`` for this process;
+    False (after the error line) on a usage error."""
     if args.inject_fault:
         from repro.resilience.faults import FaultPlan, activate
 
@@ -1227,55 +1053,74 @@ def _configured_main(args) -> int:
             plan = FaultPlan.parse(";".join(args.inject_fault), seed=args.seed)
         except ValueError as exc:
             print(f"error: --inject-fault: {exc}", file=sys.stderr)
-            return 2
+            return False
         # Workers spawned by the DSE pools read the plan back from the
         # environment, so chaos follows the work across processes.
         activate(plan, export_env=True)
     if args.max_retries is not None:
         if args.max_retries < 1:
             print("error: --max-retries must be >= 1", file=sys.stderr)
-            return 2
+            return False
         from repro.resilience.retry import configure_retries
 
         configure_retries(max_attempts=args.max_retries)
+    return True
 
-    platform = Platform(
-        device=device_by_name(args.device),
-        datatype=datatype_by_name(args.datatype),
-        assumed_clock_mhz=args.clock,
-    )
-    config = DseConfig(
-        min_dsp_utilization=args.cs, top_n=args.top_n, engine=args.dse_engine
-    )
+
+def main(argv: list[str] | None = None) -> int:
+    raw = sys.argv[1:] if argv is None else argv
+    subcommands = {
+        "check": check_main,
+        "verify": verify_main,
+        "serve": serve_main,
+        "submit": submit_main,
+        "lint": lint_main,
+        "import": import_main,
+    }
+    if raw and raw[0] in subcommands:
+        return subcommands[raw[0]](raw[1:])
+    if raw and raw[0] == "compile":
+        raw = raw[1:]  # explicit subcommand name for the default action
+    args = build_arg_parser().parse_args(raw)
+    if bool(args.source) == bool(args.network):
+        print("error: provide exactly one of SOURCE or --network", file=sys.stderr)
+        return 2
+    with _resilience_scope():
+        if not _configure_resilience(args):
+            return 2
+        return _configured_main(args)
+
+
+def _configured_main(args) -> int:
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     from repro.pipeline.events import JsonlTraceWriter, Observer, ProgressPrinter
 
-    cache: bool | str = not args.no_cache
-    if args.cache_dir:
-        cache = args.cache_dir
     observers: list[Observer] = [] if args.quiet else [ProgressPrinter()]
     trace = JsonlTraceWriter(args.trace_json) if args.trace_json else None
     if trace is not None:
         observers.append(trace)
     try:
-        return _synthesize(args, platform, config, out_dir, cache, tuple(observers))
+        return _synthesize(args, out_dir, tuple(observers))
     finally:
         if trace is not None:
             trace.close()
 
 
-def _synthesize_network(
-    network, platform, config, out_dir, cache, observers, jobs
-) -> str:
+def _synthesize_network(args, network, out_dir, observers) -> str:
     """Run the unified whole-network flow and write its artifacts.
 
     Shared by ``--network <builtin>`` and ``import <file>``; returns the
     text report.
     """
     synthesis = synthesize_network(
-        network, platform, config, jobs=jobs, cache=cache, observers=observers
+        network,
+        _platform(args),
+        _dse_config(args),
+        jobs=args.jobs,
+        cache=_cache_spec(args),
+        observers=observers,
     )
     result = synthesis.result
     (out_dir / "kernel.cl").write_text(synthesis.kernel_source)
@@ -1305,33 +1150,36 @@ def _synthesize_network(
     )
 
 
-def _synthesize(args, platform, config, out_dir, cache, observers) -> int:
+def _write_artifacts(out_dir: Path, result) -> None:
+    """The generated sources of one single-layer synthesis result."""
+    (out_dir / "kernel.cl").write_text(result.kernel_source)
+    (out_dir / "host.cpp").write_text(result.host_source)
+    (out_dir / "testbench.c").write_text(result.testbench_source)
+    (out_dir / "driver.c").write_text(result.driver_source)
+    (out_dir / "opencl_shim.h").write_text(OPENCL_SHIM)
+    if result.rtl_source is not None:
+        (out_dir / "systolic.v").write_text(result.rtl_source)
+
+
+def _synthesize(args, out_dir, observers) -> int:
     if args.network:
         from repro.nn import models
 
         network = getattr(models, args.network)()
-        report = _synthesize_network(
-            network, platform, config, out_dir, cache, observers, args.jobs
-        )
+        report = _synthesize_network(args, network, out_dir, observers)
     else:
         source = Path(args.source).read_text()
         synthesis = compile_c_source(
             source,
-            platform,
-            config,
+            _platform(args),
+            _dse_config(args),
             name=Path(args.source).stem,
             jobs=args.jobs,
             sim_backend=args.sim_backend,
-            cache=cache,
+            cache=_cache_spec(args),
             observers=observers,
         )
-        (out_dir / "kernel.cl").write_text(synthesis.kernel_source)
-        (out_dir / "host.cpp").write_text(synthesis.host_source)
-        (out_dir / "testbench.c").write_text(synthesis.testbench_source)
-        (out_dir / "driver.c").write_text(synthesis.driver_source)
-        (out_dir / "opencl_shim.h").write_text(OPENCL_SHIM)
-        if synthesis.rtl_source is not None:
-            (out_dir / "systolic.v").write_text(synthesis.rtl_source)
+        _write_artifacts(out_dir, synthesis)
         if args.save_design:
             from repro.model.serialize import save_design
 

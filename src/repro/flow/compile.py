@@ -66,11 +66,13 @@ def synthesize_nest(
             all cores); the result is bit-identical for any value.
         sim_backend: also execute the winner on a wavefront simulator
             with synthetic tensors — ``"fast"`` (vectorized), ``"rtl"``
-            (cycle-accurate engine; small nests only) or ``"both"``
-            (differential conformance via :mod:`repro.verify`, raising
-            :class:`repro.analysis.DiagnosticError` on disagreement).
-            The result's ``engine_result`` / ``conformance`` fields are
-            populated accordingly.
+            (the generated Verilog on the netlist interpreter; small
+            nests only), ``"both"`` (differential conformance including
+            the RTL legs via :mod:`repro.verify`, raising
+            :class:`repro.analysis.DiagnosticError` on disagreement) or
+            ``"testbench"`` (the generated C testbench).  The result's
+            ``engine_result`` / ``conformance`` fields are populated
+            accordingly.
         cache: stage cache (off by default for the API; the CLI defaults
             it on) — see :data:`CacheSpec`.
         observers: pipeline event callbacks (progress printer, JSONL
@@ -118,7 +120,8 @@ def compile_c_source(
             and generated artifacts; see :func:`synthesize_nest`.
         jobs: worker processes for the DSE fan-out.
         sim_backend: wavefront-simulator backend for the winner
-            (``fast`` | ``rtl`` | ``both``); see :func:`synthesize_nest`.
+            (``fast`` | ``rtl`` | ``both`` | ``testbench``); see
+            :func:`synthesize_nest`.
         cache: stage cache — see :data:`CacheSpec`.
         observers: pipeline event callbacks.
 

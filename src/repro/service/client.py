@@ -19,9 +19,33 @@ import json
 import time
 import urllib.error
 import urllib.request
+from email.message import Message
 from typing import Any, Callable, Iterator
 
 from repro.resilience.retry import RetryPolicy, current_policy
+
+
+def http_exchange(
+    method: str,
+    url: str,
+    *,
+    body: bytes | None = None,
+    headers: dict[str, str] | None = None,
+    timeout: float | None = None,
+) -> tuple[int, Message, bytes]:
+    """One HTTP request/response over ``urllib``: ``(status, headers, body)``.
+
+    Every *answered* status is returned, 4xx/5xx included — what a status
+    means is the caller's policy.  Only a transport failure raises
+    (``OSError``; ``URLError`` is one).
+    """
+    request = urllib.request.Request(url, data=body, method=method, headers=headers or {})
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as response:
+            return int(response.status), response.headers, response.read()
+    except urllib.error.HTTPError as exc:
+        with exc:
+            return int(exc.code), exc.headers, exc.read()
 
 
 class ServiceError(Exception):
@@ -34,6 +58,16 @@ class ServiceError(Exception):
         self.status = status
         self.message = message
         self.retry_after = retry_after
+
+    @classmethod
+    def from_answer(cls, status: int, headers: Message, body: bytes) -> "ServiceError":
+        """The server's ``{"error": ...}`` body and ``Retry-After`` header."""
+        try:
+            message = json.loads(body).get("error", body.decode())
+        except ValueError:
+            message = body.decode(errors="replace")
+        retry_after = headers.get("Retry-After")
+        return cls(status, message, retry_after=float(retry_after) if retry_after else None)
 
 
 class ServiceClient:
@@ -60,38 +94,36 @@ class ServiceClient:
 
     # ------------------------------------------------------------ plumbing
 
-    def _request(
+    def _exchange(
         self,
         method: str,
         path: str,
         body: dict[str, Any] | None = None,
         *,
         client_id: str | None = None,
-    ) -> Any:
-        data = None if body is None else json.dumps(body).encode()
-        request = urllib.request.Request(
-            self.base_url + path, data=data, method=method
-        )
-        if data is not None:
-            request.add_header("Content-Type", "application/json")
+    ) -> bytes:
+        """One call; the answer's body, or :class:`ServiceError` for a
+        4xx/5xx."""
+        headers = {}
+        if body is not None:
+            headers["Content-Type"] = "application/json"
         effective_id = client_id if client_id is not None else self.client_id
         if effective_id:
-            request.add_header("X-Client-Id", effective_id)
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read() or b"{}")
-        except urllib.error.HTTPError as exc:
-            detail = exc.read()
-            try:
-                message = json.loads(detail).get("error", detail.decode())
-            except ValueError:
-                message = detail.decode(errors="replace")
-            retry_after = exc.headers.get("Retry-After")
-            raise ServiceError(
-                exc.code,
-                message,
-                retry_after=float(retry_after) if retry_after else None,
-            ) from exc
+            headers["X-Client-Id"] = effective_id
+        status, answer_headers, answer = http_exchange(
+            method,
+            self.base_url + path,
+            body=None if body is None else json.dumps(body).encode(),
+            headers=headers,
+            timeout=self.timeout,
+        )
+        if status >= 400:
+            raise ServiceError.from_answer(status, answer_headers, answer)
+        return answer
+
+    def _request(self, *call: Any, **options: Any) -> Any:
+        """:meth:`_exchange` with the answer decoded as JSON."""
+        return json.loads(self._exchange(*call, **options) or b"{}")
 
     # ----------------------------------------------------------------- api
 
@@ -150,9 +182,7 @@ class ServiceClient:
         return self._request("GET", "/healthz")
 
     def metrics(self) -> str:
-        request = urllib.request.Request(self.base_url + "/metrics")
-        with urllib.request.urlopen(request, timeout=self.timeout) as response:
-            return response.read().decode()
+        return self._exchange("GET", "/metrics").decode()
 
     # ------------------------------------------------------------ streaming
 
@@ -220,12 +250,8 @@ class ServiceClient:
                         continue  # keepalive
                     yield json.loads(line)
         except urllib.error.HTTPError as exc:
-            detail = exc.read()
-            try:
-                message = json.loads(detail).get("error", detail.decode())
-            except ValueError:
-                message = detail.decode(errors="replace")
-            raise ServiceError(exc.code, message) from exc
+            with exc:
+                raise ServiceError.from_answer(exc.code, exc.headers, exc.read()) from exc
 
     # ---------------------------------------------------------- conveniences
 
@@ -248,4 +274,4 @@ class ServiceClient:
             time.sleep(poll)
 
 
-__all__ = ["ServiceClient", "ServiceError"]
+__all__ = ["ServiceClient", "ServiceError", "http_exchange"]

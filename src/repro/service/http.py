@@ -1,6 +1,10 @@
-"""The stdlib-only HTTP face of the synthesis service.
+"""The stdlib-only HTTP core of the synthesis service, and the job API.
 
-A :class:`ThreadingHTTPServer` wrapping one :class:`JobManager`:
+One request handler and one :class:`ThreadingHTTPServer` serve every
+role; a role is a **route table** over an object answering the
+:class:`JobApi` calls.  A single node serves :data:`JOB_ROUTES` over its
+:class:`JobManager`; the fleet coordinator (:mod:`repro.cluster.http`)
+serves the same table over the cluster, plus its worker/cache routes.
 
 ====== ============================ ===========================================
 Method Path                         Meaning
@@ -33,26 +37,68 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any
-from urllib.parse import parse_qs, urlparse
+from typing import Any, Callable, Iterator, Protocol, Sequence
+from urllib.parse import parse_qs, unquote, urlparse
 
 from repro.resilience.faults import InjectedFault
+from repro.service.client import ServiceError
 from repro.service.jobs import JobManager
 from repro.service.queue import AdmissionError
 
-#: Submission bodies above this size are refused outright (413).
+#: Request bodies above this size are refused unread (400).
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
-#: How long one streaming poll waits for a new event before sending a
-#: keepalive comment-line (keeps intermediaries from timing the stream out).
-STREAM_POLL_SECONDS = 5.0
+
+class JobApi(Protocol):
+    """The calls behind the job routes.  Answers are JSON-ready dicts or
+    records with a ``to_dict()``; None means no such job; a None item in
+    an event stream asks for a keepalive.  :class:`JobManager` answers for
+    one node, :class:`~repro.cluster.coordinator.ClusterCoordinator` for
+    a fleet."""
+
+    def submit(
+        self, payload: Any, *, client: str, priority: int, job_id: str | None
+    ) -> Any: ...
+    def status(self, job_id: str, *, result: bool = False) -> dict[str, Any] | None: ...
+    def jobs(self) -> Sequence[Any]: ...
+    def cancel(self, job_id: str) -> Any: ...
+    def relay_events(
+        self, job_id: str, from_seq: int = 0
+    ) -> Iterator[dict[str, Any] | None] | None: ...
+    def stats(self) -> dict[str, Any]: ...
+    def render_metrics(self) -> str: ...
 
 
-class ServiceHandler(BaseHTTPRequestHandler):
-    """One request; the manager lives on ``self.server``."""
+class HttpError(Exception):
+    """Raised by a route to answer ``status`` with ``{"error": message}``."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+#: What a route returns: ``(status, body)`` — JSON unless ``body`` is None
+#: (empty) — or ``(status, text, content_type)``; a bare None means the
+#: route already answered (the event stream).
+Reply = tuple[Any, ...] | None
+Route = tuple[str, tuple[str, ...], Callable[..., Reply]]
+
+
+def route(method: str, pattern: str, handler: Callable[..., Reply]) -> Route:
+    """One route-table row; each ``{name}`` path segment is captured and
+    passed percent-decoded to ``handler(request, *captures)``."""
+    return method, tuple(pattern.strip("/").split("/")), handler
+
+
+class ApiHandler(BaseHTTPRequestHandler):
+    """One request of any role; the route table and the object answering
+    it live on ``self.server``."""
 
     protocol_version = "HTTP/1.1"
-    server_version = "repro-synth"
+    query: dict[str, list[str]] = {}
+
+    def version_string(self) -> str:
+        return f"{self.server.banner} {self.sys_version}"  # type: ignore[attr-defined]
 
     # quiet by default; the daemon's own logging is the journal + metrics
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
@@ -60,43 +106,55 @@ class ServiceHandler(BaseHTTPRequestHandler):
             super().log_message(format, *args)
 
     @property
-    def manager(self) -> JobManager:
-        return self.server.manager  # type: ignore[attr-defined]
+    def api(self) -> JobApi:
+        return self.server.api  # type: ignore[attr-defined]
 
-    # ------------------------------------------------------------ plumbing
+    # ----------------------------------------------------------- responses
 
-    def _send_json(
+    def _send(
         self,
         status: int,
-        payload: dict[str, Any],
-        *,
+        body: bytes,
+        content_type: str | None,
         retry_after: float | None = None,
     ) -> None:
-        body = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if retry_after is not None:
-            self.send_header("Retry-After", str(max(1, round(retry_after))))
-        self.end_headers()
-        self.wfile.write(body)
+        try:
+            self.send_response(status)
+            if content_type is not None:
+                self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(body)))
+            if retry_after is not None:
+                self.send_header("Retry-After", str(max(1, round(retry_after))))
+            self.end_headers()
+            self.wfile.write(body)
+        except (BrokenPipeError, ConnectionResetError):
+            self.close_connection = True  # the client hung up before its answer
+
+    def _send_json(self, status: int, payload: Any, *, retry_after: float | None = None) -> None:
+        body = json.dumps(payload, default=lambda record: record.to_dict())
+        self._send(status, body.encode(), "application/json", retry_after)
 
     def _send_text(self, status: int, text: str, content_type: str) -> None:
-        body = text.encode()
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(status, text.encode(), content_type)
 
-    def _read_body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > MAX_BODY_BYTES:
-            raise ValueError(f"body exceeds {MAX_BODY_BYTES} bytes")
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
-            return {}
-        return json.loads(raw)
+    # ------------------------------------------------------------ requests
+
+    def read_body(self) -> bytes:
+        """The request body.  Its declared length is checked before the
+        read: ``rfile.read(-1)`` would park this thread until the peer
+        closes, and an unread body would desync a kept-alive connection."""
+        length = self.headers.get("Content-Length") or "0"
+        if not length.isdecimal() or int(length) > MAX_BODY_BYTES:
+            self.close_connection = True
+            raise HttpError(400, f"unreadable body: Content-Length not in 0..{MAX_BODY_BYTES}")
+        return self.rfile.read(int(length))
+
+    def read_json(self) -> Any:
+        raw = self.read_body()
+        try:
+            return json.loads(raw) if raw else {}
+        except ValueError as exc:
+            raise HttpError(400, f"unreadable body: {exc}") from exc
 
     def _client_id(self) -> str:
         """Fair-share identity: an explicit header beats the peer address
@@ -105,161 +163,169 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------- routing
 
-    def do_POST(self) -> None:  # noqa: N802 - http.server convention
+    def dispatch(self) -> None:
         parsed = urlparse(self.path)
-        if parsed.path != "/v1/jobs":
+        self.query = parse_qs(parsed.query)
+        parts = [unquote(p) for p in parsed.path.split("/") if p]
+        routes: tuple[Route, ...] = self.server.routes  # type: ignore[attr-defined]
+        for method, pattern, handler in routes:
+            if method == self.command and len(pattern) == len(parts):
+                pairs = list(zip(pattern, parts))
+                if all(seg == part or seg[0] == "{" for seg, part in pairs):
+                    break
+        else:
             self._send_json(404, {"error": f"no such resource: {parsed.path}"})
             return
         try:
-            payload = self._read_body()
-        except ValueError as exc:
-            self._send_json(400, {"error": f"unreadable body: {exc}"})
-            return
-        priority = 0
-        job_id: str | None = None
-        if isinstance(payload, dict):
-            try:
-                priority = int(payload.get("priority", 0))
-            except (TypeError, ValueError):
-                self._send_json(400, {"error": "'priority' must be an integer"})
-                return
-            # The cluster coordinator assigns ids at its door and forwards
-            # them so status/journal identities line up fleet-wide.
-            raw_id = payload.pop("id", None)
-            if raw_id is not None:
-                if not isinstance(raw_id, str) or not raw_id:
-                    self._send_json(
-                        400, {"error": "'id' must be a non-empty string"}
-                    )
-                    return
-                job_id = raw_id
-        try:
-            job = self.manager.submit(
-                payload, client=self._client_id(), priority=priority, job_id=job_id
-            )
+            reply = handler(self, *(part for seg, part in pairs if seg[0] == "{"))
+        except HttpError as exc:
+            self._send_json(exc.status, {"error": str(exc)})
         except AdmissionError as exc:
-            self._send_json(
-                exc.status, {"error": str(exc)}, retry_after=exc.retry_after
-            )
-            return
-        except InjectedFault as exc:
-            self._send_json(503, {"error": f"injected fault: {exc}"})
-            return
-        self._send_json(202, job.to_dict())
-
-    def do_GET(self) -> None:  # noqa: N802
-        parsed = urlparse(self.path)
-        query = parse_qs(parsed.query)
-        parts = [p for p in parsed.path.split("/") if p]
-        if parsed.path == "/healthz":
-            stats = self.manager.stats()
-            stats["status"] = "draining" if stats["draining"] else "ok"
-            self._send_json(200, stats)
-            return
-        if parsed.path == "/metrics":
-            self._send_text(
-                200,
-                self.manager.render_metrics(),
-                "text/plain; version=0.0.4; charset=utf-8",
-            )
-            return
-        if parsed.path == "/v1/jobs":
-            self._send_json(
-                200, {"jobs": [job.to_dict() for job in self.manager.jobs()]}
-            )
-            return
-        if len(parts) == 3 and parts[:2] == ["v1", "jobs"]:
-            job = self.manager.get(parts[2])
-            if job is None:
-                self._send_json(404, {"error": f"no such job: {parts[2]}"})
+            self._send_json(exc.status, {"error": str(exc)}, retry_after=exc.retry_after)
+        except ServiceError as exc:  # a worker hop the coordinator proxied
+            self._send_json(exc.status or 502, {"error": exc.message})
+        else:
+            if reply is None:
                 return
-            include_result = query.get("result", ["0"])[0] not in ("0", "false", "")
-            self._send_json(200, job.to_dict(include_result=include_result))
-            return
-        if len(parts) == 4 and parts[:2] == ["v1", "jobs"] and parts[3] == "events":
-            self._stream_events(parts[2], query)
-            return
-        self._send_json(404, {"error": f"no such resource: {parsed.path}"})
+            status, body, *content_type = reply
+            if content_type:
+                self._send_text(status, body, *content_type)
+            elif body is None:
+                self._send(status, b"", None)
+            else:
+                self._send_json(status, body)
 
-    def do_DELETE(self) -> None:  # noqa: N802
-        parts = [p for p in urlparse(self.path).path.split("/") if p]
-        if len(parts) == 3 and parts[:2] == ["v1", "jobs"]:
-            job = self.manager.cancel(parts[2])
-            if job is None:
-                self._send_json(404, {"error": f"no such job: {parts[2]}"})
-                return
-            self._send_json(200, job.to_dict())
-            return
-        self._send_json(404, {"error": "DELETE only supports /v1/jobs/{id}"})
+    do_GET = do_POST = do_PUT = do_DELETE = dispatch  # noqa: N815
 
     # ------------------------------------------------------------ streaming
 
-    def _stream_events(self, job_id: str, query: dict[str, list[str]]) -> None:
-        source = self.manager.event_source(job_id)
-        job = self.manager.get(job_id)
-        if source is None or job is None:
-            self._send_json(404, {"error": f"no such job: {job_id}"})
-            return
-        try:
-            after = int(query.get("from", ["0"])[0])
-        except ValueError:
-            self._send_json(400, {"error": "'from' must be an integer"})
-            return
+    def stream_events(self, events: Iterator[dict[str, Any] | None]) -> None:
+        """Frame ``events`` as chunked NDJSON (a None item goes out as a
+        keepalive comment-line) and end with the zero-length chunk."""
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Transfer-Encoding", "chunked")
         self.send_header("Cache-Control", "no-store")
-        self.end_headers()
         try:
-            while True:
-                events = self.manager.wait_events(
-                    source, after, timeout=STREAM_POLL_SECONDS
-                )
-                if not events:
-                    # the job may have finished before we subscribed, or the
-                    # stream may simply be idle mid-stage
-                    current = self.manager.get(job_id)
-                    if current is None or (
-                        current.state.terminal and len(source.events) <= after
-                    ):
-                        break
-                    self._write_chunk(b": keepalive\n")
-                    continue
-                for event in events:
-                    self._write_chunk(
-                        (json.dumps(event, sort_keys=True) + "\n").encode()
-                    )
-                after += len(events)
-                if any(e.get("event") == "JobFinished" for e in events):
-                    break
+            self.end_headers()
+            for event in events:
+                line = ": keepalive" if event is None else json.dumps(event, sort_keys=True)
+                self._write_chunk(line.encode() + b"\n")
             self._write_chunk(b"")  # terminal zero-length chunk
         except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away mid-stream; nothing to clean up
+            self.close_connection = True  # client went away mid-stream
 
     def _write_chunk(self, data: bytes) -> None:
         self.wfile.write(f"{len(data):X}\r\n".encode() + data + b"\r\n")
         self.wfile.flush()
 
 
-class ServiceServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer that owns a JobManager."""
+# ------------------------------------------------------------ the job routes
+
+
+def _submit(request: ApiHandler) -> Reply:
+    payload = request.read_json()
+    priority = 0
+    job_id: str | None = None
+    if isinstance(payload, dict):
+        try:
+            priority = int(payload.get("priority", 0))
+        except (TypeError, ValueError):
+            raise HttpError(400, "'priority' must be an integer") from None
+        # The cluster coordinator assigns ids at its door and forwards
+        # them so status/journal identities line up fleet-wide.
+        job_id = payload.pop("id", None)
+        if job_id is not None and not (isinstance(job_id, str) and job_id):
+            raise HttpError(400, "'id' must be a non-empty string")
+    try:
+        return 202, request.api.submit(
+            payload, client=request._client_id(), priority=priority, job_id=job_id
+        )
+    except InjectedFault as exc:
+        raise HttpError(503, f"injected fault: {exc}") from exc
+
+
+def _known(job_id: str, answer: Any) -> Any:
+    if answer is None:
+        raise HttpError(404, f"no such job: {job_id}")
+    return answer
+
+
+def _status(request: ApiHandler, job_id: str) -> Reply:
+    result = request.query.get("result", ["0"])[0] not in ("0", "false", "")
+    return 200, _known(job_id, request.api.status(job_id, result=result))
+
+
+def _cancel(request: ApiHandler, job_id: str) -> Reply:
+    try:
+        return 200, _known(job_id, request.api.cancel(job_id))
+    except (ServiceError, OSError) as exc:
+        raise HttpError(502, str(exc)) from exc
+
+
+def _events(request: ApiHandler, job_id: str) -> Reply:
+    try:
+        after = int(request.query.get("from", ["0"])[0])
+    except ValueError:
+        raise HttpError(400, "'from' must be an integer") from None
+    request.stream_events(_known(job_id, request.api.relay_events(job_id, after)))
+    return None
+
+
+def _metrics(request: ApiHandler) -> Reply:
+    return 200, request.api.render_metrics(), "text/plain; version=0.0.4; charset=utf-8"
+
+
+JOB_ROUTES: tuple[Route, ...] = (
+    route("POST", "/v1/jobs", _submit),
+    route("GET", "/v1/jobs", lambda request: (200, {"jobs": request.api.jobs()})),
+    route("GET", "/v1/jobs/{id}", _status),
+    route("GET", "/v1/jobs/{id}/events", _events),
+    route("DELETE", "/v1/jobs/{id}", _cancel),
+    route("GET", "/healthz", lambda request: (200, request.api.stats())),
+    route("GET", "/metrics", _metrics),
+)
+
+
+# ---------------------------------------------------------------- the server
+
+
+class ApiServer(ThreadingHTTPServer):
+    """The one listener: a route table over the object answering it."""
 
     daemon_threads = True
+    routes: tuple[Route, ...] = JOB_ROUTES
+    banner = "repro-synth"
 
     def __init__(
-        self,
-        address: tuple[str, int],
-        manager: JobManager,
-        *,
-        verbose: bool = False,
+        self, address: tuple[str, int], api: JobApi, *, verbose: bool = False
     ) -> None:
-        super().__init__(address, ServiceHandler)
-        self.manager = manager
+        super().__init__(address, ApiHandler)
+        self.api = api
         self.verbose = verbose
+        self._serve_thread = threading.Thread(
+            target=self.serve_forever, name=self.banner, daemon=True
+        )
 
     @property
     def port(self) -> int:
         return self.server_address[1]
+
+    def start(self) -> None:
+        """Serve on a background thread until :meth:`stop`."""
+        self._serve_thread.start()
+
+    def stop(self) -> None:
+        """Close the listener and join the serving thread."""
+        self.shutdown()
+        self.server_close()
+        self._serve_thread.join(5.0)
+
+
+class ServiceServer(ApiServer):
+    """A single node: the job routes over its JobManager."""
+
+    api: JobManager
 
 
 def run_server(
@@ -269,40 +335,31 @@ def run_server(
     *,
     verbose: bool = False,
 ) -> ServiceServer:
-    """Start the manager and serve it on a background thread.
-
-    Args:
-        port: 0 picks an ephemeral port (tests); the bound port is on the
-            returned server's ``.port``.
-
-    Returns:
-        The live server; stop it with :func:`shutdown_server`.
-    """
+    """Start the manager and serve it on a background thread (port 0 picks
+    an ephemeral port; see ``.port``); stop with :func:`shutdown_server`."""
     server = ServiceServer((host, port), manager, verbose=verbose)
     manager.start()
-    thread = threading.Thread(
-        target=server.serve_forever, name="synth-http", daemon=True
-    )
-    thread.start()
-    server._serve_thread = thread  # type: ignore[attr-defined]
+    server.start()
     return server
 
 
 def shutdown_server(server: ServiceServer, timeout: float | None = 30.0) -> None:
     """Graceful stop: drain the manager (running jobs finish, queued jobs
     stay journaled), then close the listener."""
-    server.manager.drain(timeout=timeout)
-    server.shutdown()
-    server.server_close()
-    thread = getattr(server, "_serve_thread", None)
-    if thread is not None:
-        thread.join(5.0)
+    server.api.drain(timeout=timeout)
+    server.stop()
 
 
 __all__ = [
+    "JOB_ROUTES",
     "MAX_BODY_BYTES",
-    "ServiceHandler",
+    "ApiHandler",
+    "ApiServer",
+    "HttpError",
+    "JobApi",
+    "Reply",
     "ServiceServer",
+    "route",
     "run_server",
     "shutdown_server",
 ]

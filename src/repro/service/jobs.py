@@ -44,7 +44,7 @@ import threading
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Any
+from typing import Any, Iterator
 
 from repro.ir.loop import LoopNest
 from repro.model.platform import Platform
@@ -73,6 +73,10 @@ from repro.service.queue import (
 
 SIM_BACKENDS = (None, "fast", "rtl", "both", "testbench")
 
+#: How long an event stream waits for news before asking for a keepalive
+#: comment-line (keeps intermediaries from timing the stream out).
+STREAM_POLL_SECONDS = 5.0
+
 _OPTION_KEYS = frozenset(
     {
         "device",
@@ -80,7 +84,6 @@ _OPTION_KEYS = frozenset(
         "clock",
         "cs",
         "top_n",
-        "engine",
         "strict",
         "sim_backend",
         "require_pragma",
@@ -158,7 +161,6 @@ class JobRequest:
         config = DseConfig(
             min_dsp_utilization=float(options.get("cs", 0.8)),
             top_n=int(options.get("top_n", 14)),
-            engine=str(options.get("engine", "vector")),
             strict=strict,
         )
         sim_backend = options.get("sim_backend")
@@ -612,26 +614,46 @@ class JobManager:
         with self._lock:
             return sorted(self._jobs.values(), key=lambda j: j.created_at)
 
-    def event_source(self, job_id: str) -> Job | None:
-        """The job whose event buffer a stream of ``job_id`` should
-        follow: the primary for coalesced jobs, the job itself otherwise."""
+    def status(self, job_id: str, *, result: bool = False) -> dict[str, Any] | None:
+        """One job's wire-level status view (None = unknown job)."""
+        job = self.get(job_id)
+        return None if job is None else job.to_dict(include_result=result)
+
+    def relay_events(
+        self, job_id: str, from_seq: int = 0
+    ) -> Iterator[dict[str, Any] | None] | None:
+        """Follow a job's events from sequence number ``from_seq`` until
+        its ``JobFinished`` (None = unknown job).  A coalesced job follows
+        its primary's buffer; a None item marks
+        :data:`STREAM_POLL_SECONDS` without news."""
         with self._lock:
             job = self._jobs.get(job_id)
             if job is None:
                 return None
-            if job.primary_id is not None:
-                return self._jobs.get(job.primary_id, job)
-            return job
+            source = self._jobs.get(job.primary_id or job_id, job)
+        return self._follow(job_id, source, from_seq)
 
-    def wait_events(
-        self, source: Job, after: int, timeout: float | None = None
-    ) -> list[dict[str, Any]]:
-        """Events of ``source`` with seq > ``after``, blocking up to
-        ``timeout`` for the first new one."""
-        with source.cond:
-            if len(source.events) <= after:
-                source.cond.wait(timeout)
-            return source.events[after:]
+    def _follow(
+        self, job_id: str, source: Job, after: int
+    ) -> Iterator[dict[str, Any] | None]:
+        while True:
+            with source.cond:
+                if len(source.events) <= after:
+                    source.cond.wait(STREAM_POLL_SECONDS)
+                events = source.events[after:]
+            yield from events
+            after += len(events)
+            if any(e.get("event") == "JobFinished" for e in events):
+                return
+            if not events:
+                # the job may have finished before we subscribed, or the
+                # stream may simply be idle mid-stage
+                current = self.get(job_id)
+                if current is None or (
+                    current.state.terminal and len(source.events) <= after
+                ):
+                    return
+                yield None
 
     def wait(self, job_id: str, timeout: float | None = None) -> Job | None:
         """Block until the job reaches a terminal state (or timeout)."""
@@ -662,7 +684,7 @@ class JobManager:
             cancelled = self.metrics.counter(
                 "jobs_completed_total", state="cancelled"
             )
-            return {
+            stats: dict[str, Any] = {
                 "queue_depth": len(self._queue),
                 "in_flight": self._in_flight,
                 "workers": self.workers,
@@ -681,6 +703,8 @@ class JobManager:
                 "degradations": list(self.degradations),
                 **self.stats_extra,
             }
+        stats["status"] = "draining" if stats["draining"] else "ok"
+        return stats
 
     def render_metrics(self) -> str:
         """The Prometheus ``/metrics`` page."""

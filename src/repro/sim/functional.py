@@ -31,7 +31,7 @@ def simulate_layer(
     inputs: np.ndarray,
     weights: np.ndarray,
     *,
-    backend: str = "rtl",
+    backend: str = "engine",
 ) -> np.ndarray:
     """Execute a conv layer under a design on a simulator backend.
 
@@ -40,7 +40,7 @@ def simulate_layer(
         layer: the layer descriptor (for padding/group handling).
         inputs: (I, H, W) tensor.
         weights: (O, I/groups, K, K) tensor.
-        backend: ``"rtl"`` for the cycle-accurate engine (exponential;
+        backend: ``"engine"`` for the cycle-accurate engine (exponential;
             small shapes only) or ``"fast"`` for the vectorized wavefront
             simulator — bit-identical outputs, Table-2 scale.
 
@@ -60,14 +60,14 @@ def simulate_layer(
             f"design nest bounds {design.nest.bounds} do not match layer "
             f"{layer.name}'s per-group nest {per_group.to_loop_nest().bounds}"
         )
-    if backend == "rtl":
+    if backend == "engine":
         simulator_class = SystolicArrayEngine
     elif backend == "fast":
         from repro.sim.fast import FastWavefrontSimulator
 
         simulator_class = FastWavefrontSimulator
     else:
-        raise ValueError(f"unknown simulator backend {backend!r} (rtl | fast)")
+        raise ValueError(f"unknown simulator backend {backend!r} (engine | fast)")
     for g in range(groups):
         engine = simulator_class(design)
         # The engine addresses tensors by array name; the weight tensor is

@@ -99,8 +99,8 @@ class TestLayerBackend:
         )
         x, w = random_layer_tensors(layer, seed=11, dtype=np.float64)
         fast = simulate_layer(design, layer, x, w, backend="fast")
-        rtl = simulate_layer(design, layer, x, w, backend="rtl")
-        assert fast.tobytes() == rtl.tobytes()
+        engine = simulate_layer(design, layer, x, w, backend="engine")
+        assert fast.tobytes() == engine.tobytes()
         np.testing.assert_allclose(fast, conv2d_layer(layer, x, w), rtol=1e-9)
 
     def test_grouped_layer_fast_backend(self):
