@@ -24,15 +24,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import Callable, Iterable
 
 from repro.ir.loop import LoopNest
 from repro.model.design_point import DesignEvaluation, DesignPoint
 from repro.model.platform import Platform
+from repro.dse.parallel import OnDegrade, OnRetry, TaskPool, top_n_search
 from repro.dse.space import DEFAULT_VECTOR_CHOICES, SystolicConfig, enumerate_configs
-
-if TYPE_CHECKING:
-    from repro.dse.multi_layer import MultiLayerResult
 
 ProgressFn = Callable[[int, int], None]
 """Optional progress hook: called with (configurations consumed, total)."""
@@ -149,6 +147,30 @@ def throughput_upper_bound_gops(
     return eff * 2.0 * config.shape.lanes * platform.assumed_clock_mhz * 1e6 / 1e9
 
 
+def tune_candidate(
+    nest: LoopNest,
+    platform: Platform,
+    include_cover: bool,
+    engine: str,
+    candidate: SystolicConfig,
+) -> tuple[DesignEvaluation, int] | None:
+    """Tune one configuration; (evaluation, tilings walked) or None when
+    no tiling fits the BRAM budget.  Pure — the one phase-1 evaluation,
+    whether a pool worker, its serial fallback or the in-process walk
+    runs it — and the vector/object engines agree bit-for-bit, so the
+    ``engine`` knob never changes the result, only how fast it arrives."""
+    from repro.dse.vector import tuner_for
+
+    tuner = tuner_for(engine)(
+        nest, candidate.mapping, candidate.shape, platform, include_cover=include_cover
+    )
+    try:
+        result = tuner.tune()
+    except RuntimeError:
+        return None
+    return result.design.evaluate(platform), result.candidates_evaluated
+
+
 def phase1(
     nest: LoopNest,
     platform: Platform,
@@ -156,8 +178,8 @@ def phase1(
     *,
     jobs: int = 1,
     progress: ProgressFn | None = None,
-    on_retry: Callable[[int, str], None] | None = None,
-    on_degrade: Callable[[str], None] | None = None,
+    on_retry: OnRetry | None = None,
+    on_degrade: OnDegrade | None = None,
 ) -> Phase1Result:
     """Run the analytical filtering phase on one layer.
 
@@ -166,14 +188,14 @@ def phase1(
         platform: evaluation platform.
         config: DSE knobs.
         jobs: worker processes for the tuning fan-out; 1 (default) runs
-            serially in-process, <= 0 means all cores.  Any value yields
-            bit-identical finalists and statistics: the parallel path
-            evaluates ranked batches concurrently and then *replays* the
-            serial branch-and-bound over the batch results in rank order
-            (see :mod:`repro.dse.parallel`).  Crashed workers are
-            resubmitted; past a threshold the affected candidates are
-            tuned serially in the parent — still bit-identical, because
-            each task is a pure function of its candidate.
+            in-process, <= 0 means all cores.  Any value yields
+            bit-identical finalists and statistics: ranked batches are
+            evaluated concurrently and consumed in rank order by the one
+            branch-and-bound walk (:func:`repro.dse.parallel.
+            top_n_search`).  Crashed workers are resubmitted; past a
+            threshold the affected candidates are tuned in the parent —
+            still bit-identical, because each task is a pure function of
+            its candidate.
         progress: optional hook called with (configs consumed, total).
         on_retry: optional hook per crashed-worker resubmission.
         on_degrade: optional hook when work falls back to serial.
@@ -213,99 +235,32 @@ def phase1(
         reverse=True,
     )
 
-    finalists: list[tuple[float, DesignEvaluation]] = []
-    tuned = 0
     tilings = 0
 
-    def should_stop(upper_bound: float) -> bool:
-        return (
-            config.upper_bound_pruning
-            and len(finalists) >= config.top_n
-            and upper_bound <= finalists[-1][0]
-        )  # nothing below this bound can enter the top-N
+    def score(outcome: tuple[DesignEvaluation, int]) -> float:
+        nonlocal tilings
+        tilings += outcome[1]  # every tuned configuration, not just finalists
+        return outcome[0].throughput_gops
 
-    def merge(outcome: tuple[DesignEvaluation, int] | None) -> None:
-        nonlocal tuned, tilings
-        if outcome is None:
-            return  # no feasible tiling (BRAM) for this config
-        evaluation, candidates_evaluated = outcome
-        tuned += 1
-        tilings += candidates_evaluated
-        finalists.append((evaluation.throughput_gops, evaluation))
-        finalists.sort(key=lambda pair: pair[0], reverse=True)
-        del finalists[config.top_n :]
-
-    if jobs != 1 and len(ranked) > 1:
-        from repro.dse.parallel import (
-            BATCH_FACTOR,
-            batched,
-            phase1_map,
-            phase1_pool,
-            resolve_jobs,
-            tune_candidate,
+    with TaskPool(
+        tune_candidate,
+        (nest, platform, config.include_cover, config.engine),
+        jobs if len(ranked) > 1 else 1,
+        on_retry=on_retry,
+        on_degrade=on_degrade,
+    ) as pool:
+        finalists, tuned = top_n_search(
+            ranked,
+            pool,
+            top_n=config.top_n,
+            pruning=config.upper_bound_pruning,
+            score=score,
+            tick=32,
+            progress=progress,
         )
 
-        def serial_task(
-            candidate: SystolicConfig,
-        ) -> tuple[DesignEvaluation, int] | None:
-            return tune_candidate(
-                nest, platform, config.include_cover, candidate, engine=config.engine
-            )
-
-        workers = resolve_jobs(jobs)
-        consumed = 0
-        with phase1_pool(
-            nest, platform, config.include_cover, workers, engine=config.engine
-        ) as pool:
-            stopped = False
-            for batch in batched(ranked, workers * BATCH_FACTOR):
-                if stopped:
-                    break
-                outcomes = phase1_map(
-                    pool,
-                    (c for _, c in batch),
-                    workers,
-                    serial_fn=serial_task,
-                    on_retry=on_retry,
-                    on_degrade=on_degrade,
-                )
-                for (upper_bound, _candidate), outcome in zip(batch, outcomes):
-                    if should_stop(upper_bound):
-                        stopped = True
-                        break
-                    consumed += 1
-                    merge(outcome)
-                if progress:
-                    progress(consumed, len(ranked))
-    else:
-        from repro.dse.vector import tuner_for
-
-        tuner_cls = tuner_for(config.engine)
-        for index, (upper_bound, candidate) in enumerate(ranked):
-            if should_stop(upper_bound):
-                break
-            tuner = tuner_cls(
-                nest,
-                candidate.mapping,
-                candidate.shape,
-                platform,
-                include_cover=config.include_cover,
-            )
-            try:
-                tuned_design = tuner.tune()
-            except RuntimeError:
-                outcome = None
-            else:
-                outcome = (
-                    tuned_design.design.evaluate(platform),
-                    tuned_design.candidates_evaluated,
-                )
-            merge(outcome)
-            if progress and (index + 1) % 32 == 0:
-                progress(index + 1, len(ranked))
-
     result = Phase1Result(
-        finalists=tuple(ev for _, ev in finalists),
+        finalists=tuple(ev for _, _, (ev, _) in finalists),
         configs_enumerated=len(candidates),
         configs_tuned=tuned,
         tilings_evaluated=tilings,
@@ -372,30 +327,12 @@ def explore(
     )
 
 
-def explore_network(
-    nests: tuple[LoopNest, ...],
-    platform: Platform,
-    config: DseConfig = DseConfig(),
-    *,
-    jobs: int = 1,
-) -> MultiLayerResult:
-    """Full two-phase DSE for a whole network (unified design).
-
-    Thin wrapper re-exported here for discoverability; the heavy lifting
-    lives in :mod:`repro.dse.multi_layer`.
-    """
-    from repro.dse.multi_layer import select_unified_design
-
-    return select_unified_design(nests, platform, config, jobs=jobs)
-
-
 __all__ = [
     "ENGINES",
     "DseConfig",
     "Phase1Result",
     "Phase2Result",
     "explore",
-    "explore_network",
     "phase1",
     "phase2",
     "throughput_upper_bound_gops",

@@ -17,17 +17,17 @@ all conv layers of one image.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.ir.loop import LoopNest
 from repro.model.mapping import Mapping, feasible_mappings
 from repro.model.platform import Platform
 from repro.nn.folding import fold_layer
 from repro.nn.models import Network
-from repro.dse.explore import DseConfig
+from repro.dse.explore import DseConfig, _shape_only_efficiency
+from repro.dse.parallel import OnDegrade, OnRetry, TaskPool, top_n_search
 from repro.dse.space import SystolicConfig, enumerate_shapes
 
 
@@ -157,39 +157,58 @@ def _aggregate_upper_bound(
     total_time = 0.0
     freq = platform.assumed_clock_mhz * 1e6
     for w in workloads:
-        eff = 1.0
-        inner = {
-            config.mapping.row: config.shape.rows,
-            config.mapping.col: config.shape.cols,
-            config.mapping.vector: config.shape.vector,
-        }
-        for it, t in inner.items():
-            n = w.nest.bounds[it]
-            eff *= n / (math.ceil(n / t) * t)
+        eff = _shape_only_efficiency(w.nest, config)
         pt = eff * 2.0 * config.shape.lanes * freq  # ops/s on the nest basis
         total_ops += w.effective_ops
         total_time += w.multiplicity * w.nest.total_operations / pt
     return total_ops / total_time / 1e9
 
 
-# What one unified-design probe yields: (aggregate GFlops, total seconds,
-# per-layer performances, max BRAM, total ops) — or None when some layer
-# has no feasible tiling.
-_UnifiedOutcome = tuple[float, float, tuple["LayerPerformance", ...], int, float]
+def unified_candidates(
+    workloads: tuple[LayerWorkload, ...], platform: Platform, config: DseConfig
+) -> list[tuple[float, SystolicConfig]]:
+    """Every unified-design candidate — the envelope's shapes under each
+    mapping all layers share — paired with its admissible aggregate
+    throughput bound, in enumeration order."""
+    envelope = _envelope_nest(workloads)
+    candidates = [
+        SystolicConfig(mapping, shape)
+        for mapping in _common_mappings(workloads)
+        for shape in enumerate_shapes(
+            envelope,
+            mapping,
+            platform,
+            min_dsp_utilization=config.min_dsp_utilization,
+            vector_choices=config.vector_choices,
+        )
+    ]
+    if config.engine == "vector" and candidates:
+        from repro.dse.vector import CandidateTable, aggregate_upper_bounds
+
+        table = CandidateTable.from_configs(envelope, candidates)
+        bounds = aggregate_upper_bounds(workloads, table, platform).tolist()
+    else:
+        bounds = [_aggregate_upper_bound(workloads, c, platform) for c in candidates]
+    return list(zip(bounds, candidates))
 
 
-def _evaluate_config(
+# What one unified-design evaluation yields: (aggregate GFlops, total
+# seconds, per-layer performances, max BRAM blocks, total ops).
+UnifiedOutcome = tuple[float, float, tuple[LayerPerformance, ...], int, float]
+
+
+def evaluate_unified(
     workloads: tuple[LayerWorkload, ...],
-    config: SystolicConfig,
     platform: Platform,
     dse: DseConfig,
-    frequency_mhz: float | None,
-) -> tuple[float, float, tuple[LayerPerformance, ...], int, float] | None:
-    """Tune every layer under one config; None if any layer has no
-    feasible tiling.  Returns (aggregate_gops, total_seconds, layers,
-    max_bram_blocks, total_ops)."""
+    task: tuple[SystolicConfig, float | None],
+) -> UnifiedOutcome | None:
+    """Tune every layer under one ``(config, clock MHz)`` task (None =
+    the platform's assumed clock); None if any layer has no feasible
+    tiling.  Pure — the one unified evaluation, wherever it runs."""
     from repro.dse.vector import tuner_for
 
+    config, frequency_mhz = task
     freq = frequency_mhz or platform.assumed_clock_mhz
     layers = []
     total_seconds = 0.0
@@ -227,6 +246,24 @@ def _evaluate_config(
     return aggregate, total_seconds, tuple(layers), max_bram, total_ops
 
 
+def realize_unified_clock(
+    config: SystolicConfig, max_bram: int, platform: Platform
+) -> tuple[float, float]:
+    """(realized clock MHz, DSP utilization) of a unified design whose
+    hungriest layer needs ``max_bram`` blocks — the P&R stand-in."""
+    dsp_blocks = config.shape.lanes * platform.dsp_per_mac
+    dsp_util = dsp_blocks / (platform.dsp_total * platform.dsp_per_mac)
+    freq = platform.frequency_model.realize(
+        rows=config.shape.rows,
+        cols=config.shape.cols,
+        vector=config.shape.vector,
+        dsp_utilization=dsp_util,
+        bram_utilization=max_bram / platform.bram_total,
+        signature=f"unified|{config}",
+    )
+    return freq, dsp_util
+
+
 def select_unified_design(
     workloads: tuple[LayerWorkload, ...] | Network,
     platform: Platform,
@@ -234,8 +271,8 @@ def select_unified_design(
     *,
     jobs: int = 1,
     progress: Callable[[int, int], None] | None = None,
-    on_retry: Callable[[int, str], None] | None = None,
-    on_degrade: Callable[[str], None] | None = None,
+    on_retry: OnRetry | None = None,
+    on_degrade: OnDegrade | None = None,
 ) -> MultiLayerResult:
     """Two-phase DSE for one unified design across all conv layers.
 
@@ -245,11 +282,11 @@ def select_unified_design(
         platform: evaluation platform.
         config: DSE knobs (c_s, vectors, top_n, pruning).
         jobs: worker processes for the per-candidate (all-layer) tuning
-            fan-out; 1 runs serially, <= 0 means all cores.  The winning
-            design is bit-identical for any value: parallel batches are
-            replayed through the serial branch-and-bound in rank order
-            (see :mod:`repro.dse.parallel`), and crashed workers are
-            resubmitted / replayed serially by :func:`resilient_map`.
+            fan-out; 1 runs in-process, <= 0 means all cores.  The
+            winning design is bit-identical for any value: both phases
+            map their evaluations through one order-preserving
+            :class:`~repro.dse.parallel.TaskPool` (crashed workers are
+            resubmitted / replayed in the parent).
         progress: optional hook called with (configs consumed, total).
         on_retry: optional hook per crashed-worker resubmission.
         on_degrade: optional hook when work falls back to serial.
@@ -259,172 +296,49 @@ def select_unified_design(
         workloads = prepare_network_nests(workloads)
     if not workloads:
         raise ValueError("no conv layers to explore")
-
-    envelope = _envelope_nest(workloads)
-    candidates = [
-        SystolicConfig(mapping, shape)
-        for mapping in _common_mappings(workloads)
-        for shape in enumerate_shapes(
-            envelope,
-            mapping,
-            platform,
-            min_dsp_utilization=config.min_dsp_utilization,
-            vector_choices=config.vector_choices,
-        )
-    ]
+    candidates = unified_candidates(workloads, platform, config)
     if not candidates:
         raise ValueError("design space is empty — lower min_dsp_utilization?")
-
-    if config.engine == "vector":
-        from repro.dse.vector import CandidateTable, aggregate_upper_bounds
-
-        table = CandidateTable.from_configs(envelope, candidates)
-        bounds_by_config = aggregate_upper_bounds(workloads, table, platform).tolist()
-    else:
-        bounds_by_config = [
-            _aggregate_upper_bound(workloads, c, platform) for c in candidates
-        ]
     ranked = sorted(
-        zip(bounds_by_config, candidates),
+        ((bound, (candidate, None)) for bound, candidate in candidates),
         key=lambda pair: pair[0],
         reverse=True,
     )
-
-    finalists: list[tuple[float, SystolicConfig]] = []
-    tuned_count = 0
-
-    def should_stop(upper_bound: float) -> bool:
-        return (
-            config.upper_bound_pruning
-            and len(finalists) >= config.top_n
-            and upper_bound <= finalists[-1][0]
+    with TaskPool(
+        evaluate_unified,
+        (workloads, platform, config),
+        jobs if len(ranked) > 1 else 1,
+        on_retry=on_retry,
+        on_degrade=on_degrade,
+    ) as pool:
+        finalists, tuned_count = top_n_search(
+            ranked,
+            pool,
+            top_n=config.top_n,
+            pruning=config.upper_bound_pruning,
+            score=lambda outcome: outcome[0],
+            tick=8,
+            progress=progress,
         )
-
-    def merge(candidate: SystolicConfig, outcome: _UnifiedOutcome | None) -> None:
-        nonlocal tuned_count
-        if outcome is None:
-            return
-        tuned_count += 1
-        finalists.append((outcome[0], candidate))
-        finalists.sort(key=lambda pair: pair[0], reverse=True)
-        del finalists[config.top_n :]
-
-    parallel = jobs != 1 and len(ranked) > 1
-    pool = None
-    workers = 1
-    if parallel:
-        from repro.dse.parallel import (
-            BATCH_FACTOR,
-            batched,
-            evaluate_unified_task,
-            resolve_jobs,
-            unified_map,
-            unified_pool,
-        )
-
-        workers = resolve_jobs(jobs)
-        pool = unified_pool(workloads, platform, config, workers)
-
-        def serial_task(
-            task: tuple[SystolicConfig, float | None],
-        ) -> _UnifiedOutcome | None:
-            return evaluate_unified_task(workloads, platform, config, task)
-
-        def pooled_map(
-            tasks: Iterable[tuple[SystolicConfig, float | None]],
-        ) -> list[_UnifiedOutcome | None]:
-            return unified_map(
-                pool,
-                tasks,
-                workers,
-                serial_fn=serial_task,
-                on_retry=on_retry,
-                on_degrade=on_degrade,
-            )
-    try:
-        if pool is not None:
-            consumed = 0
-            stopped = False
-            for batch in batched(ranked, workers * BATCH_FACTOR):
-                if stopped:
-                    break
-                outcomes = pooled_map(((c, None) for _, c in batch))
-                for (upper_bound, candidate), outcome in zip(batch, outcomes):
-                    if should_stop(upper_bound):
-                        stopped = True
-                        break
-                    consumed += 1
-                    merge(candidate, outcome)
-                if progress:
-                    progress(consumed, len(ranked))
-        else:
-            for index, (upper_bound, candidate) in enumerate(ranked):
-                if should_stop(upper_bound):
-                    break
-                merge(
-                    candidate,
-                    _evaluate_config(workloads, candidate, platform, config, None),
-                )
-                if progress and (index + 1) % 8 == 0:
-                    progress(index + 1, len(ranked))
-
         if not finalists:
             raise RuntimeError("no feasible unified design found")
 
         # Phase 2: realize clocks, re-tune at the realized clock, pick the
-        # winner.  The parallel path maps the probe and realized-clock
-        # evaluations over the pool (order-preserving), then replays the
-        # serial argmax, so ties keep breaking toward the earlier finalist.
-        if pool is not None:
-            probes = pooled_map(((c, None) for _, c in finalists))
-        else:
-            probes = [
-                _evaluate_config(workloads, candidate, platform, config, None)
-                for _, candidate in finalists
-            ]
-        freqs = []
-        for (_estimated, candidate), probe in zip(finalists, probes):
+        # winner.  The pool's map is order-preserving, so ties keep
+        # breaking toward the earlier finalist.
+        chosen = [candidate for _, (candidate, _), _ in finalists]
+        clocks = []
+        for candidate, probe in zip(chosen, pool.map((c, None) for c in chosen)):
             assert probe is not None
-            _, _, _, max_bram, _ = probe
-            dsp_blocks = candidate.shape.lanes * platform.dsp_per_mac
-            dsp_util = dsp_blocks / (platform.dsp_total * platform.dsp_per_mac)
-            bram_util = max_bram / platform.bram_total
-            freq = platform.frequency_model.realize(
-                rows=candidate.shape.rows,
-                cols=candidate.shape.cols,
-                vector=candidate.shape.vector,
-                dsp_utilization=dsp_util,
-                bram_utilization=bram_util,
-                signature=f"unified|{candidate}",
-            )
-            freqs.append((freq, dsp_util))
-        if pool is not None:
-            realized = pooled_map(
-                ((c, freq) for (_, c), (freq, _) in zip(finalists, freqs))
-            )
-        else:
-            realized = [
-                _evaluate_config(workloads, candidate, platform, config, freq)
-                for (_, candidate), (freq, _) in zip(finalists, freqs)
-            ]
+            clocks.append(realize_unified_clock(candidate, probe[3], platform))
+        realized = pool.map((c, freq) for c, (freq, _) in zip(chosen, clocks))
         best = None
-        for (_estimated, candidate), (freq, dsp_util), outcome in zip(
-            finalists, freqs, realized
-        ):
-            if outcome is None:
-                continue
-            aggregate, total_seconds, layers, max_bram, _total_ops = outcome
-            record = (
-                aggregate, candidate, freq, total_seconds, layers, max_bram, dsp_util,
-            )
-            if best is None or aggregate > best[0]:
-                best = record
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        for candidate, (freq, dsp_util), outcome in zip(chosen, clocks, realized):
+            if outcome is not None and (best is None or outcome[0] > best[3][0]):
+                best = (candidate, freq, dsp_util, outcome)
 
     assert best is not None
-    aggregate, candidate, freq, total_seconds, layers, max_bram, dsp_util = best
+    candidate, freq, dsp_util, (aggregate, total_seconds, layers, max_bram, _) = best
     from repro.model.resources import logic_usage
 
     logic = logic_usage(
@@ -449,6 +363,9 @@ __all__ = [
     "LayerPerformance",
     "LayerWorkload",
     "MultiLayerResult",
+    "evaluate_unified",
     "prepare_network_nests",
+    "realize_unified_clock",
     "select_unified_design",
+    "unified_candidates",
 ]

@@ -1,29 +1,32 @@
-"""Process-pool fan-out for the DSE hot loops.
+"""The ranked top-N search and the task pool it runs on.
 
-Phase-1 tuning is embarrassingly parallel *per configuration*, but the
+Tuning is embarrassingly parallel *per configuration*, but the
 admissible branch-and-bound is inherently sequential: whether candidate
-``i`` may be skipped depends on the top-N after candidates ``< i``.  The
-scheme here keeps the serial semantics bit-for-bat identical while still
-using every core:
+``i`` may be skipped depends on the top-N after candidates ``< i``.
+:func:`top_n_search` is that walk, written once for the layer search
+(:func:`repro.dse.explore.phase1`) and the network search
+(:func:`repro.dse.multi_layer.select_unified_design`), serial or fanned
+out:
 
-1. candidates are walked in the same descending upper-bound order as the
-   serial search, in batches of ``~8 x jobs``;
-2. a worker pool evaluates a whole batch concurrently (each worker holds
-   the nest/platform in process-global state set by the pool initializer,
-   so per-task pickling is just the candidate);
-3. the parent *replays* the serial algorithm over the batch results in
-   rank order — applying the same pruning check before consuming each
-   result and discarding everything past the stop point.
+1. candidates are walked in descending upper-bound order, in batches;
+2. a :class:`TaskPool` evaluates a batch — concurrently on worker
+   processes (each holds the task function and its shared state, set by
+   the pool initializer, so per-task pickling is just the candidate), or
+   lazily in-process when there is one worker;
+3. the walk consumes the batch results in rank order, checking the
+   pruning bound *before* taking each result and discarding everything
+   past the stop point.
 
-Because the replay performs exactly the serial sequence of top-N updates
-and prune checks, finalists, statistics and the stop point are identical
-to ``jobs=1`` (asserted by tests); the only cost is up to one batch of
-wasted tuning past the stop point.
+Because the walk performs the same sequence of top-N updates and prune
+checks for any batch size, finalists, statistics and the stop point are
+identical for every ``jobs`` value (asserted by tests); the only cost of
+a process pool is up to one batch of wasted tuning past the stop point —
+with one worker the batch is evaluated on demand, so nothing is wasted.
 
-Workers are plain module-level functions (picklable under every start
-method); pools use the default start method of the host platform.
+The task function is a plain module-level function (picklable under
+every start method); pools use the host platform's default start method.
 
-Workers are also treated as *unreliable*: every task runs through
+Pool workers are treated as *unreliable*: every pooled task runs through
 :func:`resilient_map`, which resubmits a task whose worker crashed
 (an exception — including an injected ``dse.worker`` fault — or a died
 process) and, past :data:`MAX_RESUBMITS` failures or a broken pool,
@@ -35,11 +38,12 @@ bit-identical to an undisturbed run by construction.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from repro.resilience.faults import maybe_inject
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -52,9 +56,6 @@ BATCH_FACTOR = 8
 #: Times one task is resubmitted to the pool before the parent evaluates
 #: it serially itself (the bit-identical fallback of last resort).
 MAX_RESUBMITS = 2
-
-_PHASE1_STATE: tuple | None = None
-_UNIFIED_STATE: tuple | None = None
 
 OnRetry = Callable[[int, str], None]
 """Resubmission hook: (failed attempts for this task, reason)."""
@@ -108,6 +109,9 @@ def resilient_map(
         on_degrade: hook fired when an item falls back to serial.
         max_resubmits: per-item resubmission budget.
     """
+    # Imported here so a serial run never loads the multiprocessing stack.
+    from concurrent.futures.process import BrokenProcessPool
+
     items = list(items)
     try:
         futures = [pool.submit(fn, item) for item in items]
@@ -150,153 +154,149 @@ def resilient_map(
     return results
 
 
-# ------------------------------------------------------------- phase 1
+# ------------------------------------------------------------ task pool
+
+_TASK: tuple[Callable[..., Any], tuple] | None = None
+"""``(fn, state)`` of the pool this worker process belongs to."""
 
 
-def _phase1_init(
-    nest: Any, platform: Any, include_cover: bool, engine: str = "object"
-) -> None:
-    global _PHASE1_STATE
-    _PHASE1_STATE = (nest, platform, include_cover, engine)
+def _task_init(fn: Callable[..., Any], state: tuple) -> None:
+    global _TASK
+    _TASK = (fn, state)
 
 
-def tune_candidate(
-    nest: Any,
-    platform: Any,
-    include_cover: bool,
-    candidate: Any,
-    engine: str = "object",
-) -> tuple[Any, int] | None:
-    """Tune one configuration; (evaluation, tilings walked) or None when
-    no tiling fits the BRAM budget.  Pure: both the worker task and the
-    serial fallback run exactly this, so recovery is bit-identical —
-    and the vector/object engines agree bit-for-bit, so the ``engine``
-    knob never changes the result, only how fast it arrives."""
-    from repro.dse.vector import tuner_for
-
-    tuner = tuner_for(engine)(
-        nest, candidate.mapping, candidate.shape, platform, include_cover=include_cover
-    )
-    try:
-        result = tuner.tune()
-    except RuntimeError:
-        return None
-    return result.design.evaluate(platform), result.candidates_evaluated
-
-
-def _phase1_tune(candidate: Any) -> tuple[Any, int] | None:
-    """The pool task: the ``dse.worker`` fault point + the pure tuner."""
+def _run_task(item: Any) -> Any:
+    """The pool task: the ``dse.worker`` fault point + the pure ``fn``."""
     maybe_inject("dse.worker")
-    assert _PHASE1_STATE is not None
-    nest, platform, include_cover, engine = _PHASE1_STATE
-    return tune_candidate(nest, platform, include_cover, candidate, engine=engine)
+    assert _TASK is not None
+    fn, state = _TASK
+    return fn(*state, item)
 
 
-def phase1_pool(
-    nest: Any,
-    platform: Any,
-    include_cover: bool,
-    jobs: int,
-    engine: str = "object",
-) -> ProcessPoolExecutor:
-    """A pool whose workers hold the phase-1 tuning state."""
-    return ProcessPoolExecutor(
-        max_workers=jobs,
-        initializer=_phase1_init,
-        initargs=(nest, platform, include_cover, engine),
-    )
+class TaskPool:
+    """Order-preserving map of the pure ``fn(*state, item)`` over items.
+
+    With more than one worker the items go to a process pool through
+    :func:`resilient_map`, so crashed workers are resubmitted and, past
+    the budget, replayed in the parent.  With one worker the map is lazy
+    and in-process — an item is evaluated when its result is taken, never
+    fault-injected — which makes the serial search the pooled search with
+    its batch evaluated on demand.
+
+    Args:
+        fn: module-level pure function (picklable under every start
+            method); called as ``fn(*state, item)``.
+        state: what every task shares; shipped to each worker once.
+        jobs: worker processes; 1 = in-process, <= 0 = all cores.
+        on_retry: hook per crashed-worker resubmission.
+        on_degrade: hook when work falls back to the parent.
+    """
+
+    def __init__(
+        self,
+        fn: Callable[..., R],
+        state: tuple,
+        jobs: int,
+        *,
+        on_retry: OnRetry | None = None,
+        on_degrade: OnDegrade | None = None,
+    ) -> None:
+        self.workers = resolve_jobs(jobs)
+        self._fn = fn
+        self._state = state
+        self._hooks = {"on_retry": on_retry, "on_degrade": on_degrade}
+        self._executor: ProcessPoolExecutor | None = None
+        if self.workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.workers, initializer=_task_init, initargs=(fn, state)
+            )
+
+    def _call(self, item: Any) -> R:
+        return self._fn(*self._state, item)
+
+    def map(self, items: Iterable[Any]) -> Iterable[R]:
+        """Results of ``fn`` over ``items``, in order."""
+        if self._executor is None:
+            return map(self._call, items)
+        return resilient_map(
+            self._executor, _run_task, items, serial_fn=self._call, **self._hooks
+        )
+
+    def __enter__(self) -> "TaskPool":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self._executor is not None:
+            self._executor.shutdown()
 
 
-def phase1_map(
-    pool: ProcessPoolExecutor,
-    candidates: Iterable[Any],
-    jobs: int,
+def top_n_search(
+    ranked: Sequence[tuple[float, T]],
+    pool: TaskPool,
     *,
-    serial_fn: Callable[[Any], tuple[Any, int] | None],
-    on_retry: OnRetry | None = None,
-    on_degrade: OnDegrade | None = None,
-) -> list[tuple[Any, int] | None]:
-    """Evaluate a batch of configurations, preserving order and
-    surviving worker crashes (see :func:`resilient_map`)."""
-    del jobs  # tasks are submitted individually; no chunking knob left
-    return resilient_map(
-        pool,
-        _phase1_tune,
-        candidates,
-        serial_fn=serial_fn,
-        on_retry=on_retry,
-        on_degrade=on_degrade,
-    )
+    top_n: int,
+    pruning: bool,
+    score: Callable[[R], float],
+    tick: int,
+    progress: Callable[[int, int], None] | None = None,
+) -> tuple[list[tuple[float, T, R]], int]:
+    """The admissible top-N walk over bound-ranked candidates.
 
+    Args:
+        ranked: ``(upper bound, item)`` pairs, best bound first; an
+            item's true score never exceeds its bound.
+        pool: evaluates items (``pool.map``); a None outcome = infeasible.
+        top_n: finalists to keep.
+        pruning: stop once the next bound cannot enter the top N.
+        score: a feasible outcome's score; called exactly once per
+            outcome consumed, in rank order.
+        tick: candidates per batch (and per progress report) with one
+            worker; a process pool takes ``workers * BATCH_FACTOR``.
+        progress: optional hook called with (candidates consumed, total).
 
-# ------------------------------------------------- unified (multi-layer)
-
-
-def _unified_init(workloads: Any, platform: Any, dse: Any) -> None:
-    global _UNIFIED_STATE
-    _UNIFIED_STATE = (workloads, platform, dse)
-
-
-def evaluate_unified_task(
-    workloads: Any, platform: Any, dse: Any, task: tuple[Any, float | None]
-) -> Any:
-    """Evaluate one unified-design candidate over every layer (pure;
-    shared by the worker task and the serial fallback)."""
-    from repro.dse.multi_layer import _evaluate_config
-
-    candidate, frequency_mhz = task
-    return _evaluate_config(workloads, candidate, platform, dse, frequency_mhz)
-
-
-def _unified_eval(task: tuple[Any, float | None]) -> Any:
-    """The pool task: the ``dse.worker`` fault point + the pure eval."""
-    maybe_inject("dse.worker")
-    assert _UNIFIED_STATE is not None
-    workloads, platform, dse = _UNIFIED_STATE
-    return evaluate_unified_task(workloads, platform, dse, task)
-
-
-def unified_pool(workloads: Any, platform: Any, dse: Any, jobs: int) -> ProcessPoolExecutor:
-    """A pool whose workers hold the multi-layer evaluation state."""
-    return ProcessPoolExecutor(
-        max_workers=jobs,
-        initializer=_unified_init,
-        initargs=(workloads, platform, dse),
-    )
-
-
-def unified_map(
-    pool: ProcessPoolExecutor,
-    tasks: Iterable[tuple[Any, float | None]],
-    jobs: int,
-    *,
-    serial_fn: Callable[[tuple[Any, float | None]], Any],
-    on_retry: OnRetry | None = None,
-    on_degrade: OnDegrade | None = None,
-) -> list[Any]:
-    """Evaluate (candidate, frequency) tasks, preserving order and
-    surviving worker crashes (see :func:`resilient_map`)."""
-    del jobs
-    return resilient_map(
-        pool,
-        _unified_eval,
-        tasks,
-        serial_fn=serial_fn,
-        on_retry=on_retry,
-        on_degrade=on_degrade,
-    )
+    Returns:
+        ``(finalists, feasible)`` — the top ``(score, item, outcome)``
+        triples, best first with ties toward the earlier candidate, and
+        how many consumed candidates were feasible.  The finalists are
+        identical to evaluating everything, stable-sorting, truncating.
+    """
+    finalists: list[tuple[float, T, R]] = []
+    feasible = 0
+    consumed = 0
+    stopped = False
+    eager = pool.workers > 1
+    size = pool.workers * BATCH_FACTOR if eager else tick
+    for batch in batched(ranked, size):
+        outcomes = iter(pool.map(item for _, item in batch))
+        for upper_bound, item in batch:
+            if pruning and len(finalists) >= top_n and upper_bound <= finalists[-1][0]:
+                stopped = True  # nothing below this bound can enter the top N
+                break
+            outcome = next(outcomes)
+            consumed += 1
+            if outcome is None:
+                continue  # no feasible tiling (BRAM) for this candidate
+            feasible += 1
+            finalists.append((score(outcome), item, outcome))
+            finalists.sort(key=lambda entry: entry[0], reverse=True)
+            del finalists[top_n:]
+        # A process pool reports once per batch; the in-process walk every
+        # ``tick`` candidates consumed (so not for a cut or short batch).
+        if progress and (eager or (len(batch) == tick and not stopped)):
+            progress(consumed, len(ranked))
+        if stopped:
+            break
+    return finalists, feasible
 
 
 __all__ = [
     "BATCH_FACTOR",
     "MAX_RESUBMITS",
+    "TaskPool",
     "batched",
-    "evaluate_unified_task",
-    "phase1_map",
-    "phase1_pool",
     "resilient_map",
     "resolve_jobs",
-    "tune_candidate",
-    "unified_map",
-    "unified_pool",
+    "top_n_search",
 ]

@@ -16,8 +16,13 @@ from __future__ import annotations
 
 from repro.model.design_point import DesignPoint
 from repro.model.platform import Platform
-from repro.dse.multi_layer import LayerWorkload, _evaluate_config
-from repro.dse.space import SystolicConfig, enumerate_shapes
+from repro.dse.multi_layer import (
+    LayerWorkload,
+    evaluate_unified,
+    realize_unified_clock,
+    unified_candidates,
+)
+from repro.dse.space import SystolicConfig
 from repro.sim.perf import simulate_performance
 from repro.experiments.common import ExperimentResult
 from repro.experiments.networks import paper_dse_config, unified_design
@@ -52,18 +57,7 @@ def run_fig7a_design_space(
     result_ml, workloads = unified_design("alexnet", fast=fast)
     dse = paper_dse_config(fast=fast)
 
-    from repro.dse.multi_layer import _common_mappings, _envelope_nest
-
-    envelope = _envelope_nest(workloads)
-    configs = [
-        SystolicConfig(mapping, shape)
-        for mapping in _common_mappings(workloads)
-        for shape in enumerate_shapes(
-            envelope, mapping, platform,
-            min_dsp_utilization=dse.min_dsp_utilization,
-            vector_choices=dse.vector_choices,
-        )
-    ]
+    configs = [c for _, c in unified_candidates(workloads, platform, dse)]
     want = sample_points or (12 if fast else 60)
     step = max(1, len(configs) // want)
     sampled = configs[::step]
@@ -83,7 +77,7 @@ def run_fig7a_design_space(
     designs_validated = 0
     strict_violations = 0
     for config in sampled:
-        outcome = _evaluate_config(workloads, config, platform, dse, None)
+        outcome = evaluate_unified(workloads, platform, dse, (config, None))
         if outcome is None:
             continue
         aggregate, _seconds, layers, max_bram, _ops = outcome
@@ -157,25 +151,9 @@ def run_fig7b_model_accuracy(
     result_ml, workloads = unified_design("alexnet", fast=fast)
     dse = paper_dse_config(fast=fast)
 
-    from repro.dse.multi_layer import (
-        _aggregate_upper_bound,
-        _common_mappings,
-        _envelope_nest,
-    )
-
-    envelope = _envelope_nest(workloads)
-    configs = [
-        SystolicConfig(mapping, shape)
-        for mapping in _common_mappings(workloads)
-        for shape in enumerate_shapes(
-            envelope, mapping, platform,
-            min_dsp_utilization=dse.min_dsp_utilization,
-            vector_choices=dse.vector_choices,
-        )
-    ]
     ranked = sorted(
-        configs,
-        key=lambda c: _aggregate_upper_bound(workloads, c, platform),
+        unified_candidates(workloads, platform, dse),
+        key=lambda pair: pair[0],
         reverse=True,
     )[: dse.top_n]
 
@@ -191,26 +169,13 @@ def run_fig7b_model_accuracy(
     raw_model: list[float] = []
     raw_sim: list[float] = []
     raw_labels: list[str] = []
-    for rank, config in enumerate(ranked, start=1):
-        at_assumed = _evaluate_config(workloads, config, platform, dse, None)
+    for rank, (_bound, config) in enumerate(ranked, start=1):
+        at_assumed = evaluate_unified(workloads, platform, dse, (config, None))
         if at_assumed is None:
             continue
         estimated = at_assumed[0]
-        dsp_util = (
-            config.shape.lanes
-            * platform.dsp_per_mac
-            / (platform.dsp_total * platform.dsp_per_mac)
-        )
-        bram_util = at_assumed[3] / platform.bram_total
-        freq = platform.frequency_model.realize(
-            rows=config.shape.rows,
-            cols=config.shape.cols,
-            vector=config.shape.vector,
-            dsp_utilization=dsp_util,
-            bram_utilization=bram_util,
-            signature=f"unified|{config}",
-        )
-        at_real = _evaluate_config(workloads, config, platform, dse, freq)
+        freq, _dsp_util = realize_unified_clock(config, at_assumed[3], platform)
+        at_real = evaluate_unified(workloads, platform, dse, (config, freq))
         assert at_real is not None
         model_gops = at_real[0]
         sim_gops = _aggregate_simulated(workloads, config, at_real[2], platform, freq)

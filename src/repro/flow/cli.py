@@ -84,6 +84,7 @@ from repro.codegen.opencl import OPENCL_SHIM
 from repro.dse.explore import DseConfig
 from repro.flow.compile import compile_c_source, synthesize_network
 from repro.flow.report import format_table, render_synthesis_report
+from repro.pipeline.stages import SIM_BACKENDS
 
 
 def _target_options(dse: bool = False) -> argparse.ArgumentParser:
@@ -197,7 +198,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--sim-backend",
-        choices=["fast", "rtl", "both", "testbench"],
+        choices=SIM_BACKENDS,
         help="also execute the winner on a wavefront simulator: fast = "
         "vectorized, rtl = generated Verilog through the netlist "
         "interpreter (small nests), both = differential conformance "
@@ -262,7 +263,7 @@ def build_verify_arg_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--sim-backend",
-        choices=["fast", "rtl", "both"],
+        choices=[b for b in SIM_BACKENDS if b != "testbench"],
         default="both",
         help="legs to run: fast = simulator matrix only, rtl / both = "
         "also hold the generated Verilog (interpreter, plus iverilog "
@@ -436,7 +437,7 @@ def build_submit_arg_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--sim-backend",
-        choices=["fast", "rtl", "both", "testbench"],
+        choices=SIM_BACKENDS,
         help="also execute the winner on a wavefront simulator",
     )
     parser.add_argument(
@@ -1084,6 +1085,18 @@ def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(raw)
     if bool(args.source) == bool(args.network):
         print("error: provide exactly one of SOURCE or --network", file=sys.stderr)
+        return 2
+    layer_only = [
+        flag
+        for flag in ("--sim-backend", "--save-design", "--save-result")
+        if getattr(args, flag[2:].replace("-", "_"))
+    ]
+    if args.network and layer_only:
+        print(
+            f"error: {', '.join(layer_only)} apply to single-nest runs only, "
+            "not --network",
+            file=sys.stderr,
+        )
         return 2
     with _resilience_scope():
         if not _configure_resilience(args):

@@ -20,7 +20,7 @@ from repro.nn.models import Network
 from repro.codegen.host import generate_host
 from repro.codegen.opencl import generate_kernel
 from repro.dse.explore import DseConfig
-from repro.dse.multi_layer import MultiLayerResult
+from repro.dse.multi_layer import MultiLayerResult, prepare_network_nests
 from repro.pipeline.cache import StageCache, resolve_cache
 from repro.pipeline.context import SynthesisContext, SynthesisResult
 from repro.pipeline.engine import PipelineEngine
@@ -190,15 +190,14 @@ def synthesize_network(
         observers: pipeline event callbacks.
     """
     platform = platform or Platform()
+    workloads = prepare_network_nests(network)
     result = run_unified_dse(
-        network, platform, config, jobs=jobs, cache=cache, observers=tuple(observers)
+        workloads, platform, config, jobs=jobs, cache=cache, observers=tuple(observers)
     )
     # Generate the artifact against the largest layer (the envelope user);
     # per-layer middle bounds are runtime parameters of the same kernel.
     from repro.model.design_point import DesignPoint
-    from repro.dse.multi_layer import prepare_network_nests
 
-    workloads = prepare_network_nests(network)
     largest = max(workloads, key=lambda w: w.nest.total_operations)
     layer_perf = {l.name: l for l in result.layers}
     design = DesignPoint.create(

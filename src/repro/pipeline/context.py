@@ -17,6 +17,7 @@ from repro.ir.loop import LoopNest
 from repro.model.design_point import DesignEvaluation
 from repro.model.platform import Platform
 from repro.dse.explore import DseConfig, Phase1Result, Phase2Result
+from repro.dse.multi_layer import LayerWorkload, MultiLayerResult
 from repro.sim.engine import EngineResult
 from repro.sim.perf import LayerMeasurement
 from repro.verify.conformance import ConformanceReport
@@ -94,7 +95,10 @@ class SynthesisContext:
             (``"fast"``, ``"rtl"`` or ``"both"`` for differential
             conformance; None = performance model only).
         nest: the loop nest (parse-stage output, or an input).
+        workloads: a lowered network's conv layers — the input of the
+            whole-network flow, whose one stage fills ``unified``.
         phase1 / phase2: DSE stage outputs.
+        unified: the unified-dse stage's output (network flow only).
         frequency_mhz: realized clock of the winner.
         measurement: simulator verdict on the winner.
         kernel_source / host_source / testbench_source / driver_source:
@@ -113,8 +117,10 @@ class SynthesisContext:
     jobs: int = 1
     sim_backend: str | None = None
     nest: LoopNest | None = None
+    workloads: tuple[LayerWorkload, ...] | None = None
     phase1: Phase1Result | None = None
     phase2: Phase2Result | None = None
+    unified: MultiLayerResult | None = None
     frequency_mhz: float | None = None
     measurement: LayerMeasurement | None = None
     kernel_source: str | None = None

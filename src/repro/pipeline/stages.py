@@ -8,6 +8,9 @@ the code generators and the performance simulator).  The expensive stages
 (DSE, codegen, simulate) declare cache key parts and JSON codecs; parse
 and legality-check always run — they are cheap and they *produce* the
 loop nest the cache keys hash.
+
+The whole-network flow is a one-stage pipeline on the same engine:
+``unified-dse`` (:class:`UnifiedDseStage`).
 """
 
 from __future__ import annotations
@@ -18,8 +21,10 @@ from repro.model.serialize import measurement_from_dict, measurement_to_dict
 from repro.pipeline.codecs import (
     decode_phase1,
     decode_phase2,
+    decode_unified,
     encode_phase1,
     encode_phase2,
+    encode_unified,
 )
 from repro.pipeline.context import SynthesisContext
 from repro.pipeline.engine import StageBase
@@ -80,23 +85,20 @@ class LegalityStage(StageBase):
         return {"checked": ctx.strict}
 
 
-class DsePhase1Stage(StageBase):
-    """Analytical filtering: enumerate configurations, tune tilings,
-    keep the top-N — fanned out over ``ctx.jobs`` worker processes.
-
-    Workers are treated as unreliable: a crashed task is resubmitted
-    (surfaced as :class:`StageRetried` and recorded as SA502) and, past
-    the resubmission budget or a broken pool, replayed serially in the
+class _SearchStage(StageBase):
+    """What the two DSE search stages share: the search's progress
+    reports become :class:`StageProgress` events, and its pool workers
+    are treated as unreliable — a crashed task is resubmitted (surfaced
+    as :class:`StageRetried` and recorded as SA502) and, past the
+    resubmission budget or a broken pool, replayed serially in the
     parent (:class:`StageDegraded`, SA503) — bit-identical either way,
     because each task is a pure function of its candidate."""
 
-    name = "dse-phase1"
-
-    def run(self, ctx: SynthesisContext, events: EventBus) -> SynthesisContext:
-        from repro.dse.explore import phase1
+    def search(self, ctx: SynthesisContext, events: EventBus, fn, subject):
+        """Run ``fn(subject, platform, config, jobs=..., <hooks>)``;
+        returns (its result, the context with any degradations added)."""
         from repro.dse.parallel import MAX_RESUBMITS
 
-        assert ctx.nest is not None
         degradations: list[tuple[str, str]] = []
 
         def progress(done: int, total: int) -> None:
@@ -121,8 +123,8 @@ class DsePhase1Stage(StageBase):
             )
             degradations.append(("SA503", reason))
 
-        result = phase1(
-            ctx.nest,
+        result = fn(
+            subject,
             ctx.platform,
             ctx.config,
             jobs=ctx.jobs,
@@ -130,9 +132,21 @@ class DsePhase1Stage(StageBase):
             on_retry=on_retry,
             on_degrade=on_degrade,
         )
-        return ctx.evolve(
-            phase1=result, degradations=ctx.degradations + tuple(degradations)
-        )
+        return result, ctx.evolve(degradations=ctx.degradations + tuple(degradations))
+
+
+class DsePhase1Stage(_SearchStage):
+    """Analytical filtering: enumerate configurations, tune tilings,
+    keep the top-N — fanned out over ``ctx.jobs`` worker processes."""
+
+    name = "dse-phase1"
+
+    def run(self, ctx: SynthesisContext, events: EventBus) -> SynthesisContext:
+        from repro.dse.explore import phase1
+
+        assert ctx.nest is not None
+        result, ctx = self.search(ctx, events, phase1, ctx.nest)
+        return ctx.evolve(phase1=result)
 
     def cache_parts(self, ctx: SynthesisContext) -> tuple | None:
         return (ctx.nest, ctx.platform, ctx.config, ctx.strict)
@@ -190,6 +204,43 @@ class DsePhase2Stage(StageBase):
             "winner": str(best.design.shape),
             "frequency_mhz": round(ctx.frequency_mhz, 1),
             "gops": round(best.throughput_gops, 1),
+        }
+
+
+class UnifiedDseStage(_SearchStage):
+    """The whole-network flow's one stage: the unified multi-layer
+    design selection (:mod:`repro.dse.multi_layer`, both phases) over
+    ``ctx.workloads``."""
+
+    name = "unified-dse"
+
+    def run(self, ctx: SynthesisContext, events: EventBus) -> SynthesisContext:
+        from repro.dse.multi_layer import select_unified_design
+
+        assert ctx.workloads is not None
+        result, ctx = self.search(ctx, events, select_unified_design, ctx.workloads)
+        return ctx.evolve(unified=result)
+
+    def cache_parts(self, ctx: SynthesisContext) -> tuple | None:
+        return (ctx.workloads, ctx.platform, ctx.config)
+
+    def dump(self, ctx: SynthesisContext) -> dict[str, Any] | None:
+        assert ctx.unified is not None
+        return encode_unified(ctx.unified)
+
+    def load(self, payload: dict[str, Any], ctx: SynthesisContext) -> SynthesisContext:
+        return ctx.evolve(unified=decode_unified(payload))
+
+    def info(self, ctx: SynthesisContext) -> dict[str, Any]:
+        result = ctx.unified
+        assert result is not None
+        return {
+            "winner": str(result.config.shape),
+            "frequency_mhz": round(result.frequency_mhz, 1),
+            "gops": round(result.aggregate_gops, 1),
+            "configs": result.configs_enumerated,
+            "tuned": result.configs_tuned,
+            "engine": ctx.config.engine,
         }
 
 
@@ -295,6 +346,12 @@ class CodegenStage(StageBase):
         return {"artifacts": sum(1 for a in artifacts if a is not None)}
 
 
+SIM_BACKENDS = ("fast", "rtl", "both", "testbench")
+"""The wavefront-simulator backends of the simulate stage — the one list
+the CLI flags and the service's ``sim_backend`` option are checked
+against."""
+
+
 class SimulateStage(StageBase):
     """Performance-simulator run of the winner at its realized clock,
     plus an optional wavefront-simulator execution on synthetic tensors
@@ -321,21 +378,21 @@ class SimulateStage(StageBase):
         return ctx
 
     def _run_wavefront(self, ctx: SynthesisContext, events: EventBus) -> SynthesisContext:
-        from repro.verify.conformance import cross_check, synthetic_arrays
-
         design = ctx.best.design
         backend = ctx.sim_backend
         if backend == "both":
+            from repro.verify.conformance import cross_check
+
             conformance = cross_check(design, rtl=True)
             conformance.report.raise_if_errors()
             return ctx.evolve(engine_result=conformance.result, conformance=conformance)
         if backend == "testbench":
             return self._run_testbench(ctx, events)
-        arrays = synthetic_arrays(design.nest)
         if backend == "fast":
             result = self._run_fast(ctx, events)
         elif backend == "rtl":
             from repro.sim.rtl import DEFAULT_RTL_ITERATION_LIMIT, RtlSimulator
+            from repro.verify.conformance import synthetic_arrays
 
             total = design.nest.total_iterations
             if total > DEFAULT_RTL_ITERATION_LIMIT:
@@ -344,13 +401,27 @@ class SimulateStage(StageBase):
                     f"iterations, beyond the RTL interpreter's budget "
                     f"of {DEFAULT_RTL_ITERATION_LIMIT}; use 'fast' or 'both'"
                 )
-            result = RtlSimulator(design).run(arrays).result
+            result = RtlSimulator(design).run(synthetic_arrays(design.nest)).result
         else:
             raise ValueError(
-                f"unknown simulator backend {backend!r} "
-                f"(fast | rtl | both | testbench)"
+                f"unknown simulator backend {backend!r} ({' | '.join(SIM_BACKENDS)})"
             )
         return ctx.evolve(engine_result=result)
+
+    def _retry_event(self, events: EventBus, max_attempts: int):
+        """An ``on_retry`` hook surfacing each retry as a StageRetried."""
+
+        def on_retry(attempt: int, exc: Exception) -> None:
+            events.emit(
+                StageRetried(
+                    self.name,
+                    attempt=attempt,
+                    max_attempts=max_attempts,
+                    reason=f"{type(exc).__name__}: {exc}",
+                )
+            )
+
+        return on_retry
 
     def _run_fast(self, ctx: SynthesisContext, events: EventBus):
         """The fast wavefront simulator, retried on injected ``sim.step``
@@ -363,22 +434,11 @@ class SimulateStage(StageBase):
         design = ctx.best.design
         arrays = synthetic_arrays(design.nest)
         policy = current_policy()
-
-        def on_retry(attempt: int, exc: Exception) -> None:
-            events.emit(
-                StageRetried(
-                    self.name,
-                    attempt=attempt,
-                    max_attempts=policy.max_attempts,
-                    reason=f"{type(exc).__name__}: {exc}",
-                )
-            )
-
         return call_with_retry(
             lambda: FastWavefrontSimulator(design).run(arrays),
             policy=policy,
             retry_on=(InjectedFault,),
-            on_retry=on_retry,
+            on_retry=self._retry_event(events, policy.max_attempts),
         )
 
     def _run_testbench(self, ctx: SynthesisContext, events: EventBus) -> SynthesisContext:
@@ -387,20 +447,11 @@ class SimulateStage(StageBase):
 
         assert ctx.testbench_source is not None
         policy = current_policy()
-
-        def on_retry(attempt: int, exc: Exception) -> None:
-            events.emit(
-                StageRetried(
-                    self.name,
-                    attempt=attempt,
-                    max_attempts=policy.max_attempts,
-                    reason=f"{type(exc).__name__}: {exc}",
-                )
-            )
-
         try:
             outcome = run_testbench(
-                ctx.testbench_source, policy=policy, on_retry=on_retry
+                ctx.testbench_source,
+                policy=policy,
+                on_retry=self._retry_event(events, policy.max_attempts),
             )
         except TestbenchUnavailable as exc:
             diag = exc.diagnostic
@@ -457,11 +508,13 @@ def synthesis_stages() -> list[StageBase]:
 
 
 __all__ = [
+    "SIM_BACKENDS",
     "CodegenStage",
     "DsePhase1Stage",
     "DsePhase2Stage",
     "LegalityStage",
     "ParseStage",
     "SimulateStage",
+    "UnifiedDseStage",
     "synthesis_stages",
 ]

@@ -1,38 +1,27 @@
-"""Cached, observable wrapper around the unified multi-layer DSE.
+"""The whole-network flow's entry to the pipeline engine.
 
-The single-layer flow runs through :class:`~repro.pipeline.engine.
-PipelineEngine`; network synthesis has one dominant stage — the unified
-design selection of :mod:`repro.dse.multi_layer` — so this module gives
-it the same treatment directly: a content-addressed cache probe, typed
-start/progress/finish events, and a ``jobs`` fan-out knob.
+Network synthesis has one dominant stage — the unified design selection
+of :mod:`repro.dse.multi_layer` — so it is a one-stage pipeline
+(:class:`~repro.pipeline.stages.UnifiedDseStage`) on the same
+:class:`~repro.pipeline.engine.PipelineEngine` as the single-layer flow:
+the content-addressed cache probe (and quarantine of a bad entry), the
+typed start/progress/retry/degrade/finish events and the ``jobs``
+fan-out knob are the engine's and the stage's, not this module's.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Any
-
 from repro.dse.explore import DseConfig
-from repro.dse.multi_layer import (
-    LayerWorkload,
-    MultiLayerResult,
-    prepare_network_nests,
-    select_unified_design,
-)
+from repro.dse.multi_layer import LayerWorkload, MultiLayerResult, prepare_network_nests
 from repro.model.platform import Platform
 from repro.nn.models import Network
 from repro.pipeline.cache import StageCache, resolve_cache
-from repro.pipeline.codecs import decode_unified, encode_unified
-from repro.pipeline.events import (
-    CacheProbe,
-    EventBus,
-    Observer,
-    StageFinished,
-    StageProgress,
-    StageStarted,
-)
+from repro.pipeline.context import SynthesisContext
+from repro.pipeline.engine import PipelineEngine
+from repro.pipeline.events import Observer
+from repro.pipeline.stages import UnifiedDseStage
 
-STAGE_NAME = "unified-dse"
+STAGE_NAME = UnifiedDseStage.name
 
 
 def run_unified_dse(
@@ -58,62 +47,15 @@ def run_unified_dse(
     """
     if isinstance(workloads, Network):
         workloads = prepare_network_nests(workloads)
-    events = EventBus(observers)
-    store = resolve_cache(cache)
-    events.emit(StageStarted(STAGE_NAME, index=0, total=1))
-    start = time.perf_counter()
-
-    key: str | None = None
-    if store is not None:
-        key = store.key_for(STAGE_NAME, workloads, platform, config)
-        payload = store.get(STAGE_NAME, key)
-        events.emit(CacheProbe(STAGE_NAME, key=key, hit=payload is not None))
-        if payload is not None:
-            try:
-                result = decode_unified(payload)
-            except ValueError:
-                pass  # stale/corrupt entry: fall through and recompute
-            else:
-                events.emit(
-                    StageFinished(
-                        STAGE_NAME,
-                        seconds=time.perf_counter() - start,
-                        cached=True,
-                        info=_info(result),
-                    )
-                )
-                return result
-
-    def progress(done: int, total: int) -> None:
-        events.emit(StageProgress(STAGE_NAME, done=done, total=total, message="configs"))
-
-    result = select_unified_design(
-        workloads, platform, config, jobs=jobs, progress=progress
+    ctx = SynthesisContext(
+        platform=platform, config=config, jobs=jobs, workloads=workloads
     )
-    if store is not None and key is not None:
-        store.put(STAGE_NAME, key, encode_unified(result))
-    events.emit(
-        StageFinished(
-            STAGE_NAME,
-            seconds=time.perf_counter() - start,
-            cached=False,
-            info=_info(result, engine=config.engine),
-        )
+    engine = PipelineEngine(
+        [UnifiedDseStage()], cache=resolve_cache(cache), observers=observers
     )
+    result = engine.run(ctx).unified
+    assert result is not None
     return result
-
-
-def _info(result: MultiLayerResult, *, engine: str | None = None) -> dict[str, Any]:
-    info: dict[str, Any] = {
-        "winner": str(result.config.shape),
-        "frequency_mhz": round(result.frequency_mhz, 1),
-        "gops": round(result.aggregate_gops, 1),
-        "configs": result.configs_enumerated,
-        "tuned": result.configs_tuned,
-    }
-    if engine is not None:
-        info["engine"] = engine
-    return info
 
 
 __all__ = ["STAGE_NAME", "run_unified_dse"]

@@ -50,6 +50,7 @@ from repro.ir.loop import LoopNest
 from repro.model.platform import Platform
 from repro.nn.models import Network
 from repro.dse.explore import DseConfig
+from repro.dse.multi_layer import prepare_network_nests
 from repro.pipeline.cache import (
     CacheStore,
     StageCache,
@@ -58,6 +59,7 @@ from repro.pipeline.cache import (
 )
 from repro.pipeline.context import SynthesisContext, SynthesisResult
 from repro.pipeline.events import PipelineEvent, StageFinished
+from repro.pipeline.stages import SIM_BACKENDS
 from repro.resilience.faults import InjectedFault, maybe_inject
 from repro.resilience.retry import call_with_retry, current_policy
 from repro.service.metrics import ServiceMetrics
@@ -70,8 +72,6 @@ from repro.service.queue import (
     QueueFull,
     RateLimited,
 )
-
-SIM_BACKENDS = (None, "fast", "rtl", "both", "testbench")
 
 #: How long an event stream waits for news before asking for a keepalive
 #: comment-line (keeps intermediaries from timing the stream out).
@@ -166,10 +166,9 @@ class JobRequest:
         sim_backend = options.get("sim_backend")
         if sim_backend is not None:
             sim_backend = str(sim_backend)
-        if sim_backend not in SIM_BACKENDS:
+        if sim_backend is not None and sim_backend not in SIM_BACKENDS:
             raise ValueError(
-                f"unknown sim_backend {sim_backend!r}; "
-                f"choices: {[b for b in SIM_BACKENDS if b]}"
+                f"unknown sim_backend {sim_backend!r}; choices: {list(SIM_BACKENDS)}"
             )
         name = str(payload.get("name") or "job")
         network: Network | None = None
@@ -807,33 +806,27 @@ class JobManager:
 
         def attempt() -> Any:
             maybe_inject("service.worker")
-            if request.network is not None:
-                from repro.pipeline.unified import run_unified_dse
-
-                return run_unified_dse(
-                    request.network,
-                    request.platform,
-                    request.config,
-                    jobs=self.pipeline_jobs,
-                    cache=self.cache,
-                    observers=(bridge,),
-                )
             from repro.pipeline.engine import PipelineEngine
-            from repro.pipeline.stages import synthesis_stages
+            from repro.pipeline.stages import UnifiedDseStage, synthesis_stages
 
+            network = request.network
             ctx = SynthesisContext(
                 platform=request.platform,
                 config=request.config,
                 name=request.name,
                 nest=request.nest,
+                workloads=None if network is None else prepare_network_nests(network),
                 strict=request.strict,
                 jobs=self.pipeline_jobs,
                 sim_backend=request.sim_backend,
             )
             engine = PipelineEngine(
-                synthesis_stages(), cache=self.cache, observers=(bridge,)
+                synthesis_stages() if network is None else [UnifiedDseStage()],
+                cache=self.cache,
+                observers=(bridge,),
             )
-            return engine.run(ctx).to_result()
+            done = engine.run(ctx)
+            return done.to_result() if network is None else done.unified
 
         def on_retry(attempt_no: int, exc: Exception) -> None:
             self.metrics.inc("worker_retries_total")
@@ -956,5 +949,4 @@ __all__ = [
     "JobManager",
     "JobRequest",
     "JobState",
-    "SIM_BACKENDS",
 ]

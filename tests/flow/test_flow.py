@@ -223,6 +223,30 @@ class TestCli:
         assert "(cached)" in second.err  # both the progress line and report
         assert "PE array" in second.out
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--sim-backend", "both"],
+            ["--save-design", "d.json"],
+            ["--sim-backend", "fast", "--save-result", "r.json"],
+        ],
+    )
+    def test_cli_network_refuses_layer_only_options(self, tmp_path, capsys, extra):
+        from repro.flow.cli import main
+
+        out_dir = tmp_path / "out"
+        extra = [str(tmp_path / e) if e.endswith(".json") else e for e in extra]
+        code = main(["--network", "tiny_cnn", "-o", str(out_dir), "--no-cache", *extra])
+        assert code == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()  # one stderr line, no traceback
+        assert line.startswith("error: ") and "--network" in line
+        for flag in extra[::2]:
+            assert flag in line
+        assert captured.out == ""
+        assert not out_dir.exists()  # refused before any work
+        assert not list(tmp_path.glob("*.json"))
+
     def test_cli_quiet_suppresses_progress(self, tmp_path, capsys):
         from repro.flow.cli import main
 
