@@ -16,40 +16,38 @@ containing
 and runs it, turning "the generated design is functionally correct" into
 an executable check (the RTL-simulation stand-in of this reproduction).
 
-The compiler and the binary are treated as unreliable external services:
-every ``subprocess.run`` carries a hard ``timeout`` (a hung gcc can no
-longer wedge a synthesis run forever), transient failures are retried
-under a :mod:`repro.resilience` policy, the ``testbench.compile`` /
-``testbench.run`` fault points let the chaos suite rehearse each path,
-and a missing or persistently hung toolchain surfaces as
-:class:`TestbenchUnavailable` carrying a structured ``SA504``/``SA505``
-diagnostic — not a traceback — so the simulate stage can degrade
-gracefully.
+The compiler and the binary are treated as unreliable external services
+and run through the flow's one tool runner
+(:func:`repro.resilience.retry.run_tool`): every invocation carries a
+hard timeout (a hung gcc cannot wedge a synthesis run), transient
+failures are retried under a :mod:`repro.resilience` policy, the
+``testbench.compile`` / ``testbench.run`` fault points let the chaos
+suite rehearse each path, and a missing or persistently hung toolchain
+surfaces as :class:`TestbenchUnavailable` carrying a structured
+``SA504``/``SA505`` diagnostic — not a traceback — so the simulate stage
+can degrade gracefully.
 """
 
 from __future__ import annotations
 
-import subprocess
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.analysis.diagnostics import (
-    RESILIENCE_TESTBENCH_DEGRADED,
-    RESILIENCE_TOOL_TIMEOUT,
-    Diagnostic,
-    Severity,
-)
+from repro.analysis.diagnostics import RESILIENCE_TESTBENCH_DEGRADED
 from repro.ir.access import ArrayAccess
 from repro.model.design_point import DesignPoint
 from repro.model.platform import Platform
 from repro.codegen.emitter import CodeWriter
-from repro.resilience.faults import InjectedFault, corrupt_text, maybe_inject
-from repro.resilience.retry import OnRetry, RetryPolicy, call_with_retry
-
-#: Hard per-attempt budgets for the external tool invocations.
-DEFAULT_COMPILE_TIMEOUT = 120.0
-DEFAULT_RUN_TIMEOUT = 600.0
+from repro.resilience.faults import corrupt_text
+from repro.resilience.retry import (
+    DEFAULT_COMPILE_TIMEOUT,
+    DEFAULT_RUN_TIMEOUT,
+    OnRetry,
+    RetryPolicy,
+    ToolUnavailable,
+    run_tool,
+)
 
 
 def _check_identifier(name: str) -> str:
@@ -334,7 +332,7 @@ def _emit_main(w: CodeWriter, design: DesignPoint, type_of, is_float: bool) -> N
         w.line("return 0;")
 
 
-class TestbenchUnavailable(RuntimeError):
+class TestbenchUnavailable(ToolUnavailable):
     """The C toolchain cannot deliver a verdict (missing or hung tool).
 
     Distinct from a *failing* testbench: unavailability means nothing
@@ -347,9 +345,11 @@ class TestbenchUnavailable(RuntimeError):
 
     __test__ = False  # keep pytest from collecting this as a test class
 
-    def __init__(self, diagnostic: Diagnostic) -> None:
-        super().__init__(diagnostic.message)
-        self.diagnostic = diagnostic
+
+_HINTS = {
+    "missing": "install gcc, or pass compiler=... / --sim-backend fast",
+    "timeout": "raise the timeout, or use --sim-backend fast",
+}
 
 
 @dataclass(frozen=True)
@@ -379,9 +379,8 @@ def run_testbench(
 ) -> TestbenchRun:
     """Compile the testbench and execute it, with timeouts and retries.
 
-    Both subprocess invocations carry a hard ``timeout`` and are retried
-    under ``policy`` on transient failures (OS errors, timeouts,
-    injected ``testbench.compile`` / ``testbench.run`` faults).
+    Both invocations go through :func:`repro.resilience.retry.run_tool`
+    (fault points ``testbench.compile`` / ``testbench.run``).
 
     Args:
         source: C source from :func:`generate_testbench`.
@@ -408,84 +407,40 @@ def run_testbench(
                 run_timeout=run_timeout,
                 on_retry=on_retry,
             )
-    if policy is not None and policy.timeout is not None:
-        compile_timeout = run_timeout = policy.timeout
     workdir.mkdir(parents=True, exist_ok=True)
     src = workdir / "testbench.c"
     binary = workdir / "testbench"
     src.write_text(source)
-    transient = (OSError, subprocess.TimeoutExpired, InjectedFault)
 
-    def compile_step() -> subprocess.CompletedProcess:
-        path = src
-        if maybe_inject("testbench.compile") == "corrupt":
-            path = workdir / "testbench_corrupt.c"
-            path.write_text(corrupt_text(source))
-        return subprocess.run(
-            [compiler, "-O2", "-std=c99", "-o", str(binary), str(path), "-lm"],
-            capture_output=True,
-            text=True,
+    def compile_argv(path: Path) -> list[str]:
+        return [compiler, "-O2", "-std=c99", "-o", str(binary), str(path), "-lm"]
+
+    def corrupted_argv() -> list[str]:
+        path = workdir / "testbench_corrupt.c"
+        path.write_text(corrupt_text(source))
+        return compile_argv(path)
+
+    try:
+        build = run_tool(
+            compile_argv(src),
+            fault_point="testbench.compile",
             timeout=compile_timeout,
+            policy=policy,
+            on_retry=on_retry,
+            corrupted=corrupted_argv,
         )
-
-    def run_step() -> subprocess.CompletedProcess:
-        maybe_inject("testbench.run")
-        return subprocess.run(
-            [str(binary)], capture_output=True, text=True, timeout=run_timeout
+        if build.returncode != 0:
+            return TestbenchRun(False, f"COMPILE ERROR:\n{build.stderr}")
+        run = run_tool(
+            [str(binary)],
+            fault_point="testbench.run",
+            timeout=run_timeout,
+            policy=policy,
+            on_retry=on_retry,
         )
-
-    try:
-        build = call_with_retry(
-            compile_step, policy=policy, retry_on=transient, on_retry=on_retry
-        )
-    except FileNotFoundError as exc:
-        raise TestbenchUnavailable(
-            Diagnostic(
-                RESILIENCE_TESTBENCH_DEGRADED,
-                Severity.WARNING,
-                f"C compiler {compiler!r} is not available: {exc}",
-                hint="install gcc, or pass compiler=... / --sim-backend fast",
-            )
-        ) from exc
-    except subprocess.TimeoutExpired as exc:
-        raise TestbenchUnavailable(
-            Diagnostic(
-                RESILIENCE_TOOL_TIMEOUT,
-                Severity.WARNING,
-                f"{compiler} exceeded its {compile_timeout:.0f}s compile budget",
-                hint="raise the timeout, or use --sim-backend fast",
-            )
-        ) from exc
-    except (OSError, InjectedFault) as exc:
-        raise TestbenchUnavailable(
-            Diagnostic(
-                RESILIENCE_TESTBENCH_DEGRADED,
-                Severity.WARNING,
-                f"could not invoke {compiler!r}: {exc}",
-            )
-        ) from exc
-    if build.returncode != 0:
-        return TestbenchRun(False, f"COMPILE ERROR:\n{build.stderr}")
-    try:
-        run = call_with_retry(
-            run_step, policy=policy, retry_on=transient, on_retry=on_retry
-        )
-    except subprocess.TimeoutExpired as exc:
-        raise TestbenchUnavailable(
-            Diagnostic(
-                RESILIENCE_TOOL_TIMEOUT,
-                Severity.WARNING,
-                f"testbench binary exceeded its {run_timeout:.0f}s run budget",
-                hint="raise the timeout, or use --sim-backend fast",
-            )
-        ) from exc
-    except (OSError, InjectedFault) as exc:
-        raise TestbenchUnavailable(
-            Diagnostic(
-                RESILIENCE_TESTBENCH_DEGRADED,
-                Severity.WARNING,
-                f"could not execute the testbench binary: {exc}",
-            )
+    except ToolUnavailable as exc:
+        raise TestbenchUnavailable.diagnosed(
+            exc, RESILIENCE_TESTBENCH_DEGRADED, _HINTS
         ) from exc
     output = run.stdout + run.stderr
     return TestbenchRun(run.returncode == 0 and "TESTBENCH PASS" in output, output)

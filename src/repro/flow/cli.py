@@ -85,6 +85,7 @@ from repro.dse.explore import DseConfig
 from repro.flow.compile import compile_c_source, synthesize_network
 from repro.flow.report import format_table, render_synthesis_report
 from repro.pipeline.stages import SIM_BACKENDS
+from repro.resilience.faults import FAULT_KINDS, FAULT_POINTS
 
 
 def _target_options(dse: bool = False) -> argparse.ArgumentParser:
@@ -166,9 +167,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                 "chaos testing: activate a fault-injection spec "
                 "'point:kind[:p=PROB][:times=N][:delay=SECS]', e.g. "
                 "'dse.worker:crash:p=0.3' (repeatable; points: "
-                "cache.read cache.write dse.worker testbench.compile "
-                "testbench.run sim.step service.queue service.worker; "
-                "kinds: crash corrupt delay)",
+                f"{' '.join(FAULT_POINTS)}; kinds: {' '.join(FAULT_KINDS)})",
                 "retry budget (attempts) for external tools and cache I/O "
                 "(default 3)",
             ),
@@ -804,12 +803,7 @@ def submit_main(argv: list[str]) -> int:
 def verify_main(argv: list[str]) -> int:
     """The ``verify`` subcommand: differential conformance, no artifacts."""
     args = build_verify_arg_parser().parse_args(argv)
-    from repro.verify.conformance import (
-        DEFAULT_ENGINE_ITERATION_LIMIT,
-        DEFAULT_REL_TOL,
-        DEFAULT_RTL_ITERATION_LIMIT,
-        cross_check,
-    )
+    from repro.verify.conformance import DEFAULT_REL_TOL, cross_check
 
     path = Path(args.source)
     if path.suffix == ".json" and path.is_file():
@@ -845,17 +839,9 @@ def verify_main(argv: list[str]) -> int:
         design,
         seed=args.seed,
         rel_tol=args.rel_tol if args.rel_tol is not None else DEFAULT_REL_TOL,
-        engine_iteration_limit=(
-            args.engine_limit
-            if args.engine_limit is not None
-            else DEFAULT_ENGINE_ITERATION_LIMIT
-        ),
+        engine_iteration_limit=args.engine_limit,
         rtl=args.sim_backend in ("rtl", "both"),
-        rtl_iteration_limit=(
-            args.rtl_limit
-            if args.rtl_limit is not None
-            else DEFAULT_RTL_ITERATION_LIMIT
-        ),
+        rtl_iteration_limit=args.rtl_limit,
         iverilog="require" if require_iverilog else "auto",
     )
     if args.json:

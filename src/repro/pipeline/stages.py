@@ -244,6 +244,18 @@ class UnifiedDseStage(_SearchStage):
         }
 
 
+def _degraded(
+    ctx: SynthesisContext, events: EventBus | None, stage: str, diag: Any, fallback: str
+) -> SynthesisContext:
+    """One graceful degradation on the record: the ``StageDegraded``
+    event (no bus on a cache load) and the result's ``degradations``."""
+    if events is not None:
+        events.emit(
+            StageDegraded(stage, code=diag.code, reason=diag.message, fallback=fallback)
+        )
+    return ctx.evolve(degradations=ctx.degradations + ((diag.code, diag.message),))
+
+
 class CodegenStage(StageBase):
     """Emit every backend's artifacts through the multi-backend layer
     (:mod:`repro.codegen.backend`): OpenCL kernel/driver/host, the C
@@ -255,34 +267,16 @@ class CodegenStage(StageBase):
     name = "codegen"
 
     def run(self, ctx: SynthesisContext, events: EventBus) -> SynthesisContext:
-        from repro.analysis.diagnostics import DiagnosticError
         from repro.codegen.backend import get_backend
 
         design = ctx.best.design
         opencl = get_backend("opencl").emit(design, ctx.platform)
         testbench = get_backend("testbench").emit(design, ctx.platform)
-        try:
-            rtl_source = get_backend("rtl").emit(design, ctx.platform)["rtl"]
-        except DiagnosticError as exc:
-            first = exc.diagnostics[0]
-            events.emit(
-                StageDegraded(
-                    self.name,
-                    code=first.code,
-                    reason=first.message,
-                    fallback="no RTL artifact",
-                )
-            )
-            ctx = ctx.evolve(
-                degradations=ctx.degradations + ((first.code, first.message),)
-            )
-            rtl_source = None
-        ctx = ctx.evolve(
+        ctx = self._emit_rtl(ctx, events).evolve(
             kernel_source=opencl["kernel"],
             host_source=opencl["host"],
             testbench_source=testbench["testbench"],
             driver_source=opencl["driver"],
-            rtl_source=rtl_source,
         )
         if ctx.strict:
             from repro.analysis.codegen_lint import (
@@ -309,6 +303,19 @@ class CodegenStage(StageBase):
             combined.raise_if_errors()
         return ctx
 
+    def _emit_rtl(self, ctx: SynthesisContext, events: EventBus | None) -> SynthesisContext:
+        """The RTL artifact — or, for a design the backend cannot lower,
+        ``rtl_source=None`` with the SA150 degradation on the trail."""
+        from repro.analysis.diagnostics import DiagnosticError
+        from repro.codegen.backend import get_backend
+
+        try:
+            source = get_backend("rtl").emit(ctx.best.design, ctx.platform)["rtl"]
+        except DiagnosticError as exc:
+            ctx = _degraded(ctx, events, self.name, exc.diagnostics[0], "no RTL artifact")
+            return ctx.evolve(rtl_source=None)
+        return ctx.evolve(rtl_source=source)
+
     def cache_parts(self, ctx: SynthesisContext) -> tuple | None:
         return (ctx.best.design, ctx.platform, ctx.strict)
 
@@ -323,7 +330,7 @@ class CodegenStage(StageBase):
 
     def load(self, payload: dict[str, Any], ctx: SynthesisContext) -> SynthesisContext:
         try:
-            return ctx.evolve(
+            ctx = ctx.evolve(
                 kernel_source=payload["kernel_source"],
                 host_source=payload["host_source"],
                 testbench_source=payload["testbench_source"],
@@ -334,6 +341,13 @@ class CodegenStage(StageBase):
             )
         except KeyError as exc:
             raise ValueError(f"malformed codegen payload: {exc}") from exc
+        if ctx.rtl_source is None:
+            # The entry records that the design was not lowerable, not why:
+            # re-derive the degradation (the backend rejects such a design
+            # while planning, before emitting anything) so a cache-served
+            # result carries the same trail as the cold one.
+            ctx = self._emit_rtl(ctx, None)
+        return ctx
 
     def info(self, ctx: SynthesisContext) -> dict[str, Any]:
         artifacts = [
@@ -378,35 +392,20 @@ class SimulateStage(StageBase):
         return ctx
 
     def _run_wavefront(self, ctx: SynthesisContext, events: EventBus) -> SynthesisContext:
-        design = ctx.best.design
         backend = ctx.sim_backend
+        if backend not in SIM_BACKENDS:
+            raise ValueError(
+                f"unknown simulator backend {backend!r} ({' | '.join(SIM_BACKENDS)})"
+            )
         if backend == "both":
             from repro.verify.conformance import cross_check
 
-            conformance = cross_check(design, rtl=True)
+            conformance = cross_check(ctx.best.design, rtl=True)
             conformance.report.raise_if_errors()
             return ctx.evolve(engine_result=conformance.result, conformance=conformance)
         if backend == "testbench":
             return self._run_testbench(ctx, events)
-        if backend == "fast":
-            result = self._run_fast(ctx, events)
-        elif backend == "rtl":
-            from repro.sim.rtl import DEFAULT_RTL_ITERATION_LIMIT, RtlSimulator
-            from repro.verify.conformance import synthetic_arrays
-
-            total = design.nest.total_iterations
-            if total > DEFAULT_RTL_ITERATION_LIMIT:
-                raise ValueError(
-                    f"--sim-backend rtl: {design.nest.name!r} has {total} "
-                    f"iterations, beyond the RTL interpreter's budget "
-                    f"of {DEFAULT_RTL_ITERATION_LIMIT}; use 'fast' or 'both'"
-                )
-            result = RtlSimulator(design).run(synthetic_arrays(design.nest)).result
-        else:
-            raise ValueError(
-                f"unknown simulator backend {backend!r} ({' | '.join(SIM_BACKENDS)})"
-            )
-        return ctx.evolve(engine_result=result)
+        return ctx.evolve(engine_result=self._run_backend(backend, ctx, events))
 
     def _retry_event(self, events: EventBus, max_attempts: int):
         """An ``on_retry`` hook surfacing each retry as a StageRetried."""
@@ -423,19 +422,29 @@ class SimulateStage(StageBase):
 
         return on_retry
 
-    def _run_fast(self, ctx: SynthesisContext, events: EventBus):
-        """The fast wavefront simulator, retried on injected ``sim.step``
-        faults (the simulator is pure, so a retry is bit-identical)."""
+    def _run_backend(self, name: str, ctx: SynthesisContext, events: EventBus):
+        """The named :data:`repro.sim.backends.WAVEFRONT_BACKENDS` entry on
+        synthetic tensors, within its budget, retried on injected
+        ``sim.step`` faults (the simulators are pure, so a retry is
+        bit-identical)."""
         from repro.resilience.faults import InjectedFault
         from repro.resilience.retry import call_with_retry, current_policy
-        from repro.sim.fast import FastWavefrontSimulator
+        from repro.sim.backends import WAVEFRONT_BACKENDS
         from repro.verify.conformance import synthetic_arrays
 
         design = ctx.best.design
+        backend = WAVEFRONT_BACKENDS[name]
+        budget = backend.over_budget(design)
+        if budget is not None:
+            raise ValueError(
+                f"--sim-backend {name}: {design.nest.name!r} has "
+                f"{design.nest.total_iterations} iterations, beyond the "
+                f"{name} backend's budget of {budget}; use 'fast' or 'both'"
+            )
         arrays = synthetic_arrays(design.nest)
         policy = current_policy()
         return call_with_retry(
-            lambda: FastWavefrontSimulator(design).run(arrays),
+            lambda: backend.run(design, arrays),
             policy=policy,
             retry_on=(InjectedFault,),
             on_retry=self._retry_event(events, policy.max_attempts),
@@ -454,16 +463,8 @@ class SimulateStage(StageBase):
                 on_retry=self._retry_event(events, policy.max_attempts),
             )
         except TestbenchUnavailable as exc:
-            diag = exc.diagnostic
-            events.emit(
-                StageDegraded(
-                    self.name, code=diag.code, reason=diag.message, fallback="fast"
-                )
-            )
-            ctx = ctx.evolve(
-                degradations=ctx.degradations + ((diag.code, diag.message),)
-            )
-            return ctx.evolve(engine_result=self._run_fast(ctx, events))
+            ctx = _degraded(ctx, events, self.name, exc.diagnostic, "fast")
+            return ctx.evolve(engine_result=self._run_backend("fast", ctx, events))
         if not outcome.passed:
             raise ValueError(
                 f"generated testbench failed:\n{outcome.output[-2000:]}"

@@ -7,14 +7,17 @@ machinery that makes every failure surface a *tested degradation path*
 instead of a crash:
 
 * :mod:`repro.resilience.faults` — a seeded, deterministic fault-injection
-  registry with named fault points (``cache.read``, ``cache.write``,
-  ``dse.worker``, ``testbench.compile``, ``testbench.run``, ``sim.step``)
-  that can raise, corrupt payloads, or delay.  Activated via
+  registry with named fault points (``FAULT_POINTS``: ``cache.read``,
+  ``dse.worker``, ``testbench.compile``, ``rtl.compile``, ``sim.step``,
+  ...) that can raise, corrupt payloads, or delay.  Activated via
   :class:`FaultPlan` objects, the ``REPRO_FAULT_PLAN`` environment
   variable, or the ``--inject-fault`` CLI flag.
 * :mod:`repro.resilience.retry` — the :func:`retrying` policy helper
   (max attempts, exponential backoff with deterministic jitter, a
-  per-attempt timeout budget for subprocess calls).
+  per-attempt timeout budget for subprocess calls) and ``run_tool``,
+  the one place the flow shells out (gcc, the testbench binary,
+  iverilog, vvp): hard timeout, retries, and a typed
+  ``ToolUnavailable`` when the tool never delivers a verdict.
 
 The recovery behaviours themselves live at the fault sites (cache
 quarantine in :mod:`repro.pipeline.cache`, worker resubmission and the

@@ -11,6 +11,8 @@ point                boundary
 ``dse.worker``       one task inside a DSE worker process
 ``testbench.compile``invoking the system C compiler on the testbench
 ``testbench.run``    executing the compiled testbench binary
+``rtl.compile``      invoking iverilog on the emitted Verilog + testbench
+``rtl.run``          executing the compiled simulation under vvp
 ``sim.step``         one block step of a wavefront simulator run
 ``service.queue``    admitting a job into the synthesis service's queue
 ``service.worker``   one job execution inside a service worker thread

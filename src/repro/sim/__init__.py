@@ -16,9 +16,21 @@ DESIGN.md §1):
 * :mod:`repro.sim.fast` — the vectorized wavefront simulator: the same
   architecture executed as NumPy batch operations over whole waves,
   bit-identical to the engine but fast enough for full Table-2 layers;
-* :mod:`repro.sim.functional` — functional validation helpers (engine-
-  based simulation against the NumPy golden model, tiling-coverage
-  audits).
+* :mod:`repro.sim.rtl` — the generated Verilog executed by a pure-Python
+  netlist interpreter (plus the optional iverilog cross-check of the
+  interpreter itself); imported on demand, it pulls in the RTL emitter;
+* :mod:`repro.sim.backends` — the one ordered table of the three
+  wavefront backends above (``fast``, ``engine``, ``rtl``): name, run
+  function, iteration budget;
+* :mod:`repro.sim.feed` — the boundary-stream gather arithmetic shared
+  by the cycle engine and the RTL interpreter;
+* :mod:`repro.sim.system` — full-system cycle accounting: each block's
+  load priced through the buffer chains *and* the DRAM model;
+* :mod:`repro.sim.buffers` — double-buffer and buffer-chain models with
+  conflict detection;
+* :mod:`repro.sim.functional` — functional validation helpers (layer
+  simulation on any backend against the NumPy golden model, tiling-
+  coverage audits).
 """
 
 from repro.sim.buffers import (

@@ -3,9 +3,10 @@
 Two facilities:
 
 * :func:`simulate_layer` — run a design point on a layer's tensors through
-  the cycle-accurate engine and return the output feature maps, directly
-  comparable to the NumPy golden convolution.  The design may target the
-  layer's per-group nest; grouped layers are handled by slicing.
+  a wavefront backend (:mod:`repro.sim.backends`) and return the output
+  feature maps, directly comparable to the NumPy golden convolution.  The
+  design may target the layer's per-group nest; grouped layers are
+  handled by slicing.
 * :func:`audit_tiling_coverage` — a pure index-math check that the
   block/middle/inner decomposition visits every original iteration exactly
   once (and padding positions never), for any design on a small nest.
@@ -21,7 +22,7 @@ import numpy as np
 from repro.model.design_point import DesignPoint
 from repro.nn.layers import ConvLayer
 from repro.nn.golden import pad_input
-from repro.sim.engine import SystolicArrayEngine
+from repro.sim.backends import WAVEFRONT_BACKENDS
 from repro.sim.schedule import enumerate_blocks, enumerate_waves
 
 
@@ -40,9 +41,10 @@ def simulate_layer(
         layer: the layer descriptor (for padding/group handling).
         inputs: (I, H, W) tensor.
         weights: (O, I/groups, K, K) tensor.
-        backend: ``"engine"`` for the cycle-accurate engine (exponential;
-            small shapes only) or ``"fast"`` for the vectorized wavefront
-            simulator — bit-identical outputs, Table-2 scale.
+        backend: a :data:`repro.sim.backends.WAVEFRONT_BACKENDS` name —
+            ``"engine"`` (cycle-accurate, exponential; small shapes
+            only), ``"fast"`` (vectorized, Table-2 scale) or ``"rtl"``
+            (the generated Verilog, interpreted); bit-identical outputs.
 
     Returns:
         (O, R, C) output tensor.
@@ -60,17 +62,13 @@ def simulate_layer(
             f"design nest bounds {design.nest.bounds} do not match layer "
             f"{layer.name}'s per-group nest {per_group.to_loop_nest().bounds}"
         )
-    if backend == "engine":
-        simulator_class = SystolicArrayEngine
-    elif backend == "fast":
-        from repro.sim.fast import FastWavefrontSimulator
-
-        simulator_class = FastWavefrontSimulator
-    else:
-        raise ValueError(f"unknown simulator backend {backend!r} (engine | fast)")
+    if backend not in WAVEFRONT_BACKENDS:
+        raise ValueError(
+            f"unknown simulator backend {backend!r} ({' | '.join(WAVEFRONT_BACKENDS)})"
+        )
+    run = WAVEFRONT_BACKENDS[backend].run
     for g in range(groups):
-        engine = simulator_class(design)
-        # The engine addresses tensors by array name; the weight tensor is
+        # The simulators address tensors by array name; the weight tensor is
         # the rank-4 read (o,i,p,q), the feature map the rank-3 read.
         name_arrays = {}
         for access in design.nest.reads:
@@ -82,7 +80,7 @@ def simulate_layer(
                 name_arrays[access.array] = padded[
                     g * in_per_group : (g + 1) * in_per_group
                 ]
-        result = engine.run(name_arrays)
+        result = run(design, name_arrays)
         out[g * out_per_group : (g + 1) * out_per_group] = result.output[
             :out_per_group, : layer.out_height, : layer.out_width
         ]

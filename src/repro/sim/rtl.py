@@ -27,7 +27,6 @@ from __future__ import annotations
 import hashlib
 import shutil
 import struct
-import subprocess
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,12 +34,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.analysis.diagnostics import (
-    RESILIENCE_TOOL_TIMEOUT,
-    RTL_TOOLCHAIN_MISSING,
-    Diagnostic,
-    Severity,
-)
+from repro.analysis.diagnostics import RTL_TOOLCHAIN_MISSING
 from repro.codegen.rtl import (
     MemClear,
     MemWrite,
@@ -51,7 +45,12 @@ from repro.codegen.rtl import (
     render_verilog,
 )
 from repro.model.design_point import DesignPoint
-from repro.resilience.faults import InjectedFault, maybe_inject
+from repro.resilience.retry import (
+    DEFAULT_COMPILE_TIMEOUT,
+    DEFAULT_RUN_TIMEOUT,
+    ToolUnavailable,
+    run_tool,
+)
 from repro.sim.engine import EngineResult
 from repro.sim.feed import WaveFeeder
 from repro.sim.schedule import (
@@ -60,13 +59,6 @@ from repro.sim.schedule import (
     first_all_active_cycle,
     wave_schedule_cycles,
 )
-
-#: RTL interpreter budget: same scale as the cycle engine's, and used the
-#: same way (legs above it are skipped, not attempted).
-DEFAULT_RTL_ITERATION_LIMIT = 200_000
-
-DEFAULT_COMPILE_TIMEOUT = 120.0
-DEFAULT_RUN_TIMEOUT = 600.0
 
 
 # --------------------------------------------------------------------------
@@ -501,16 +493,15 @@ class RtlSimulator:
 # iverilog cross-check of the interpreter itself.
 
 
-class RtlToolchainUnavailable(RuntimeError):
+class RtlToolchainUnavailable(ToolUnavailable):
     """iverilog/vvp cannot deliver a verdict (missing or hung tool).
 
     Attributes:
         diagnostic: structured ``SA153``/``SA505`` description.
     """
 
-    def __init__(self, diagnostic: Diagnostic) -> None:
-        super().__init__(diagnostic.message)
-        self.diagnostic = diagnostic
+
+_HINTS = {"missing": "apt-get install iverilog, or rely on the Python interpreter"}
 
 
 def iverilog_available() -> bool:
@@ -654,7 +645,10 @@ def run_iverilog_check(
     The Python interpreter runs first (recording raw per-block
     accumulator contents); the same stimulus is then replayed through
     iverilog/vvp and every dumped 64-bit accumulator word is compared
-    bit-for-bit.
+    bit-for-bit.  Both tools go through
+    :func:`repro.resilience.retry.run_tool` (fault points
+    ``rtl.compile`` / ``rtl.run``; transient failures are retried and
+    ``RetryPolicy.timeout`` bounds every attempt).
 
     Raises:
         DiagnosticError: ``SA150`` when the design is not lowerable.
@@ -682,75 +676,22 @@ def run_iverilog_check(
     )
 
     try:
-        maybe_inject("rtl.compile")
-        build = subprocess.run(
+        build = run_tool(
             ["iverilog", "-g2001", "-o", "sim.vvp", "systolic.v", "tb.v"],
-            cwd=workdir,
-            capture_output=True,
-            text=True,
+            fault_point="rtl.compile",
             timeout=compile_timeout,
-        )
-    except FileNotFoundError as exc:
-        raise RtlToolchainUnavailable(
-            Diagnostic(
-                RTL_TOOLCHAIN_MISSING,
-                Severity.WARNING,
-                f"iverilog is not available: {exc}",
-                hint="apt-get install iverilog, or rely on the Python interpreter",
-            )
-        ) from exc
-    except subprocess.TimeoutExpired as exc:
-        raise RtlToolchainUnavailable(
-            Diagnostic(
-                RESILIENCE_TOOL_TIMEOUT,
-                Severity.WARNING,
-                f"iverilog exceeded its {compile_timeout:.0f}s compile budget",
-            )
-        ) from exc
-    except (OSError, InjectedFault) as exc:
-        raise RtlToolchainUnavailable(
-            Diagnostic(
-                RTL_TOOLCHAIN_MISSING,
-                Severity.WARNING,
-                f"could not invoke iverilog: {exc}",
-            )
-        ) from exc
-    if build.returncode != 0:
-        return IverilogCheck(
-            False, 0, 0, f"iverilog compile error: {build.stderr.strip()[:400]}"
-        )
-    try:
-        maybe_inject("rtl.run")
-        run = subprocess.run(
-            ["vvp", "sim.vvp"],
             cwd=workdir,
-            capture_output=True,
-            text=True,
-            timeout=run_timeout,
         )
-    except FileNotFoundError as exc:
-        raise RtlToolchainUnavailable(
-            Diagnostic(
-                RTL_TOOLCHAIN_MISSING,
-                Severity.WARNING,
-                f"vvp is not available: {exc}",
+        if build.returncode != 0:
+            return IverilogCheck(
+                False, 0, 0, f"iverilog compile error: {build.stderr.strip()[:400]}"
             )
-        ) from exc
-    except subprocess.TimeoutExpired as exc:
-        raise RtlToolchainUnavailable(
-            Diagnostic(
-                RESILIENCE_TOOL_TIMEOUT,
-                Severity.WARNING,
-                f"vvp exceeded its {run_timeout:.0f}s run budget",
-            )
-        ) from exc
-    except (OSError, InjectedFault) as exc:
-        raise RtlToolchainUnavailable(
-            Diagnostic(
-                RTL_TOOLCHAIN_MISSING,
-                Severity.WARNING,
-                f"could not execute vvp: {exc}",
-            )
+        run = run_tool(
+            ["vvp", "sim.vvp"], fault_point="rtl.run", timeout=run_timeout, cwd=workdir
+        )
+    except ToolUnavailable as exc:
+        raise RtlToolchainUnavailable.diagnosed(
+            exc, RTL_TOOLCHAIN_MISSING, _HINTS
         ) from exc
 
     if "E " in run.stdout and any(
@@ -788,7 +729,6 @@ def run_iverilog_check(
 
 
 __all__ = [
-    "DEFAULT_RTL_ITERATION_LIMIT",
     "IverilogCheck",
     "NetlistSimulator",
     "RtlRunResult",

@@ -5,20 +5,28 @@ of the same quantity and yields a :class:`LegResult`; disagreements also
 emit an ``SA4xx`` diagnostic into an :class:`repro.analysis.AnalysisReport`
 so callers get both a human summary and a machine-readable verdict.
 
-Tolerance policy (documented in ``docs/simulation.md``):
+The legs are the rows of :data:`MATRIX`: the first entry of
+:data:`repro.sim.backends.WAVEFRONT_BACKENDS` (``fast``) is the reference,
+every other selected entry is run once within its budget, and each row
+names the comparator that holds one backend's result to what.
 
-* fast vs. engine — **bit-exact**: equal output bytes, equal counters.
-  Both simulators perform the identical sequence of IEEE double
-  operations, so any difference is a bug, not rounding.
-* output vs. golden — relative tolerance ``rel_tol`` (default 1e-9).
+Tolerance policy (documented in ``docs/simulation.md``), one comparator
+each:
+
+* backend vs. reference (:func:`_identity`) — **bit-exact**: equal
+  output bytes, equal counters.  The simulators perform the identical
+  sequence of IEEE double operations, so any difference is a bug, not
+  rounding.
+* output vs. golden (:func:`_within_tolerance`) — relative tolerance
+  ``rel_tol`` (default 1e-9).
   The golden evaluations sum in a different order (einsum / flat index
   chunks), so last-ulp drift is legitimate; the observed gap on real
   layers is ~1e-11.  Golden references are computed in float64 even for
   float32 tensors — the simulators accumulate in double precision, and
   comparing against a float32 accumulation would measure the *oracle's*
   rounding, not the simulator's.
-* cycles vs. model — **exact**: under clipped-middle semantics the
-  closed form ``waves = prod ceil(N_l / t_l)``,
+* counters vs. model (:func:`_model`) — **exact**: under clipped-middle
+  semantics the closed form ``waves = prod ceil(N_l / t_l)``,
   ``compute = waves + blocks * (R + C - 2)`` is not an approximation,
   and the pipeline fill/drain term is the only allowed gap between the
   simulator's count and the Eq. 5 ideal ``executed / lanes``.
@@ -27,7 +35,7 @@ Tolerance policy (documented in ``docs/simulation.md``):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -35,7 +43,6 @@ from repro.analysis.diagnostics import (
     RTL_CYCLE_DIVERGENCE,
     RTL_OUTPUT_MISMATCH,
     RTL_TOOLCHAIN_MISSING,
-    RTL_UNSUPPORTED_DESIGN,
     VERIFY_CYCLE_MODEL_MISMATCH,
     VERIFY_ENGINE_MISMATCH,
     VERIFY_GOLDEN_MISMATCH,
@@ -46,13 +53,14 @@ from repro.analysis.diagnostics import (
 )
 from repro.ir.loop import LoopNest
 from repro.model.design_point import DesignPoint
-from repro.sim.engine import EngineResult, SystolicArrayEngine
-from repro.sim.fast import FastWavefrontSimulator, cycle_statistics
-from repro.sim.rtl import DEFAULT_RTL_ITERATION_LIMIT
-
-#: Cycle-accurate engine legs are skipped above this many iterations —
-#: the engine is exponential in problem size by construction.
-DEFAULT_ENGINE_ITERATION_LIMIT = 200_000
+from repro.sim.backends import (
+    COUNTERS,
+    DEFAULT_ENGINE_ITERATION_LIMIT,
+    DEFAULT_RTL_ITERATION_LIMIT,
+    WAVEFRONT_BACKENDS,
+)
+from repro.sim.engine import EngineResult
+from repro.sim.fast import cycle_statistics
 
 #: Relative tolerance for output-vs-golden legs (different but valid
 #: floating-point summation orders).
@@ -104,26 +112,23 @@ def golden_nest_output(
 
     read_a, read_b = nest.reads
 
-    def gather(access: Any, vals: dict[str, np.ndarray]) -> np.ndarray:
+    def index(access: Any, vals: dict[str, np.ndarray]) -> tuple[np.ndarray, ...]:
         dims = []
         for expr in access.indices:
             dim = np.full(len(next(iter(vals.values()))), expr.const, dtype=np.int64)
             for name, coeff in expr.terms:
                 dim = dim + coeff * vals[name]
             dims.append(dim)
-        return np.asarray(arrays[access.array][tuple(dims)], dtype=np.float64)
+        return tuple(dims)
+
+    def gather(access: Any, vals: dict[str, np.ndarray]) -> np.ndarray:
+        return np.asarray(arrays[access.array][index(access, vals)], dtype=np.float64)
 
     for start in range(0, total, chunk):
         flat = np.arange(start, min(start + chunk, total), dtype=np.int64)
         vals = {it: (flat // strides[it]) % bounds[it] for it in iterators}
         products = gather(read_a, vals) * gather(read_b, vals)
-        keys = []
-        for expr in out_access.indices:
-            key = np.full(len(flat), expr.const, dtype=np.int64)
-            for name, coeff in expr.terms:
-                key = key + coeff * vals[name]
-            keys.append(key)
-        np.add.at(output, tuple(keys), products)
+        np.add.at(output, index(out_access, vals), products)
     return output
 
 
@@ -222,9 +227,9 @@ def cross_check(
     arrays: dict[str, np.ndarray] | None = None,
     seed: int = 0,
     rel_tol: float = DEFAULT_REL_TOL,
-    engine_iteration_limit: int = DEFAULT_ENGINE_ITERATION_LIMIT,
+    engine_iteration_limit: int | None = None,
     rtl: bool = False,
-    rtl_iteration_limit: int = DEFAULT_RTL_ITERATION_LIMIT,
+    rtl_iteration_limit: int | None = None,
     iverilog: str = "auto",
 ) -> ConformanceReport:
     """Run the full conformance matrix over one design point.
@@ -239,14 +244,16 @@ def cross_check(
         seed: seed for the synthetic tensors.
         rel_tol: relative tolerance of the golden-output legs.
         engine_iteration_limit: skip the cycle-accurate engine leg above
-            this iteration count (with an ``SA404`` note).
+            this iteration count (with an ``SA404`` note); None = the
+            ``engine`` backend's own budget.
         rtl: additionally run the generated RTL through the netlist
             interpreter and hold it bit-identical to the fast simulator
             (``SA151``) and cycle-identical to the analytical model
             (``SA152``); when iverilog is on PATH the emitted Verilog is
             also executed natively and diffed against the interpreter.
         rtl_iteration_limit: skip the RTL legs above this iteration
-            count (with an ``SA404`` note).
+            count (with an ``SA404`` note); None = the ``rtl`` backend's
+            own budget.
         iverilog: ``"auto"`` uses iverilog when available (an ``SA153``
             note records its absence), ``"require"`` turns absence into
             a mismatch, ``"off"`` skips the native leg.
@@ -255,344 +262,270 @@ def cross_check(
         a :class:`ConformanceReport`; never raises on disagreement —
         call ``.report.raise_if_errors()`` for exception semantics.
     """
-    nest = design.nest
-    report = AnalysisReport()
-    legs: list[LegResult] = []
     if arrays is None:
-        arrays = synthetic_arrays(nest, seed=seed)
-
-    fast_result = FastWavefrontSimulator(design).run(arrays)
-
-    legs.append(_engine_leg(design, arrays, fast_result, engine_iteration_limit, report))
-    legs.append(_golden_leg(nest, arrays, fast_result, rel_tol, report))
-    legs.append(_cycle_model_leg(design, fast_result, report))
-    if layer is not None:
-        legs.append(_layer_leg(design, layer, seed, rel_tol, report))
-    if rtl:
-        legs.extend(
-            _rtl_legs(design, arrays, fast_result, rtl_iteration_limit, iverilog, report)
-        )
+        arrays = synthetic_arrays(design.nest, seed=seed)
+    reference = WAVEFRONT_BACKENDS[REFERENCE].run(design, arrays)
+    run = _Run(design, arrays, reference, AnalysisReport(), rel_tol, layer, seed, iverilog)
+    limits = {"engine": engine_iteration_limit, "rtl": rtl_iteration_limit}
+    # Per backend: its result, or the reason its legs are skipped.
+    outcomes: dict[str, EngineResult | str] = {REFERENCE: reference}
+    legs: list[LegResult] = []
+    for leg in MATRIX:
+        if (leg.backend == "rtl" and not rtl) or (leg.compare is _layer and layer is None):
+            continue
+        if leg.backend not in outcomes:
+            outcomes[leg.backend] = _run_or_skip(run, leg.backend, limits[leg.backend])
+        outcome = outcomes[leg.backend]
+        if isinstance(outcome, str):
+            legs.append(LegResult(leg.name, "skipped", outcome))
+        else:
+            legs.append(leg.compare(run, leg, outcome))
 
     return ConformanceReport(
         design_signature=design.signature,
         legs=tuple(legs),
-        report=report,
-        result=fast_result,
+        report=run.report,
+        result=reference,
     )
 
 
-# ----------------------------------------------------------------- legs
+# --------------------------------------------------------------- matrix
+
+#: The table entry every other backend is held bit-identical to.
+REFERENCE = next(iter(WAVEFRONT_BACKENDS))
 
 
-def _engine_leg(
-    design: DesignPoint,
-    arrays: dict[str, np.ndarray],
-    fast_result: EngineResult,
-    limit: int,
-    report: AnalysisReport,
-) -> LegResult:
-    """Bit-exact differential identity against the cycle-accurate engine."""
-    name = "fast-vs-engine"
-    total = design.nest.total_iterations
-    if total > limit:
-        report.add(
+@dataclass(frozen=True)
+class Leg:
+    """One row of the matrix: a comparator holding one backend's result.
+
+    Attributes:
+        name: leg identifier in the report.
+        code: the ``SA`` diagnostic a mismatch raises.
+        backend: the :data:`WAVEFRONT_BACKENDS` entry whose result the
+            comparator receives (its legs are skipped together).
+        compare: ``(run, leg, result) -> LegResult``.
+        says: the comparator's SA message wording (``{}`` = design
+            signature).
+        counters: the counters compared.
+    """
+
+    name: str
+    code: str
+    backend: str
+    compare: Callable[[_Run, Leg, EngineResult], LegResult]
+    says: str
+    counters: tuple[str, ...] = COUNTERS
+
+
+@dataclass(frozen=True)
+class _Run:
+    """What the comparators of one :func:`cross_check` call share."""
+
+    design: DesignPoint
+    arrays: dict[str, np.ndarray]
+    reference: EngineResult
+    report: AnalysisReport
+    rel_tol: float
+    layer: Any
+    seed: int
+    iverilog: str
+
+    def settle(
+        self, leg: Leg, error: str | None, detail: str, metrics: tuple = ()
+    ) -> LegResult:
+        """Close a leg: ``ok``, or ``mismatch`` plus the leg's SA error."""
+        if error is None:
+            return LegResult(leg.name, "ok", detail, metrics)
+        self.report.add(leg.code, Severity.ERROR, error)
+        return LegResult(leg.name, "mismatch", detail, metrics)
+
+
+def _run_or_skip(run: _Run, name: str, limit: int | None) -> EngineResult | str:
+    """Run a non-reference backend, or say why its legs are skipped.
+
+    The skip ladder (mirroring the testbench SA5xx policy): an oversized
+    design skips with an ``SA404`` note; a design the backend cannot
+    lower skips with the backend's own diagnostic (``SA150`` for RTL)
+    demoted to a note.
+    """
+    backend = WAVEFRONT_BACKENDS[name]
+    subject, budget, short = SKIP_WORDING[name]
+    total = run.design.nest.total_iterations
+    limit = backend.over_budget(run.design, limit)
+    if limit is not None:
+        run.report.add(
             VERIFY_LEG_SKIPPED,
             Severity.NOTE,
-            f"cycle-accurate engine leg skipped: {total} iterations exceed "
-            f"the {limit}-iteration engine budget",
+            f"{subject} skipped: {total} iterations exceed the "
+            f"{limit}-iteration {budget} budget",
         )
-        return LegResult(
-            name, "skipped", f"{total} iterations > engine budget {limit}"
-        )
-    engine_result = SystolicArrayEngine(design).run(arrays)
-    mismatches = []
-    for counter in (
-        "compute_cycles", "blocks", "waves", "pe_active_cycles", "first_all_active_cycle",
-    ):
-        got, want = getattr(fast_result, counter), getattr(engine_result, counter)
-        if got != want:
-            mismatches.append(f"{counter}: fast={got} engine={want}")
+        return f"{total} iterations > {short} budget {limit}"
+    try:
+        return backend.run(run.design, run.arrays)
+    except DiagnosticError as exc:
+        first = exc.diagnostics[0]
+        run.report.add(first.code, Severity.NOTE, f"{subject} skipped: {first.message}")
+        return first.message
+
+
+def _counter_diffs(
+    got: Any, want: Any, counters: tuple[str, ...], got_label: str, want_label: str
+) -> list[str]:
+    return [
+        f"{c}: {got_label}={getattr(got, c)} {want_label}={getattr(want, c)}"
+        for c in counters
+        if getattr(got, c) != getattr(want, c)
+    ]
+
+
+def _identity(run: _Run, leg: Leg, result: EngineResult) -> LegResult:
+    """Bit-exact differential identity of a backend against the reference."""
+    reference = run.reference
+    total = run.design.nest.total_iterations
+    mismatches = _counter_diffs(reference, result, leg.counters, REFERENCE, leg.backend)
     bit_equal = (
-        fast_result.output.shape == engine_result.output.shape
-        and fast_result.output.tobytes() == engine_result.output.tobytes()
+        reference.output.shape == result.output.shape
+        and reference.output.tobytes() == result.output.tobytes()
     )
     if not bit_equal:
-        diff = int(np.sum(fast_result.output != engine_result.output))
+        diff = int(np.sum(reference.output != result.output))
         mismatches.append(f"output differs in {diff} element(s)")
     if mismatches:
-        report.add(
-            VERIFY_ENGINE_MISMATCH,
-            Severity.ERROR,
-            f"fast simulator disagrees with the engine on "
-            f"{design.signature}: " + "; ".join(mismatches),
-        )
-        return LegResult(name, "mismatch", "; ".join(mismatches))
-    return LegResult(
-        name,
-        "ok",
-        f"bit-identical over {total} iterations",
-        metrics=(("iterations", float(total)),),
+        joined = "; ".join(mismatches)
+        return run.settle(leg, f"{leg.says.format(run.design.signature)}: {joined}", joined)
+    return run.settle(
+        leg, None, f"bit-identical over {total} iterations", (("iterations", float(total)),)
     )
 
 
-def _golden_leg(
-    nest: LoopNest,
-    arrays: dict[str, np.ndarray],
-    fast_result: EngineResult,
-    rel_tol: float,
-    report: AnalysisReport,
+def _within_tolerance(
+    run: _Run, leg: Leg, sim: np.ndarray, golden: np.ndarray, subject: str
 ) -> LegResult:
-    """Simulated output vs. an independent NumPy evaluation of the nest."""
-    name = "fast-vs-golden"
-    golden = golden_nest_output(nest, arrays)
-    sim = fast_result.output[tuple(slice(0, n) for n in golden.shape)]
+    """A simulated tensor vs. an independent evaluation, within ``rel_tol``."""
     scale = max(1.0, float(np.max(np.abs(golden))))
     max_abs = float(np.max(np.abs(sim - golden))) if golden.size else 0.0
     max_rel = max_abs / scale
+    error = None
+    if not np.allclose(sim, golden, rtol=run.rel_tol, atol=run.rel_tol * scale):
+        error = (
+            f"{subject} deviates from the {leg.says} by {max_rel:.3e} "
+            f"(relative; tolerance {run.rel_tol:.1e})"
+        )
     metrics = (("max_abs_error", max_abs), ("max_rel_error", max_rel))
-    if not np.allclose(sim, golden, rtol=rel_tol, atol=rel_tol * scale):
-        report.add(
-            VERIFY_GOLDEN_MISMATCH,
-            Severity.ERROR,
-            f"simulated output of {nest.name!r} deviates from the golden "
-            f"model by {max_rel:.3e} (relative; tolerance {rel_tol:.1e})",
-        )
-        return LegResult(
-            name, "mismatch", f"max relative error {max_rel:.3e}", metrics
-        )
-    return LegResult(name, "ok", f"max relative error {max_rel:.3e}", metrics)
+    return run.settle(leg, error, f"max relative error {max_rel:.3e}", metrics)
 
 
-def _cycle_model_leg(
-    design: DesignPoint, fast_result: EngineResult, report: AnalysisReport
-) -> LegResult:
-    """Emergent cycle counters vs. the closed-form analytical model."""
-    name = "cycles-vs-model"
-    stats = cycle_statistics(design)
-    mismatches = []
-    for counter in (
-        "blocks", "waves", "compute_cycles", "pe_active_cycles", "first_all_active_cycle",
-    ):
-        got, want = getattr(fast_result, counter), getattr(stats, counter)
-        if got != want:
-            mismatches.append(f"{counter}: simulated={got} model={want}")
-    # Eq. 5 ideal: executed iterations / lanes; the fill/drain term is
-    # the only legitimate gap between ideal and simulated cycles.
-    ideal = design.tiled.executed_iterations_clipped // design.shape.lanes
-    fill = stats.blocks * (design.shape.rows + design.shape.cols - 2)
-    if fast_result.compute_cycles - ideal != fill:
-        mismatches.append(
-            f"fill overhead: simulated-ideal={fast_result.compute_cycles - ideal} "
-            f"expected={fill}"
-        )
-    metrics = (
-        ("ideal_cycles", float(ideal)),
-        ("fill_overhead_cycles", float(fill)),
-        ("fill_overhead_fraction", fill / ideal if ideal else 0.0),
-    )
-    if mismatches:
-        report.add(
-            VERIFY_CYCLE_MODEL_MISMATCH,
-            Severity.ERROR,
-            f"cycle counters of {design.signature} deviate from the "
-            f"analytical model: " + "; ".join(mismatches),
-        )
-        return LegResult(name, "mismatch", "; ".join(mismatches), metrics)
-    return LegResult(
-        name, "ok", f"exact (+{fill} fill/drain cycles over Eq. 5 ideal)", metrics
-    )
+def _nest(run: _Run, leg: Leg, result: EngineResult) -> LegResult:
+    """Simulated output vs. an independent NumPy evaluation of the nest."""
+    nest = run.design.nest
+    golden = golden_nest_output(nest, run.arrays)
+    sim = result.output[tuple(slice(0, n) for n in golden.shape)]
+    return _within_tolerance(run, leg, sim, golden, f"simulated output of {nest.name!r}")
 
 
-def _layer_leg(
-    design: DesignPoint,
-    layer: Any,
-    seed: int,
-    rel_tol: float,
-    report: AnalysisReport,
-) -> LegResult:
+def _layer(run: _Run, leg: Leg, result: EngineResult) -> LegResult:
     """Full layer (padding + groups) vs. the golden convolution."""
     from repro.nn.golden import conv2d_layer, random_layer_tensors
     from repro.sim.functional import simulate_layer
 
-    name = "layer-vs-conv-golden"
-    inputs, weights = random_layer_tensors(layer, seed=seed)
-    sim = simulate_layer(design, layer, inputs, weights, backend="fast")
-    golden = conv2d_layer(
-        layer, inputs.astype(np.float64), weights.astype(np.float64)
-    )
-    scale = max(1.0, float(np.max(np.abs(golden))))
-    max_abs = float(np.max(np.abs(sim - golden)))
-    max_rel = max_abs / scale
-    metrics = (("max_abs_error", max_abs), ("max_rel_error", max_rel))
-    if not np.allclose(sim, golden, rtol=rel_tol, atol=rel_tol * scale):
-        report.add(
-            VERIFY_GOLDEN_MISMATCH,
-            Severity.ERROR,
-            f"layer {layer.name!r} simulated under {design.signature} "
-            f"deviates from the golden convolution by {max_rel:.3e} "
-            f"(relative; tolerance {rel_tol:.1e})",
-        )
-        return LegResult(
-            name, "mismatch", f"max relative error {max_rel:.3e}", metrics
-        )
-    return LegResult(name, "ok", f"max relative error {max_rel:.3e}", metrics)
+    layer, design = run.layer, run.design
+    inputs, weights = random_layer_tensors(layer, seed=run.seed)
+    sim = simulate_layer(design, layer, inputs, weights, backend=leg.backend)
+    golden = conv2d_layer(layer, inputs.astype(np.float64), weights.astype(np.float64))
+    subject = f"layer {layer.name!r} simulated under {design.signature}"
+    return _within_tolerance(run, leg, sim, golden, subject)
 
 
-def _rtl_legs(
-    design: DesignPoint,
-    arrays: dict[str, np.ndarray],
-    fast_result: EngineResult,
-    limit: int,
-    iverilog: str,
-    report: AnalysisReport,
-) -> list[LegResult]:
-    """The RTL conformance legs: interpreter identity + native cross-check.
-
-    Degradation ladder (mirroring the testbench SA5xx policy): a design
-    the RTL backend cannot lower skips all legs with an ``SA150`` note;
-    an oversized design skips with an ``SA404`` note; a missing iverilog
-    skips only the native leg with an ``SA153`` note (or fails it when
-    ``iverilog="require"``).
-    """
-    from repro.sim.rtl import (
-        RtlSimulator,
-        RtlToolchainUnavailable,
-        iverilog_available,
-        run_iverilog_check,
-    )
-
-    names = ("rtl-vs-fast", "rtl-cycles-vs-model", "rtl-vs-iverilog")
-    total = design.nest.total_iterations
-    if total > limit:
-        report.add(
-            VERIFY_LEG_SKIPPED,
-            Severity.NOTE,
-            f"RTL legs skipped: {total} iterations exceed the "
-            f"{limit}-iteration RTL interpreter budget",
-        )
-        detail = f"{total} iterations > RTL budget {limit}"
-        return [LegResult(name, "skipped", detail) for name in names]
-
-    try:
-        sim = RtlSimulator(design)
-    except DiagnosticError as exc:
-        first = exc.diagnostics[0]
-        report.add(
-            RTL_UNSUPPORTED_DESIGN,
-            Severity.NOTE,
-            f"RTL legs skipped: {first.message}",
-        )
-        return [LegResult(name, "skipped", first.message) for name in names]
-
-    legs: list[LegResult] = []
-    rtl_run = sim.run(arrays)
-    rtl_result = rtl_run.result
-
-    # Leg: RTL interpreter vs. fast simulator — bit-exact.
-    mismatches = []
-    bit_equal = (
-        fast_result.output.shape == rtl_result.output.shape
-        and fast_result.output.tobytes() == rtl_result.output.tobytes()
-    )
-    if not bit_equal:
-        diff = int(np.sum(fast_result.output != rtl_result.output))
-        mismatches.append(f"output differs in {diff} element(s)")
-    if fast_result.pe_active_cycles != rtl_result.pe_active_cycles:
-        mismatches.append(
-            f"pe_active_cycles: fast={fast_result.pe_active_cycles} "
-            f"rtl={rtl_result.pe_active_cycles}"
-        )
-    if mismatches:
-        report.add(
-            RTL_OUTPUT_MISMATCH,
-            Severity.ERROR,
-            f"RTL simulation of {design.signature} diverges from the fast "
-            f"simulator: " + "; ".join(mismatches),
-        )
-        legs.append(LegResult(names[0], "mismatch", "; ".join(mismatches)))
-    else:
-        legs.append(
-            LegResult(
-                names[0],
-                "ok",
-                f"bit-identical over {total} iterations",
-                metrics=(("iterations", float(total)),),
-            )
-        )
-
-    # Leg: RTL emergent cycle counters vs. the analytical model.
+def _model(run: _Run, leg: Leg, result: EngineResult) -> LegResult:
+    """Emergent cycle counters vs. the closed-form analytical model."""
+    design = run.design
     stats = cycle_statistics(design)
-    mismatches = []
-    for counter in (
-        "blocks", "waves", "compute_cycles", "pe_active_cycles", "first_all_active_cycle",
-    ):
-        got, want = getattr(rtl_result, counter), getattr(stats, counter)
-        if got != want:
-            mismatches.append(f"{counter}: rtl={got} model={want}")
-    if mismatches:
-        report.add(
-            RTL_CYCLE_DIVERGENCE,
-            Severity.ERROR,
-            f"RTL cycle counters of {design.signature} deviate from the "
-            f"analytical model: " + "; ".join(mismatches),
-        )
-        legs.append(LegResult(names[1], "mismatch", "; ".join(mismatches)))
-    else:
-        legs.append(
-            LegResult(
-                names[1],
-                "ok",
-                f"exact ({rtl_result.compute_cycles} cycles, "
-                f"{rtl_result.blocks} blocks)",
-                metrics=(("rtl_cycles", float(rtl_result.compute_cycles)),),
+    label = "simulated" if leg.backend == REFERENCE else leg.backend
+    mismatches = _counter_diffs(result, stats, leg.counters, label, "model")
+    if leg.backend == REFERENCE:
+        # Eq. 5 ideal: executed iterations / lanes; the fill/drain term is
+        # the only legitimate gap between ideal and simulated cycles.
+        ideal = design.tiled.executed_iterations_clipped // design.shape.lanes
+        fill = stats.blocks * (design.shape.rows + design.shape.cols - 2)
+        if result.compute_cycles - ideal != fill:
+            mismatches.append(
+                f"fill overhead: simulated-ideal={result.compute_cycles - ideal} "
+                f"expected={fill}"
             )
+        detail = f"exact (+{fill} fill/drain cycles over Eq. 5 ideal)"
+        metrics: tuple = (
+            ("ideal_cycles", float(ideal)),
+            ("fill_overhead_cycles", float(fill)),
+            ("fill_overhead_fraction", fill / ideal if ideal else 0.0),
         )
+    else:
+        detail = f"exact ({result.compute_cycles} cycles, {result.blocks} blocks)"
+        metrics = () if mismatches else ((f"{label}_cycles", float(result.compute_cycles)),)
+    if not mismatches:
+        return run.settle(leg, None, detail, metrics)
+    joined = "; ".join(mismatches)
+    error = f"{leg.says.format(design.signature)} deviate from the analytical model: {joined}"
+    return run.settle(leg, error, joined, metrics)
 
-    # Leg: native iverilog execution vs. the interpreter.
-    if iverilog == "off":
-        legs.append(LegResult(names[2], "skipped", "native leg disabled"))
-        return legs
-    if iverilog == "auto" and not iverilog_available():
-        report.add(
+
+def _native(run: _Run, leg: Leg, result: EngineResult) -> LegResult:
+    """Native iverilog execution vs. the RTL interpreter.
+
+    A missing iverilog skips the leg with an ``SA153`` note (or fails it
+    when ``iverilog="require"``).
+    """
+    from repro.sim import rtl
+
+    if run.iverilog == "off":
+        return LegResult(leg.name, "skipped", "native leg disabled")
+    if run.iverilog == "auto" and not rtl.iverilog_available():
+        run.report.add(
             RTL_TOOLCHAIN_MISSING,
             Severity.NOTE,
             "iverilog not found on PATH; RTL checked by the Python "
             "interpreter only",
             hint="apt-get install iverilog to enable the native leg",
         )
-        legs.append(LegResult(names[2], "skipped", "iverilog not on PATH"))
-        return legs
+        return LegResult(leg.name, "skipped", "iverilog not on PATH")
     try:
-        check = run_iverilog_check(design, arrays)
-    except RtlToolchainUnavailable as exc:
+        check = rtl.run_iverilog_check(run.design, run.arrays)
+    except rtl.RtlToolchainUnavailable as exc:
         diag = exc.diagnostic
-        if iverilog == "require":
-            report.add(
-                diag.code, Severity.ERROR, diag.message, hint=diag.hint
-            )
-            legs.append(LegResult(names[2], "mismatch", diag.message))
-        else:
-            report.add(diag.code, Severity.NOTE, diag.message, hint=diag.hint)
-            legs.append(LegResult(names[2], "skipped", diag.message))
-        return legs
-    if not check.ok:
-        report.add(
-            RTL_OUTPUT_MISMATCH,
-            Severity.ERROR,
-            f"iverilog execution of {design.signature} diverges from the "
-            f"RTL interpreter: {check.detail}",
-        )
-        legs.append(LegResult(names[2], "mismatch", check.detail))
-    else:
-        legs.append(
-            LegResult(
-                names[2],
-                "ok",
-                check.detail,
-                metrics=(("words_compared", float(check.words)),),
-            )
-        )
-    return legs
+        required = run.iverilog == "require"
+        severity = Severity.ERROR if required else Severity.NOTE
+        run.report.add(diag.code, severity, diag.message, hint=diag.hint)
+        return LegResult(leg.name, "mismatch" if required else "skipped", diag.message)
+    if check.ok:
+        return run.settle(leg, None, check.detail, (("words_compared", float(check.words)),))
+    error = f"{leg.says.format(run.design.signature)}: {check.detail}"
+    return run.settle(leg, error, check.detail)
+
+
+#: Rows in report order.
+MATRIX = (
+    Leg("fast-vs-engine", VERIFY_ENGINE_MISMATCH, "engine", _identity,
+        "fast simulator disagrees with the engine on {}"),
+    Leg("fast-vs-golden", VERIFY_GOLDEN_MISMATCH, REFERENCE, _nest, "golden model"),
+    Leg("cycles-vs-model", VERIFY_CYCLE_MODEL_MISMATCH, REFERENCE, _model,
+        "cycle counters of {}"),
+    Leg("layer-vs-conv-golden", VERIFY_GOLDEN_MISMATCH, REFERENCE, _layer,
+        "golden convolution"),
+    Leg("rtl-vs-fast", RTL_OUTPUT_MISMATCH, "rtl", _identity,
+        "RTL simulation of {} diverges from the fast simulator",
+        counters=("pe_active_cycles",)),
+    Leg("rtl-cycles-vs-model", RTL_CYCLE_DIVERGENCE, "rtl", _model,
+        "RTL cycle counters of {}"),
+    Leg("rtl-vs-iverilog", RTL_OUTPUT_MISMATCH, "rtl", _native,
+        "iverilog execution of {} diverges from the RTL interpreter"),
+)
+
+#: Per non-reference backend: (subject, budget wording in the SA404 note,
+#: budget wording in the leg detail) of its skipped legs.
+SKIP_WORDING = {
+    "engine": ("cycle-accurate engine leg", "engine", "engine"),
+    "rtl": ("RTL legs", "RTL interpreter", "RTL"),
+}
 
 
 __all__ = [
@@ -600,7 +533,9 @@ __all__ = [
     "DEFAULT_ENGINE_ITERATION_LIMIT",
     "DEFAULT_REL_TOL",
     "DEFAULT_RTL_ITERATION_LIMIT",
+    "Leg",
     "LegResult",
+    "MATRIX",
     "cross_check",
     "golden_nest_output",
     "synthetic_arrays",

@@ -26,7 +26,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.analysis.codegen_lint import lint_verilog
-from repro.analysis.diagnostics import CODE_CATALOG, DiagnosticError
+from repro.analysis.diagnostics import (
+    CODE_CATALOG,
+    Diagnostic,
+    DiagnosticError,
+    Severity,
+)
 from repro.codegen.backend import BACKENDS, CodegenBackend, get_backend
 from repro.codegen.rtl import RTL_MAX_BOX, generate_rtl, plan_rtl, rtl_module_hash
 from repro.ir.loop import conv_loop_nest
@@ -41,7 +46,6 @@ from repro.sim.rtl import (
     iverilog_available,
     run_iverilog_check,
 )
-from repro.verify import conformance
 from repro.verify.conformance import cross_check, synthetic_arrays
 from tests.strategies import seeds, small_designs
 
@@ -203,9 +207,7 @@ class TestSa15xReachability:
     def test_sa153_missing_toolchain_fails_under_require(self, monkeypatch):
         def _unavailable(design, arrays, **kwargs):
             raise RtlToolchainUnavailable(
-                rtl_sim.Diagnostic(
-                    "SA153", rtl_sim.Severity.ERROR, "iverilog not found"
-                )
+                Diagnostic("SA153", Severity.ERROR, "iverilog not found")
             )
 
         monkeypatch.setattr(rtl_sim, "run_iverilog_check", _unavailable)

@@ -278,3 +278,43 @@ class TestEventBusFanOut:
             stop.set()
             thread.join()
         assert errors == []
+
+
+class TestCodegenDegradationSurvivesTheCache:
+    def test_sa150_trail_is_the_same_cold_and_warm(self, tmp_path):
+        """A design the RTL backend cannot lower (vector loop in the
+        output access) reports SA150 — and a cache-served run of the same
+        design must report it too, or cold and warm payloads differ."""
+        from repro.dse.explore import Phase1Result, Phase2Result
+        from repro.ir.loop import conv_loop_nest
+        from repro.model.design_point import ArrayShape, DesignPoint
+        from repro.model.mapping import Mapping
+        from repro.model.serialize import result_to_dict
+        from repro.pipeline.events import StageDegraded
+        from repro.pipeline.stages import CodegenStage, SimulateStage
+
+        nest = conv_loop_nest(2, 2, 3, 3, 2, 2, name="sa150")
+        design = DesignPoint.create(
+            nest, Mapping("o", "c", "r", "IN", "W"), ArrayShape(2, 2, 2), {}
+        )
+        best = design.evaluate(Platform())
+        ctx = make_ctx(
+            nest=nest,
+            phase1=Phase1Result((best,), 1, 1, 1, elapsed_seconds=0.0),
+            phase2=Phase2Result(best, (best,), (best.throughput_gops,)),
+            frequency_mhz=best.performance.frequency_mhz,
+        )
+        events = []
+        engine = PipelineEngine(
+            [CodegenStage(), SimulateStage()],
+            cache=StageCache(tmp_path),
+            observers=[events.append],
+        )
+        cold = engine.run(ctx)
+        warm = engine.run(ctx)
+        assert warm.cache_hits == ("codegen", "simulate")
+        assert cold.rtl_source is None and warm.rtl_source is None
+        assert [code for code, _ in cold.degradations] == ["SA150"]
+        assert warm.degradations == cold.degradations
+        assert any(isinstance(e, StageDegraded) and e.code == "SA150" for e in events)
+        assert result_to_dict(warm.to_result()) == result_to_dict(cold.to_result())

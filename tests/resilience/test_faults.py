@@ -220,3 +220,33 @@ class TestInjectedFaultPickling:
         assert isinstance(clone, InjectedFault)
         assert clone.point == "dse.worker"
         assert clone.kind == "crash"
+
+
+class TestFaultPointCatalog:
+    """Every listing of the fault points is the registry, not a copy."""
+
+    def test_docs_table_matches_the_registry(self):
+        """Catalog parity (mirrors the SAxxx catalog test): the table in
+        docs/resilience.md names exactly the registered points."""
+        import re
+        from pathlib import Path
+
+        doc = Path(__file__).parent.parent.parent / "docs" / "resilience.md"
+        section = doc.read_text().split("### Fault points")[1].split("###")[0]
+        documented = re.findall(r"^\| `([a-z.]+)` \|", section, flags=re.MULTILINE)
+        assert documented == list(FAULT_POINTS)
+
+    def test_module_docstring_table_matches_the_registry(self):
+        import re
+
+        import repro.resilience.faults as module
+
+        listed = re.findall(r"^``([a-z.]+)``", module.__doc__, flags=re.MULTILINE)
+        assert listed == list(FAULT_POINTS)
+
+    def test_cli_help_lists_every_point_and_kind(self):
+        from repro.flow.cli import build_arg_parser
+
+        text = " ".join(build_arg_parser().format_help().split())
+        assert f"points: {' '.join(FAULT_POINTS)};" in text
+        assert f"kinds: {' '.join(FAULT_KINDS)})" in text

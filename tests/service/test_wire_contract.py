@@ -166,7 +166,11 @@ class TestSubmit:
                 b"POST /v1/jobs HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n"
                 + f"Content-Length: {length}\r\n\r\n".encode()
             )
-            answer = sock.recv(65536)  # socket.timeout here = the old hang
+            # socket.timeout here = the old hang.  Read to EOF (the server
+            # closes after refusing): headers and body may arrive apart.
+            answer = b""
+            while chunk := sock.recv(65536):
+                answer += chunk
         assert answer.startswith(b"HTTP/1.1 400 ")
         assert b'{"error": "unreadable body: ' in answer
 

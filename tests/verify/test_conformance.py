@@ -13,15 +13,30 @@ from repro.ir.loop import conv_loop_nest
 from repro.model.design_point import ArrayShape, DesignPoint
 from repro.model.mapping import Mapping
 from repro.nn.layers import ConvLayer
+from repro.sim.backends import COUNTERS, WAVEFRONT_BACKENDS
 from repro.sim.fast import FastWavefrontSimulator
-from repro.verify import conformance
 from repro.verify.conformance import (
+    MATRIX,
+    REFERENCE,
     ConformanceReport,
     cross_check,
     golden_nest_output,
     synthetic_arrays,
 )
 from tests.strategies import small_designs
+
+OTHER_BACKENDS = [name for name in WAVEFRONT_BACKENDS if name != REFERENCE]
+
+TINY_SRC = """
+#pragma systolic
+for (o = 0; o < 8; o++)
+  for (i = 0; i < 4; i++)
+    for (c = 0; c < 6; c++)
+      for (r = 0; r < 6; r++)
+        for (p = 0; p < 3; p++)
+          for (q = 0; q < 3; q++)
+            OUT[o][r][c] += W[o][i][p][q] * IN[i][r+p][c+q];
+"""
 
 
 def small_design():
@@ -120,24 +135,91 @@ class TestCrossCheckClean:
         assert report.ok, report.render()
 
 
-class _CorruptingSimulator(FastWavefrontSimulator):
-    """A deliberately broken backend: flips one output element and
-    inflates the cycle counter — both divergences must be caught."""
+class TestBackendMatrix:
+    """Every non-reference entry of the backend table against ``fast``."""
 
-    def run(self, arrays):
-        result = super().run(arrays)
-        output = result.output.copy()
-        output.flat[0] += 1.0
-        return dataclasses.replace(
-            result, output=output, compute_cycles=result.compute_cycles + 5
+    @pytest.mark.parametrize("name", OTHER_BACKENDS)
+    @settings(
+        max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(design=small_designs())
+    def test_property_backend_is_bit_identical_to_reference(self, name, design):
+        arrays = synthetic_arrays(design.nest, seed=3)
+        want = WAVEFRONT_BACKENDS[REFERENCE].run(design, arrays)
+        got = WAVEFRONT_BACKENDS[name].run(design, arrays)
+        assert got.output.shape == want.output.shape
+        assert got.output.tobytes() == want.output.tobytes()
+        for counter in COUNTERS:
+            assert getattr(got, counter) == getattr(want, counter), counter
+
+    @pytest.mark.parametrize("name", OTHER_BACKENDS)
+    def test_over_budget_backend_skips_its_legs(self, name, monkeypatch):
+        entry = WAVEFRONT_BACKENDS[name]
+        monkeypatch.setitem(
+            WAVEFRONT_BACKENDS, name, dataclasses.replace(entry, budget=10)
         )
+        report = cross_check(small_design(), rtl=True, iverilog="off")
+        assert report.ok  # a skip is a note, not an error
+        own = [leg.name for leg in MATRIX if leg.backend == name]
+        assert own
+        for leg in report.legs:
+            if leg.name != "rtl-vs-iverilog":  # disabled above either way
+                assert leg.status == ("skipped" if leg.name in own else "ok"), leg
+        assert all(report.leg(leg).detail.endswith("budget 10") for leg in own)
+        assert [d.code for d in report.report.diagnostics] == ["SA404"]
+
+    def test_stage_and_cross_check_read_the_same_budget(self, monkeypatch):
+        """One budget per backend, homed in the table: patch it once and
+        ``--sim-backend rtl`` refuses the run that ``cross_check`` skips."""
+        from repro.dse.explore import DseConfig
+        from repro.flow.compile import compile_c_source
+        from repro.model.platform import Platform
+
+        def compile_rtl():
+            return compile_c_source(
+                TINY_SRC,
+                Platform(),
+                DseConfig(min_dsp_utilization=0.0, vector_choices=(2,), top_n=1),
+                name="tiny",
+                cache=False,
+                sim_backend="rtl",
+            )
+
+        result = compile_rtl()
+        assert result.engine_result is not None
+        monkeypatch.setitem(
+            WAVEFRONT_BACKENDS,
+            "rtl",
+            dataclasses.replace(WAVEFRONT_BACKENDS["rtl"], budget=10),
+        )
+        with pytest.raises(ValueError, match="budget of 10"):
+            compile_rtl()
+        report = cross_check(result.evaluation.design, rtl=True)
+        assert report.leg("rtl-vs-fast").status == "skipped"
+        assert "budget 10" in report.leg("rtl-vs-fast").detail
+
+
+def _corrupting_run(design, arrays):
+    """A deliberately broken reference: flips one output element and
+    inflates the cycle counter — both divergences must be caught."""
+    result = FastWavefrontSimulator(design).run(arrays)
+    output = result.output.copy()
+    output.flat[0] += 1.0
+    return dataclasses.replace(
+        result, output=output, compute_cycles=result.compute_cycles + 5
+    )
+
+
+@pytest.fixture
+def corrupted_reference(monkeypatch):
+    entry = WAVEFRONT_BACKENDS[REFERENCE]
+    monkeypatch.setitem(
+        WAVEFRONT_BACKENDS, REFERENCE, dataclasses.replace(entry, run=_corrupting_run)
+    )
 
 
 class TestCrossCheckCatchesCorruption:
-    def test_corrupted_simulator_fails_every_leg(self, monkeypatch):
-        monkeypatch.setattr(
-            conformance, "FastWavefrontSimulator", _CorruptingSimulator
-        )
+    def test_corrupted_simulator_fails_every_leg(self, corrupted_reference):
         report = cross_check(small_design())
         assert not report.ok
         assert report.exit_code == 1
@@ -149,10 +231,7 @@ class TestCrossCheckCatchesCorruption:
         with pytest.raises(Exception):
             report.report.raise_if_errors()
 
-    def test_mismatch_detail_names_the_counter(self, monkeypatch):
-        monkeypatch.setattr(
-            conformance, "FastWavefrontSimulator", _CorruptingSimulator
-        )
+    def test_mismatch_detail_names_the_counter(self, corrupted_reference):
         report = cross_check(small_design())
         assert "compute_cycles" in report.leg("fast-vs-engine").detail
 
