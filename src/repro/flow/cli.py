@@ -489,6 +489,20 @@ def _read_text(path: Path) -> str | None:
         return None
 
 
+def _read_json(path: Path) -> tuple[bool, object]:
+    """(True, the file's JSON value) — or (False, None), after the
+    usage-error line, when it is missing, binary or does not parse (the
+    caller exits 2)."""
+    text = _read_text(path)
+    if text is None:
+        return False, None
+    try:
+        return True, json.loads(text)
+    except json.JSONDecodeError as exc:
+        print(f"error: {path} is not valid JSON: {exc}", file=sys.stderr)
+        return False, None
+
+
 def _platform(args: argparse.Namespace) -> Platform:
     """The target platform a parsed command line names (parsers without
     ``--clock`` price phase 1 at the platform default)."""
@@ -724,16 +738,16 @@ def submit_main(argv: list[str]) -> int:
     body: dict = {"name": path.stem, "options": options}
     if args.network and path.suffix != ".json":
         body.update(name=args.network, network=args.network)  # a built-in model
+    elif args.network or path.suffix == ".json":
+        ok, value = _read_json(path)
+        if not ok:
+            return 2
+        body["network" if args.network else "design"] = value
     else:
         text = _read_text(path)
         if text is None:
             return 2
-        if args.network:
-            body["network"] = json.loads(text)
-        elif path.suffix == ".json":
-            body["design"] = json.loads(text)
-        else:
-            body["source"] = text
+        body["source"] = text
     client = ServiceClient(args.url, client_id=args.client_id)
     try:
         job = client.submit(priority=args.priority, **body)
@@ -780,18 +794,18 @@ def submit_main(argv: list[str]) -> int:
                 file=sys.stderr,
             )
             return 1
-        from repro.model.serialize import result_from_dict
-        from repro.pipeline.codecs import UNIFIED_FORMAT
+        from repro.model.serialize import RECORDS, RESULT
 
         out_dir = Path(args.output)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if status["result"].get("format") == UNIFIED_FORMAT:
-            (out_dir / "unified_result.json").write_text(
-                json.dumps(status["result"], indent=2) + "\n"
-            )
-            print(f"unified result written to {out_dir}/unified_result.json")
+        payload = status["result"]
+        record = RECORDS.get(payload.get("format"), RESULT)
+        if record is not RESULT:  # a network job: no artifacts, the payload itself
+            target = out_dir / f"{record.label}_result.json"
+            target.write_text(json.dumps(payload, indent=2) + "\n")
+            print(f"{record.label} result written to {target}")
             return 0
-        result = result_from_dict(status["result"])
+        result = RESULT.decode(payload)
         _write_artifacts(out_dir, result)
         (out_dir / "report.txt").write_text(render_synthesis_report(result) + "\n")
         print(f"artifacts written to {out_dir}/")

@@ -23,12 +23,27 @@ round trip bit-for-bit (JSON floats round-trip exactly through
 
 Everything needed to rebuild the :class:`~repro.model.design_point.DesignPoint`
 is embedded (including the nest), so a saved design is self-contained.
+
+Every two-way payload is a :class:`Record`: one codec that walks
+``dataclasses.fields`` of the record's class, plus a declaration that
+says only what the dataclass cannot — the format tag, renamed keys,
+nested codecs, fields left out.  The ``*_to_dict`` / ``*_from_dict``
+names below (and ``encode_*`` / ``decode_*`` in
+:mod:`repro.pipeline.codecs`) are bindings of those records; every
+decoder raises :class:`ValueError`, and nothing else, on a payload that
+is not a JSON object, carries another format tag or is malformed.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+import pkgutil
+from dataclasses import KW_ONLY, dataclass, field, fields
+from functools import cached_property
+from pathlib import Path
+from typing import Any, Callable, Mapping as MappingT, NamedTuple
+
+import numpy as np
 
 from repro.ir.access import AffineExpr, ArrayAccess
 from repro.ir.loop import Loop, LoopNest
@@ -43,22 +58,149 @@ RESULT_FORMAT = "repro-result/1"
 ENGINE_RESULT_FORMAT = "repro-engine-result/1"
 
 
+# ------------------------------------------------------ the record codec
+
+
+class Leaf(NamedTuple):
+    """A value that is not a record: how it is written and read back."""
+
+    encode: Callable[[Any], Any]
+    decode: Callable[[Any], Any]
+
+
+PLAIN = Leaf(lambda value: value, lambda data: data)
+"""The default: the field's value *is* its JSON form."""
+
+
+def sequence(codec: "Leaf | Record") -> Leaf:
+    """A tuple of ``codec`` values, written as a JSON list."""
+    return Leaf(lambda vs: list(map(codec.encode, vs)), lambda data: tuple(map(codec.decode, data)))
+
+
+RECORDS: dict[str, "Record"] = {}
+"""Every format-tagged payload of the flow, by tag (the records of
+:mod:`repro.pipeline.codecs` join when that module is imported)."""
+
+
+@dataclass(eq=False)
+class Record:
+    """The two-way JSON codec of one dataclass.
+
+    A field is written under its own name with its value as is, in
+    dataclass order after the ``"format"`` tag; the declaration lists
+    the exceptions.
+
+    Attributes:
+        of: the dataclass — or ``"module:Class"``, imported on first
+            use, for a class of a layer above this one.
+        label: what error messages call the payload.
+        tag: the ``"format"`` value written first and required on
+            decode; a tagged record joins :data:`RECORDS`.
+        where: where the payload is stored or sent (documentation).
+        keys: field -> JSON key where it is not the field's name.  A
+            field keyed ``None`` is *spread*: its codec writes a dict of
+            several keys into the payload and reads the whole payload.
+        codecs: field -> :class:`Leaf` or nested :class:`Record`.
+        omit: fields that are neither written nor read.
+        optional: fields written — after all the others — only when not
+            None.
+        absent: field -> the value a payload without the key decodes
+            to.  (A field with a dataclass default needs no entry: its
+            default applies.  Any other missing key is malformed.)
+    """
+
+    of: type | str
+    label: str
+    tag: str | None = None
+    _: KW_ONLY
+    where: str = ""
+    keys: MappingT[str, str | None] = field(default_factory=dict)
+    codecs: MappingT[str, "Leaf | Record"] = field(default_factory=dict)
+    omit: tuple[str, ...] = ()
+    optional: tuple[str, ...] = ()
+    absent: MappingT[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.tag is not None:
+            RECORDS[self.tag] = self
+
+    @cached_property
+    def cls(self) -> type:
+        """The record's dataclass."""
+        return pkgutil.resolve_name(self.of) if isinstance(self.of, str) else self.of
+
+    @cached_property
+    def _plan(self) -> list[tuple[str, str | None, "Leaf | Record"]]:
+        """(field, key, codec) per written field, optional ones last."""
+        names = [f.name for f in fields(self.cls) if f.name not in self.omit]
+        names.sort(key=self.optional.__contains__)
+        return [(n, self.keys.get(n, n), self.codecs.get(n, PLAIN)) for n in names]
+
+    def encode(self, value: Any) -> dict[str, Any]:
+        """The record as plain JSON-able data."""
+        data: dict[str, Any] = {} if self.tag is None else {"format": self.tag}
+        for name, key, codec in self._plan:
+            item = getattr(value, name)
+            if item is None and name in self.optional:
+                continue
+            if key is None:
+                data.update(codec.encode(item))
+            else:
+                data[key] = codec.encode(item)
+        return data
+
+    def decode(self, data: Any) -> Any:
+        """Rebuild the record from :meth:`encode` data.
+
+        Raises:
+            ValueError: ``data`` is not a JSON object, carries another
+                format tag, or is malformed.
+        """
+        if not isinstance(data, dict):
+            kind = type(data).__name__
+            raise ValueError(f"malformed {self.label} payload: {kind}, not a JSON object")
+        if self.tag is not None and data.get("format") != self.tag:
+            raise ValueError(
+                f"unsupported {self.label} format {data.get('format')!r} (expected {self.tag!r})"
+            )
+        try:
+            values = {}
+            for name, key, codec in self._plan:
+                if key is None:
+                    values[name] = codec.decode(data)
+                elif key in data:
+                    values[name] = codec.decode(data[key])
+                elif name in self.absent:
+                    values[name] = self.absent[name]
+            return self.cls(**values)
+        # AttributeError: a value of the wrong type that got as far as a
+        # dataclass's own validation (``Loop`` asks ``name.isidentifier()``).
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed {self.label} payload: {exc}") from exc
+
+
+def record_of(value: Any) -> Record:
+    """The tagged record declared for ``value``'s type (KeyError: none)."""
+    return {record.cls: record for record in RECORDS.values()}[type(value)]
+
+
+# ------------------------------------------------------- special leaves
+
+
 def nest_to_dict(nest: LoopNest) -> dict[str, Any]:
     """Serialize a loop nest to plain JSON-able data."""
-    accesses = []
-    for access in nest.accesses:
-        accesses.append(
+    return {
+        "name": nest.name,
+        "loops": [[loop.iterator, loop.trip_count] for loop in nest.loops],
+        "accesses": [
             {
                 "array": access.array,
                 "write": access.is_write,
                 "indices": [sorted(expr.terms) for expr in access.indices],
                 "consts": [expr.const for expr in access.indices],
             }
-        )
-    return {
-        "name": nest.name,
-        "loops": [[loop.iterator, loop.trip_count] for loop in nest.loops],
-        "accesses": accesses,
+            for access in nest.accesses
+        ],
     }
 
 
@@ -75,302 +217,104 @@ def nest_from_dict(data: dict[str, Any]) -> LoopNest:
     return LoopNest(loops, tuple(accesses), name=data["name"])
 
 
-def design_to_dict(design: DesignPoint) -> dict[str, Any]:
-    """Serialize a design point to plain JSON-able data."""
-    return {
-        "format": FORMAT,
-        "nest": nest_to_dict(design.nest),
-        "mapping": {
-            "row": design.mapping.row,
-            "col": design.mapping.col,
-            "vector": design.mapping.vector,
-            "vertical": design.mapping.vertical_array,
-            "horizontal": design.mapping.horizontal_array,
-        },
-        "shape": [design.shape.rows, design.shape.cols, design.shape.vector],
-        "middle": design.middle_bounds,
-    }
+NEST = Leaf(nest_to_dict, nest_from_dict)
+
+SHAPE = Leaf(lambda shape: [shape.rows, shape.cols, shape.vector], lambda t: ArrayShape(*t))
+
+_MIDDLE = Leaf(dict, lambda bounds: tuple(sorted(dict(bounds or {}).items())))
+
+# The output tensor is stored flat plus its shape; float64 values
+# round-trip bit-for-bit through JSON's ``repr``-based float encoding, so
+# a reloaded result compares bit-identical to the simulated one.
+_TENSOR = Leaf(
+    lambda output: {"output_shape": list(output.shape), "output": output.ravel().tolist()},
+    lambda data: np.asarray(data["output"], dtype=np.float64).reshape(data["output_shape"]),
+)
+
+_DEGRADATIONS = Leaf(
+    lambda trail: [list(entry) for entry in trail],
+    lambda data: tuple((str(code), str(reason)) for code, reason in data),
+)
 
 
-def design_from_dict(data: dict[str, Any]) -> DesignPoint:
-    """Rebuild a design point from :func:`design_to_dict` data.
+# ----------------------------------------------------------- the records
 
-    Raises:
-        ValueError: on unknown format versions or malformed payloads.
-    """
-    if data.get("format") != FORMAT:
-        raise ValueError(
-            f"unsupported design format {data.get('format')!r} (expected {FORMAT!r})"
-        )
-    try:
-        nest = nest_from_dict(data["nest"])
-        mapping = Mapping(
-            data["mapping"]["row"],
-            data["mapping"]["col"],
-            data["mapping"]["vector"],
-            data["mapping"]["vertical"],
-            data["mapping"]["horizontal"],
-        )
-        rows, cols, vector = data["shape"]
-        return DesignPoint.create(
-            nest, mapping, ArrayShape(rows, cols, vector), data.get("middle") or {}
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed design payload: {exc}") from exc
+MAPPING = Record(
+    Mapping, "mapping", keys={"vertical_array": "vertical", "horizontal_array": "horizontal"}
+)
+DESIGN = Record(
+    DesignPoint,
+    "design",
+    FORMAT,
+    where="`--save-design` file; `verify design.json`; the `design` of `POST /v1/jobs`",
+    codecs={"nest": NEST, "mapping": MAPPING, "shape": SHAPE, "middle": _MIDDLE},
+)
+EVALUATION = Record(
+    DesignEvaluation,
+    "evaluation",
+    EVALUATION_FORMAT,
+    where="inside the phase-1, phase-2 and result payloads",
+    codecs={
+        "design": DESIGN,
+        "performance": Record(PerformanceEstimate, "performance"),
+        "bram": Record(BramBreakdown, "bram"),
+    },
+)
+# The sim and pipeline layers sit above the model layer: their classes
+# are named, not imported.
+MEASUREMENT = Record("repro.sim.perf:LayerMeasurement", "measurement")
+ENGINE_RESULT = Record(
+    "repro.sim.engine:EngineResult",
+    "engine-result",
+    ENGINE_RESULT_FORMAT,
+    where="inside the result payload of a `--sim-backend` run",
+    keys={"output": None},
+    codecs={"output": _TENSOR},
+)
+RESULT = Record(
+    "repro.pipeline.context:SynthesisResult",
+    "result",
+    RESULT_FORMAT,
+    where="`--save-result` file; `GET /v1/jobs/{id}?result=1` of a layer job",
+    codecs={
+        "evaluation": EVALUATION,
+        "measurement": MEASUREMENT,
+        "engine_result": ENGINE_RESULT,
+        # Excluded from equality on the dataclass, but part of the run's
+        # observable history — a saved result must keep its degradation
+        # trail for post-mortems.
+        "degradations": _DEGRADATIONS,
+    },
+    omit=("stage_seconds", "cache_hits", "conformance"),
+    optional=("engine_result",),
+    # Absent in pre-RTL saved results; None is the degraded state.
+    absent={"rtl_source": None},
+)
+
+design_to_dict, design_from_dict = DESIGN.encode, DESIGN.decode
+evaluation_to_dict, evaluation_from_dict = EVALUATION.encode, EVALUATION.decode
+measurement_to_dict, measurement_from_dict = MEASUREMENT.encode, MEASUREMENT.decode
+engine_result_to_dict, engine_result_from_dict = ENGINE_RESULT.encode, ENGINE_RESULT.decode
+result_to_dict, result_from_dict = RESULT.encode, RESULT.decode
 
 
 def save_design(design: DesignPoint, path) -> None:
     """Write a design point to a JSON file."""
-    from pathlib import Path
-
     Path(path).write_text(json.dumps(design_to_dict(design), indent=2) + "\n")
 
 
 def load_design(path) -> DesignPoint:
     """Read a design point from a JSON file."""
-    from pathlib import Path
-
     return design_from_dict(json.loads(Path(path).read_text()))
-
-
-# --------------------------------------------------------- evaluations
-
-
-def evaluation_to_dict(evaluation: DesignEvaluation) -> dict[str, Any]:
-    """Serialize a :class:`DesignEvaluation` (design + model verdict)."""
-    perf = evaluation.performance
-    return {
-        "format": EVALUATION_FORMAT,
-        "design": design_to_dict(evaluation.design),
-        "performance": {
-            "frequency_mhz": perf.frequency_mhz,
-            "efficiency": perf.efficiency,
-            "lanes": perf.lanes,
-            "block_iterations": perf.block_iterations,
-            "pt_gops": perf.pt_gops,
-            "mt_gops": perf.mt_gops,
-            "mt_total_gops": perf.mt_total_gops,
-            "mt_per_array_gops": perf.mt_per_array_gops,
-            "throughput_gops": perf.throughput_gops,
-            "effective_ops": perf.effective_ops,
-            "seconds": perf.seconds,
-            "block_bytes": perf.block_bytes,
-        },
-        "bram": {
-            "per_array_blocks": evaluation.bram.per_array_blocks,
-            "pe_blocks": evaluation.bram.pe_blocks,
-            "footprints": evaluation.bram.footprints,
-        },
-        "dsp_blocks": evaluation.dsp_blocks,
-        "dsp_utilization": evaluation.dsp_utilization,
-        "bram_utilization": evaluation.bram_utilization,
-        "logic_cells": evaluation.logic_cells,
-    }
-
-
-def evaluation_from_dict(data: dict[str, Any]) -> DesignEvaluation:
-    """Rebuild a :class:`DesignEvaluation` from :func:`evaluation_to_dict`.
-
-    Raises:
-        ValueError: on unknown format versions or malformed payloads.
-    """
-    if data.get("format") != EVALUATION_FORMAT:
-        raise ValueError(
-            f"unsupported evaluation format {data.get('format')!r} "
-            f"(expected {EVALUATION_FORMAT!r})"
-        )
-    try:
-        perf = data["performance"]
-        bram = data["bram"]
-        return DesignEvaluation(
-            design=design_from_dict(data["design"]),
-            performance=PerformanceEstimate(
-                frequency_mhz=perf["frequency_mhz"],
-                efficiency=perf["efficiency"],
-                lanes=perf["lanes"],
-                block_iterations=perf["block_iterations"],
-                pt_gops=perf["pt_gops"],
-                mt_gops=perf["mt_gops"],
-                mt_total_gops=perf["mt_total_gops"],
-                mt_per_array_gops=dict(perf["mt_per_array_gops"]),
-                throughput_gops=perf["throughput_gops"],
-                effective_ops=perf["effective_ops"],
-                seconds=perf["seconds"],
-                block_bytes=dict(perf["block_bytes"]),
-            ),
-            bram=BramBreakdown(
-                per_array_blocks=dict(bram["per_array_blocks"]),
-                pe_blocks=bram["pe_blocks"],
-                footprints=dict(bram["footprints"]),
-            ),
-            dsp_blocks=data["dsp_blocks"],
-            dsp_utilization=data["dsp_utilization"],
-            bram_utilization=data["bram_utilization"],
-            logic_cells=data["logic_cells"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed evaluation payload: {exc}") from exc
-
-
-# ------------------------------------------------------ full results
-
-
-def measurement_to_dict(measurement: Any) -> dict[str, Any]:
-    """Serialize a :class:`repro.sim.perf.LayerMeasurement`."""
-    return {
-        "seconds": measurement.seconds,
-        "cycles": measurement.cycles,
-        "compute_cycles": measurement.compute_cycles,
-        "transfer_cycles": measurement.transfer_cycles,
-        "frequency_mhz": measurement.frequency_mhz,
-        "throughput_gops": measurement.throughput_gops,
-        "blocks": measurement.blocks,
-        "bound": measurement.bound,
-        "utilization": measurement.utilization,
-    }
-
-
-def measurement_from_dict(data: dict[str, Any]) -> Any:
-    """Rebuild a :class:`repro.sim.perf.LayerMeasurement`."""
-    from repro.sim.perf import LayerMeasurement
-
-    try:
-        return LayerMeasurement(**data)
-    except TypeError as exc:
-        raise ValueError(f"malformed measurement payload: {exc}") from exc
-
-
-def engine_result_to_dict(engine_result: Any) -> dict[str, Any]:
-    """Serialize a :class:`repro.sim.engine.EngineResult`.
-
-    The output tensor is stored flat plus its shape; float64 values
-    round-trip bit-for-bit through JSON's ``repr``-based float encoding,
-    so a reloaded result compares bit-identical to the simulated one.
-    """
-    output = engine_result.output
-    return {
-        "format": ENGINE_RESULT_FORMAT,
-        "output_shape": list(output.shape),
-        "output": output.ravel().tolist(),
-        "compute_cycles": engine_result.compute_cycles,
-        "blocks": engine_result.blocks,
-        "waves": engine_result.waves,
-        "pe_active_cycles": engine_result.pe_active_cycles,
-        "first_all_active_cycle": engine_result.first_all_active_cycle,
-    }
-
-
-def engine_result_from_dict(data: dict[str, Any]) -> Any:
-    """Rebuild an :class:`repro.sim.engine.EngineResult`.
-
-    Raises:
-        ValueError: on unknown format versions or malformed payloads.
-    """
-    import numpy as np
-
-    from repro.sim.engine import EngineResult
-
-    if data.get("format") != ENGINE_RESULT_FORMAT:
-        raise ValueError(
-            f"unsupported engine-result format {data.get('format')!r} "
-            f"(expected {ENGINE_RESULT_FORMAT!r})"
-        )
-    try:
-        output = np.asarray(data["output"], dtype=np.float64).reshape(
-            tuple(data["output_shape"])
-        )
-        return EngineResult(
-            output=output,
-            compute_cycles=data["compute_cycles"],
-            blocks=data["blocks"],
-            waves=data["waves"],
-            pe_active_cycles=data["pe_active_cycles"],
-            first_all_active_cycle=data["first_all_active_cycle"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed engine-result payload: {exc}") from exc
-
-
-def result_to_dict(result: Any) -> dict[str, Any]:
-    """Serialize a full :class:`repro.pipeline.context.SynthesisResult`."""
-    data = {
-        "format": RESULT_FORMAT,
-        "evaluation": evaluation_to_dict(result.evaluation),
-        "frequency_mhz": result.frequency_mhz,
-        "measurement": measurement_to_dict(result.measurement),
-        "kernel_source": result.kernel_source,
-        "host_source": result.host_source,
-        "testbench_source": result.testbench_source,
-        "driver_source": result.driver_source,
-        "rtl_source": getattr(result, "rtl_source", None),
-        "configs_enumerated": result.configs_enumerated,
-        "configs_tuned": result.configs_tuned,
-        "dse_seconds": result.dse_seconds,
-        # Excluded from equality on the dataclass, but part of the run's
-        # observable history — a saved result must keep its degradation
-        # trail for post-mortems.
-        "degradations": [list(entry) for entry in getattr(result, "degradations", ())],
-    }
-    engine_result = getattr(result, "engine_result", None)
-    if engine_result is not None:
-        data["engine_result"] = engine_result_to_dict(engine_result)
-    return data
-
-
-def result_from_dict(data: dict[str, Any]) -> Any:
-    """Rebuild a :class:`repro.pipeline.context.SynthesisResult`.
-
-    Raises:
-        ValueError: on unknown format versions or malformed payloads.
-    """
-    # The result type lives at the flow layer; import lazily so the model
-    # layer carries no import-time dependency on it.
-    from repro.pipeline.context import SynthesisResult
-
-    if data.get("format") != RESULT_FORMAT:
-        raise ValueError(
-            f"unsupported result format {data.get('format')!r} "
-            f"(expected {RESULT_FORMAT!r})"
-        )
-    try:
-        return SynthesisResult(
-            evaluation=evaluation_from_dict(data["evaluation"]),
-            frequency_mhz=data["frequency_mhz"],
-            measurement=measurement_from_dict(data["measurement"]),
-            kernel_source=data["kernel_source"],
-            host_source=data["host_source"],
-            testbench_source=data["testbench_source"],
-            driver_source=data["driver_source"],
-            # Absent in pre-RTL saved results; None is the degraded state.
-            rtl_source=data.get("rtl_source"),
-            configs_enumerated=data["configs_enumerated"],
-            configs_tuned=data["configs_tuned"],
-            dse_seconds=data["dse_seconds"],
-            degradations=tuple(
-                (str(code), str(reason))
-                for code, reason in data.get("degradations", [])
-            ),
-            engine_result=(
-                engine_result_from_dict(data["engine_result"])
-                if "engine_result" in data
-                else None
-            ),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed result payload: {exc}") from exc
 
 
 def save_result(result: Any, path) -> None:
     """Write a full synthesis result (design, artifacts, stats) to JSON."""
-    from pathlib import Path
-
     Path(path).write_text(json.dumps(result_to_dict(result), indent=2) + "\n")
 
 
 def load_result(path) -> Any:
     """Read a full synthesis result back from JSON."""
-    from pathlib import Path
-
     return result_from_dict(json.loads(Path(path).read_text()))
 
 
@@ -378,7 +322,10 @@ __all__ = [
     "ENGINE_RESULT_FORMAT",
     "EVALUATION_FORMAT",
     "FORMAT",
+    "RECORDS",
     "RESULT_FORMAT",
+    "Leaf",
+    "Record",
     "design_from_dict",
     "design_to_dict",
     "engine_result_from_dict",
@@ -391,8 +338,10 @@ __all__ = [
     "measurement_to_dict",
     "nest_from_dict",
     "nest_to_dict",
+    "record_of",
     "result_from_dict",
     "result_to_dict",
     "save_design",
     "save_result",
+    "sequence",
 ]

@@ -1,20 +1,14 @@
 """JSON codecs for DSE stage results (cache payloads).
 
-:mod:`repro.model.serialize` owns the low-level value round-trips
-(designs, evaluations, measurements); this module composes them into the
-stage-level payloads the cache stores: phase-1/phase-2 exploration
-results and the unified multi-layer result.  Decoders raise
+:mod:`repro.model.serialize` owns the record codec and the value-level
+records (designs, evaluations, measurements); this module declares the
+stage-level payloads the cache stores over them: phase-1/phase-2
+exploration results and the unified multi-layer result.  Decoders raise
 :class:`ValueError` on any malformed or version-mismatched payload so the
 engine degrades a bad entry to a cache miss.
 """
 
-from __future__ import annotations
-
-from typing import Any
-
-from repro.model.design_point import ArrayShape
-from repro.model.mapping import Mapping
-from repro.model.serialize import evaluation_from_dict, evaluation_to_dict
+from repro.model.serialize import EVALUATION, MAPPING, SHAPE, Leaf, Record, sequence
 from repro.dse.explore import Phase1Result, Phase2Result
 from repro.dse.multi_layer import LayerPerformance, MultiLayerResult
 from repro.dse.space import SystolicConfig
@@ -23,150 +17,36 @@ PHASE1_FORMAT = "repro-phase1/1"
 PHASE2_FORMAT = "repro-phase2/1"
 UNIFIED_FORMAT = "repro-unified/1"
 
+_FINALISTS = sequence(EVALUATION)
 
-def _require(data: dict[str, Any], fmt: str) -> None:
-    if data.get("format") != fmt:
-        raise ValueError(
-            f"unsupported payload format {data.get('format')!r} (expected {fmt!r})"
-        )
+PHASE1 = Record(
+    Phase1Result,
+    "phase-1",
+    PHASE1_FORMAT,
+    where="stage cache, `dse-phase1` entries",
+    codecs={"finalists": _FINALISTS},
+)
+PHASE2 = Record(
+    Phase2Result,
+    "phase-2",
+    PHASE2_FORMAT,
+    where="stage cache, `dse-phase2` entries",
+    codecs={"best": EVALUATION, "finalists": _FINALISTS, "estimated_gops": Leaf(list, tuple)},
+)
+UNIFIED = Record(
+    MultiLayerResult,
+    "unified",
+    UNIFIED_FORMAT,
+    where="stage cache, `unified-dse` entries; `GET /v1/jobs/{id}?result=1` of a network job",
+    codecs={
+        "config": Record(SystolicConfig, "config", codecs={"mapping": MAPPING, "shape": SHAPE}),
+        "layers": sequence(Record(LayerPerformance, "layer")),
+    },
+)
 
-
-def encode_phase1(result: Phase1Result) -> dict[str, Any]:
-    """Serialize a phase-1 result (finalists + search statistics)."""
-    return {
-        "format": PHASE1_FORMAT,
-        "finalists": [evaluation_to_dict(ev) for ev in result.finalists],
-        "configs_enumerated": result.configs_enumerated,
-        "configs_tuned": result.configs_tuned,
-        "tilings_evaluated": result.tilings_evaluated,
-        "elapsed_seconds": result.elapsed_seconds,
-    }
-
-
-def decode_phase1(data: dict[str, Any]) -> Phase1Result:
-    """Rebuild a phase-1 result; raises ValueError on malformed data."""
-    _require(data, PHASE1_FORMAT)
-    try:
-        return Phase1Result(
-            finalists=tuple(evaluation_from_dict(ev) for ev in data["finalists"]),
-            configs_enumerated=data["configs_enumerated"],
-            configs_tuned=data["configs_tuned"],
-            tilings_evaluated=data["tilings_evaluated"],
-            elapsed_seconds=data["elapsed_seconds"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed phase-1 payload: {exc}") from exc
-
-
-def encode_phase2(result: Phase2Result) -> dict[str, Any]:
-    """Serialize a phase-2 result (realized finalists + winner)."""
-    return {
-        "format": PHASE2_FORMAT,
-        "best": evaluation_to_dict(result.best),
-        "finalists": [evaluation_to_dict(ev) for ev in result.finalists],
-        "estimated_gops": list(result.estimated_gops),
-    }
-
-
-def decode_phase2(data: dict[str, Any]) -> Phase2Result:
-    """Rebuild a phase-2 result; raises ValueError on malformed data."""
-    _require(data, PHASE2_FORMAT)
-    try:
-        return Phase2Result(
-            best=evaluation_from_dict(data["best"]),
-            finalists=tuple(evaluation_from_dict(ev) for ev in data["finalists"]),
-            estimated_gops=tuple(data["estimated_gops"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed phase-2 payload: {exc}") from exc
-
-
-def _config_to_dict(config: SystolicConfig) -> dict[str, Any]:
-    return {
-        "mapping": {
-            "row": config.mapping.row,
-            "col": config.mapping.col,
-            "vector": config.mapping.vector,
-            "vertical": config.mapping.vertical_array,
-            "horizontal": config.mapping.horizontal_array,
-        },
-        "shape": [config.shape.rows, config.shape.cols, config.shape.vector],
-    }
-
-
-def _config_from_dict(data: dict[str, Any]) -> SystolicConfig:
-    mapping = data["mapping"]
-    rows, cols, vector = data["shape"]
-    return SystolicConfig(
-        Mapping(
-            mapping["row"],
-            mapping["col"],
-            mapping["vector"],
-            mapping["vertical"],
-            mapping["horizontal"],
-        ),
-        ArrayShape(rows, cols, vector),
-    )
-
-
-def encode_unified(result: MultiLayerResult) -> dict[str, Any]:
-    """Serialize a unified multi-layer DSE result."""
-    return {
-        "format": UNIFIED_FORMAT,
-        "config": _config_to_dict(result.config),
-        "frequency_mhz": result.frequency_mhz,
-        "layers": [
-            {
-                "name": layer.name,
-                "throughput_gops": layer.throughput_gops,
-                "dsp_efficiency": layer.dsp_efficiency,
-                "seconds": layer.seconds,
-                "bound": layer.bound,
-                "middle": layer.middle,
-            }
-            for layer in result.layers
-        ],
-        "total_seconds": result.total_seconds,
-        "aggregate_gops": result.aggregate_gops,
-        "dsp_utilization": result.dsp_utilization,
-        "bram_utilization": result.bram_utilization,
-        "logic_utilization": result.logic_utilization,
-        "configs_enumerated": result.configs_enumerated,
-        "configs_tuned": result.configs_tuned,
-        "elapsed_seconds": result.elapsed_seconds,
-    }
-
-
-def decode_unified(data: dict[str, Any]) -> MultiLayerResult:
-    """Rebuild a unified result; raises ValueError on malformed data."""
-    _require(data, UNIFIED_FORMAT)
-    try:
-        return MultiLayerResult(
-            config=_config_from_dict(data["config"]),
-            frequency_mhz=data["frequency_mhz"],
-            layers=tuple(
-                LayerPerformance(
-                    name=layer["name"],
-                    throughput_gops=layer["throughput_gops"],
-                    dsp_efficiency=layer["dsp_efficiency"],
-                    seconds=layer["seconds"],
-                    bound=layer["bound"],
-                    middle=dict(layer["middle"]),
-                )
-                for layer in data["layers"]
-            ),
-            total_seconds=data["total_seconds"],
-            aggregate_gops=data["aggregate_gops"],
-            dsp_utilization=data["dsp_utilization"],
-            bram_utilization=data["bram_utilization"],
-            logic_utilization=data["logic_utilization"],
-            configs_enumerated=data["configs_enumerated"],
-            configs_tuned=data["configs_tuned"],
-            elapsed_seconds=data["elapsed_seconds"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed unified payload: {exc}") from exc
-
+encode_phase1, decode_phase1 = PHASE1.encode, PHASE1.decode
+encode_phase2, decode_phase2 = PHASE2.encode, PHASE2.decode
+encode_unified, decode_unified = UNIFIED.encode, UNIFIED.decode
 
 __all__ = [
     "PHASE1_FORMAT",

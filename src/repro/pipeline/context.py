@@ -23,6 +23,18 @@ from repro.sim.perf import LayerMeasurement
 from repro.verify.conformance import ConformanceReport
 
 
+ARTIFACT_FIELDS = (
+    "kernel_source",
+    "host_source",
+    "testbench_source",
+    "driver_source",
+    "rtl_source",
+)
+"""The codegen stage's outputs, by the one name each carries as a field
+of the context, a field of the result and a key of the stage's cache
+payload."""
+
+
 @dataclass(frozen=True)
 class SynthesisResult:
     """Everything the flow produces for one layer.
@@ -92,8 +104,9 @@ class SynthesisContext:
         strict: run the static-analysis self-audits.
         jobs: process-pool width for the DSE stages (1 = serial).
         sim_backend: wavefront-simulator backend for the simulate stage
-            (``"fast"``, ``"rtl"`` or ``"both"`` for differential
-            conformance; None = performance model only).
+            (``"fast"``, ``"rtl"``, ``"both"`` for differential
+            conformance, or ``"testbench"`` for the generated C
+            testbench; None = performance model only).
         nest: the loop nest (parse-stage output, or an input).
         workloads: a lowered network's conv layers — the input of the
             whole-network flow, whose one stage fills ``unified``.
@@ -101,8 +114,11 @@ class SynthesisContext:
         unified: the unified-dse stage's output (network flow only).
         frequency_mhz: realized clock of the winner.
         measurement: simulator verdict on the winner.
-        kernel_source / host_source / testbench_source / driver_source:
-            codegen outputs.
+        kernel_source / host_source / testbench_source / driver_source /
+            rtl_source: codegen outputs (:data:`ARTIFACT_FIELDS`; the
+            RTL stays None for a design the backend cannot lower).
+        engine_result / conformance: the simulate stage's wavefront run
+            and differential-conformance verdict (``sim_backend`` set).
         stage_seconds: (stage, wall seconds) per executed stage.
         cache_hits: stages served from the cache.
         degradations: (SA5xx code, reason) per recovery event so far.
@@ -147,26 +163,22 @@ class SynthesisContext:
 
     def to_result(self) -> SynthesisResult:
         """Fold a fully-populated context into the public result."""
+        artifacts = {name: getattr(self, name) for name in ARTIFACT_FIELDS}
         if (
             self.phase1 is None
             or self.phase2 is None
             or self.frequency_mhz is None
             or self.measurement is None
-            or self.kernel_source is None
-            or self.host_source is None
-            or self.testbench_source is None
-            or self.driver_source is None
+            # the RTL alone may be missing: a design the backend cannot
+            # lower (SA150) is a degradation, not a failure
+            or any(a is None for name, a in artifacts.items() if name != "rtl_source")
         ):
             raise ValueError("pipeline did not populate every stage output")
         return SynthesisResult(
             evaluation=self.phase2.best,
             frequency_mhz=self.frequency_mhz,
             measurement=self.measurement,
-            kernel_source=self.kernel_source,
-            host_source=self.host_source,
-            testbench_source=self.testbench_source,
-            driver_source=self.driver_source,
-            rtl_source=self.rtl_source,
+            **artifacts,
             configs_enumerated=self.phase1.configs_enumerated,
             configs_tuned=self.phase1.configs_tuned,
             dse_seconds=self.phase1.elapsed_seconds,
@@ -178,4 +190,4 @@ class SynthesisContext:
         )
 
 
-__all__ = ["SynthesisContext", "SynthesisResult"]
+__all__ = ["ARTIFACT_FIELDS", "SynthesisContext", "SynthesisResult"]

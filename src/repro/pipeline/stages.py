@@ -26,7 +26,7 @@ from repro.pipeline.codecs import (
     encode_phase2,
     encode_unified,
 )
-from repro.pipeline.context import SynthesisContext
+from repro.pipeline.context import ARTIFACT_FIELDS, SynthesisContext
 from repro.pipeline.engine import StageBase
 from repro.pipeline.events import EventBus, StageDegraded, StageProgress, StageRetried
 
@@ -320,25 +320,13 @@ class CodegenStage(StageBase):
         return (ctx.best.design, ctx.platform, ctx.strict)
 
     def dump(self, ctx: SynthesisContext) -> dict[str, Any] | None:
-        return {
-            "kernel_source": ctx.kernel_source,
-            "host_source": ctx.host_source,
-            "testbench_source": ctx.testbench_source,
-            "driver_source": ctx.driver_source,
-            "rtl_source": ctx.rtl_source,
-        }
+        return {name: getattr(ctx, name) for name in ARTIFACT_FIELDS}
 
     def load(self, payload: dict[str, Any], ctx: SynthesisContext) -> SynthesisContext:
         try:
-            ctx = ctx.evolve(
-                kernel_source=payload["kernel_source"],
-                host_source=payload["host_source"],
-                testbench_source=payload["testbench_source"],
-                driver_source=payload["driver_source"],
-                # Pre-RTL cache entries miss this key; the KeyError below
-                # surfaces as a malformed payload and forces a re-emit.
-                rtl_source=payload["rtl_source"],
-            )
+            # Pre-RTL cache entries miss ``rtl_source``; the KeyError
+            # surfaces as a malformed payload and forces a re-emit.
+            ctx = ctx.evolve(**{name: payload[name] for name in ARTIFACT_FIELDS})
         except KeyError as exc:
             raise ValueError(f"malformed codegen payload: {exc}") from exc
         if ctx.rtl_source is None:
@@ -350,13 +338,7 @@ class CodegenStage(StageBase):
         return ctx
 
     def info(self, ctx: SynthesisContext) -> dict[str, Any]:
-        artifacts = [
-            ctx.kernel_source,
-            ctx.host_source,
-            ctx.testbench_source,
-            ctx.driver_source,
-            ctx.rtl_source,
-        ]
+        artifacts = [getattr(ctx, name) for name in ARTIFACT_FIELDS]
         return {"artifacts": sum(1 for a in artifacts if a is not None)}
 
 

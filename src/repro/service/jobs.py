@@ -48,18 +48,19 @@ from typing import Any, Iterator
 
 from repro.ir.loop import LoopNest
 from repro.model.platform import Platform
+from repro.model.serialize import design_from_dict, record_of
 from repro.nn.models import Network
 from repro.dse.explore import DseConfig
-from repro.dse.multi_layer import prepare_network_nests
+from repro.flow.compile import synthesize_nest
 from repro.pipeline.cache import (
     CacheStore,
     StageCache,
     code_version,
     stable_fingerprint,
 )
-from repro.pipeline.context import SynthesisContext, SynthesisResult
 from repro.pipeline.events import PipelineEvent, StageFinished
 from repro.pipeline.stages import SIM_BACKENDS
+from repro.pipeline.unified import run_unified_dse
 from repro.resilience.faults import InjectedFault, maybe_inject
 from repro.resilience.retry import call_with_retry, current_policy
 from repro.service.metrics import ServiceMetrics
@@ -196,8 +197,6 @@ class JobRequest:
                     "with options.require_pragma=false"
                 )
         else:
-            from repro.model.serialize import design_from_dict
-
             nest = design_from_dict(design).nest
         return cls(
             nest=nest,
@@ -806,27 +805,19 @@ class JobManager:
 
         def attempt() -> Any:
             maybe_inject("service.worker")
-            from repro.pipeline.engine import PipelineEngine
-            from repro.pipeline.stages import UnifiedDseStage, synthesis_stages
-
-            network = request.network
-            ctx = SynthesisContext(
-                platform=request.platform,
-                config=request.config,
-                name=request.name,
-                nest=request.nest,
-                workloads=None if network is None else prepare_network_nests(network),
+            shared = dict(jobs=self.pipeline_jobs, cache=self.cache, observers=(bridge,))
+            if request.network is not None:
+                return run_unified_dse(
+                    request.network, request.platform, request.config, **shared
+                )
+            return synthesize_nest(
+                request.nest,
+                request.platform,
+                request.config,
                 strict=request.strict,
-                jobs=self.pipeline_jobs,
                 sim_backend=request.sim_backend,
+                **shared,
             )
-            engine = PipelineEngine(
-                synthesis_stages() if network is None else [UnifiedDseStage()],
-                cache=self.cache,
-                observers=(bridge,),
-            )
-            done = engine.run(ctx)
-            return done.to_result() if network is None else done.unified
 
         def on_retry(attempt_no: int, exc: Exception) -> None:
             self.metrics.inc("worker_retries_total")
@@ -857,14 +848,7 @@ class JobManager:
             self._executions += 1
             attachments = list(self._attachments.pop(job.id, ()))
             if result is not None:
-                if request.network is not None:
-                    from repro.pipeline.codecs import encode_unified
-
-                    payload = encode_unified(result)
-                else:
-                    from repro.model.serialize import result_to_dict
-
-                    payload = result_to_dict(result)
+                payload = record_of(result).encode(result)
                 outcome = JobState.DONE
             else:
                 payload = None

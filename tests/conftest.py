@@ -7,5 +7,6 @@ def pytest_addoption(parser):
         action="store_true",
         default=False,
         help="regenerate the golden regression fixtures under "
-        "tests/sim/golden/ instead of checking against them",
+        "tests/sim/golden/ and tests/model/golden/ instead of checking "
+        "against them",
     )

@@ -131,6 +131,28 @@ class TestSubmitCommand:
     def test_submit_missing_file_is_usage_error(self, live, capsys):
         assert submit_main(["/nope/missing.c", "--url", self.url(live)]) == 2
 
+    @pytest.mark.parametrize("flag", [[], ["--network"]])
+    def test_submit_unparsable_json_is_usage_error(self, tmp_path, capsys, flag):
+        """Regression: a ``.json`` design or network spec that does not
+        parse died with a JSONDecodeError traceback.  Refused before any
+        request: the URL is the discard port."""
+        broken = tmp_path / "broken.json"
+        broken.write_text('{"format": "repro-design/1", ')
+        rc = main(["submit", *flag, str(broken), "--url", "http://127.0.0.1:9"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {broken} is not valid JSON")
+
+    def test_submit_design_that_is_not_an_object_is_a_clean_error(
+        self, live, tmp_path, capsys
+    ):
+        listing = tmp_path / "list.json"
+        listing.write_text("[1, 2]")
+        rc = main(["submit", str(listing), "--url", self.url(live)])
+        assert rc == 1  # the server's 400, relayed
+        assert "malformed design payload" in capsys.readouterr().err
+
     def test_submit_unreachable_server_is_a_clean_error(self, tiny_c, capsys):
         rc = main(
             ["submit", str(tiny_c), "--url", "http://127.0.0.1:9"]  # discard port
@@ -228,3 +250,18 @@ class TestServeSigterm:
                 second.communicate(timeout=30)
             except subprocess.TimeoutExpired:
                 second.kill()
+
+
+class TestVerifyCommand:
+    @pytest.mark.parametrize("text", ["[1, 2]", '"x"', "{not json", '{"format": 7}'])
+    def test_a_json_file_that_is_not_a_design_is_usage_error(
+        self, tmp_path, capsys, text
+    ):
+        """Regression: ``verify list.json`` reached ``[1, 2].get`` in the
+        decoder — a traceback, where the CLI promises none."""
+        path = tmp_path / "list.json"
+        path.write_text(text)
+        rc = main(["verify", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -157,7 +157,16 @@ class TestSubmit:
         )
         assert status == 400 and set(answer) == {"error"}
 
-    @pytest.mark.parametrize("length", ["-1", "-4096", "twelve", str(64 * 1024 * 1024)])
+    @pytest.mark.parametrize("design", [[1, 2], "x", 7, {"format": "repro-design/1"}])
+    def test_design_that_is_not_a_design_payload_is_400(self, endpoint, design):
+        """Regression: a non-object ``design`` raised AttributeError in the
+        decoder, killing the handler thread — the client saw the connection
+        drop instead of an answer."""
+        status, _, answer = endpoint.request("POST", "/v1/jobs", {"design": design})
+        assert status == 400 and set(answer) == {"error"}
+        assert "design" in answer["error"]
+
+    @pytest.mark.parametrize("length",["-1", "-4096", "twelve", str(64 * 1024 * 1024)])
     def test_bad_content_length_is_400_without_reading(self, endpoint, length):
         """Regression: ``Content-Length: -1`` reached ``rfile.read(-1)``
         and parked the handler thread until the peer closed."""
