@@ -14,7 +14,8 @@ build on the framework:
   feasibility condition and the Eq. 4–6 resource budgets?
 * :mod:`repro.analysis.codegen_lint` — is the emitted C/OpenCL text
   internally consistent (buffer bounds, ``#define`` header, ping-pong
-  protocol), checked without a compiler?
+  protocol) and the emitted Verilog structurally sound (drivers,
+  widths, latches), checked without a compiler?
 * :mod:`repro.analysis.check` — the combined ``systolic-synth check``
   pipeline and the :func:`check_design` machine-readable API.
 * :mod:`repro.analysis.program` — the SA6xx whole-program concurrency
@@ -47,6 +48,7 @@ _LAZY = {
     "verify_design_points": "repro.analysis.design_check",
     "lint_generated_code": "repro.analysis.codegen_lint",
     "lint_against_design": "repro.analysis.codegen_lint",
+    "lint_verilog": "repro.analysis.codegen_lint",
     "run_checks": "repro.analysis.check",
     "check_design": "repro.analysis.check",
     "CheckResult": "repro.analysis.check",
@@ -75,6 +77,7 @@ __all__ = [
     "check_source",
     "lint_against_design",
     "lint_generated_code",
+    "lint_verilog",
     "register_code",
     "run_checks",
     "verify_design_points",

@@ -5,8 +5,10 @@ Chains the three passes over a restricted-C source:
 1. :mod:`repro.analysis.nest_check` — is the nest systolizable at all?
 2. :mod:`repro.analysis.design_check` — run a small DSE and re-verify
    the winning design point against the paper's constraints;
-3. :mod:`repro.analysis.codegen_lint` — generate the testbench, kernel
-   and driver for that design and lint the emitted text.
+3. :mod:`repro.analysis.codegen_lint` — generate the testbench, kernel,
+   driver and Verilog for that design and lint the emitted text
+   (:func:`~repro.analysis.codegen_lint.lint_artifacts`, the same call
+   a strict compile makes).
 
 Nothing here invokes a compiler or the OpenCL toolchain; a failing
 check is always a structured :class:`AnalysisReport`, never a traceback.
@@ -20,6 +22,7 @@ from typing import Any
 from repro.analysis.diagnostics import (
     NEST_NO_FEASIBLE_MAPPING,
     AnalysisReport,
+    DiagnosticError,
     Severity,
 )
 
@@ -37,7 +40,8 @@ class CheckResult:
         design: the validated design point (None below level "design"
             or when no feasible design exists).
         artifacts: generated sources that were linted at level "full"
-            (keys: ``testbench``, ``kernel``, ``driver``).
+            (keys: ``testbench``, ``kernel``, ``driver``, and ``rtl``
+            unless the RTL backend cannot lower the design).
     """
 
     report: AnalysisReport
@@ -123,7 +127,8 @@ def run_checks(
     if level == "design":
         return result
 
-    from repro.analysis.codegen_lint import lint_against_design, lint_generated_code
+    from repro.analysis.codegen_lint import lint_artifacts
+    from repro.codegen.backend import get_backend
     from repro.codegen.opencl import generate_kernel, generate_kernel_driver
     from repro.codegen.testbench import generate_testbench
 
@@ -132,15 +137,12 @@ def run_checks(
         "kernel": generate_kernel(best.design, platform),
         "driver": generate_kernel_driver(best.design, platform),
     }
+    try:
+        artifacts.update(get_backend("rtl").emit(best.design, platform))
+    except DiagnosticError:
+        pass  # SA150: the RTL backend cannot lower this design; no Verilog to lint
     result.artifacts = artifacts
-    for label, text in artifacts.items():
-        report.extend(lint_generated_code(text, filename=f"<generated {label}>"))
-        if label in ("testbench", "kernel"):
-            report.extend(
-                lint_against_design(
-                    text, best.design, filename=f"<generated {label}>"
-                )
-            )
+    report.extend(lint_artifacts(best.design, artifacts))
     return result
 
 

@@ -1,4 +1,4 @@
-"""Pass 3 — linting the generated C / OpenCL text, without a compiler.
+"""Pass 3 — linting the generated C / OpenCL / Verilog text, without a compiler.
 
 The emitters in :mod:`repro.codegen` produce a restricted, regular C
 shape: ``#define`` parameter headers, literal-dimension array
@@ -24,11 +24,20 @@ emitters put their boundary guards, so upper-bound checks are skipped
 there; everything unguarded is checked exactly.  On the shipped
 templates the intervals are tight (the hottest access peaks at
 ``dimension - 1``), so a buffer sized even one element short is caught.
+
+The emitted Verilog gets a structural lint of its own
+(:func:`lint_verilog`, SA330–SA333; ``docs/rtl.md`` says how it reads a
+file), and :func:`lint_artifacts` is the one table of which artifact
+gets which of the three lints.  All scanning is linear in the text:
+comments are blanked by one compiled scan, every pattern is compiled
+once at import, and a Verilog line meets only the pattern its leading
+word selects.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Iterator, Mapping
 from typing import TYPE_CHECKING
 
 from repro.analysis.diagnostics import (
@@ -64,10 +73,24 @@ _FOR_RE = re.compile(
     r"for\s*\(\s*(?:int|long|unsigned|size_t)\s+(\w+)\s*=\s*([^;]+?)\s*;"
     r"\s*\1\s*<=?\s*([^;]+?)\s*;"
 )
-_ASSIGN_RE = re.compile(r"^\s*(?:int|long)?\s*(\w+)\s*=\s*([^;=<>!]+?)\s*;\s*$")
+# (the type keeps its own `\s*`: two adjacent ones backtrack quadratically
+# on a long blank line, which is what a blanked comment is)
+_ASSIGN_RE = re.compile(
+    r"^\s*(?:(?:int|long)\s*)?(\w+)\s*=\s*([^;=<>!]+?)\s*;\s*$"
+)
 _ACCESS_RE = re.compile(r"\b([A-Za-z_]\w*)\s*((?:\[[^\[\]]+\])+)")
 _DIM_RE = re.compile(r"\[([^\[\]]+)\]")
 _NUMBER_RE = re.compile(r"^(\d+)[uUlL]*$")
+_EXPR_TOKEN_RE = re.compile(r"\d+[uUlL]*|[A-Za-z_]\w*|[+\-*()]")
+_SPACE_RE = re.compile(r"\s+")
+_PP_INIT_RE = re.compile(r"\bint\s+pp\s*=\s*0\s*;")
+_PP_FLIP_RE = re.compile(r"\bpp\s*=\s*1\s*-\s*pp\s*;")
+# The characters str.splitlines() ends a line on.
+_EOL = r"\n\r\v\f\x1c-\x1e\x85\u2028\u2029"
+# A comment, from its opening `/`: to the end of the line, or through the
+# closing `*/` (the end of the text when it never closes).
+_COMMENT_RE = re.compile(rf"/(?:/[^{_EOL}]*|\*.*?(?:\*/|\Z))", re.DOTALL)
+_COMMENT_CHAR_RE = re.compile(rf"[^{_EOL}]")
 
 
 class _Unknown(Exception):
@@ -82,8 +105,8 @@ class _IntervalEvaluator:
         self.env = env
 
     def eval(self, text: str) -> tuple[int, int]:
-        self._tokens = re.findall(r"\d+[uUlL]*|[A-Za-z_]\w*|[+\-*()]", text)
-        if "".join(self._tokens).replace(" ", "") != re.sub(r"\s+", "", text):
+        self._tokens = _EXPR_TOKEN_RE.findall(text)
+        if "".join(self._tokens) != _SPACE_RE.sub("", text):
             raise _Unknown(text)  # unsupported operator (/, %, ?:, comparisons)
         self._pos = 0
         result = self._sum()
@@ -141,31 +164,16 @@ class _IntervalEvaluator:
         raise _Unknown(token)
 
 
+def _blank(comment: re.Match[str]) -> str:
+    return _COMMENT_CHAR_RE.sub(" ", comment.group())
+
+
 def _strip_comments(source: str) -> list[str]:
-    """Source lines with ``//`` and ``/* */`` comments blanked out."""
-    lines = []
-    in_block = False
-    for raw in source.splitlines():
-        out = []
-        i = 0
-        while i < len(raw):
-            if in_block:
-                end = raw.find("*/", i)
-                if end < 0:
-                    i = len(raw)
-                else:
-                    in_block = False
-                    i = end + 2
-            elif raw.startswith("//", i):
-                break
-            elif raw.startswith("/*", i):
-                in_block = True
-                i += 2
-            else:
-                out.append(raw[i])
-                i += 1
-        lines.append("".join(out))
-    return lines
+    """Source lines with ``//`` and ``/* */`` comments blanked out: each
+    comment character becomes a space, so every column survives."""
+    if "/" in source:
+        source = _COMMENT_RE.sub(_blank, source)
+    return source.splitlines()
 
 
 def _resolve_defines(lines: list[str]) -> dict[str, int]:
@@ -326,14 +334,14 @@ def _check_double_buffering(
     if not pingpong:
         return
     text = "\n".join(lines)
-    if not re.search(r"\bint\s+pp\s*=\s*0\s*;", text):
+    if not _PP_INIT_RE.search(text):
         report.add(
             LINT_PINGPONG_INIT_MISSING,
             Severity.ERROR,
             f"double-buffered arrays {pingpong} are declared but the "
             f"ping-pong selector is never initialised (`int pp = 0;`)",
         )
-    if not re.search(r"\bpp\s*=\s*1\s*-\s*pp\s*;", text):
+    if not _PP_FLIP_RE.search(text):
         report.add(
             LINT_PINGPONG_FLIP_MISSING,
             Severity.ERROR,
@@ -418,46 +426,58 @@ def _find_define_span(
 
 # --------------------------------------------------------------------------
 # Verilog structural lint (SA330–SA333) for the RTL backend's output.
+#
+# One pass: each line is classified once, by its leading word, and meets
+# only the pattern that word selects.
 
-_V_MODULE_RE = re.compile(r"^\s*module\s+(\w+)")
+_V_LEAD_RE = re.compile(r"\s*(\w*)")
+_V_MODULE_RE = re.compile(r"\s*module\s+(\w+)")
+_V_DECL_WORDS = frozenset(("input", "output", "inout", "wire", "reg"))
 _V_DECL_RE = re.compile(
-    r"^\s*(input|output|inout)?\s*(reg|wire)?\s*"
+    r"\s*(input|output|inout)?\s*(reg|wire)?\s*"
     r"(?:\[(\d+):(\d+)\]\s*)?(\w+)\s*(\[[^\]]+\])?\s*;\s*$"
 )
-_V_PARAM_RE = re.compile(r"^\s*parameter\s+(\w+)\s*=")
-_V_ASSIGN_RE = re.compile(r"^\s*assign\s+(\w+)\s*=\s*(.*);\s*$")
-_V_COMB_ONE_RE = re.compile(r"^\s*always\s*@\*\s*(\w+)\s*=\s*(.*);\s*$")
-_V_NB_RE = re.compile(r"^\s*(\w+)(\[[^\]]*\])?\s*<=\s*(.*);\s*$")
-_V_BLOCKING_RE = re.compile(r"^\s*(\w+)(\[[^\]]*\])?\s*=\s*(.*);\s*$")
-_V_INSTANCE_RE = re.compile(
-    r"^\s*(\w+)\s*(?:#\s*\((?:[^()]|\([^()]*\))*\)\s*)?(\w+)\s*\(\s*$"
+_V_PARAM_RE = re.compile(r"\s*parameter\s+(\w+)\s*=")
+_V_INTEGER_RE = re.compile(r"\s*integer\s+(\w+)\s*;")
+_V_ASSIGN_RE = re.compile(r"\s*assign\s+(\w+)\s*=\s*(.*);\s*$")
+# group 1 is set for a clocked block, unset for a combinational one
+_V_ALWAYS_RE = re.compile(
+    r"\s*always\s*@\s*(?:\*|\(\s*\*\s*\)|(\(\s*posedge\b[^)]*\)))"
 )
-_V_CONN_RE = re.compile(r"\.(\w+)\s*\(\s*([^)]*?)\s*\)")
-_V_IDENT_RE = re.compile(r"(?<!\$)\b[A-Za-z_]\w*\b")
+_V_BLOCK_RE = re.compile(r"\b(?:begin|end)\b")
+_V_IF_RE = re.compile(r"\bif\s*\(")
+_V_ELSE_RE = re.compile(r"\belse\b")
+_V_STMT_RE = re.compile(r"\s*(\w+)\s*(\[[^\]]*\])?\s*<?=\s*(.*);\s*$")
+_V_COND_RE = re.compile(r"(?:if|for)\s*\((.*)\)")
+_V_INSTANCE_RE = re.compile(
+    r"\s*(\w+)\s*(?:#\s*\((?:[^()]|\([^()]*\))*\)\s*)?(\w+)\s*\(\s*$"
+)
+# One connection on one line, `.port(net)` to a plain net or `.port(expr)`
+# to anything else — or a line break, so that a findall over an
+# instance's block yields the line structure with the connections.
+_V_CONN_RE = re.compile(
+    r"\n|\.(\w+)[ \t]*\([ \t]*(?:([A-Za-z_]\w*)[ \t]*\)|([^)\n]*)\))"
+)
+_V_NAME_RE = re.compile(r"[A-Za-z_]\w*")
+_V_WORD_RE = re.compile(r"\w+")
+# system task | sized literal | other number | identifier (the one group)
+_V_TOKEN_RE = re.compile(
+    r"\$\w+|\d+'[bdh][0-9a-fA-F_xz]+|\d\w*|([A-Za-z_]\w*)"
+)
+#: The identifiers an expression mentions ("" for each other token).
+_v_idents = _V_TOKEN_RE.findall
 _V_KEYWORDS = frozenset(
     "module endmodule input output inout reg wire assign always initial begin "
     "end if else for posedge negedge parameter integer or and not".split()
 )
-
-
-def _v_idents(text: str) -> set[str]:
-    """Signal identifiers mentioned in an expression (keywords, system
-    tasks and numeric literals excluded)."""
-    cleaned = re.sub(r"\$\w+", " ", text)
-    cleaned = re.sub(r"\d+'[bdh][0-9a-fA-F_xz]+", " ", cleaned)
-    return {
-        name
-        for name in _V_IDENT_RE.findall(cleaned)
-        if name not in _V_KEYWORDS and not name[0].isdigit()
-    }
+_V_NOT_SIGNALS = _V_KEYWORDS | {""}
 
 
 class _VModule:
     """Declarations, drivers and reads of one parsed module."""
 
-    def __init__(self, name: str, line_no: int) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.line_no = line_no
         self.kinds: dict[str, str] = {}  # name -> input/output/wire/reg/...
         self.widths: dict[str, int] = {}
         self.memories: set[str] = set()
@@ -468,23 +488,32 @@ class _VModule:
         self.port_dirs: dict[str, tuple[str, int]] = {}  # for instances of me
 
     def declare(
-        self, name: str, kind: str, width: int, line_no: int, is_mem: bool
+        self,
+        name: str,
+        direction: str | None,
+        kind: str | None,
+        width: int,
+        line_no: int,
+        is_mem: bool,
     ) -> None:
-        self.kinds[name] = kind
+        self.kinds[name] = (
+            f"{direction} {kind}" if direction and kind else direction or kind or ""
+        )
         self.widths[name] = width
         self.decl_line.setdefault(name, line_no)
         if is_mem:
             self.memories.add(name)
-        if kind.startswith("input") or kind.startswith("output"):
-            direction = "input" if kind.startswith("input") else "output"
+        if direction == "input" or direction == "output":
             self.port_dirs[name] = (direction, width)
 
     def drive(self, name: str, source: str, line_no: int) -> None:
         self.drivers.setdefault(name, []).append((source, line_no))
 
-    def read(self, names: set[str], line_no: int) -> None:
+    def read(self, names: Iterable[str], line_no: int) -> None:
+        """The signals among ``names`` (keywords are none) are read here."""
         for name in names:
-            self.reads.setdefault(name, line_no)
+            if name not in _V_NOT_SIGNALS:
+                self.reads.setdefault(name, line_no)
 
 
 def lint_verilog(source: str, *, filename: str | None = None) -> AnalysisReport:
@@ -492,16 +521,17 @@ def lint_verilog(source: str, *, filename: str | None = None) -> AnalysisReport:
 
     Works on the regular shape :mod:`repro.codegen.rtl` produces (and
     intentionally nothing fancier): per-signal declarations, ``assign``
-    statements, ``always @*`` and ``always @(posedge clk)`` processes,
-    and instance connections (child port directions resolved from
-    modules defined in the same file).
+    statements, ``always @*`` and ``always @(posedge clk)`` processes
+    with one statement per line, and instance connections (child port
+    directions resolved from modules defined in the same file).
 
     * **SA330** — a declared net is read but has no driver: no assign,
       no always block, no instance output connection.
     * **SA331** — a net is driven from more than one source (two
       assigns, an assign plus an always block, two always blocks, ...).
-    * **SA332** — an identifier-to-identifier assignment or port
-      connection joins nets of different declared widths.
+    * **SA332** — an identifier-to-identifier assignment (continuous,
+      blocking or nonblocking) or port connection joins nets of
+      different declared widths.
     * **SA333** *(warning)* — a combinational ``always @*`` block
       contains more ``if`` arms than ``else`` arms, which infers a latch
       for any signal not assigned on the missing path.
@@ -510,140 +540,116 @@ def lint_verilog(source: str, *, filename: str | None = None) -> AnalysisReport:
     lines = _strip_comments(source)
     modules: list[_VModule] = []
     module: _VModule | None = None
-    in_header = False
-    pending: list[tuple] = []  # deferred instance-connection checks
+    # deferred instance connections: (module, child, first line, block text)
+    pending: list[tuple[_VModule, str, int, str]] = []
 
-    i = 0
-    while i < len(lines):
+    n = len(lines)
+    i = 0  # lines consumed so far == the 1-based number of the current line
+    while i < n:
         line = lines[i]
-        line_no = i + 1
         i += 1
-        m = _V_MODULE_RE.match(line)
-        if m:
-            module = _VModule(m.group(1), line_no)
-            modules.append(module)
-            in_header = "(" in line and ");" not in line
+        # (the pattern cannot fail: both of its parts may be empty)
+        word = _V_LEAD_RE.match(line).group(1)  # type: ignore[union-attr]
+        if word == "module":
+            m = _V_MODULE_RE.match(line)
+            if m:
+                module = _VModule(m.group(1))
+                modules.append(module)
+                if "(" in line and ");" not in line:
+                    # The port list names no directions; the declarations
+                    # that follow it do.
+                    while i < n:
+                        i += 1
+                        if ");" in lines[i - 1] or lines[i - 1].strip().rstrip(";") == ")":
+                            break
+        elif module is None or not word:
             continue
-        if module is None:
-            continue
-        if in_header:
-            if ");" in line or ")" == line.strip().rstrip(";"):
-                in_header = False
-            continue
-        if re.match(r"^\s*endmodule", line):
+        elif word in _V_DECL_WORDS:
+            decl = _V_DECL_RE.match(line)
+            if decl:
+                direction, kind, msb, lsb, name, mem_dims = decl.groups()
+                if direction or kind:
+                    width = abs(int(msb) - int(lsb)) + 1 if msb is not None else 1
+                    module.declare(name, direction, kind, width, i, mem_dims is not None)
+        elif word == "assign":
+            m = _V_ASSIGN_RE.match(line)
+            if m:
+                target, rhs = m.groups()
+                module.drive(target, "assign", i)
+                module.read(_v_idents(rhs), i)
+                _check_width_pair(report, module, target, rhs, i, filename)
+        elif word == "always" or word == "initial":
+            i = _scan_process(lines, i, module, report, filename)
+        elif word == "endmodule":
             module = None
-            continue
-        if _V_PARAM_RE.match(line):
-            module.params.add(_V_PARAM_RE.match(line).group(1))
-            continue
-        if re.match(r"^\s*integer\s+\w+\s*;", line):
-            module.params.add(line.split()[1].rstrip(";"))
-            continue
-        decl = _V_DECL_RE.match(line)
-        if decl and (decl.group(1) or decl.group(2)):
-            direction, kind, msb, lsb, name, mem_dims = decl.groups()
-            width = abs(int(msb) - int(lsb)) + 1 if msb is not None else 1
-            label = " ".join(filter(None, (direction, kind))) or "wire"
-            module.declare(name, label, width, line_no, mem_dims is not None)
-            continue
-        m = _V_ASSIGN_RE.match(line)
-        if m:
-            target, rhs = m.groups()
-            module.drive(target, "assign", line_no)
-            module.read(_v_idents(rhs), line_no)
-            _check_width_pair(report, module, target, rhs, line_no, filename)
-            continue
-        m = _V_COMB_ONE_RE.match(line)
-        if m:
-            target, rhs = m.groups()
-            module.drive(target, "always@*", line_no)
-            module.read(_v_idents(rhs), line_no)
-            continue
-        if re.match(r"^\s*always\s*@\*", line) or re.match(
-            r"^\s*always\s*@\s*\(\s*\*\s*\)", line
-        ):
-            i = _scan_always(lines, i, line_no, module, comb=True, report=report, filename=filename)
-            continue
-        if re.match(r"^\s*always\s*@\s*\(\s*posedge", line):
-            i = _scan_always(lines, i, line_no, module, comb=False, report=report, filename=filename)
-            continue
-        if re.match(r"^\s*initial\b", line):
-            i = _skip_block(lines, i)
-            continue
-        inst = _V_INSTANCE_RE.match(line)
-        if inst and inst.group(1) not in _V_KEYWORDS:
-            child_name, _ = inst.groups()
-            conns: list[tuple[str, str, int]] = []
-            while i < len(lines):
-                conn_line = lines[i]
-                for port, expr in _V_CONN_RE.findall(conn_line):
-                    conns.append((port, expr, i + 1))
-                i += 1
-                if ");" in conn_line:
-                    break
-            pending.append((module, child_name, conns))
-
-    by_name = {mod.name: mod for mod in modules}
+        elif word == "parameter" or word == "integer":
+            m = (_V_PARAM_RE if word == "parameter" else _V_INTEGER_RE).match(line)
+            if m:
+                module.params.add(m.group(1))
+        elif word not in _V_KEYWORDS:
+            inst = _V_INSTANCE_RE.match(line)
+            if inst:
+                # The connection list runs through the line that closes it.
+                first = i
+                while i < n:
+                    i += 1
+                    if ");" in lines[i - 1]:
+                        break
+                pending.append((module, inst.group(1), first + 1, "\n".join(lines[first:i])))
 
     # Resolve instance connections now that all modules are parsed.
-    for parent, child_name, conns in pending:
+    by_name = {mod.name: mod for mod in modules}
+    for parent, child_name, line_no, block in pending:
         child = by_name.get(child_name)
-        for port, expr, line_no in conns:
-            direction, width = (
-                child.port_dirs.get(port, (None, None))
-                if child is not None
-                else (None, None)
-            )
-            if direction == "output":
-                if re.fullmatch(r"\w+", expr):
-                    parent.drive(expr, f"{child_name} output", line_no)
-            else:
-                parent.read(_v_idents(expr), line_no)
-            if (
-                width is not None
-                and re.fullmatch(r"[A-Za-z_]\w*", expr)
-                and expr in parent.widths
-                and parent.widths[expr] != width
-            ):
+        ports = child.port_dirs if child is not None else {}
+        source_label = f"{child_name} output"
+        for port, net, expr in _V_CONN_RE.findall(block):
+            if not port:
+                line_no += 1
+                continue
+            direction, width = ports.get(port, (None, None))
+            expr = net or expr.strip()
+            if direction != "output":
+                parent.read((net,) if net else _v_idents(expr), line_no)
+            elif net or _V_WORD_RE.fullmatch(expr):
+                parent.drive(expr, source_label, line_no)
+            if net and width is not None and parent.widths.get(net, width) != width:
                 report.add(
                     LINT_VERILOG_WIDTH_MISMATCH,
                     Severity.ERROR,
                     f"port {port!r} of {child_name!r} is {width} bit(s) wide "
-                    f"but is connected to {expr!r} "
-                    f"({parent.widths[expr]} bit(s))",
+                    f"but is connected to {net!r} "
+                    f"({parent.widths[net]} bit(s))",
                     _span(line_no, 1, filename),
                 )
 
     for mod in modules:
-        for name, first_read in sorted(mod.reads.items()):
+        for name in sorted(mod.reads.keys() - mod.drivers.keys()):
             kind = mod.kinds.get(name)
             if kind is None or name in mod.params or name in mod.memories:
                 continue
-            if kind.startswith("input") or kind == "output reg" or kind == "reg":
-                # inputs are driven by the parent; regs by processes the
-                # scan may not model — only plain nets are provable here.
-                if kind != "reg" or mod.drivers.get(name):
-                    continue
-            if not mod.drivers.get(name):
-                report.add(
-                    LINT_VERILOG_UNDRIVEN,
-                    Severity.ERROR,
-                    f"{mod.name}.{name} is read (line {first_read}) but "
-                    f"never driven",
-                    _span(mod.decl_line.get(name, first_read), 1, filename),
-                )
+            if kind.startswith("input") or kind == "output reg":
+                # An input is driven by the parent, an output reg by a
+                # process the scan may not model; a plain net or reg with
+                # no driver anywhere is provably floating.
+                continue
+            report.add(
+                LINT_VERILOG_UNDRIVEN,
+                Severity.ERROR,
+                f"{mod.name}.{name} is read (line {mod.reads[name]}) but "
+                f"never driven",
+                _span(mod.decl_line[name], 1, filename),
+            )
         for name, sources in sorted(mod.drivers.items()):
-            distinct = {src for src, _ in sources}
-            if len(sources) > 1 and len(distinct) > 1 or len(
-                [s for s, _ in sources if s == "assign"]
-            ) > 1:
+            if len(sources) < 2:
+                continue
+            labels = [src for src, _ in sources]
+            if len(set(labels)) > 1 or labels.count("assign") > 1:
                 report.add(
                     LINT_VERILOG_MULTIDRIVEN,
                     Severity.ERROR,
                     f"{mod.name}.{name} is driven from multiple sources: "
-                    + ", ".join(
-                        f"{src} (line {ln})" for src, ln in sources
-                    ),
+                    + ", ".join(f"{src} (line {ln})" for src, ln in sources),
                     _span(sources[0][1], 1, filename),
                 )
     return report
@@ -657,9 +663,9 @@ def _check_width_pair(
     line_no: int,
     filename: str | None,
 ) -> None:
-    """SA332 on plain identifier-to-identifier continuous assigns."""
+    """SA332 on plain identifier-to-identifier assignments."""
     rhs = rhs.strip()
-    if not re.fullmatch(r"[A-Za-z_]\w*", rhs):
+    if not _V_NAME_RE.fullmatch(rhs):
         return
     if target in module.widths and rhs in module.widths:
         tw, rw = module.widths[target], module.widths[rhs]
@@ -673,50 +679,71 @@ def _check_width_pair(
             )
 
 
-def _scan_always(
+def _block(lines: list[str], line_no: int, text: str) -> Iterator[tuple[int, str]]:
+    """The lines of one procedural block, as ``(line number, text)``.
+
+    ``text`` is what follows the block's header on line ``line_no``.
+    ``begin`` and ``end`` are matched as tokens, the header's own
+    ``begin`` included; a block that never opens one is a single
+    statement and ends with the first line that holds a ``;``.
+    """
+    depth = 0
+    opened = False
+    while True:
+        yield line_no, text
+        for token in _V_BLOCK_RE.findall(text):
+            if token == "begin":
+                depth += 1
+                opened = True
+            else:
+                depth -= 1
+        closed = depth <= 0 if opened else ";" in text
+        if closed or line_no == len(lines):
+            return
+        text = lines[line_no]
+        line_no += 1
+
+
+def _scan_process(
     lines: list[str],
-    start: int,
-    header_line: int,
+    line_no: int,
     module: _VModule,
-    *,
-    comb: bool,
     report: AnalysisReport,
     filename: str | None,
 ) -> int:
-    """Walk one always block: record drivers/reads, check SA333."""
+    """Walk the ``always``/``initial`` block headed on ``line_no``:
+    record its drivers and reads, check SA332/SA333; returns its last
+    line.  ``initial`` blocks, and ``always`` blocks with a sensitivity
+    list other than ``*`` or ``posedge``, are skipped whole."""
+    header_line = line_no
+    line = lines[line_no - 1]
+    header = _V_ALWAYS_RE.match(line)
+    if header is None:
+        for line_no, _ in _block(lines, line_no, line):
+            pass
+        return line_no
+    comb = header.group(1) is None
     source_label = f"always@{'*' if comb else 'posedge'}:{header_line}"
-    depth = 0
-    i = start
     if_count = else_count = 0
     targets: set[str] = set()
-    started = False
-    while i < len(lines):
-        line = lines[i]
-        i += 1
-        line_no = i
-        depth += line.count("begin")
-        if line.count("begin"):
-            started = True
-        if_count += len(re.findall(r"\bif\s*\(", line))
-        else_count += len(re.findall(r"\belse\b", line))
-        m = _V_NB_RE.match(line) or _V_BLOCKING_RE.match(line)
-        if m:
-            target, subscript, rhs = m.group(1), m.group(2), m.group(3)
-            if target in module.kinds or target in module.memories:
+    for line_no, text in _block(lines, line_no, line[header.end():]):
+        if_count += len(_V_IF_RE.findall(text))
+        else_count += len(_V_ELSE_RE.findall(text))
+        stmt = _V_STMT_RE.match(text)
+        if stmt:
+            target, subscript, rhs = stmt.groups()
+            if target in module.kinds:
                 module.drive(target, source_label, line_no)
                 targets.add(target)
             module.read(_v_idents(rhs), line_no)
             if subscript:
                 module.read(_v_idents(subscript), line_no)
+            else:
+                _check_width_pair(report, module, target, rhs, line_no, filename)
         else:
-            condition = re.search(r"(?:if|for)\s*\((.*)\)", line)
+            condition = _V_COND_RE.search(text)
             if condition:
                 module.read(_v_idents(condition.group(1)), line_no)
-        depth -= line.count("end") - line.count("endmodule")
-        if started and depth <= 0:
-            break
-        if not started and ";" in line:
-            break
     if comb and if_count > else_count and targets:
         report.add(
             LINT_VERILOG_LATCH,
@@ -726,26 +753,39 @@ def _scan_always(
             f"{sorted(targets)} infer latches on the missing path",
             _span(header_line, 1, filename),
         )
-    return i
+    return line_no
 
 
-def _skip_block(lines: list[str], start: int) -> int:
-    """Skip an initial/always block body (begin/end balanced)."""
-    depth = 0
-    i = start
-    started = False
-    while i < len(lines):
-        line = lines[i]
-        i += 1
-        depth += line.count("begin")
-        if line.count("begin"):
-            started = True
-        depth -= line.count("end") - line.count("endmodule")
-        if started and depth <= 0:
-            break
-        if not started and ";" in line:
-            break
-    return i
+def lint_artifacts(
+    design: DesignPoint, artifacts: Mapping[str, str | None]
+) -> AnalysisReport:
+    """Every emitted artifact through the lints it gets.
+
+    The C family (``testbench``, ``kernel``, ``driver``) gets
+    :func:`lint_generated_code`; the two that restate the design point in
+    their ``#define`` header also get :func:`lint_against_design`; the
+    Verilog (``rtl``) gets :func:`lint_verilog`.  An artifact that is
+    absent or None — the RTL of a design that backend cannot lower — is
+    skipped; other keys are ignored.
+    """
+    report = AnalysisReport()
+    for label in ("testbench", "kernel", "driver", "rtl"):
+        text = artifacts.get(label)
+        if text is None:
+            continue
+        filename = f"<{label}>"
+        if label == "rtl":
+            report.extend(lint_verilog(text, filename=filename))
+            continue
+        report.extend(lint_generated_code(text, filename=filename))
+        if label != "driver":
+            report.extend(lint_against_design(text, design, filename=filename))
+    return report
 
 
-__all__ = ["lint_against_design", "lint_generated_code", "lint_verilog"]
+__all__ = [
+    "lint_against_design",
+    "lint_artifacts",
+    "lint_generated_code",
+    "lint_verilog",
+]

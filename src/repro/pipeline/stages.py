@@ -279,28 +279,11 @@ class CodegenStage(StageBase):
             driver_source=opencl["driver"],
         )
         if ctx.strict:
-            from repro.analysis.codegen_lint import (
-                lint_against_design,
-                lint_generated_code,
-                lint_verilog,
-            )
-            from repro.analysis.diagnostics import AnalysisReport
+            from repro.analysis.codegen_lint import lint_artifacts
 
-            combined = AnalysisReport()
-            for label, text in (
-                ("testbench", ctx.testbench_source),
-                ("kernel", ctx.kernel_source),
-                ("driver", ctx.driver_source),
-            ):
-                assert text is not None
-                combined.extend(lint_generated_code(text, filename=f"<{label}>"))
-                if label != "driver":
-                    combined.extend(
-                        lint_against_design(text, design, filename=f"<{label}>")
-                    )
-            if ctx.rtl_source is not None:
-                combined.extend(lint_verilog(ctx.rtl_source, filename="<rtl>"))
-            combined.raise_if_errors()
+            lint_artifacts(
+                design, {**opencl, **testbench, "rtl": ctx.rtl_source}
+            ).raise_if_errors()
         return ctx
 
     def _emit_rtl(self, ctx: SynthesisContext, events: EventBus | None) -> SynthesisContext:

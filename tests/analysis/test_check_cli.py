@@ -1,5 +1,6 @@
 """The combined checker (`run_checks` / `check_design`) and the CLI."""
 
+import dataclasses
 import json
 
 import pytest
@@ -29,6 +30,41 @@ class TestRunChecks:
         result = run_checks(GOOD, dse_config=FAST)
         assert result.ok and result.exit_code == 0
         assert result.nest is not None and result.design is not None
+        assert set(result.artifacts) == {"testbench", "kernel", "driver", "rtl"}
+        assert not [c for c in result.report.codes() if c.startswith("SA33")]
+
+    def test_full_level_lints_the_verilog_a_strict_compile_lints(self, monkeypatch):
+        """One artifact-to-lint table (`lint_artifacts`) behind both entry
+        points, reaching the three lints by name at call time."""
+        from repro.analysis import codegen_lint
+
+        real = codegen_lint.lint_verilog
+        seen = []
+
+        def spy(source, *, filename=None):
+            seen.append(filename)
+            return real(source, filename=filename)
+
+        monkeypatch.setattr(codegen_lint, "lint_verilog", spy)
+        result = run_checks(GOOD, dse_config=FAST)
+        assert seen == ["<rtl>"]
+        assert result.artifacts["rtl"].startswith("// Systolic array RTL")
+
+    def test_full_level_skips_the_verilog_of_an_sa150_design(self, monkeypatch):
+        from repro.analysis.diagnostics import AnalysisReport, DiagnosticError, Severity
+        from repro.codegen import backend
+
+        def cannot_lower(design, platform):
+            report = AnalysisReport()
+            report.add("SA150", Severity.ERROR, "not lowerable")
+            raise DiagnosticError(report)
+
+        unable = dataclasses.replace(
+            backend.BACKENDS["rtl"], emitters=(("rtl", cannot_lower),)
+        )
+        monkeypatch.setitem(backend.BACKENDS, "rtl", unable)
+        result = run_checks(GOOD, dse_config=FAST)
+        assert result.ok
         assert set(result.artifacts) == {"testbench", "kernel", "driver"}
 
     def test_nest_level_stops_before_dse(self):

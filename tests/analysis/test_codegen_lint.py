@@ -3,8 +3,14 @@
 import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.analysis.codegen_lint import lint_against_design, lint_generated_code
+from repro.analysis.codegen_lint import (
+    _strip_comments,
+    lint_against_design,
+    lint_generated_code,
+)
 from repro.codegen.opencl import generate_kernel, generate_kernel_driver
 from repro.codegen.testbench import generate_testbench
 from repro.dse.explore import DseConfig, explore
@@ -138,3 +144,66 @@ class TestDoubleBuffering:
     def test_non_kernel_sources_skip_protocol_checks(self, testbench):
         report = lint_generated_code(testbench, kind="testbench")
         assert "SA320" not in report.codes() and "SA321" not in report.codes()
+
+
+def reference_strip(source):
+    """The stripper's specification, one character at a time: comment
+    text becomes spaces, everything else — quotes included — is kept."""
+    lines = []
+    in_block = False
+    for raw in source.splitlines():
+        out = []
+        i = 0
+        while i < len(raw):
+            if in_block:
+                closes = raw.startswith("*/", i)
+                out.append("  " if closes else " ")
+                in_block = not closes
+                i += 2 if closes else 1
+            elif raw.startswith("//", i):
+                out.append(" " * (len(raw) - i))
+                break
+            elif raw.startswith("/*", i):
+                out.append("  ")
+                in_block = True
+                i += 2
+            else:
+                out.append(raw[i])
+                i += 1
+        lines.append("".join(out))
+    return lines
+
+
+class TestCommentStripping:
+    @given(st.text(alphabet='/*"\n\r a', max_size=60))
+    def test_property_matches_the_character_loop(self, source):
+        stripped = _strip_comments(source)
+        assert stripped == reference_strip(source)
+        for line, raw in zip(stripped, source.splitlines(), strict=True):
+            assert all(a == b or a == " " for a, b in zip(line, raw, strict=True))
+
+    @pytest.mark.parametrize(
+        "source, want",  # `~` stands for a blanked character
+        [
+            ("a /* x\n// y */ b // c", ["a ~~~~", "~~~~~~~~b ~~~~"]),
+            ("a // x /* y\nb */ c", ["a ~~~~~~~~~", "b */ c"]),
+            ("a /*/ b */ c", ["a ~~~~~~~~~c"]),
+            ("a /* never closed\nb", ["a ~~~~~~~~~~~~~~~", "~"]),
+            ("a // x\rb", ["a ~~~~", "b"]),
+            ("a /* x\r\ny */ b", ["a ~~~~", "~~~~ b"]),
+            ("", []),
+        ],
+        ids=[
+            "line-in-block", "block-in-line", "slash-star-slash",
+            "never-closed", "carriage-return", "crlf-in-block", "empty",
+        ],
+    )
+    def test_nesting_and_line_ends(self, source, want):
+        want = [line.replace("~", " ") for line in want]
+        assert _strip_comments(source) == want == reference_strip(source)
+
+    def test_finding_after_an_inline_comment_keeps_its_column(self):
+        source = "float buf[4];\nvoid f() { /* note */ buf[4] = 0; }\n"
+        (finding,) = lint_generated_code(source).by_code("SA301")
+        assert (finding.span.line, finding.span.column) == (2, 23)
+        assert source.splitlines()[1][22:].startswith("buf[4]")

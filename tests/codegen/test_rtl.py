@@ -259,7 +259,151 @@ endmodule
 }
 
 
+#: Complete modules the always-block walker must read to the matching
+#: ``end``: each is clean, or fires exactly the codes listed.  On the
+#: scanner that started after the header line and counted ``begin`` /
+#: ``end`` as substrings, every one of them produced something else.
+ALWAYS_WALKER_SNIPPETS = {
+    "else-arm-on-its-own-line": (
+        """
+module m(sel, a, b, y);
+  input sel;
+  input [7:0] a;
+  input [7:0] b;
+  output reg [7:0] y;
+  always @* begin
+    if (sel) begin
+      y = a;
+    end
+    else begin
+      y = b;
+    end
+  end
+endmodule
+""",
+        [],
+    ),
+    "second-statement-drives": (
+        """
+module m(clk, a, y);
+  input clk;
+  input [7:0] a;
+  output [7:0] y;
+  reg [7:0] held;
+  reg [7:0] q;
+  always @(posedge clk) begin
+    held <= a;
+    q <= held;
+  end
+  assign y = q;
+endmodule
+""",
+        [],
+    ),
+    "begin-end-inside-names": (
+        """
+module m(clk, a, y);
+  input clk;
+  input [7:0] a;
+  output [7:0] y;
+  reg [7:0] begin_r;
+  reg [7:0] w_end;
+  reg [7:0] pending;
+  always @(posedge clk) begin
+    begin_r <= a;
+    w_end <= begin_r;
+    pending <= w_end;
+  end
+  assign y = pending;
+endmodule
+""",
+        [],
+    ),
+    "two-clocked-blocks": (
+        """
+module m(clk, a, b, y);
+  input clk;
+  input [7:0] a;
+  input [7:0] b;
+  output [7:0] y;
+  reg [7:0] p;
+  reg [7:0] q;
+  always @(posedge clk) begin
+    p <= a;
+    q <= a;
+  end
+  always @(posedge clk) begin
+    p <= b;
+    q <= b;
+  end
+  assign y = p & q;
+endmodule
+""",
+        ["SA331", "SA331"],
+    ),
+    "two-one-line-blocks": (
+        """
+module m(a, b, y);
+  input [7:0] a;
+  input [7:0] b;
+  output reg [7:0] y;
+  always @* y = a;
+  always @* y = b;
+endmodule
+""",
+        ["SA331"],
+    ),
+    "nonblocking-width-mismatch": (
+        """
+module m(clk, a, q);
+  input clk;
+  input [7:0] a;
+  output reg [15:0] q;
+  always @(posedge clk) begin
+    q <= a;
+  end
+endmodule
+""",
+        ["SA332"],
+    ),
+    "nested-if-without-else": (
+        """
+module m(sel, en, a, b, y);
+  input sel;
+  input en;
+  input [7:0] a;
+  input [7:0] b;
+  output reg [7:0] y;
+  always @* begin
+    if (sel) begin
+      y = a;
+    end
+    else begin
+      if (en) begin
+        y = b;
+      end
+    end
+  end
+endmodule
+""",
+        ["SA333"],
+    ),
+}
+
+
 class TestSa33xReachability:
+    @pytest.mark.parametrize("case", sorted(ALWAYS_WALKER_SNIPPETS))
+    def test_always_block_is_walked_to_its_matching_end(self, case):
+        source, codes = ALWAYS_WALKER_SNIPPETS[case]
+        report = lint_verilog(source)
+        assert [d.code for d in report.diagnostics] == codes, report.render()
+
+    def test_multidriven_names_both_blocks(self):
+        source, _ = ALWAYS_WALKER_SNIPPETS["two-clocked-blocks"]
+        first, second = lint_verilog(source).diagnostics
+        assert "m.p" in first.message and "m.q" in second.message
+        assert "always@posedge:9 (line 11), always@posedge:13 (line 15)" in second.message
+
     @pytest.mark.parametrize("code", sorted(SA33X_SNIPPETS))
     def test_snippet_fires_exactly_its_code(self, code):
         report = lint_verilog(SA33X_SNIPPETS[code])
