@@ -12,6 +12,7 @@ moves with docstrings as much as with code.
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
 import sys
@@ -65,7 +66,19 @@ def count(paths: list[Path]) -> dict[str, int]:
 
 
 def main(argv: list[str]) -> int:
-    totals = count([Path(arg) for arg in argv] or [REPO_ROOT / "src" / "repro"])
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument(
+        "paths", nargs="*", type=Path, default=[REPO_ROOT / "src" / "repro"],
+        help="files (one bucket each) or directories (one bucket per child); "
+        "default: src/repro",
+    )
+    paths = parser.parse_args(argv).paths
+    for path in paths:
+        if not path.exists():
+            parser.error(f"no such file or directory: {path}")
+    totals = count(paths)
     width = max(map(len, totals))
     for bucket, lines in sorted(totals.items()):
         print(f"{bucket:<{width}}  {lines:>6}")

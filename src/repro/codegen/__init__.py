@@ -4,6 +4,9 @@ The design options chosen by the DSE "are parameterized to instantiate
 template files, including OpenCL systolic array implementation (kernel),
 as well as the C/C++ software program (host)".  This package emits:
 
+* :mod:`repro.codegen.template` — the one blocked systolic nest (layout,
+  skeleton, addressing dialect) that kernel, testbench and unified
+  kernel are all emitted from;
 * :mod:`repro.codegen.opencl` — the Intel-style single-work-item OpenCL
   kernel: parameter header, double-buffered IB/WB chains, the PE array as
   fully unrolled shift registers, OB drain;

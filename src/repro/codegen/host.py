@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.model.design_point import DesignPoint
 from repro.model.platform import Platform
 from repro.codegen.emitter import CodeWriter
-from repro.codegen.testbench import _ctypes, _global_dim
+from repro.codegen.template import Layout, global_dim
 
 
 def generate_host(
@@ -25,17 +25,11 @@ def generate_host(
 ) -> str:
     """Emit the C++ host source for one design point."""
     nest = design.nest
-    bounds = nest.bounds
-    ctypes = _ctypes(platform)
     out = nest.output
     reads = nest.reads
-    weight = max(reads, key=lambda a: a.rank)
-    type_of = {out.array: ctypes["out"]}
-    for access in reads:
-        type_of[access.array] = ctypes["w"] if access is weight else ctypes["in"]
-
+    type_of = Layout.of(nest, design.mapping, platform).type_of
     sizes = {
-        a.array: " * ".join(str(_global_dim(a, bounds, d)) for d in range(a.rank))
+        a.array: " * ".join(str(global_dim(a, nest.bounds, d)) for d in range(a.rank))
         for a in nest.accesses
     }
 

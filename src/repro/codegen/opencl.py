@@ -3,8 +3,11 @@
 Emits an Intel-FPGA-style single-work-item kernel realizing the design:
 ``#define`` parameter header, double-buffered on-chip reuse buffers
 (IB/WB/OB), and the PE array as fully unrolled shift registers with
-boundary refill — weights propagating right along rows, inputs down
-columns, per-PE SIMD accumulation (Figs. 1–3).  In the sequential
+boundary refill — the mapping's horizontal array propagating right along
+rows, its vertical array down columns, per-PE SIMD accumulation
+(Figs. 1–3).  The blocked nest itself is :func:`repro.codegen.template.emit_nest`;
+this module contributes the flat compile-time-stride addressing and the
+shift chains.  In the sequential
 single-work-item formulation the register chains are combinational within
 one wave (exactly how the Intel systolic reference expresses them; the
 HLS compiler retimes them into the skewed pipeline), so the kernel is
@@ -23,7 +26,18 @@ from __future__ import annotations
 from repro.model.design_point import DesignPoint
 from repro.model.platform import Platform
 from repro.codegen.emitter import CodeWriter
-from repro.codegen.testbench import _ctypes, _global_dim, _local_dim, _subscript
+from repro.codegen.template import (
+    Dialect,
+    Layout,
+    brackets,
+    emit_fill,
+    emit_lcg,
+    emit_nest,
+    emit_reference,
+    emit_scaled_compare,
+    flat_size,
+    global_dim,
+)
 
 
 OPENCL_SHIM = """\
@@ -40,30 +54,50 @@ OPENCL_SHIM = """\
 """
 
 
-def _kernel_types(design: DesignPoint, platform: Platform) -> dict[str, str]:
-    """C type per array name for this design/precision."""
-    ctypes = _ctypes(platform)
-    nest = design.nest
-    type_of = {nest.output.array: ctypes["out"]}
-    reads = nest.reads
-    weight = max(reads, key=lambda a: a.rank)
-    for access in reads:
-        type_of[access.array] = ctypes["w"] if access is weight else ctypes["in"]
-    return type_of
+class _FlatStatic(Dialect):
+    """Flat global arrays with compile-time row-major strides; operands
+    reach the PEs through the ``w_reg``/``in_reg`` shift chains."""
+
+    opencl = True
+    prefix = "g_"
+    notes = {
+        "blocks": "Outer loops: one iteration per data block.",
+        "load": "Load phase (overlaps the previous block's compute in HW).",
+        "zero": "Zero the output accumulator buffer.",
+        "compute": "Compute phase: waves stream through the PE array.",
+        "mac": "boundary refill, then the shift chains",
+        "drain": "Drain phase: write the output block back (guarded).",
+    }
+
+    def global_ref(self, name, access, terms, atoms=False):
+        parts: list[str] = []
+        stride = 1
+        for d in reversed(range(access.rank)):
+            term = terms[d] if atoms else f"({terms[d]})"
+            parts.insert(0, term if stride == 1 else f"{term} * {stride}")
+            stride *= global_dim(access, self.bounds, d)
+        return f"{name}[{' + '.join(parts)}]"
+
+    def operand(self, w, layout, access, slot):
+        """Refill at the chain's boundary PE, else take the neighbour's
+        register: the vertical array enters at row 0 and moves down, the
+        horizontal one enters at column 0 and moves right."""
+        reg = "w_reg" if access is layout.weight else "in_reg"
+        if access.array == layout.mapping.vertical_array:
+            edge, neighbour = "x", "[x-1][y]"
+        else:
+            edge, neighbour = "y", "[x][y-1]"
+        w.line(f"{reg}[x][y][v] = ({edge} == 0) ? {slot} : {reg}{neighbour}[v];")
+        return f"{reg}[x][y][v]"
 
 
-def _flat_index(access, bounds, term) -> str:
-    """Row-major flattened global index expression."""
-    strides = []
-    total = 1
-    for d in reversed(range(access.rank)):
-        strides.insert(0, total)
-        total *= _global_dim(access, bounds, d)
-    parts = []
-    for d in range(access.rank):
-        sub = _subscript(access, d, term(d))
-        parts.append(f"({sub}) * {strides[d]}" if strides[d] != 1 else f"({sub})")
-    return " + ".join(parts)
+def kernel_args(layout: Layout) -> str:
+    """The ``__global`` tensor parameters, in the nest's access order."""
+    return ", ".join(
+        f"__global {layout.type_of[a.array]} *{'' if a.is_write else ' const'} "
+        f"restrict g_{a.array}"
+        for a in layout.nest.accesses
+    )
 
 
 def generate_kernel(
@@ -71,20 +105,11 @@ def generate_kernel(
 ) -> str:
     """Emit the OpenCL kernel source for one design point."""
     nest = design.nest
-    iterators = nest.iterators
-    bounds = nest.bounds
     tiling = design.tiling
-    out = nest.output
-    reads = nest.reads
-    block_extent = {it: tiling.block_extent(it) for it in iterators}
-    inner_of = {
-        design.mapping.row: "x",
-        design.mapping.col: "y",
-        design.mapping.vector: "v",
-    }
-    type_of = _kernel_types(design, platform)
-    weight = max(reads, key=lambda a: a.rank)
-    feature = next(a for a in reads if a is not weight)
+    layout = Layout.of(nest, design.mapping, platform)
+    type_of = layout.type_of
+    dialect = _FlatStatic(design)
+    weight_down = layout.weight.array == design.mapping.vertical_array
 
     w = CodeWriter()
     w.comment(f"Auto-generated systolic array kernel: {design.signature}")
@@ -93,139 +118,27 @@ def generate_kernel(
         f"PE array {design.shape.rows} x {design.shape.cols}, SIMD {design.shape.vector}"
     )
     w.line()
-    for it in iterators:
-        w.line(f"#define N_{it} {bounds[it]}")
+    for it in nest.iterators:
+        w.line(f"#define N_{it} {nest.bounds[it]}")
         w.line(f"#define T_{it} {tiling.t(it)}")
         w.line(f"#define S_{it} {tiling.s(it)}")
-        w.line(f"#define B_{it} {block_extent[it]}")
-    w.line(f"#define ROWS T_{design.mapping.row}")
-    w.line(f"#define COLS T_{design.mapping.col}")
-    w.line(f"#define VEC  T_{design.mapping.vector}")
-    w.line()
+        w.line(f"#define B_{it} {dialect.block_extent[it]}")
+    layout.array_defines(w)
 
-    args = ", ".join(
-        f"__global {type_of[a.array]} *{'' if a.is_write else ' const'} restrict g_{a.array}"
-        for a in nest.accesses
-    )
-    with w.block(f"__kernel void {name}({args})"):
+    with w.block(f"__kernel void {name}({kernel_args(layout)})"):
         w.comment("Double-buffered on-chip reuse buffers (ping-pong on `pp`).")
         for access in nest.accesses:
-            dims = "".join(
-                f"[{_local_dim(access, block_extent, d)}]" for d in range(access.rank)
-            )
+            dims = brackets(dialect.local_extent(access, d) for d in range(access.rank))
             w.line(f"__local {type_of[access.array]} buf_{access.array}[2]{dims};")
-        w.comment("PE-array shift registers: weights move right, inputs move down.")
-        w.line(f"{type_of[weight.array]} w_reg[ROWS][COLS][VEC];")
-        w.line(f"{type_of[feature.array]} in_reg[ROWS][COLS][VEC];")
+        w.comment(
+            "PE-array shift registers: weights move "
+            + ("down, inputs move right." if weight_down else "right, inputs move down.")
+        )
+        w.line(f"{type_of[layout.weight.array]} w_reg[ROWS][COLS][VEC];")
+        w.line(f"{type_of[layout.feature.array]} in_reg[ROWS][COLS][VEC];")
         w.line("int pp = 0;")
         w.line()
-        w.comment("Outer loops: one iteration per data block.")
-        for it in iterators:
-            w.line(f"for (int blk_{it} = 0; blk_{it} < N_{it}; blk_{it} += B_{it})")
-        with w.block(""):
-            w.comment("Load phase (overlaps the previous block's compute in HW).")
-            for access in reads:
-                for d in range(access.rank):
-                    w.line(
-                        f"for (int u{d} = 0; u{d} < "
-                        f"{_local_dim(access, block_extent, d)}; u{d}++)"
-                    )
-                local_idx = "".join(f"[u{d}]" for d in range(access.rank))
-                conds = []
-                for d in range(access.rank):
-                    base = _subscript(access, d, lambda n: f"blk_{n}")
-                    hi = _global_dim(access, bounds, d) - 1
-                    conds.append(f"({base} + u{d}) <= {hi}")
-                cond = " && ".join(conds)
-                # global index = base terms + u{d} per dimension
-                flat_parts = []
-                strides = []
-                total = 1
-                for d in reversed(range(access.rank)):
-                    strides.insert(0, total)
-                    total *= _global_dim(access, bounds, d)
-                for d in range(access.rank):
-                    base = _subscript(access, d, lambda n: f"blk_{n}")
-                    term = f"({base} + u{d})"
-                    flat_parts.append(
-                        f"{term} * {strides[d]}" if strides[d] != 1 else term
-                    )
-                flat = " + ".join(flat_parts)
-                with w.indented():
-                    w.line(
-                        f"buf_{access.array}[pp]{local_idx} = "
-                        f"({cond}) ? g_{access.array}[{flat}] : 0;"
-                    )
-            w.comment("Zero the output accumulator buffer.")
-            for d in range(out.rank):
-                w.line(
-                    f"for (int u{d} = 0; u{d} < "
-                    f"{_local_dim(out, block_extent, d)}; u{d}++)"
-                )
-            with w.indented():
-                w.line(
-                    f"buf_{out.array}[pp]"
-                    + "".join(f"[u{d}]" for d in range(out.rank))
-                    + " = 0;"
-                )
-            w.line()
-            w.comment("Compute phase: waves stream through the PE array.")
-            for it in iterators:
-                w.line(f"for (int m_{it} = 0; m_{it} < S_{it}; m_{it}++)")
-            with w.block(""):
-                w.line("#pragma unroll")
-                w.line("for (int x = 0; x < ROWS; x++)")
-                w.line("#pragma unroll")
-                w.line("for (int y = 0; y < COLS; y++)")
-                with w.block(""):
-                    acc_type = (
-                        "double" if type_of[out.array] == "float" else "long long"
-                    )
-                    w.line(f"{acc_type} sum = 0;")
-                    w.line("#pragma unroll")
-                    with w.block("for (int v = 0; v < VEC; v++)"):
-                        for it in iterators:
-                            inner = inner_of.get(it, "0")
-                            w.line(f"int l_{it} = m_{it} * T_{it} + {inner};")
-                        local = lambda a: "".join(
-                            f"[{_subscript(a, d, lambda n: f'l_{n}')}]"
-                            for d in range(a.rank)
-                        )
-                        w.comment("boundary refill, then the shift chains")
-                        w.line(
-                            f"w_reg[x][y][v] = (y == 0) ? "
-                            f"buf_{weight.array}[pp]{local(weight)} : w_reg[x][y-1][v];"
-                        )
-                        w.line(
-                            f"in_reg[x][y][v] = (x == 0) ? "
-                            f"buf_{feature.array}[pp]{local(feature)} : in_reg[x-1][y][v];"
-                        )
-                        w.line(f"sum += ({acc_type})w_reg[x][y][v] * ({acc_type})in_reg[x][y][v];")
-                    out_locals = {
-                        it: f"(m_{it} * T_{it} + {inner_of.get(it, '0')})"
-                        for it in iterators
-                        if out.depends_on(it)
-                    }
-                    out_sub = "".join(
-                        f"[{_subscript(out, d, lambda n: out_locals[n])}]"
-                        for d in range(out.rank)
-                    )
-                    w.line(f"buf_{out.array}[pp]{out_sub} += ({type_of[out.array]})sum;")
-            w.line()
-            w.comment("Drain phase: write the output block back (guarded).")
-            out_iters = [it for it in iterators if out.depends_on(it)]
-            for it in out_iters:
-                w.line(f"for (int l_{it} = 0; l_{it} < B_{it}; l_{it}++)")
-            with w.block(""):
-                flat = _flat_index(
-                    out, bounds, lambda d: (lambda n: f"(blk_{n} + l_{n})")
-                )
-                local_sub = "".join(
-                    f"[{_subscript(out, d, lambda n: f'l_{n}')}]" for d in range(out.rank)
-                )
-                conds = " && ".join(f"blk_{it} + l_{it} < N_{it}" for it in out_iters)
-                w.line(f"if ({conds}) g_{out.array}[{flat}] += buf_{out.array}[pp]{local_sub};")
-            w.line("pp = 1 - pp;")
+        emit_nest(w, layout, dialect)
     return w.render()
 
 
@@ -240,8 +153,9 @@ def generate_kernel_driver(
     nest = design.nest
     bounds = nest.bounds
     out = nest.output
-    type_of = _kernel_types(design, platform)
-    is_float = platform.datatype.is_floating_point
+    layout = Layout.of(nest, design.mapping, platform)
+    type_of = layout.type_of
+    flat_out = flat_size(out, bounds)
 
     w = CodeWriter()
     w.comment(f"Driver for generated kernel {kernel_file} ({design.signature}).")
@@ -250,60 +164,24 @@ def generate_kernel_driver(
     w.line(f'#include "{kernel_file}"')
     w.line()
     for access in nest.accesses:
-        flat = 1
-        for d in range(access.rank):
-            flat *= _global_dim(access, bounds, d)
-        w.line(f"static {type_of[access.array]} A_{access.array}[{flat}];")
-    flat_out = 1
-    for d in range(out.rank):
-        flat_out *= _global_dim(out, bounds, d)
-    ref_type = "double" if is_float else type_of[out.array]
-    w.line(f"static {ref_type} A_ref[{flat_out}];")
+        w.line(f"static {type_of[access.array]} A_{access.array}[{flat_size(access, bounds)}];")
+    w.line(f"static {layout.ref_type} A_ref[{flat_out}];")
     w.line()
     w.line("static unsigned lcg_state = 99u;")
-    with w.block("static double lcg(void)"):
-        w.line("lcg_state = lcg_state * 1664525u + 1013904223u;")
-        w.line("return ((double)(lcg_state >> 8) / (double)(1u << 24)) * 2.0 - 1.0;")
-    w.line()
+    emit_lcg(w)
     with w.block("static void reference(void)"):
-        for it in nest.iterators:
-            w.line(f"for (int {it} = 0; {it} < N_{it}; {it}++)")
-        reads = nest.reads
-        with w.indented():
-            ref_idx = lambda a: _flat_index(a, bounds, lambda d: (lambda n: n))
-            w.line(
-                f"A_ref[{ref_idx(out)}] += "
-                f"A_{reads[0].array}[{ref_idx(reads[0])}] * "
-                f"A_{reads[1].array}[{ref_idx(reads[1])}];"
-            )
+        emit_reference(w, layout, _FlatStatic(design), nest.reads, "A_", "A_ref")
     w.line()
     with w.block("int main(void)"):
-        for access in nest.reads:
-            flat = 1
-            for d in range(access.rank):
-                flat *= _global_dim(access, bounds, d)
-            fill = "lcg()" if is_float else "(int)(100.0 * lcg())"
-            w.line(
-                f"for (long k = 0; k < {flat}L; k++) "
-                f"A_{access.array}[k] = ({type_of[access.array]}){fill};"
-            )
+        emit_fill(w, layout, bounds, "A_{array}[k] = ({type}){fill}")
         w.line("reference();")
         args = ", ".join(f"A_{a.array}" for a in nest.accesses)
         w.line(f"systolic_conv({args});")
         w.comment("Globally normalized error (float accumulation-order noise).")
-        w.line("double worst = 0.0, scale = 0.0;")
-        w.line(
-            f"for (long k = 0; k < {flat_out}L; k++) "
-            "if (fabs((double)A_ref[k]) > scale) scale = fabs((double)A_ref[k]);"
+        emit_scaled_compare(
+            w, flat_out, f"A_{out.array}[k]", "(double)A_ref[k]",
+            "2e-3" if layout.is_float else "1e-12", "KERNEL",
         )
-        with w.block(f"for (long k = 0; k < {flat_out}L; k++)"):
-            w.line(f"double err = fabs((double)A_{out.array}[k] - (double)A_ref[k]);")
-            w.line("if (err > worst) worst = err;")
-        tolerance = "2e-3" if is_float else "1e-12"
-        with w.block(f"if (worst > {tolerance} * (scale + 1e-9))"):
-            w.line('printf("KERNEL FAIL worst=%g scale=%g\\n", worst, scale);')
-            w.line("return 1;")
-        w.line('printf("KERNEL PASS worst=%g scale=%g\\n", worst, scale);')
         w.line("return 0;")
     return w.render()
 

@@ -32,7 +32,17 @@ from repro.model.mapping import Mapping
 from repro.model.design_point import ArrayShape
 from repro.model.platform import Platform
 from repro.codegen.emitter import CodeWriter
-from repro.codegen.testbench import _check_identifier, _ctypes, _subscript
+from repro.codegen.opencl import kernel_args
+from repro.codegen.template import (
+    Dialect,
+    Layout,
+    brackets,
+    emit_fill,
+    emit_lcg,
+    emit_nest,
+    emit_reference,
+    flat_size,
+)
 
 
 @dataclass(frozen=True)
@@ -50,27 +60,57 @@ class UnifiedLayerSpec:
     middle: dict[str, int]
 
 
-def _buffer_dim_expr(access: ArrayAccess, dim: int, prefix: str) -> str:
-    """C expression for one array dimension's extent from runtime bounds."""
-    expr = access.indices[dim]
-    parts = []
-    for name, coeff in expr.terms:
-        term = f"({prefix}{name} - 1)"
-        parts.append(term if coeff == 1 else f"{coeff} * {term}")
-    parts.append("1")
-    return " + ".join(parts)
+def _dim_expr(access: ArrayAccess, dim: int, prefix: str) -> str:
+    """C expression for one array dimension's extent from per-loop
+    extents spelled ``<prefix><iterator>``."""
+    parts = [
+        f"({prefix}{name} - 1)" if coeff == 1 else f"{coeff} * ({prefix}{name} - 1)"
+        for name, coeff in access.indices[dim].terms
+    ]
+    return " + ".join(parts + ["1"])
 
 
-def _envelope_extents(
-    template: LoopNest, specs: tuple[UnifiedLayerSpec, ...], shape_of: dict[str, int]
-) -> dict[str, int]:
-    """Per-loop maximum block extent b_l = S_l * t_l over all specs."""
-    extents: dict[str, int] = {}
-    for it in template.iterators:
-        extents[it] = max(
-            spec.middle.get(it, 1) * shape_of.get(it, 1) for spec in specs
+class _FlatRuntime(Dialect):
+    """Flat global arrays whose extents (``dim_*``) and row-major strides
+    (``str_*``) are computed from the runtime bounds; buffer extents come
+    from the runtime block sizes ``B_*`` under ``BMAX_*`` capacities."""
+
+    opencl = True
+    prefix = "g_"
+    notes = {
+        "load": "Load phase (runtime extents, zero-padded edges).",
+        "zero": "Zero the output accumulator buffer.",
+        "compute": "Compute phase.",
+        "drain": "Drain phase (guarded, accumulating partial sums).",
+    }
+
+    def local_extent(self, access, dim):
+        return f"({_dim_expr(access, dim, 'B_')})"
+
+    def in_range(self, access, dim):
+        return f" < dim_{access.array}_{dim}"
+
+    def global_ref(self, name, access, terms, atoms=False):
+        parts = (
+            f"(long){term if atoms else f'({term})'} * str_{access.array}_{d}"
+            for d, term in enumerate(terms)
         )
-    return extents
+        return f"{name}[{' + '.join(parts)}]"
+
+
+def _emit_runtime_extents(w: CodeWriter, template: LoopNest) -> None:
+    """``dim_*`` / ``str_*`` of every array from the ``N_*`` in scope."""
+    for access in template.accesses:
+        for d in range(access.rank):
+            w.line(f"int dim_{access.array}_{d} = {_dim_expr(access, d, 'N_')};")
+        for d in range(access.rank - 1, -1, -1):
+            if d == access.rank - 1:
+                w.line(f"long str_{access.array}_{d} = 1;")
+            else:
+                w.line(
+                    f"long str_{access.array}_{d} = "
+                    f"str_{access.array}_{d + 1} * dim_{access.array}_{d + 1};"
+                )
 
 
 def generate_unified_kernel(
@@ -94,158 +134,39 @@ def generate_unified_kernel(
         name: kernel function name.
     """
     iterators = template.iterators
-    out = template.output
-    reads = template.reads
-    ctypes = _ctypes(platform)
-    weight = max(reads, key=lambda a: a.rank)
-    feature = next(a for a in reads if a is not weight)
-    type_of = {out.array: ctypes["out"], weight.array: ctypes["w"], feature.array: ctypes["in"]}
-    for access in template.accesses:
-        _check_identifier(access.array)
+    layout = Layout.of(template, mapping, platform)
     shape_of = {mapping.row: shape.rows, mapping.col: shape.cols, mapping.vector: shape.vector}
-    inner_of = {mapping.row: "x", mapping.col: "y", mapping.vector: "v"}
-    envelope = _envelope_extents(template, specs, shape_of)
 
     w = CodeWriter()
     w.comment(f"Unified runtime-parameterized systolic kernel ({shape} frozen,")
     w.comment("loop and reuse bounds as arguments; buffers sized for the envelope).")
     w.line()
     for it in iterators:
+        # Envelope: the largest block extent S_l * t_l any layer asks for.
+        envelope = max(spec.middle.get(it, 1) * shape_of.get(it, 1) for spec in specs)
         w.line(f"#define T_{it} {shape_of.get(it, 1)}")
-        w.line(f"#define BMAX_{it} {envelope[it]}")
-    w.line(f"#define ROWS T_{mapping.row}")
-    w.line(f"#define COLS T_{mapping.col}")
-    w.line(f"#define VEC  T_{mapping.vector}")
-    w.line()
+        w.line(f"#define BMAX_{it} {envelope}")
+    layout.array_defines(w)
 
     bound_args = ", ".join(f"int N_{it}" for it in iterators)
     middle_args = ", ".join(f"int S_{it}" for it in iterators)
-    tensor_args = ", ".join(
-        f"__global {type_of[a.array]} *{'' if a.is_write else ' const'} restrict g_{a.array}"
-        for a in template.accesses
-    )
     w.comment("Returns 0 on success, 1 if a block would overflow the buffers;")
     w.comment("wrapped by a thin __kernel void entry in the OpenCL build.")
-    with w.block(f"int {name}({tensor_args}, {bound_args}, {middle_args})"):
+    with w.block(f"int {name}({kernel_args(layout)}, {bound_args}, {middle_args})"):
         w.comment("Runtime block extents and buffer-capacity guard.")
         for it in iterators:
             w.line(f"int B_{it} = S_{it} * T_{it};")
             w.line(f"if (B_{it} > BMAX_{it}) return 1;  /* buffers too small */")
         w.comment("Runtime array extents (row-major) from the loop bounds.")
-        for access in template.accesses:
-            for d in range(access.rank):
-                w.line(
-                    f"int dim_{access.array}_{d} = {_buffer_dim_expr(access, d, 'N_')};"
-                )
-            # row-major strides
-            for d in range(access.rank - 1, -1, -1):
-                if d == access.rank - 1:
-                    w.line(f"long str_{access.array}_{d} = 1;")
-                else:
-                    w.line(
-                        f"long str_{access.array}_{d} = "
-                        f"str_{access.array}_{d + 1} * dim_{access.array}_{d + 1};"
-                    )
+        _emit_runtime_extents(w, template)
         w.comment("On-chip buffers at envelope capacity (double-buffered).")
         for access in template.accesses:
             # buffer dims must be compile-time: use the envelope constants
-            comp_dims = "".join(
-                "[" + _buffer_dim_expr(access, d, "BMAX_") + "]"
-                for d in range(access.rank)
-            )
-            w.line(f"__local {type_of[access.array]} buf_{access.array}[2]{comp_dims};")
+            dims = brackets(_dim_expr(access, d, "BMAX_") for d in range(access.rank))
+            w.line(f"__local {layout.type_of[access.array]} buf_{access.array}[2]{dims};")
         w.line("int pp = 0;")
         w.line()
-        for it in iterators:
-            w.line(f"for (int blk_{it} = 0; blk_{it} < N_{it}; blk_{it} += B_{it})")
-        with w.block(""):
-            w.comment("Load phase (runtime extents, zero-padded edges).")
-            for access in reads:
-                for d in range(access.rank):
-                    w.line(
-                        f"for (int u{d} = 0; u{d} < "
-                        f"({_buffer_dim_expr(access, d, 'B_')}); u{d}++)"
-                    )
-                local_idx = "".join(f"[u{d}]" for d in range(access.rank))
-                conds = []
-                flat_parts = []
-                for d in range(access.rank):
-                    base = _subscript(access, d, lambda n: f"blk_{n}")
-                    conds.append(f"({base} + u{d}) < dim_{access.array}_{d}")
-                    flat_parts.append(
-                        f"(long)({base} + u{d}) * str_{access.array}_{d}"
-                    )
-                with w.indented():
-                    w.line(
-                        f"buf_{access.array}[pp]{local_idx} = "
-                        f"({' && '.join(conds)}) ? "
-                        f"g_{access.array}[{' + '.join(flat_parts)}] : 0;"
-                    )
-            w.comment("Zero the output accumulator buffer.")
-            for d in range(out.rank):
-                w.line(
-                    f"for (int u{d} = 0; u{d} < ({_buffer_dim_expr(out, d, 'B_')}); u{d}++)"
-                )
-            with w.indented():
-                w.line(
-                    f"buf_{out.array}[pp]"
-                    + "".join(f"[u{d}]" for d in range(out.rank))
-                    + " = 0;"
-                )
-            w.line()
-            w.comment("Compute phase.")
-            for it in iterators:
-                w.line(f"for (int m_{it} = 0; m_{it} < S_{it}; m_{it}++)")
-            with w.block(""):
-                w.line("#pragma unroll")
-                w.line("for (int x = 0; x < ROWS; x++)")
-                w.line("#pragma unroll")
-                w.line("for (int y = 0; y < COLS; y++)")
-                with w.block(""):
-                    acc_type = "double" if type_of[out.array] == "float" else "long long"
-                    w.line(f"{acc_type} sum = 0;")
-                    w.line("#pragma unroll")
-                    with w.block("for (int v = 0; v < VEC; v++)"):
-                        for it in iterators:
-                            w.line(f"int l_{it} = m_{it} * T_{it} + {inner_of.get(it, '0')};")
-                        local = lambda a: "".join(
-                            f"[{_subscript(a, d, lambda n: f'l_{n}')}]"
-                            for d in range(a.rank)
-                        )
-                        w.line(
-                            f"sum += ({acc_type})buf_{weight.array}[pp]{local(weight)}"
-                            f" * ({acc_type})buf_{feature.array}[pp]{local(feature)};"
-                        )
-                    out_locals = {
-                        it: f"(m_{it} * T_{it} + {inner_of.get(it, '0')})"
-                        for it in iterators
-                        if out.depends_on(it)
-                    }
-                    out_sub = "".join(
-                        f"[{_subscript(out, d, lambda n: out_locals[n])}]"
-                        for d in range(out.rank)
-                    )
-                    w.line(f"buf_{out.array}[pp]{out_sub} += ({type_of[out.array]})sum;")
-            w.line()
-            w.comment("Drain phase (guarded, accumulating partial sums).")
-            out_iters = [it for it in iterators if out.depends_on(it)]
-            for it in out_iters:
-                w.line(f"for (int l_{it} = 0; l_{it} < B_{it}; l_{it}++)")
-            with w.block(""):
-                conds = " && ".join(f"blk_{it} + l_{it} < N_{it}" for it in out_iters)
-                flat_parts = [
-                    f"(long)({_subscript(out, d, lambda n: f'(blk_{n} + l_{n})')}) "
-                    f"* str_{out.array}_{d}"
-                    for d in range(out.rank)
-                ]
-                local_sub = "".join(
-                    f"[{_subscript(out, d, lambda n: f'l_{n}')}]" for d in range(out.rank)
-                )
-                w.line(
-                    f"if ({conds}) g_{out.array}[{' + '.join(flat_parts)}] += "
-                    f"buf_{out.array}[pp]{local_sub};"
-                )
-            w.line("pp = 1 - pp;")
+        emit_nest(w, layout, _FlatRuntime())
         w.line("return 0;")
     return w.render()
 
@@ -262,22 +183,9 @@ def generate_unified_testbench(
     """A driver running every layer spec through one kernel instance."""
     iterators = template.iterators
     out = template.output
-    reads = template.reads
-    ctypes = _ctypes(platform)
-    weight = max(reads, key=lambda a: a.rank)
-    feature = next(a for a in reads if a is not weight)
-    type_of = {out.array: ctypes["out"], weight.array: ctypes["w"], feature.array: ctypes["in"]}
-    is_float = platform.datatype.is_floating_point
-
-    def max_flat(access: ArrayAccess) -> int:
-        worst = 0
-        for spec in specs:
-            total = 1
-            for d in range(access.rank):
-                lo, hi = access.indices[d].value_range(spec.bounds)
-                total *= hi + 1
-            worst = max(worst, total)
-        return worst
+    layout = Layout.of(template, mapping, platform)
+    type_of = layout.type_of
+    max_flat = lambda access: max(flat_size(access, spec.bounds) for spec in specs)
 
     w = CodeWriter()
     w.comment(f"Unified-deployment driver: {len(specs)} layer shapes, one kernel.")
@@ -287,40 +195,16 @@ def generate_unified_testbench(
     w.line()
     for access in template.accesses:
         w.line(f"static {type_of[access.array]} A_{access.array}[{max_flat(access)}];")
-    ref_type = "double" if is_float else type_of[out.array]
-    w.line(f"static {ref_type} A_ref[{max_flat(out)}];")
+    w.line(f"static {layout.ref_type} A_ref[{max_flat(out)}];")
     w.line()
     w.line("static unsigned lcg_state;")
-    with w.block("static double lcg(void)"):
-        w.line("lcg_state = lcg_state * 1664525u + 1013904223u;")
-        w.line("return ((double)(lcg_state >> 8) / (double)(1u << 24)) * 2.0 - 1.0;")
-    w.line()
-
-    # Reference with runtime bounds via parameters.
+    emit_lcg(w)
     bound_params = ", ".join(f"int N_{it}" for it in iterators)
     with w.block(f"static void reference({bound_params})"):
-        for access in template.accesses:
-            for d in range(access.rank):
-                w.line(f"int dim_{access.array}_{d} = {_buffer_dim_expr(access, d, 'N_')};")
-            for d in range(access.rank - 1, -1, -1):
-                if d == access.rank - 1:
-                    w.line(f"long str_{access.array}_{d} = 1;")
-                else:
-                    w.line(
-                        f"long str_{access.array}_{d} = "
-                        f"str_{access.array}_{d + 1} * dim_{access.array}_{d + 1};"
-                    )
-        for it in iterators:
-            w.line(f"for (int {it} = 0; {it} < N_{it}; {it}++)")
-        flat = lambda a: " + ".join(
-            f"(long)({_subscript(a, d, lambda n: n)}) * str_{a.array}_{d}"
-            for d in range(a.rank)
+        _emit_runtime_extents(w, template)
+        emit_reference(
+            w, layout, _FlatRuntime(), (layout.weight, layout.feature), "A_", "A_ref"
         )
-        with w.indented():
-            w.line(
-                f"A_ref[{flat(out)}] += "
-                f"A_{weight.array}[{flat(weight)}] * A_{feature.array}[{flat(feature)}];"
-            )
     w.line()
     with w.block("int main(void)"):
         w.line("int failures = 0;")
@@ -328,20 +212,9 @@ def generate_unified_testbench(
             w.comment(f"--- layer {spec.name}: bounds {spec.bounds}, middle {spec.middle} ---")
             with w.block("", footer="}"):
                 w.line(f"lcg_state = {1000 + index}u;")
-                for access in reads:
-                    total = 1
-                    for d in range(access.rank):
-                        _lo, hi = access.indices[d].value_range(spec.bounds)
-                        total *= hi + 1
-                    fill = "lcg()" if is_float else "(int)(100.0 * lcg())"
-                    w.line(
-                        f"for (long k = 0; k < {total}L; k++) "
-                        f"A_{access.array}[k] = ({type_of[access.array]}){fill};"
-                    )
-                out_total = 1
-                for d in range(out.rank):
-                    lo, hi = out.indices[d].value_range(spec.bounds)
-                    out_total *= hi + 1
+                emit_fill(w, layout, spec.bounds, "A_{array}[k] = ({type}){fill}")
+                out_total = flat_size(out, spec.bounds)
+                loop = f"for (long k = 0; k < {out_total}L; k++)"
                 w.line(f"memset(A_{out.array}, 0, sizeof(A_{out.array}[0]) * {out_total}L);")
                 w.line(f"memset(A_ref, 0, sizeof(A_ref[0]) * {out_total}L);")
                 bounds_vals = ", ".join(str(spec.bounds[it]) for it in iterators)
@@ -355,15 +228,11 @@ def generate_unified_testbench(
                     f'if (rc) {{ printf("UNIFIED FAIL {spec.name}: buffer overflow\\n"); '
                     "return 1; }"
                 )
-                if is_float:
+                if layout.is_float:
                     w.line("double worst = 0.0, scale = 0.0;")
+                    w.line(f"{loop} if (fabs(A_ref[k]) > scale) scale = fabs(A_ref[k]);")
                     w.line(
-                        f"for (long k = 0; k < {out_total}L; k++) "
-                        "if (fabs(A_ref[k]) > scale) scale = fabs(A_ref[k]);"
-                    )
-                    w.line(
-                        f"for (long k = 0; k < {out_total}L; k++) {{ "
-                        f"double e = fabs((double)A_{out.array}[k] - A_ref[k]); "
+                        f"{loop} {{ double e = fabs((double)A_{out.array}[k] - A_ref[k]); "
                         "if (e > worst) worst = e; }"
                     )
                     w.line(
@@ -373,8 +242,7 @@ def generate_unified_testbench(
                     )
                 else:
                     w.line(
-                        f"for (long k = 0; k < {out_total}L; k++) "
-                        f"if (A_{out.array}[k] != A_ref[k]) {{ "
+                        f"{loop} if (A_{out.array}[k] != A_ref[k]) {{ "
                         f'printf("UNIFIED FAIL {spec.name} at %ld\\n", k); return 1; }}'
                     )
                     w.line(f'printf("UNIFIED OK {spec.name} exact\\n");')

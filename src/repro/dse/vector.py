@@ -118,20 +118,6 @@ class CandidateTable:
             by_vec[self.mapping_index],
         )
 
-    def inner_matrix(self) -> np.ndarray:
-        """Per-loop inner bounds, shape (N, n_loops) in nest iterator
-        order; 1 for unmapped loops.  The columnar form of each config's
-        ``{row: rows, col: cols, vector: vector}`` dict."""
-        iterators = self.nest.iterators
-        position = {it: k for k, it in enumerate(iterators)}
-        inner = np.ones((len(self.configs), len(iterators)), dtype=np.int64)
-        for mi, mapping in enumerate(self.mappings):
-            select = self.mapping_index == mi
-            inner[select, position[mapping.row]] = self.rows[select]
-            inner[select, position[mapping.col]] = self.cols[select]
-            inner[select, position[mapping.vector]] = self.vector[select]
-        return inner
-
 
 def _role_efficiency(trips: np.ndarray, bound: np.ndarray) -> np.ndarray:
     """One factor of the shape-only efficiency: n / (ceil(n / t) * t).

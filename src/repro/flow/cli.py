@@ -202,8 +202,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "vectorized, rtl = generated Verilog through the netlist "
         "interpreter (small nests), both = differential conformance "
         "including the RTL legs (fails on any disagreement), testbench "
-        "= compile and run the generated C testbench (degrades to fast "
-        "when no toolchain is available)",
+        "= compile and run the generated C testbench, then the shipped "
+        "kernel under its driver (degrades to fast when no toolchain is "
+        "available)",
     )
     return parser
 

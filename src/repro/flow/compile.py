@@ -194,8 +194,11 @@ def synthesize_network(
     result = run_unified_dse(
         workloads, platform, config, jobs=jobs, cache=cache, observers=tuple(observers)
     )
-    # Generate the artifact against the largest layer (the envelope user);
-    # per-layer middle bounds are runtime parameters of the same kernel.
+    # What is emitted is the kernel of the largest layer (the envelope
+    # user) with *its* bounds as ``#define``s — it runs that layer only.
+    # The kernel that takes every layer's bounds as runtime arguments is
+    # ``repro.codegen.unified``; emitting it from here needs the per-layer
+    # network pipeline of ROADMAP item 4a.
     from repro.model.design_point import DesignPoint
 
     largest = max(workloads, key=lambda w: w.nest.total_operations)

@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import Iterable, Mapping
 
 from repro.ir.access import ArrayAccess
 
@@ -174,93 +172,9 @@ def count_footprint(
     return count_footprint_rectangular(access, domain)
 
 
-def count_footprint_batch(
-    access: ArrayAccess,
-    iterators: Sequence[str],
-    extents: np.ndarray,
-    *,
-    exact_threshold: int = 200_000,
-) -> np.ndarray:
-    """Vectorized :func:`count_footprint` over a batch of rectangular domains.
-
-    ``extents`` is an int array of shape ``(B, len(iterators))``; row ``i``
-    describes the domain ``0 <= iterators[k] < extents[i, k]``.  Returns an
-    int64 array of length ``B`` where every entry equals
-    ``count_footprint(access, IterationDomain.of(zip(iterators, row)))``
-    exactly — the per-row strategy selection (provably-exact closed form /
-    enumeration / upper-bound closed form) is replayed per row, so the
-    batch is a drop-in replacement for the scalar loop.
-
-    Rows where the closed form is exact (the common CNN case) are computed
-    with pure array arithmetic; the remaining rows fall back to the scalar
-    function, which keeps the enumeration oracle authoritative.
-    """
-    ext = np.asarray(extents, dtype=np.int64)
-    if ext.ndim != 2 or ext.shape[1] != len(iterators):
-        raise ValueError(
-            f"extents must be (B, {len(iterators)}); got shape {ext.shape}"
-        )
-    batch = ext.shape[0]
-    position = {name: k for k, name in enumerate(iterators)}
-    available = set(iterators)
-
-    # Condition (a) of rectangular_is_exact — no iterator shared across
-    # subscript dimensions — does not depend on the extents.
-    disjoint = True
-    seen: set[str] = set()
-    for expr in access.indices:
-        used = expr.iterators & available
-        if used & seen:
-            disjoint = False
-            break
-        seen |= used
-
-    exact = np.full(batch, disjoint)
-    if disjoint:
-        # Condition (b), dense coverage, replayed per row: walking terms
-        # by ascending |coeff|, each coefficient must not exceed the
-        # dense reach of the smaller terms.
-        for expr in access.indices:
-            terms = sorted(
-                ((coeff, name) for name, coeff in expr.terms if name in available),
-                key=lambda item: abs(item[0]),
-            )
-            if any(coeff < 0 for coeff, _ in terms):
-                exact[:] = False
-                break
-            reach = np.ones(batch, dtype=np.int64)
-            for coeff, name in terms:
-                exact &= coeff <= reach
-                reach = reach + coeff * (ext[:, position[name]] - 1)
-
-    # Closed-form product of per-dimension value ranges (exact rows).
-    words = np.ones(batch, dtype=np.int64)
-    for expr in access.indices:
-        lo = np.full(batch, expr.const, dtype=np.int64)
-        hi = np.full(batch, expr.const, dtype=np.int64)
-        for name, coeff in expr.terms:
-            if name not in available:
-                continue  # absent iterators are fixed at 0 (span 0)
-            span = coeff * (ext[:, position[name]] - 1)
-            if coeff >= 0:
-                hi = hi + span
-            else:
-                lo = lo + span
-        words *= hi - lo + 1
-
-    # Inexact rows: defer to the scalar strategy selection row by row.
-    for i in np.flatnonzero(~exact):
-        domain = IterationDomain.of(
-            [(name, int(ext[i, position[name]])) for name in iterators]
-        )
-        words[i] = count_footprint(access, domain, exact_threshold=exact_threshold)
-    return words
-
-
 __all__ = [
     "IterationDomain",
     "count_footprint",
-    "count_footprint_batch",
     "count_footprint_enumerated",
     "count_footprint_rectangular",
     "rectangular_is_exact",

@@ -16,19 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.ir.domain import count_footprint, count_footprint_batch
-from repro.ir.loop import LoopNest
+from repro.ir.domain import count_footprint
 from repro.ir.tiling import TiledLoopNest
 from repro.model.mapping import array_roles
 from repro.model.platform import Platform
-
-#: Largest integer magnitude whose float64 conversion is exact.  The
-#: batched model promises bit-identity with the scalar path, which does
-#: correctly-rounded big-int division; past this limit NumPy's
-#: int64→float64 conversion rounds first, so the batch refuses.
-FLOAT64_EXACT_INT = 2**53
 
 
 @dataclass(frozen=True)
@@ -154,148 +145,7 @@ def estimate_performance(
     )
 
 
-@dataclass(frozen=True)
-class PerformanceBatch:
-    """Array-valued :class:`PerformanceEstimate` over B candidate tilings.
-
-    Every attribute mirrors its scalar counterpart, with floats and ints
-    replaced by aligned length-B arrays; entry ``i`` is bit-identical to
-    evaluating candidate ``i`` through :func:`estimate_performance`
-    (property-tested in ``tests/model/test_performance_batch.py``).
-    """
-
-    frequency_mhz: float
-    efficiency: np.ndarray
-    lanes: np.ndarray
-    block_iterations: np.ndarray
-    pt_gops: np.ndarray
-    mt_gops: np.ndarray
-    mt_total_gops: np.ndarray
-    mt_per_array_gops: dict[str, np.ndarray]
-    throughput_gops: np.ndarray
-    effective_ops: int
-    seconds: np.ndarray
-    block_bytes: dict[str, np.ndarray]
-
-    def __len__(self) -> int:
-        return int(self.throughput_gops.shape[0])
-
-    @property
-    def bound(self) -> np.ndarray:
-        """'compute'/'memory' per candidate (same rule as the scalar)."""
-        return np.where(self.pt_gops <= self.mt_gops, "compute", "memory")
-
-
-def estimate_performance_batch(
-    nest: LoopNest,
-    platform: Platform,
-    *,
-    inner: np.ndarray,
-    middle: np.ndarray,
-    frequency_mhz: float | None = None,
-) -> PerformanceBatch:
-    """Evaluate Eq. 7–10 for a whole tiling subspace in one shot.
-
-    ``inner`` and ``middle`` are int arrays of shape
-    ``(B, len(nest.iterators))`` holding the per-loop bounds ``t`` and
-    ``s`` in ``nest.iterators`` order (1 for unmapped loops).  Shares
-    every constant and formula with :func:`estimate_performance` and
-    applies them in the same order, so each row is bit-identical to the
-    scalar estimate of the same design.
-
-    Raises:
-        ValueError: on shape mismatch, or when an intermediate integer
-            would exceed float64's exact range (use the scalar path).
-    """
-    iterators = nest.iterators
-    inner_arr = np.asarray(inner, dtype=np.int64)
-    middle_arr = np.asarray(middle, dtype=np.int64)
-    if inner_arr.shape != middle_arr.shape or inner_arr.ndim != 2:
-        raise ValueError("inner and middle must both be (B, n_loops)")
-    if inner_arr.shape[1] != len(iterators):
-        raise ValueError(
-            f"expected {len(iterators)} loop columns, got {inner_arr.shape[1]}"
-        )
-    if inner_arr.shape[0] == 0:
-        raise ValueError("empty candidate batch")
-
-    freq_hz = (frequency_mhz or platform.assumed_clock_mhz) * 1e6
-    trips = np.array([nest.bounds[it] for it in iterators], dtype=np.int64)
-    blocks = middle_arr * inner_arr
-
-    padded = platform.ragged_middle == "padded"
-    if padded:
-        executed = np.multiply.reduce(-(-trips // blocks) * blocks, axis=1)
-        domain_ext = blocks
-    else:
-        cap = -(-trips // inner_arr) * inner_arr
-        executed = np.multiply.reduce(cap, axis=1)
-        domain_ext = np.minimum(blocks, cap)
-    eff = nest.total_iterations / executed
-    block_iterations = np.multiply.reduce(domain_ext, axis=1)
-
-    lanes = np.multiply.reduce(inner_arr, axis=1)
-
-    # Eq. 8 — computation throughput.
-    pt = eff * 2.0 * lanes * freq_hz
-
-    # Eq. 9/10 — memory transfer throughput over the (clipped) block domain.
-    roles = array_roles(nest)
-    block_ops = eff * 2.0 * block_iterations
-    block_bytes: dict[str, np.ndarray] = {}
-    for access in nest.accesses:
-        words = count_footprint_batch(access, iterators, domain_ext)
-        block_bytes[access.array] = words * platform.datatype.bytes_for(
-            roles[access.array]
-        )
-
-    guard = max(
-        int(executed.max()),
-        int(block_iterations.max()),
-        nest.total_iterations,
-        max(int(b.max()) for b in block_bytes.values()),
-    )
-    if guard > FLOAT64_EXACT_INT:
-        raise ValueError(
-            "batch intermediate exceeds float64's exact integer range; "
-            "evaluate these candidates through the scalar model"
-        )
-
-    # The scalar path sums the (integer) per-array bytes exactly and
-    # converts once at the division, so the batch accumulates in int64.
-    total_bytes = np.zeros(inner_arr.shape[0], dtype=np.int64)
-    for nbytes in block_bytes.values():
-        total_bytes = total_bytes + nbytes
-    mt_total = block_ops / (total_bytes / platform.memory.total_bytes_per_second)
-    mt_per_array = {
-        array: block_ops / (nbytes / platform.memory.port_bytes_per_second)
-        for array, nbytes in block_bytes.items()
-    }
-    mt = mt_total
-    for value in mt_per_array.values():
-        mt = np.minimum(mt, value)
-
-    throughput = np.minimum(pt, mt)
-    effective_ops = nest.total_operations
-    return PerformanceBatch(
-        frequency_mhz=freq_hz / 1e6,
-        efficiency=eff,
-        lanes=lanes,
-        block_iterations=block_iterations,
-        pt_gops=pt / 1e9,
-        mt_gops=mt / 1e9,
-        mt_total_gops=mt_total / 1e9,
-        mt_per_array_gops={a: v / 1e9 for a, v in mt_per_array.items()},
-        throughput_gops=throughput / 1e9,
-        effective_ops=effective_ops,
-        seconds=effective_ops / throughput,
-        block_bytes=block_bytes,
-    )
-
-
 __all__ = [
-    "PerformanceBatch",
     "PerformanceEstimate",
     "estimate_performance",
-    "estimate_performance_batch",
 ]

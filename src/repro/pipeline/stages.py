@@ -339,9 +339,10 @@ class SimulateStage(StageBase):
     interpreter (small problems only), ``both`` the full differential-
     conformance matrix including the RTL legs (:mod:`repro.verify`),
     failing the pipeline on any disagreement, and ``testbench``
-    compiles and executes the generated C testbench with the system
-    toolchain — degrading to ``fast`` with an SA504/SA505 diagnostic
-    when the compiler is missing or hung, instead of raising."""
+    compiles and executes the generated C testbench and then the
+    shipped kernel under its driver with the system toolchain —
+    degrading to ``fast`` with an SA504/SA505 diagnostic when the
+    compiler is missing or hung, instead of raising."""
 
     name = "simulate"
 
@@ -416,24 +417,34 @@ class SimulateStage(StageBase):
         )
 
     def _run_testbench(self, ctx: SynthesisContext, events: EventBus) -> SynthesisContext:
+        """gcc's verdict on both C renderings of the design: the plain-C
+        testbench, then the shipped ``kernel.cl`` under its driver."""
+        from repro.codegen.opencl import OPENCL_SHIM
         from repro.codegen.testbench import TestbenchUnavailable, run_testbench
         from repro.resilience.retry import current_policy
 
-        assert ctx.testbench_source is not None
+        assert ctx.testbench_source and ctx.driver_source and ctx.kernel_source
+        kernel_files = {"kernel.cl": ctx.kernel_source, "opencl_shim.h": OPENCL_SHIM}
         policy = current_policy()
         try:
-            outcome = run_testbench(
-                ctx.testbench_source,
-                policy=policy,
-                on_retry=self._retry_event(events, policy.max_attempts),
-            )
+            for label, source, files, marker in (
+                ("testbench", ctx.testbench_source, None, "TESTBENCH PASS"),
+                ("kernel", ctx.driver_source, kernel_files, "KERNEL PASS"),
+            ):
+                outcome = run_testbench(
+                    source,
+                    policy=policy,
+                    on_retry=self._retry_event(events, policy.max_attempts),
+                    extra_files=files,
+                    marker=marker,
+                )
+                if not outcome.passed:
+                    raise ValueError(
+                        f"generated {label} failed:\n{outcome.output[-2000:]}"
+                    )
         except TestbenchUnavailable as exc:
             ctx = _degraded(ctx, events, self.name, exc.diagnostic, "fast")
             return ctx.evolve(engine_result=self._run_backend("fast", ctx, events))
-        if not outcome.passed:
-            raise ValueError(
-                f"generated testbench failed:\n{outcome.output[-2000:]}"
-            )
         return ctx
 
     def cache_parts(self, ctx: SynthesisContext) -> tuple | None:

@@ -80,12 +80,12 @@ def simulate_system(
     bytes_per_cycle_total = platform.memory.total_bytes_per_second / freq_hz
     bytes_per_cycle_port = platform.memory.port_bytes_per_second / freq_hz
 
-    # Chain lengths: the weight chain spans the rows, the input chain the
-    # columns, the output chain the columns (drain).
-    weight = max(nest.reads, key=lambda a: a.rank)
+    # Chain lengths, by the mapping: the horizontally shifted operand is
+    # fed by one buffer per row, the vertically shifted one by one per
+    # column, and the output drains down the columns.
     chain_length = {
-        weight.array: rows,
-        next(a for a in nest.reads if a is not weight).array: cols,
+        design.mapping.horizontal_array: rows,
+        design.mapping.vertical_array: cols,
         nest.output.array: cols,
     }
 

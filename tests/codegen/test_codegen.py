@@ -12,17 +12,25 @@ from pathlib import Path
 import pytest
 
 from repro.hw.datatype import FIXED_8_16
-from repro.ir.loop import conv_loop_nest
+from repro.ir.access import ArrayAccess
+from repro.ir.loop import Loop, LoopNest, conv_loop_nest
 from repro.model.design_point import ArrayShape, DesignPoint
-from repro.model.mapping import Mapping, feasible_mappings
+from repro.model.mapping import Mapping, array_roles, feasible_mappings
 from repro.model.platform import Platform
 from repro.codegen.emitter import CodeWriter
 from repro.codegen.host import generate_host
 from repro.codegen.opencl import OPENCL_SHIM, generate_kernel, generate_kernel_driver
-from repro.codegen.testbench import compile_and_run_testbench, generate_testbench
+from repro.codegen.testbench import (
+    compile_and_run_testbench,
+    generate_testbench,
+    run_testbench,
+)
 
 HAVE_CC = shutil.which("gcc") is not None
 needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C compiler available")
+
+FIXED = Platform().with_datatype(FIXED_8_16)
+ALT_NEST = conv_loop_nest(6, 4, 5, 5, 2, 2, name="alt")
 
 
 def small_design(middle=None, shape=ArrayShape(3, 4, 2)):
@@ -82,10 +90,37 @@ class TestGeneratedText:
         assert "systolic_conv" in src
         assert "CL_CHECK" in src
 
-    def test_rejects_non_identifier_array(self):
-        from repro.ir.access import ArrayAccess
-        from repro.ir.loop import Loop, LoopNest
+    def test_operand_c_types_follow_array_roles(self):
+        """Pointwise nest: the rank-2 read is *named* W, so the model
+        prices it as the 8-bit weight and the rank-3 IN as the 16-bit
+        input — and every artifact must declare them that way."""
+        nest = LoopNest(
+            (Loop("o", 4), Loop("i", 4), Loop("r", 3), Loop("c", 3)),
+            (
+                ArrayAccess.parse("OUT", ["o", "r", "c"], is_write=True),
+                ArrayAccess.parse("W", ["o", "i"]),
+                ArrayAccess.parse("IN", ["i", "r", "c"]),
+            ),
+            name="pointwise",
+        )
+        assert array_roles(nest) == {"OUT": "output", "W": "weight", "IN": "input"}
+        design = DesignPoint.create(
+            nest, Mapping("o", "c", "i", "IN", "W"), ArrayShape(2, 3, 2), {"r": 3}
+        )
+        declarations = {
+            generate_kernel: ("__global signed char * const restrict g_W",
+                              "__global short * const restrict g_IN",
+                              "signed char w_reg[", "short in_reg["),
+            generate_kernel_driver: ("static signed char A_W[", "static short A_IN["),
+            generate_testbench: ("static signed char W[", "static short IN["),
+            generate_host: ("std::vector<signed char> h_W(", "std::vector<short> h_IN("),
+        }
+        for emit, expected in declarations.items():
+            src = emit(design, FIXED)
+            for declaration in expected:
+                assert declaration in src, (emit.__name__, declaration)
 
+    def test_rejects_non_identifier_array(self):
         nest = LoopNest(
             (Loop("a", 2), Loop("b", 2), Loop("k", 2)),
             (
@@ -140,25 +175,58 @@ class TestCompiledTestbench:
 @needs_cc
 class TestCompiledKernel:
     def run_kernel(self, design, platform, tmp_path):
-        (tmp_path / "opencl_shim.h").write_text(OPENCL_SHIM)
-        (tmp_path / "kernel.cl").write_text(generate_kernel(design, platform))
-        (tmp_path / "driver.c").write_text(generate_kernel_driver(design, platform))
-        build = subprocess.run(
-            ["gcc", "-O2", "-std=c99", "-o", str(tmp_path / "drv"),
-             str(tmp_path / "driver.c"), "-lm"],
-            capture_output=True, text=True,
+        """Build ``driver.c`` + ``kernel.cl`` + ``opencl_shim.h`` the way
+        ``--sim-backend testbench`` does."""
+        outcome = run_testbench(
+            generate_kernel_driver(design, platform),
+            workdir=tmp_path,
+            extra_files={
+                "kernel.cl": generate_kernel(design, platform),
+                "opencl_shim.h": OPENCL_SHIM,
+            },
+            marker="KERNEL PASS",
         )
-        assert build.returncode == 0, build.stderr
-        run = subprocess.run([str(tmp_path / "drv")], capture_output=True, text=True)
-        return run.returncode == 0 and "KERNEL PASS" in run.stdout, run.stdout
+        return outcome.passed, outcome.output
+
+    @pytest.mark.parametrize("platform", [Platform(), FIXED], ids=["float32", "fixed8_16"])
+    @pytest.mark.parametrize(
+        "mapping",
+        feasible_mappings(ALT_NEST),
+        ids=lambda m: f"{m.row}{m.col}{m.vector}-{m.vertical_array}down",
+    )
+    def test_every_feasible_mapping_ships_a_correct_kernel(self, mapping, platform, tmp_path):
+        """The shift chains follow ``Mapping.vertical_array`` /
+        ``horizontal_array``: W on the vertical chain (6 of the 12) used
+        to be wired by tensor rank and printed KERNEL FAIL."""
+        design = DesignPoint.create(ALT_NEST, mapping, ArrayShape(2, 3, 2), {"p": 2, "q": 2})
+        ok, out = self.run_kernel(design, platform, tmp_path)
+        assert ok, out
+
+    @pytest.mark.slow
+    def test_alexnet_conv2_winner_ships_a_correct_lint_clean_kernel(self, tmp_path):
+        """A real DSE winner with W on the vertical chain."""
+        from repro.analysis.codegen_lint import lint_artifacts
+        from repro.codegen.backend import BACKENDS
+        from repro.dse.explore import DseConfig, explore
+        from repro.dse.multi_layer import prepare_network_nests
+        from repro.nn import models
+
+        nests = {w.name: w.nest for w in prepare_network_nests(models.alexnet())}
+        design = explore(nests["conv2"], Platform(), DseConfig()).best.design
+        assert design.mapping.vertical_array == "W"
+        ok, out = self.run_kernel(design, Platform(), tmp_path)
+        assert ok, out
+        artifacts = {}
+        for backend in BACKENDS.values():
+            artifacts.update(backend.emit(design, Platform()))
+        assert list(lint_artifacts(design, artifacts)) == []
 
     def test_float_kernel_runs_correctly(self, tmp_path):
         ok, out = self.run_kernel(small_design(), Platform(), tmp_path)
         assert ok, out
 
     def test_fixed_kernel_runs_exactly(self, tmp_path):
-        platform = Platform().with_datatype(FIXED_8_16)
-        ok, out = self.run_kernel(small_design(), platform, tmp_path)
+        ok, out = self.run_kernel(small_design(), FIXED, tmp_path)
         assert ok, out
 
     def test_kernel_is_valid_without_execution(self, tmp_path):

@@ -9,7 +9,6 @@ and the unified multi-layer selection.
 
 import random
 
-import numpy as np
 import pytest
 
 from repro.ir.loop import conv_loop_nest
@@ -208,14 +207,6 @@ class TestBatchedBounds:
             candidates[i].shape.vector,
         )
         assert table.mappings[int(table.mapping_index[i])] == candidates[i].mapping
-        inner = table.inner_matrix()
-        position = {it: k for k, it in enumerate(nest.iterators)}
-        mapping, shape = candidates[i].mapping, candidates[i].shape
-        expected = np.ones(len(nest.iterators), dtype=np.int64)
-        expected[position[mapping.row]] = shape.rows
-        expected[position[mapping.col]] = shape.cols
-        expected[position[mapping.vector]] = shape.vector
-        assert inner[i].tolist() == expected.tolist()
 
 
 class TestPhaseBitIdentity:

@@ -2,6 +2,8 @@
 
 import io
 import json
+import re
+import shutil
 
 import pytest
 
@@ -318,3 +320,52 @@ class TestCodegenDegradationSurvivesTheCache:
         assert warm.degradations == cold.degradations
         assert any(isinstance(e, StageDegraded) and e.code == "SA150" for e in events)
         assert result_to_dict(warm.to_result()) == result_to_dict(cold.to_result())
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler available")
+class TestTestbenchBackendChecksTheShippedKernel:
+    """``--sim-backend testbench`` runs gcc on ``testbench.c`` *and* on
+    ``driver.c`` + ``kernel.cl``: a kernel that computes the wrong
+    convolution fails the stage even though the testbench passes."""
+
+    def codegen_ctx(self):
+        from repro.dse.explore import Phase1Result, Phase2Result
+        from repro.ir.loop import conv_loop_nest
+        from repro.model.design_point import ArrayShape, DesignPoint
+        from repro.model.mapping import Mapping
+        from repro.pipeline.stages import CodegenStage
+
+        nest = conv_loop_nest(6, 4, 5, 5, 2, 2, name="wdown")
+        design = DesignPoint.create(
+            nest, Mapping("c", "o", "i", "W", "IN"), ArrayShape(2, 3, 2), {"p": 2, "q": 2}
+        )
+        best = design.evaluate(Platform())
+        ctx = make_ctx(
+            nest=nest,
+            sim_backend="testbench",
+            phase1=Phase1Result((best,), 1, 1, 1, elapsed_seconds=0.0),
+            phase2=Phase2Result(best, (best,), (best.throughput_gops,)),
+            frequency_mhz=best.performance.frequency_mhz,
+        )
+        return CodegenStage().run(ctx, EventBus())
+
+    def test_a_correct_kernel_passes(self):
+        from repro.pipeline.stages import SimulateStage
+
+        ctx = SimulateStage().run(self.codegen_ctx(), EventBus())
+        assert ctx.degradations == () and ctx.measurement is not None
+
+    def test_swapped_shift_chains_fail_the_stage(self):
+        from repro.pipeline.stages import SimulateStage
+
+        ctx = self.codegen_ctx()
+        swap = {"(x == 0)": "(y == 0)", "(y == 0)": "(x == 0)",
+                "[x-1][y]": "[x][y-1]", "[x][y-1]": "[x-1][y]"}
+        broken = re.sub(
+            r"\(x == 0\)|\(y == 0\)|\[x-1\]\[y\]|\[x\]\[y-1\]",
+            lambda m: swap[m.group(0)],
+            ctx.kernel_source,
+        )
+        assert broken != ctx.kernel_source
+        with pytest.raises(ValueError, match="generated kernel failed:\nKERNEL FAIL"):
+            SimulateStage().run(ctx.evolve(kernel_source=broken), EventBus())

@@ -70,3 +70,27 @@ class TestSystemVsPerf:
         )
         system = simulate_system(bad, Platform(), line_words=16)
         assert system.bound == "dram"
+
+
+class TestChainLengths:
+    def test_chain_lengths_follow_the_mapping(self, monkeypatch):
+        """The horizontally shifted operand has one feeder per row, the
+        vertically shifted one (and the drain) one per column — also when
+        W is the vertical array, which the old by-rank assignment ("the
+        weight spans the rows") got backwards."""
+        import repro.sim.system as system
+
+        nest = conv_loop_nest(16, 8, 7, 7, 3, 3, name="wdown")
+        design = DesignPoint.create(
+            nest, Mapping("c", "o", "i", "W", "IN"), ArrayShape(2, 5, 2),
+            {"r": 7, "p": 3, "q": 3},
+        )
+        lengths = []
+        real = system.chain_fill_cycles
+        monkeypatch.setattr(
+            system, "chain_fill_cycles",
+            lambda lines, length: lengths.append(length) or real(lines, length),
+        )
+        simulate_system(design, Platform(), line_words=1)
+        assert [a.array for a in nest.accesses] == ["OUT", "W", "IN"]
+        assert lengths[:3] == [5, 5, 2]  # drain: cols, W (vertical): cols, IN: rows
