@@ -11,24 +11,20 @@ per-branch efficiency spread.
 from repro.model.platform import Platform
 from repro.nn.models import googlenet
 from repro.dse.explore import DseConfig
-from repro.dse.multi_layer import prepare_network_nests
 from repro.experiments.common import ExperimentResult
-from repro.pipeline.unified import run_unified_dse
+from repro.flow.request import SynthesisRequest, run
 
 
 def run_extension() -> ExperimentResult:
-    platform = Platform()
-    network = googlenet()
-    workloads = prepare_network_nests(network)
-    # Through the pipeline wrapper: repeated bench runs hit the
-    # persistent stage cache instead of re-running the 57-layer DSE.
-    result_ml = run_unified_dse(
-        workloads,
-        platform,
+    request = SynthesisRequest(
+        Platform(),
         DseConfig(min_dsp_utilization=0.8, vector_choices=(8,), top_n=4),
-        jobs=0,
-        cache=True,
+        network=googlenet(),
     )
+    workloads = request.workloads
+    # Through the flow's runner: repeated bench runs hit the persistent
+    # stage cache instead of re-running the 57-layer DSE.
+    result_ml = run(request, jobs=0, cache=True)
 
     result = ExperimentResult(
         name="Extension: GoogLeNet",

@@ -32,7 +32,7 @@ from typing import Any, Iterator
 
 from repro.pipeline.cache import CacheStore
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.jobs import JobRequest
+from repro.flow.request import SynthesisRequest as JobRequest
 from repro.service.metrics import ServiceMetrics
 from repro.service.queue import BadRequest, Draining, JobJournal
 from repro.cluster.ring import HashRing

@@ -323,14 +323,16 @@ def select_unified_design(
         if not finalists:
             raise RuntimeError("no feasible unified design found")
 
-        # Phase 2: realize clocks, re-tune at the realized clock, pick the
-        # winner.  The pool's map is order-preserving, so ties keep
-        # breaking toward the earlier finalist.
+        # Phase 2: realize clocks (from the max-BRAM figure phase 1's
+        # evaluation at the assumed clock already holds), re-tune at the
+        # realized clock, pick the winner.  The pool's map is
+        # order-preserving, so ties keep breaking toward the earlier
+        # finalist.
         chosen = [candidate for _, (candidate, _), _ in finalists]
-        clocks = []
-        for candidate, probe in zip(chosen, pool.map((c, None) for c in chosen)):
-            assert probe is not None
-            clocks.append(realize_unified_clock(candidate, probe[3], platform))
+        clocks = [
+            realize_unified_clock(candidate, probe[3], platform)
+            for _, (candidate, _), probe in finalists
+        ]
         realized = pool.map((c, freq) for c, (freq, _) in zip(chosen, clocks))
         best = None
         for candidate, (freq, dsp_util), outcome in zip(chosen, clocks, realized):

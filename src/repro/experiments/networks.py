@@ -14,13 +14,10 @@ from __future__ import annotations
 
 from repro.hw.datatype import FIXED_8_16, FLOAT32
 from repro.model.platform import Platform
-from repro.nn.models import Network, alexnet, vgg16
+from repro.nn.models import network_by_name
 from repro.dse.explore import DseConfig
-from repro.dse.multi_layer import (
-    LayerWorkload,
-    MultiLayerResult,
-    prepare_network_nests,
-)
+from repro.dse.multi_layer import LayerWorkload, MultiLayerResult
+from repro.flow.request import SynthesisRequest, run
 
 _CACHE: dict[tuple, tuple[MultiLayerResult, tuple[LayerWorkload, ...]]] = {}
 
@@ -35,14 +32,6 @@ def paper_dse_config(*, fast: bool = False) -> DseConfig:
     )
 
 
-def network_by_name(name: str) -> Network:
-    if name == "alexnet":
-        return alexnet()
-    if name == "vgg16":
-        return vgg16()
-    raise KeyError(f"unknown evaluation network {name!r}")
-
-
 def unified_design(
     name: str,
     *,
@@ -55,7 +44,7 @@ def unified_design(
     """Memoized unified-design DSE for one evaluation network.
 
     Args:
-        name: "alexnet" or "vgg16".
+        name: a built-in model name ("alexnet", "vgg16", ...).
         fixed_point: use the 8/16-bit datatype instead of float32.
         fast: smaller finalist count (for tests).
         platform: override platform (bypasses the in-process memo).
@@ -66,21 +55,19 @@ def unified_design(
     Returns:
         (DSE result, prepared workloads).
     """
-    from repro.pipeline.unified import run_unified_dse
-
     key = (name, fixed_point, fast, platform is None)
     if platform is None and key in _CACHE:
         return _CACHE[key]
     datatype = FIXED_8_16 if fixed_point else FLOAT32
-    plat = platform or Platform(datatype=datatype)
-    network = network_by_name(name)
-    workloads = prepare_network_nests(network)
-    result = run_unified_dse(
-        workloads, plat, paper_dse_config(fast=fast), jobs=jobs, cache=cache
+    request = SynthesisRequest(
+        platform or Platform(datatype=datatype),
+        paper_dse_config(fast=fast),
+        network=network_by_name(name),
     )
+    result = run(request, jobs=jobs, cache=cache)
     if platform is None:
-        _CACHE[key] = (result, workloads)
-    return result, workloads
+        _CACHE[key] = (result, request.workloads)
+    return result, request.workloads
 
 
 __all__ = ["network_by_name", "paper_dse_config", "unified_design"]

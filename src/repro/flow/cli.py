@@ -28,6 +28,14 @@ are bit-identical to serial), expensive stage results are cached under
 per-stage progress goes to stderr, and ``--trace-json`` records every
 pipeline event as one JSON line.
 
+Every subcommand enters the flow through its one front door
+(:mod:`repro.flow.request`): the ``--device`` … ``--clock`` flags are
+derived from its option table, :func:`_payload` is the one ``args →
+payload`` function behind both the local compile and ``submit``, a local
+run is ``run(SynthesisRequest.from_payload(payload))``, and a missing
+file or a value the table rejects is one ``error:`` line and exit 2 —
+never a traceback.
+
 The flow is chaos-testable: ``--inject-fault point:kind[:p=..]`` activates
 the deterministic fault-injection registry (:mod:`repro.resilience`) with
 ``--seed`` seeding its decision streams, and ``--max-retries`` bounds the
@@ -68,41 +76,40 @@ differential mode).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import signal
 import sys
 import threading
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator
+from typing import Any, Iterator
 
-from repro.hw.datatype import datatype_by_name
-from repro.hw.device import device_by_name
-from repro.model.platform import Platform
 from repro.codegen.opencl import OPENCL_SHIM
-from repro.dse.explore import DseConfig
-from repro.flow.compile import compile_c_source, synthesize_network
-from repro.flow.report import format_table, render_synthesis_report
+from repro.flow.compile import NetworkSynthesis
+from repro.flow.report import render_network_report, render_synthesis_report
+from repro.flow.request import OPTIONS, SynthesisRequest, lower_options, run
+from repro.nn.models import BUILTIN_NETWORKS
 from repro.pipeline.stages import SIM_BACKENDS
 from repro.resilience.faults import FAULT_KINDS, FAULT_POINTS
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _target_options(dse: bool = False) -> argparse.ArgumentParser:
-    """Parent parser: the platform flags and, with ``dse``, the DSE knobs."""
+    """Parent parser: the option table's platform flags and, with ``dse``,
+    its DSE knobs (:data:`repro.flow.request.OPTIONS`)."""
     parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--device", default="arria10_gt1150", help="target FPGA")
-    parent.add_argument(
-        "--datatype", default="float32", help="float32 | fixed8_16 | fixed16"
-    )
-    if dse:
-        parent.add_argument(
-            "--cs", type=float, default=0.8, help="minimum DSP utilization (Eq. 12 c_s)"
-        )
-        parent.add_argument("--top-n", type=int, default=14, help="phase-2 finalist count")
-        parent.add_argument(
-            "--clock", type=float, default=280.0, help="phase-1 assumed clock (MHz)"
-        )
+    for name, option in OPTIONS.items():
+        if option.help is not None and (dse or not option.dse):
+            parent.add_argument(
+                _flag(name),
+                type=None if option.kind is str else option.kind,
+                default=option.default,
+                help=option.help,
+            )
     return parent
 
 
@@ -176,7 +183,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("source", nargs="?", help="C file with a '#pragma systolic' nest")
     parser.add_argument(
         "--network",
-        choices=["alexnet", "vgg16", "googlenet", "mobilenet_v1", "resnet18", "tiny_cnn"],
+        choices=list(BUILTIN_NETWORKS),
         help="synthesize a unified design for a built-in CNN model instead",
     )
     parser.add_argument("-o", "--output", default="systolic_out", help="output directory")
@@ -477,46 +484,55 @@ def build_import_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_text(path: Path) -> str | None:
-    """The file's text — or None, after the usage-error line, when it is
-    missing or binary (the caller exits 2)."""
+def _fail(message: object, code: int = 2) -> int:
+    """The one ``error:`` line on stderr; returns the exit code (2 = a
+    usage error)."""
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
+def _read_text(path: Path) -> str:
+    """The file's text; a missing or binary file is a ``ValueError`` (a
+    usage error at every door)."""
     if not path.is_file():
-        print(f"error: no such file: {path}", file=sys.stderr)
-        return None
+        raise ValueError(f"no such file: {path}")
     try:
         return path.read_text()
     except UnicodeDecodeError:
-        print(f"error: {path} is not a text file", file=sys.stderr)
-        return None
+        raise ValueError(f"{path} is not a text file") from None
 
 
-def _read_json(path: Path) -> tuple[bool, object]:
-    """(True, the file's JSON value) — or (False, None), after the
-    usage-error line, when it is missing, binary or does not parse (the
-    caller exits 2)."""
+def _read_json(path: Path) -> Any:
     text = _read_text(path)
-    if text is None:
-        return False, None
     try:
-        return True, json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        print(f"error: {path} is not valid JSON: {exc}", file=sys.stderr)
-        return False, None
+        raise ValueError(f"{path} is not valid JSON: {exc}") from None
 
 
-def _platform(args: argparse.Namespace) -> Platform:
-    """The target platform a parsed command line names (parsers without
-    ``--clock`` price phase 1 at the platform default)."""
-    clock = {"assumed_clock_mhz": args.clock} if hasattr(args, "clock") else {}
-    return Platform(
-        device=device_by_name(args.device),
-        datatype=datatype_by_name(args.datatype),
-        **clock,
-    )
+def _options(args: argparse.Namespace) -> dict[str, Any]:
+    """The request options a parsed command line sets — one entry per
+    row of the option table its parser carries."""
+    return {n: getattr(args, n) for n in OPTIONS if getattr(args, n, None) is not None}
 
 
-def _dse_config(args: argparse.Namespace) -> DseConfig:
-    return DseConfig(min_dsp_utilization=args.cs, top_n=args.top_n)
+def _payload(args: argparse.Namespace) -> dict[str, Any]:
+    """The submission body a parsed command line describes: what
+    ``submit`` posts and what a local compile hands to
+    :meth:`SynthesisRequest.from_payload` itself.  SOURCE is C text, or a
+    saved design-point when it ends in ``.json``; ``--network`` a built-in
+    model name or a ``.json`` importer spec."""
+    if bool(args.source) == bool(args.network):
+        raise ValueError("provide exactly one of SOURCE or --network")
+    path = Path(args.network or args.source)
+    body: dict[str, Any] = {"name": path.stem, "options": _options(args)}
+    if args.network and path.suffix != ".json":
+        body.update(name=args.network, network=args.network)  # a built-in model
+    elif args.network or path.suffix == ".json":
+        body["network" if args.network else "design"] = _read_json(path)
+    else:
+        body["source"] = _read_text(path)
+    return body
 
 
 def _cache_spec(args: argparse.Namespace) -> bool | str:
@@ -531,9 +547,12 @@ def import_main(argv: list[str]) -> int:
     from repro.frontend.network import load_network
 
     path = Path(args.source)
-    if not path.is_file():
-        print(f"error: no such file: {path}", file=sys.stderr)
-        return 2
+    try:
+        if not path.is_file():
+            raise ValueError(f"no such file: {path}")
+        fields = lower_options(_options(args))
+    except ValueError as exc:
+        return _fail(exc)
     imported = load_network(path, strict=False)
     if not imported.ok:
         if args.json:
@@ -569,30 +588,21 @@ def import_main(argv: list[str]) -> int:
                 print(f"  {layer}")
         return 0
 
-    out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    from repro.pipeline.events import ProgressPrinter
-
-    observers = () if args.quiet else (ProgressPrinter(),)
-    report = _synthesize_network(args, network, out_dir, observers)
-    (out_dir / "report.txt").write_text(report + "\n")
-    print(report)
-    print(f"\nartifacts written to {out_dir}/")
-    return 0
+    return _synthesize(args, SynthesisRequest(network=network, name=network.name, **fields))
 
 
 def serve_main(argv: list[str]) -> int:
     """The ``serve`` subcommand: the flow as a daemon."""
     args = build_serve_arg_parser().parse_args(argv)
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
-    if args.role == "worker" and not args.coordinator:
-        print("error: --role worker requires --coordinator URL", file=sys.stderr)
-        return 2
-    with _resilience_scope():
-        if not _configure_resilience(args):
-            return 2
+    with contextlib.ExitStack() as stack:
+        try:
+            if args.workers < 1:
+                raise ValueError("--workers must be >= 1")
+            if args.role == "worker" and not args.coordinator:
+                raise ValueError("--role worker requires --coordinator URL")
+            stack.enter_context(_resilience(args))
+        except ValueError as exc:
+            return _fail(exc)
         if args.role == "coordinator":
             return _serve_coordinator(args)
         return _serve_node(args)
@@ -604,7 +614,7 @@ def _bind(args: argparse.Namespace, run, backend):
     try:
         return run(backend, host=args.host, port=args.port, verbose=args.verbose)
     except OSError as exc:
-        print(f"error: cannot bind {args.host}:{args.port}: {exc}", file=sys.stderr)
+        _fail(f"cannot bind {args.host}:{args.port}: {exc}")
         return None
 
 
@@ -723,32 +733,10 @@ def submit_main(argv: list[str]) -> int:
     args = build_submit_arg_parser().parse_args(argv)
     from repro.service.client import ServiceClient, ServiceError
 
-    if bool(args.source) == bool(args.network):
-        print("error: provide exactly one of SOURCE or --network", file=sys.stderr)
-        return 2
-    options = {
-        "device": args.device,
-        "datatype": args.datatype,
-        "cs": args.cs,
-        "top_n": args.top_n,
-        "clock": args.clock,
-    }
-    if args.sim_backend:
-        options["sim_backend"] = args.sim_backend
-    path = Path(args.network or args.source)
-    body: dict = {"name": path.stem, "options": options}
-    if args.network and path.suffix != ".json":
-        body.update(name=args.network, network=args.network)  # a built-in model
-    elif args.network or path.suffix == ".json":
-        ok, value = _read_json(path)
-        if not ok:
-            return 2
-        body["network" if args.network else "design"] = value
-    else:
-        text = _read_text(path)
-        if text is None:
-            return 2
-        body["source"] = text
+    try:
+        body = _payload(args)
+    except ValueError as exc:
+        return _fail(exc)
     client = ServiceClient(args.url, client_id=args.client_id)
     try:
         job = client.submit(priority=args.priority, **body)
@@ -756,11 +744,9 @@ def submit_main(argv: list[str]) -> int:
         hint = ""
         if exc.status == 429 and exc.retry_after:
             hint = f" (retry in {exc.retry_after:.0f}s)"
-        print(f"error: {exc.message}{hint}", file=sys.stderr)
-        return 1
+        return _fail(f"{exc.message}{hint}", 1)
     except OSError as exc:
-        print(f"error: cannot reach {args.url}: {exc}", file=sys.stderr)
-        return 1
+        return _fail(f"cannot reach {args.url}: {exc}", 1)
     print(f"job {job['id']} {job['state']}"
           + (f" (coalesced onto {job['primary']})" if job["coalesced"] else ""))
     if args.follow:
@@ -780,21 +766,18 @@ def submit_main(argv: list[str]) -> int:
                     if typed is not None:
                         printer(typed)
         except ServiceError as exc:
-            print(f"error: {exc.message}", file=sys.stderr)
-            return 1
+            return _fail(exc.message, 1)
     if args.output:
         try:
             status = client.wait(job["id"], timeout=args.timeout)
         except (ServiceError, TimeoutError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+            return _fail(exc, 1)
         if status["state"] != "done":
-            print(
-                f"error: job {job['id']} {status['state']}"
+            return _fail(
+                f"job {job['id']} {status['state']}"
                 + (f": {status['error']}" if status.get("error") else ""),
-                file=sys.stderr,
+                1,
             )
-            return 1
         from repro.model.serialize import RECORDS, RESULT
 
         out_dir = Path(args.output)
@@ -821,30 +804,23 @@ def verify_main(argv: list[str]) -> int:
     from repro.verify.conformance import DEFAULT_REL_TOL, cross_check
 
     path = Path(args.source)
-    if path.suffix == ".json" and path.is_file():
-        from repro.model.serialize import load_design
+    saved_design = path.suffix == ".json" and path.is_file()
+    try:
+        if saved_design:
+            from repro.model.serialize import load_design
 
-        try:
+            lower_options(_options(args))  # the flags are validated for either subject
             design = load_design(path)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
+        else:
+            inputs = _checker_inputs(args)
+    except ValueError as exc:
+        return _fail(exc)
+    if not saved_design:
         from repro.analysis.check import run_checks
 
-        source = _read_text(path)
-        if source is None:
-            return 2
-        checked = run_checks(
-            source,
-            platform=_platform(args),
-            level="design",
-            name=path.stem,
-            filename=str(path),
-            require_pragma=not args.no_pragma,
-        )
+        checked = run_checks(level="design", **inputs)
         if checked.design is None:
-            print(checked.report.render(source), file=sys.stderr)
+            print(checked.report.render(inputs["source"]), file=sys.stderr)
             return checked.exit_code or 1
         design = checked.design
     require_iverilog = args.require_iverilog or os.environ.get(
@@ -866,27 +842,34 @@ def verify_main(argv: list[str]) -> int:
     return conformance.exit_code
 
 
+def _checker_inputs(args: argparse.Namespace) -> dict[str, Any]:
+    """:func:`repro.analysis.check.run_checks`' arguments for the C file
+    and target platform a ``check`` / ``verify`` command line names; an
+    unreadable file or a bad flag value is a ``ValueError``."""
+    path = Path(args.source)
+    return {
+        "source": _read_text(path),
+        "platform": lower_options(_options(args))["platform"],
+        "name": path.stem,
+        "filename": str(path),
+        "require_pragma": not args.no_pragma,
+    }
+
+
 def check_main(argv: list[str]) -> int:
     """The ``check`` subcommand: analysis only, no artifacts."""
     args = build_check_arg_parser().parse_args(argv)
     from repro.analysis.check import run_checks
 
-    path = Path(args.source)
-    source = _read_text(path)
-    if source is None:
-        return 2
-    result = run_checks(
-        source,
-        platform=_platform(args),
-        level=args.level,
-        name=path.stem,
-        filename=str(path),
-        require_pragma=not args.no_pragma,
-    )
+    try:
+        inputs = _checker_inputs(args)
+    except ValueError as exc:
+        return _fail(exc)
+    result = run_checks(level=args.level, **inputs)
     if args.json:
         print(json.dumps(result.to_dict(), indent=2))
     else:
-        print(result.report.render(source))
+        print(result.report.render(inputs["source"]))
         if result.ok and result.design is not None:
             print(f"validated design: {result.design.signature}")
     return result.exit_code
@@ -951,12 +934,10 @@ def lint_main(argv: list[str]) -> int:
     from repro.analysis.program.baseline import Baseline
 
     if args.write_baseline and not args.baseline:
-        print("error: --write-baseline requires --baseline FILE", file=sys.stderr)
-        return 2
+        return _fail("--write-baseline requires --baseline FILE")
     root = Path(args.root)
     if not root.exists():
-        print(f"error: no such analysis root: {root}", file=sys.stderr)
-        return 2
+        return _fail(f"no such analysis root: {root}")
     select = tuple(args.select) if args.select else ("SA6",)
     analysis = analyze_program(
         root, AnalyzeOptions(select=select, package=args.package)
@@ -971,8 +952,7 @@ def lint_main(argv: list[str]) -> int:
     try:
         baseline = load_baseline(args.baseline) if args.baseline else Baseline()
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc)
     delta = apply_baseline(analysis.findings, baseline)
     if args.format == "json":
         print(
@@ -1018,22 +998,37 @@ def lint_main(argv: list[str]) -> int:
     return delta.exit_code
 
 
-@contextmanager
-def _resilience_scope() -> Iterator[None]:
-    """Undo CLI-scoped chaos/retry configuration on the way out and restore
-    the fault env vars to their prior values (keeps repeated in-process
-    ``main()`` calls — tests, notebooks — independent of each other)."""
+@contextlib.contextmanager
+def _resilience(args: argparse.Namespace) -> Iterator[None]:
+    """Activate ``--inject-fault`` / ``--max-retries`` for the block (a
+    bad value is a ``ValueError``), then undo them and restore the fault
+    env vars to their prior values — repeated in-process ``main()`` calls
+    (tests, notebooks) stay independent of each other."""
     from repro.resilience.faults import (
         FAULT_PLAN_ENV_VAR,
         FAULT_SEED_ENV_VAR,
+        FaultPlan,
+        activate,
         deactivate,
     )
-    from repro.resilience.retry import reset_retries
+    from repro.resilience.retry import configure_retries, reset_retries
 
     prior_env = {
         var: os.environ.get(var) for var in (FAULT_PLAN_ENV_VAR, FAULT_SEED_ENV_VAR)
     }
     try:
+        if args.inject_fault:
+            try:
+                plan = FaultPlan.parse(";".join(args.inject_fault), seed=args.seed)
+            except ValueError as exc:
+                raise ValueError(f"--inject-fault: {exc}") from None
+            # Workers spawned by the DSE pools read the plan back from the
+            # environment, so chaos follows the work across processes.
+            activate(plan, export_env=True)
+        if args.max_retries is not None:
+            if args.max_retries < 1:
+                raise ValueError("--max-retries must be >= 1")
+            configure_retries(max_attempts=args.max_retries)
         yield
     finally:
         deactivate()
@@ -1043,30 +1038,6 @@ def _resilience_scope() -> Iterator[None]:
             else:
                 os.environ[var] = value
         reset_retries()
-
-
-def _configure_resilience(args: argparse.Namespace) -> bool:
-    """Activate ``--inject-fault`` / ``--max-retries`` for this process;
-    False (after the error line) on a usage error."""
-    if args.inject_fault:
-        from repro.resilience.faults import FaultPlan, activate
-
-        try:
-            plan = FaultPlan.parse(";".join(args.inject_fault), seed=args.seed)
-        except ValueError as exc:
-            print(f"error: --inject-fault: {exc}", file=sys.stderr)
-            return False
-        # Workers spawned by the DSE pools read the plan back from the
-        # environment, so chaos follows the work across processes.
-        activate(plan, export_env=True)
-    if args.max_retries is not None:
-        if args.max_retries < 1:
-            print("error: --max-retries must be >= 1", file=sys.stderr)
-            return False
-        from repro.resilience.retry import configure_retries
-
-        configure_retries(max_attempts=args.max_retries)
-    return True
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -1084,126 +1055,66 @@ def main(argv: list[str] | None = None) -> int:
     if raw and raw[0] == "compile":
         raw = raw[1:]  # explicit subcommand name for the default action
     args = build_arg_parser().parse_args(raw)
-    if bool(args.source) == bool(args.network):
-        print("error: provide exactly one of SOURCE or --network", file=sys.stderr)
-        return 2
-    layer_only = [
-        flag
-        for flag in ("--sim-backend", "--save-design", "--save-result")
-        if getattr(args, flag[2:].replace("-", "_"))
-    ]
-    if args.network and layer_only:
-        print(
-            f"error: {', '.join(layer_only)} apply to single-nest runs only, "
-            "not --network",
-            file=sys.stderr,
-        )
-        return 2
-    with _resilience_scope():
-        if not _configure_resilience(args):
-            return 2
-        return _configured_main(args)
+    nest_only = [n for n, o in OPTIONS.items() if o.nest_only] + ["save_design", "save_result"]
+    layer_only = [_flag(name) for name in nest_only if getattr(args, name)]
+    with contextlib.ExitStack() as stack:
+        try:
+            if args.network and layer_only:
+                raise ValueError(
+                    f"{', '.join(layer_only)} apply to single-nest runs only, not --network"
+                )
+            request = SynthesisRequest.from_payload(_payload(args))
+            stack.enter_context(_resilience(args))
+        except ValueError as exc:
+            return _fail(exc)
+        return _synthesize(args, request)
 
 
-def _configured_main(args) -> int:
-    out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    from repro.pipeline.events import JsonlTraceWriter, Observer, ProgressPrinter
-
-    observers: list[Observer] = [] if args.quiet else [ProgressPrinter()]
-    trace = JsonlTraceWriter(args.trace_json) if args.trace_json else None
-    if trace is not None:
-        observers.append(trace)
-    try:
-        return _synthesize(args, out_dir, tuple(observers))
-    finally:
-        if trace is not None:
-            trace.close()
-
-
-def _synthesize_network(args, network, out_dir, observers) -> str:
-    """Run the unified whole-network flow and write its artifacts.
-
-    Shared by ``--network <builtin>`` and ``import <file>``; returns the
-    text report.
-    """
-    synthesis = synthesize_network(
-        network,
-        _platform(args),
-        _dse_config(args),
-        jobs=args.jobs,
-        cache=_cache_spec(args),
-        observers=observers,
-    )
-    result = synthesis.result
-    (out_dir / "kernel.cl").write_text(synthesis.kernel_source)
-    (out_dir / "host.cpp").write_text(synthesis.host_source)
-    (out_dir / "opencl_shim.h").write_text(OPENCL_SHIM)
-    rows = [
-        (l.name, f"{l.throughput_gops:.1f}", f"{l.dsp_efficiency:.1%}",
-         f"{l.seconds * 1e3:.3f}", l.bound)
-        for l in result.layers
-    ]
-    return "\n".join(
-        [
-            f"unified design for {network.name}: shape {result.config.shape} "
-            f"mapping ({result.config.mapping.row},{result.config.mapping.col},"
-            f"{result.config.mapping.vector}) @ {result.frequency_mhz:.1f} MHz",
-            f"DSP {result.dsp_utilization:.0%}  BRAM {result.bram_utilization:.0%}  "
-            f"logic {result.logic_utilization:.0%}",
-            "",
-            format_table(
-                ["layer", "Gops", "DSP eff", "ms", "bound"], rows,
-                title="per-layer performance",
-            ),
-            "",
-            f"total conv latency {synthesis.latency_ms:.2f} ms/image, "
-            f"aggregate {synthesis.throughput_gops:.1f} Gops",
-        ]
-    )
+ARTIFACT_FILES = {
+    "kernel.cl": "kernel_source",
+    "host.cpp": "host_source",
+    "testbench.c": "testbench_source",
+    "driver.c": "driver_source",
+    "systolic.v": "rtl_source",
+}
 
 
 def _write_artifacts(out_dir: Path, result) -> None:
-    """The generated sources of one single-layer synthesis result."""
-    (out_dir / "kernel.cl").write_text(result.kernel_source)
-    (out_dir / "host.cpp").write_text(result.host_source)
-    (out_dir / "testbench.c").write_text(result.testbench_source)
-    (out_dir / "driver.c").write_text(result.driver_source)
+    """The generated sources a synthesis result carries (a network's
+    unified design: kernel and host only; no ``systolic.v`` for a design
+    the RTL backend cannot lower)."""
     (out_dir / "opencl_shim.h").write_text(OPENCL_SHIM)
-    if result.rtl_source is not None:
-        (out_dir / "systolic.v").write_text(result.rtl_source)
+    for filename, field in ARTIFACT_FILES.items():
+        if getattr(result, field, None) is not None:
+            (out_dir / filename).write_text(getattr(result, field))
 
 
-def _synthesize(args, out_dir, observers) -> int:
-    if args.network:
-        from repro.nn import models
+def _synthesize(args: argparse.Namespace, request: SynthesisRequest) -> int:
+    """Run ``request`` and write its artifacts and report under
+    ``--output`` — the local tail of the default action and ``import``."""
+    from repro.pipeline.events import JsonlTraceWriter, ProgressPrinter
 
-        network = getattr(models, args.network)()
-        report = _synthesize_network(args, network, out_dir, observers)
+    out_dir = Path(args.output)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    observers: list = [] if args.quiet else [ProgressPrinter()]
+    with contextlib.ExitStack() as stack:
+        if getattr(args, "trace_json", None):
+            observers.append(stack.enter_context(JsonlTraceWriter(args.trace_json)))
+        result = run(request, jobs=args.jobs, cache=_cache_spec(args), observers=observers)
+    if request.network is not None:
+        result = NetworkSynthesis.emit(request, result)
+        report = render_network_report(request.network.name, result)
     else:
-        source = Path(args.source).read_text()
-        synthesis = compile_c_source(
-            source,
-            _platform(args),
-            _dse_config(args),
-            name=Path(args.source).stem,
-            jobs=args.jobs,
-            sim_backend=args.sim_backend,
-            cache=_cache_spec(args),
-            observers=observers,
-        )
-        _write_artifacts(out_dir, synthesis)
         if args.save_design:
             from repro.model.serialize import save_design
 
-            save_design(synthesis.evaluation.design, args.save_design)
+            save_design(result.evaluation.design, args.save_design)
         if args.save_result:
             from repro.model.serialize import save_result
 
-            save_result(synthesis, args.save_result)
-        report = render_synthesis_report(synthesis)
-
+            save_result(result, args.save_result)
+        report = render_synthesis_report(result)
+    _write_artifacts(out_dir, result)
     (out_dir / "report.txt").write_text(report + "\n")
     print(report)
     print(f"\nartifacts written to {out_dir}/")

@@ -2,42 +2,32 @@
 
 "A user only needs to specify the nested loop that functions as a CNN
 layer using a pragma ... No hardware-related, low-level considerations
-are necessary for end users."  These functions are thin entry points over
-the staged pipeline engine (:mod:`repro.pipeline`): they build a
-:class:`~repro.pipeline.context.SynthesisContext`, run the canonical
-stage sequence ``parse → legality-check → dse-phase1 → dse-phase2 →
-codegen → simulate``, and fold the context into the same
-:class:`SynthesisResult` the flow has always returned.
+are necessary for end users."  These functions are the library's entry
+points to the flow's one front door (:mod:`repro.flow.request`): each
+states its arguments as a :class:`~repro.flow.request.SynthesisRequest`
+and hands it to :func:`~repro.flow.request.run`, which threads it through
+the staged pipeline engine (``parse → legality-check → dse-phase1 →
+dse-phase2 → codegen → simulate`` for a nest, ``unified-dse`` for a
+network) and returns the same :class:`SynthesisResult` the flow has
+always returned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.ir.loop import LoopNest
+from repro.model.design_point import DesignPoint
 from repro.model.platform import Platform
 from repro.nn.models import Network
 from repro.codegen.host import generate_host
 from repro.codegen.opencl import generate_kernel
 from repro.dse.explore import DseConfig
-from repro.dse.multi_layer import MultiLayerResult, prepare_network_nests
-from repro.pipeline.cache import StageCache, resolve_cache
-from repro.pipeline.context import SynthesisContext, SynthesisResult
-from repro.pipeline.engine import PipelineEngine
+from repro.dse.multi_layer import MultiLayerResult
+from repro.flow.request import SynthesisRequest, run
+from repro.pipeline.cache import CacheSpec
+from repro.pipeline.context import SynthesisResult
 from repro.pipeline.events import Observer
-from repro.pipeline.stages import synthesis_stages
-from repro.pipeline.unified import run_unified_dse
-
-CacheSpec = StageCache | str | bool | None
-"""How callers select a stage cache: None/False = off, True = the default
-directory, a path or a StageCache instance = that cache."""
-
-
-def _run_pipeline(ctx: SynthesisContext, cache: CacheSpec, observers) -> SynthesisResult:
-    engine = PipelineEngine(
-        synthesis_stages(), cache=resolve_cache(cache), observers=tuple(observers)
-    )
-    return engine.run(ctx).to_result()
 
 
 def synthesize_nest(
@@ -78,18 +68,10 @@ def synthesize_nest(
         observers: pipeline event callbacks (progress printer, JSONL
             trace writer, ...).
     """
-    platform = platform or Platform()
-    if strict:
-        config = replace(config, strict=True)
-    ctx = SynthesisContext(
-        platform=platform,
-        config=config,
-        strict=strict,
-        jobs=jobs,
-        sim_backend=sim_backend,
-        nest=nest,
+    request = SynthesisRequest(
+        platform or Platform(), config, nest=nest, strict=strict, sim_backend=sim_backend
     )
-    return _run_pipeline(ctx, cache, observers)
+    return run(request, jobs=jobs, cache=cache, observers=observers)
 
 
 def compile_c_source(
@@ -129,20 +111,16 @@ def compile_c_source(
         ValueError: if the pragma is required and missing (a located
             ``DiagnosticError`` in strict mode).
     """
-    platform = platform or Platform()
-    if strict:
-        config = replace(config, strict=True)
-    ctx = SynthesisContext(
-        platform=platform,
-        config=config,
+    request = SynthesisRequest(
+        platform or Platform(),
+        config,
         source=source,
         name=name,
         require_pragma=require_pragma,
         strict=strict,
-        jobs=jobs,
         sim_backend=sim_backend,
     )
-    return _run_pipeline(ctx, cache, observers)
+    return run(request, jobs=jobs, cache=cache, observers=observers)
 
 
 @dataclass(frozen=True)
@@ -160,6 +138,30 @@ class NetworkSynthesis:
     result: MultiLayerResult
     kernel_source: str
     host_source: str
+
+    @classmethod
+    def emit(cls, request: SynthesisRequest, result: MultiLayerResult) -> "NetworkSynthesis":
+        """Attach the artifacts to a network request's unified design.
+
+        What is emitted is the kernel of the largest layer (the envelope
+        user) with *its* bounds as ``#define``s — it runs that layer only.
+        The kernel that takes every layer's bounds as runtime arguments is
+        ``repro.codegen.unified``; emitting it from here needs the
+        per-layer network pipeline of ROADMAP item 4a.
+        """
+        largest = max(request.workloads, key=lambda w: w.nest.total_operations)
+        layer_perf = {l.name: l for l in result.layers}
+        design = DesignPoint.create(
+            largest.nest,
+            result.config.mapping,
+            result.config.shape,
+            layer_perf[largest.name].middle,
+        )
+        return cls(
+            result=result,
+            kernel_source=generate_kernel(design, request.platform),
+            host_source=generate_host(design, request.platform),
+        )
 
     @property
     def latency_ms(self) -> float:
@@ -189,31 +191,9 @@ def synthesize_network(
         cache: stage cache — see :data:`CacheSpec`.
         observers: pipeline event callbacks.
     """
-    platform = platform or Platform()
-    workloads = prepare_network_nests(network)
-    result = run_unified_dse(
-        workloads, platform, config, jobs=jobs, cache=cache, observers=tuple(observers)
-    )
-    # What is emitted is the kernel of the largest layer (the envelope
-    # user) with *its* bounds as ``#define``s — it runs that layer only.
-    # The kernel that takes every layer's bounds as runtime arguments is
-    # ``repro.codegen.unified``; emitting it from here needs the per-layer
-    # network pipeline of ROADMAP item 4a.
-    from repro.model.design_point import DesignPoint
-
-    largest = max(workloads, key=lambda w: w.nest.total_operations)
-    layer_perf = {l.name: l for l in result.layers}
-    design = DesignPoint.create(
-        largest.nest,
-        result.config.mapping,
-        result.config.shape,
-        layer_perf[largest.name].middle,
-    )
-    return NetworkSynthesis(
-        result=result,
-        kernel_source=generate_kernel(design, platform),
-        host_source=generate_host(design, platform),
-    )
+    request = SynthesisRequest(platform or Platform(), config, network=network)
+    result = run(request, jobs=jobs, cache=cache, observers=observers)
+    return NetworkSynthesis.emit(request, result)
 
 
 __all__ = [

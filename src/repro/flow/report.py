@@ -89,4 +89,32 @@ def render_synthesis_report(result) -> str:
     return "\n".join(lines)
 
 
-__all__ = ["format_table", "render_synthesis_report"]
+def render_network_report(name: str, synthesis) -> str:
+    """Human-readable summary of a :class:`~repro.flow.compile.NetworkSynthesis`
+    for the network called ``name``."""
+    result = synthesis.result
+    rows = [
+        (l.name, f"{l.throughput_gops:.1f}", f"{l.dsp_efficiency:.1%}",
+         f"{l.seconds * 1e3:.3f}", l.bound)
+        for l in result.layers
+    ]
+    return "\n".join(
+        [
+            f"unified design for {name}: shape {result.config.shape} "
+            f"mapping ({result.config.mapping.row},{result.config.mapping.col},"
+            f"{result.config.mapping.vector}) @ {result.frequency_mhz:.1f} MHz",
+            f"DSP {result.dsp_utilization:.0%}  BRAM {result.bram_utilization:.0%}  "
+            f"logic {result.logic_utilization:.0%}",
+            "",
+            format_table(
+                ["layer", "Gops", "DSP eff", "ms", "bound"], rows,
+                title="per-layer performance",
+            ),
+            "",
+            f"total conv latency {synthesis.latency_ms:.2f} ms/image, "
+            f"aggregate {synthesis.throughput_gops:.1f} Gops",
+        ]
+    )
+
+
+__all__ = ["format_table", "render_network_report", "render_synthesis_report"]

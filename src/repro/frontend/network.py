@@ -15,7 +15,7 @@ plus an :class:`AnalysisReport` of ``SA14x`` diagnostics.  Downstream the
 network flows through the existing pipeline unchanged:
 ``prepare_network_nests`` lowers each conv layer (strided, dilated,
 grouped, depthwise) to its Code-1 loop nest, and
-``select_unified_design`` / ``run_unified_dse`` search the joint space.
+``select_unified_design`` searches the joint space.
 
 Supported operators (the coverage matrix lives in ``docs/importer.md``):
 
@@ -918,6 +918,11 @@ def _lower_onnx_graph(graph: _OnnxGraph, builder: _NetworkBuilder) -> None:
                     )
                     continue
                 pad = pads[0] if isinstance(pads, list) else 0
+                if kernel == 0:
+                    builder.error(
+                        IMPORT_SPEC_MALFORMED,
+                        f"{layer_name}: {op} needs a kernel_shape attribute >= 1",
+                    )
                 if not kernel or stride is None:
                     continue
             layer = builder.build_pool(

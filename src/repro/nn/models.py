@@ -288,11 +288,29 @@ def tiny_cnn() -> Network:
     return Network("tiny_cnn", convs, fcs)
 
 
+BUILTIN_NETWORKS = {
+    build.__name__: build
+    for build in (alexnet, vgg16, googlenet, mobilenet_v1, resnet18, tiny_cnn)
+}
+"""The built-in models by name — the one registry behind the command
+line's ``--network`` choices, the service's ``"network": "<name>"`` and
+the paper exhibits."""
+
+
+def network_by_name(name: str) -> Network:
+    """Build a built-in model; an unknown name is a ``ValueError``."""
+    if name not in BUILTIN_NETWORKS:
+        raise ValueError(f"unknown built-in network {name!r}; choices: {sorted(BUILTIN_NETWORKS)}")
+    return BUILTIN_NETWORKS[name]()
+
+
 __all__ = [
+    "BUILTIN_NETWORKS",
     "Network",
     "alexnet",
     "googlenet",
     "mobilenet_v1",
+    "network_by_name",
     "resnet18",
     "tiny_cnn",
     "vgg16",

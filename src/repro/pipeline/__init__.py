@@ -49,7 +49,6 @@ from repro.pipeline.stages import (
     SimulateStage,
     synthesis_stages,
 )
-from repro.pipeline.unified import run_unified_dse
 
 __all__ = [
     "CACHE_ENV_VAR",
@@ -77,7 +76,6 @@ __all__ = [
     "code_version",
     "default_cache_dir",
     "resolve_cache",
-    "run_unified_dse",
     "stable_fingerprint",
     "synthesis_stages",
 ]

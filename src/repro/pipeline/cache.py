@@ -354,8 +354,10 @@ class StageCache:
         """Filesystem root when backed by one, else None."""
         return getattr(self.store, "root", None)
 
-    def key_for(self, stage: str, *parts: Any) -> str:
-        """Content hash of (stage, code version, *parts)."""
+    @staticmethod
+    def key_for(stage: str, *parts: Any) -> str:
+        """Content hash of (stage, code version, *parts) — the one hashing
+        recipe: stage-cache keys and a request's coalescing fingerprint."""
         material = json.dumps(
             [stage, code_version(), [stable_fingerprint(p) for p in parts]],
             sort_keys=True,
@@ -470,8 +472,10 @@ class StageCache:
             }
 
 
-#: Everything ``resolve_cache`` accepts (mirrored by flow/compile.py).
-CacheSpec = "StageCache | CacheStore | Path | str | bool | None"
+CacheSpec = StageCache | CacheStore | Path | str | bool | None
+"""How callers select a stage cache — everything :func:`resolve_cache`
+accepts: None/False = off, True = the default directory, a path or
+store spec, a :class:`CacheStore`, or a :class:`StageCache` instance."""
 
 
 def _store_from_spec(spec: str) -> CacheStore | None:
@@ -490,9 +494,7 @@ def _store_from_spec(spec: str) -> CacheStore | None:
     return None
 
 
-def resolve_cache(
-    cache: "StageCache | CacheStore | Path | str | bool | None",
-) -> StageCache | None:
+def resolve_cache(cache: CacheSpec) -> StageCache | None:
     """Normalize the user-facing ``cache`` argument.
 
     ``None``/``False`` disable caching, ``True`` selects the default
@@ -521,6 +523,7 @@ def resolve_cache(
 
 __all__ = [
     "CACHE_ENV_VAR",
+    "CacheSpec",
     "CacheStore",
     "FilesystemStore",
     "SqliteStore",

@@ -3,13 +3,14 @@
 This is the heart of ``systolic-synth serve``.  A submission arrives as a
 plain JSON payload (restricted-C ``source``, a saved ``design``, or a
 whole ``network`` — a built-in model name or a declarative JSON spec for
-the importer — plus platform/DSE ``options``), is parsed *at admission*
-into a
-:class:`JobRequest`, and is identified by a **content fingerprint** — the
-same SHA-256 hashing discipline the pipeline's stage cache uses
-(:func:`repro.pipeline.cache.stable_fingerprint` over the nest, platform,
-DSE knobs and simulator backend, salted with the code version).  Two
-consequences fall out of fingerprinting at admission:
+the importer — plus platform/DSE ``options``) and is parsed *at
+admission* into the flow's request type
+(:class:`repro.flow.request.SynthesisRequest`, known here as
+:class:`JobRequest`), which validates it against the one option table
+and identifies it by a **content fingerprint** — the stage cache's own
+key function over the subject, platform, DSE knobs and simulator backend,
+salted with the code version.  Two consequences fall out of
+fingerprinting at admission:
 
 * **request coalescing** — a submission whose fingerprint matches an
   in-flight (queued/running) or already-completed job *attaches* to it
@@ -25,8 +26,8 @@ Jobs move through a small state machine::
        │           │  └──> FAILED
        └───────────┴─────> CANCELLED
 
-Workers are plain threads running the staged pipeline engine
-(:mod:`repro.pipeline`) over a shared :class:`StageCache`; an injected
+Workers are plain threads handing each request to the flow's one runner
+(:func:`repro.flow.request.run`) over a shared :class:`StageCache`; an injected
 ``service.worker`` fault is retried under the process retry policy
 (:mod:`repro.resilience`), so chaos plans degrade gracefully here like
 everywhere else in the flow.  Accepted work is journaled
@@ -37,30 +38,16 @@ them with their original job ids.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import secrets
 import threading
 import time
-from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Iterator
 
-from repro.ir.loop import LoopNest
-from repro.model.platform import Platform
-from repro.model.serialize import design_from_dict, record_of
-from repro.nn.models import Network
-from repro.dse.explore import DseConfig
-from repro.flow.compile import synthesize_nest
-from repro.pipeline.cache import (
-    CacheStore,
-    StageCache,
-    code_version,
-    stable_fingerprint,
-)
+from repro.model.serialize import record_of
+from repro.flow.request import SynthesisRequest as JobRequest, run
+from repro.pipeline.cache import CacheStore, StageCache
 from repro.pipeline.events import PipelineEvent, StageFinished
-from repro.pipeline.stages import SIM_BACKENDS
-from repro.pipeline.unified import run_unified_dse
 from repro.resilience.faults import InjectedFault, maybe_inject
 from repro.resilience.retry import call_with_retry, current_policy
 from repro.service.metrics import ServiceMetrics
@@ -78,19 +65,6 @@ from repro.service.queue import (
 #: comment-line (keeps intermediaries from timing the stream out).
 STREAM_POLL_SECONDS = 5.0
 
-_OPTION_KEYS = frozenset(
-    {
-        "device",
-        "datatype",
-        "clock",
-        "cs",
-        "top_n",
-        "strict",
-        "sim_backend",
-        "require_pragma",
-    }
-)
-
 
 class JobState(str, Enum):
     """Lifecycle of one submission."""
@@ -104,160 +78,6 @@ class JobState(str, Enum):
     @property
     def terminal(self) -> bool:
         return self in (JobState.DONE, JobState.FAILED, JobState.CANCELLED)
-
-
-@dataclass(frozen=True)
-class JobRequest:
-    """A parsed, validated submission — everything one synthesis needs.
-
-    Exactly one of ``nest`` (single-layer synthesis) and ``network``
-    (whole-network unified DSE) is set.
-    """
-
-    platform: Platform
-    config: DseConfig
-    nest: LoopNest | None = None
-    network: Network | None = None
-    name: str = "job"
-    strict: bool = False
-    sim_backend: str | None = None
-
-    @classmethod
-    def from_payload(cls, payload: Any) -> "JobRequest":
-        """Parse a JSON submission body.
-
-        Raises:
-            ValueError: on any malformed field (the API layer answers 400).
-        """
-        if not isinstance(payload, dict):
-            raise ValueError("submission body must be a JSON object")
-        source = payload.get("source")
-        design = payload.get("design")
-        network_spec = payload.get("network")
-        if sum(x is not None for x in (source, design, network_spec)) != 1:
-            raise ValueError(
-                "provide exactly one of 'source', 'design' or 'network'"
-            )
-        options = payload.get("options") or {}
-        if not isinstance(options, dict):
-            raise ValueError("'options' must be an object")
-        unknown = set(options) - _OPTION_KEYS
-        if unknown:
-            raise ValueError(
-                f"unknown options: {sorted(unknown)}; "
-                f"supported: {sorted(_OPTION_KEYS)}"
-            )
-        from repro.hw.datatype import datatype_by_name
-        from repro.hw.device import device_by_name
-
-        try:
-            platform = Platform(
-                device=device_by_name(str(options.get("device", "arria10_gt1150"))),
-                datatype=datatype_by_name(str(options.get("datatype", "float32"))),
-                assumed_clock_mhz=float(options.get("clock", 280.0)),
-            )
-        except KeyError as exc:
-            raise ValueError(str(exc.args[0])) from exc
-        strict = bool(options.get("strict", False))
-        config = DseConfig(
-            min_dsp_utilization=float(options.get("cs", 0.8)),
-            top_n=int(options.get("top_n", 14)),
-            strict=strict,
-        )
-        sim_backend = options.get("sim_backend")
-        if sim_backend is not None:
-            sim_backend = str(sim_backend)
-        if sim_backend is not None and sim_backend not in SIM_BACKENDS:
-            raise ValueError(
-                f"unknown sim_backend {sim_backend!r}; choices: {list(SIM_BACKENDS)}"
-            )
-        name = str(payload.get("name") or "job")
-        network: Network | None = None
-        nest: LoopNest | None = None
-        if network_spec is not None:
-            if sim_backend is not None:
-                raise ValueError(
-                    "'sim_backend' applies to single-nest jobs only, not "
-                    "'network' submissions"
-                )
-            network = cls._parse_network(network_spec)
-            if not payload.get("name"):
-                name = network.name
-        elif source is not None:
-            from repro.frontend.extract import loop_nest_from_source
-
-            if not isinstance(source, str):
-                raise ValueError("'source' must be C text")
-            nest, pragma = loop_nest_from_source(source, name=name)
-            if bool(options.get("require_pragma", True)) and (
-                pragma is None or "systolic" not in pragma
-            ):
-                raise ValueError(
-                    "no '#pragma systolic' found; annotate the nest or submit "
-                    "with options.require_pragma=false"
-                )
-        else:
-            nest = design_from_dict(design).nest
-        return cls(
-            nest=nest,
-            network=network,
-            platform=platform,
-            config=config,
-            name=name,
-            strict=strict,
-            sim_backend=sim_backend,
-        )
-
-    @staticmethod
-    def _parse_network(spec: Any) -> Network:
-        """A built-in model name, or a JSON spec for the importer."""
-        if isinstance(spec, str):
-            from repro.nn import models
-
-            builtin = getattr(models, spec, None)
-            if spec not in models.__all__ or not callable(builtin) or spec == "Network":
-                choices = sorted(n for n in models.__all__ if n != "Network")
-                raise ValueError(
-                    f"unknown built-in network {spec!r}; choices: {choices} "
-                    "(or pass a JSON spec object)"
-                )
-            return builtin()
-        if isinstance(spec, dict):
-            from repro.frontend.network import import_json
-
-            result = import_json(spec, strict=False)
-            if not result.ok:
-                raise ValueError(
-                    "network spec rejected: "
-                    + "; ".join(d.render() for d in result.report.errors)
-                )
-            return result.network
-        raise ValueError(
-            "'network' must be a built-in model name or a JSON spec object"
-        )
-
-    def fingerprint(self) -> str:
-        """The coalescing identity: same hashing discipline as the stage
-        cache, so logically equal submissions always collide.  The nest's
-        display name is normalized out — two tenants submitting the same
-        nest under different labels must still coalesce."""
-        if self.network is not None:
-            subject = ["network", stable_fingerprint(replace(self.network, name=""))]
-        else:
-            subject = ["nest", stable_fingerprint(replace(self.nest, name=""))]
-        material = json.dumps(
-            [
-                "service-job",
-                code_version(),
-                *subject,
-                stable_fingerprint(self.platform),
-                stable_fingerprint(self.config),
-                bool(self.strict),
-                self.sim_backend or "",
-            ],
-            sort_keys=True,
-        )
-        return hashlib.sha256(material.encode()).hexdigest()
 
 
 class Job:
@@ -323,7 +143,7 @@ class JobManager:
     Args:
         workers: synthesis worker threads.
         queue_depth: admission bound; a full queue answers 429.
-        cache: shared stage cache (:data:`repro.flow.compile.CacheSpec`
+        cache: shared stage cache (:data:`repro.pipeline.cache.CacheSpec`
             semantics — None disables, True selects the default dir,
             a path roots it there).
         rate / burst: per-client fair-share token bucket (None = no
@@ -462,7 +282,8 @@ class JobManager:
         """Admit one submission.
 
         Args:
-            payload: the JSON body (``source``/``design`` + ``options``).
+            payload: the JSON body (``source`` | ``design`` | ``network``, plus
+                ``options``).
             client: fair-share identity (one token bucket per value).
             priority: higher pops first.
             job_id: preserve an existing id (journal resume).
@@ -805,18 +626,8 @@ class JobManager:
 
         def attempt() -> Any:
             maybe_inject("service.worker")
-            shared = dict(jobs=self.pipeline_jobs, cache=self.cache, observers=(bridge,))
-            if request.network is not None:
-                return run_unified_dse(
-                    request.network, request.platform, request.config, **shared
-                )
-            return synthesize_nest(
-                request.nest,
-                request.platform,
-                request.config,
-                strict=request.strict,
-                sim_backend=request.sim_backend,
-                **shared,
+            return run(
+                request, jobs=self.pipeline_jobs, cache=self.cache, observers=(bridge,)
             )
 
         def on_retry(attempt_no: int, exc: Exception) -> None:

@@ -64,10 +64,11 @@ class LayerMeasurement:
     utilization: float
 
 
-def _block_kinds(design: DesignPoint, clip: bool):
-    """Per-loop (count, middle_count, extent) alternatives, then the
-    cartesian product over loops gives every block *kind* with its
-    multiplicity — exact aggregation without enumerating blocks."""
+def block_kinds(design: DesignPoint, clip: bool):
+    """Every block *kind* of the design's tiling as ``(count, waves,
+    extents)``: per loop the full blocks and the ragged remainder are the
+    alternatives, and the cartesian product over loops gives each kind
+    with its multiplicity — exact aggregation without enumerating blocks."""
     nest = design.nest
     tiling = design.tiling
     per_loop = []
@@ -87,7 +88,15 @@ def _block_kinds(design: DesignPoint, clip: bool):
             else:
                 options.append((1, s, block))
         per_loop.append(options)
-    return per_loop
+    for combo in itertools.product(*per_loop):
+        count = 1
+        waves = 1
+        extents = {}
+        for it, (n, mid, extent) in zip(nest.iterators, combo):
+            count *= n
+            waves *= mid
+            extents[it] = extent
+        yield count, waves, extents
 
 
 def simulate_performance(
@@ -138,7 +147,6 @@ def simulate_performance(
     roles = array_roles(nest)
     output_array = nest.output.array
 
-    per_loop = _block_kinds(design, clip)
     bytes_per_cycle_total = platform.memory.total_bytes_per_second / freq_hz
     bytes_per_cycle_port = platform.memory.port_bytes_per_second / freq_hz
 
@@ -149,15 +157,7 @@ def simulate_performance(
     prologue = 0  # first block's input-side load
     epilogue = 0  # last block's output-side store
 
-    iterators = nest.iterators
-    for combo in itertools.product(*per_loop):
-        count = 1
-        waves = 1
-        extents = {}
-        for it, (n, mid, extent) in zip(iterators, combo):
-            count *= n
-            waves *= mid
-            extents[it] = extent
+    for count, waves, extents in block_kinds(design, clip):
         compute_cycles = wave_schedule_cycles(waves, rows, cols)
 
         domain = IterationDomain.of(extents)
@@ -204,4 +204,4 @@ def simulate_performance(
     )
 
 
-__all__ = ["LayerMeasurement", "simulate_performance"]
+__all__ = ["LayerMeasurement", "block_kinds", "simulate_performance"]

@@ -25,7 +25,7 @@ from repro.model.design_point import DesignPoint
 from repro.model.mapping import array_roles
 from repro.model.platform import Platform
 from repro.sim.buffers import chain_fill_cycles
-from repro.sim.perf import _block_kinds
+from repro.sim.perf import block_kinds
 from repro.sim.schedule import wave_schedule_cycles
 
 
@@ -97,17 +97,7 @@ def simulate_system(
     prologue = 0
     epilogue = 0
 
-    iterators = nest.iterators
-    import itertools
-
-    for combo in itertools.product(*_block_kinds(design, clip)):
-        count = 1
-        waves = 1
-        extents = {}
-        for it, (n, mid, extent) in zip(iterators, combo):
-            count *= n
-            waves *= mid
-            extents[it] = extent
+    for count, waves, extents in block_kinds(design, clip):
         compute = wave_schedule_cycles(waves, rows, cols)
         domain = IterationDomain.of(extents)
 

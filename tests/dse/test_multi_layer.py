@@ -81,6 +81,35 @@ class TestSelectUnifiedDesign:
         assert a.config == b.config
         assert a.frequency_mhz == b.frequency_mhz
 
+    @pytest.mark.parametrize("pruning", [True, False])
+    def test_evaluations_are_consumed_candidates_plus_one_per_finalist(
+        self, monkeypatch, pruning
+    ):
+        """Regression: phase 2 re-evaluated every finalist at the assumed
+        clock only to re-read the max-BRAM figure phase 1 already held."""
+        from repro.dse import multi_layer
+
+        tasks = []
+        evaluate = multi_layer.evaluate_unified
+
+        def counting(workloads, platform, dse, task):
+            tasks.append(task)
+            return evaluate(workloads, platform, dse, task)
+
+        monkeypatch.setattr(multi_layer, "evaluate_unified", counting)
+        cfg = DseConfig(
+            min_dsp_utilization=0.0, vector_choices=(2, 4), top_n=3,
+            upper_bound_pruning=pruning,
+        )
+        result = select_unified_design(tiny_cnn(), Platform(), cfg)
+        assumed = [config for config, mhz in tasks if mhz is None]
+        realized = [config for config, mhz in tasks if mhz is not None]
+        assert len(assumed) == len(set(assumed))  # phase 1: once per candidate
+        if not pruning:
+            assert len(assumed) == result.configs_enumerated
+        assert len(realized) == min(cfg.top_n, result.configs_tuned)  # the finalists
+        assert set(realized) <= set(assumed)
+
 
 class TestAlexNetUnified:
     """Slower (seconds): the real evaluation model of Tables 3/4."""

@@ -163,8 +163,9 @@ class TestProgressOfTheRealSearches:
             result = select_unified_design(
                 workloads, Platform(), config, progress=lambda d, t: ticks.append((d, t))
             )
-        # Phase 2 maps 2 x top_n more evaluations through the same pool.
-        walked = len(calls) - 2 * config.top_n
+        # Phase 2 maps top_n more evaluations (the finalists at their
+        # realized clocks) through the same pool.
+        walked = len(calls) - config.top_n
         assert walked == result.configs_enumerated
         assert ticks == self.expect(calls[:walked], result.configs_enumerated, 8)
         assert ticks

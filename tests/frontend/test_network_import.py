@@ -366,8 +366,23 @@ def test_onnx_and_json_lower_identically():
             ),
             "SA145",
         ),
+        (
+            # Regression: a pool without kernel_shape was dropped without a
+            # diagnostic, so the Gemm's feature mismatch went unchecked too.
+            onnx_model(
+                onnx_node("Conv", ["x", "w"], ["y"], "c")
+                + onnx_node("MaxPool", ["y"], ["p"], "pool")
+                + onnx_node("Flatten", ["p"], ["f"], "flat")
+                + onnx_node("Gemm", ["f", "fw"], ["z"], "fc")
+                + onnx_initializer("w", (4, 3, 3, 3))
+                + onnx_initializer("fw", (999, 10))
+                + onnx_input("x", (1, 3, 8, 8))
+            ),
+            "SA140",
+        ),
     ],
-    ids=["garbage", "unsupported-op", "auto-pad", "asymmetric", "unknown-shape", "kernel-too-big"],
+    ids=["garbage", "unsupported-op", "auto-pad", "asymmetric", "unknown-shape",
+         "kernel-too-big", "pool-without-kernel"],
 )
 def test_onnx_rejections(model, code):
     result = import_onnx(model, strict=False)

@@ -150,13 +150,12 @@ class TestWarmCompile:
 
     def test_unified_dse_cache_round_trip(self, tmp_path):
         from repro.nn.models import tiny_cnn
-        from repro.dse.multi_layer import prepare_network_nests
-        from repro.pipeline.unified import run_unified_dse
+        from repro.flow.request import SynthesisRequest, run
 
-        workloads = prepare_network_nests(tiny_cnn())
+        request = SynthesisRequest(Platform(), FAST, network=tiny_cnn())
         cache = StageCache(tmp_path)
-        cold = run_unified_dse(workloads, Platform(), FAST, cache=cache)
-        warm = run_unified_dse(workloads, Platform(), FAST, cache=cache)
+        cold = run(request, cache=cache)
+        warm = run(request, cache=cache)
         assert warm == cold
         assert cache.hits == 1
 

@@ -16,9 +16,10 @@ from repro.pipeline.events import (
     StageFinished,
     StageRetried,
 )
-from repro.pipeline.unified import STAGE_NAME
+from repro.pipeline.stages import UnifiedDseStage
 from repro.resilience.faults import FaultPlan, activate, deactivate
 
+STAGE_NAME = UnifiedDseStage.name
 FAST = DseConfig(min_dsp_utilization=0.0, vector_choices=(2, 4), top_n=3)
 
 
