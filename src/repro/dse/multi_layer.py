@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.ir.loop import LoopNest
 from repro.model.mapping import Mapping, feasible_mappings
@@ -29,6 +29,7 @@ from repro.nn.models import Network
 from repro.dse.explore import DseConfig, _shape_only_efficiency
 from repro.dse.parallel import OnDegrade, OnRetry, TaskPool, top_n_search
 from repro.dse.space import SystolicConfig, enumerate_shapes
+from repro.dse.tuner import TunedDesign
 
 
 @dataclass(frozen=True)
@@ -192,9 +193,23 @@ def unified_candidates(
     return list(zip(bounds, candidates))
 
 
-# What one unified-design evaluation yields: (aggregate GFlops, total
-# seconds, per-layer performances, max BRAM blocks, total ops).
-UnifiedOutcome = tuple[float, float, tuple[LayerPerformance, ...], int, float]
+class UnifiedOutcome(NamedTuple):
+    """What one unified-design evaluation yields — what the search ranks
+    on; :func:`layer_performances` turns the winner's into report rows.
+
+    Attributes:
+        aggregate_gops: total effective ops / total latency.
+        total_seconds: conv latency per image.
+        tuned: each layer's best tiling, workload order.
+        layer_seconds: each layer's latency per image (all groups).
+        max_bram: RAM blocks of the hungriest layer.
+    """
+
+    aggregate_gops: float
+    total_seconds: float
+    tuned: tuple[TunedDesign, ...]
+    layer_seconds: tuple[float, ...]
+    max_bram: int
 
 
 def evaluate_unified(
@@ -210,12 +225,9 @@ def evaluate_unified(
 
     config, frequency_mhz = task
     freq = frequency_mhz or platform.assumed_clock_mhz
-    layers = []
+    tuned_layers = []
+    seconds = []
     total_seconds = 0.0
-    total_ops = 0.0
-    max_bram = 0
-    lanes = config.shape.lanes
-    peak_ops_per_s = 2.0 * lanes * freq * 1e6
     tuner_cls = tuner_for(dse.engine)
     for w in workloads:
         tuner = tuner_cls(
@@ -227,23 +239,44 @@ def evaluate_unified(
             return None
         nest_seconds = w.nest.total_operations / (tuned.throughput_gops * 1e9)
         layer_seconds = w.multiplicity * nest_seconds
-        layer_gops = w.effective_ops / layer_seconds / 1e9
-        evaluation = tuned.design.evaluate(platform, frequency_mhz=freq)
-        layers.append(
+        tuned_layers.append(tuned)
+        seconds.append(layer_seconds)
+        total_seconds += layer_seconds
+    return UnifiedOutcome(
+        aggregate_gops=sum(w.effective_ops for w in workloads) / total_seconds / 1e9,
+        total_seconds=total_seconds,
+        tuned=tuple(tuned_layers),
+        layer_seconds=tuple(seconds),
+        max_bram=max(tuned.bram_blocks for tuned in tuned_layers),
+    )
+
+
+def layer_performances(
+    workloads: tuple[LayerWorkload, ...],
+    platform: Platform,
+    frequency_mhz: float,
+    outcome: UnifiedOutcome,
+) -> tuple[LayerPerformance, ...]:
+    """The per-layer report rows of one outcome evaluated at
+    ``frequency_mhz`` — the only place the unified search consults the
+    object model (for each row's ``bound``), so it runs for the winner,
+    not for every layer the search tunes."""
+    rows = []
+    for w, tuned, seconds in zip(workloads, outcome.tuned, outcome.layer_seconds):
+        design = tuned.design
+        ops_per_second = w.effective_ops / seconds
+        evaluation = design.evaluate(platform, frequency_mhz=frequency_mhz)
+        rows.append(
             LayerPerformance(
                 name=w.name,
-                throughput_gops=layer_gops,
-                dsp_efficiency=(w.effective_ops / layer_seconds) / peak_ops_per_s,
-                seconds=layer_seconds,
+                throughput_gops=ops_per_second / 1e9,
+                dsp_efficiency=ops_per_second / (2.0 * design.shape.lanes * frequency_mhz * 1e6),
+                seconds=seconds,
                 bound=evaluation.performance.bound,
-                middle=tuned.design.middle_bounds,
+                middle=design.middle_bounds,
             )
         )
-        total_seconds += layer_seconds
-        total_ops += w.effective_ops
-        max_bram = max(max_bram, tuned.bram_blocks)
-    aggregate = total_ops / total_seconds / 1e9
-    return aggregate, total_seconds, tuple(layers), max_bram, total_ops
+    return tuple(rows)
 
 
 def realize_unified_clock(
@@ -316,7 +349,7 @@ def select_unified_design(
             pool,
             top_n=config.top_n,
             pruning=config.upper_bound_pruning,
-            score=lambda outcome: outcome[0],
+            score=lambda outcome: outcome.aggregate_gops,
             tick=8,
             progress=progress,
         )
@@ -330,17 +363,19 @@ def select_unified_design(
         # finalist.
         chosen = [candidate for _, (candidate, _), _ in finalists]
         clocks = [
-            realize_unified_clock(candidate, probe[3], platform)
+            realize_unified_clock(candidate, probe.max_bram, platform)
             for _, (candidate, _), probe in finalists
         ]
         realized = pool.map((c, freq) for c, (freq, _) in zip(chosen, clocks))
         best = None
         for candidate, (freq, dsp_util), outcome in zip(chosen, clocks, realized):
-            if outcome is not None and (best is None or outcome[0] > best[3][0]):
+            if outcome is not None and (
+                best is None or outcome.aggregate_gops > best[3].aggregate_gops
+            ):
                 best = (candidate, freq, dsp_util, outcome)
 
     assert best is not None
-    candidate, freq, dsp_util, (aggregate, total_seconds, layers, max_bram, _) = best
+    candidate, freq, dsp_util, outcome = best
     from repro.model.resources import logic_usage
 
     logic = logic_usage(
@@ -349,11 +384,11 @@ def select_unified_design(
     return MultiLayerResult(
         config=candidate,
         frequency_mhz=freq,
-        layers=layers,
-        total_seconds=total_seconds,
-        aggregate_gops=aggregate,
+        layers=layer_performances(workloads, platform, freq, outcome),
+        total_seconds=outcome.total_seconds,
+        aggregate_gops=outcome.aggregate_gops,
         dsp_utilization=dsp_util,
-        bram_utilization=max_bram / platform.bram_total,
+        bram_utilization=outcome.max_bram / platform.bram_total,
         logic_utilization=logic / platform.device.logic_cells,
         configs_enumerated=len(candidates),
         configs_tuned=tuned_count,
@@ -365,7 +400,9 @@ __all__ = [
     "LayerPerformance",
     "LayerWorkload",
     "MultiLayerResult",
+    "UnifiedOutcome",
     "evaluate_unified",
+    "layer_performances",
     "prepare_network_nests",
     "realize_unified_clock",
     "select_unified_design",

@@ -37,12 +37,6 @@ DEFAULT_VECTOR_CHOICES = (4, 8, 16)
 for both models — one DSP column's accumulation chain)."""
 
 
-def _spatial_limit(nest: LoopNest, iterator: str, lane_budget: int) -> int:
-    """Largest useful bound for a spatial loop: no point exceeding the
-    padded trip count (extra PEs would never receive work) or the budget."""
-    return min(nest.bounds[iterator], lane_budget)
-
-
 def enumerate_shapes(
     nest: LoopNest,
     mapping: Mapping,
@@ -62,16 +56,20 @@ def enumerate_shapes(
     """
     lane_budget = platform.dsp_total
     lane_floor = min_dsp_utilization * lane_budget
+    # A spatial loop's bound never usefully exceeds its trip count (extra
+    # PEs would receive no work) or the budget.  ``nest.bounds`` builds a
+    # dict per access: read it once, not once per row.
+    bounds = nest.bounds
+    row_trips, col_trips = bounds[mapping.row], bounds[mapping.col]
     for vector in vector_choices:
         spatial_budget = lane_budget // vector
         if spatial_budget < 1:
             continue
-        row_max = _spatial_limit(nest, mapping.row, spatial_budget)
-        for rows in range(1, row_max + 1):
+        for rows in range(1, min(row_trips, spatial_budget) + 1):
             col_budget = spatial_budget // rows
             if col_budget < 1:
                 continue
-            col_max = _spatial_limit(nest, mapping.col, col_budget)
+            col_max = min(col_trips, col_budget)
             col_min = max(1, math.ceil(lane_floor / (rows * vector)))
             for cols in range(col_min, col_max + 1):
                 yield ArrayShape(rows, cols, vector)

@@ -20,6 +20,7 @@ points.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -38,6 +39,7 @@ def _pow2_up_to(limit: int) -> list[int]:
     return out
 
 
+@functools.lru_cache(maxsize=4096)
 def middle_candidates(
     trip_count: int, inner_bound: int, *, include_cover: bool = True
 ) -> tuple[int, ...]:
@@ -102,6 +104,31 @@ class TunedDesign:
     candidates_evaluated: int
 
 
+@functools.lru_cache(maxsize=256)
+def _layer_tables(nest: LoopNest, platform: Platform) -> tuple:
+    """``(iterators, trip counts, arrays, total iterations)`` — what the
+    tuner derives from ``(nest, platform)`` alone, built once per *value*
+    (both are frozen and hashable) and shared by the thousands of
+    configurations a search tunes on that layer.  ``arrays`` holds, per
+    access: name, per-dimension ``(coefficient, loop position)`` subscript
+    terms, word size, and BRAM words-per-block at that width."""
+    iterators = nest.iterators
+    position = {it: k for k, it in enumerate(iterators)}
+    roles = array_roles(nest)
+    arrays = []
+    for access in nest.accesses:
+        dims = tuple(
+            tuple((coeff, position[name]) for name, coeff in expr.terms)
+            for expr in access.indices
+        )
+        word_bytes = platform.datatype.bytes_for(roles[access.array])
+        arrays.append(
+            (access.array, dims, word_bytes, platform.device.bram_words_per_block(word_bytes))
+        )
+    trip = tuple(loop.trip_count for loop in nest.loops)
+    return iterators, trip, tuple(arrays), nest.total_iterations
+
+
 class MiddleTuner:
     """Exhaustive search over the pruned middle-bound space for one config.
 
@@ -124,8 +151,9 @@ class MiddleTuner:
         self.shape = shape
         self.platform = platform
 
-        self._iterators = nest.iterators
-        self._trip = [nest.bounds[it] for it in self._iterators]
+        self._iterators, self._trip, self._arrays, self._total_iterations = _layer_tables(
+            nest, platform
+        )
         inner = {mapping.row: shape.rows, mapping.col: shape.cols, mapping.vector: shape.vector}
         self._inner = [inner.get(it, 1) for it in self._iterators]
         self._lanes = shape.lanes
@@ -136,50 +164,19 @@ class MiddleTuner:
             for n, t in zip(self._trip, self._inner)
         ]
 
-        # Per-array structure: for each array, for each dimension, the
-        # (coefficient, loop position) terms of the subscript; plus word
-        # size and BRAM words-per-block at that width.
-        roles = array_roles(nest)
-        device = platform.device
-        datatype = platform.datatype
-        self._arrays = []
-        position = {it: k for k, it in enumerate(self._iterators)}
-        for access in nest.accesses:
-            dims = []
-            for expr in access.indices:
-                dims.append(tuple((coeff, position[name]) for name, coeff in expr.terms))
-            word_bytes = datatype.bytes_for(roles[access.array])
-            self._arrays.append(
-                (
-                    access.array,
-                    tuple(dims),
-                    word_bytes,
-                    device.bram_words_per_block(word_bytes),
-                )
-            )
-
-        total_iterations = 1
-        for n in self._trip:
-            total_iterations *= n
-        self._total_iterations = total_iterations
-
         self._padded_semantics = platform.ragged_middle == "padded"
         if not self._padded_semantics:
             # Clipped-middle efficiency depends only on t — precompute —
             # and block extents clip at the padded loop extent (a block
             # larger than the loop behaves exactly like one covering it).
-            executed = 1
-            for n, t in zip(self._trip, self._inner):
-                executed *= -(-n // t) * t
-            self._clipped_eff = total_iterations / executed
             self._extent_cap = [-(-n // t) * t for n, t in zip(self._trip, self._inner)]
+            self._clipped_eff = self._total_iterations / math.prod(self._extent_cap)
 
         self._cb = platform.bram_buffer_constant
         self._pe_blocks = math.ceil(platform.bram_per_pe * self._lanes)
         self._bram_total = platform.bram_total
         self._bw_total = platform.memory.total_bytes_per_second
         self._bw_port = platform.memory.port_bytes_per_second
-        self._effective_ops = nest.total_operations
 
     # ------------------------------------------------------------------ math
 
@@ -264,6 +261,13 @@ class MiddleTuner:
             key = (throughput, -bram)
             if best is None or key > (best[0], -best[1]):
                 best = (throughput, bram, middles, eff)
+        return self._tuned(best, count)
+
+    def _tuned(
+        self, best: tuple[float, int, tuple[int, ...], float] | None, count: int
+    ) -> TunedDesign:
+        """The verdict of a walk over ``count`` tilings whose best is
+        ``(ops/s, BRAM blocks, middle bounds, efficiency)`` or None."""
         if best is None:
             raise RuntimeError(
                 f"no feasible tiling for {self.mapping} {self.shape} within "

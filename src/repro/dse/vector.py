@@ -1,11 +1,11 @@
 """Columnar (vectorized) DSE engine: score design subspaces as arrays.
 
-The object engine walks the design space one Python object at a time;
-profiling shows >90% of unified-DSE wall-clock is the middle-bound tuner's
-inner loop (~1.5M ``_evaluate`` calls on AlexNet).  This module keeps the
-*search structure* — enumeration order, ranking, admissible
-branch-and-bound replay — exactly as the object path defines it, and
-replaces only the arithmetic with NumPy batches:
+The object engine walks the design space one Python object at a time:
+one ``MiddleTuner._evaluate`` call per tiling, thousands of tilings per
+tuned configuration per layer.  This module keeps the *search
+structure* — enumeration order, ranking, admissible branch-and-bound
+replay — exactly as the object path defines it, and replaces only the
+arithmetic with NumPy batches:
 
 * :class:`CandidateTable` — a struct-of-arrays view of the Problem-1
   subspace (mapping index + shape columns + per-loop inner bounds) built
@@ -14,11 +14,11 @@ replaces only the arithmetic with NumPy batches:
   unified branch-and-bound bounds for the whole table in one shot;
 * :func:`legality_mask` — the Eq. 12 DSP window as a batched mask;
 * :class:`VectorTuner` — a drop-in :class:`~repro.dse.tuner.MiddleTuner`
-  whose :meth:`~VectorTuner.tune` evaluates the pruned tiling product in
-  chunked array arithmetic.
+  whose :meth:`~VectorTuner.tune` scores the pruned tiling product as one
+  broadcast grid, one axis per loop.
 
-Bit-identity is a hard contract, not an aspiration: every formula is
-applied in the same operation order as its scalar counterpart, integer
+Bit-identity is a hard contract, not an aspiration: every float formula
+is applied in the same operation order as its scalar counterpart, integer
 quantities stay integers until the same conversion points, and any
 configuration whose intermediates could exceed float64's exact integer
 range (2^53 — where NumPy's convert-then-divide diverges from Python's
@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
 from repro.ir.loop import LoopNest
-from repro.model.design_point import DesignPoint
 from repro.model.mapping import Mapping
 from repro.model.platform import Platform
 from repro.dse.space import SystolicConfig
@@ -212,21 +212,26 @@ def legality_mask(
 
 
 class VectorTuner(MiddleTuner):
-    """Problem-2 search over NumPy batches; bit-identical to the scalar.
+    """Problem-2 search over one broadcast grid; bit-identical to the scalar.
 
     Shares every precomputed constant with :class:`MiddleTuner` (same
-    ``__init__``) and walks the same candidate product — as C-order row
-    indices of the candidate grid, which is exactly the order
-    ``itertools.product`` yields — in chunks of :attr:`CHUNK` rows.  The
-    winner is selected by replaying the scalar tie-break on arrays:
+    ``__init__``) and scores the same candidate product, laid out with one
+    axis per loop — so the grid's C order is exactly the order
+    ``itertools.product`` yields.  The tiling-dependent quantities are
+    separable: a loop's block extent lives on its own axis, an array's
+    footprint on the axes of the loops its subscripts mention, and only
+    the sums and minima of Eq. 6/9/10 touch the full grid (:meth:`_score`).
+    The winner is selected by replaying the scalar tie-break on arrays:
     feasible rows, maximal throughput, minimal BRAM, first index.
 
+    A grid above :attr:`CHUNK` rows is walked in C-order slabs of its
+    leading axes, so peak memory is set by ``CHUNK``, not by the nest.
     Configurations whose intermediates could exceed 2^53 (and with them
     float64 exactness) delegate to the scalar ``tune`` wholesale.
     """
 
-    #: Rows per evaluation chunk; bounds peak memory at a few MB while
-    #: keeping per-chunk NumPy dispatch overhead negligible.
+    #: Rows per slab; bounds peak memory at a few MB while keeping
+    #: per-slab NumPy dispatch overhead negligible.
     CHUNK = 1 << 16
 
     def _within_exact_range(self) -> bool:
@@ -257,68 +262,90 @@ class VectorTuner(MiddleTuner):
                 return False
         return True
 
+    def _score(self, blocks: list[Any], freq_hz: float) -> tuple[Any, Any, Any]:
+        """(throughput ops/s, BRAM blocks, efficiency) over the grid spanned
+        by ``blocks`` — loop ``l``'s block extents on broadcast axis ``l``
+        (an int64 array, or a scalar for a loop held at one candidate);
+        each result is an array broadcastable to that grid, or a scalar.
+
+        Each array's footprint is built on the sub-grid of the loops its
+        subscripts mention and widened only where Eq. 6/9/10 combine
+        arrays.  Integer products are exact, so their order is free; every
+        float expression keeps ``MiddleTuner._evaluate``'s order.
+        """
+        # Eq. 1 efficiency — padded or the s-independent clipped form.
+        # Products fold from the innermost loop outward, so every multiply
+        # streams a contiguous tail against one broadcast factor.
+        if self._padded_semantics:
+            executed = 1
+            for n, b in zip(reversed(self._trip), reversed(blocks)):
+                executed = executed * (-(-n // b) * b)
+            eff = self._total_iterations / executed
+        else:
+            eff = self._clipped_eff
+        block_iterations = 1
+        for b in reversed(blocks):
+            block_iterations = block_iterations * b
+
+        # Eq. 8 computation throughput; seeds the running min of Eq. 9/10.
+        twice = eff * 2.0
+        throughput = twice * self._lanes * freq_hz
+        block_ops = twice * block_iterations
+        port_ops = block_ops * self._bw_port
+
+        # Eq. 5 footprints, Eq. 6 BRAM, Eq. 9/10 memory throughput.
+        steps = [b - 1 for b in blocks]
+        bram = self._pe_blocks + len(self._arrays) * self._cb
+        total_bytes = 0.0
+        for _name, array_dims, word_bytes, words_per_block in self._arrays:
+            words = 1
+            for terms in array_dims:
+                span = 1
+                for coeff, pos in terms:
+                    span = span + coeff * steps[pos]
+                words = words * span
+            # Two copies of the buffer, each rounded up to a power of two
+            # blocks, 2^bit_length(raw - 1): the exponent frexp reads off
+            # the (exact, < 2^53) float.  Shifted as int64 whatever the
+            # NumPy promotion rules make of frexp's int32 exponent.
+            raw = -(-words // words_per_block)
+            bram = bram + np.left_shift(2, np.frexp(raw - 1)[1], dtype=np.int64)
+            nbytes = words * word_bytes
+            total_bytes = total_bytes + nbytes
+            throughput = np.minimum(throughput, port_ops / nbytes)
+        throughput = np.minimum(throughput, block_ops * self._bw_total / total_bytes)
+        return throughput, bram, eff
+
     def tune(self, *, frequency_mhz: float | None = None) -> TunedDesign:
         if not self._within_exact_range():
             return super().tune(frequency_mhz=frequency_mhz)
 
         freq_hz = (frequency_mhz or self.platform.assumed_clock_mhz) * 1e6
         dims = tuple(len(cand) for cand in self._candidates)
-        total = 1
-        for d in dims:
-            total *= d
-        cand_arrays = [np.array(cand, dtype=np.int64) for cand in self._candidates]
-        inner = np.array(self._inner, dtype=np.int64)
-        trips = np.array(self._trip, dtype=np.int64)
-        caps = (
-            None
-            if self._padded_semantics
-            else np.array(self._extent_cap, dtype=np.int64)
-        )
+        blocks = [
+            np.array(cand, dtype=np.int64) * t
+            for cand, t in zip(self._candidates, self._inner)
+        ]
+        if not self._padded_semantics:
+            blocks = [np.minimum(b, cap) for b, cap in zip(blocks, self._extent_cap)]
+        # One broadcast axis per loop: loop l's extents are (1, .., d_l, .., 1).
+        depth = len(dims)
+        grid = [b.reshape((1,) * l + (-1,) + (1,) * (depth - l - 1)) for l, b in enumerate(blocks)]
+        # A slab is the longest run of trailing axes that fits CHUNK rows,
+        # with the loops before it held at one candidate each (scalars):
+        # C-order contiguous, visited in C order.  A candidate list is
+        # logarithmic in its trip count, so the last axis alone always fits.
+        lead = 0
+        while lead < depth - 1 and math.prod(dims[lead:]) > self.CHUNK:
+            lead += 1
 
-        best: tuple[float, int, int, float] | None = None  # (tp, bram, flat, eff)
-        for start in range(0, total, self.CHUNK):
-            stop = min(start + self.CHUNK, total)
-            grid = np.unravel_index(np.arange(start, stop), dims)
-            blocks = np.empty((stop - start, len(dims)), dtype=np.int64)
-            for loop, positions in enumerate(grid):
-                blocks[:, loop] = cand_arrays[loop][positions] * inner[loop]
-
-            # Eq. 1 efficiency — padded or the s-independent clipped form.
-            if caps is None:
-                executed = np.multiply.reduce(-(-trips // blocks) * blocks, axis=1)
-                eff = self._total_iterations / executed
-            else:
-                eff = self._clipped_eff
-                blocks = np.minimum(blocks, caps)
-            block_iterations = np.multiply.reduce(blocks, axis=1)
-
-            # Eq. 8 computation throughput.
-            pt = eff * 2.0 * self._lanes * freq_hz
-
-            # Eq. 5 footprints, Eq. 6 BRAM, Eq. 9/10 memory throughput —
-            # same accumulation order as MiddleTuner._evaluate (floats
-            # for total_bytes, running min seeded with pt).
-            block_ops = eff * 2.0 * block_iterations
-            bram = np.full(stop - start, self._pe_blocks, dtype=np.int64)
-            total_bytes = np.zeros(stop - start)
-            mt = pt * np.ones(stop - start)
-            for _name, array_dims, word_bytes, words_per_block in self._arrays:
-                words = np.ones(stop - start, dtype=np.int64)
-                for terms in array_dims:
-                    span = np.ones(stop - start, dtype=np.int64)
-                    for coeff, pos in terms:
-                        span += coeff * (blocks[:, pos] - 1)
-                    words *= span
-                raw = -(-words // words_per_block)
-                smeared = raw - 1
-                for shift in (1, 2, 4, 8, 16, 32):
-                    smeared |= smeared >> shift
-                bram += self._cb + 2 * (smeared + 1)
-                nbytes = words * word_bytes
-                total_bytes += nbytes
-                mt = np.minimum(mt, block_ops * self._bw_port / nbytes)
-            mt = np.minimum(mt, block_ops * self._bw_total / total_bytes)
-            throughput = np.minimum(pt, mt)
+        best: tuple[float, int, tuple[int, ...], float] | None = None
+        for fixed in np.ndindex(*dims[:lead]):
+            axes = [b[i] for b, i in zip(blocks, fixed)] + grid[lead:]
+            throughput, bram, eff = self._score(axes, freq_hz)
+            if np.shape(bram) != throughput.shape:  # a loop no array mentions
+                bram = np.broadcast_to(bram, throughput.shape)
+            bram, throughput = bram.ravel(), throughput.ravel()
 
             feasible = np.flatnonzero(bram <= self._bram_total)
             if feasible.size == 0:
@@ -328,32 +355,11 @@ class VectorTuner(MiddleTuner):
             winner = top[bram[top] == bram[top].min()][0]
             key = (float(throughput[winner]), -int(bram[winner]))
             if best is None or key > (best[0], -best[1]):
-                eff_winner = float(eff) if caps is not None else float(eff[winner])
-                best = (key[0], int(bram[winner]), start + int(winner), eff_winner)
-
-        if best is None:
-            raise RuntimeError(
-                f"no feasible tiling for {self.mapping} {self.shape} within "
-                f"{self._bram_total} RAM blocks"
-            )
-        throughput_best, bram_best, flat, eff_best = best
-        positions = np.unravel_index(flat, dims)
-        middles = tuple(
-            self._candidates[loop][int(pos)] for loop, pos in enumerate(positions)
-        )
-        design = DesignPoint.create(
-            self.nest,
-            self.mapping,
-            self.shape,
-            dict(zip(self._iterators, middles)),
-        )
-        return TunedDesign(
-            design=design,
-            throughput_gops=throughput_best / 1e9,
-            bram_blocks=bram_best,
-            efficiency=eff_best,
-            candidates_evaluated=total,
-        )
+                positions = fixed + np.unravel_index(winner, dims[lead:])
+                middles = tuple(cand[int(pos)] for cand, pos in zip(self._candidates, positions))
+                eff_winner = float(eff if np.ndim(eff) == 0 else eff.ravel()[winner])
+                best = (key[0], -key[1], middles, eff_winner)
+        return self._tuned(best, self.pruned_space_size())
 
 
 def tuner_for(engine: str) -> type[MiddleTuner]:

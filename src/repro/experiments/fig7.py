@@ -14,15 +14,14 @@
 
 from __future__ import annotations
 
-from repro.model.design_point import DesignPoint
 from repro.model.platform import Platform
 from repro.dse.multi_layer import (
     LayerWorkload,
+    UnifiedOutcome,
     evaluate_unified,
     realize_unified_clock,
     unified_candidates,
 )
-from repro.dse.space import SystolicConfig
 from repro.sim.perf import simulate_performance
 from repro.experiments.common import ExperimentResult
 from repro.experiments.networks import paper_dse_config, unified_design
@@ -30,20 +29,17 @@ from repro.experiments.networks import paper_dse_config, unified_design
 
 def _aggregate_simulated(
     workloads: tuple[LayerWorkload, ...],
-    config: SystolicConfig,
-    layers,
+    outcome: UnifiedOutcome,
     platform: Platform,
     frequency_mhz: float,
 ) -> float:
     """'On-board' aggregate throughput: per-layer performance simulator."""
     total_ops = 0.0
     total_seconds = 0.0
-    middle_of = {l.name: l.middle for l in layers}
-    for w in workloads:
-        design = DesignPoint.create(
-            w.nest, config.mapping, config.shape, middle_of[w.name]
+    for w, tuned in zip(workloads, outcome.tuned):
+        measurement = simulate_performance(
+            tuned.design, platform, frequency_mhz=frequency_mhz, streaming=True
         )
-        measurement = simulate_performance(design, platform, frequency_mhz=frequency_mhz, streaming=True)
         total_seconds += w.multiplicity * measurement.seconds
         total_ops += w.effective_ops
     return total_ops / total_seconds / 1e9
@@ -80,16 +76,12 @@ def run_fig7a_design_space(
         outcome = evaluate_unified(workloads, platform, dse, (config, None))
         if outcome is None:
             continue
-        aggregate, _seconds, layers, max_bram, _ops = outcome
+        aggregate, max_bram = outcome.aggregate_gops, outcome.max_bram
         # Strict self-audit: every per-layer design the sweep prices must
         # independently satisfy Eq. 2 and the Eq. 4-6 budgets.
-        middle_of = {layer.name: layer.middle for layer in layers}
-        for w in workloads:
-            design = DesignPoint.create(
-                w.nest, config.mapping, config.shape, middle_of[w.name]
-            )
+        for tuned in outcome.tuned:
             designs_validated += 1
-            if not check_design_point(design, platform).ok:
+            if not check_design_point(tuned.design, platform).ok:
                 strict_violations += 1
         dsp = config.shape.lanes * platform.dsp_per_mac
         result.add_row(
@@ -173,12 +165,12 @@ def run_fig7b_model_accuracy(
         at_assumed = evaluate_unified(workloads, platform, dse, (config, None))
         if at_assumed is None:
             continue
-        estimated = at_assumed[0]
-        freq, _dsp_util = realize_unified_clock(config, at_assumed[3], platform)
+        estimated = at_assumed.aggregate_gops
+        freq, _dsp_util = realize_unified_clock(config, at_assumed.max_bram, platform)
         at_real = evaluate_unified(workloads, platform, dse, (config, freq))
         assert at_real is not None
-        model_gops = at_real[0]
-        sim_gops = _aggregate_simulated(workloads, config, at_real[2], platform, freq)
+        model_gops = at_real.aggregate_gops
+        sim_gops = _aggregate_simulated(workloads, at_real, platform, freq)
         error = abs(model_gops - sim_gops) / sim_gops
         errors.append(error)
         estimates.append(round(estimated, 3))

@@ -110,6 +110,30 @@ class TestSelectUnifiedDesign:
         assert len(realized) == min(cfg.top_n, result.configs_tuned)  # the finalists
         assert set(realized) <= set(assumed)
 
+    @pytest.mark.parametrize("pruning", [True, False])
+    def test_object_model_prices_only_the_winners_rows(self, monkeypatch, pruning):
+        """Regression: every (candidate, layer) the search tuned was
+        re-priced through ``DesignPoint.evaluate`` for a ``bound`` string
+        only the winner's report rows show."""
+        from repro.model.design_point import DesignPoint
+
+        evaluated = []
+        evaluate = DesignPoint.evaluate
+
+        def counting(self, platform, **kwargs):
+            evaluated.append(self)
+            return evaluate(self, platform, **kwargs)
+
+        monkeypatch.setattr(DesignPoint, "evaluate", counting)
+        workloads = prepare_network_nests(tiny_cnn())
+        cfg = DseConfig(
+            min_dsp_utilization=0.0, vector_choices=(2, 4), top_n=3,
+            upper_bound_pruning=pruning,
+        )
+        result = select_unified_design(workloads, Platform(), cfg)
+        assert [d.nest for d in evaluated] == [w.nest for w in workloads]
+        assert [d.middle_bounds for d in evaluated] == [l.middle for l in result.layers]
+
 
 class TestAlexNetUnified:
     """Slower (seconds): the real evaluation model of Tables 3/4."""

@@ -50,6 +50,21 @@ class TestEnumerateShapes:
         assert ArrayShape(16, 10, 8) in shapes
 
 
+    def test_bounds_are_read_once_per_enumeration(self, monkeypatch):
+        """Regression: ``LoopNest.bounds`` builds a dict per access and
+        was read inside the rows loop."""
+        from repro.ir.loop import LoopNest
+
+        reads = []
+        bounds = LoopNest.bounds.fget
+        monkeypatch.setattr(
+            LoopNest, "bounds", property(lambda nest: reads.append(nest) or bounds(nest))
+        )
+        mapping = Mapping("o", "c", "i", "IN", "W")
+        shapes = list(enumerate_shapes(conv5(), mapping, Platform()))
+        assert len(shapes) > 1000 and len(reads) == 1
+
+
 class TestCountDesignSpace:
     def test_eq12_prunes_substantially(self):
         """The paper: c_s = 80% cut the mapping space 160K -> 64K (2.5x).

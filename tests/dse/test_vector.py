@@ -8,13 +8,20 @@ and the unified multi-layer selection.
 """
 
 import random
+import tracemalloc
+from dataclasses import replace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.hw.datatype import FIXED_8_16, FLOAT32
 from repro.ir.loop import conv_loop_nest
 from repro.model.design_point import ArrayShape
-from repro.model.mapping import Mapping
+from repro.model.mapping import Mapping, feasible_mappings
 from repro.model.platform import Platform
+from repro.nn.folding import fold_layer
 from repro.nn.models import alexnet, mobilenet_v1, resnet18, vgg16
 from repro.dse.explore import (
     DseConfig,
@@ -37,6 +44,7 @@ from repro.dse.vector import (
     tuner_for,
     upper_bounds,
 )
+from tests.strategies import array_shapes, rich_conv_layers
 
 
 def conv5():
@@ -54,6 +62,26 @@ def vgg_conv11():
 
 
 SMALL = DseConfig(min_dsp_utilization=0.6, vector_choices=(4, 8), top_n=8)
+
+
+def counting_slabs(monkeypatch):
+    """Count the slabs ``VectorTuner.tune`` scores from here on."""
+    scored = []
+    score = VectorTuner._score
+
+    def counting(self, blocks, freq_hz):
+        scored.append(len(blocks))
+        return score(self, blocks, freq_hz)
+
+    monkeypatch.setattr(VectorTuner, "_score", counting)
+    return scored
+
+
+def tune_or_error(tuner, frequency_mhz=None):
+    try:
+        return tuner.tune(frequency_mhz=frequency_mhz)
+    except RuntimeError as exc:
+        return str(exc)
 
 
 def random_configs(nest, platform, count, seed):
@@ -101,7 +129,9 @@ class TestVectorTunerBitIdentity:
         args = (nest, config.mapping, config.shape, platform)
         baseline = VectorTuner(*args).tune()
         monkeypatch.setattr(VectorTuner, "CHUNK", 17)
+        scored = counting_slabs(monkeypatch)
         assert VectorTuner(*args).tune() == baseline
+        assert len(scored) >= baseline.candidates_evaluated // 17 > 1
 
     def test_out_of_range_config_falls_back_to_scalar(self, monkeypatch):
         # When intermediates could exceed float64's exact range the guard
@@ -115,9 +145,11 @@ class TestVectorTunerBitIdentity:
         config = random_configs(nest, platform, 1, seed=5)[0]
         args = (nest, config.mapping, config.shape, platform)
         monkeypatch.setattr(vector_mod, "INT_EXACT_LIMIT", 1_000)
+        scored = counting_slabs(monkeypatch)
         tuner = VectorTuner(*args)
         assert not tuner._within_exact_range()
         assert tuner.tune() == MiddleTuner(*args).tune()
+        assert not scored  # the scalar walk ran, not the kernel
         # And a genuinely oversized nest trips the real limit.
         huge = conv_loop_nest(32768, 32768, 1024, 1024, 3, 3, name="huge")
         monkeypatch.undo()
@@ -126,8 +158,6 @@ class TestVectorTunerBitIdentity:
         )._within_exact_range()
 
     def test_infeasible_raises_same_error(self):
-        from dataclasses import replace
-
         nest = conv5()
         base = Platform()
         platform = replace(
@@ -138,9 +168,78 @@ class TestVectorTunerBitIdentity:
         with pytest.raises(RuntimeError, match="no feasible tiling"):
             VectorTuner(nest, mapping, shape, platform).tune()
 
+    def test_above_chunk_grid_tunes_in_slabs_under_a_memory_ceiling(self, monkeypatch):
+        """Regression: a broadcast kernel must not materialise a grid the
+        C front end may make arbitrarily large — above ``CHUNK`` rows it
+        walks slabs, so the peak is set by ``CHUNK``, not by the grid."""
+        nest = conv_loop_nest(4096, 4096, 64, 64, 7, 7, name="wide")
+        args = (nest, Mapping("o", "c", "i", "IN", "W"), ArrayShape(2, 2, 4), Platform())
+        tuner = VectorTuner(*args)
+        assert tuner._within_exact_range()
+        assert tuner.pruned_space_size() > 2 * VectorTuner.CHUNK
+
+        def peak_of(tune):
+            tracemalloc.start()
+            try:
+                result = tune()
+                return result, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        scored = counting_slabs(monkeypatch)
+        slabbed, peak = peak_of(tuner.tune)
+        assert len(scored) > 2
+        assert peak < 16 * 2**20  # ~12 live CHUNK-row float64/int64 arrays
+
+        monkeypatch.setattr(VectorTuner, "CHUNK", 2 * tuner.pruned_space_size())
+        del scored[:]
+        whole, whole_peak = peak_of(VectorTuner(*args).tune)
+        assert len(scored) == 1
+        assert slabbed == whole
+        assert whole_peak > 1.5 * peak  # it is the slab walk that bounds it
+
     def test_tuner_for_selects_engines(self):
         assert tuner_for("vector") is VectorTuner
         assert tuner_for("object") is MiddleTuner
+
+
+class TestKernelProperty:
+    """The broadcast kernel against the scalar walk over the structural
+    vocabulary the importer admits — not just conv5 and one strided nest."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        layer=rich_conv_layers(),
+        fold=st.booleans(),
+        ragged=st.sampled_from(["padded", "clipped"]),
+        datatype=st.sampled_from([FLOAT32, FIXED_8_16]),
+        include_cover=st.booleans(),
+        clock=st.one_of(st.none(), st.floats(120.0, 400.0)),
+        bram_blocks=st.sampled_from([None, 40, 24]),
+        shape=array_shapes(max_rows=4, max_cols=4, vectors=(1, 2, 4)),
+        prime=st.sampled_from([2, 3, 7, 13, 31]),
+    )
+    def test_vector_tune_equals_scalar_tune(
+        self, layer, fold, ragged, datatype, include_cover, clock, bram_blocks, shape, prime
+    ):
+        if fold and layer.stride > 1 and layer.groups == 1 and layer.dilation == 1:
+            layer = fold_layer(layer)
+        nest = layer.group_view().to_loop_nest()
+        platform = Platform(datatype=datatype, ragged_middle=ragged)
+        if bram_blocks is not None:  # tight budgets: infeasible rows, or none feasible
+            platform = replace(
+                platform, device=replace(platform.device, bram_blocks=bram_blocks)
+            )
+        for mapping in feasible_mappings(nest):
+            args = (nest, mapping, shape, platform)
+            scalar = tune_or_error(MiddleTuner(*args, include_cover=include_cover), clock)
+            vector = VectorTuner(*args, include_cover=include_cover)
+            assert vector._within_exact_range()
+            assert tune_or_error(vector, clock) == scalar
+            # Again with CHUNK far below the grid, so the walk takes many
+            # slabs and the cross-slab tie-break decides.
+            with mock.patch.object(VectorTuner, "CHUNK", prime):
+                assert tune_or_error(vector, clock) == scalar
 
 
 class TestBatchedBounds:
