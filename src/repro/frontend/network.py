@@ -10,6 +10,13 @@ Two entry formats share one lowering path:
   ``onnx.ModelProto`` and it is serialized through its own
   ``SerializeToString``.
 
+Each format is only a *translator*: it reads its own attribute spellings,
+refuses what only it can express (``auto_pad``, ``ceil_mode``, computed
+weights, ...) and yields one :class:`_Node` per operation.  :func:`_lower`
+walks that node list once, whatever wrote it: the tensor -> shape table,
+the unknown/flattened-input checks, every layer construction and the
+residual operand labels live there and nowhere else.
+
 Both produce an :class:`ImportResult` holding a :class:`repro.nn.Network`
 plus an :class:`AnalysisReport` of ``SA14x`` diagnostics.  Downstream the
 network flows through the existing pipeline unchanged:
@@ -17,23 +24,11 @@ network flows through the existing pipeline unchanged:
 grouped, depthwise) to its Code-1 loop nest, and
 ``select_unified_design`` searches the joint space.
 
-Supported operators (the coverage matrix lives in ``docs/importer.md``):
-
-=================  =====================================================
-graph op           lowering
-=================  =====================================================
-Conv               :class:`ConvLayer` (stride/pad/dilation/groups kept;
-                   ``groups == in_channels`` is the depthwise form)
-separable_conv     depthwise ``ConvLayer`` + pointwise 1x1 ``ConvLayer``
-                   (JSON only — the MobileNet building block)
-MaxPool/AveragePool/GlobalAveragePool  :class:`PoolLayer`
-Gemm / MatMul      :class:`FCLayer`
-Add (residual)     :class:`AddLayer` (bias adds pass through)
-Relu/BN/Clip/...   shape-preserving pass-through
-Flatten/Reshape    collapse to a flat feature vector
-=================  =====================================================
-
-Anything else is rejected with ``SA141`` and an actionable hint; the
+The supported operators are exactly the rows of :data:`_OPS` (conv,
+separable_conv, pool, global_pool, fc, residual add, flatten and the
+shape-preserving pass-throughs); ``docs/importer.md`` lists them with the
+names and attributes of each format, and a test holds that matrix to the
+table.  Anything else is rejected with ``SA141`` and an actionable hint; the
 importer keeps scanning so one report lists every problem at once.
 """
 
@@ -41,9 +36,9 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.analysis.diagnostics import (
     IMPORT_ASYMMETRIC_ATTRIBUTE,
@@ -52,33 +47,18 @@ from repro.analysis.diagnostics import (
     IMPORT_UNSUPPORTED_ATTRIBUTE,
     IMPORT_UNSUPPORTED_OP,
     AnalysisReport,
-    DiagnosticError,
     Severity,
 )
 from repro.nn.layers import AddLayer, ConvLayer, FCLayer, LayerShapeError, PoolLayer
 from repro.nn.models import Network
 
 # Activation tensors are (channels, height, width); after Flatten/Gemm the
-# running shape becomes ("flat", features).
+# shape becomes ("flat", features).
 _FLAT = "flat"
 
-_PASSTHROUGH_OPS = frozenset(
-    {
-        "Relu",
-        "LeakyRelu",
-        "PRelu",
-        "Sigmoid",
-        "Tanh",
-        "Clip",
-        "BatchNormalization",
-        "Dropout",
-        "Identity",
-        "Softmax",
-        "LRN",
-    }
-)
-
-_FLATTEN_OPS = frozenset({"Flatten", "Reshape", "Squeeze", "Unsqueeze"})
+# A JSON spec is sequential: an entry reads whatever was lowered last, so a
+# layer that failed leaves the running tensor where it was.
+_PREVIOUS = None
 
 
 @dataclass(frozen=True)
@@ -171,8 +151,30 @@ class _NetworkBuilder:
 
 
 # --------------------------------------------------------------------------
-# JSON spec path
+# The one lowering: a node list, whatever format wrote it -> layers
 # --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Node:
+    """One graph operation, as either translator hands it to :func:`_lower`.
+
+    Attributes:
+        op: a key of :data:`_OPS`.
+        name: the layer's name in the network and in messages.
+        inputs: the activation tensors read (``_PREVIOUS`` = the running one).
+        output: the tensor written.
+        params: attributes under the layer constructors' names, each
+            already resolved to one symmetric value by :func:`_symmetric`.
+        label: the op as the source format spells it, for messages.
+    """
+
+    op: str
+    name: str
+    inputs: tuple[str | None, ...]
+    output: str
+    params: dict[str, Any]
+    label: str
 
 
 def _as_positive_int(value: Any) -> int | None:
@@ -184,9 +186,10 @@ def _as_positive_int(value: Any) -> int | None:
 def _symmetric(builder: _NetworkBuilder, layer: str, attr: str, value: Any, *, minimum: int = 0) -> int | None:
     """Resolve a possibly per-axis attribute to one symmetric int.
 
-    Accepts a plain int or a list of equal ints (``[3, 3]``); a list of
-    unequal values is the asymmetric case the systolic templates cannot
-    express (square kernels only) -> ``SA143``.
+    Accepts a plain int or a list of equal ints (``[3, 3]``, ONNX's
+    ``pads`` ``[1, 1, 1, 1]``); a list of unequal values is the asymmetric
+    case the systolic templates cannot express (square kernels only) ->
+    ``SA143``.
     """
     if isinstance(value, list):
         if not value or any(not isinstance(v, int) or isinstance(v, bool) for v in value):
@@ -210,6 +213,296 @@ def _symmetric(builder: _NetworkBuilder, layer: str, attr: str, value: Any, *, m
         )
         return None
     return value
+
+
+def _features(shape: tuple[Any, ...]) -> int:
+    return shape[1] if shape[0] == _FLAT else shape[0] * shape[1] * shape[2]
+
+
+# Each lowering takes (builder, node, input shapes, input labels) and
+# returns the output tensor's (shape, label), or None after reporting why
+# not.  A label names the layer that produced a tensor: it is what a
+# residual add records as its operand.
+
+
+def _lower_conv(builder: _NetworkBuilder, node: _Node, shapes: list, labels: list) -> Any:
+    channels, height, width = shapes[0]
+    params = dict(node.params)
+    groups = params.pop("groups")
+    groups = channels if groups == "depthwise" else _as_positive_int(groups)
+    if groups is None:
+        builder.error(
+            IMPORT_SPEC_MALFORMED,
+            f"{node.name}: 'groups' must be a positive integer or \"depthwise\"",
+        )
+        return None
+    # ONNX weights declare the channels they expect; a JSON conv takes
+    # whatever arrives.
+    in_per_group = params.pop("in_per_group", None)
+    if in_per_group is not None and channels != in_per_group * groups:
+        builder.error(
+            IMPORT_SHAPE_MISMATCH,
+            f"{node.name}: input has {channels} channels but weights "
+            f"expect {in_per_group}*{groups}",
+        )
+        return None
+    params.update(in_channels=channels, in_height=height, in_width=width, groups=groups)
+    layer = builder.build_conv(name=node.name, **params)
+    return layer and ((layer.out_channels, layer.out_height, layer.out_width), layer.name)
+
+
+def _lower_separable_conv(builder: _NetworkBuilder, node: _Node, shapes: list, labels: list) -> Any:
+    """The MobileNet block: a depthwise conv, then a pointwise 1x1 conv."""
+    params = {**node.params, "out_channels": shapes[0][0], "groups": "depthwise"}
+    depthwise = replace(node, name=f"{node.name}_dw", params=params)
+    lowered = _lower_conv(builder, depthwise, shapes, labels)
+    if lowered is None:
+        return None
+    params = {"out_channels": node.params["out_channels"], "kernel": 1, "groups": 1}
+    pointwise = replace(node, name=f"{node.name}_pw", params=params)
+    return _lower_conv(builder, pointwise, [lowered[0]], labels)
+
+
+def _lower_pool(builder: _NetworkBuilder, node: _Node, shapes: list, labels: list) -> Any:
+    channels, height, width = shapes[0]
+    params = node.params
+    if node.op == "global_pool":
+        if height != width:
+            builder.error(
+                IMPORT_ASYMMETRIC_ATTRIBUTE,
+                f"{node.name}: global pooling needs a square map, got {height}x{width}",
+            )
+            return None
+        params = {**params, "kernel": height, "stride": 1, "pad": 0}
+    layer = builder.build_pool(
+        name=node.name, channels=channels, in_height=height, in_width=width, **params
+    )
+    return layer and ((channels, layer.out_height, layer.out_width), layer.name)
+
+
+def _lower_fc(builder: _NetworkBuilder, node: _Node, shapes: list, labels: list) -> Any:
+    have = _features(shapes[0])
+    # ONNX weights declare in_features; a JSON fc infers them.
+    declared = node.params.get("in_features", have)
+    if declared != have:
+        builder.error(
+            IMPORT_SHAPE_MISMATCH,
+            f"{node.name}: {node.label} expects {declared} input features "
+            f"but the incoming tensor has {have}",
+        )
+        return None
+    builder.build_fc(name=node.name, in_features=have, out_features=node.params["out_features"])
+    return (_FLAT, node.params["out_features"]), node.name
+
+
+def _lower_add(builder: _NetworkBuilder, node: _Node, shapes: list, labels: list) -> Any:
+    shape, other = shapes
+    if shape != other or shape[0] == _FLAT:
+        builder.error(
+            IMPORT_SHAPE_MISMATCH, f"{node.name}: residual operands disagree — {shape} vs {other}"
+        )
+        return None
+    channels, height, width = shape
+    builder.build_add(
+        name=node.name, channels=channels, height=height, width=width, operands=tuple(labels)
+    )
+    return shape, node.name
+
+
+def _lower_flatten(builder: _NetworkBuilder, node: _Node, shapes: list, labels: list) -> Any:
+    return (_FLAT, _features(shapes[0])), labels[0]
+
+
+def _lower_passthrough(builder: _NetworkBuilder, node: _Node, shapes: list, labels: list) -> Any:
+    return shapes[0], labels[0]
+
+
+@dataclass(frozen=True)
+class _Op:
+    """One row of the op table: the op in both formats and how it lowers.
+
+    Attributes:
+        lower: the lowering function (signature above).
+        json: spellings of a JSON entry's ``"op"``.
+        onnx: ONNX ``op_type`` spellings.
+        spatial: set when the op needs a (C, H, W) input — the noun its
+            "... after the tensor was flattened" refusal uses.
+        lenient: an input nobody produced is not an error (the op may sit
+            on a weight path); its output simply stays unknown too.
+    """
+
+    lower: Callable[[_NetworkBuilder, _Node, list, list], Any]
+    json: tuple[str, ...]
+    onnx: tuple[str, ...]
+    spatial: str | None = None
+    lenient: bool = False
+
+
+# Adding an op is one row here plus, per format, the attributes its
+# translator reads (_json_params / _onnx_params).  docs/importer.md's
+# coverage matrix is held to these rows by a test.
+_OPS: dict[str, _Op] = {
+    "conv": _Op(_lower_conv, ("conv",), ("Conv",), spatial="convolution"),
+    "separable_conv": _Op(_lower_separable_conv, ("separable_conv",), (), spatial="convolution"),
+    "pool": _Op(_lower_pool, ("pool",), ("MaxPool", "AveragePool"), spatial="pooling"),
+    "global_pool": _Op(_lower_pool, ("global_pool",), ("GlobalAveragePool",), spatial="pooling"),
+    "fc": _Op(_lower_fc, ("fc",), ("Gemm", "MatMul")),
+    "add": _Op(_lower_add, ("add",), ("Add",)),
+    "flatten": _Op(
+        _lower_flatten, ("flatten",), ("Flatten", "Reshape", "Squeeze", "Unsqueeze"), lenient=True
+    ),
+    "passthrough": _Op(
+        _lower_passthrough,
+        ("relu", "batchnorm", "dropout", "softmax", "identity"),
+        (
+            "Relu",
+            "LeakyRelu",
+            "PRelu",
+            "Sigmoid",
+            "Tanh",
+            "Clip",
+            "BatchNormalization",
+            "Dropout",
+            "Identity",
+            "Softmax",
+            "LRN",
+            "Constant",
+        ),
+        lenient=True,
+    ),
+}
+
+_JSON_OPS = {spelling: op for op, row in _OPS.items() for spelling in row.json}
+_ONNX_OPS = {spelling: op for op, row in _OPS.items() for spelling in row.onnx}
+
+
+def _lower(
+    nodes: Iterable[_Node], input_shapes: dict[str, tuple[Any, ...]], builder: _NetworkBuilder
+) -> None:
+    """Lower a node list into ``builder``, one node at a time.
+
+    ``nodes`` may be a generator: each node is pulled only after the one
+    before it was lowered, so a translator's diagnostics and the
+    lowering's interleave in graph order.
+    """
+    # Batch dimension stripped: tensor -> (C, H, W) or (_FLAT, features).
+    shapes = dict(input_shapes)
+    labels: dict[str, str] = {}
+    previous = next(iter(shapes), "")
+    for node in nodes:
+        row = _OPS[node.op]
+        tensors = [previous if tensor is _PREVIOUS else tensor for tensor in node.inputs]
+        unknown = [tensor for tensor in tensors if tensor not in shapes]
+        if unknown:
+            if not row.lenient:
+                builder.error(
+                    IMPORT_SHAPE_MISMATCH,
+                    f"{node.name}: input activation shape is unknown",
+                    hint=f"nothing produced {unknown[0]!r}; "
+                    f"known: {', '.join(sorted(shapes)) or '(none)'}",
+                )
+            continue
+        known = [shapes[tensor] for tensor in tensors]
+        if row.spatial and known[0][0] == _FLAT:
+            builder.error(
+                IMPORT_SHAPE_MISMATCH, f"{node.name}: {row.spatial} after the tensor was flattened"
+            )
+            continue
+        lowered = row.lower(builder, node, known, [labels.get(t, t) for t in tensors])
+        if lowered is not None:
+            shapes[node.output], labels[node.output] = lowered
+            previous = node.output
+
+
+# --------------------------------------------------------------------------
+# JSON spec translator
+# --------------------------------------------------------------------------
+
+# (attribute, default, minimum) of a conv's per-axis geometry.
+_JSON_GEOMETRY = (("kernel", None, 1), ("stride", 1, 1), ("pad", 0, 0), ("dilation", 1, 1))
+
+
+def _json_count(builder: _NetworkBuilder, name: str, entry: dict[str, Any], key: str) -> int | None:
+    value = _as_positive_int(entry.get(key))
+    if value is None:
+        builder.error(IMPORT_SPEC_MALFORMED, f"{name}: {key!r} must be a positive integer")
+    return value
+
+
+def _json_params(
+    builder: _NetworkBuilder, op: str, name: str, entry: dict[str, Any]
+) -> dict[str, Any] | None:
+    """The validated parameters of one JSON layer entry (None: reported)."""
+    if op in ("conv", "separable_conv"):
+        params = {
+            attr: _symmetric(builder, name, attr, entry.get(attr, default), minimum=minimum)
+            for attr, default, minimum in _JSON_GEOMETRY
+        }
+        params["out_channels"] = _json_count(builder, name, entry, "out_channels")
+        if None in params.values():
+            return None
+        if op == "separable_conv" and entry.get("groups") not in (None, 1):
+            builder.error(
+                IMPORT_UNSUPPORTED_ATTRIBUTE,
+                f"{name}: separable_conv does not take 'groups'",
+                hint="the depthwise half always uses groups == channels",
+            )
+            return None
+        return {**params, "groups": entry.get("groups", 1)}
+    if op in ("pool", "global_pool"):
+        mode = entry.get("mode", "max" if op == "pool" else "avg")
+        if mode not in ("max", "avg"):
+            builder.error(
+                IMPORT_SPEC_MALFORMED, f"{name}: pooling mode must be 'max' or 'avg', got {mode!r}"
+            )
+            return None
+        if op == "global_pool":
+            return {"mode": mode}
+        kernel = _symmetric(builder, name, "kernel", entry.get("kernel"), minimum=1)
+        # the stride defaults from the kernel: a bad kernel is one finding
+        stride = entry.get("stride", 1 if kernel is None else kernel)
+        params = {
+            "mode": mode,
+            "kernel": kernel,
+            "stride": _symmetric(builder, name, "stride", stride, minimum=1),
+            "pad": _symmetric(builder, name, "pad", entry.get("pad", 0), minimum=0),
+        }
+        return None if None in params.values() else params
+    if op == "fc":
+        out_features = _json_count(builder, name, entry, "out_features")
+        return None if out_features is None else {"out_features": out_features}
+    if op == "add" and not isinstance(entry.get("with"), str):
+        builder.error(
+            IMPORT_SPEC_MALFORMED,
+            f"{name}: residual 'add' needs a \"with\": \"<layer name>\" reference",
+        )
+        return None
+    return {}
+
+
+def _json_nodes(layers: list[Any], builder: _NetworkBuilder) -> Iterator[_Node]:
+    """One node per layer entry; every layer writes a tensor of its own name."""
+    for index, entry in enumerate(layers):
+        if not isinstance(entry, dict) or "op" not in entry:
+            builder.error(
+                IMPORT_SPEC_MALFORMED,
+                f"layers[{index}] must be an object with an 'op' key, got {entry!r}",
+            )
+            continue
+        label = entry["op"]
+        op = _JSON_OPS.get(label) if isinstance(label, str) else None
+        if op is None:
+            builder.error(
+                IMPORT_UNSUPPORTED_OP,
+                f"layers[{index}]: unsupported op {label!r}",
+                hint=f"supported: {', '.join(_JSON_OPS)}",
+            )
+            continue
+        name = str(entry.get("name", f"{label}{index}"))
+        params = _json_params(builder, op, name, entry)
+        if params is not None:
+            inputs = (_PREVIOUS, entry["with"]) if op == "add" else (_PREVIOUS,)
+            yield _Node(op, name, inputs, name, params, label)
 
 
 def import_json(spec: dict[str, Any] | str, *, strict: bool = True) -> ImportResult:
@@ -244,33 +537,24 @@ def import_json(spec: dict[str, Any] | str, *, strict: bool = True) -> ImportRes
     Raises:
         DiagnosticError: in strict mode, when the spec has errors.
     """
-    report = AnalysisReport()
+    builder = _NetworkBuilder("network", AnalysisReport())
     if isinstance(spec, str):
         try:
             spec = json.loads(spec)
         except json.JSONDecodeError as err:
-            report.add(
+            builder.error(
                 IMPORT_SPEC_MALFORMED,
-                Severity.ERROR,
                 f"spec is not valid JSON: {err}",
                 hint="pass a JSON object with 'input' and 'layers' keys",
             )
-            if strict:
-                report.raise_if_errors()
-            return ImportResult(None, report)
+            return builder.finish(strict=strict)
     if not isinstance(spec, dict):
-        report.add(
-            IMPORT_SPEC_MALFORMED,
-            Severity.ERROR,
-            f"spec must be a JSON object, got {type(spec).__name__}",
+        builder.error(
+            IMPORT_SPEC_MALFORMED, f"spec must be a JSON object, got {type(spec).__name__}"
         )
-        if strict:
-            report.raise_if_errors()
-        return ImportResult(None, report)
+        return builder.finish(strict=strict)
 
-    name = spec.get("name", "network")
-    builder = _NetworkBuilder(str(name), report)
-
+    builder.name = str(spec.get("name", builder.name))
     input_spec = spec.get("input")
     layers = spec.get("layers")
     if not isinstance(input_spec, dict) or not isinstance(layers, list):
@@ -281,227 +565,15 @@ def import_json(spec: dict[str, Any] | str, *, strict: bool = True) -> ImportRes
         )
         return builder.finish(strict=strict)
 
-    shape: tuple[Any, ...] | None = None
-    dims = [_as_positive_int(input_spec.get(k)) for k in ("channels", "height", "width")]
-    if any(d is None for d in dims):
+    dims = tuple(_as_positive_int(input_spec.get(k)) for k in ("channels", "height", "width"))
+    if None in dims:
+        # per-layer chaining is meaningless without an input shape
         builder.error(
             IMPORT_SPEC_MALFORMED,
             f"input shape must have positive integer channels/height/width, got {input_spec}",
         )
     else:
-        shape = (dims[0], dims[1], dims[2])
-
-    # Outputs of named layers, for residual joins.
-    outputs: dict[str, tuple[int, int, int]] = {}
-    last_name = "input"
-
-    for index, entry in enumerate(layers):
-        if shape is None:
-            break  # input was malformed; per-layer chaining is meaningless
-        if not isinstance(entry, dict) or "op" not in entry:
-            builder.error(
-                IMPORT_SPEC_MALFORMED,
-                f"layers[{index}] must be an object with an 'op' key, got {entry!r}",
-            )
-            continue
-        op = entry["op"]
-        layer_name = str(entry.get("name", f"{op}{index}"))
-
-        if op in ("conv", "separable_conv"):
-            if shape[0] == _FLAT:
-                builder.error(
-                    IMPORT_SHAPE_MISMATCH,
-                    f"{layer_name}: convolution after the tensor was flattened",
-                )
-                continue
-            channels, height, width = shape
-            out_channels = _as_positive_int(entry.get("out_channels"))
-            kernel = _symmetric(builder, layer_name, "kernel", entry.get("kernel"), minimum=1)
-            stride = _symmetric(builder, layer_name, "stride", entry.get("stride", 1), minimum=1)
-            pad = _symmetric(builder, layer_name, "pad", entry.get("pad", 0), minimum=0)
-            dilation = _symmetric(
-                builder, layer_name, "dilation", entry.get("dilation", 1), minimum=1
-            )
-            if out_channels is None or None in (kernel, stride, pad, dilation):
-                if out_channels is None:
-                    builder.error(
-                        IMPORT_SPEC_MALFORMED,
-                        f"{layer_name}: 'out_channels' must be a positive integer",
-                    )
-                continue
-            if op == "separable_conv":
-                if entry.get("groups") not in (None, 1):
-                    builder.error(
-                        IMPORT_UNSUPPORTED_ATTRIBUTE,
-                        f"{layer_name}: separable_conv does not take 'groups'",
-                        hint="the depthwise half always uses groups == channels",
-                    )
-                    continue
-                dw = builder.build_conv(
-                    name=f"{layer_name}_dw",
-                    in_channels=channels,
-                    out_channels=channels,
-                    in_height=height,
-                    in_width=width,
-                    kernel=kernel,
-                    stride=stride,
-                    pad=pad,
-                    groups=channels,
-                    dilation=dilation,
-                )
-                if dw is None:
-                    continue
-                pw = builder.build_conv(
-                    name=f"{layer_name}_pw",
-                    in_channels=channels,
-                    out_channels=out_channels,
-                    in_height=dw.out_height,
-                    in_width=dw.out_width,
-                    kernel=1,
-                )
-                if pw is None:
-                    continue
-                shape = (out_channels, pw.out_height, pw.out_width)
-                outputs[layer_name] = shape
-                last_name = f"{layer_name}_pw"
-                continue
-            groups = entry.get("groups", 1)
-            if groups == "depthwise":
-                groups = channels
-            groups = _as_positive_int(groups)
-            if groups is None:
-                builder.error(
-                    IMPORT_SPEC_MALFORMED,
-                    f"{layer_name}: 'groups' must be a positive integer or \"depthwise\"",
-                )
-                continue
-            layer = builder.build_conv(
-                name=layer_name,
-                in_channels=channels,
-                out_channels=out_channels,
-                in_height=height,
-                in_width=width,
-                kernel=kernel,
-                stride=stride,
-                pad=pad,
-                groups=groups,
-                dilation=dilation,
-            )
-            if layer is None:
-                continue
-            shape = (out_channels, layer.out_height, layer.out_width)
-            outputs[layer_name] = shape
-            last_name = layer_name
-
-        elif op in ("pool", "global_pool"):
-            if shape[0] == _FLAT:
-                builder.error(
-                    IMPORT_SHAPE_MISMATCH, f"{layer_name}: pooling after the tensor was flattened"
-                )
-                continue
-            channels, height, width = shape
-            mode = entry.get("mode", "max" if op == "pool" else "avg")
-            if mode not in ("max", "avg"):
-                builder.error(
-                    IMPORT_SPEC_MALFORMED,
-                    f"{layer_name}: pooling mode must be 'max' or 'avg', got {mode!r}",
-                )
-                continue
-            if op == "global_pool":
-                kernel, stride, pad = height, 1, 0
-                if height != width:
-                    builder.error(
-                        IMPORT_ASYMMETRIC_ATTRIBUTE,
-                        f"{layer_name}: global pooling needs a square map, got {height}x{width}",
-                    )
-                    continue
-            else:
-                kernel = _symmetric(builder, layer_name, "kernel", entry.get("kernel"), minimum=1)
-                stride = _symmetric(
-                    builder, layer_name, "stride", entry.get("stride", kernel), minimum=1
-                )
-                pad = _symmetric(builder, layer_name, "pad", entry.get("pad", 0), minimum=0)
-                if None in (kernel, stride, pad):
-                    continue
-            layer = builder.build_pool(
-                name=layer_name,
-                channels=channels,
-                in_height=height,
-                in_width=width,
-                kernel=kernel,
-                stride=stride,
-                pad=pad,
-                mode=mode,
-            )
-            if layer is None:
-                continue
-            shape = (channels, layer.out_height, layer.out_width)
-            outputs[layer_name] = shape
-            last_name = layer_name
-
-        elif op == "fc":
-            out_features = _as_positive_int(entry.get("out_features"))
-            if out_features is None:
-                builder.error(
-                    IMPORT_SPEC_MALFORMED,
-                    f"{layer_name}: 'out_features' must be a positive integer",
-                )
-                continue
-            in_features = shape[1] if shape[0] == _FLAT else shape[0] * shape[1] * shape[2]
-            builder.build_fc(
-                name=layer_name, in_features=in_features, out_features=out_features
-            )
-            shape = (_FLAT, out_features)
-            last_name = layer_name
-
-        elif op == "add":
-            other = entry.get("with")
-            if not isinstance(other, str):
-                builder.error(
-                    IMPORT_SPEC_MALFORMED,
-                    f"{layer_name}: residual 'add' needs a \"with\": \"<layer name>\" reference",
-                )
-                continue
-            if other not in outputs:
-                builder.error(
-                    IMPORT_SHAPE_MISMATCH,
-                    f"{layer_name}: 'add' references unknown layer {other!r}",
-                    hint=f"known layers: {', '.join(sorted(outputs)) or '(none)'}",
-                )
-                continue
-            if shape[0] == _FLAT or outputs[other] != shape:
-                builder.error(
-                    IMPORT_SHAPE_MISMATCH,
-                    f"{layer_name}: residual operands disagree — running shape "
-                    f"{shape} vs {other!r} output {outputs[other]}",
-                )
-                continue
-            builder.build_add(
-                name=layer_name,
-                channels=shape[0],
-                height=shape[1],
-                width=shape[2],
-                operands=(last_name, other),
-            )
-            outputs[layer_name] = shape
-            last_name = layer_name
-
-        elif op == "flatten":
-            if shape[0] != _FLAT:
-                shape = (_FLAT, shape[0] * shape[1] * shape[2])
-
-        elif op in ("relu", "batchnorm", "dropout", "softmax", "identity"):
-            if shape[0] != _FLAT:
-                outputs.setdefault(layer_name, shape)
-
-        else:
-            builder.error(
-                IMPORT_UNSUPPORTED_OP,
-                f"layers[{index}]: unsupported op {op!r}",
-                hint="supported: conv, separable_conv, pool, global_pool, fc, "
-                "add, flatten, relu, batchnorm, dropout, softmax, identity",
-            )
-
+        _lower(_json_nodes(layers, builder), {"input": dims}, builder)
     return builder.finish(strict=strict)
 
 
@@ -707,32 +779,137 @@ def _parse_model(data: bytes) -> _OnnxGraph:
 
 
 # --------------------------------------------------------------------------
-# ONNX graph lowering
+# ONNX graph translator
 # --------------------------------------------------------------------------
 
 
-def _onnx_symmetric(
-    builder: _NetworkBuilder, layer: str, attr: str, values: Any, default: int
-) -> int | None:
-    """Resolve an ONNX per-axis int-list attribute to one symmetric value."""
-    if values is None:
-        return default
-    if isinstance(values, int):
-        return values
-    if not isinstance(values, list) or not values:
-        builder.error(
-            IMPORT_SPEC_MALFORMED, f"{layer}: malformed ONNX attribute {attr!r}: {values!r}"
-        )
-        return None
-    if len(set(values)) != 1:
-        builder.error(
-            IMPORT_ASYMMETRIC_ATTRIBUTE,
-            f"{layer}: asymmetric {attr} {values} is not supported",
-            hint="the systolic templates assume square kernels and uniform "
-            "strides/pads/dilations in both spatial dimensions",
-        )
-        return None
-    return values[0]
+def _onnx_input_shapes(graph: _OnnxGraph, builder: _NetworkBuilder) -> dict[str, tuple[Any, ...]]:
+    """Activation shapes of the graph inputs, batch dimension stripped."""
+    shapes: dict[str, tuple[Any, ...]] = {}
+    for tensor, dims in graph.inputs.items():
+        if tensor in graph.initializers:
+            continue  # weights listed as graph inputs
+        if len(dims) == 4 and all(isinstance(d, int) and d > 0 for d in dims[1:]):
+            shapes[tensor] = (dims[1], dims[2], dims[3])
+        elif len(dims) == 2 and isinstance(dims[1], int) and dims[1] > 0:
+            shapes[tensor] = (_FLAT, dims[1])
+        else:
+            builder.error(
+                IMPORT_SHAPE_MISMATCH,
+                f"graph input {tensor!r} has unusable shape {dims} "
+                "(need NxCxHxW with concrete C/H/W, or NxF)",
+                hint="export the model with static spatial dimensions",
+            )
+    return shapes
+
+
+def _onnx_params(
+    builder: _NetworkBuilder, op: str, name: str, node: _OnnxNode, weights: tuple[int, ...] | None
+) -> dict[str, Any] | None:
+    """The validated parameters of one ONNX node (None: reported).
+
+    ``weights`` are the dims of the node's second input when that is an
+    initializer: ``out_channels``/``kernel`` and the fc features come
+    from there, not from attributes.
+    """
+
+    def attr(key: str, default: Any) -> Any:
+        value = node.attrs.get(key)
+        return default if value is None else value
+
+    label = node.op_type
+    if op == "conv":
+        if weights is None or len(weights) != 4:
+            builder.error(
+                IMPORT_SHAPE_MISMATCH,
+                f"{name}: Conv weights must be a rank-4 initializer, got {weights}",
+                hint="dynamic (computed) conv weights cannot be lowered",
+            )
+            return None
+        auto_pad = attr("auto_pad", "NOTSET")
+        if auto_pad != "NOTSET":
+            builder.error(
+                IMPORT_UNSUPPORTED_ATTRIBUTE,
+                f"{name}: auto_pad={auto_pad!r} is not supported",
+                hint="re-export with explicit 'pads'",
+            )
+            return None
+        params = {
+            "out_channels": weights[0],
+            "in_per_group": weights[1],
+            "groups": attr("group", 1),
+            "kernel": _symmetric(builder, name, "kernel", list(weights[2:]), minimum=1),
+            "stride": _symmetric(builder, name, "strides", attr("strides", 1), minimum=1),
+            "dilation": _symmetric(builder, name, "dilations", attr("dilations", 1), minimum=1),
+            "pad": _symmetric(builder, name, "pads", attr("pads", 0), minimum=0),
+        }
+        return None if None in params.values() else params
+    if op in ("pool", "global_pool"):
+        if attr("ceil_mode", 0):
+            builder.error(
+                IMPORT_UNSUPPORTED_ATTRIBUTE,
+                f"{name}: ceil_mode pooling is not supported",
+                hint="re-export with floor-mode pooling",
+            )
+            return None
+        mode = "max" if label == "MaxPool" else "avg"
+        if op == "global_pool":
+            return {"mode": mode}
+        params = {
+            "mode": mode,
+            "kernel": _symmetric(
+                builder, name, "kernel_shape", attr("kernel_shape", None), minimum=1
+            ),
+            "stride": _symmetric(builder, name, "strides", attr("strides", 1), minimum=1),
+            "pad": _symmetric(builder, name, "pads", attr("pads", 0), minimum=0),
+        }
+        return None if None in params.values() else params
+    if op == "fc":
+        if weights is None or len(weights) != 2:
+            builder.error(
+                IMPORT_SHAPE_MISMATCH, f"{name}: {label} weights must be a rank-2 initializer"
+            )
+            return None
+        if label == "Gemm" and (
+            attr("alpha", 1.0) != 1.0 or attr("beta", 1.0) != 1.0 or attr("transA", 0)
+        ):
+            builder.error(
+                IMPORT_UNSUPPORTED_ATTRIBUTE,
+                f"{name}: Gemm with alpha/beta != 1 or transA is not supported",
+            )
+            return None
+        transposed = label == "Gemm" and attr("transB", 0)
+        in_features, out_features = weights[::-1] if transposed else weights
+        return {"in_features": in_features, "out_features": out_features}
+    return {}
+
+
+def _onnx_nodes(graph: _OnnxGraph, builder: _NetworkBuilder) -> Iterator[_Node]:
+    """One node per supported graph node, reading the tensors ONNX names."""
+    inits = graph.initializers
+    for index, node in enumerate(graph.nodes):
+        label = node.op_type
+        name = node.name or (node.outputs[0] if node.outputs else f"{label.lower()}_{index}")
+        op = _ONNX_OPS.get(label)
+        if op is None:
+            builder.error(
+                IMPORT_UNSUPPORTED_OP,
+                f"{name}: unsupported ONNX op {label!r}",
+                hint=f"supported: {', '.join(_ONNX_OPS)}; "
+                "see docs/importer.md for the unsupported-op policy",
+            )
+            continue
+        inputs = tuple(node.inputs[:1]) or ("",)
+        if op == "add":
+            inputs = tuple(t for t in node.inputs if t not in inits)[:2]
+            if len(inputs) < 2:
+                # a bias/constant add preserves its one activation's shape
+                op, inputs = "passthrough", inputs or ("",)
+        weights = inits.get(node.inputs[1]) if len(node.inputs) > 1 else None
+        params = _onnx_params(builder, op, name, node, weights)
+        if params is not None:
+            output = node.outputs[0] if node.outputs else ""
+            yield _Node(op, name, inputs, output, params, label)
 
 
 def import_onnx(
@@ -751,7 +928,7 @@ def import_onnx(
     Returns:
         :class:`ImportResult`.
     """
-    report = AnalysisReport()
+    builder = _NetworkBuilder(name or "network", AnalysisReport())
     if hasattr(source, "SerializeToString"):
         data = source.SerializeToString()
     elif isinstance(source, (str, Path)):
@@ -762,276 +939,16 @@ def import_onnx(
     try:
         graph = _parse_model(data)
     except _WireError as err:
-        report.add(
+        builder.error(
             IMPORT_SPEC_MALFORMED,
-            Severity.ERROR,
             f"not a parseable ONNX model: {err}",
             hint="pass serialized ModelProto bytes (onnx.save output)",
         )
-        if strict:
-            report.raise_if_errors()
-        return ImportResult(None, report)
+        return builder.finish(strict=strict)
 
-    builder = _NetworkBuilder(name or graph.name, report)
-    _lower_onnx_graph(graph, builder)
+    builder.name = name or graph.name
+    _lower(_onnx_nodes(graph, builder), _onnx_input_shapes(graph, builder), builder)
     return builder.finish(strict=strict)
-
-
-def _lower_onnx_graph(graph: _OnnxGraph, builder: _NetworkBuilder) -> None:
-    inits = graph.initializers
-    # Activation shapes, batch dimension stripped: name -> (C, H, W) or
-    # (_FLAT, features).  Graph inputs that are initializers are weights.
-    shapes: dict[str, tuple[Any, ...]] = {}
-    for tensor, dims in graph.inputs.items():
-        if tensor in inits:
-            continue
-        if len(dims) == 4 and all(isinstance(d, int) and d > 0 for d in dims[1:]):
-            shapes[tensor] = (dims[1], dims[2], dims[3])
-        elif len(dims) == 2 and isinstance(dims[1], int) and dims[1] > 0:
-            shapes[tensor] = (_FLAT, dims[1])
-        else:
-            builder.error(
-                IMPORT_SHAPE_MISMATCH,
-                f"graph input {tensor!r} has unusable shape {dims} "
-                "(need NxCxHxW with concrete C/H/W, or NxF)",
-                hint="export the model with static spatial dimensions",
-            )
-
-    # Conv/pool output names whose producing layer is known, for residuals.
-    producers: dict[str, str] = {}
-
-    for index, node in enumerate(graph.nodes):
-        op = node.op_type
-        layer_name = node.name or (node.outputs[0] if node.outputs else f"{op.lower()}_{index}")
-        out_name = node.outputs[0] if node.outputs else ""
-
-        if op == "Conv":
-            shape = shapes.get(node.inputs[0]) if node.inputs else None
-            weight_dims = inits.get(node.inputs[1]) if len(node.inputs) > 1 else None
-            if shape is None or shape[0] == _FLAT:
-                builder.error(
-                    IMPORT_SHAPE_MISMATCH,
-                    f"{layer_name}: input activation shape is unknown",
-                )
-                continue
-            if weight_dims is None or len(weight_dims) != 4:
-                builder.error(
-                    IMPORT_SHAPE_MISMATCH,
-                    f"{layer_name}: Conv weights must be a rank-4 initializer, "
-                    f"got {weight_dims}",
-                    hint="dynamic (computed) conv weights cannot be lowered",
-                )
-                continue
-            auto_pad = node.attrs.get("auto_pad")
-            if auto_pad not in (None, "NOTSET"):
-                builder.error(
-                    IMPORT_UNSUPPORTED_ATTRIBUTE,
-                    f"{layer_name}: auto_pad={auto_pad!r} is not supported",
-                    hint="re-export with explicit 'pads'",
-                )
-                continue
-            out_ch, in_per_group, k_h, k_w = weight_dims
-            if k_h != k_w:
-                builder.error(
-                    IMPORT_ASYMMETRIC_ATTRIBUTE,
-                    f"{layer_name}: non-square kernel {k_h}x{k_w} is not supported",
-                )
-                continue
-            groups = node.attrs.get("group", 1)
-            stride = _onnx_symmetric(builder, layer_name, "strides", node.attrs.get("strides"), 1)
-            dilation = _onnx_symmetric(
-                builder, layer_name, "dilations", node.attrs.get("dilations"), 1
-            )
-            pads = node.attrs.get("pads")
-            if pads is not None and (
-                not isinstance(pads, list) or len(set(pads)) != 1
-            ):
-                builder.error(
-                    IMPORT_ASYMMETRIC_ATTRIBUTE,
-                    f"{layer_name}: asymmetric pads {pads} are not supported",
-                )
-                continue
-            pad = pads[0] if isinstance(pads, list) else 0
-            if stride is None or dilation is None:
-                continue
-            if shape[0] != in_per_group * groups:
-                builder.error(
-                    IMPORT_SHAPE_MISMATCH,
-                    f"{layer_name}: input has {shape[0]} channels but weights "
-                    f"expect {in_per_group}*{groups}",
-                )
-                continue
-            layer = builder.build_conv(
-                name=layer_name,
-                in_channels=shape[0],
-                out_channels=out_ch,
-                in_height=shape[1],
-                in_width=shape[2],
-                kernel=k_h,
-                stride=stride,
-                pad=pad,
-                groups=groups,
-                dilation=dilation,
-            )
-            if layer is None:
-                continue
-            shapes[out_name] = (out_ch, layer.out_height, layer.out_width)
-            producers[out_name] = layer_name
-
-        elif op in ("MaxPool", "AveragePool", "GlobalAveragePool"):
-            shape = shapes.get(node.inputs[0]) if node.inputs else None
-            if shape is None or shape[0] == _FLAT:
-                builder.error(
-                    IMPORT_SHAPE_MISMATCH, f"{layer_name}: input activation shape is unknown"
-                )
-                continue
-            if node.attrs.get("ceil_mode", 0):
-                builder.error(
-                    IMPORT_UNSUPPORTED_ATTRIBUTE,
-                    f"{layer_name}: ceil_mode pooling is not supported",
-                    hint="re-export with floor-mode pooling",
-                )
-                continue
-            if op == "GlobalAveragePool":
-                if shape[1] != shape[2]:
-                    builder.error(
-                        IMPORT_ASYMMETRIC_ATTRIBUTE,
-                        f"{layer_name}: global pooling needs a square map, "
-                        f"got {shape[1]}x{shape[2]}",
-                    )
-                    continue
-                kernel, stride, pad = shape[1], 1, 0
-            else:
-                kernel = _onnx_symmetric(
-                    builder, layer_name, "kernel_shape", node.attrs.get("kernel_shape"), 0
-                )
-                stride = _onnx_symmetric(
-                    builder, layer_name, "strides", node.attrs.get("strides"), 1
-                )
-                pads = node.attrs.get("pads")
-                if pads is not None and (
-                    not isinstance(pads, list) or len(set(pads)) != 1
-                ):
-                    builder.error(
-                        IMPORT_ASYMMETRIC_ATTRIBUTE,
-                        f"{layer_name}: asymmetric pads {pads} are not supported",
-                    )
-                    continue
-                pad = pads[0] if isinstance(pads, list) else 0
-                if kernel == 0:
-                    builder.error(
-                        IMPORT_SPEC_MALFORMED,
-                        f"{layer_name}: {op} needs a kernel_shape attribute >= 1",
-                    )
-                if not kernel or stride is None:
-                    continue
-            layer = builder.build_pool(
-                name=layer_name,
-                channels=shape[0],
-                in_height=shape[1],
-                in_width=shape[2],
-                kernel=kernel,
-                stride=stride,
-                pad=pad,
-                mode="max" if op == "MaxPool" else "avg",
-            )
-            if layer is None:
-                continue
-            shapes[out_name] = (shape[0], layer.out_height, layer.out_width)
-            producers[out_name] = layer_name
-
-        elif op in ("Gemm", "MatMul"):
-            shape = shapes.get(node.inputs[0]) if node.inputs else None
-            weight_dims = inits.get(node.inputs[1]) if len(node.inputs) > 1 else None
-            if weight_dims is None or len(weight_dims) != 2:
-                builder.error(
-                    IMPORT_SHAPE_MISMATCH,
-                    f"{layer_name}: {op} weights must be a rank-2 initializer",
-                )
-                continue
-            if op == "Gemm" and (
-                node.attrs.get("alpha", 1.0) != 1.0
-                or node.attrs.get("beta", 1.0) != 1.0
-                or node.attrs.get("transA", 0)
-            ):
-                builder.error(
-                    IMPORT_UNSUPPORTED_ATTRIBUTE,
-                    f"{layer_name}: Gemm with alpha/beta != 1 or transA is not supported",
-                )
-                continue
-            if op == "Gemm" and node.attrs.get("transB", 0):
-                out_features, in_features = weight_dims
-            else:
-                in_features, out_features = weight_dims
-            if shape is not None:
-                have = shape[1] if shape[0] == _FLAT else shape[0] * shape[1] * shape[2]
-                if have != in_features:
-                    builder.error(
-                        IMPORT_SHAPE_MISMATCH,
-                        f"{layer_name}: {op} expects {in_features} input features "
-                        f"but the incoming tensor has {have}",
-                    )
-                    continue
-            builder.build_fc(
-                name=layer_name, in_features=in_features, out_features=out_features
-            )
-            shapes[out_name] = (_FLAT, out_features)
-
-        elif op == "Add":
-            operands = [t for t in node.inputs if t not in inits]
-            if len(operands) < 2:
-                # Bias/constant add: shape-preserving pass-through.
-                if operands and operands[0] in shapes:
-                    shapes[out_name] = shapes[operands[0]]
-                continue
-            a, b = operands[0], operands[1]
-            if a not in shapes or b not in shapes:
-                builder.error(
-                    IMPORT_SHAPE_MISMATCH,
-                    f"{layer_name}: residual Add has operands with unknown shapes",
-                )
-                continue
-            if shapes[a] != shapes[b] or shapes[a][0] == _FLAT:
-                builder.error(
-                    IMPORT_SHAPE_MISMATCH,
-                    f"{layer_name}: residual operands disagree — "
-                    f"{shapes[a]} vs {shapes[b]}",
-                )
-                continue
-            channels, height, width = shapes[a]
-            builder.build_add(
-                name=layer_name,
-                channels=channels,
-                height=height,
-                width=width,
-                operands=(producers.get(a, a), producers.get(b, b)),
-            )
-            shapes[out_name] = shapes[a]
-            producers[out_name] = layer_name
-
-        elif op in _PASSTHROUGH_OPS:
-            if node.inputs and node.inputs[0] in shapes:
-                shapes[out_name] = shapes[node.inputs[0]]
-                if node.inputs[0] in producers:
-                    producers[out_name] = producers[node.inputs[0]]
-
-        elif op in _FLATTEN_OPS:
-            shape = shapes.get(node.inputs[0]) if node.inputs else None
-            if shape is not None:
-                features = shape[1] if shape[0] == _FLAT else shape[0] * shape[1] * shape[2]
-                shapes[out_name] = (_FLAT, features)
-
-        elif op == "Constant":
-            continue
-
-        else:
-            builder.error(
-                IMPORT_UNSUPPORTED_OP,
-                f"{layer_name}: unsupported ONNX op {op!r}",
-                hint="supported: Conv, Gemm, MatMul, MaxPool, AveragePool, "
-                "GlobalAveragePool, Add, Flatten/Reshape and shape-preserving "
-                "activations; see docs/importer.md for the unsupported-op policy",
-            )
 
 
 # --------------------------------------------------------------------------
@@ -1043,24 +960,26 @@ def load_network(path: str | Path, *, strict: bool = True) -> ImportResult:
     """Import a network file, dispatching on its suffix.
 
     ``.json`` -> :func:`import_json`; ``.onnx`` / ``.pb`` ->
-    :func:`import_onnx`.  Anything else is an ``SA140`` error.
+    :func:`import_onnx`.  Anything else — and a file that cannot be read
+    or decoded — is an ``SA140`` error.
     """
     path = Path(path)
     suffix = path.suffix.lower()
-    if suffix == ".json":
-        return import_json(path.read_text(), strict=strict)
-    if suffix in (".onnx", ".pb"):
-        return import_onnx(path, strict=strict)
-    report = AnalysisReport()
-    report.add(
-        IMPORT_SPEC_MALFORMED,
-        Severity.ERROR,
-        f"unrecognized network file suffix {suffix!r} for {path.name}",
-        hint="use a .json spec or a serialized .onnx model",
+    importer = {".json": import_json, ".onnx": import_onnx, ".pb": import_onnx}.get(suffix)
+    if importer is None:
+        problem = f"unrecognized network file suffix {suffix!r} for {path.name}"
+    else:
+        try:
+            source = path.read_text() if importer is import_json else path.read_bytes()
+        except (OSError, UnicodeDecodeError) as err:
+            problem = f"cannot read {path.name}: {err}"
+        else:
+            return importer(source, strict=strict)
+    builder = _NetworkBuilder(path.stem, AnalysisReport())
+    builder.error(
+        IMPORT_SPEC_MALFORMED, problem, hint="use a .json spec or a serialized .onnx model"
     )
-    if strict:
-        report.raise_if_errors()
-    return ImportResult(None, report)
+    return builder.finish(strict=strict)
 
 
 __all__ = [

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import json
 import struct
+from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from repro.analysis.diagnostics import DiagnosticError
 from repro.analysis.nest_check import check_nest
@@ -95,6 +96,19 @@ def test_multiple_problems_reported_in_one_pass():
     }
     result = import_json(spec, strict=False)
     assert [d.code for d in result.report.errors] == ["SA141", "SA141"]
+
+
+def test_pool_without_kernel_is_one_finding():
+    """The stride defaults from the kernel; a missing kernel is not also
+    a bad stride."""
+    spec = {
+        "input": _INPUT,
+        "layers": [{"op": "conv", "out_channels": 4, "kernel": 3}, {"op": "pool", "name": "p"}],
+    }
+    result = import_json(spec, strict=False)
+    assert [(d.code, d.message) for d in result.report.errors] == [
+        ("SA140", "p: attribute 'kernel' must be an integer >= 1, got None")
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -287,102 +301,205 @@ def test_onnx_dilated_and_strided_attributes():
     assert layer.out_height == 14  # same-size: span 5, pad 2
 
 
-def test_onnx_and_json_lower_identically():
-    """The same network described both ways produces the same layers."""
-    onnx_net = import_onnx(_mobilenet_style_model()).network
-    spec = {
-        "name": "testnet",
-        "input": {"channels": 3, "height": 16, "width": 16},
-        "layers": [
-            {"op": "conv", "name": "c1", "out_channels": 8, "kernel": 3,
-             "stride": 2, "pad": 1},
-            {"op": "relu", "name": "relu1"},
-            {"op": "conv", "name": "c2", "out_channels": 8, "kernel": 3,
-             "pad": 1, "groups": "depthwise"},
-            {"op": "add", "name": "res_add", "with": "relu1"},
-            {"op": "global_pool", "name": "gap"},
-            {"op": "flatten"},
-            {"op": "fc", "name": "fc", "out_features": 10},
-        ],
-    }
-    json_net = import_json(spec).network
-    assert [
-        (l.in_channels, l.out_channels, l.kernel, l.stride, l.pad, l.groups, l.dilation)
-        for l in onnx_net.conv_layers
-    ] == [
-        (l.in_channels, l.out_channels, l.kernel, l.stride, l.pad, l.groups, l.dilation)
-        for l in json_net.conv_layers
-    ]
-    assert [(p.kernel, p.stride, p.mode) for p in onnx_net.pool_layers] == [
-        (p.kernel, p.stride, p.mode) for p in json_net.pool_layers
-    ]
-    assert [(f.in_features, f.out_features) for f in onnx_net.fc_layers] == [
-        (f.in_features, f.out_features) for f in json_net.fc_layers
-    ]
+_MOBILENET_TWIN = {
+    "name": "testnet",
+    "input": {"channels": 3, "height": 16, "width": 16},
+    "layers": [
+        {"op": "conv", "name": "c1", "out_channels": 8, "kernel": 3,
+         "stride": 2, "pad": 1},
+        {"op": "relu", "name": "relu1"},
+        {"op": "conv", "name": "c2", "out_channels": 8, "kernel": 3,
+         "pad": 1, "groups": "depthwise"},
+        {"op": "add", "name": "res_add", "with": "relu1"},
+        {"op": "global_pool", "name": "gap"},
+        {"op": "flatten"},
+        {"op": "fc", "name": "fc", "out_features": 10},
+    ],
+}
+
+_ONNX_PASSTHROUGH = {
+    "relu": "Relu", "batchnorm": "BatchNormalization", "dropout": "Dropout",
+    "softmax": "Softmax", "identity": "Identity",
+}
+
+
+def spec_to_onnx(spec: dict) -> bytes:
+    """Render a JSON spec as ONNX bytes, one node per layer entry.
+
+    Node names are the layer names and each node writes a tensor of its
+    own name; ``separable_conv`` becomes its ``_dw``/``_pw`` Conv pair and
+    pass-throughs stay in the graph.  Shapes are chained only as far as
+    the weight initializers need them (input channels, fc features).
+    """
+    dims = spec["input"]
+    shape: tuple = (dims["channels"], dims["height"], dims["width"])
+    tensor, fields = "input", b""
+
+    def conv(name, source, out, out_ch, kernel, stride=1, pad=0, dilation=1, groups=1):
+        nonlocal fields, shape
+        fields += onnx_node(
+            "Conv", [source, f"{name}.w"], [out], name,
+            onnx_attr_ints("strides", [stride] * 2) + onnx_attr_ints("pads", [pad] * 4)
+            + onnx_attr_ints("dilations", [dilation] * 2) + onnx_attr_int("group", groups),
+        ) + onnx_initializer(f"{name}.w", (out_ch, shape[0] // groups, kernel, kernel))
+        try:
+            probe = ConvLayer("probe", shape[0], out_ch, shape[1], shape[2], kernel=kernel,
+                              stride=stride, pad=pad, groups=groups, dilation=dilation)
+            shape = (out_ch, probe.out_height, probe.out_width)
+        except ValueError:
+            pass  # an unimportable layer: the importer reports it, the chain moves on
+
+    for index, entry in enumerate(spec["layers"]):
+        op = entry["op"]
+        name = entry.get("name", f"{op}{index}")
+        if op == "conv":
+            groups = entry.get("groups", 1)
+            conv(name, tensor, name, entry["out_channels"], entry["kernel"],
+                 entry.get("stride", 1), entry.get("pad", 0), entry.get("dilation", 1),
+                 shape[0] if groups == "depthwise" else groups)
+        elif op == "separable_conv":
+            conv(f"{name}_dw", tensor, f"{name}_dw", shape[0], entry["kernel"],
+                 entry.get("stride", 1), entry.get("pad", 0), entry.get("dilation", 1),
+                 shape[0])
+            # the pointwise half writes the tensor later entries name
+            conv(f"{name}_pw", f"{name}_dw", name, entry["out_channels"], 1)
+        elif op == "pool":
+            kernel, pad = entry["kernel"], entry.get("pad", 0)
+            stride = entry.get("stride", kernel)
+            fields += onnx_node(
+                "MaxPool" if entry.get("mode", "max") == "max" else "AveragePool",
+                [tensor], [name], name,
+                onnx_attr_ints("kernel_shape", [kernel] * 2)
+                + onnx_attr_ints("strides", [stride] * 2) + onnx_attr_ints("pads", [pad] * 4),
+            )
+            shape = (shape[0], *((e + 2 * pad - kernel) // stride + 1 for e in shape[1:]))
+        elif op == "global_pool":
+            fields += onnx_node("GlobalAveragePool", [tensor], [name], name)
+            shape = (shape[0], 1, 1)
+        elif op == "fc":
+            features = shape[1] if shape[0] == "flat" else shape[0] * shape[1] * shape[2]
+            fields += onnx_node("Gemm", [tensor, f"{name}.w"], [name], name)
+            fields += onnx_initializer(f"{name}.w", (features, entry["out_features"]))
+            shape = ("flat", entry["out_features"])
+        elif op == "add":
+            fields += onnx_node("Add", [tensor, entry["with"]], [name], name)
+        elif op == "flatten":
+            fields += onnx_node("Flatten", [tensor], [name], name)
+            if shape[0] != "flat":
+                shape = ("flat", shape[0] * shape[1] * shape[2])
+        else:
+            fields += onnx_node(_ONNX_PASSTHROUGH[op], [tensor], [name], name)
+        tensor = name
+    fields += onnx_input("input", (1, dims["channels"], dims["height"], dims["width"]))
+    return onnx_model(fields, spec.get("name", "network"))
+
+
+# The residual names a separable_conv: the tensor is the spec's name, the
+# layer that wrote it is the pointwise half.
+_SEPARABLE_RESIDUAL = {
+    "name": "sepres",
+    "input": {"channels": 3, "height": 8, "width": 8},
+    "layers": [
+        {"op": "separable_conv", "name": "s", "out_channels": 3, "kernel": 3, "pad": 1},
+        {"op": "relu", "name": "r"},
+        {"op": "conv", "name": "c", "out_channels": 3, "kernel": 3, "pad": 1},
+        {"op": "add", "name": "a", "with": "s"},
+        {"op": "pool", "kernel": 2},
+        {"op": "fc", "out_features": 4},
+    ],
+}
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spec=network_specs())
+@example(spec=_SEPARABLE_RESIDUAL)
+def test_onnx_and_json_lower_identically(spec):
+    """One network written both ways is one ``Network``: every conv, pool,
+    fc and add layer, residual operand labels included."""
+    assert import_onnx(spec_to_onnx(spec)).network == import_json(spec).network
+
+
+def test_mobilenet_graph_equals_its_json_twin():
+    """The residual joins a Relu's output: both formats label that operand
+    with the layer that produced the tensor, not with the pass-through."""
+    assert import_onnx(_mobilenet_style_model()).network == import_json(_MOBILENET_TWIN).network
+
+
+# One minimal model per rejection path: id -> (bytes, a code its report carries).
+ONNX_REJECTIONS: dict[str, tuple[bytes, str]] = {
+    "garbage": (b"\x99not a protobuf\xff", "SA140"),
+    "unsupported-op": (
+        onnx_model(
+            onnx_node("Concat", ["x", "x"], ["y"], "cat")
+            + onnx_input("x", (1, 3, 8, 8))
+        ),
+        "SA141",
+    ),
+    "auto-pad": (
+        onnx_model(
+            onnx_node("Conv", ["x", "w"], ["y"], "c",
+                      onnx_attr_str("auto_pad", "SAME_UPPER"))
+            + onnx_initializer("w", (4, 3, 3, 3))
+            + onnx_input("x", (1, 3, 8, 8))
+        ),
+        "SA142",
+    ),
+    "asymmetric": (
+        onnx_model(
+            onnx_node("Conv", ["x", "w"], ["y"], "c",
+                      onnx_attr_ints("strides", [1, 2]))
+            + onnx_initializer("w", (4, 3, 3, 3))
+            + onnx_input("x", (1, 3, 8, 8))
+        ),
+        "SA143",
+    ),
+    "unknown-shape": (
+        onnx_model(
+            onnx_node("Conv", ["mystery", "w"], ["y"], "c")
+            + onnx_initializer("w", (4, 3, 3, 3))
+            + onnx_input("x", (1, 3, 8, 8))
+        ),
+        "SA144",
+    ),
+    "kernel-too-big": (
+        onnx_model(
+            onnx_node("Conv", ["x", "w"], ["y"], "c")
+            + onnx_initializer("w", (4, 3, 11, 11))
+            + onnx_input("x", (1, 3, 8, 8))
+        ),
+        "SA145",
+    ),
+    # Regression: a pool without kernel_shape was dropped without a
+    # diagnostic, so the Gemm's feature mismatch went unchecked too.
+    "pool-without-kernel": (
+        onnx_model(
+            onnx_node("Conv", ["x", "w"], ["y"], "c")
+            + onnx_node("MaxPool", ["y"], ["p"], "pool")
+            + onnx_node("Flatten", ["p"], ["f"], "flat")
+            + onnx_node("Gemm", ["f", "fw"], ["z"], "fc")
+            + onnx_initializer("w", (4, 3, 3, 3))
+            + onnx_initializer("fw", (999, 10))
+            + onnx_input("x", (1, 3, 8, 8))
+        ),
+        "SA140",
+    ),
+    # A Gemm reading a tensor nobody produced used to import clean, with
+    # in_features read off its weights; a Conv there was already SA144.
+    "gemm-unknown-shape": (
+        onnx_model(
+            onnx_node("Conv", ["x", "w"], ["y"], "c")
+            + onnx_node("Gemm", ["mystery", "fw"], ["z"], "fc")
+            + onnx_initializer("w", (4, 3, 3, 3))
+            + onnx_initializer("fw", (144, 10))
+            + onnx_input("x", (1, 3, 8, 8))
+        ),
+        "SA144",
+    ),
+}
 
 
 @pytest.mark.parametrize(
-    "model, code",
-    [
-        (b"\x99not a protobuf\xff", "SA140"),
-        (
-            onnx_model(
-                onnx_node("Concat", ["x", "x"], ["y"], "cat")
-                + onnx_input("x", (1, 3, 8, 8))
-            ),
-            "SA141",
-        ),
-        (
-            onnx_model(
-                onnx_node("Conv", ["x", "w"], ["y"], "c",
-                          onnx_attr_str("auto_pad", "SAME_UPPER"))
-                + onnx_initializer("w", (4, 3, 3, 3))
-                + onnx_input("x", (1, 3, 8, 8))
-            ),
-            "SA142",
-        ),
-        (
-            onnx_model(
-                onnx_node("Conv", ["x", "w"], ["y"], "c",
-                          onnx_attr_ints("strides", [1, 2]))
-                + onnx_initializer("w", (4, 3, 3, 3))
-                + onnx_input("x", (1, 3, 8, 8))
-            ),
-            "SA143",
-        ),
-        (
-            onnx_model(
-                onnx_node("Conv", ["mystery", "w"], ["y"], "c")
-                + onnx_initializer("w", (4, 3, 3, 3))
-                + onnx_input("x", (1, 3, 8, 8))
-            ),
-            "SA144",
-        ),
-        (
-            onnx_model(
-                onnx_node("Conv", ["x", "w"], ["y"], "c")
-                + onnx_initializer("w", (4, 3, 11, 11))
-                + onnx_input("x", (1, 3, 8, 8))
-            ),
-            "SA145",
-        ),
-        (
-            # Regression: a pool without kernel_shape was dropped without a
-            # diagnostic, so the Gemm's feature mismatch went unchecked too.
-            onnx_model(
-                onnx_node("Conv", ["x", "w"], ["y"], "c")
-                + onnx_node("MaxPool", ["y"], ["p"], "pool")
-                + onnx_node("Flatten", ["p"], ["f"], "flat")
-                + onnx_node("Gemm", ["f", "fw"], ["z"], "fc")
-                + onnx_initializer("w", (4, 3, 3, 3))
-                + onnx_initializer("fw", (999, 10))
-                + onnx_input("x", (1, 3, 8, 8))
-            ),
-            "SA140",
-        ),
-    ],
-    ids=["garbage", "unsupported-op", "auto-pad", "asymmetric", "unknown-shape",
-         "kernel-too-big", "pool-without-kernel"],
+    "model, code", list(ONNX_REJECTIONS.values()), ids=list(ONNX_REJECTIONS)
 )
 def test_onnx_rejections(model, code):
     result = import_onnx(model, strict=False)
@@ -414,6 +531,27 @@ def test_onnx_optional_package_objects_are_accepted():
     _ = onnx
 
 
+def test_docs_coverage_matrix_is_the_op_table():
+    """docs/importer.md's matrix lists exactly the op table's rows, with
+    the names each format uses for them — it cannot go stale."""
+    from repro.frontend.network import _OPS
+
+    docs = (Path(__file__).parents[2] / "docs" / "importer.md").read_text()
+    matrix = docs.split("## Coverage matrix", 1)[1].split("\n## ", 1)[0]
+    rows = [
+        [cell.strip() for cell in line.strip("|").split("|")]
+        for line in matrix.splitlines()
+        if line.startswith("| `")
+    ]
+
+    def spelled(names):
+        return ", ".join(f"`{name}`" for name in names) or "—"
+
+    assert [row[:3] for row in rows] == [
+        [f"`{op}`", spelled(row.json), spelled(row.onnx)] for op, row in _OPS.items()
+    ]
+
+
 # --------------------------------------------------------------------------
 # load_network dispatch + import CLI
 # --------------------------------------------------------------------------
@@ -443,6 +581,32 @@ def test_load_network_dispatch(tmp_path):
     bad = load_network(tmp_path / "net.txt", strict=False)
     assert not bad.ok and bad.report.errors[0].code == "SA140"
     (tmp_path / "net.txt").write_text("x")  # suffix decides before content
+
+
+def test_load_network_unreadable_file_is_one_sa140(tmp_path):
+    """Bytes that are not UTF-8, or a path that cannot be read at all,
+    are a malformed spec like any other — never a traceback."""
+    binary = tmp_path / "bin.json"
+    binary.write_bytes(b"\xff\xfe\x00{")
+    (tmp_path / "dir.onnx").mkdir()
+    for path in (binary, tmp_path / "dir.onnx"):
+        result = load_network(path, strict=False)
+        assert result.network is None
+        assert [d.code for d in result.report.errors] == ["SA140"]
+        assert path.name in result.report.errors[0].message
+    with pytest.raises(DiagnosticError):
+        load_network(binary)
+
+
+def test_import_cli_renders_an_undecodable_file(tmp_path, capsys):
+    from repro.flow.cli import main
+
+    binary = tmp_path / "bin.json"
+    binary.write_bytes(b"\xff\xfe\x00{")
+    assert main(["import", str(binary), "--check-only"]) == 1
+    captured = capsys.readouterr()
+    assert "SA140" in captured.err and "bin.json" in captured.err
+    assert "Traceback" not in captured.err and not captured.out
 
 
 def test_import_cli_check_only(tmp_path, capsys):
