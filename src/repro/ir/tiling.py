@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from repro.ir.domain import IterationDomain
@@ -52,23 +53,28 @@ class LoopTiling:
                     raise ValueError(f"{label} bound for {name!r} must be >= 1, got {value}")
         return LoopTiling(tuple(sorted(middle.items())), tuple(sorted(inner.items())))
 
-    @property
+    # Built once per instance and shared, so read-only: the simulators
+    # call s()/t() per iterator per PE per lane.  cached_property writes
+    # to __dict__, which a frozen dataclass allows and which stays out of
+    # the field-based equality, hash and repr.
+
+    @cached_property
     def middle_bounds(self) -> dict[str, int]:
         """s_l mapping (only explicitly set entries)."""
         return dict(self.middle)
 
-    @property
+    @cached_property
     def inner_bounds(self) -> dict[str, int]:
         """t_l mapping (only mapped loops)."""
         return dict(self.inner)
 
     def s(self, iterator: str) -> int:
         """Middle bound s_l (1 if not set)."""
-        return dict(self.middle).get(iterator, 1)
+        return self.middle_bounds.get(iterator, 1)
 
     def t(self, iterator: str) -> int:
         """Inner bound t_l (1 if the loop is not mapped to the array)."""
-        return dict(self.inner).get(iterator, 1)
+        return self.inner_bounds.get(iterator, 1)
 
     def block_extent(self, iterator: str) -> int:
         """b_l = s_l * t_l, iterations of loop l covered by one block."""

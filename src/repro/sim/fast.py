@@ -9,23 +9,35 @@ per-PE SIMD accumulation — as NumPy batch operations over whole waves:
 * **skewed injection as index arithmetic** — wave ``m`` meets PE
   ``(x, y)`` at cycle ``m + x + y``, so the set of (wave, PE) pairings is
   known in closed form and never needs shift registers;
-* **vectorized operand gathers** — every affine subscript decomposes as
-  ``A[m] + c_row * x + c_vec * v`` (and symmetrically for columns), so a
-  whole chunk of waves is fetched with one fancy-indexing expression per
-  array dimension;
+* **flat separable gathers** — every subscript is affine, so an
+  operand's offset into the raveled tensor is ``A[m] + c_pos * position
+  + c_vec * lane``: one broadcast add, one ``take`` and one mask per
+  operand per chunk of waves, whatever the tensor's rank;
 * **SIMD accumulation in engine order** — per-PE dot products are
   evaluated lane-by-lane (``D += W_lane * I_lane``), the exact
-  :func:`repro.sim.engine.simd_dot` operation sequence, and folded into
-  per-PE accumulators with ``np.add.at`` (unbuffered, applied in array
-  order) laid out wave-major, so every accumulator sees the same IEEE
-  additions in the same order as the engine's;
+  :func:`repro.sim.engine.simd_dot` operation sequence, over
+  ``(position, wave)`` planes whose wave axis is contiguous, and folded
+  into the accumulators with ``np.add.at`` (unbuffered, applied in array
+  order), so every accumulator sees the same IEEE additions in the same
+  order as the engine's;
+* **one accumulator plane per PE coordinate the output does not already
+  determine** — the engine keeps an accumulator per PE, but when the row
+  (column) iterator is itself an output subscript, the element fixes
+  ``x`` (``y``): no two PEs of that axis share an element, the engine's
+  row-major drain adds exactly one non-zero to it, and one plane of the
+  block's output footprint holds what ``R`` (``C``) planes held
+  (``OUT[o][r][c]`` with ``row=o, col=c``: 1 plane, not ``R * C``);
+* **cache-sized chunks** — ``chunk_entries`` bounds the (wave, PE)
+  products alive at once; the default keeps the two product planes of a
+  chunk inside L2, where the lane loop runs twice as fast as on
+  RAM-sized chunks;
 * **closed-form cycle accounting** — a block of M waves takes
   ``M + R + C - 2`` cycles and keeps every PE busy for exactly
   ``M * R * C`` PE-cycles, so the counters need no cycle loop at all.
 
 The result is **bit-identical** to :class:`SystolicArrayEngine` — the
 output tensor equal with ``==``, every counter equal — while full
-Table-2 layer shapes complete in seconds (see
+Table-2 layer shapes complete in well under a second (see
 ``benchmarks/bench_sim_fast.py`` and ``docs/simulation.md``).
 """
 
@@ -90,6 +102,11 @@ def cycle_statistics(design: DesignPoint) -> CycleStatistics:
     )
 
 
+#: A read tensor raveled to float64, and its access as one flat affine
+#: offset: (values, constant, iterator -> coefficient).
+_Operand = tuple[np.ndarray, int, dict[str, int]]
+
+
 class FastWavefrontSimulator:
     """Vectorized execution of one design point; engine-bit-identical.
 
@@ -99,14 +116,14 @@ class FastWavefrontSimulator:
     Args:
         design: the design point to execute.
         chunk_entries: soft cap on the number of (wave, PE) entries
-            materialized at once (memory/latency knob; any value gives
+            materialized at once (cache/latency knob; any value gives
             the same bits because chunks preserve wave order).
     """
 
     #: Refuse accumulation buffers above this many float64 slots (1 GiB).
     MAX_ACC_ENTRIES = 1 << 27
 
-    def __init__(self, design: DesignPoint, *, chunk_entries: int = 1 << 21) -> None:
+    def __init__(self, design: DesignPoint, *, chunk_entries: int = 1 << 16) -> None:
         self.design = design
         self.nest = design.nest
         self.mapping = design.mapping
@@ -128,6 +145,25 @@ class FastWavefrontSimulator:
                         f"{access} is outside the systolizable subset "
                         f"(use SystolicArrayEngine)"
                     )
+        # The plane rule: an output subscript that is exactly one array
+        # iterator (coefficient 1) pins that PE coordinate — i = base +
+        # mid * t + x with 0 <= x < t — so no two PEs along that axis can
+        # share an output element and the axis needs no accumulator planes.
+        bare = {
+            expr.terms[0][0]
+            for expr in self._out_access.indices
+            if len(expr.terms) == 1 and expr.terms[0][1] == 1
+        }
+        row_planes = 1 if self.mapping.row in bare else self.rows
+        col_planes = 1 if self.mapping.col in bare else self.cols
+        #: Accumulator copies of a block's output footprint.
+        self.accumulator_planes = row_planes * col_planes
+        # plane of PE (x, y) = x * step[0] + y * step[1]: row-major over
+        # the coordinates that kept their planes, the engine's drain order
+        self._plane_step = (col_planes if row_planes > 1 else 0, 1 if col_planes > 1 else 0)
+        self._x_idx = np.arange(self.rows, dtype=np.int64)
+        self._y_idx = np.arange(self.cols, dtype=np.int64)
+        self._v_idx = np.arange(self.vector, dtype=np.int64)
 
     # ------------------------------------------------------------ execution
 
@@ -142,6 +178,10 @@ class FastWavefrontSimulator:
             expr.value_range(self._bounds)[1] + 1 for expr in self._out_access.indices
         )
         output = np.zeros(out_shape)
+        operands = tuple(
+            self._flat_operand(access, arrays[access.array])
+            for access in (self._w_access, self._in_access)
+        )
 
         total_cycles = 0
         total_waves = 0
@@ -156,7 +196,7 @@ class FastWavefrontSimulator:
             # The engine counts a PE active whenever a wave reaches it,
             # padding positions included: M waves x R x C PEs per block.
             active_cycles += waves * self.rows * self.cols
-            self._run_block(block, arrays, output)
+            self._run_block(block, operands, output)
 
         return EngineResult(
             output=output,
@@ -170,191 +210,175 @@ class FastWavefrontSimulator:
     # ------------------------------------------------------------ one block
 
     def _run_block(
-        self, block: BlockSpec, arrays: dict[str, np.ndarray], output: np.ndarray
+        self, block: BlockSpec, operands: tuple[_Operand, _Operand], output: np.ndarray
     ) -> None:
         rows, cols, vector = self.rows, self.cols, self.vector
         iterators = self._iterators
-        counts = block.middle_map
+        counts = tuple(count for _, count in block.middle_counts)
+        total_waves = block.waves
         bases = block.base_map
         t = self.design.tiling.t
+        row_it, col_it, vec_it = self.mapping.row, self.mapping.col, self.mapping.vector
 
-        # Mixed-radix wave index -> middle vector, outermost loop slowest
-        # (the enumerate_waves order the engine consumes).
-        strides: dict[str, int] = {}
-        stride = 1
-        for it in reversed(iterators):
-            strides[it] = stride
-            stride *= counts[it]
-        total_waves = stride
-
-        # Per-PE accumulators, engine-equivalent: one slot per (PE, output
-        # element the block can touch).  The block's output footprint is a
-        # box in index space because every subscript is affine with
-        # non-negative coefficients (checked in __init__).
+        # Accumulators: `planes` copies of the block's output footprint,
+        # which is a box in index space because every subscript is affine
+        # with non-negative coefficients (checked in __init__), plus one
+        # dump slot that swallows the padding PEs' products.
         box_lo, box_hi = self._output_box(block, output.shape)
         box_shape = tuple(hi - lo + 1 for lo, hi in zip(box_lo, box_hi))
-        box_size = int(np.prod(box_shape, dtype=np.int64)) if box_shape else 1
-        if rows * cols * box_size > self.MAX_ACC_ENTRIES:
+        box_size = math.prod(box_shape)
+        planes = self.accumulator_planes
+        if planes * box_size > self.MAX_ACC_ENTRIES:
             raise ValueError(
-                f"block output footprint {box_shape} x {rows * cols} PEs exceeds "
-                f"the fast simulator's accumulator budget"
+                f"block output footprint {box_shape} x {planes} accumulator "
+                f"planes exceeds the fast simulator's accumulator budget"
             )
-        acc = np.zeros(rows * cols * box_size)
-        pe_slot_base = (
-            np.arange(rows, dtype=np.int64)[:, None] * cols
-            + np.arange(cols, dtype=np.int64)[None, :]
-        ) * box_size
+        dump = planes * box_size
+        acc = np.zeros(dump + 1)
 
-        row_it, col_it, vec_it = self.mapping.row, self.mapping.col, self.mapping.vector
-        x_idx = np.arange(rows, dtype=np.int64)
-        y_idx = np.arange(cols, dtype=np.int64)
-        v_idx = np.arange(vector, dtype=np.int64)
+        # Output slot of (wave m, PE (x, y)) = slot_wave[m] + slot_pe[x, y]:
+        # the element's offset in the box is affine in the iterators, and
+        # the plane is the PE coordinates the element does not determine.
+        x_idx, y_idx, v_idx = self._x_idx, self._y_idx, self._v_idx
+        out_const, out_coeff = _flat_terms(self._out_access, box_shape, box_lo)
+        row_step = out_coeff.get(row_it, 0) + self._plane_step[0] * box_size
+        col_step = out_coeff.get(col_it, 0) + self._plane_step[1] * box_size
+        slot_pe = (row_step * x_idx[:, None] + col_step * y_idx[None, :])[:, :, None]
 
         per_entry = max(rows * cols, rows * vector, cols * vector)
-        chunk = max(1, self._chunk_entries // per_entry)
+        chunk = min(total_waves, max(1, self._chunk_entries // per_entry))
+        dots_buf = np.empty((rows, cols, chunk))
+        lane_buf = np.empty((rows, cols, chunk))
         for m0 in range(0, total_waves, chunk):
-            m_idx = np.arange(m0, min(m0 + chunk, total_waves), dtype=np.int64)
-            # i_l = base_l + mid_l * t_l at lane 0 for every iterator.
-            vals = {
-                it: bases[it] + (m_idx // strides[it]) % counts[it] * t(it)
-                for it in iterators
-            }
-            ok0 = {it: vals[it] < self._bounds[it] for it in iterators}
-            mask_row = vals[row_it][:, None] + x_idx[None, :] < self._bounds[row_it]
-            mask_col = vals[col_it][:, None] + y_idx[None, :] < self._bounds[col_it]
-            mask_vec = vals[vec_it][:, None] + v_idx[None, :] < self._bounds[vec_it]
+            n = min(chunk, total_waves - m0)
+            # Wave index -> middle vector, outermost loop slowest (the
+            # enumerate_waves order the engine consumes); then i_l = base_l
+            # + mid_l * t_l at lane 0 for every iterator.
+            middles = np.unravel_index(np.arange(m0, m0 + n), counts)
+            vals = {it: bases[it] + mid * t(it) for it, mid in zip(iterators, middles)}
+            mask_row = vals[row_it] + x_idx[:, None] < self._bounds[row_it]
+            mask_col = vals[col_it] + y_idx[:, None] < self._bounds[col_it]
+            mask_vec = vals[vec_it] + v_idx[:, None] < self._bounds[vec_it]
+            # Every iterator the array does not unroll, inside its bound.
+            ok_rest = np.ones(n, dtype=bool)
+            for it in iterators:
+                if it not in (row_it, col_it, vec_it):
+                    ok_rest &= vals[it] < self._bounds[it]
 
-            # Operand gathers: the weight vector entering row x, the input
-            # vector entering column y (the engine's _w_vector/_in_vector).
-            base_ok_w = self._and_all(ok0, exclude=(row_it, vec_it), n=len(m_idx))
-            w_vals = self._gather(
-                self._w_access, arrays, vals,
-                base_ok_w[:, None, None] & mask_row[:, :, None] & mask_vec[:, None, :],
-                row_it, x_idx, vec_it, v_idx,
-            )
-            base_ok_i = self._and_all(ok0, exclude=(col_it, vec_it), n=len(m_idx))
-            in_vals = self._gather(
-                self._in_access, arrays, vals,
-                base_ok_i[:, None, None] & mask_col[:, :, None] & mask_vec[:, None, :],
-                col_it, y_idx, vec_it, v_idx,
-            )
+            # Operand gathers, lane-major: the weight vector entering row
+            # x (taken at column 0), the input vector entering column y
+            # (taken at row 0) — the engine's _w_vector/_in_vector — as
+            # (lane, position, wave) planes.
+            w_mask = mask_vec[:, None, :] & (mask_row & mask_col[0] & ok_rest)
+            w_vals = self._gather(operands[0], vals, w_mask, row_it, x_idx)
+            in_mask = mask_vec[:, None, :] & (mask_col & mask_row[0] & ok_rest)
+            in_vals = self._gather(operands[1], vals, in_mask, col_it, y_idx)
 
-            # Per-PE SIMD dot, lane order = simd_dot order.
-            dots = np.zeros((len(m_idx), rows, cols))
+            # Per-PE SIMD dot, lane order = simd_dot order (a running sum
+            # seeded with +0.0, one multiply then one add per lane).
+            dots, lane = dots_buf[:, :, :n], lane_buf[:, :, :n]
+            dots.fill(0.0)
             for v in range(vector):
-                dots += w_vals[:, :, v][:, :, None] * in_vals[:, :, v][:, None, :]
+                np.multiply(w_vals[v][:, None, :], in_vals[v][None, :, :], out=lane)
+                dots += lane
 
             # A PE position is real (non-padding) when every non-vector
             # iterator stays inside its original bound at lane 0.
-            base_ok_c = self._and_all(ok0, exclude=(row_it, col_it, vec_it), n=len(m_idx))
-            compute_mask = (
-                base_ok_c[:, None, None] & mask_row[:, :, None] & mask_col[:, None, :]
-            )
-
-            # Output element per (wave, PE), as an offset into the box.
-            box_off = np.zeros((len(m_idx), 1, 1), dtype=np.int64)
-            box_stride = 1
-            for dim in range(len(box_shape) - 1, -1, -1):
-                expr = self._out_access.indices[dim]
-                key = np.full(len(m_idx), expr.const, dtype=np.int64)
-                for name, coeff in expr.terms:
-                    key = key + coeff * vals[name]
-                dim_key = (
-                    key[:, None, None]
-                    + expr.coefficient(row_it) * x_idx[None, :, None]
-                    + expr.coefficient(col_it) * y_idx[None, None, :]
-                )
-                box_off = box_off + (dim_key - box_lo[dim]) * box_stride
-                box_stride *= box_shape[dim]
-
-            slot = pe_slot_base[None, :, :] + box_off
-            keep = compute_mask.ravel()
-            # np.add.at is unbuffered: entries land in array order, which is
-            # wave-major here — the engine's per-accumulator add order.
-            np.add.at(acc, slot.ravel()[keep], dots.ravel()[keep])
+            compute_mask = mask_row[:, None, :] & (mask_col & ok_rest)[None, :, :]
+            slot = np.where(compute_mask, slot_pe + _affine(out_const, out_coeff, vals), dump)
+            # np.add.at is unbuffered: entries land in array order.  A slot
+            # belongs to one PE (the plane rule), and each PE's entries are
+            # wave-ordered here — the engine's per-accumulator add order.
+            np.add.at(acc, slot.ravel(), dots.ravel())
 
         # Drain in the engine's order: PEs row-major, one add per touched
         # element.  Untouched box slots add +0.0, which cannot change any
         # bit: accumulators and outputs are sums seeded with +0.0 and can
-        # never hold -0.0.
+        # never hold -0.0.  Along an axis the plane rule collapsed, at most
+        # one PE holds a given element, so its plane *is* that one add.
         region = output[tuple(slice(lo, hi + 1) for lo, hi in zip(box_lo, box_hi))]
-        for pe in range(rows * cols):
-            region += acc[pe * box_size : (pe + 1) * box_size].reshape(box_shape)
+        for index in range(planes):
+            region += acc[index * box_size : (index + 1) * box_size].reshape(box_shape)
 
     # -------------------------------------------------------------- helpers
 
     def _output_box(
         self, block: BlockSpec, out_shape: tuple[int, ...]
-    ) -> tuple[list[int], list[int]]:
+    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Inclusive per-dimension bounds of the block's output footprint.
 
         The lower corner is attained by the always-valid first wave at
         PE (0, 0); the upper corner is clamped to the tensor so padding
         waves (masked out anyway) cannot inflate the box.
         """
-        counts = block.middle_map
         bases = block.base_map
         t = self.design.tiling.t
-        inner_extent = {
-            self.mapping.row: self.rows - 1,
-            self.mapping.col: self.cols - 1,
+        extent = {self.mapping.row: self.rows - 1, self.mapping.col: self.cols - 1}
+        last = {
+            it: bases[it] + (count - 1) * t(it) + extent.get(it, 0)
+            for it, count in block.middle_counts
         }
-        lo: list[int] = []
-        hi: list[int] = []
-        for dim, expr in enumerate(self._out_access.indices):
-            low = high = expr.const
-            for name, coeff in expr.terms:
-                low += coeff * bases[name]
-                high += coeff * (bases[name] + (counts[name] - 1) * t(name))
-                high += coeff * inner_extent.get(name, 0)
-            lo.append(low)
-            hi.append(min(high, out_shape[dim] - 1))
-        return lo, hi
+        lo = self._out_access.evaluate(bases)
+        hi = self._out_access.evaluate(last)
+        return lo, tuple(min(h, n - 1) for h, n in zip(hi, out_shape))
 
-    @staticmethod
-    def _and_all(
-        ok0: dict[str, np.ndarray], *, exclude: tuple[str, ...], n: int
-    ) -> np.ndarray:
-        """AND of the lane-0 in-bounds masks over all iterators not excluded."""
-        result = np.ones(n, dtype=bool)
-        for it, mask in ok0.items():
-            if it not in exclude:
-                result &= mask
-        return result
+    def _flat_operand(self, access: ArrayAccess, source: np.ndarray) -> _Operand:
+        """The raveled float64 tensor and its flat affine access terms."""
+        reach = tuple(expr.value_range(self._bounds)[1] + 1 for expr in access.indices)
+        if len(reach) != source.ndim or any(r > n for r, n in zip(reach, source.shape)):
+            # per-dimension fancy indexing raised here; a flat offset would
+            # silently land in the next row
+            raise IndexError(
+                f"{access.array} of shape {source.shape} is too small for "
+                f"{access} (needs {reach})"
+            )
+        source = np.ascontiguousarray(source, dtype=np.float64)
+        return (source.reshape(-1), *_flat_terms(access, source.shape))
 
     def _gather(
         self,
-        access: ArrayAccess,
-        arrays: dict[str, np.ndarray],
+        operand: _Operand,
         vals: dict[str, np.ndarray],
         mask: np.ndarray,
-        it1: str,
-        k1: np.ndarray,
-        it2: str,
-        k2: np.ndarray,
+        pos_it: str,
+        pos_idx: np.ndarray,
     ) -> np.ndarray:
-        """Masked vectorized gather: (waves, |it1|, |it2|) float64 values.
+        """Masked flat gather: (lanes, positions, waves) float64 values.
 
         Matches the engine's ``_gather``: any iterator past its original
         bound makes the value 0.0 (quantization padding contributes
-        nothing); in-bounds values are fetched and widened to float64.
+        nothing); in-bounds values come from one ``take`` at
+        ``A[m] + c_pos * position + c_vec * lane``.
         """
-        source = arrays[access.array]
-        dims = []
-        for expr in access.indices:
-            base = np.full(len(next(iter(vals.values()))), expr.const, dtype=np.int64)
-            for name, coeff in expr.terms:
-                base = base + coeff * vals[name]
-            dim = (
-                base[:, None, None]
-                + expr.coefficient(it1) * k1[None, :, None]
-                + expr.coefficient(it2) * k2[None, None, :]
-            )
-            # Padding indices may exceed the tensor; point them at 0 and
-            # let the mask zero the fetched value.
-            dims.append(np.where(mask, dim, 0))
-        gathered = np.asarray(source[tuple(dims)], dtype=np.float64)
-        return np.where(mask, gathered, 0.0)
+        flat, const, coeff = operand
+        offset = (
+            _affine(const, coeff, vals)
+            + coeff.get(pos_it, 0) * pos_idx[:, None]
+            + coeff.get(self.mapping.vector, 0) * self._v_idx[:, None, None]
+        )
+        # Padding offsets may exceed the tensor; point them at 0 and let
+        # the mask zero the fetched value.
+        return np.where(mask, flat.take(np.where(mask, offset, 0)), 0.0)
+
+
+def _flat_terms(
+    access: ArrayAccess, shape: tuple[int, ...], origin: tuple[int, ...] | None = None
+) -> tuple[int, dict[str, int]]:
+    """``access`` (minus ``origin``) as one affine flat offset into a
+    C-contiguous ``shape``: (constant, iterator -> coefficient)."""
+    const = 0
+    coeff: dict[str, int] = {}
+    for dim, expr in enumerate(access.indices):
+        stride = math.prod(shape[dim + 1 :])
+        const += stride * (expr.const - (origin[dim] if origin else 0))
+        for name, c in expr.terms:
+            coeff[name] = coeff.get(name, 0) + stride * c
+    return const, coeff
+
+
+def _affine(const: int, coeff: dict[str, int], vals: dict[str, np.ndarray]) -> np.ndarray | int:
+    """``const + sum(coeff[it] * vals[it])`` per wave."""
+    return const + sum(c * vals[name] for name, c in coeff.items())
 
 
 __all__ = ["CycleStatistics", "FastWavefrontSimulator", "cycle_statistics"]
