@@ -17,7 +17,7 @@ selects the single unified design per network used in Tables 3–5.
 """
 
 from repro.dse.brute import brute_force_best_middle, brute_force_space_size
-from repro.dse.explore import DseConfig, Phase1Result, Phase2Result, explore
+from repro.dse.explore import DseConfig, NoFeasibleDesign, Phase1Result, Phase2Result, explore
 from repro.dse.parallel import resolve_jobs
 from repro.dse.multi_layer import MultiLayerResult, prepare_network_nests, select_unified_design
 from repro.dse.pareto import ParetoPoint, knee_point, pareto_frontier
@@ -34,6 +34,7 @@ __all__ = [
     "DseConfig",
     "MiddleTuner",
     "MultiLayerResult",
+    "NoFeasibleDesign",
     "ParetoPoint",
     "Phase1Result",
     "Phase2Result",

@@ -9,7 +9,6 @@ spaces) and the speedup ratio measured on identical hardware.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -18,7 +17,7 @@ from repro.model.design_point import ArrayShape, DesignPoint
 from repro.model.mapping import Mapping
 from repro.model.platform import Platform
 from repro.dse.space import DEFAULT_VECTOR_CHOICES, enumerate_configs
-from repro.dse.tuner import MiddleTuner
+from repro.dse.tuner import MiddleTuner, walk
 
 
 @dataclass(frozen=True)
@@ -49,33 +48,23 @@ def brute_force_best_middle(
     """Problem 2 with NO pruning: every integer s in [1, cover] per loop.
 
     Exponential; intended for small nests (tests) and reduced spaces
-    (benchmarks).  Reuses the tuner's evaluation kernel so both arms price
-    candidates identically — the comparison isolates the *search space*
-    difference, exactly what the paper's 17.5x claim is about.
+    (benchmarks).  The same walk as the tuner's, over the full ladders
+    instead of the pruned ones, so both arms price candidates identically
+    — the comparison isolates the *search space* difference, exactly what
+    the paper's 17.5x claim is about.
     """
     tuner = MiddleTuner(nest, mapping, shape, platform)
     freq_hz = (frequency_mhz or platform.assumed_clock_mhz) * 1e6
-
-    ranges = []
-    for it in tuner._iterators:
-        t = dict(zip(tuner._iterators, tuner._inner))[it]
-        cover = math.ceil(nest.bounds[it] / t)
-        ranges.append(range(1, cover + 1))
-
-    best: tuple[float, int, tuple[int, ...]] | None = None
-    count = 0
-    for middles in itertools.product(*ranges):
-        count += 1
-        throughput, bram, _eff = tuner._evaluate(middles, freq_hz)
-        if bram > platform.bram_total:
-            continue
-        if best is None or (throughput, -bram) > (best[0], -best[1]):
-            best = (throughput, bram, middles)
-    if best is None:
+    ladders = [
+        range(1, math.ceil(n / t) + 1) for n, t in zip(tuner._trip, tuner._inner)
+    ]
+    found = walk((tuner,), ladders, freq_hz, tuner._fits)
+    if found is None:
         raise RuntimeError("no feasible tiling in the full space")
-    throughput, bram, middles = best
-    design = DesignPoint.create(nest, mapping, shape, dict(zip(tuner._iterators, middles)))
-    return BruteForceResult(design, throughput / 1e9, bram, count)
+    middles, _key, ((throughput, bram, _eff),) = found
+    return BruteForceResult(
+        tuner.design(middles), throughput / 1e9, bram, math.prod(map(len, ladders))
+    )
 
 
 def brute_force_space_size(

@@ -21,7 +21,6 @@ where same-estimate designs separate by realized frequency.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -31,12 +30,18 @@ from repro.model.design_point import DesignEvaluation, DesignPoint
 from repro.model.platform import Platform
 from repro.dse.parallel import OnDegrade, OnRetry, TaskPool, top_n_search
 from repro.dse.space import DEFAULT_VECTOR_CHOICES, SystolicConfig, enumerate_configs
+from repro.dse.tuner import MiddleTuner
+from repro.dse.vector import CandidateTable, upper_bounds
 
 ProgressFn = Callable[[int, int], None]
 """Optional progress hook: called with (configurations consumed, total)."""
 
-ENGINES = ("vector", "object")
-"""Evaluation engines: columnar NumPy batches vs the scalar object walk."""
+
+class NoFeasibleDesign(ValueError):
+    """No design satisfies the constraints: the Eq. 12 window admits no
+    configuration, or no admitted configuration has a tiling that fits
+    the BRAM budget.  The one error every search raises for an
+    unsatisfiable request."""
 
 
 @dataclass(frozen=True)
@@ -50,12 +55,6 @@ class DseConfig:
         include_cover: extend the power-of-two tiling candidates with the
             cover bound (see tuner docs); False = paper-faithful pruning.
         upper_bound_pruning: enable the admissible branch-and-bound.
-        engine: evaluation engine for the hot loops — ``"vector"``
-            (default) scores candidate batches as NumPy arrays through
-            :mod:`repro.dse.vector`; ``"object"`` walks one Python object
-            at a time.  The two are bit-identical in winners, tie-breaks
-            and visit/prune counts (asserted by tests), so the object
-            path is kept as the differential oracle.
         strict: re-verify every finalist with the independent
             design-point validator (:mod:`repro.analysis.design_check`)
             and raise :class:`repro.analysis.DiagnosticError` if any
@@ -69,7 +68,6 @@ class DseConfig:
     top_n: int = 14
     include_cover: bool = True
     upper_bound_pruning: bool = True
-    engine: str = "vector"
     strict: bool = False
 
     def __post_init__(self) -> None:
@@ -77,10 +75,6 @@ class DseConfig:
             raise ValueError("c_s must be in [0, 1]")
         if self.top_n < 1:
             raise ValueError("top_n must be >= 1")
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown DSE engine {self.engine!r}; choices: {list(ENGINES)}"
-            )
 
 
 @dataclass(frozen=True)
@@ -123,45 +117,17 @@ class Phase2Result:
     estimated_gops: tuple[float, ...]
 
 
-def _shape_only_efficiency(nest: LoopNest, config: SystolicConfig) -> float:
-    """Eff upper bound: quantization from the inner bounds only."""
-    inner = {
-        config.mapping.row: config.shape.rows,
-        config.mapping.col: config.shape.cols,
-        config.mapping.vector: config.shape.vector,
-    }
-    eff = 1.0
-    for it, t in inner.items():
-        n = nest.bounds[it]
-        eff *= n / (math.ceil(n / t) * t)
-    return eff
-
-
-def throughput_upper_bound_gops(
-    nest: LoopNest, config: SystolicConfig, platform: Platform
-) -> float:
-    """Cheap admissible bound: PT at ideal tiling (Eq. 8 with shape-only
-    efficiency).  True throughput is min(PT, MT) <= PT, and Eff(s, t) <=
-    shape-only Eff for any s."""
-    eff = _shape_only_efficiency(nest, config)
-    return eff * 2.0 * config.shape.lanes * platform.assumed_clock_mhz * 1e6 / 1e9
-
-
 def tune_candidate(
     nest: LoopNest,
     platform: Platform,
     include_cover: bool,
-    engine: str,
     candidate: SystolicConfig,
 ) -> tuple[DesignEvaluation, int] | None:
     """Tune one configuration; (evaluation, tilings walked) or None when
     no tiling fits the BRAM budget.  Pure — the one phase-1 evaluation,
     whether a pool worker, its serial fallback or the in-process walk
-    runs it — and the vector/object engines agree bit-for-bit, so the
-    ``engine`` knob never changes the result, only how fast it arrives."""
-    from repro.dse.vector import tuner_for
-
-    tuner = tuner_for(engine)(
+    runs it."""
+    tuner = MiddleTuner(
         nest, candidate.mapping, candidate.shape, platform, include_cover=include_cover
     )
     try:
@@ -209,28 +175,11 @@ def phase1(
             vector_choices=config.vector_choices,
         )
     )
-    if config.engine == "vector" and candidates:
-        from repro.dse.vector import CandidateTable, legality_mask, upper_bounds
-
-        # Columnar scoring: bounds for the whole subspace in one shot,
-        # plus the batched Eq. 12 mask standing in for per-candidate
-        # validation.  The sort itself stays the same stable Python sort,
-        # so the branch-and-bound consumes candidates in the identical
-        # order as the object path (the bound values are bit-identical).
-        table = CandidateTable.from_configs(nest, candidates)
-        mask = legality_mask(
-            table, platform, min_dsp_utilization=config.min_dsp_utilization
-        )
-        if not bool(mask.all()):
-            bad = candidates[int(mask.argmin())]
-            raise ValueError(f"candidate {bad} violates the Eq. 12 DSP window")
-        bounds_by_config = upper_bounds(table, platform).tolist()
-    else:
-        bounds_by_config = [
-            throughput_upper_bound_gops(nest, c, platform) for c in candidates
-        ]
+    # Bounds for the whole subspace in one shot; the stable sort keeps
+    # enumeration order among equal bounds.
+    bounds_by_config = upper_bounds(CandidateTable.from_configs(nest, candidates), platform)
     ranked = sorted(
-        zip(bounds_by_config, candidates),
+        zip(bounds_by_config.tolist(), candidates),
         key=lambda pair: pair[0],
         reverse=True,
     )
@@ -244,7 +193,7 @@ def phase1(
 
     with TaskPool(
         tune_candidate,
-        (nest, platform, config.include_cover, config.engine),
+        (nest, platform, config.include_cover),
         jobs if len(ranked) > 1 else 1,
         on_retry=on_retry,
         on_degrade=on_degrade,
@@ -291,7 +240,7 @@ def phase2(
     design-point validator before being returned.
     """
     if not phase1_result.finalists:
-        raise ValueError("phase 1 produced no feasible designs")
+        raise NoFeasibleDesign("phase 1 produced no feasible designs")
     realized: list[tuple[DesignEvaluation, float]] = []
     for evaluation in phase1_result.finalists:
         design: DesignPoint = evaluation.design
@@ -328,12 +277,11 @@ def explore(
 
 
 __all__ = [
-    "ENGINES",
     "DseConfig",
+    "NoFeasibleDesign",
     "Phase1Result",
     "Phase2Result",
     "explore",
     "phase1",
     "phase2",
-    "throughput_upper_bound_gops",
 ]

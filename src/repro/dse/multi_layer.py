@@ -26,10 +26,11 @@ from repro.model.mapping import Mapping, feasible_mappings
 from repro.model.platform import Platform
 from repro.nn.folding import fold_layer
 from repro.nn.models import Network
-from repro.dse.explore import DseConfig, _shape_only_efficiency
+from repro.dse.explore import DseConfig, NoFeasibleDesign
 from repro.dse.parallel import OnDegrade, OnRetry, TaskPool, top_n_search
 from repro.dse.space import SystolicConfig, enumerate_shapes
-from repro.dse.tuner import TunedDesign
+from repro.dse.tuner import MiddleTuner, TunedDesign
+from repro.dse.vector import CandidateTable, aggregate_upper_bounds
 
 
 @dataclass(frozen=True)
@@ -148,23 +149,6 @@ def _common_mappings(workloads: tuple[LayerWorkload, ...]) -> tuple[Mapping, ...
     return tuple(sorted(common, key=str)) if common else ()
 
 
-def _aggregate_upper_bound(
-    workloads: tuple[LayerWorkload, ...],
-    config: SystolicConfig,
-    platform: Platform,
-) -> float:
-    """Admissible aggregate-throughput bound from per-layer PT bounds."""
-    total_ops = 0.0
-    total_time = 0.0
-    freq = platform.assumed_clock_mhz * 1e6
-    for w in workloads:
-        eff = _shape_only_efficiency(w.nest, config)
-        pt = eff * 2.0 * config.shape.lanes * freq  # ops/s on the nest basis
-        total_ops += w.effective_ops
-        total_time += w.multiplicity * w.nest.total_operations / pt
-    return total_ops / total_time / 1e9
-
-
 def unified_candidates(
     workloads: tuple[LayerWorkload, ...], platform: Platform, config: DseConfig
 ) -> list[tuple[float, SystolicConfig]]:
@@ -183,13 +167,9 @@ def unified_candidates(
             vector_choices=config.vector_choices,
         )
     ]
-    if config.engine == "vector" and candidates:
-        from repro.dse.vector import CandidateTable, aggregate_upper_bounds
-
-        table = CandidateTable.from_configs(envelope, candidates)
-        bounds = aggregate_upper_bounds(workloads, table, platform).tolist()
-    else:
-        bounds = [_aggregate_upper_bound(workloads, c, platform) for c in candidates]
+    bounds = aggregate_upper_bounds(
+        workloads, CandidateTable.from_configs(envelope, candidates), platform
+    ).tolist()
     return list(zip(bounds, candidates))
 
 
@@ -221,16 +201,13 @@ def evaluate_unified(
     """Tune every layer under one ``(config, clock MHz)`` task (None =
     the platform's assumed clock); None if any layer has no feasible
     tiling.  Pure — the one unified evaluation, wherever it runs."""
-    from repro.dse.vector import tuner_for
-
     config, frequency_mhz = task
     freq = frequency_mhz or platform.assumed_clock_mhz
     tuned_layers = []
     seconds = []
     total_seconds = 0.0
-    tuner_cls = tuner_for(dse.engine)
     for w in workloads:
-        tuner = tuner_cls(
+        tuner = MiddleTuner(
             w.nest, config.mapping, config.shape, platform, include_cover=dse.include_cover
         )
         try:
@@ -331,7 +308,7 @@ def select_unified_design(
         raise ValueError("no conv layers to explore")
     candidates = unified_candidates(workloads, platform, config)
     if not candidates:
-        raise ValueError("design space is empty — lower min_dsp_utilization?")
+        raise NoFeasibleDesign("design space is empty — lower min_dsp_utilization?")
     ranked = sorted(
         ((bound, (candidate, None)) for bound, candidate in candidates),
         key=lambda pair: pair[0],
@@ -354,7 +331,7 @@ def select_unified_design(
             progress=progress,
         )
         if not finalists:
-            raise RuntimeError("no feasible unified design found")
+            raise NoFeasibleDesign("no feasible unified design found")
 
         # Phase 2: realize clocks (from the max-BRAM figure phase 1's
         # evaluation at the assumed clock already holds), re-tune at the

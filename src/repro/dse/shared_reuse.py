@@ -17,13 +17,13 @@ the shared strategy reproducing the paper's conv1 penalty.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 from repro.model.platform import Platform
 from repro.dse.multi_layer import LayerWorkload
 from repro.dse.space import SystolicConfig
-from repro.dse.tuner import MiddleTuner, middle_candidates
+from repro.dse.tuner import MiddleTuner, walk
 
 
 @dataclass(frozen=True)
@@ -93,56 +93,36 @@ def tune_shared_reuse(
             raise ValueError("workloads must share iterator names/order")
 
     freq_hz = (frequency_mhz or platform.assumed_clock_mhz) * 1e6
-    tuners = [
-        MiddleTuner(w.nest, config.mapping, config.shape, platform,
-                    include_cover=include_cover)
+    tuners = tuple(
+        MiddleTuner(w.nest, config.mapping, config.shape, platform, include_cover=include_cover)
         for w in workloads
-    ]
-    inner = {
-        config.mapping.row: config.shape.rows,
-        config.mapping.col: config.shape.cols,
-        config.mapping.vector: config.shape.vector,
-    }
+    )
     # Union of per-layer candidates, per loop.
-    candidates = []
-    for position, it in enumerate(iterators):
-        values: set[int] = set()
-        for w in workloads:
-            values.update(
-                middle_candidates(
-                    w.nest.bounds[it], inner.get(it, 1), include_cover=include_cover
-                )
-            )
-        candidates.append(tuple(sorted(values)))
+    candidates = [
+        tuple(sorted(set().union(*(tuner._candidates[position] for tuner in tuners))))
+        for position in range(len(iterators))
+    ]
+    total_ops = 0.0
+    for w in workloads:
+        total_ops += w.effective_ops
 
-    best = None
-    combos = 0
-    for combo in itertools.product(*candidates):
-        combos += 1
-        total_time = 0.0
-        total_ops = 0.0
-        max_bram = 0
+    def aggregate(scores: list) -> tuple:
+        """Feasible only if every layer fits the BRAM budget; maximal
+        aggregate ops/s, ties to the first tiling (no cost)."""
         feasible = True
-        for w, tuner in zip(workloads, tuners):
-            throughput, bram, _eff = tuner._evaluate(combo, freq_hz)
-            if bram > platform.bram_total:
-                feasible = False
-                break
-            max_bram = max(max_bram, bram)
-            total_time += w.multiplicity * w.nest.total_operations / throughput
-            total_ops += w.effective_ops
-        if not feasible:
-            continue
-        aggregate = total_ops / total_time
-        if best is None or aggregate > best[0]:
-            best = (aggregate, combo, max_bram)
-    if best is None:
+        total_time = 0.0
+        for w, (throughput, bram, _eff) in zip(workloads, scores):
+            feasible = feasible & (bram <= platform.bram_total)
+            total_time = total_time + w.multiplicity * w.nest.total_operations / throughput
+        return feasible, total_ops / total_time, 0
+
+    found = walk(tuners, candidates, freq_hz, aggregate)
+    if found is None:
         raise RuntimeError("no shared reuse strategy fits the BRAM budget")
 
-    aggregate, combo, max_bram = best
+    combo, (aggregate_ops, _), scores = found
     layers = []
-    for w, tuner in zip(workloads, tuners):
-        throughput, _bram, eff = tuner._evaluate(combo, freq_hz)
+    for w, (throughput, _bram, eff) in zip(workloads, scores):
         seconds = w.multiplicity * w.nest.total_operations / throughput
         layers.append(
             SharedLayerOutcome(
@@ -154,10 +134,10 @@ def tune_shared_reuse(
         )
     return SharedReuseResult(
         middle=dict(zip(iterators, combo)),
-        aggregate_gops=aggregate / 1e9,
+        aggregate_gops=float(aggregate_ops) / 1e9,
         layers=tuple(layers),
-        bram_blocks=max_bram,
-        combos_evaluated=combos,
+        bram_blocks=max(bram for _tp, bram, _eff in scores),
+        combos_evaluated=math.prod(map(len, candidates)),
     )
 
 

@@ -92,7 +92,7 @@ def run_section4_pruning(
     result.add_row(
         "brute-force estimate",
         "~311 h (Xeon E5-2667)",
-        f"~{brute_hours:,.0f} h ({full_space:,} candidates x {per_candidate * 1e6:.1f} us)",
+        f"~{brute_hours:,.2f} h ({full_space:,} candidates x {per_candidate * 1e6:.3f} us)",
     )
     result.add_row(
         "speedup", f"{311 * 3600 / 30:,.0f}x+",

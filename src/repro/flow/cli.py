@@ -86,6 +86,7 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from repro.codegen.opencl import OPENCL_SHIM
+from repro.dse.explore import NoFeasibleDesign
 from repro.flow.compile import NetworkSynthesis
 from repro.flow.report import render_network_report, render_synthesis_report
 from repro.flow.request import OPTIONS, SynthesisRequest, lower_options, run
@@ -1094,13 +1095,16 @@ def _synthesize(args: argparse.Namespace, request: SynthesisRequest) -> int:
     ``--output`` — the local tail of the default action and ``import``."""
     from repro.pipeline.events import JsonlTraceWriter, ProgressPrinter
 
-    out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
     observers: list = [] if args.quiet else [ProgressPrinter()]
     with contextlib.ExitStack() as stack:
         if getattr(args, "trace_json", None):
             observers.append(stack.enter_context(JsonlTraceWriter(args.trace_json)))
-        result = run(request, jobs=args.jobs, cache=_cache_spec(args), observers=observers)
+        try:
+            result = run(request, jobs=args.jobs, cache=_cache_spec(args), observers=observers)
+        except NoFeasibleDesign as exc:
+            return _fail(exc)
+    out_dir = Path(args.output)
+    out_dir.mkdir(parents=True, exist_ok=True)
     if request.network is not None:
         result = NetworkSynthesis.emit(request, result)
         report = render_network_report(request.network.name, result)

@@ -166,7 +166,6 @@ class DsePhase1Stage(_SearchStage):
             "tuned": result.configs_tuned,
             "pruned": result.configs_enumerated - result.configs_tuned,
             "tilings": result.tilings_evaluated,
-            "engine": ctx.config.engine,
         }
 
 
@@ -240,7 +239,6 @@ class UnifiedDseStage(_SearchStage):
             "gops": round(result.aggregate_gops, 1),
             "configs": result.configs_enumerated,
             "tuned": result.configs_tuned,
-            "engine": ctx.config.engine,
         }
 
 

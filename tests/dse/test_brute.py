@@ -1,13 +1,20 @@
 """Tests for the exhaustive baselines, validating the pruning claims."""
 
+from dataclasses import replace
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ir.loop import conv_loop_nest
 from repro.model.design_point import ArrayShape
-from repro.model.mapping import Mapping
+from repro.model.mapping import Mapping, feasible_mappings
 from repro.model.platform import Platform
 from repro.dse.brute import brute_force_best_middle, brute_force_space_size
 from repro.dse.tuner import MiddleTuner
+from tests.dse import oracle
+from tests.strategies import array_shapes, small_conv_nests
 
 
 def small_nest():
@@ -70,6 +77,41 @@ class TestBruteForceOptimality:
         tuned = MiddleTuner(nest, MAPPING, shape, platform).tune()
         assert brute.candidates_evaluated / tuned.candidates_evaluated > 5
         assert tuned.throughput_gops == pytest.approx(brute.throughput_gops, rel=1e-9)
+
+
+def outcome(search, *args):
+    try:
+        return search(*args)
+    except RuntimeError as exc:
+        return str(exc)
+
+
+class TestAgainstOracle:
+    """The full-ladder walk equals the oracle's ``itertools.product``
+    walk: winner, tie-break (throughput, then BRAM, then first tiling),
+    BRAM and count."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        nest=small_conv_nests(),
+        shape=array_shapes(max_rows=3, max_cols=3, vectors=(1, 2)),
+        ragged=st.sampled_from(["padded", "clipped"]),
+        bram_blocks=st.sampled_from([None, 24, 30]),
+        chunk=st.sampled_from([None, 2, 5]),
+    )
+    def test_brute_force_equals_oracle_walk(self, nest, shape, ragged, bram_blocks, chunk):
+        platform = Platform(ragged_middle=ragged)
+        if bram_blocks is not None:
+            platform = replace(platform, device=replace(platform.device, bram_blocks=bram_blocks))
+        with mock.patch.object(MiddleTuner, "CHUNK", chunk or MiddleTuner.CHUNK):
+            for mapping in feasible_mappings(nest):
+                args = (nest, mapping, shape, platform)
+                assert outcome(brute_force_best_middle, *args) == outcome(oracle.brute_force, *args)
+
+    def test_conv5_space_equals_oracle(self):
+        nest = conv_loop_nest(128, 192, 13, 13, 3, 3, name="conv5")
+        args = (nest, MAPPING, ArrayShape(11, 13, 8), Platform())
+        assert brute_force_best_middle(*args) == oracle.brute_force(*args)
 
 
 class TestBruteSpaceSize:

@@ -4,15 +4,10 @@ import pytest
 
 from repro.ir.loop import conv_loop_nest
 from repro.model.platform import Platform
-from repro.dse.explore import (
-    DseConfig,
-    explore,
-    phase1,
-    phase2,
-    throughput_upper_bound_gops,
-)
-from repro.dse.space import SystolicConfig, enumerate_configs
+from repro.dse.explore import DseConfig, NoFeasibleDesign, explore, phase1, phase2
+from repro.dse.space import enumerate_configs
 from repro.dse.tuner import MiddleTuner
+from repro.dse.vector import CandidateTable, upper_bounds
 
 
 def conv5():
@@ -42,8 +37,8 @@ class TestUpperBound:
         configs = list(
             enumerate_configs(nest, platform, min_dsp_utilization=0.9, vector_choices=(8,))
         )[::25]
-        for config in configs:
-            ub = throughput_upper_bound_gops(nest, config, platform)
+        bounds = upper_bounds(CandidateTable.from_configs(nest, configs), platform)
+        for ub, config in zip(bounds.tolist(), configs):
             tuned = MiddleTuner(nest, config.mapping, config.shape, platform).tune()
             assert tuned.throughput_gops <= ub * (1 + 1e-9)
 
@@ -113,6 +108,20 @@ class TestPhase2:
 
         with pytest.raises(ValueError):
             phase2(Phase1Result((), 0, 0, 0, 0.0), Platform())
+
+    def test_unsatisfiable_search_raises_no_feasible_design(self):
+        """c_s = 1.0 admits no configuration; a 1-block RAM budget admits
+        configurations but no tiling.  Both are the one named error."""
+        from dataclasses import replace
+
+        tiny = Platform()
+        tiny = replace(tiny, device=replace(tiny.device, bram_blocks=1, name="tiny"))
+        for platform, config in (
+            (Platform(), DseConfig(min_dsp_utilization=1.0)),
+            (tiny, DseConfig(min_dsp_utilization=0.8, vector_choices=(8,))),
+        ):
+            with pytest.raises(NoFeasibleDesign):
+                explore(small_nest(), platform, config)
 
     def test_phase2_can_reorder_equal_estimates(self):
         """Fig. 7(b)'s reason to exist: several finalists share the top

@@ -4,7 +4,7 @@ import pytest
 
 from repro.model.platform import Platform
 from repro.nn.models import alexnet, tiny_cnn
-from repro.dse.explore import DseConfig
+from repro.dse.explore import DseConfig, NoFeasibleDesign
 from repro.dse.multi_layer import (
     prepare_network_nests,
     select_unified_design,
@@ -80,6 +80,18 @@ class TestSelectUnifiedDesign:
         b = select_unified_design(tiny_cnn(), Platform(), cfg)
         assert a.config == b.config
         assert a.frequency_mhz == b.frequency_mhz
+
+    def test_unsatisfiable_search_raises_no_feasible_design(self):
+        """An empty Eq. 12 window, and a RAM budget no tiling fits, are
+        the one named error of every search."""
+        from dataclasses import replace
+
+        tiny = Platform()
+        tiny = replace(tiny, device=replace(tiny.device, bram_blocks=1, name="tiny"))
+        for platform, cs in ((Platform(), 1.0), (tiny, 0.0)):
+            cfg = DseConfig(min_dsp_utilization=cs, vector_choices=(2,), top_n=2)
+            with pytest.raises(NoFeasibleDesign):
+                select_unified_design(tiny_cnn(), platform, cfg)
 
     @pytest.mark.parametrize("pruning", [True, False])
     def test_evaluations_are_consumed_candidates_plus_one_per_finalist(

@@ -12,6 +12,7 @@ from repro.model.design_point import ArrayShape, DesignPoint
 from repro.model.mapping import Mapping
 from repro.model.platform import Platform
 from repro.dse.tuner import MiddleTuner, middle_candidates, tuning_space_size
+from tests.dse.oracle import ScalarTuner
 from tests.strategies import array_shapes
 
 
@@ -66,18 +67,19 @@ class TestTuningSpaceSize:
 
 
 class TestEvaluationEquivalence:
-    """The hand-inlined kernel must match the reference object model."""
+    """The scalar oracle the kernel is held to (``tests/dse/oracle.py``)
+    must match the reference object model."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_points_match_reference(self, seed):
         nest = conv5()
         platform = Platform()
-        tuner = MiddleTuner(nest, *SYS1, platform)
+        tuner = ScalarTuner(nest, *SYS1, platform)
         rng = random.Random(seed)
         for _ in range(50):
-            mids = tuple(rng.choice(c) for c in tuner._candidates)
-            fast_t, fast_bram, fast_eff = tuner._evaluate(mids, 280e6)
-            dp = DesignPoint.create(nest, *SYS1, dict(zip(tuner._iterators, mids)))
+            mids = tuple(rng.choice(c) for c in tuner.candidates)
+            fast_t, fast_bram, fast_eff = tuner.evaluate(mids, 280e6)
+            dp = DesignPoint.create(nest, *SYS1, dict(zip(tuner.iterators, mids)))
             ev = dp.evaluate(platform)
             assert fast_t == pytest.approx(ev.performance.throughput_gops * 1e9, rel=1e-9)
             assert fast_bram == ev.bram.total
@@ -89,12 +91,12 @@ class TestEvaluationEquivalence:
         the reference model must agree (it uses block_domain_clipped)."""
         nest = conv5()
         platform = Platform(ragged_middle="clipped")
-        tuner = MiddleTuner(nest, *SYS1, platform)
+        tuner = ScalarTuner(nest, *SYS1, platform)
         rng = random.Random(seed)
         for _ in range(40):
-            mids = tuple(rng.choice(c) for c in tuner._candidates)
-            fast_t, fast_bram, fast_eff = tuner._evaluate(mids, 280e6)
-            dp = DesignPoint.create(nest, *SYS1, dict(zip(tuner._iterators, mids)))
+            mids = tuple(rng.choice(c) for c in tuner.candidates)
+            fast_t, fast_bram, fast_eff = tuner.evaluate(mids, 280e6)
+            dp = DesignPoint.create(nest, *SYS1, dict(zip(tuner.iterators, mids)))
             ev = dp.evaluate(platform)
             assert fast_t == pytest.approx(ev.performance.throughput_gops * 1e9, rel=1e-9)
             assert fast_bram == ev.bram.total
@@ -114,13 +116,13 @@ class TestEvaluationEquivalence:
         platform = Platform()
         mapping = Mapping("o", "c", "i", "IN", "W")
         shape = ArrayShape(8, 11, 4)
-        tuner = MiddleTuner(nest, mapping, shape, platform)
+        tuner = ScalarTuner(nest, mapping, shape, platform)
         rng = random.Random(7)
         exact_seen = 0
         for _ in range(25):
-            mids = tuple(rng.choice(c) for c in tuner._candidates)
-            fast_t, fast_bram, _ = tuner._evaluate(mids, 280e6)
-            dp = DesignPoint.create(nest, mapping, shape, dict(zip(tuner._iterators, mids)))
+            mids = tuple(rng.choice(c) for c in tuner.candidates)
+            fast_t, fast_bram, _ = tuner.evaluate(mids, 280e6)
+            dp = DesignPoint.create(nest, mapping, shape, dict(zip(tuner.iterators, mids)))
             ev = dp.evaluate(platform)
             ref_t = ev.performance.throughput_gops * 1e9
             assert fast_t <= ref_t * (1 + 1e-9)
@@ -147,11 +149,11 @@ class TestTune:
     def test_winner_is_best_in_pruned_space(self):
         """Exhaustively verify the tuner's winner against a full walk of
         its own candidate space."""
-        tuner = MiddleTuner(conv5(), *SYS1, Platform())
-        result = tuner.tune()
+        result = MiddleTuner(conv5(), *SYS1, Platform()).tune()
+        oracle = ScalarTuner(conv5(), *SYS1, Platform())
         best = 0.0
-        for mids in itertools.product(*tuner._candidates):
-            t, bram, _ = tuner._evaluate(mids, 280e6)
+        for mids in itertools.product(*oracle.candidates):
+            t, bram, _ = oracle.evaluate(mids, 280e6)
             if bram <= Platform().bram_total:
                 best = max(best, t)
         assert result.throughput_gops * 1e9 == pytest.approx(best, rel=1e-12)

@@ -1,21 +1,27 @@
-"""Bit-identity of the columnar (vector) DSE engine vs the object path.
+"""Bit-identity of the DSE's one columnar tiling kernel.
 
-The vector engine's contract is not "close": winners, tie-breaks, visit
-counts and prune counts must be *equal* to the scalar object walk.  These
-tests pin that on random configurations, on both ragged-middle semantics,
-and end-to-end on the golden AlexNet/VGG nests through phase 1, phase 2
-and the unified multi-layer selection.
+The kernel's contract is not "close": winners, tie-breaks, BRAM counts
+and visit counts must be *equal* to the scalar oracle of
+``tests/dse/oracle.py`` (the model inlined one tiling at a time and
+walked with ``itertools.product``).  These tests pin that on random
+configurations, on both ragged-middle semantics, on the Python-int
+columns past 2^53, and over the importer's structural vocabulary; and
+they hold phase 1, phase 2 and the unified selection to results recorded
+before the kernel became the only one.
 """
 
+import json
 import random
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.dse.tuner as tuner_mod
 from repro.hw.datatype import FIXED_8_16, FLOAT32
 from repro.ir.loop import conv_loop_nest
 from repro.model.design_point import ArrayShape
@@ -23,28 +29,16 @@ from repro.model.mapping import Mapping, feasible_mappings
 from repro.model.platform import Platform
 from repro.nn.folding import fold_layer
 from repro.nn.models import alexnet, mobilenet_v1, resnet18, vgg16
-from repro.dse.explore import (
-    DseConfig,
-    phase1,
-    phase2,
-    throughput_upper_bound_gops,
-)
-from repro.dse.multi_layer import (
-    _aggregate_upper_bound,
-    prepare_network_nests,
-    select_unified_design,
-)
+from repro.dse.explore import DseConfig, phase1, phase2
+from repro.dse.multi_layer import prepare_network_nests, select_unified_design
 from repro.dse.space import enumerate_configs
 from repro.dse.tuner import MiddleTuner
-from repro.dse.vector import (
-    CandidateTable,
-    VectorTuner,
-    aggregate_upper_bounds,
-    legality_mask,
-    tuner_for,
-    upper_bounds,
-)
+from repro.dse.vector import CandidateTable, VectorTuner, aggregate_upper_bounds, upper_bounds
+from repro.pipeline.codecs import encode_unified
+from tests.dse.oracle import ScalarTuner, aggregate_upper_bound, throughput_upper_bound_gops
 from tests.strategies import array_shapes, rich_conv_layers
+
+GOLDEN = Path(__file__).parent / "golden" / "dse_search.json"
 
 
 def conv5():
@@ -61,19 +55,23 @@ def vgg_conv11():
     )
 
 
+def huge():
+    return conv_loop_nest(32768, 32768, 1024, 1024, 3, 3, name="huge")
+
+
 SMALL = DseConfig(min_dsp_utilization=0.6, vector_choices=(4, 8), top_n=8)
 
 
 def counting_slabs(monkeypatch):
-    """Count the slabs ``VectorTuner.tune`` scores from here on."""
+    """Record ``exact`` for every slab the kernel scores from here on."""
     scored = []
-    score = VectorTuner._score
+    score = MiddleTuner._score
 
-    def counting(self, blocks, freq_hz):
-        scored.append(len(blocks))
-        return score(self, blocks, freq_hz)
+    def counting(self, blocks, freq_hz, exact):
+        scored.append(exact)
+        return score(self, blocks, freq_hz, exact)
 
-    monkeypatch.setattr(VectorTuner, "_score", counting)
+    monkeypatch.setattr(MiddleTuner, "_score", counting)
     return scored
 
 
@@ -89,35 +87,33 @@ def random_configs(nest, platform, count, seed):
     return random.Random(seed).sample(pool, min(count, len(pool)))
 
 
+def test_the_harness_name_is_the_one_tuner():
+    assert VectorTuner is MiddleTuner
+
+
 class TestVectorTunerBitIdentity:
     @pytest.mark.parametrize("ragged", ["padded", "clipped"])
     def test_random_configs_match_scalar_exactly(self, ragged):
         nest = conv5()
         platform = Platform(ragged_middle=ragged)
         for config in random_configs(nest, platform, 12, seed=len(ragged)):
-            scalar = MiddleTuner(
-                nest, config.mapping, config.shape, platform
-            ).tune()
-            vector = VectorTuner(
-                nest, config.mapping, config.shape, platform
-            ).tune()
-            assert vector == scalar  # dataclass equality: design + floats
+            args = (nest, config.mapping, config.shape, platform)
+            # dataclass equality: design + floats + counts
+            assert MiddleTuner(*args).tune() == ScalarTuner(*args).tune()
 
     def test_strided_folded_nest_matches(self):
         nest = strided()
         platform = Platform()
         for config in random_configs(nest, platform, 8, seed=3):
-            assert (
-                VectorTuner(nest, config.mapping, config.shape, platform).tune()
-                == MiddleTuner(nest, config.mapping, config.shape, platform).tune()
-            )
+            args = (nest, config.mapping, config.shape, platform)
+            assert MiddleTuner(*args).tune() == ScalarTuner(*args).tune()
 
     def test_frequency_override_matches(self):
         nest = conv5()
         platform = Platform()
         config = random_configs(nest, platform, 1, seed=7)[0]
         args = (nest, config.mapping, config.shape, platform)
-        assert VectorTuner(*args).tune(frequency_mhz=193.7) == MiddleTuner(
+        assert MiddleTuner(*args).tune(frequency_mhz=193.7) == ScalarTuner(
             *args
         ).tune(frequency_mhz=193.7)
 
@@ -127,35 +123,36 @@ class TestVectorTunerBitIdentity:
         platform = Platform()
         config = random_configs(nest, platform, 1, seed=11)[0]
         args = (nest, config.mapping, config.shape, platform)
-        baseline = VectorTuner(*args).tune()
-        monkeypatch.setattr(VectorTuner, "CHUNK", 17)
+        baseline = MiddleTuner(*args).tune()
+        monkeypatch.setattr(MiddleTuner, "CHUNK", 17)
         scored = counting_slabs(monkeypatch)
-        assert VectorTuner(*args).tune() == baseline
+        assert MiddleTuner(*args).tune() == baseline
         assert len(scored) >= baseline.candidates_evaluated // 17 > 1
 
-    def test_out_of_range_config_falls_back_to_scalar(self, monkeypatch):
-        # When intermediates could exceed float64's exact range the guard
-        # must refuse the vector math and delegate wholesale.  Tightening
-        # the limit makes an ordinary config trip it without needing a
-        # nest whose scalar walk would take minutes.
-        import repro.dse.vector as vector_mod
-
+    def test_out_of_range_config_uses_python_int_columns(self, monkeypatch):
+        # Past the guard the kernel keeps running, on Python-int columns.
+        # Tightening the limit makes an ordinary config trip it.
         nest = conv5()
         platform = Platform()
         config = random_configs(nest, platform, 1, seed=5)[0]
         args = (nest, config.mapping, config.shape, platform)
-        monkeypatch.setattr(vector_mod, "INT_EXACT_LIMIT", 1_000)
+        monkeypatch.setattr(tuner_mod, "INT_EXACT_LIMIT", 1_000)
         scored = counting_slabs(monkeypatch)
-        tuner = VectorTuner(*args)
-        assert not tuner._within_exact_range()
-        assert tuner.tune() == MiddleTuner(*args).tune()
-        assert not scored  # the scalar walk ran, not the kernel
-        # And a genuinely oversized nest trips the real limit.
-        huge = conv_loop_nest(32768, 32768, 1024, 1024, 3, 3, name="huge")
-        monkeypatch.undo()
-        assert not VectorTuner(
-            huge, Mapping("o", "c", "i", "IN", "W"), ArrayShape(2, 2, 4), platform
-        )._within_exact_range()
+        tuner = MiddleTuner(*args)
+        assert not tuner._within_exact_range(tuner._candidates)
+        assert tuner.tune() == ScalarTuner(*args).tune()
+        assert scored and not any(scored)  # every slab on Python ints
+
+    def test_huge_nest_past_2_53_equals_the_oracle(self, monkeypatch):
+        """A nest whose intermediates really exceed float64's exact range
+        (369,600 tilings): the kernel's Python-int columns price it as the
+        oracle does."""
+        args = (huge(), Mapping("o", "c", "i", "IN", "W"), ArrayShape(2, 2, 4), Platform())
+        tuner = MiddleTuner(*args)
+        assert not tuner._within_exact_range(tuner._candidates)
+        scored = counting_slabs(monkeypatch)
+        assert tuner.tune() == ScalarTuner(*args).tune()
+        assert scored and not any(scored)
 
     def test_infeasible_raises_same_error(self):
         nest = conv5()
@@ -163,10 +160,10 @@ class TestVectorTunerBitIdentity:
         platform = replace(
             base, device=replace(base.device, bram_blocks=1, name="tiny")
         )
-        mapping = Mapping("o", "c", "i", "IN", "W")
-        shape = ArrayShape(11, 13, 8)
+        args = (nest, Mapping("o", "c", "i", "IN", "W"), ArrayShape(11, 13, 8), platform)
         with pytest.raises(RuntimeError, match="no feasible tiling"):
-            VectorTuner(nest, mapping, shape, platform).tune()
+            MiddleTuner(*args).tune()
+        assert tune_or_error(MiddleTuner(*args)) == tune_or_error(ScalarTuner(*args))
 
     def test_above_chunk_grid_tunes_in_slabs_under_a_memory_ceiling(self, monkeypatch):
         """Regression: a broadcast kernel must not materialise a grid the
@@ -174,9 +171,9 @@ class TestVectorTunerBitIdentity:
         walks slabs, so the peak is set by ``CHUNK``, not by the grid."""
         nest = conv_loop_nest(4096, 4096, 64, 64, 7, 7, name="wide")
         args = (nest, Mapping("o", "c", "i", "IN", "W"), ArrayShape(2, 2, 4), Platform())
-        tuner = VectorTuner(*args)
-        assert tuner._within_exact_range()
-        assert tuner.pruned_space_size() > 2 * VectorTuner.CHUNK
+        tuner = MiddleTuner(*args)
+        assert tuner._within_exact_range(tuner._candidates)
+        assert tuner.pruned_space_size() > 2 * MiddleTuner.CHUNK
 
         def peak_of(tune):
             tracemalloc.start()
@@ -191,55 +188,69 @@ class TestVectorTunerBitIdentity:
         assert len(scored) > 2
         assert peak < 16 * 2**20  # ~12 live CHUNK-row float64/int64 arrays
 
-        monkeypatch.setattr(VectorTuner, "CHUNK", 2 * tuner.pruned_space_size())
+        monkeypatch.setattr(MiddleTuner, "CHUNK", 2 * tuner.pruned_space_size())
         del scored[:]
-        whole, whole_peak = peak_of(VectorTuner(*args).tune)
+        whole, whole_peak = peak_of(MiddleTuner(*args).tune)
         assert len(scored) == 1
         assert slabbed == whole
         assert whole_peak > 1.5 * peak  # it is the slab walk that bounds it
 
-    def test_tuner_for_selects_engines(self):
-        assert tuner_for("vector") is VectorTuner
-        assert tuner_for("object") is MiddleTuner
+
+def layer_platform(layer, fold, ragged, datatype, bram_blocks):
+    if fold and layer.stride > 1 and layer.groups == 1 and layer.dilation == 1:
+        layer = fold_layer(layer)
+    platform = Platform(datatype=datatype, ragged_middle=ragged)
+    if bram_blocks is not None:  # tight budgets: infeasible rows, or none feasible
+        platform = replace(platform, device=replace(platform.device, bram_blocks=bram_blocks))
+    return layer.group_view().to_loop_nest(), platform
+
+
+KERNEL_CASES = dict(
+    layer=rich_conv_layers(),
+    fold=st.booleans(),
+    ragged=st.sampled_from(["padded", "clipped"]),
+    datatype=st.sampled_from([FLOAT32, FIXED_8_16]),
+    include_cover=st.booleans(),
+    clock=st.one_of(st.none(), st.floats(120.0, 400.0)),
+    bram_blocks=st.sampled_from([None, 40, 24]),
+    shape=array_shapes(max_rows=4, max_cols=4, vectors=(1, 2, 4)),
+    prime=st.sampled_from([2, 3, 7, 13, 31]),
+)
 
 
 class TestKernelProperty:
-    """The broadcast kernel against the scalar walk over the structural
+    """The kernel against the scalar oracle over the structural
     vocabulary the importer admits — not just conv5 and one strided nest."""
 
+    @staticmethod
+    def check(nest, platform, shape, include_cover, clock, prime, exact):
+        for mapping in feasible_mappings(nest):
+            args = (nest, mapping, shape, platform)
+            scalar = tune_or_error(ScalarTuner(*args, include_cover=include_cover), clock)
+            kernel = MiddleTuner(*args, include_cover=include_cover)
+            assert kernel._within_exact_range(kernel._candidates) == exact
+            assert tune_or_error(kernel, clock) == scalar
+            # Again with CHUNK far below the grid, so the walk takes many
+            # slabs and the cross-slab tie-break decides.
+            with mock.patch.object(MiddleTuner, "CHUNK", prime):
+                assert tune_or_error(kernel, clock) == scalar
+
     @settings(max_examples=30, deadline=None)
-    @given(
-        layer=rich_conv_layers(),
-        fold=st.booleans(),
-        ragged=st.sampled_from(["padded", "clipped"]),
-        datatype=st.sampled_from([FLOAT32, FIXED_8_16]),
-        include_cover=st.booleans(),
-        clock=st.one_of(st.none(), st.floats(120.0, 400.0)),
-        bram_blocks=st.sampled_from([None, 40, 24]),
-        shape=array_shapes(max_rows=4, max_cols=4, vectors=(1, 2, 4)),
-        prime=st.sampled_from([2, 3, 7, 13, 31]),
-    )
+    @given(**KERNEL_CASES)
     def test_vector_tune_equals_scalar_tune(
         self, layer, fold, ragged, datatype, include_cover, clock, bram_blocks, shape, prime
     ):
-        if fold and layer.stride > 1 and layer.groups == 1 and layer.dilation == 1:
-            layer = fold_layer(layer)
-        nest = layer.group_view().to_loop_nest()
-        platform = Platform(datatype=datatype, ragged_middle=ragged)
-        if bram_blocks is not None:  # tight budgets: infeasible rows, or none feasible
-            platform = replace(
-                platform, device=replace(platform.device, bram_blocks=bram_blocks)
-            )
-        for mapping in feasible_mappings(nest):
-            args = (nest, mapping, shape, platform)
-            scalar = tune_or_error(MiddleTuner(*args, include_cover=include_cover), clock)
-            vector = VectorTuner(*args, include_cover=include_cover)
-            assert vector._within_exact_range()
-            assert tune_or_error(vector, clock) == scalar
-            # Again with CHUNK far below the grid, so the walk takes many
-            # slabs and the cross-slab tie-break decides.
-            with mock.patch.object(VectorTuner, "CHUNK", prime):
-                assert tune_or_error(vector, clock) == scalar
+        nest, platform = layer_platform(layer, fold, ragged, datatype, bram_blocks)
+        self.check(nest, platform, shape, include_cover, clock, prime, exact=True)
+
+    @settings(max_examples=20, deadline=None)
+    @given(**KERNEL_CASES)
+    def test_python_int_columns_equal_scalar_tune(
+        self, layer, fold, ragged, datatype, include_cover, clock, bram_blocks, shape, prime
+    ):
+        nest, platform = layer_platform(layer, fold, ragged, datatype, bram_blocks)
+        with mock.patch.object(tuner_mod, "INT_EXACT_LIMIT", 0):
+            self.check(nest, platform, shape, include_cover, clock, prime, exact=False)
 
 
 class TestBatchedBounds:
@@ -269,25 +280,11 @@ class TestBatchedBounds:
         table = CandidateTable.from_configs(envelope, candidates)
         batched = aggregate_upper_bounds(workloads, table, platform)
         for value, config in zip(batched.tolist(), candidates):
-            assert value == _aggregate_upper_bound(workloads, config, platform)
+            assert value == aggregate_upper_bound(workloads, config, platform)
 
-    def test_legality_mask_accepts_enumeration_rejects_overbudget(self):
+    def test_empty_table_has_no_bounds(self):
         nest = conv5()
-        platform = Platform()
-        candidates = list(enumerate_configs(nest, platform, min_dsp_utilization=0.6))
-        table = CandidateTable.from_configs(nest, candidates)
-        assert bool(
-            legality_mask(table, platform, min_dsp_utilization=0.6).all()
-        )
-        # A shape blowing the DSP budget must be masked out.
-        from repro.dse.space import SystolicConfig
-
-        over = SystolicConfig(
-            candidates[0].mapping, ArrayShape(4096, 4096, 16)
-        )
-        bad_table = CandidateTable.from_configs(nest, [candidates[0], over])
-        mask = legality_mask(bad_table, platform, min_dsp_utilization=0.6)
-        assert mask.tolist() == [True, False]
+        assert upper_bounds(CandidateTable.from_configs(nest, []), Platform()).size == 0
 
     def test_candidate_table_columns_align(self):
         nest = conv5()
@@ -308,70 +305,98 @@ class TestBatchedBounds:
         assert table.mappings[int(table.mapping_index[i])] == candidates[i].mapping
 
 
+# ------------------------------------------------- searches vs the recording
+
+
+def _row(evaluation):
+    design = evaluation.design
+    shape = design.shape
+    return [
+        str(design.mapping),
+        [shape.rows, shape.cols, shape.vector],
+        design.middle_bounds,
+        evaluation.throughput_gops,
+    ]
+
+
+def _phase1_record(result):
+    return {
+        "configs_enumerated": result.configs_enumerated,
+        "configs_tuned": result.configs_tuned,
+        "tilings_evaluated": result.tilings_evaluated,
+        "finalists": [_row(ev) for ev in result.finalists],
+    }
+
+
+def _phase2_record(result):
+    return {
+        "best": _row(result.best),
+        "finalists": [_row(ev) for ev in result.finalists],
+        "estimated_gops": list(result.estimated_gops),
+    }
+
+
+UNIFIED_NETWORKS = {f.__name__: f for f in (alexnet, vgg16, mobilenet_v1, resnet18)}
+UNIFIED = DseConfig(min_dsp_utilization=0.85, vector_choices=(8,), top_n=6)
+UNPRUNED = DseConfig(min_dsp_utilization=0.8, vector_choices=(8,), upper_bound_pruning=False)
+
+
+def _unified_record(name):
+    workloads = prepare_network_nests(UNIFIED_NETWORKS[name]())[:3]
+    payload = encode_unified(select_unified_design(workloads, Platform(), UNIFIED))
+    del payload["elapsed_seconds"]
+    return payload
+
+
+def _search_records():
+    platform = Platform()
+    out = {}
+    for name, nest_fn in (("conv5", conv5), ("vgg_conv11", vgg_conv11)):
+        result = phase1(nest_fn(), platform, SMALL)
+        out[f"phase1/{name}"] = _phase1_record(result)
+        out[f"phase2/{name}"] = _phase2_record(phase2(result, platform))
+    out["phase1/conv5/unpruned"] = _phase1_record(phase1(conv5(), platform, UNPRUNED))
+    for name in UNIFIED_NETWORKS:
+        out[f"unified/{name}"] = _unified_record(name)
+    return out
+
+
+@pytest.fixture(scope="module")
+def golden(request):
+    """Searches recorded while the scalar walk was still in ``src``
+    (``--refresh-golden`` rewrites them)."""
+    if request.config.getoption("--refresh-golden"):
+        GOLDEN.parent.mkdir(exist_ok=True)
+        GOLDEN.write_text(json.dumps(_search_records(), sort_keys=True) + "\n")
+    return json.loads(GOLDEN.read_text())
+
+
+def _as_json(record):
+    return json.loads(json.dumps(record))
+
+
 class TestPhaseBitIdentity:
-    """Same finalists, same prune/visit counts, engine-for-engine."""
+    """Same finalists, same prune/visit counts, same unified winners as
+    the searches recorded before the kernel became the only tuner."""
 
     @pytest.mark.parametrize("nest_fn", [conv5, vgg_conv11])
-    def test_phase1_and_phase2(self, nest_fn):
-        nest = nest_fn()
+    def test_phase1_and_phase2(self, nest_fn, golden):
         platform = Platform()
-        object_result = phase1(
-            nest, platform, DseConfig(**{**SMALL.__dict__, "engine": "object"})
-        )
-        vector_result = phase1(
-            nest, platform, DseConfig(**{**SMALL.__dict__, "engine": "vector"})
-        )
-        assert vector_result == object_result  # finalists + all counters
-        assert vector_result.configs_tuned == object_result.configs_tuned
-        assert vector_result.tilings_evaluated == object_result.tilings_evaluated
-        assert phase2(vector_result, platform) == phase2(object_result, platform)
+        result = phase1(nest_fn(), platform, SMALL)
+        name = nest_fn.__name__
+        assert _as_json(_phase1_record(result)) == golden[f"phase1/{name}"]
+        assert _as_json(_phase2_record(phase2(result, platform))) == golden[f"phase2/{name}"]
 
-    def test_unified_selection(self):
-        workloads = prepare_network_nests(alexnet())[:3]
-        platform = Platform()
-        kwargs = dict(min_dsp_utilization=0.85, vector_choices=(8,), top_n=6)
-        object_result = select_unified_design(
-            workloads, platform, DseConfig(engine="object", **kwargs)
-        )
-        vector_result = select_unified_design(
-            workloads, platform, DseConfig(engine="vector", **kwargs)
-        )
-        assert vector_result == object_result
-        assert vector_result.configs_tuned == object_result.configs_tuned
+    def test_unified_selection(self, golden):
+        for name in ("alexnet", "vgg16"):
+            assert _as_json(_unified_record(name)) == golden[f"unified/{name}"]
 
     @pytest.mark.parametrize("network", [mobilenet_v1, resnet18])
-    def test_unified_selection_imported_networks(self, network):
-        """Vector-vs-object equality on the importer's network classes:
-        depthwise + strided (MobileNet) and residual (ResNet) layers."""
-        workloads = prepare_network_nests(network())[:3]
-        platform = Platform()
-        kwargs = dict(min_dsp_utilization=0.85, vector_choices=(8,), top_n=6)
-        object_result = select_unified_design(
-            workloads, platform, DseConfig(engine="object", **kwargs)
-        )
-        vector_result = select_unified_design(
-            workloads, platform, DseConfig(engine="vector", **kwargs)
-        )
-        assert vector_result == object_result
-        assert vector_result.configs_tuned == object_result.configs_tuned
+    def test_unified_selection_imported_networks(self, network, golden):
+        """Depthwise + strided (MobileNet) and residual (ResNet) layers."""
+        name = network.__name__
+        assert _as_json(_unified_record(name)) == golden[f"unified/{name}"]
 
-    def test_pruning_disabled_still_identical(self):
-        nest = conv5()
-        platform = Platform()
-        kwargs = dict(
-            min_dsp_utilization=0.8, vector_choices=(8,), upper_bound_pruning=False
-        )
-        assert phase1(
-            nest, platform, DseConfig(engine="vector", **kwargs)
-        ) == phase1(nest, platform, DseConfig(engine="object", **kwargs))
-
-
-class TestEngineKnob:
-    def test_bad_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown DSE engine"):
-            DseConfig(engine="quantum")
-
-    def test_engines_exported(self):
-        from repro.dse.explore import ENGINES
-
-        assert ENGINES == ("vector", "object")
+    def test_pruning_disabled_still_identical(self, golden):
+        result = phase1(conv5(), Platform(), UNPRUNED)
+        assert _as_json(_phase1_record(result)) == golden["phase1/conv5/unpruned"]

@@ -75,8 +75,13 @@ class TestSection4Pruning:
     def test_phase1_under_30s(self, result):
         assert result.metrics["phase1_seconds"] < 30
 
-    def test_brute_force_would_take_hours(self, result):
-        assert result.metrics["brute_force_hours"] > 1
+    def test_pruned_search_beats_brute_force(self, result):
+        """The exhibit's claim: both prunings cut their spaces, and phase 1
+        beats the extrapolated brute force by three orders of magnitude.
+        (The brute force's *hours* measure the per-tiling cost of the
+        kernel that prices it, not the search.)"""
+        assert result.metrics["config_reduction"] > 2.0
+        assert result.metrics["tiling_reduction"] > 10
         assert result.metrics["speedup"] > 1000
 
 

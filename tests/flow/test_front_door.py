@@ -69,6 +69,34 @@ def test_bad_input_is_one_error_line_and_exit_2(door, flag, tmp_path, capsys, mo
     assert not (tmp_path / "systolic_out").exists()  # refused before any work
 
 
+#: subject -> argv of a search no design satisfies: c_s = 1.0 leaves the
+#: Eq. 12 window with no PE array that uses every DSP.
+UNSATISFIABLE = {
+    "layer": lambda tmp: [str(_written(tmp / "layer.c", SMALL_SRC))],
+    "network": lambda tmp: ["--network", "tiny_cnn"],
+    "import": lambda tmp: ["import", str(_written(tmp / "net.json", json.dumps(TINY_SPEC)))],
+}
+
+
+def _written(path, text):
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("subject", list(UNSATISFIABLE))
+def test_an_unsatisfiable_search_is_one_error_line_and_exit_2(
+    subject, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    argv = [*UNSATISFIABLE[subject](tmp_path), "--cs", "1.0", "--no-cache", "--quiet"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()  # one stderr line, no traceback
+    assert line.startswith("error: ")
+    assert captured.out == ""
+    assert not (tmp_path / "systolic_out").exists()  # nothing written
+
+
 @pytest.mark.parametrize("option, value", BAD_VALUES.values(), ids=list(BAD_VALUES))
 def test_the_service_door_rejects_the_same_values(option, value):
     with pytest.raises(ValueError):

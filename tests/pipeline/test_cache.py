@@ -122,6 +122,10 @@ class TestWarmCompile:
             raise AssertionError("tuner invoked on a warm-cache compile")
 
         monkeypatch.setattr(MiddleTuner, "tune", forbidden)
+        # The patch has teeth: it covers the only tuner, so a cold compile
+        # under it fails.
+        with pytest.raises(AssertionError, match="tuner invoked"):
+            compile_c_source(SMALL_SRC, Platform(), FAST, cache=str(tmp_path / "cold"))
         warm = compile_c_source(SMALL_SRC, Platform(), FAST, cache=str(tmp_path))
         assert warm == cold
         assert set(warm.cache_hits) == {

@@ -65,7 +65,7 @@ class TestStaleUnifiedCacheEntry:
             (finished,) = of_type(seen, StageFinished)
             infos.append(finished.info)
         assert infos[0] == infos[1]
-        assert infos[0]["engine"] == "vector"
+        assert set(infos[0]) == {"winner", "frequency_mhz", "gops", "configs", "tuned"}
 
 
 @pytest.mark.slow
