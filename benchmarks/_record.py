@@ -1,9 +1,11 @@
 """Machine-readable bench records (``BENCH_*.json`` at the repo root).
 
-First step toward ROADMAP item 5's recorded performance trajectory: the
-engine-characterization benches (service throughput, pipeline parallel)
-dump their metrics to a stable JSON file next to ``pyproject.toml`` so a
-future harness can diff runs with noise-aware thresholds.  Each record
+The engine-characterization benches (DSE wall time, pipeline parallel,
+service throughput, fast simulator, cluster scaling) dump their metrics
+to a stable JSON file next to ``pyproject.toml`` so ``benchmarks/compare.py``
+can diff runs with noise-aware thresholds.  The paper's exhibits are not
+recorded here: their numbers are pinned by
+``tests/experiments/golden/exhibits.json``.  Each record
 carries an environment fingerprint — comparing numbers from different
 machines or interpreter versions is noise, and the fingerprint is what
 lets the comparer refuse to.
@@ -40,7 +42,8 @@ def record_bench(result: ExperimentResult, bench: str) -> Path:
     """Write ``BENCH_<bench>.json`` at the repo root and return its path.
 
     The payload is everything a regression comparer needs — the scalar
-    ``metrics`` dict, the raw series, and the environment fingerprint —
+    ``metrics`` dict, the bench's ``raw`` series (e.g. per-arm wall
+    seconds), and the environment fingerprint —
     and nothing presentation-shaped (the formatted table already lands
     in ``benchmarks/results/``).
     """

@@ -29,8 +29,6 @@ def run_ablation() -> ExperimentResult:
                  "systolic GFlops", "systolic MHz", "systolic/direct"],
     )
     gaps = []
-    systolic_points: list[float] = []
-    direct_points: list[float] = []
     for budget in BUDGETS:
         platform = Platform(dsp_total_override=budget)
         direct = roofline_explore(layer, platform)
@@ -39,8 +37,6 @@ def run_ablation() -> ExperimentResult:
         ).best
         ratio = systolic.throughput_gops / direct.throughput_gops
         gaps.append((budget, ratio))
-        systolic_points.append(systolic.throughput_gops)
-        direct_points.append(direct.throughput_gops)
         result.add_row(
             budget, f"{direct.throughput_gops:.1f}", f"{direct.frequency_mhz:.0f}",
             f"{systolic.throughput_gops:.1f}",
@@ -48,11 +44,6 @@ def run_ablation() -> ExperimentResult:
         )
     result.metrics["gap_at_128"] = gaps[0][1]
     result.metrics["gap_at_1518"] = gaps[-1][1]
-    result.raw = {
-        "budgets": list(BUDGETS),
-        "systolic": systolic_points,
-        "direct": direct_points,
-    }
     result.note(
         "the systolic advantage grows with the DSP budget because the "
         "direct design's clock falls with fan-out — the paper's case for "

@@ -12,7 +12,7 @@ from repro.dse.explore import DseConfig, explore
 from repro.dse.multi_layer import prepare_network_nests
 from repro.nn.models import alexnet
 from repro.experiments.common import ExperimentResult
-from repro.experiments.networks import paper_dse_config, unified_design
+from repro.experiments.networks import unified_design
 
 
 def run_ablation() -> ExperimentResult:

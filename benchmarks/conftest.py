@@ -1,10 +1,10 @@
 """Shared benchmark plumbing.
 
-Every bench regenerates one of the paper's exhibits: it times the full
-driver once (these are minutes-scale computations, not microbenchmarks),
-prints the regenerated table next to the paper's values, and archives the
-text under ``benchmarks/results/`` so EXPERIMENTS.md can reference the
-exact output.
+Every bench here is an ablation, an extension or an engine measurement
+beyond the paper's own exhibits (those are ``python -m repro.experiments``
+and ``tests/experiments``).  Each times its driver once (seconds-to-minutes
+computations, not microbenchmarks), prints the table and archives the text
+under ``benchmarks/results/``.
 """
 
 from __future__ import annotations
@@ -37,12 +37,6 @@ def exhibit(benchmark, request):
         RESULTS_DIR.mkdir(exist_ok=True)
         slug = request.node.name.replace("/", "_")
         (RESULTS_DIR / f"{slug}.txt").write_text(text + "\n")
-        # SVG figure(s), where the exhibit carries raw series (the text
-        # table above is each figure's accessibility table view).
-        from repro.viz.figures import render_experiment_charts
-
-        for stem, svg in render_experiment_charts(result).items():
-            (RESULTS_DIR / f"{slug}_{stem}.svg").write_text(svg)
         return result
 
     return runner

@@ -2,8 +2,9 @@
 
 Each ``run_*`` function regenerates the data behind one exhibit and
 returns an :class:`~repro.experiments.common.ExperimentResult` holding
-paper-reported values next to this reproduction's measured values.  The
-``benchmarks/`` tree wraps these in pytest-benchmark targets, and
+paper-reported values next to this reproduction's measured values.
+``python -m repro.experiments`` prints them all; ``tests/experiments``
+pins every number to one golden and asserts the paper's claims, and
 EXPERIMENTS.md records the outcomes.
 """
 

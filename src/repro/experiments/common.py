@@ -20,11 +20,10 @@ class ExperimentResult:
             convention is a leading column naming the row and a trailing
             ``source`` column of ``paper`` / ``ours``).
         notes: free-form commentary (deviations, calibration remarks).
-        metrics: scalar summary values (e.g. mean model error) used by
-            asserting benches.
-        raw: raw numeric series behind the exhibit (consumed by
-            :mod:`repro.viz.figures` to render the SVG version; the
-            formatted rows double as the figure's table view).
+        metrics: scalar summary values (e.g. mean model error) that the
+            tests assert and the exhibit golden pins.
+        raw: raw series a bench records next to its metrics
+            (``benchmarks/_record.py`` writes it to ``BENCH_*.json``).
     """
 
     name: str

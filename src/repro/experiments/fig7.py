@@ -14,6 +14,8 @@
 
 from __future__ import annotations
 
+from repro.analysis.design_check import check_design_point
+from repro.dse.pareto import ParetoPoint, knee_point, pareto_frontier
 from repro.model.platform import Platform
 from repro.dse.multi_layer import (
     LayerWorkload,
@@ -45,18 +47,14 @@ def _aggregate_simulated(
     return total_ops / total_seconds / 1e9
 
 
-def run_fig7a_design_space(
-    platform: Platform | None = None, *, fast: bool = False, sample_points: int | None = None
-) -> ExperimentResult:
+def run_fig7a_design_space() -> ExperimentResult:
     """Regenerate Fig. 7(a): the pruned design-space scatter for AlexNet."""
-    platform = platform or Platform()
-    result_ml, workloads = unified_design("alexnet", fast=fast)
-    dse = paper_dse_config(fast=fast)
+    platform = Platform()
+    _, workloads = unified_design("alexnet")
+    dse = paper_dse_config()
 
     configs = [c for _, c in unified_candidates(workloads, platform, dse)]
-    want = sample_points or (12 if fast else 60)
-    step = max(1, len(configs) // want)
-    sampled = configs[::step]
+    sampled = configs[:: max(1, len(configs) // 60)]
 
     result = ExperimentResult(
         name="Figure 7(a)",
@@ -64,12 +62,8 @@ def run_fig7a_design_space(
         f"({len(sampled)} of {len(configs)} configs sampled)",
         headers=["shape", "mapping", "DSP blocks", "BRAM blocks", "agg GFlops"],
     )
-    from repro.analysis.design_check import check_design_point
-
     best = None
-    raw_dsp: list[float] = []
-    raw_bram: list[float] = []
-    raw_gops: list[float] = []
+    points: list[ParetoPoint] = []
     designs_validated = 0
     strict_violations = 0
     for config in sampled:
@@ -91,13 +85,10 @@ def run_fig7a_design_space(
             max_bram,
             f"{aggregate:.1f}",
         )
-        raw_dsp.append(dsp)
-        raw_bram.append(float(max_bram))
-        raw_gops.append(aggregate)
+        points.append(ParetoPoint(f"p{len(points)}", aggregate, dsp, float(max_bram)))
         record = (aggregate, dsp, max_bram)
         if best is None or record > best:
             best = record
-    result.raw = {"dsp": raw_dsp, "bram": raw_bram, "gflops": raw_gops}
     assert best is not None
     agg, dsp, bram = best
     result.metrics["best_gflops"] = agg
@@ -114,14 +105,7 @@ def run_fig7a_design_space(
     )
 
     # Pareto structure: the paper's "moderate BRAM and DSPs" reading.
-    from repro.dse.pareto import ParetoPoint, knee_point, pareto_frontier
-
-    frontier = pareto_frontier(
-        [
-            ParetoPoint(f"p{i}", g, d, b)
-            for i, (g, d, b) in enumerate(zip(raw_gops, raw_dsp, raw_bram))
-        ]
-    )
+    frontier = pareto_frontier(points)
     knee = knee_point(frontier)
     result.metrics["pareto_points"] = float(len(frontier))
     result.metrics["knee_gflops"] = knee.throughput_gops
@@ -135,13 +119,11 @@ def run_fig7a_design_space(
     return result
 
 
-def run_fig7b_model_accuracy(
-    platform: Platform | None = None, *, fast: bool = False
-) -> ExperimentResult:
+def run_fig7b_model_accuracy() -> ExperimentResult:
     """Regenerate Fig. 7(b): estimated vs 'on-board' for the finalists."""
-    platform = platform or Platform()
-    result_ml, workloads = unified_design("alexnet", fast=fast)
-    dse = paper_dse_config(fast=fast)
+    platform = Platform()
+    _, workloads = unified_design("alexnet")
+    dse = paper_dse_config()
 
     ranked = sorted(
         unified_candidates(workloads, platform, dse),
@@ -158,9 +140,6 @@ def run_fig7b_model_accuracy(
     )
     errors = []
     estimates = []
-    raw_model: list[float] = []
-    raw_sim: list[float] = []
-    raw_labels: list[str] = []
     for rank, (_bound, config) in enumerate(ranked, start=1):
         at_assumed = evaluate_unified(workloads, platform, dse, (config, None))
         if at_assumed is None:
@@ -174,14 +153,10 @@ def run_fig7b_model_accuracy(
         error = abs(model_gops - sim_gops) / sim_gops
         errors.append(error)
         estimates.append(round(estimated, 3))
-        raw_model.append(model_gops)
-        raw_sim.append(sim_gops)
-        raw_labels.append(f"#{rank}")
         result.add_row(
             rank, str(config.shape), f"{estimated:.1f}", f"{freq:.1f}",
             f"{model_gops:.1f}", f"{sim_gops:.1f}", f"{error * 100:.2f}",
         )
-    result.raw = {"labels": raw_labels, "model": raw_model, "simulated": raw_sim}
     mean_error = sum(errors) / len(errors)
     top_ties = estimates.count(max(estimates))
     result.metrics["mean_model_error"] = mean_error

@@ -34,11 +34,9 @@ def _alexnet_conv5():
     return conv_loop_nest(128, 192, 13, 13, 3, 3, name="alexnet_conv5")
 
 
-def run_section4_pruning(
-    platform: Platform | None = None, *, fast: bool = False
-) -> ExperimentResult:
+def run_section4_pruning() -> ExperimentResult:
     """Regenerate the Section 4 pruning measurements on AlexNet conv5."""
-    platform = platform or Platform()
+    platform = Platform()
     nest = _alexnet_conv5()
     result = ExperimentResult(
         name="Section 4",
@@ -60,7 +58,7 @@ def run_section4_pruning(
     sample = list(
         enumerate_configs(nest, platform, min_dsp_utilization=0.8, vector_choices=(8,))
     )
-    step = max(1, len(sample) // (8 if fast else 40))
+    step = max(1, len(sample) // 40)
     ratios = []
     for config in sample[::step]:
         tuner = MiddleTuner(nest, config.mapping, config.shape, platform)
@@ -78,7 +76,7 @@ def run_section4_pruning(
     result.metrics["tiling_reduction"] = tiling_ratio
 
     # --- claim 3: phase-1 seconds vs brute-force hours -------------------
-    p1 = phase1(nest, platform, DseConfig(top_n=4 if fast else 14))
+    p1 = phase1(nest, platform, DseConfig(top_n=14))
     result.add_row("phase-1 time", "< 30 s", f"{p1.elapsed_seconds:.2f} s")
     result.metrics["phase1_seconds"] = p1.elapsed_seconds
 

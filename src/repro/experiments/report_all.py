@@ -2,14 +2,13 @@
 
 Usage::
 
-    python -m repro.experiments               # full scale (~10 min)
-    python -m repro.experiments --fast        # reduced scale (~1 min)
+    python -m repro.experiments               # all ten exhibits (seconds)
     python -m repro.experiments -o report.txt
 
 Runs all table/figure drivers in paper order and emits one combined
-report.  The per-exhibit pytest-benchmark targets under ``benchmarks/``
-additionally *assert* each exhibit's reproduction targets; this module is
-the convenience front end for reading everything at once.
+report.  ``tests/experiments`` runs the same :data:`DRIVERS`, pins every
+number they print to one golden and asserts the paper's claims on them;
+this module is the front end for reading everything at once.
 """
 
 from __future__ import annotations
@@ -30,33 +29,32 @@ from repro.experiments.table3 import run_table3_configs
 from repro.experiments.tables45 import run_table4_alexnet, run_table5_vgg
 
 
-def all_drivers(*, fast: bool) -> list[tuple[str, Callable[[], ExperimentResult]]]:
-    """(label, zero-arg driver) pairs in paper order."""
-    return [
-        ("Table 1", run_table1_shape_impact),
-        ("Section 2.3", run_section23_tiling_example),
-        ("Figure 3", run_fig3_schedule),
-        ("Section 4", lambda: run_section4_pruning(fast=fast)),
-        ("Figure 7(a)", lambda: run_fig7a_design_space(fast=fast)),
-        ("Figure 7(b)", lambda: run_fig7b_model_accuracy(fast=fast)),
-        ("Table 3", lambda: run_table3_configs(fast=fast)),
-        ("Table 4", lambda: run_table4_alexnet(fast=fast)),
-        ("Table 5", lambda: run_table5_vgg(fast=fast)),
-        ("Table 2", lambda: run_table2_comparison(fast=fast)),
-    ]
+DRIVERS: list[tuple[str, Callable[[], ExperimentResult]]] = [
+    ("Table 1", run_table1_shape_impact),
+    ("Section 2.3", run_section23_tiling_example),
+    ("Figure 3", run_fig3_schedule),
+    ("Section 4", run_section4_pruning),
+    ("Figure 7(a)", run_fig7a_design_space),
+    ("Figure 7(b)", run_fig7b_model_accuracy),
+    ("Table 3", run_table3_configs),
+    ("Table 4", run_table4_alexnet),
+    ("Table 5", run_table5_vgg),
+    ("Table 2", run_table2_comparison),
+]
+"""(label, zero-arg driver) pairs in paper order."""
 
 
-def generate_report(*, fast: bool = False, echo: bool = True) -> str:
+def generate_report(*, echo: bool = True) -> str:
     """Run every driver; return (and optionally stream) the combined text."""
     sections = []
     header = (
         "Reproduction report — Wei et al., 'Automated Systolic Array "
         "Architecture Synthesis for High Throughput CNN Inference on "
-        f"FPGAs' (DAC 2017){' — FAST MODE' if fast else ''}"
+        "FPGAs' (DAC 2017)"
     )
     sections.append(header)
     sections.append("=" * min(len(header), 78))
-    for label, driver in all_drivers(fast=fast):
+    for label, driver in DRIVERS:
         start = time.perf_counter()
         result = driver()
         elapsed = time.perf_counter() - start
@@ -73,10 +71,9 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.experiments",
         description="Regenerate every table and figure of the paper.",
     )
-    parser.add_argument("--fast", action="store_true", help="reduced search scale")
     parser.add_argument("-o", "--output", help="also write the report to a file")
     args = parser.parse_args(argv)
-    report = generate_report(fast=args.fast)
+    report = generate_report()
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(report)
@@ -88,4 +85,4 @@ if __name__ == "__main__":  # pragma: no cover
     sys.exit(main())
 
 
-__all__ = ["all_drivers", "generate_report", "main"]
+__all__ = ["DRIVERS", "generate_report", "main"]

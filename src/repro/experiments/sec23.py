@@ -25,9 +25,9 @@ BAD_TILING = {"i": 2, "o": 2, "r": 2, "c": 2, "p": 2, "q": 2}
 SYS1_INNER = {"o": 11, "c": 13, "i": 8}
 
 
-def run_section23_tiling_example(platform: Platform | None = None) -> ExperimentResult:
+def run_section23_tiling_example() -> ExperimentResult:
     """Regenerate the Section 2.3 worked example."""
-    platform = platform or Platform()
+    platform = Platform()
     nest = conv_loop_nest(128, 192, 13, 13, 3, 3, name="alexnet_conv5")
     result = ExperimentResult(
         name="Section 2.3",

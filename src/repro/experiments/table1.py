@@ -28,9 +28,9 @@ PAPER_ROWS = {
 }
 
 
-def run_table1_shape_impact(platform: Platform | None = None) -> ExperimentResult:
+def run_table1_shape_impact() -> ExperimentResult:
     """Regenerate Table 1 with the analytical model."""
-    platform = platform or Platform(dsp_total_override=1600)
+    platform = Platform(dsp_total_override=1600)
     nest = conv_loop_nest(128, 192, 13, 13, 3, 3, name="alexnet_conv5")
     result = ExperimentResult(
         name="Table 1",

@@ -42,11 +42,11 @@ def fc_latency_seconds(network_name: str, platform: Platform, *, batch: int = FC
     return weight_bytes / platform.memory.total_bytes_per_second / batch
 
 
-def _ours_row(network_name: str, *, fixed_point: bool, fast: bool):
+def _ours_row(network_name: str, *, fixed_point: bool):
     """(label, freq, dsp%, bram%, latency_ms, gops) for one ours-row."""
     datatype = FIXED_8_16 if fixed_point else FLOAT32
     platform = Platform(datatype=datatype)
-    ml, workloads = unified_design(network_name, fixed_point=fixed_point, fast=fast)
+    ml, workloads = unified_design(network_name, fixed_point=fixed_point)
     middle_of = {l.name: l.middle for l in ml.layers}
     conv_seconds = 0.0
     conv_ops = 0.0
@@ -63,7 +63,7 @@ def _ours_row(network_name: str, *, fixed_point: bool, fast: bool):
     return ml, latency, throughput
 
 
-def run_table2_comparison(*, fast: bool = False) -> ExperimentResult:
+def run_table2_comparison() -> ExperimentResult:
     """Regenerate Table 2 with our measured rows next to the published ones."""
     result = ExperimentResult(
         name="Table 2",
@@ -91,7 +91,7 @@ def run_table2_comparison(*, fast: bool = False) -> ExperimentResult:
         ("Ours VGG fixed", "vgg16", True),
     ]
     for label, network_name, fixed in specs:
-        ml, latency, throughput = _ours_row(network_name, fixed_point=fixed, fast=fast)
+        ml, latency, throughput = _ours_row(network_name, fixed_point=fixed)
         cnn = "AlexNet" if network_name == "alexnet" else "VGG"
         precision = "fixed 8-16b" if fixed else "float 32b"
         result.add_row(

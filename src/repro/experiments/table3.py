@@ -27,7 +27,7 @@ PAPER_CONFIGS = {
 }
 
 
-def run_table3_configs(*, fast: bool = False) -> ExperimentResult:
+def run_table3_configs() -> ExperimentResult:
     """Regenerate Table 3 for AlexNet and VGG16 (float32)."""
     result = ExperimentResult(
         name="Table 3",
@@ -40,7 +40,7 @@ def run_table3_configs(*, fast: bool = False) -> ExperimentResult:
             name, paper["shape"], f"{paper['freq']:.1f}", f"{paper['lut']:.0%}",
             f"{paper['dsp']:.0%}", f"{paper['bram']:.0%}", "paper",
         )
-        ml, _ = unified_design(name, fast=fast)
+        ml, _ = unified_design(name)
         result.add_row(
             name,
             str(ml.config.shape),

@@ -54,8 +54,8 @@ PAPER_TABLE5 = {
 }
 
 
-def _per_layer_rows(name: str, paper_rows, *, fast: bool) -> ExperimentResult:
-    ml, workloads = unified_design(name, fast=fast)
+def _per_layer_rows(name: str, paper_rows) -> ExperimentResult:
+    ml, workloads = unified_design(name)
     platform = Platform()
     result = ExperimentResult(
         name="Table 4" if name == "alexnet" else "Table 5",
@@ -99,9 +99,9 @@ def _per_layer_rows(name: str, paper_rows, *, fast: bool) -> ExperimentResult:
     return result
 
 
-def run_table4_alexnet(*, fast: bool = False) -> ExperimentResult:
+def run_table4_alexnet() -> ExperimentResult:
     """Regenerate Table 4 (AlexNet conv1-5)."""
-    result = _per_layer_rows("alexnet", PAPER_TABLE4, fast=fast)
+    result = _per_layer_rows("alexnet", PAPER_TABLE4)
     result.note(
         "paper throughput row reconstructed from the efficiency row (OCR "
         "damage in our source); conv1 runs folded (11x11 stride 4 -> 48ch "
@@ -117,9 +117,9 @@ def run_table4_alexnet(*, fast: bool = False) -> ExperimentResult:
     return result
 
 
-def run_table5_vgg(*, fast: bool = False) -> ExperimentResult:
+def run_table5_vgg() -> ExperimentResult:
     """Regenerate Table 5 (VGG16 conv1-13)."""
-    result = _per_layer_rows("vgg16", PAPER_TABLE5, fast=fast)
+    result = _per_layer_rows("vgg16", PAPER_TABLE5)
     result.note(
         "structural targets: conv1 far below the rest (3 input channels "
         "vs a vector of 8 -> <=37.5% efficiency ceiling), deep layers "

@@ -175,7 +175,8 @@ class Record:
             return self.cls(**values)
         # AttributeError: a value of the wrong type that got as far as a
         # dataclass's own validation (``Loop`` asks ``name.isidentifier()``).
-        except (KeyError, TypeError, AttributeError) as exc:
+        # OverflowError: JSON's ``Infinity`` where an int belongs.
+        except (KeyError, TypeError, AttributeError, OverflowError) as exc:
             raise ValueError(f"malformed {self.label} payload: {exc}") from exc
 
 

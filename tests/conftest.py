@@ -6,7 +6,7 @@ def pytest_addoption(parser):
         "--refresh-golden",
         action="store_true",
         default=False,
-        help="regenerate the golden regression fixtures under "
-        "tests/sim/golden/ and tests/model/golden/ instead of checking "
-        "against them",
+        help="regenerate the golden fixtures (tests/*/golden/, including "
+        "the paper exhibits in tests/experiments/golden/) instead of "
+        "checking against them",
     )

@@ -1,27 +1,21 @@
-"""Integration tests for the experiment drivers.
+"""The paper's claims, asserted on the full-scale exhibits.
 
-Each test asserts the *reproduction targets* of one exhibit — the
-quantitative anchors where the paper gives exact numbers, and the
-structural relationships where it gives measured ones.  All drivers run
-in fast mode; the full-scale versions live in benchmarks/.
+Each test states one *reproduction target* of one exhibit — a
+quantitative anchor where the paper gives an exact number, a structural
+relationship where it gives a measured one.  The numbers come from the
+same session run the golden test pins (``exhibits`` fixture), so these
+inequalities are what must survive a ``--refresh-golden``.
 """
 
 import pytest
 
-from repro.experiments.fig3 import run_fig3_schedule
-from repro.experiments.fig7 import run_fig7a_design_space, run_fig7b_model_accuracy
-from repro.experiments.pruning import run_section4_pruning
-from repro.experiments.sec23 import run_section23_tiling_example
-from repro.experiments.table1 import run_table1_shape_impact
-from repro.experiments.table2 import fc_latency_seconds, run_table2_comparison
-from repro.experiments.table3 import run_table3_configs
-from repro.experiments.tables45 import run_table4_alexnet, run_table5_vgg
+from repro.experiments.table2 import fc_latency_seconds
 
 
 class TestTable1:
     @pytest.fixture(scope="class")
-    def result(self):
-        return run_table1_shape_impact()
+    def result(self, exhibits):
+        return exhibits["Table 1"]
 
     def test_sys1_anchors(self, result):
         assert result.metrics["sys1_eff"] == pytest.approx(0.9697, abs=1e-4)
@@ -32,6 +26,11 @@ class TestTable1:
         # 65% (throughput-consistent), not the printed 60%
         assert result.metrics["sys2_eff"] == pytest.approx(0.65, abs=1e-9)
         assert result.metrics["sys2_peak_gflops"] == pytest.approx(466, rel=0.01)
+        assert result.metrics["sys2_dsp_util"] == pytest.approx(0.80, abs=1e-3)
+
+    def test_sys1_wins_despite_lower_utilization(self, result):
+        """The table's point: shape, not DSP count, sets throughput."""
+        assert result.metrics["sys1_peak_gflops"] > result.metrics["sys2_peak_gflops"]
 
     def test_formats(self, result):
         text = result.format()
@@ -40,8 +39,8 @@ class TestTable1:
 
 class TestSection23:
     @pytest.fixture(scope="class")
-    def result(self):
-        return run_section23_tiling_example()
+    def result(self, exhibits):
+        return exhibits["Section 2.3"]
 
     def test_good_tiling_hits_peak_within_bandwidth(self, result):
         assert result.metrics["good_throughput_gflops"] == pytest.approx(621, rel=0.01)
@@ -50,20 +49,21 @@ class TestSection23:
     def test_bad_tiling_anchors(self, result):
         assert result.metrics["bad_pt_gflops"] == pytest.approx(162, rel=0.01)
         assert result.metrics["bad_bw_demand_gbs"] == pytest.approx(67, rel=0.05)
-        assert result.metrics["bad_throughput_gflops"] < 162
+        # memory-starved: achieved below its own compute bound
+        assert result.metrics["bad_throughput_gflops"] < result.metrics["bad_pt_gflops"]
 
 
 class TestFig3:
-    def test_schedule_facts(self):
-        result = run_fig3_schedule()
+    def test_schedule_facts(self, exhibits):
+        result = exhibits["Figure 3"]
         assert result.metrics["all_active_cycle"] == 5
         assert result.metrics["max_error"] < 1e-9
 
 
 class TestSection4Pruning:
     @pytest.fixture(scope="class")
-    def result(self):
-        return run_section4_pruning(fast=True)
+    def result(self, exhibits):
+        return exhibits["Section 4"]
 
     def test_eq12_reduces_configs(self, result):
         assert result.metrics["config_reduction"] > 2.0
@@ -87,8 +87,8 @@ class TestSection4Pruning:
 
 class TestTable3:
     @pytest.fixture(scope="class")
-    def result(self):
-        return run_table3_configs(fast=True)
+    def result(self, exhibits):
+        return exhibits["Table 3"]
 
     def test_clocks_in_paper_band(self, result):
         for name in ("alexnet", "vgg16"):
@@ -102,24 +102,32 @@ class TestTable3:
         for name in ("alexnet", "vgg16"):
             assert result.metrics[f"{name}_bram_utilization"] <= 1.0
 
+    def test_lanes_in_papers_range(self, result):
+        """Vector-8 designs between the paper's 1100 and the device's 1518."""
+        for name in ("alexnet", "vgg16"):
+            assert 1100 <= result.metrics[f"{name}_lanes"] <= 1518
+
 
 class TestTables45:
     @pytest.fixture(scope="class")
-    def t4(self):
-        return run_table4_alexnet(fast=True)
+    def t4(self, exhibits):
+        return exhibits["Table 4"]
 
     @pytest.fixture(scope="class")
-    def t5(self):
-        return run_table5_vgg(fast=True)
+    def t5(self, exhibits):
+        return exhibits["Table 5"]
 
     def test_alexnet_conv1_is_weakest(self, t4):
         conv1 = t4.metrics["conv1_eff"]
-        for layer in ("conv2", "conv3", "conv4", "conv5"):
-            assert conv1 < t4.metrics[f"{layer}_eff"] + 0.25  # clearly not the best
+        others = [t4.metrics[f"conv{idx}_eff"] for idx in range(2, 6)]
+        assert conv1 <= min(others) + 0.05  # conv1 at/near the bottom
 
     def test_alexnet_deep_layers_near_peak(self, t4):
         for layer in ("conv3", "conv4", "conv5"):
             assert t4.metrics[f"{layer}_eff"] > 0.75
+
+    def test_alexnet_aggregate_hundreds_of_gflops(self, t4):
+        assert t4.metrics["aggregate_gops"] > 300
 
     def test_vgg_conv1_far_below_rest(self, t5):
         """Paper: conv1 at 36% vs ~97% elsewhere (3 input channels)."""
@@ -138,8 +146,8 @@ class TestTables45:
 
 class TestTable2:
     @pytest.fixture(scope="class")
-    def result(self):
-        return run_table2_comparison(fast=True)
+    def result(self, exhibits):
+        return exhibits["Table 2"]
 
     def test_ours_in_papers_band(self, result):
         """Within ~40% of the paper's reported numbers (our clock oracle
@@ -177,20 +185,22 @@ class TestTable2:
 
 
 class TestFig7:
-    def test_fig7a_points(self):
-        result = run_fig7a_design_space(fast=True, sample_points=8)
-        assert result.metrics["points"] >= 5
+    def test_fig7a_points(self, exhibits):
+        result = exhibits["Figure 7(a)"]
+        assert result.metrics["points"] >= 40
+        assert result.metrics["best_gflops"] > 400
+        # "moderate BRAM blocks and DSPs": the winner is below both ceilings
         assert result.metrics["best_dsp_utilization"] <= 1.0
-        assert result.metrics["best_bram_utilization"] <= 1.0
+        assert result.metrics["best_bram_utilization"] < 0.9
         # the Pareto knee sits at moderate resources (the Fig. 7a reading)
         assert 1 <= result.metrics["pareto_points"] <= result.metrics["points"]
         assert result.metrics["knee_bram_utilization"] < 0.9
-        # SVG payload present for the figure renderer
-        assert set(result.raw) == {"dsp", "bram", "gflops"}
+        assert result.metrics["knee_gflops"] > 0.8 * result.metrics["best_gflops"]
 
-    def test_fig7b_model_accuracy(self):
-        result = run_fig7b_model_accuracy(fast=True)
+    def test_fig7b_model_accuracy(self, exhibits):
+        result = exhibits["Figure 7(b)"]
         # the paper's claim: <2% average error with the real clock
-        assert result.metrics["mean_model_error"] < 0.025
+        assert result.metrics["mean_model_error"] < 0.02
+        assert result.metrics["max_model_error"] < 0.05
         # the tie structure phase 2 exists to resolve
         assert result.metrics["top_estimate_ties"] >= 2

@@ -24,7 +24,7 @@ class TestExperimentResultHelpers:
 
 class TestReportAll:
     def test_driver_list_covers_all_exhibits(self):
-        labels = [label for label, _ in report_all.all_drivers(fast=True)]
+        labels = [label for label, _ in report_all.DRIVERS]
         assert labels == [
             "Table 1", "Section 2.3", "Figure 3", "Section 4",
             "Figure 7(a)", "Figure 7(b)", "Table 3", "Table 4",
@@ -34,18 +34,20 @@ class TestReportAll:
     def test_generate_report_with_stubbed_drivers(self, monkeypatch):
         stub = ExperimentResult("Stub", "stubbed", ["col"])
         stub.add_row("value")
-        monkeypatch.setattr(
-            report_all, "all_drivers", lambda fast: [("Stub", lambda: stub)]
-        )
-        text = report_all.generate_report(fast=True, echo=False)
+        monkeypatch.setattr(report_all, "DRIVERS", [("Stub", lambda: stub)])
+        text = report_all.generate_report(echo=False)
         assert "Stub: stubbed" in text
         assert "regenerated in" in text
 
     def test_main_writes_output_file(self, monkeypatch, tmp_path, capsys):
         stub = ExperimentResult("Stub", "stubbed", ["col"])
-        monkeypatch.setattr(
-            report_all, "all_drivers", lambda fast: [("Stub", lambda: stub)]
-        )
+        monkeypatch.setattr(report_all, "DRIVERS", [("Stub", lambda: stub)])
         out = tmp_path / "report.txt"
-        assert report_all.main(["--fast", "-o", str(out)]) == 0
+        assert report_all.main(["-o", str(out)]) == 0
         assert "Stub" in out.read_text()
+
+    def test_fast_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            report_all.main(["--fast"])
+        assert exit_info.value.code == 2
+        assert "--fast" in capsys.readouterr().err

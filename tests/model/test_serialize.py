@@ -149,6 +149,14 @@ def test_every_record_has_a_sample(samples):
     assert set(samples) == set(TABLE)
 
 
+def test_infinity_where_an_int_belongs_is_malformed(samples):
+    """``json.loads`` accepts ``Infinity``; ``int()`` of it overflows."""
+    wire = wire_of("repro-design/1", samples)
+    wire["nest"]["accesses"][0]["consts"][0] = float("inf")
+    with pytest.raises(ValueError, match="malformed"):
+        TABLE["repro-design/1"].decode(wire)
+
+
 @pytest.mark.parametrize("tag", sorted(TABLE))
 class TestRecordTable:
     def test_round_trip_through_json(self, tag, samples):

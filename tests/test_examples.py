@@ -67,10 +67,3 @@ class TestExamples:
 
         if shutil.which("gcc"):
             assert out.count("testbench: OK") == 2
-
-    @pytest.mark.slow
-    def test_reproduce_paper_fast(self, tmp_path):
-        out = run_example("reproduce_paper.py", tmp_path, "--fast", timeout=600)
-        assert "Table 1" in out
-        assert "Table 2" in out
-        assert "Figure 7(b)" in out

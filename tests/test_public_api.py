@@ -21,7 +21,6 @@ PACKAGES = [
     "repro.flow",
     "repro.baselines",
     "repro.experiments",
-    "repro.viz",
 ]
 
 
