@@ -135,7 +135,7 @@ def generate_unified_kernel(
     """
     iterators = template.iterators
     layout = Layout.of(template, mapping, platform)
-    shape_of = {mapping.row: shape.rows, mapping.col: shape.cols, mapping.vector: shape.vector}
+    shape_of = mapping.inner_bounds(shape)
 
     w = CodeWriter()
     w.comment(f"Unified runtime-parameterized systolic kernel ({shape} frozen,")

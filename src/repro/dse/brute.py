@@ -17,7 +17,7 @@ from repro.model.design_point import ArrayShape, DesignPoint
 from repro.model.mapping import Mapping
 from repro.model.platform import Platform
 from repro.dse.space import DEFAULT_VECTOR_CHOICES, enumerate_configs
-from repro.dse.tuner import MiddleTuner, walk
+from repro.dse.tuner import MiddleTuner, tuning_space_size, walk
 
 
 @dataclass(frozen=True)
@@ -80,21 +80,10 @@ def brute_force_space_size(
     of hours; counted analytically (no evaluation) so it can be reported
     even where walking it is impossible.
     """
-    total = 0
-    for config in enumerate_configs(
+    configs = enumerate_configs(
         nest, platform, min_dsp_utilization=0.0, vector_choices=vector_choices
-    ):
-        inner = {
-            config.mapping.row: config.shape.rows,
-            config.mapping.col: config.shape.cols,
-            config.mapping.vector: config.shape.vector,
-        }
-        size = 1
-        for it in nest.iterators:
-            t = inner.get(it, 1)
-            size *= math.ceil(nest.bounds[it] / t)
-        total += size
-    return total
+    )
+    return sum(tuning_space_size(nest, c.mapping.inner_bounds(c.shape)) for c in configs)
 
 
 __all__ = ["BruteForceResult", "brute_force_best_middle", "brute_force_space_size"]

@@ -30,7 +30,7 @@ from repro.model.design_point import DesignEvaluation, DesignPoint
 from repro.model.platform import Platform
 from repro.dse.parallel import OnDegrade, OnRetry, TaskPool, top_n_search
 from repro.dse.space import DEFAULT_VECTOR_CHOICES, SystolicConfig, enumerate_configs
-from repro.dse.tuner import MiddleTuner
+from repro.dse.tuner import tune_config
 from repro.dse.vector import CandidateTable, upper_bounds
 
 ProgressFn = Callable[[int, int], None]
@@ -121,18 +121,17 @@ def tune_candidate(
     nest: LoopNest,
     platform: Platform,
     include_cover: bool,
+    memo: dict,
     candidate: SystolicConfig,
 ) -> tuple[DesignEvaluation, int] | None:
     """Tune one configuration; (evaluation, tilings walked) or None when
     no tiling fits the BRAM budget.  Pure — the one phase-1 evaluation,
     whether a pool worker, its serial fallback or the in-process walk
-    runs it."""
-    tuner = MiddleTuner(
-        nest, candidate.mapping, candidate.shape, platform, include_cover=include_cover
+    runs it; ``memo`` only spares repeated tunes."""
+    result = tune_config(
+        memo, nest, candidate.mapping, candidate.shape, platform, include_cover=include_cover
     )
-    try:
-        result = tuner.tune()
-    except RuntimeError:
+    if result is None:
         return None
     return result.design.evaluate(platform), result.candidates_evaluated
 
@@ -193,7 +192,7 @@ def phase1(
 
     with TaskPool(
         tune_candidate,
-        (nest, platform, config.include_cover),
+        (nest, platform, config.include_cover, {}),
         jobs if len(ranked) > 1 else 1,
         on_retry=on_retry,
         on_degrade=on_degrade,

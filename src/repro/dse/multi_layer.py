@@ -29,7 +29,7 @@ from repro.nn.models import Network
 from repro.dse.explore import DseConfig, NoFeasibleDesign
 from repro.dse.parallel import OnDegrade, OnRetry, TaskPool, top_n_search
 from repro.dse.space import SystolicConfig, enumerate_shapes
-from repro.dse.tuner import MiddleTuner, TunedDesign
+from repro.dse.tuner import TunedDesign, tune_config
 from repro.dse.vector import CandidateTable, aggregate_upper_bounds
 
 
@@ -196,23 +196,23 @@ def evaluate_unified(
     workloads: tuple[LayerWorkload, ...],
     platform: Platform,
     dse: DseConfig,
+    memo: dict,
     task: tuple[SystolicConfig, float | None],
 ) -> UnifiedOutcome | None:
     """Tune every layer under one ``(config, clock MHz)`` task (None =
     the platform's assumed clock); None if any layer has no feasible
-    tiling.  Pure — the one unified evaluation, wherever it runs."""
+    tiling.  Pure — the one unified evaluation, wherever it runs;
+    ``memo`` only spares repeated tunes."""
     config, frequency_mhz = task
-    freq = frequency_mhz or platform.assumed_clock_mhz
     tuned_layers = []
     seconds = []
     total_seconds = 0.0
     for w in workloads:
-        tuner = MiddleTuner(
-            w.nest, config.mapping, config.shape, platform, include_cover=dse.include_cover
+        tuned = tune_config(
+            memo, w.nest, config.mapping, config.shape, platform,
+            include_cover=dse.include_cover, frequency_mhz=frequency_mhz,
         )
-        try:
-            tuned = tuner.tune(frequency_mhz=freq)
-        except RuntimeError:
+        if tuned is None:
             return None
         nest_seconds = w.nest.total_operations / (tuned.throughput_gops * 1e9)
         layer_seconds = w.multiplicity * nest_seconds
@@ -316,7 +316,7 @@ def select_unified_design(
     )
     with TaskPool(
         evaluate_unified,
-        (workloads, platform, config),
+        (workloads, platform, config, {}),
         jobs if len(ranked) > 1 else 1,
         on_retry=on_retry,
         on_degrade=on_degrade,

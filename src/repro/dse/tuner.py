@@ -20,13 +20,22 @@ depend on ``s``.  The per-layer search, the unpruned brute force
 per-loop candidate lists.  Tests hold it bit-for-bit to an independent
 scalar oracle (``tests/dse/oracle.py``) — winners, tie-breaks and
 counts.
+
+A search tunes the same problem many times over: the two operand
+orientations of one loop permutation, a row/col transpose, or layers of
+equal shape under one unified design all give the walk identical
+inputs.  :func:`tune_config` — the one entry both searches tune through
+— therefore memoises each distinct problem in a dict that one search
+creates and ships to its pool workers with the task state (each worker
+fills its own copy; nothing outlives the search), and rebuilds a hit
+around the requesting configuration.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 import numpy as np
@@ -171,7 +180,7 @@ class MiddleTuner:
         self._iterators, self._trip, self._arrays, self._total_iterations = _layer_tables(
             nest, platform
         )
-        inner = {mapping.row: shape.rows, mapping.col: shape.cols, mapping.vector: shape.vector}
+        inner = mapping.inner_bounds(shape)
         self._inner = [inner.get(it, 1) for it in self._iterators]
         self._lanes = shape.lanes
 
@@ -337,6 +346,39 @@ class MiddleTuner:
         )
 
 
+def tune_config(
+    memo: dict, nest: LoopNest, mapping: Mapping, shape: ArrayShape, platform: Platform,
+    *, include_cover: bool, frequency_mhz: float | None = None,
+) -> TunedDesign | None:
+    """The best tiling of one configuration, or None when no tiling fits
+    the BRAM budget — tuned at most once per distinct problem in ``memo``,
+    the dict one search owns.
+
+    A tune reads only the layer's :func:`_layer_tables`, each loop's
+    inner bound (and so the lanes), ``include_cover``, the platform and
+    the clock — not the mapping as such (its array orientation, or which
+    PE dimension gives a loop its bound), nor the nest's name.  Configurations
+    agreeing on those share one entry (None if infeasible), looked up
+    before any tuner is built; a hit is rebuilt around the requesting
+    nest, mapping and shape, so it equals a fresh tune.
+    """
+    frequency_mhz = frequency_mhz or platform.assumed_clock_mhz
+    tables = _layer_tables(nest, platform)
+    by_loop = mapping.inner_bounds(shape)
+    inner = tuple(by_loop.get(it, 1) for it in tables[0])
+    key = (tables, inner, shape.lanes, include_cover, platform, frequency_mhz)
+    if key not in memo:
+        tuner = MiddleTuner(nest, mapping, shape, platform, include_cover=include_cover)
+        try:
+            memo[key] = tuner.tune(frequency_mhz=frequency_mhz)
+        except RuntimeError:
+            memo[key] = None
+    tuned = memo[key]
+    if tuned is None:
+        return None
+    return replace(tuned, design=DesignPoint(nest, mapping, shape, tuned.design.middle))
+
+
 def _flat(x: Any, full: tuple[int, ...]) -> np.ndarray:
     """``x`` widened to the slab shape ``full`` and raveled in C order —
     without a broadcast copy when it already spans every axis."""
@@ -431,6 +473,7 @@ __all__ = [
     "MiddleTuner",
     "TunedDesign",
     "middle_candidates",
+    "tune_config",
     "tuning_space_size",
     "walk",
 ]

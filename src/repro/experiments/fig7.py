@@ -63,11 +63,12 @@ def run_fig7a_design_space() -> ExperimentResult:
         headers=["shape", "mapping", "DSP blocks", "BRAM blocks", "agg GFlops"],
     )
     best = None
+    memo: dict = {}
     points: list[ParetoPoint] = []
     designs_validated = 0
     strict_violations = 0
     for config in sampled:
-        outcome = evaluate_unified(workloads, platform, dse, (config, None))
+        outcome = evaluate_unified(workloads, platform, dse, memo, (config, None))
         if outcome is None:
             continue
         aggregate, max_bram = outcome.aggregate_gops, outcome.max_bram
@@ -140,13 +141,14 @@ def run_fig7b_model_accuracy() -> ExperimentResult:
     )
     errors = []
     estimates = []
+    memo: dict = {}
     for rank, (_bound, config) in enumerate(ranked, start=1):
-        at_assumed = evaluate_unified(workloads, platform, dse, (config, None))
+        at_assumed = evaluate_unified(workloads, platform, dse, memo, (config, None))
         if at_assumed is None:
             continue
         estimated = at_assumed.aggregate_gops
         freq, _dsp_util = realize_unified_clock(config, at_assumed.max_bram, platform)
-        at_real = evaluate_unified(workloads, platform, dse, (config, freq))
+        at_real = evaluate_unified(workloads, platform, dse, memo, (config, freq))
         assert at_real is not None
         model_gops = at_real.aggregate_gops
         sim_gops = _aggregate_simulated(workloads, at_real, platform, freq)

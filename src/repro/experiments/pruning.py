@@ -62,14 +62,7 @@ def run_section4_pruning() -> ExperimentResult:
     ratios = []
     for config in sample[::step]:
         tuner = MiddleTuner(nest, config.mapping, config.shape, platform)
-        full = tuning_space_size(
-            nest,
-            {
-                config.mapping.row: config.shape.rows,
-                config.mapping.col: config.shape.cols,
-                config.mapping.vector: config.shape.vector,
-            },
-        )
+        full = tuning_space_size(nest, config.mapping.inner_bounds(config.shape))
         ratios.append(full / tuner.pruned_space_size())
     tiling_ratio = sum(ratios) / len(ratios)
     result.add_row("tiling-space saving (avg)", "17.5x", f"{tiling_ratio:.1f}x")

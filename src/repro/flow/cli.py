@@ -736,6 +736,7 @@ def submit_main(argv: list[str]) -> int:
 
     try:
         body = _payload(args)
+        lower_options(body["options"])  # bad flags exit 2 here, as a local compile's do
     except ValueError as exc:
         return _fail(exc)
     client = ServiceClient(args.url, client_id=args.client_id)

@@ -103,12 +103,7 @@ class DesignPoint:
     @cached_property
     def tiling(self) -> LoopTiling:
         """The LoopTiling induced by mapping + shape + middle bounds."""
-        inner = {
-            self.mapping.row: self.shape.rows,
-            self.mapping.col: self.shape.cols,
-            self.mapping.vector: self.shape.vector,
-        }
-        return LoopTiling.of(dict(self.middle), inner)
+        return LoopTiling.of(dict(self.middle), self.mapping.inner_bounds(self.shape))
 
     @cached_property
     def tiled(self) -> TiledLoopNest:

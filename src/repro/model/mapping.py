@@ -27,9 +27,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.ir.loop import LoopNest
 from repro.ir.reuse import ReuseTable, analyze_reuse
+
+if TYPE_CHECKING:
+    from repro.model.design_point import ArrayShape
 
 
 def array_roles(nest: LoopNest) -> dict[str, str]:
@@ -94,6 +98,11 @@ class Mapping:
     def inner_loops(self) -> tuple[str, str, str]:
         """The (row, col, vector) iterator triple."""
         return (self.row, self.col, self.vector)
+
+    def inner_bounds(self, shape: ArrayShape) -> dict[str, int]:
+        """Inner bound t_l of each mapped loop on a ``shape`` PE array
+        (every other loop's is 1)."""
+        return {self.row: shape.rows, self.col: shape.cols, self.vector: shape.vector}
 
     def selection_vector(self, nest: LoopNest) -> dict[str, int]:
         """The paper's binary k_l vector over the nest's loops."""

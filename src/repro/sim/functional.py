@@ -103,11 +103,7 @@ def audit_tiling_coverage(design: DesignPoint) -> None:
     tiling = design.tiling
     iterators = nest.iterators
     bounds = nest.bounds
-    inner_roles = {
-        design.mapping.row: design.shape.rows,
-        design.mapping.col: design.shape.cols,
-        design.mapping.vector: design.shape.vector,
-    }
+    inner_roles = design.mapping.inner_bounds(design.shape)
     seen: Counter[tuple[int, ...]] = Counter()
     for block in enumerate_blocks(design.tiled, clip=True):
         bases = block.base_map

@@ -104,9 +104,9 @@ class TestSelectUnifiedDesign:
         tasks = []
         evaluate = multi_layer.evaluate_unified
 
-        def counting(workloads, platform, dse, task):
+        def counting(workloads, platform, dse, memo, task):
             tasks.append(task)
-            return evaluate(workloads, platform, dse, task)
+            return evaluate(workloads, platform, dse, memo, task)
 
         monkeypatch.setattr(multi_layer, "evaluate_unified", counting)
         cfg = DseConfig(

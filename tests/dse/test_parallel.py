@@ -1,5 +1,7 @@
 """The parallel DSE fan-out must be bit-identical to the serial search."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.ir.loop import conv_loop_nest
@@ -83,6 +85,18 @@ class TestUnifiedDeterminism:
         assert fanned.config == serial.config
         assert fanned.frequency_mhz == serial.frequency_mhz
         assert fanned.layers == serial.layers
+
+    def test_repeated_shapes_identical(self, workloads):
+        """Two layers of one shape share a tuning-memo entry in whichever
+        process tunes them; the pooled search still matches the serial."""
+        last = workloads[-1]
+        nest = last.nest.with_bounds(last.nest.bounds, name="twin")
+        repeated = (*workloads, replace(last, name="twin", nest=nest))
+        serial = select_unified_design(repeated, Platform(), FAST)
+        fanned = select_unified_design(repeated, Platform(), FAST, jobs=2)
+        assert fanned == serial
+        assert fanned.layers == serial.layers
+        assert serial.layers[-1].middle == serial.layers[-2].middle
 
     def test_all_cores_also_identical(self, workloads):
         serial = select_unified_design(workloads, Platform(), FAST)

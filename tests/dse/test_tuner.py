@@ -1,19 +1,27 @@
 """Tests for the Problem-2 middle-bound tuner."""
 
+import importlib
 import itertools
 import random
+from collections import defaultdict
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.hw.datatype import FIXED_8_16, FLOAT32
 from repro.ir.loop import conv_loop_nest
 from repro.model.design_point import ArrayShape, DesignPoint
-from repro.model.mapping import Mapping
+from repro.model.mapping import Mapping, feasible_mappings
 from repro.model.platform import Platform
-from repro.dse.tuner import MiddleTuner, middle_candidates, tuning_space_size
+from repro.nn.layers import ConvLayer
+from repro.nn.models import Network
+from repro.dse.explore import DseConfig, phase1
+from repro.dse.multi_layer import select_unified_design
+from repro.dse.tuner import MiddleTuner, middle_candidates, tune_config, tuning_space_size
 from tests.dse.oracle import ScalarTuner
-from tests.strategies import array_shapes
+from tests.strategies import array_shapes, rich_conv_layers
 
 
 def conv5():
@@ -164,8 +172,6 @@ class TestTune:
 
     def test_raises_when_nothing_fits(self):
         """A platform with a 1-block RAM budget admits nothing."""
-        from dataclasses import replace
-
         from repro.hw.device import ARRIA10_GT1150
 
         tiny_dev = replace(ARRIA10_GT1150, bram_blocks=1, name="tiny")
@@ -195,3 +201,167 @@ class TestTune:
         result = MiddleTuner(conv5(), SYS1[0], shape, platform).tune()
         peak = 2 * shape.lanes * platform.assumed_clock_mhz * 1e6 / 1e9
         assert 0 < result.throughput_gops <= peak * 1.0001
+
+
+def orientation_twin(mapping, shape):
+    """Same loops and shape, the two read operands swapped between the
+    vertical and horizontal shift chains."""
+    swapped = Mapping(
+        mapping.row, mapping.col, mapping.vector, mapping.horizontal_array, mapping.vertical_array
+    )
+    return swapped, shape
+
+
+def transpose(mapping, shape):
+    """Rows and columns exchanged: every loop keeps its inner bound."""
+    swapped = Mapping(
+        mapping.col, mapping.row, mapping.vector, mapping.horizontal_array, mapping.vertical_array
+    )
+    return swapped, ArrayShape(shape.cols, shape.rows, shape.vector)
+
+
+def tuned_fields(nest, mapping, shape, platform, include_cover):
+    """What a tune yields apart from the configuration it names."""
+    try:
+        tuned = MiddleTuner(nest, mapping, shape, platform, include_cover=include_cover).tune()
+    except RuntimeError:
+        return None
+    return (
+        tuned.design.middle, tuned.throughput_gops, tuned.bram_blocks, tuned.efficiency,
+        tuned.candidates_evaluated,
+    )
+
+
+class TestMemoKey:
+    """:func:`tune_config` keys a tune on the layer tables, each loop's
+    inner bound, ``include_cover``, the platform and the clock.  That is
+    sound only if configurations agreeing on those tune identically."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        layer=rich_conv_layers(),
+        ragged=st.sampled_from(["padded", "clipped"]),
+        datatype=st.sampled_from([FLOAT32, FIXED_8_16]),
+        include_cover=st.booleans(),
+        shape=array_shapes(max_rows=4, max_cols=4, vectors=(1, 2, 4)),
+    )
+    def test_equal_inner_bounds_tune_identically(
+        self, layer, ragged, datatype, include_cover, shape
+    ):
+        nest = layer.group_view().to_loop_nest()
+        platform = Platform(datatype=datatype, ragged_middle=ragged)
+        by_inner = defaultdict(set)
+        for mapping in feasible_mappings(nest):
+            for twin_mapping, twin_shape in (
+                (mapping, shape), orientation_twin(mapping, shape), transpose(mapping, shape)
+            ):
+                inner = twin_mapping.inner_bounds(twin_shape)
+                by_inner[tuple(inner.get(it, 1) for it in nest.iterators)].add(
+                    tuned_fields(nest, twin_mapping, twin_shape, platform, include_cover)
+                )
+        assert by_inner
+        assert all(len(outcomes) == 1 for outcomes in by_inner.values())
+
+    def test_a_hit_equals_a_fresh_tune(self):
+        nest, platform = conv5(), Platform()
+        memo = {}
+        first = tune_config(memo, nest, *SYS1, platform, include_cover=True)
+        assert first == MiddleTuner(nest, *SYS1, platform).tune()
+        renamed = nest.with_bounds(nest.bounds, name="conv5_copy")
+        for twin in (orientation_twin, transpose):
+            mapping, shape = twin(*SYS1)
+            for layer in (nest, renamed):
+                hit = tune_config(memo, layer, mapping, shape, platform, include_cover=True)
+                assert hit == MiddleTuner(layer, mapping, shape, platform).tune()
+        assert len(memo) == 1
+
+    def test_infeasible_problems_are_memoised(self, monkeypatch):
+        from repro.hw.device import ARRIA10_GT1150
+
+        platform = Platform(device=replace(ARRIA10_GT1150, bram_blocks=1, name="tiny"))
+        calls = count_tunes(monkeypatch)
+        memo = {}
+        for _ in range(2):
+            assert tune_config(memo, conv5(), *SYS1, platform, include_cover=True) is None
+        assert calls == [1] and list(memo.values()) == [None]
+
+
+def count_tunes(monkeypatch):
+    """Count :meth:`MiddleTuner.tune` calls into a one-element list."""
+    calls = [0]
+    tune = MiddleTuner.tune
+
+    def counting(self, **kwargs):
+        calls[0] += 1
+        return tune(self, **kwargs)
+
+    monkeypatch.setattr(MiddleTuner, "tune", counting)
+    return calls
+
+
+def twin_cnn():
+    """tiny_cnn with its last conv repeated under another name."""
+    convs = (
+        ConvLayer("conv1", 3, 16, 19, 19, kernel=3, stride=2),
+        ConvLayer("conv2", 16, 16, 9, 9, kernel=3, pad=1),
+        ConvLayer("conv3", 16, 16, 9, 9, kernel=3, pad=1),
+    )
+    return Network("twin_cnn", convs, ())
+
+
+class TestOneTunePerProblem:
+    """Each search tunes every distinct problem exactly once, and its memo
+    dies with it: a second identical search tunes just as much again."""
+
+    @staticmethod
+    def problems(monkeypatch, module):
+        """Record an independent key of every problem ``module`` asks
+        :func:`tune_config` for: the nest without its name, each loop's
+        inner bound, ``include_cover`` and the clock."""
+        seen = []
+        tune = module.tune_config
+
+        def recording(memo, nest, mapping, shape, platform, *, include_cover, frequency_mhz=None):
+            inner = mapping.inner_bounds(shape)
+            seen.append((
+                replace(nest, name=""), tuple(inner.get(it, 1) for it in nest.iterators),
+                include_cover, frequency_mhz or platform.assumed_clock_mhz,
+            ))
+            return tune(
+                memo, nest, mapping, shape, platform,
+                include_cover=include_cover, frequency_mhz=frequency_mhz,
+            )
+
+        monkeypatch.setattr(module, "tune_config", recording)
+        return seen
+
+    def test_unified_search(self, monkeypatch):
+        from repro.dse import multi_layer
+
+        calls = count_tunes(monkeypatch)
+        seen = self.problems(monkeypatch, multi_layer)
+        config = DseConfig(min_dsp_utilization=0.0, vector_choices=(2, 4), top_n=3)
+        results, tunes = [], []
+        for _ in range(2):
+            calls[0], seen[:] = 0, []
+            results.append(select_unified_design(twin_cnn(), Platform(), config))
+            tunes.append(calls[0])
+            assert calls[0] == len(set(seen)) < len(seen)
+        assert tunes[0] == tunes[1]
+        assert results[0] == results[1]
+
+    def test_phase1(self, monkeypatch):
+        # ``repro.dse.explore`` the attribute is the function of that name.
+        explore = importlib.import_module("repro.dse.explore")
+        calls = count_tunes(monkeypatch)
+        seen = self.problems(monkeypatch, explore)
+        nest = conv_loop_nest(16, 8, 7, 7, 3, 3, name="layer")
+        config = DseConfig(min_dsp_utilization=0.0, vector_choices=(2, 4), top_n=5)
+        results, tunes = [], []
+        for _ in range(2):
+            calls[0], seen[:] = 0, []
+            results.append(phase1(nest, Platform(), config))
+            tunes.append(calls[0])
+            assert calls[0] == len(set(seen)) < len(seen)
+        assert tunes[0] == tunes[1]
+        assert results[0] == results[1]

@@ -37,13 +37,16 @@ BAD_VALUES = {
     "--clock": ("clock", 0),
 }
 
-#: door -> (argv prefix, subject file suffix, the table flags its parser has)
+#: door -> (argv prefix, subject file suffix, the table flags its parser has).
+#: ``submit`` must refuse before it posts: nothing listens on its URL, so
+#: a request that got that far would exit 1 with "cannot reach".
 DOORS = {
     "default": ([], ".c", list(BAD_VALUES)),
     "compile": (["compile"], ".c", list(BAD_VALUES)),
     "check": (["check"], ".c", ["--device", "--datatype"]),
     "verify": (["verify"], ".c", ["--device", "--datatype"]),
     "import": (["import"], ".json", list(BAD_VALUES)),
+    "submit": (["submit", "--url", "http://127.0.0.1:9"], ".c", list(BAD_VALUES)),
 }
 
 CASES = [
