@@ -16,19 +16,15 @@ model.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.model.design_point import DesignPoint
 from repro.sim.feed import WaveFeeder
-from repro.sim.schedule import (
-    BlockSpec,
-    enumerate_blocks,
-    enumerate_waves,
-    first_all_active_cycle,
-    wave_schedule_cycles,
-)
+from repro.sim.schedule import first_all_active_cycle, wave_schedule_cycles
 
 
 @dataclass
@@ -36,10 +32,10 @@ class _Packet:
     """A datum moving through the array: values + the wave it belongs to."""
 
     wave: int
-    values: np.ndarray
+    values: list[float]
 
 
-def simd_dot(weights: np.ndarray, inputs: np.ndarray) -> float:
+def simd_dot(weights: Sequence[float], inputs: Sequence[float]) -> float:
     """One PE's SIMD accumulation: lane products added in lane order.
 
     Every simulator must use this exact operation order (a running sum
@@ -48,7 +44,7 @@ def simd_dot(weights: np.ndarray, inputs: np.ndarray) -> float:
     to BLAS, which is free to reassociate and can differ in the last ulp.
     """
     total = 0.0
-    for w, value in zip(weights.tolist(), inputs.tolist()):
+    for w, value in zip(weights, inputs):
         total += w * value
     return total
 
@@ -80,33 +76,11 @@ class SystolicArrayEngine:
 
     def __init__(self, design: DesignPoint) -> None:
         self.design = design
-        self.nest = design.nest
-        self.mapping = design.mapping
         self.rows = design.shape.rows
         self.cols = design.shape.cols
-        self.vector = design.shape.vector
-        self._iterators = self.nest.iterators
-        self._bounds = self.nest.bounds
-        self._out_access = self.nest.output
+        # Boundary streams are shared with the RTL harness (repro.sim.feed)
+        # so the two cycle-accurate backends cannot drift apart.
         self._feeder = WaveFeeder(design)
-
-    # ------------------------------------------------------------- indexing
-    # Boundary gathering is shared with the RTL harness (repro.sim.feed)
-    # so the two cycle-accurate backends cannot drift apart.
-
-    def _indices(
-        self, block: BlockSpec, wave: dict[str, int], x: int, y: int, lane: int
-    ) -> dict[str, int]:
-        """Original iteration vector for (block, wave, PE, SIMD lane)."""
-        return self._feeder.indices(block, wave, x, y, lane)
-
-    def _w_vector(self, block, wave, x, arrays) -> np.ndarray:
-        """The weight vector entering row x for one wave (column-free)."""
-        return self._feeder.w_vector(block, wave, x, arrays)
-
-    def _in_vector(self, block, wave, y, arrays) -> np.ndarray:
-        """The input vector entering column y for one wave (row-free)."""
-        return self._feeder.in_vector(block, wave, y, arrays)
 
     # ------------------------------------------------------------ execution
 
@@ -117,54 +91,51 @@ class SystolicArrayEngine:
             arrays: name -> tensor for both read arrays, with shapes large
                 enough for the access ranges (the layer's natural shapes).
         """
-        out_shape = tuple(
-            expr.value_range(self._bounds)[1] + 1 for expr in self._out_access.indices
-        )
-        output = np.zeros(out_shape)
+        output = np.zeros(self._feeder.out_shape)
+        flat = output.reshape(-1)
 
-        clip = True  # the hardware never replays padding waves it can skip;
-        # padded-vs-clipped only changes *timing* accounting, and the
-        # engine's gather returns 0 on padding anyway.
+        streams = self._feeder.streams(arrays)
+        w_lanes = streams.w.tolist()
+        in_lanes = streams.inp.tolist()
+        out_keys = streams.out_key.tolist()
         total_cycles = 0
-        total_waves = 0
         active_cycles = 0
-        blocks = 0
-
-        for block in enumerate_blocks(self.design.tiled, clip=clip):
-            blocks += 1
-            waves = list(enumerate_waves(block, self._iterators))
-            total_waves += len(waves)
-            cycles = self._run_block(block, waves, arrays, output)
-            total_cycles += cycles[0]
-            active_cycles += cycles[1]
+        for lo, hi in itertools.pairwise(streams.starts):
+            cycles, active = self._run_block(
+                w_lanes[lo:hi], in_lanes[lo:hi], out_keys[lo:hi], flat
+            )
+            total_cycles += cycles
+            active_cycles += active
 
         return EngineResult(
             output=output,
             compute_cycles=total_cycles,
-            blocks=blocks,
-            waves=total_waves,
+            blocks=len(streams.blocks),
+            waves=streams.starts[-1],
             pe_active_cycles=active_cycles,
             first_all_active_cycle=first_all_active_cycle(self.rows, self.cols),
         )
 
     def _run_block(
         self,
-        block: BlockSpec,
-        waves: list[dict[str, int]],
-        arrays: dict[str, np.ndarray],
-        output: np.ndarray,
+        w_lanes: list[list[list[float]]],
+        in_lanes: list[list[list[float]]],
+        out_keys: list[list[list[int]]],
+        flat: np.ndarray,
     ) -> tuple[int, int]:
-        """Cycle-accurate pipeline of one block; accumulates into output.
+        """Cycle-accurate pipeline of one block's waves (the block's slice
+        of :class:`~repro.sim.feed.WaveStreams`, as lists); accumulates
+        into ``flat`` (the output array, C-order flattened).
 
         Returns (cycles, PE-active cycles).
         """
         rows, cols = self.rows, self.cols
-        n_waves = len(waves)
+        n_waves = len(w_lanes)
         # Shift registers: one packet (or None) per PE, per direction.
         w_reg: list[list[_Packet | None]] = [[None] * cols for _ in range(rows)]
         in_reg: list[list[_Packet | None]] = [[None] * cols for _ in range(rows)]
-        # Per-PE accumulators keyed by output element.
-        acc: list[list[dict[tuple[int, ...], float]]] = [
+        # Per-PE accumulators keyed by flat output element.
+        acc: list[list[dict[int, float]]] = [
             [dict() for _ in range(cols)] for _ in range(rows)
         ]
 
@@ -181,11 +152,11 @@ class SystolicArrayEngine:
             for x in range(rows):
                 m = cycle - x
                 if 0 <= m < n_waves:
-                    w_reg[x][0] = _Packet(m, self._w_vector(block, waves[m], x, arrays))
+                    w_reg[x][0] = _Packet(m, w_lanes[m][x])
             for y in range(cols):
                 m = cycle - y
                 if 0 <= m < n_waves:
-                    in_reg[0][y] = _Packet(m, self._in_vector(block, waves[m], y, arrays))
+                    in_reg[0][y] = _Packet(m, in_lanes[m][y])
             # Compute.
             for x in range(rows):
                 for y in range(cols):
@@ -198,19 +169,18 @@ class SystolicArrayEngine:
                             f"weight wave {w_pkt.wave} vs input wave {in_pkt.wave}"
                         )
                     active += 1
-                    wave = waves[w_pkt.wave]
-                    idx = self._indices(block, wave, x, y, 0)
-                    if any(idx[it] >= self._bounds[it] for it in self._iterators if it != self.mapping.vector):
+                    key = out_keys[w_pkt.wave][x][y]
+                    if key < 0:
                         continue  # padding PE position: no real output element
-                    key = self._out_access.evaluate(idx)
-                    acc[x][y][key] = acc[x][y].get(key, 0.0) + simd_dot(
+                    pe_acc = acc[x][y]
+                    pe_acc[key] = pe_acc.get(key, 0.0) + simd_dot(
                         w_pkt.values, in_pkt.values
                     )
         # Drain: fold per-PE accumulators into the global output.
         for x in range(rows):
             for y in range(cols):
                 for key, value in acc[x][y].items():
-                    output[key] += value
+                    flat[key] += value
         return cycles, active
 
 

@@ -267,7 +267,7 @@ class FastWavefrontSimulator:
 
             # Operand gathers, lane-major: the weight vector entering row
             # x (taken at column 0), the input vector entering column y
-            # (taken at row 0) — the engine's _w_vector/_in_vector — as
+            # (taken at row 0) — the feeder's w / inp streams — as
             # (lane, position, wave) planes.
             w_mask = mask_vec[:, None, :] & (mask_row & mask_col[0] & ok_rest)
             w_vals = self._gather(operands[0], vals, w_mask, row_it, x_idx)

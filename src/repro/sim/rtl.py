@@ -1,8 +1,9 @@
 """Pure-Python RTL simulator for the emitted Verilog module graph.
 
 :mod:`repro.codegen.rtl` builds a structural IR and renders Verilog-2001
-text from it; this module *elaborates the same IR* into a flat netlist
-and interprets it with two-phase synchronous semantics:
+text from it; this module *elaborates the same IR* into a flat netlist,
+compiles it into one Python function per clock edge and steps it with
+two-phase synchronous semantics:
 
 1. **eval** — combinational wires recomputed in topological order from
    the current registers, memories and input ports;
@@ -25,23 +26,27 @@ the interpreter itself.  A missing toolchain degrades gracefully
 from __future__ import annotations
 
 import hashlib
+import itertools
 import shutil
 import struct
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from repro.analysis.diagnostics import RTL_TOOLCHAIN_MISSING
 from repro.codegen.rtl import (
+    I_FIELDS,
+    W_FIELDS,
     MemClear,
     MemWrite,
     ModuleDef,
     RegSet,
     RtlPlan,
     build_rtl_modules,
+    expr_signals,
     render_verilog,
 )
 from repro.model.design_point import DesignPoint
@@ -52,104 +57,82 @@ from repro.resilience.retry import (
     run_tool,
 )
 from repro.sim.engine import EngineResult
-from repro.sim.feed import WaveFeeder
-from repro.sim.schedule import (
-    enumerate_blocks,
-    enumerate_waves,
-    first_all_active_cycle,
-    wave_schedule_cycles,
-)
+from repro.sim.feed import WaveFeeder, WaveStreams
+from repro.sim.schedule import first_all_active_cycle
 
 
 # --------------------------------------------------------------------------
-# Netlist elaboration and interpretation.
-
-_EvalFn = Callable[[dict, dict], Any]
+# Netlist elaboration and compilation.
 
 
-def _compile_expr(
-    expr: tuple, rename: Callable[[str], str], params: dict[str, int]
-) -> _EvalFn:
-    """Compile an IR expression to a closure over (env, mems)."""
+def _scoped(expr: tuple, prefix: str, params: dict[str, int]) -> tuple:
+    """An IR expression with its nets renamed into the flat namespace and
+    its parameters folded to constants."""
     kind = expr[0]
-    if kind == "const":
-        value = int(expr[1])
-        return lambda env, mems: value
-    if kind == "rconst":
-        rvalue = float(expr[1])
-        return lambda env, mems: rvalue
     if kind == "sig":
-        name = rename(expr[1])
-        return lambda env, mems: env[name]
+        return ("sig", prefix + expr[1])
     if kind == "param":
-        pvalue = int(params[expr[1]])
-        return lambda env, mems: pvalue
+        return ("const", int(params[expr[1]]))
+    if kind in ("const", "rconst"):
+        return expr
     if kind == "memread":
-        mem = rename(expr[1])
-        addr = _compile_expr(expr[2], rename, params)
-        return lambda env, mems: mems[mem][addr(env, mems)]
-    if kind in ("iadd", "fadd"):
-        a = _compile_expr(expr[1], rename, params)
-        b = _compile_expr(expr[2], rename, params)
-        return lambda env, mems: a(env, mems) + b(env, mems)
-    if kind == "fmul":
-        a = _compile_expr(expr[1], rename, params)
-        b = _compile_expr(expr[2], rename, params)
-        return lambda env, mems: a(env, mems) * b(env, mems)
-    if kind == "and":
-        a = _compile_expr(expr[1], rename, params)
-        b = _compile_expr(expr[2], rename, params)
-        return lambda env, mems: 1 if (a(env, mems) and b(env, mems)) else 0
-    if kind == "or":
-        a = _compile_expr(expr[1], rename, params)
-        b = _compile_expr(expr[2], rename, params)
-        return lambda env, mems: 1 if (a(env, mems) or b(env, mems)) else 0
-    if kind == "not":
-        a = _compile_expr(expr[1], rename, params)
-        return lambda env, mems: 0 if a(env, mems) else 1
-    if kind == "ne":
-        a = _compile_expr(expr[1], rename, params)
-        b = _compile_expr(expr[2], rename, params)
-        return lambda env, mems: 1 if a(env, mems) != b(env, mems) else 0
-    if kind == "mux":
-        c = _compile_expr(expr[1], rename, params)
-        a = _compile_expr(expr[2], rename, params)
-        b = _compile_expr(expr[3], rename, params)
-        return lambda env, mems: a(env, mems) if c(env, mems) else b(env, mems)
-    raise ValueError(f"unknown IR expression kind {kind!r}")
+        return ("memread", prefix + expr[1], _scoped(expr[2], prefix, params))
+    return (kind, *(_scoped(op, prefix, params) for op in expr[1:]))
 
 
-def _expr_deps(expr: tuple, rename: Callable[[str], str]) -> set[str]:
-    kind = expr[0]
-    if kind == "sig":
-        return {rename(expr[1])}
-    if kind in ("const", "rconst", "param"):
-        return set()
-    if kind == "memread":
-        return _expr_deps(expr[2], rename)
-    deps: set[str] = set()
-    for operand in expr[1:]:
-        if isinstance(operand, tuple):
-            deps |= _expr_deps(operand, rename)
-    return deps
+#: Infix operators.  Python evaluates ``a + b + c`` as ``(a + b) + c``, so a
+#: left-nested chain renders flat — the same operation order without one
+#: parenthesis level per link (the tokenizer caps nesting at 200 levels).
+_INFIX = {"iadd": "+", "fadd": "+", "fmul": "*"}
+
+
+def _chain(expr: tuple, kinds: tuple[str, ...], *, left_only: bool) -> list[tuple]:
+    """Operands of a chain of ``kinds`` ops, left to right: ``or(or(a, b), c)``
+    gives ``[a, b, c]``.  With ``left_only`` only the left operand is
+    unrolled (infix ops keep their evaluation order)."""
+    out: list[tuple] = []
+    for index, operand in enumerate(expr[1:]):
+        if operand[0] in kinds and (index == 0 or not left_only):
+            out.extend(_chain(operand, kinds, left_only=left_only))
+        else:
+            out.append(operand)
+    return out
 
 
 class NetlistSimulator:
-    """Two-phase eval/commit interpreter of an elaborated module graph."""
+    """Two-phase eval/commit simulator of an elaborated module graph.
+
+    Elaboration flattens the instance tree (``pe_<x>_<y>.``-prefixed nets)
+    into slot-indexed storage: every net owns one slot of :attr:`values`
+    and every memory one list in :attr:`mems`.  An instance port connected
+    to a bare signal is an *alias*: it shares its source's slot.  The
+    combinational nets (in topological order) and the sequential commit
+    are then compiled into one Python function per simulator, generated as
+    text over slot indices, numeric literals and operators only:
+
+    1. **eval** — drive the top inputs, recompute every wire;
+    2. **commit** — evaluate every sequential right-hand side against the
+       pre-edge state, then apply them (Verilog nonblocking ``<=``).
+
+    Registers and memories are disjoint storage, so committing all
+    registers at once and then the memory clears and writes in ``seq``
+    order is the same edge as applying every op in ``seq`` order.
+
+    Raises:
+        ValueError: on a combinational loop (through wires or aliases).
+    """
 
     def __init__(self, top: ModuleDef, library: dict[str, ModuleDef]) -> None:
-        self.env: dict[str, Any] = {}
-        self.mems: dict[str, list[float]] = {}
         self.inputs: tuple[str, ...] = tuple(
             p.name for p in top.ports if p.direction == "in"
         )
-        wires: list[tuple[str, set[str], _EvalFn]] = []
+        self._regs: dict[str, Any] = {}
+        self._wires: dict[str, tuple] = {}
+        self._aliases: dict[str, str] = {}
+        self._mems: dict[str, int] = {}
         self._seq: list[tuple] = []
         self._elaborate(top, library, prefix="", params={})
-        # Resolve elaboration products gathered by _elaborate.
-        wires = self._pending_wires
-        del self._pending_wires
-        self._wires = self._topo_sort(wires)
+        self._edge = self._compile()
 
     # ------------------------------------------------------- construction
 
@@ -160,51 +143,32 @@ class NetlistSimulator:
         prefix: str,
         params: dict[str, int],
     ) -> None:
-        if not hasattr(self, "_pending_wires"):
-            self._pending_wires: list[tuple[str, set[str], _EvalFn]] = []
-
-        def rename(name: str) -> str:
-            return prefix + name
-
         merged = dict(module.params)
         merged.update(params)
 
         for reg in module.regs:
-            self.env[rename(reg.name)] = reg.init
+            self._regs[prefix + reg.name] = reg.init
         for mem in module.mems:
-            self.mems[rename(mem.name)] = [0.0] * mem.depth
-        for port in module.ports:
-            if port.direction == "in" and not prefix:
-                self.env.setdefault(port.name, 0)
+            self._mems[prefix + mem.name] = mem.depth
         for wire in module.wires:
-            self._pending_wires.append(
-                (
-                    rename(wire.name),
-                    _expr_deps(wire.expr, rename),
-                    _compile_expr(wire.expr, rename, merged),
-                )
-            )
+            self._wires[prefix + wire.name] = _scoped(wire.expr, prefix, merged)
         for op in module.seq:
             if isinstance(op, RegSet):
                 self._seq.append(
-                    ("reg", rename(op.reg), _compile_expr(op.expr, rename, merged))
+                    ("reg", prefix + op.reg, _scoped(op.expr, prefix, merged))
                 )
             elif isinstance(op, MemClear):
                 self._seq.append(
-                    (
-                        "clear",
-                        rename(op.mem),
-                        _compile_expr(op.enable, rename, merged),
-                    )
+                    ("clear", prefix + op.mem, _scoped(op.enable, prefix, merged))
                 )
             elif isinstance(op, MemWrite):
                 self._seq.append(
                     (
                         "write",
-                        rename(op.mem),
-                        _compile_expr(op.addr, rename, merged),
-                        _compile_expr(op.data, rename, merged),
-                        _compile_expr(op.enable, rename, merged),
+                        prefix + op.mem,
+                        _scoped(op.addr, prefix, merged),
+                        _scoped(op.data, prefix, merged),
+                        _scoped(op.enable, prefix, merged),
                     )
                 )
             else:  # pragma: no cover - IR is closed
@@ -213,89 +177,143 @@ class NetlistSimulator:
         for inst in module.instances:
             child = library[inst.module]
             child_prefix = f"{prefix}{inst.name}."
-            # Child input ports become alias wires of parent expressions.
+            # Child input ports: aliases of bare parent signals, otherwise
+            # wires computing the parent expression.
             for port_name, expr in inst.inputs.items():
-                self._pending_wires.append(
-                    (
-                        child_prefix + port_name,
-                        _expr_deps(expr, rename),
-                        _compile_expr(expr, rename, merged),
-                    )
-                )
+                scoped = _scoped(expr, prefix, merged)
+                if scoped[0] == "sig":
+                    self._aliases[child_prefix + port_name] = scoped[1]
+                else:
+                    self._wires[child_prefix + port_name] = scoped
             # Parent-scope wires alias the child's output signals.
             for port_name, wire_name in inst.outputs.items():
-                source = child_prefix + port_name
-                self._pending_wires.append(
-                    (rename(wire_name), {source}, _make_alias(source))
-                )
+                self._aliases[prefix + wire_name] = child_prefix + port_name
             child_params = dict(child.params)
             child_params.update(inst.params)
             self._elaborate(child, library, child_prefix, child_params)
 
-    def _topo_sort(
-        self, wires: list[tuple[str, set[str], _EvalFn]]
-    ) -> list[tuple[str, _EvalFn]]:
-        """Order wires so every dependency is evaluated first."""
-        by_name = {name: (deps, fn) for name, deps, fn in wires}
-        ordered: list[tuple[str, _EvalFn]] = []
+    def _compile(self) -> Callable[[list, list, Sequence], None]:
+        """Assign slots, order the wires and generate the edge function."""
+        # Slots: top inputs (port order), registers in commit order, the
+        # rest; the input drive and the register commit are then one slice
+        # store each.
+        committed = list(dict.fromkeys(op[1] for op in self._seq if op[0] == "reg"))
+        owners = list(
+            dict.fromkeys([*self.inputs, *committed, *self._regs, *self._wires])
+        )
+        self.slots: dict[str, int] = {name: k for k, name in enumerate(owners)}
+        for name in self._aliases:
+            self.slots[name] = self._resolve(name)
+        self.values: list[Any] = [self._regs.get(name, 0) for name in owners]
+        mem_names = list(self._mems)
+        self._mem_slots = {name: k for k, name in enumerate(mem_names)}
+        self.mems: list[list[float]] = [[0.0] * self._mems[n] for n in mem_names]
+
+        slot, mem = self.slots.__getitem__, self._mem_slots.__getitem__
+        lines = ["def edge(v, m, inp):", f"    v[0:{len(self.inputs)}] = inp"]
+        for name in self._topo_order():
+            lines.append(f"    v[{slot(name)}] = {self._render(self._wires[name])}")
+        # Every sequential right-hand side is evaluated before any commit.
+        reg_rhs = {op[1]: op[2] for op in self._seq if op[0] == "reg"}
+        commits = []
+        for k, op in enumerate(self._seq):
+            if op[0] == "clear":
+                lines.append(f"    c{k} = {self._render(op[2])}")
+                commits.append(
+                    f"    if c{k}: m[{mem(op[1])}] = [0.0] * {self._mems[op[1]]}"
+                )
+            elif op[0] == "write":
+                lines.append(f"    e{k} = {self._render(op[4])}")
+                lines.append(
+                    f"    if e{k}: a{k} = {self._render(op[2])}; "
+                    f"d{k} = {self._render(op[3])}"
+                )
+                commits.append(f"    if e{k}: m[{mem(op[1])}][a{k}] = d{k}")
+        if committed:
+            first = len(self.inputs)
+            rhs = ", ".join(self._render(reg_rhs[name]) for name in committed)
+            lines.append(f"    v[{first}:{first + len(committed)}] = ({rhs},)")
+        lines.extend(commits)
+        namespace: dict[str, Any] = {"__builtins__": {}}
+        exec(compile("\n".join(lines) + "\n", "<netlist>", "exec"), namespace)
+        return namespace["edge"]
+
+    def _resolve(self, name: str) -> int:
+        """Slot of a net, following alias chains to their source."""
+        seen = set()
+        while name in self._aliases:
+            if name in seen:
+                raise ValueError(f"combinational loop through {name!r}")
+            seen.add(name)
+            name = self._aliases[name]
+        return self.slots[name]
+
+    def _topo_order(self) -> list[str]:
+        """Wires ordered so every dependency is evaluated first."""
+        by_slot = {self.slots[name]: name for name in self._wires}
+        ordered: list[str] = []
         state: dict[str, int] = {}  # 1 visiting, 2 done
 
         def visit(name: str) -> None:
-            if state.get(name) == 2 or name not in by_name:
+            if state.get(name) == 2:
                 return
             if state.get(name) == 1:
                 raise ValueError(f"combinational loop through {name!r}")
             state[name] = 1
-            deps, fn = by_name[name]
-            for dep in sorted(deps):
-                visit(dep)
+            for dep in sorted(expr_signals(self._wires[name])):
+                source = by_slot.get(self.slots[dep])
+                if source is not None:
+                    visit(source)
             state[name] = 2
-            ordered.append((name, fn))
+            ordered.append(name)
 
-        for name, _, _ in wires:
+        for name in self._wires:
             visit(name)
-        # Wires may read regs/inputs that exist in env already; unknown
-        # names would KeyError at eval time, which is the right failure.
         return ordered
+
+    def _render(self, expr: tuple) -> str:
+        """Python text of a scoped expression over ``v`` (nets) and ``m``
+        (memories)."""
+        kind = expr[0]
+        if kind == "sig":
+            return f"v[{self.slots[expr[1]]}]"
+        if kind in ("const", "rconst"):
+            return f"({expr[1]!r})"
+        if kind == "memread":
+            return f"m[{self._mem_slots[expr[1]]}][{self._render(expr[2])}]"
+        if kind in ("and", "or"):
+            terms = map(self._render, _chain(expr, (kind,), left_only=False))
+            return f"(1 if ({f' {kind} '.join(terms)}) else 0)"
+        if kind in _INFIX:
+            symbol = _INFIX[kind]
+            same = tuple(k for k, s in _INFIX.items() if s == symbol)
+            terms = map(self._render, _chain(expr, same, left_only=True))
+            return f"({f' {symbol} '.join(terms)})"
+        if kind == "not":
+            return f"(0 if {self._render(expr[1])} else 1)"
+        if kind == "ne":
+            return f"(1 if {self._render(expr[1])} != {self._render(expr[2])} else 0)"
+        if kind == "mux":
+            cond, then, other = map(self._render, expr[1:])
+            return f"({then} if {cond} else {other})"
+        raise ValueError(f"unknown IR expression kind {kind!r}")
 
     # ----------------------------------------------------------- stepping
 
-    def step(self, inputs: dict[str, Any]) -> None:
-        """One clock edge: drive inputs, eval wires, commit sequentials."""
-        env, mems = self.env, self.mems
-        env.update(inputs)
-        for name, fn in self._wires:
-            env[name] = fn(env, mems)
-        pending: list[tuple] = []
-        for op in self._seq:
-            tag = op[0]
-            if tag == "reg":
-                pending.append(("reg", op[1], op[2](env, mems)))
-            elif tag == "clear":
-                if op[2](env, mems):
-                    pending.append(("clear", op[1]))
-            else:  # write
-                if op[4](env, mems):
-                    pending.append(
-                        ("write", op[1], op[2](env, mems), op[3](env, mems))
-                    )
-        for item in pending:
-            if item[0] == "reg":
-                env[item[1]] = item[2]
-            elif item[0] == "clear":
-                mems[item[1]] = [0.0] * len(mems[item[1]])
-            else:
-                mems[item[1]][item[2]] = item[3]
+    def step(self, inputs: Sequence[Any]) -> None:
+        """One clock edge: drive the top inputs (values in :attr:`inputs`
+        order), eval wires, commit sequentials."""
+        if len(inputs) != len(self.inputs):
+            raise ValueError(
+                f"{len(inputs)} input values for {len(self.inputs)} input ports"
+            )
+        self._edge(self.values, self.mems, inputs)
 
     def signal(self, name: str) -> Any:
-        return self.env[name]
+        return self.values[self.slots[name]]
 
     def memory(self, name: str) -> list[float]:
-        return self.mems[name]
-
-
-def _make_alias(source: str) -> _EvalFn:
-    return lambda env, mems: env[source]
+        return self.mems[self._mem_slots[name]]
 
 
 # --------------------------------------------------------------------------
@@ -323,7 +341,7 @@ class RtlRunResult:
 
 
 class RtlSimulator:
-    """Executes a design's generated RTL with the netlist interpreter."""
+    """Executes a design's generated RTL with the netlist simulator."""
 
     def __init__(self, design: DesignPoint) -> None:
         top, pe, plan = build_rtl_modules(design)  # raises SA150 if unsupported
@@ -334,60 +352,66 @@ class RtlSimulator:
         self._feeder = WaveFeeder(design)
         shape = design.shape
         self.rows, self.cols, self.vector = shape.rows, shape.cols, shape.vector
+        self._ports = [p for p in top.ports if p.direction == "in"]
+        #: An all-invalid edge that flips the bank and clears the old one.
+        self._flip_row = tuple(
+            1 if p.name in ("flip", "clear") else (0.0 if p.kind == "f64" else 0)
+            for p in self._ports
+        )
 
     # ----------------------------------------------------------- stimulus
 
-    def _step_inputs(
-        self,
-        block,
-        waves: list[dict[str, int]],
-        boffs: list[int],
-        arrays: dict[str, np.ndarray],
-        step: int,
-    ) -> dict[str, Any]:
-        """Boundary injection for one clock edge (the skewed schedule)."""
-        feeder = self._feeder
-        n_waves = len(waves)
-        inputs: dict[str, Any] = {"flip": 0, "clear": 0}
-        for x in range(self.rows):
-            m = step - x
-            live = 0 <= m < n_waves
-            inputs[f"w_valid_{x}"] = 1 if live else 0
-            inputs[f"w_tag_{x}"] = m if live else 0
-            inputs[f"w_boff_{x}"] = boffs[m] if live else 0
-            inputs[f"w_rowok_{x}"] = (
-                1 if live and feeder.row_ok(block, waves[m], x) else 0
-            )
-            if live:
-                vec = feeder.w_vector(block, waves[m], x, arrays)
-                for v in range(self.vector):
-                    inputs[f"w_val_{v}_{x}"] = float(vec[v])
-            else:
-                for v in range(self.vector):
-                    inputs[f"w_val_{v}_{x}"] = 0.0
-        for y in range(self.cols):
-            m = step - y
-            live = 0 <= m < n_waves
-            inputs[f"i_valid_{y}"] = 1 if live else 0
-            inputs[f"i_tag_{y}"] = m if live else 0
-            inputs[f"i_colok_{y}"] = (
-                1 if live and feeder.col_ok(block, waves[m], y) else 0
-            )
-            if live:
-                vec = feeder.in_vector(block, waves[m], y, arrays)
-                for v in range(self.vector):
-                    inputs[f"i_val_{v}_{y}"] = float(vec[v])
-            else:
-                for v in range(self.vector):
-                    inputs[f"i_val_{v}_{y}"] = 0.0
-        return inputs
+    def _edges(self, streams: WaveStreams) -> list[list[tuple]]:
+        """Per block, the top-input rows (port order) of its ``cycles + 1``
+        edges, built for the whole run at once.
 
-    def _flip_inputs(self) -> dict[str, Any]:
-        """An all-invalid edge that flips the bank and clears the old one."""
-        inputs = self._step_inputs(None, [], [], {}, -1)
-        inputs["flip"] = 1
-        inputs["clear"] = 1
-        return inputs
+        At local edge s, row x receives the block's wave ``s - x`` and
+        column y wave ``s - y`` (the skewed schedule); a boundary with no
+        live wave drives zeros.
+        """
+        starts = np.array(streams.starts)
+        waves = np.diff(starts)
+        spans = waves + self.rows + self.cols - 1  # wave_schedule_cycles + 1
+        edge_starts = np.concatenate(([0], np.cumsum(spans)))
+        owner = np.repeat(np.arange(len(waves)), spans)[:, None]
+        local = (np.arange(edge_starts[-1]) - edge_starts[:-1].repeat(spans))[:, None]
+        iterators = self.design.nest.iterators
+        boffs = np.array(
+            [
+                self.plan.base_offset(dict(zip(iterators, mid)))
+                for mid in streams.middle.tolist()
+            ]
+        )
+        columns: dict[str, list] = {
+            "flip": [0] * int(edge_starts[-1]),
+            "clear": [0] * int(edge_starts[-1]),
+        }
+        sides = (
+            ("w", W_FIELDS, streams.w, streams.row_ok, "rowok"),
+            ("i", I_FIELDS, streams.inp, streams.col_ok, "colok"),
+        )
+        for side, names, lanes, ok, ok_name in sides:
+            position = np.arange(lanes.shape[1])
+            wave = local - position
+            live = (wave >= 0) & (wave < waves[owner])
+            held = starts[owner] + np.clip(wave, 0, waves[owner] - 1)
+            fields = {
+                "valid": live,
+                "tag": np.where(live, wave, 0),
+                "boff": np.where(live, boffs[held], 0),
+                ok_name: live & ok[held, position],
+            }
+            ints = np.stack([fields[f] for f in names], axis=2).astype(np.int64)
+            values = np.where(live[:, :, None], lanes[held, position], 0.0)
+            int_cols = ints.transpose(1, 2, 0).tolist()
+            val_cols = values.transpose(1, 2, 0).tolist()
+            for p in position.tolist():
+                for f, column in zip(names, int_cols[p]):
+                    columns[f"{side}_{f}_{p}"] = column
+                for v, column in enumerate(val_cols[p]):
+                    columns[f"{side}_val_{v}_{p}"] = column
+        rows = list(zip(*(columns[port.name] for port in self._ports)))
+        return [rows[lo:hi] for lo, hi in itertools.pairwise(edge_starts.tolist())]
 
     # ---------------------------------------------------------- execution
 
@@ -401,46 +425,38 @@ class RtlSimulator:
                 ``err`` wire) fires — the RTL analogue of the engine's
                 wave-tag assertion.
         """
-        design = self.design
         plan = self.plan
-        nest = design.nest
-        out_shape = tuple(
-            expr.value_range(nest.bounds)[1] + 1 for expr in nest.output.indices
-        )
+        out_shape = self._feeder.out_shape
         output = np.zeros(out_shape)
         netsim = NetlistSimulator(self.top, {"pe": self.pe})
-        both_wires = [
-            f"pe_{x}_{y}.both" for x in range(self.rows) for y in range(self.cols)
+        values = netsim.values
+        err = netsim.slots["err"]
+        both = [
+            netsim.slots[f"pe_{x}_{y}.both"]
+            for x in range(self.rows)
+            for y in range(self.cols)
         ]
 
-        blocks = 0
-        total_waves = 0
         busy_cycles = 0
         pe_active = 0
         digests: list[str] = []
         accs: list[np.ndarray] = []
 
-        for block in enumerate_blocks(design.tiled, clip=True):
-            blocks += 1
-            waves = list(enumerate_waves(block, nest.iterators))
-            total_waves += len(waves)
-            boffs = [plan.base_offset(w) for w in waves]
-            cycles = wave_schedule_cycles(len(waves), self.rows, self.cols)
+        streams = self._feeder.streams(arrays)
+        for index, (block, edges) in enumerate(
+            zip(streams.blocks, self._edges(streams))
+        ):
             # cycles + 1 edges: the commit of compute state S_s happens at
             # edge s + 1, so one trailing all-invalid edge flushes the
             # final compute into the accumulators.
-            for step in range(cycles + 1):
-                netsim.step(self._step_inputs(block, waves, boffs, arrays, step))
-                env = netsim.env
-                if env["err"]:
+            for step, row in enumerate(edges):
+                netsim.step(row)
+                if values[err]:
                     raise AssertionError(
-                        f"RTL schedule violation (err wire) in block {blocks - 1} "
+                        f"RTL schedule violation (err wire) in block {index} "
                         f"at edge {step}"
                     )
-                active = 0
-                for name in both_wires:
-                    if env[name]:
-                        active += 1
+                active = sum(map(values.__getitem__, both))
                 if active:
                     busy_cycles += 1
                 pe_active += active
@@ -448,6 +464,13 @@ class RtlSimulator:
             bank = netsim.signal("bank")
             block_bytes = hashlib.sha256()
             base_key = plan.block_base_key(block)
+            # Untouched slots hold +0.0 (bit-neutral under +=); slots past
+            # the global extent are provably untouched.
+            spans = tuple(
+                slice(0, min(dim, extent - lo))
+                for dim, extent, lo in zip(plan.box_dims, out_shape, base_key)
+            )
+            region = tuple(slice(lo, lo + s.stop) for lo, s in zip(base_key, spans))
             pe_accs = []
             for x in range(self.rows):
                 for y in range(self.cols):
@@ -456,29 +479,18 @@ class RtlSimulator:
                     block_bytes.update(box.tobytes())
                     if record_accs:
                         pe_accs.append(box.reshape(-1))
-                    # Untouched slots hold +0.0 (bit-neutral under +=);
-                    # slots past the global extent are provably untouched.
-                    spans = tuple(
-                        slice(0, min(dim, extent - lo))
-                        for dim, extent, lo in zip(
-                            plan.box_dims, out_shape, base_key
-                        )
-                    )
-                    region = tuple(
-                        slice(lo, lo + s.stop) for lo, s in zip(base_key, spans)
-                    )
                     output[region] += box[spans]
             digests.append(block_bytes.hexdigest())
             if record_accs:
                 accs.append(np.stack(pe_accs))
             # Flip the ping-pong bank and clear the drained one.
-            netsim.step(self._flip_inputs())
+            netsim.step(self._flip_row)
 
         result = EngineResult(
             output=output,
             compute_cycles=busy_cycles,
-            blocks=blocks,
-            waves=total_waves,
+            blocks=len(streams.blocks),
+            waves=streams.starts[-1],
             pe_active_cycles=pe_active,
             first_all_active_cycle=first_all_active_cycle(self.rows, self.cols),
         )
@@ -606,29 +618,24 @@ def _stimulus_words(
     Replays exactly the edges :meth:`RtlSimulator.run` drives, with the
     dump-control bit set on each post-block flip edge.
     """
-    inputs = [p for p in sim.top.ports if p.direction == "in"]
+    kinds = [port.kind for port in sim._ports]
     words: list[int] = []
     steps = 0
 
-    def emit(step_inputs: dict[str, Any], dump: bool) -> None:
+    def emit(row: tuple, dump: bool) -> None:
         nonlocal steps
-        for port in inputs:
-            value = step_inputs[port.name]
-            if port.kind == "f64":
+        for kind, value in zip(kinds, row):
+            if kind == "f64":
                 words.append(_f64_bits(float(value)))
             else:
                 words.append(int(value))
         words.append(1 if dump else 0)
         steps += 1
 
-    nest = sim.design.nest
-    for block in enumerate_blocks(sim.design.tiled, clip=True):
-        waves = list(enumerate_waves(block, nest.iterators))
-        boffs = [sim.plan.base_offset(w) for w in waves]
-        cycles = wave_schedule_cycles(len(waves), sim.rows, sim.cols)
-        for step in range(cycles + 1):
-            emit(sim._step_inputs(block, waves, boffs, arrays, step), dump=False)
-        emit(sim._flip_inputs(), dump=True)
+    for edges in sim._edges(sim._feeder.streams(arrays)):
+        for row in edges:
+            emit(row, dump=False)
+        emit(sim._flip_row, dump=True)
     return words, steps
 
 

@@ -107,6 +107,19 @@ class TestInterpreterIdentity:
         assert rtl.pe_active_cycles == slow.pe_active_cycles
         assert rtl.first_all_active_cycle == slow.first_all_active_cycle
 
+    def test_wide_array_compiles_and_equals_engine(self):
+        """240 PEs put 240 links on the top's err chain: the generated edge
+        function must stay within the parser's nesting limit."""
+        nest = conv_loop_nest(16, 8, 3, 3, 1, 1, name="wide")
+        design = DesignPoint.create(
+            nest, Mapping("o", "c", "i", "IN", "W"), ArrayShape(15, 16, 8)
+        )
+        arrays = synthetic_arrays(nest, seed=2)
+        rtl = RtlSimulator(design).run(arrays).result
+        slow = SystolicArrayEngine(design).run(arrays)
+        assert rtl.output.tobytes() == slow.output.tobytes()
+        assert rtl.pe_active_cycles == slow.pe_active_cycles
+
     def test_run_is_deterministic(self):
         design = reference_design()
         arrays = synthetic_arrays(design.nest, seed=5)

@@ -10,7 +10,9 @@ both formats to one node list changed no network and no diagnostic code.
 The entries whose recording was *edited* afterwards — one wording for a
 condition the two copies worded differently, residual operands labelled
 by producing layer in both formats, and three fixes — are listed by name
-in CHANGES.md (PR 21) with their old and new text.
+in CHANGES.md (PR 21) with their old and new text; the two
+``docs-example`` entries were refreshed when that example was fixed to
+import cleanly.
 
 Inputs: ``BAD_SPEC_CORPUS``, ``ONNX_REJECTIONS``, one extra malformed
 input per remaining ``builder.error`` site of either format, the example
@@ -319,3 +321,13 @@ def test_every_input_matches_the_recorded_contract(request):
     assert not wrong, "\n".join(
         f"{name}:\n  now      {now[name]}\n  recorded {golden['entries'][name]}" for name in wrong
     )
+
+
+def test_docs_example_imports_with_no_diagnostics():
+    """The schema example a reader copies from docs/importer.md is a
+    network in both formats, not an SA14x report."""
+    spec = docs_example_spec()
+    for importer, source in ((import_json, spec), (import_onnx, spec_to_onnx(spec))):
+        result = importer(source, strict=False)
+        assert result.network is not None
+        assert result.report.diagnostics == []
