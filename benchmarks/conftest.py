@@ -1,10 +1,10 @@
 """Shared benchmark plumbing.
 
-Every bench here is an ablation, an extension or an engine measurement
-beyond the paper's own exhibits (those are ``python -m repro.experiments``
-and ``tests/experiments``).  Each times its driver once (seconds-to-minutes
-computations, not microbenchmarks), prints the table and archives the text
-under ``benchmarks/results/``.
+Every bench here measures an engine (DSE, pipeline, simulator, service,
+cluster); the paper's exhibits and the ablations are ``python -m
+repro.experiments`` and ``tests/experiments``.  Each times its driver once
+(seconds-to-minutes computations, not microbenchmarks), prints the table
+and archives the text under ``benchmarks/results/``.
 """
 
 from __future__ import annotations

@@ -14,9 +14,10 @@ that baseline faithfully enough to quantify the argument:
   penalty grows with the unroll product, unlike the systolic surrogate's
   flat profile — this is exactly the contrast of the paper's Section 1.
 
-The comparison bench sweeps DSP utilization and shows the crossover: the
-direct design wins nothing at scale because its clock collapses, while
-the systolic design keeps ~250+ MHz.
+The roofline-baseline ablation (:mod:`repro.experiments.ablations`)
+sweeps the DSP budget and shows the crossover: the direct design wins
+nothing at scale because its clock collapses, while the systolic design
+keeps ~250+ MHz.
 """
 
 from __future__ import annotations
@@ -52,35 +53,27 @@ class RooflineDesign:
     dsp_utilization: float
 
 
-def direct_frequency(
-    lanes: int, base_mhz: float = 280.0, *, fanout_penalty: float = 85.0
-) -> float:
+def direct_frequency(lanes: int) -> float:
     """Clock of a direct-interconnect PE farm.
 
     Broadcast fan-out and the output mux tree deepen with the unroll
     product, costing roughly a logic level (and routing slack) per
-    doubling: ``f = base - penalty * log10(lanes)``, floored at 60 MHz.
+    doubling: ``f = 280 - 85 * log10(lanes)`` MHz, floored at 60 MHz.
     Calibrated so ~100 lanes run near the FPGA'15 report (~100 MHz at
     448 DSPs on Virtex-7) and ~1500 lanes collapse below 20% of the
     systolic clock — the paper's "dramatic performance degradation".
     """
     if lanes < 1:
         raise ValueError("lanes must be positive")
-    return max(60.0, base_mhz - fanout_penalty * math.log10(lanes))
+    return max(60.0, 280.0 - 85.0 * math.log10(lanes))
 
 
-def roofline_explore(
-    layer: ConvLayer,
-    platform: Platform,
-    *,
-    max_unroll: int | None = None,
-) -> RooflineDesign:
+def roofline_explore(layer: ConvLayer, platform: Platform) -> RooflineDesign:
     """Exhaustive roofline DSE for one layer (the FPGA'15 procedure).
 
     Args:
         layer: the conv layer (per-group view is taken automatically).
-        platform: supplies the DSP budget and bandwidth.
-        max_unroll: optional cap on To*Ti (defaults to the DSP budget).
+        platform: supplies the DSP budget (the cap on To*Ti) and bandwidth.
 
     Returns:
         The attainable-throughput-maximal :class:`RooflineDesign`.
@@ -89,7 +82,7 @@ def roofline_explore(
     out_ch, in_ch = per_group.out_channels, per_group.in_channels
     out_h, out_w = per_group.out_height, per_group.out_width
     kernel = per_group.kernel
-    budget = max_unroll or platform.dsp_total
+    budget = platform.dsp_total
     bw = platform.memory.total_bytes_per_second
     word = platform.datatype.activation_bytes
 

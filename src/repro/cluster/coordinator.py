@@ -69,6 +69,7 @@ class PendingJob:
     fingerprint: str
     node: str | None  # None = orphaned, waiting for a worker
     last_status: dict[str, Any] | None = None
+    submitting: bool = False  # the submit hop is out: not an orphan yet
 
 
 class ClusterCoordinator:
@@ -251,7 +252,7 @@ class ClusterCoordinator:
             orphans = [
                 (jid, pend)
                 for jid, pend in self._pending.items()
-                if pend.node is None and jid not in self._settled
+                if pend.node is None and not pend.submitting and jid not in self._settled
             ]
         placed = 0
         for jid, pend in orphans:
@@ -294,10 +295,14 @@ class ClusterCoordinator:
             priority=priority,
             fingerprint=fingerprint,
             node=None,
+            submitting=True,
         )
         # Registered before the forward so a node loss racing the hop
-        # still sees (and reassigns) this job; removed again on refusal —
-        # a client that got an error was never promised anything.
+        # still sees this job; ``submitting`` keeps the orphan sweep from
+        # forwarding it a second time meanwhile (the duplicate would spend
+        # the tenant's fair-share token and this hop would answer 429).
+        # Removed again on refusal — a client that got an error was never
+        # promised anything.
         with self._lock:
             self._pending[jid] = pend
         try:
@@ -306,6 +311,8 @@ class ClusterCoordinator:
             with self._lock:
                 self._pending.pop(jid, None)
             raise
+        finally:
+            pend.submitting = False
         if owner is None:
             with self._lock:
                 self._pending.pop(jid, None)

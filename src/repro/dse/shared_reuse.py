@@ -11,8 +11,9 @@ reasons its AlexNet conv1 throughput collapses (Table 4).
 middle-bound vector, chosen to maximize the *aggregate* network
 throughput, is applied to every layer.  Layers whose loops are shorter
 than the shared bounds pay quantization waste exactly as the paper
-describes.  The ablation bench compares the two deployments and shows
-the shared strategy reproducing the paper's conv1 penalty.
+describes.  The deployment ablation (:mod:`repro.experiments.ablations`)
+compares the two deployments and shows the shared strategy reproducing
+the paper's conv1 penalty.
 """
 
 from __future__ import annotations

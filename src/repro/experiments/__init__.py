@@ -1,4 +1,5 @@
-"""Experiment drivers — one per table/figure of the paper's evaluation.
+"""Experiment drivers — one per table/figure of the paper's evaluation,
+plus the reproduction's ablations (:mod:`repro.experiments.ablations`).
 
 Each ``run_*`` function regenerates the data behind one exhibit and
 returns an :class:`~repro.experiments.common.ExperimentResult` holding

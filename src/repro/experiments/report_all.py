@@ -2,13 +2,14 @@
 
 Usage::
 
-    python -m repro.experiments               # all ten exhibits (seconds)
+    python -m repro.experiments               # all fourteen exhibits (seconds)
     python -m repro.experiments -o report.txt
 
-Runs all table/figure drivers in paper order and emits one combined
-report.  ``tests/experiments`` runs the same :data:`DRIVERS`, pins every
-number they print to one golden and asserts the paper's claims on them;
-this module is the front end for reading everything at once.
+Runs all table/figure drivers in paper order, then the reproduction's
+own ablations, and emits one combined report.  ``tests/experiments``
+runs the same :data:`DRIVERS`, pins every number they print to one
+golden and asserts the paper's claims on them; this module is the front
+end for reading everything at once.
 """
 
 from __future__ import annotations
@@ -18,6 +19,12 @@ import sys
 import time
 from typing import Callable
 
+from repro.experiments.ablations import (
+    run_ablation_clock_surrogate,
+    run_ablation_deployment,
+    run_ablation_pruning_semantics,
+    run_ablation_roofline_baseline,
+)
 from repro.experiments.common import ExperimentResult
 from repro.experiments.fig3 import run_fig3_schedule
 from repro.experiments.fig7 import run_fig7a_design_space, run_fig7b_model_accuracy
@@ -40,8 +47,13 @@ DRIVERS: list[tuple[str, Callable[[], ExperimentResult]]] = [
     ("Table 4", run_table4_alexnet),
     ("Table 5", run_table5_vgg),
     ("Table 2", run_table2_comparison),
+    ("Ablation: pruning semantics", run_ablation_pruning_semantics),
+    ("Ablation: deployment", run_ablation_deployment),
+    ("Ablation: roofline baseline", run_ablation_roofline_baseline),
+    ("Ablation: clock surrogate", run_ablation_clock_surrogate),
 ]
-"""(label, zero-arg driver) pairs in paper order."""
+"""(label, zero-arg driver) pairs: the paper's exhibits in paper order,
+then the ablations."""
 
 
 def generate_report(*, echo: bool = True) -> str:

@@ -32,14 +32,15 @@ FC_BATCH = 8
 """Images sharing one FC weight load (Caffeine-style batching)."""
 
 
-def fc_latency_seconds(network_name: str, platform: Platform, *, batch: int = FC_BATCH) -> float:
-    """Per-image latency of the FC layers: weight-transfer bound."""
+def fc_latency_seconds(network_name: str, platform: Platform) -> float:
+    """Per-image latency of the FC layers: weight-transfer bound, one
+    weight load per :data:`FC_BATCH` images."""
     network = network_by_name(network_name)
     weight_bytes = sum(
         fc.in_features * fc.out_features * platform.datatype.weight_bytes
         for fc in network.fc_layers
     )
-    return weight_bytes / platform.memory.total_bytes_per_second / batch
+    return weight_bytes / platform.memory.total_bytes_per_second / FC_BATCH
 
 
 def _ours_row(network_name: str, *, fixed_point: bool):

@@ -8,6 +8,7 @@ a given clock frequency (280 MHz)").
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.hw.datatype import FLOAT32, ArithmeticSpec
@@ -53,8 +54,10 @@ class Platform:
     ragged_middle: str = "padded"
 
     def __post_init__(self) -> None:
-        if self.assumed_clock_mhz <= 0:
-            raise ValueError("assumed clock must be positive")
+        if not (math.isfinite(self.assumed_clock_mhz) and self.assumed_clock_mhz > 0):
+            raise ValueError(
+                f"assumed clock must be a finite positive MHz value, got {self.assumed_clock_mhz}"
+            )
         if self.bram_buffer_constant < 0 or self.bram_per_pe < 0:
             raise ValueError("BRAM constants must be nonnegative")
         if self.ragged_middle not in ("padded", "clipped"):

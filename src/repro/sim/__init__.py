@@ -24,41 +24,25 @@ DESIGN.md §1):
   function, iteration budget;
 * :mod:`repro.sim.feed` — the boundary-stream gather arithmetic shared
   by the cycle engine and the RTL interpreter;
-* :mod:`repro.sim.system` — full-system cycle accounting: each block's
-  load priced through the buffer chains *and* the DRAM model;
-* :mod:`repro.sim.buffers` — double-buffer and buffer-chain models with
-  conflict detection;
 * :mod:`repro.sim.functional` — functional validation helpers (layer
   simulation on any backend against the NumPy golden model, tiling-
   coverage audits).
 """
 
-from repro.sim.buffers import (
-    BufferChain,
-    BufferConflictError,
-    DoubleBuffer,
-    chain_fill_cycles,
-)
 from repro.sim.engine import EngineResult, SystolicArrayEngine, simd_dot
 from repro.sim.fast import CycleStatistics, FastWavefrontSimulator, cycle_statistics
 from repro.sim.functional import audit_tiling_coverage, simulate_layer
 from repro.sim.perf import LayerMeasurement, simulate_performance
 from repro.sim.schedule import BlockSpec, enumerate_blocks, wave_schedule_cycles
-from repro.sim.system import SystemMeasurement, simulate_system
 from repro.sim.trace import schedule_waterfall, wave_at
 
 __all__ = [
     "BlockSpec",
-    "BufferChain",
-    "BufferConflictError",
     "CycleStatistics",
-    "DoubleBuffer",
     "EngineResult",
     "FastWavefrontSimulator",
-    "chain_fill_cycles",
     "cycle_statistics",
     "LayerMeasurement",
-    "SystemMeasurement",
     "SystolicArrayEngine",
     "audit_tiling_coverage",
     "enumerate_blocks",
@@ -66,7 +50,6 @@ __all__ = [
     "simd_dot",
     "simulate_layer",
     "simulate_performance",
-    "simulate_system",
     "wave_at",
     "wave_schedule_cycles",
 ]

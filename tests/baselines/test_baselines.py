@@ -55,7 +55,7 @@ class TestRooflineExplore:
         assert best.dsp_utilization < 0.9
 
     def test_respects_budget_cap(self):
-        best = roofline_explore(alexnet().layer("conv5"), Platform(), max_unroll=64)
+        best = roofline_explore(alexnet().layer("conv5"), Platform(dsp_total_override=64))
         assert best.unroll_out * best.unroll_in <= 64
 
 

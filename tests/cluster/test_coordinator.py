@@ -7,6 +7,13 @@ import pytest
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.service.queue import AdmissionError
 
+SMALL_SRC = """
+#pragma systolic
+for (o = 0; o < 8; o++) for (i = 0; i < 4; i++) for (c = 0; c < 6; c++)
+  for (r = 0; r < 6; r++) for (p = 0; p < 3; p++) for (q = 0; q < 3; q++)
+    OUT[o][r][c] += W[o][i][p][q] * IN[i][r+p][c+q];
+"""
+
 
 @pytest.fixture
 def coord(tmp_path):
@@ -103,6 +110,34 @@ class TestAdmission:
     def test_unknown_job_status_is_none(self, coord):
         assert coord.status("nope") is None
         assert coord.relay_events("nope", 0) is None
+
+
+class _ReentrantWorker:
+    """A worker client whose submit hop lets the monitor sweep run in
+    the middle of it, as the monitor thread may."""
+
+    def __init__(self, coord):
+        self.coord = coord
+        self.submits = 0
+
+    def submit_payload(self, body, *, client_id=None):
+        self.submits += 1
+        if self.submits == 1:
+            self.coord.flush_orphans()
+        return {"id": body["id"], "state": "queued"}
+
+
+class TestSubmitHop:
+    def test_a_job_in_its_submit_hop_is_not_an_orphan(self, coord):
+        """A sweep during the hop must not forward the job a second time:
+        the duplicate spends the tenant's fair-share token, and the
+        client's own submission is then answered 429."""
+        coord.register("w0", "http://127.0.0.1:1")
+        worker = coord._nodes["w0"].client = _ReentrantWorker(coord)
+        status = coord.submit({"source": SMALL_SRC}, client="tenant")
+        assert status["node"] == "w0"
+        assert worker.submits == 1
+        assert coord.flush_orphans() == 0
 
 
 class TestStats:

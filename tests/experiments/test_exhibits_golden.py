@@ -113,6 +113,18 @@ PRINTED = [
     ("Table 2", "ours_vgg_fixed_latency_ms", "**{:.2f} / "),
     ("Table 2", "ours_vgg_fixed_gops", " / {:.1f}**"),
     ("Table 2", "ours_vgg_fixed_freq", "({:.1f} MHz)"),
+    ("Ablation: pruning semantics", "pow2_gap_padded", "**{:.1%} worse**"),
+    *[("Ablation: deployment", (row, col), "| {} |") for row in range(5) for col in range(6)],
+    ("Ablation: deployment", "mean_gap", "**{:.1%} average**"),
+    ("Ablation: deployment", "reconfigurations_per_image", "avoiding {:.0f} FPGA"),
+    ("Ablation: deployment", "aggregate_penalty", "**{:.1%}** aggregate"),
+    ("Ablation: deployment", "shared_aggregate_gops", "({:.1f} vs"),
+    ("Ablation: deployment", "flexible_aggregate_gops", "vs {:.1f} GFlops)"),
+    ("Ablation: deployment", "worst_layer_penalty", "up to **{:.1%}**"),
+    *[("Ablation: roofline baseline", (row, col), "| {} |") for row in range(5) for col in range(6)],
+    ("Ablation: clock surrogate", "min_dsp_utilization", "**{:.0%}**-utilization"),
+    ("Ablation: clock surrogate", "max_model_error", "same **{:.2%}**"),
+    ("Ablation: clock surrogate", "gflops_spread", "(spread **{:.2f}×**)"),
 ]
 
 

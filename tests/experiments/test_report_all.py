@@ -29,6 +29,8 @@ class TestReportAll:
             "Table 1", "Section 2.3", "Figure 3", "Section 4",
             "Figure 7(a)", "Figure 7(b)", "Table 3", "Table 4",
             "Table 5", "Table 2",
+            "Ablation: pruning semantics", "Ablation: deployment",
+            "Ablation: roofline baseline", "Ablation: clock surrogate",
         ]
 
     def test_generate_report_with_stubbed_drivers(self, monkeypatch):

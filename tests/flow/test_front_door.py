@@ -28,13 +28,14 @@ TINY_SPEC = {
     "layers": [{"op": "conv", "name": "c1", "out_channels": 4, "kernel": 3}],
 }
 
-#: flag -> (wire option, rejected value)
+#: flag -> (wire option, rejected values).  A NaN clock passes a
+#: ``<= 0`` check and used to die in a NumPy reduction inside phase 1.
 BAD_VALUES = {
-    "--device": ("device", "bogus"),
-    "--datatype": ("datatype", "bogus"),
-    "--top-n": ("top_n", 0),
-    "--cs": ("cs", 2),
-    "--clock": ("clock", 0),
+    "--device": ("device", ["bogus"]),
+    "--datatype": ("datatype", ["bogus"]),
+    "--top-n": ("top_n", [0]),
+    "--cs": ("cs", [2]),
+    "--clock": ("clock", [0, "nan", "inf", "-inf"]),
 }
 
 #: door -> (argv prefix, subject file suffix, the table flags its parser has).
@@ -60,16 +61,17 @@ def test_bad_input_is_one_error_line_and_exit_2(door, flag, tmp_path, capsys, mo
     prefix, suffix, _ = DOORS[door]
     subject = tmp_path / f"subject{suffix}"
     if flag == "missing-file":
-        extra = []
+        extras = [[]]
     else:
         subject.write_text(SMALL_SRC if suffix == ".c" else json.dumps(TINY_SPEC))
-        extra = [flag, str(BAD_VALUES[flag][1])]
-    assert cli.main([*prefix, str(subject), *extra]) == 2
-    captured = capsys.readouterr()
-    (line,) = captured.err.splitlines()  # one stderr line, no traceback
-    assert line.startswith("error: ")
-    assert captured.out == ""
-    assert not (tmp_path / "systolic_out").exists()  # refused before any work
+        extras = [[f"{flag}={value}"] for value in BAD_VALUES[flag][1]]
+    for extra in extras:
+        assert cli.main([*prefix, str(subject), *extra]) == 2, extra
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()  # one stderr line, no traceback
+        assert line.startswith("error: ")
+        assert captured.out == ""
+        assert not (tmp_path / "systolic_out").exists()  # refused before any work
 
 
 #: subject -> argv of a search no design satisfies: c_s = 1.0 leaves the
@@ -100,12 +102,13 @@ def test_an_unsatisfiable_search_is_one_error_line_and_exit_2(
     assert not (tmp_path / "systolic_out").exists()  # nothing written
 
 
-@pytest.mark.parametrize("option, value", BAD_VALUES.values(), ids=list(BAD_VALUES))
-def test_the_service_door_rejects_the_same_values(option, value):
-    with pytest.raises(ValueError):
-        SynthesisRequest.from_payload({"source": SMALL_SRC, "options": {option: value}})
-    with pytest.raises(ValueError):
-        lower_options({option: value})
+@pytest.mark.parametrize("option, values", BAD_VALUES.values(), ids=list(BAD_VALUES))
+def test_the_service_door_rejects_the_same_values(option, values):
+    for value in values:
+        with pytest.raises(ValueError):
+            SynthesisRequest.from_payload({"source": SMALL_SRC, "options": {option: value}})
+        with pytest.raises(ValueError):
+            lower_options({option: value})
 
 
 @pytest.mark.parametrize("value", [[1], {"a": 1}], ids=["list", "object"])

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hw.datatype import FIXED_8_16
+from repro.hw.datatype import FIXED_8_16, FIXED_16, FLOAT32
+from repro.hw.device import DEVICES
 from repro.ir.loop import conv_loop_nest
 from repro.ir.tiling import LoopTiling, TiledLoopNest
 from repro.model.platform import Platform
@@ -45,6 +46,21 @@ class TestDspModel:
 
     def test_mac_lanes(self):
         assert mac_lanes(11, 14, 8) == 1232
+
+    @pytest.mark.parametrize(
+        "device",
+        [d for d in DEVICES.values() if not d.dsp_supports_native_float],
+        ids=lambda d: d.name,
+    )
+    def test_soft_float_devices_pay_three_blocks_per_float_mac(self, device):
+        """Without hardened FP DSPs a float32 MAC takes three blocks — why
+        every pre-Arria-10 design of Table 2 is fixed-point."""
+        floating = Platform(device=device)
+        fixed = Platform(device=device, datatype=FIXED_16)
+        assert floating.dsp_per_mac == 3 * FLOAT32.dsp_per_mac
+        assert fixed.dsp_per_mac == FIXED_16.dsp_per_mac
+        assert floating.dsp_total == int(device.dsp_blocks / 3)
+        assert floating.dsp_total < device.mac_capacity(FLOAT32.dsp_per_mac)
 
 
 class TestBramModel:

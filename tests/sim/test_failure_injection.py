@@ -1,7 +1,7 @@
 """Failure injection: the simulators' internal checkers must actually fire.
 
 A checker that never trips is indistinguishable from no checker; these
-tests corrupt the schedule/buffers deliberately and assert the assertion
+tests corrupt the schedule deliberately and assert the assertion
 machinery catches it.
 """
 
@@ -21,7 +21,6 @@ from repro.model.design_point import ArrayShape, DesignPoint
 from repro.model.mapping import Mapping
 from repro.nn.golden import random_layer_tensors
 from repro.nn.layers import ConvLayer
-from repro.sim.buffers import BufferChain, BufferConflictError, DoubleBuffer
 from repro.sim.engine import SystolicArrayEngine, _Packet
 from repro.sim.rtl import NetlistSimulator, RtlSimulator
 
@@ -174,36 +173,3 @@ class TestCombinationalLoop:
         engine = SystolicArrayEngine(design).run({"IN": x, "W": w})
         assert rtl.output.tobytes() == engine.output.tobytes()
 
-
-class TestBufferDiscipline:
-    def test_reading_the_loading_bank_is_caught(self):
-        buf = DoubleBuffer(capacity=8)
-        buf.write("k", 1)
-        with pytest.raises(BufferConflictError):
-            buf.read("k")
-
-    def test_streaming_use_never_collides(self):
-        """Under the one-injection-per-cycle contract, the descending
-        shift order makes collisions structurally impossible — verify on
-        adversarial orderings (the guards in the chain are defense in
-        depth against corrupted state, covered below)."""
-        import random
-
-        rng = random.Random(3)
-        chain = BufferChain(4)
-        items = [(rng.randrange(4), (k,), k) for k in range(40)]
-        chain.load(items)  # must not raise
-        chain.swap_all()
-        for dest, key, value in items:
-            assert chain.buffers[dest].read(key) == value
-
-    def test_item_past_the_tail_is_caught(self):
-        from repro.sim.buffers import _ChainItem
-
-        chain = BufferChain(2)
-        # an item addressed beyond the chain must not vanish silently;
-        # destination validation exists in load(), so emulate a corrupted
-        # in-flight tag:
-        chain._pipeline[1] = _ChainItem(5, "x", 1)
-        with pytest.raises(BufferConflictError):
-            chain.step()
