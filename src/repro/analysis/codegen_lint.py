@@ -36,6 +36,8 @@ word selects.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import re
 from collections.abc import Iterable, Iterator, Mapping
 from typing import TYPE_CHECKING
@@ -90,7 +92,7 @@ _EOL = r"\n\r\v\f\x1c-\x1e\x85\u2028\u2029"
 # A comment, from its opening `/`: to the end of the line, or through the
 # closing `*/` (the end of the text when it never closes).
 _COMMENT_RE = re.compile(rf"/(?:/[^{_EOL}]*|\*.*?(?:\*/|\Z))", re.DOTALL)
-_COMMENT_CHAR_RE = re.compile(rf"[^{_EOL}]")
+_COMMENT_RUN_RE = re.compile(rf"[^{_EOL}]+")  # (a run: one match per line)
 
 
 class _Unknown(Exception):
@@ -165,7 +167,7 @@ class _IntervalEvaluator:
 
 
 def _blank(comment: re.Match[str]) -> str:
-    return _COMMENT_CHAR_RE.sub(" ", comment.group())
+    return _COMMENT_RUN_RE.sub(lambda run: " " * len(run.group()), comment.group())
 
 
 def _strip_comments(source: str) -> list[str]:
@@ -435,11 +437,14 @@ _V_MODULE_RE = re.compile(r"\s*module\s+(\w+)")
 _V_DECL_WORDS = frozenset(("input", "output", "inout", "wire", "reg"))
 _V_DECL_RE = re.compile(
     r"\s*(input|output|inout)?\s*(reg|wire)?\s*"
-    r"(?:\[(\d+):(\d+)\]\s*)?(\w+)\s*(\[[^\]]+\])?\s*;\s*$"
+    r"(?:\[(\d+):(\d+)\]\s*)?(\w+)\s*((?:\[[^\]]+\]\s*)*);\s*$"
 )
+_V_RANGE_RE = re.compile(r"\[\s*(\d+)\s*:\s*(\d+)\s*\]")
 _V_PARAM_RE = re.compile(r"\s*parameter\s+(\w+)\s*=")
 _V_INTEGER_RE = re.compile(r"\s*integer\s+(\w+)\s*;")
-_V_ASSIGN_RE = re.compile(r"\s*assign\s+(\w+)\s*=\s*(.*);\s*$")
+_V_ASSIGN_RE = re.compile(r"\s*assign\s+(\w+(?:\s*\[[^\]]+\])*)\s*=\s*(.*);\s*$")
+# `for (gx = 0; gx < 4; gx = gx + 1) begin : label` at module level
+_V_GENFOR_RE = re.compile(r"\s*for\s*\(\s*(\w+)\s*=\s*(\d+)\s*;\s*\1\s*<\s*(\d+)\s*;")
 # group 1 is set for a clocked block, unset for a combinational one
 _V_ALWAYS_RE = re.compile(
     r"\s*always\s*@\s*(?:\*|\(\s*\*\s*\)|(\(\s*posedge\b[^)]*\)))"
@@ -468,13 +473,24 @@ _V_TOKEN_RE = re.compile(
 _v_idents = _V_TOKEN_RE.findall
 _V_KEYWORDS = frozenset(
     "module endmodule input output inout reg wire assign always initial begin "
-    "end if else for posedge negedge parameter integer or and not".split()
+    "end if else for posedge negedge parameter integer or and not genvar "
+    "generate endgenerate".split()
 )
 _V_NOT_SIGNALS = _V_KEYWORDS | {""}
 
 
+#: An index box: one inclusive ``(lo, hi)`` interval per dimension.
+Box = tuple[tuple[int, int], ...]
+
+
 class _VModule:
-    """Declarations, drivers and reads of one parsed module."""
+    """Declarations, drivers and reads of one parsed module.
+
+    A net array, or a vector read through bit selects, has an index
+    space; each access to it by index is recorded as a *box* of that
+    space, so a generate loop's ``net[gx][gy + 1]`` is checked element by
+    element rather than as one name.
+    """
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -486,23 +502,34 @@ class _VModule:
         self.drivers: dict[str, list[tuple[str, int]]] = {}
         self.reads: dict[str, int] = {}  # name -> first read line
         self.port_dirs: dict[str, tuple[str, int]] = {}  # for instances of me
+        self.spaces: dict[str, tuple[Box, int]] = {}  # -> (space, element width)
+        # name -> [(box, driver label, or "" for a read, line)]
+        self.parts: dict[str, list[tuple[Box, str, int]]] = {}
 
     def declare(
         self,
         name: str,
         direction: str | None,
         kind: str | None,
-        width: int,
+        bits: tuple[int, int] | None,
         line_no: int,
-        is_mem: bool,
+        dims: str,
     ) -> None:
         self.kinds[name] = (
             f"{direction} {kind}" if direction and kind else direction or kind or ""
         )
+        width = abs(bits[0] - bits[1]) + 1 if bits else 1
         self.widths[name] = width
         self.decl_line.setdefault(name, line_no)
-        if is_mem:
+        if dims and kind == "reg":
             self.memories.add(name)
+        elif dims:
+            ranges = _V_RANGE_RE.findall(dims)
+            if len(ranges) == dims.count("["):
+                space = tuple((min(map(int, r)), max(map(int, r))) for r in ranges)
+                self.spaces[name] = (space, width)
+        elif bits:
+            self.spaces[name] = ((min(bits), max(bits)),), 1
         if direction == "input" or direction == "output":
             self.port_dirs[name] = (direction, width)
 
@@ -515,6 +542,39 @@ class _VModule:
             if name not in _V_NOT_SIGNALS:
                 self.reads.setdefault(name, line_no)
 
+    def access(
+        self,
+        text: str,
+        env: dict[str, tuple[int, int]],
+        memo: dict[str, tuple[int, int] | None],
+        source: str,
+        line_no: int,
+    ) -> int | None:
+        """Record ``text`` as a driver (labelled ``source``; ``""`` for a
+        read) of the elements it indexes, and return their width — when it
+        is ``name[sub]...`` over a net with an index space and each ``sub``
+        evaluates over the genvar ranges ``env``; None otherwise.
+        ``memo`` holds the subscripts already evaluated under ``env``."""
+        name, _, rest = text.partition("[")
+        name = name.rstrip()
+        space = self.spaces.get(name)
+        subscripts = rest[:-1].split("][")
+        if space is None or rest[-1:] != "]" or len(subscripts) != len(space[0]):
+            return None
+        box = []
+        for sub in subscripts:
+            if sub not in memo:
+                try:
+                    memo[sub] = _IntervalEvaluator({}, env).eval(sub)
+                except _Unknown:
+                    memo[sub] = None
+            bounds = memo[sub]
+            if bounds is None:
+                return None
+            box.append(bounds)
+        self.parts.setdefault(name, []).append((tuple(box), source, line_no))
+        return space[1]
+
 
 def lint_verilog(source: str, *, filename: str | None = None) -> AnalysisReport:
     """Structural lint of emitted Verilog: SA330–SA333.
@@ -522,16 +582,22 @@ def lint_verilog(source: str, *, filename: str | None = None) -> AnalysisReport:
     Works on the regular shape :mod:`repro.codegen.rtl` produces (and
     intentionally nothing fancier): per-signal declarations, ``assign``
     statements, ``always @*`` and ``always @(posedge clk)`` processes
-    with one statement per line, and instance connections (child port
-    directions resolved from modules defined in the same file).
+    with one statement per line, instance connections (child port
+    directions resolved from modules defined in the same file), and
+    ``generate for`` loops over ``genvar`` ranges whose instances connect
+    to elements of net arrays.
 
     * **SA330** — a declared net is read but has no driver: no assign,
-      no always block, no instance output connection.
-    * **SA331** — a net is driven from more than one source (two
-      assigns, an assign plus an always block, two always blocks, ...).
+      no always block, no instance output connection; for a net array or
+      a bit-selected vector, an element some reader touches that no
+      driver covers; and a plain ``output`` with no driver at all.
+    * **SA331** — a net, or one element of it, is driven from more than
+      one source (two assigns, an assign plus an always block, two
+      always blocks, two connections, ...).
     * **SA332** — an identifier-to-identifier assignment (continuous,
       blocking or nonblocking) or port connection joins nets of
-      different declared widths.
+      different declared widths; an array element has the array's
+      element width, a bit of a vector one bit.
     * **SA333** *(warning)* — a combinational ``always @*`` block
       contains more ``if`` arms than ``else`` arms, which infers a latch
       for any signal not assigned on the missing path.
@@ -540,8 +606,12 @@ def lint_verilog(source: str, *, filename: str | None = None) -> AnalysisReport:
     lines = _strip_comments(source)
     modules: list[_VModule] = []
     module: _VModule | None = None
-    # deferred instance connections: (module, child, first line, block text)
-    pending: list[tuple[_VModule, str, int, str]] = []
+    # deferred instance connections:
+    # (module, child, first line, block text, genvar ranges)
+    pending: list[tuple[_VModule, str, int, str, dict[str, tuple[int, int]]]] = []
+    loops: list[str] = []  # the genvars of the enclosing generate loops
+    genvars: dict[str, tuple[int, int]] = {}  # their ranges, where known
+    constants: dict[str, tuple[int, int] | None] = {}  # subscripts outside loops
 
     n = len(lines)
     i = 0  # lines consumed so far == the 1-based number of the current line
@@ -555,6 +625,8 @@ def lint_verilog(source: str, *, filename: str | None = None) -> AnalysisReport:
             if m:
                 module = _VModule(m.group(1))
                 modules.append(module)
+                loops.clear()
+                genvars.clear()
                 if "(" in line and ");" not in line:
                     # The port list names no directions; the declarations
                     # that follow it do.
@@ -567,17 +639,22 @@ def lint_verilog(source: str, *, filename: str | None = None) -> AnalysisReport:
         elif word in _V_DECL_WORDS:
             decl = _V_DECL_RE.match(line)
             if decl:
-                direction, kind, msb, lsb, name, mem_dims = decl.groups()
+                direction, kind, msb, lsb, name, dims = decl.groups()
                 if direction or kind:
-                    width = abs(int(msb) - int(lsb)) + 1 if msb is not None else 1
-                    module.declare(name, direction, kind, width, i, mem_dims is not None)
+                    bits = (int(msb), int(lsb)) if msb is not None else None
+                    module.declare(name, direction, kind, bits, i, dims)
         elif word == "assign":
             m = _V_ASSIGN_RE.match(line)
             if m:
                 target, rhs = m.groups()
-                module.drive(target, "assign", i)
-                module.read(_v_idents(rhs), i)
-                _check_width_pair(report, module, target, rhs, i, filename)
+                width = None
+                if "[" in target:
+                    width = module.access(target, genvars, {} if loops else constants, "assign", i)
+                if width is None:  # a name, or a select the scan cannot place
+                    module.drive(target.split("[")[0].rstrip(), "assign", i)
+                    width = module.widths.get(target)
+                module.read((rhs,) if rhs in module.widths else _v_idents(rhs), i)
+                _check_width_pair(report, module, target, width, rhs, i, filename)
         elif word == "always" or word == "initial":
             i = _scan_process(lines, i, module, report, filename)
         elif word == "endmodule":
@@ -586,6 +663,15 @@ def lint_verilog(source: str, *, filename: str | None = None) -> AnalysisReport:
             m = (_V_PARAM_RE if word == "parameter" else _V_INTEGER_RE).match(line)
             if m:
                 module.params.add(m.group(1))
+        elif word == "genvar":
+            module.params.update(_V_NAME_RE.findall(line)[1:])
+        elif word == "for":  # a generate loop: `for (gx = 0; gx < 4; ...) begin`
+            m = _V_GENFOR_RE.match(line)
+            loops.append(m[1] if m else "")
+            if m:
+                genvars[m[1]] = (int(m[2]), int(m[3]) - 1)
+        elif word == "end" and loops:
+            genvars.pop(loops.pop(), None)
         elif word not in _V_KEYWORDS:
             inst = _V_INSTANCE_RE.match(line)
             if inst:
@@ -595,11 +681,13 @@ def lint_verilog(source: str, *, filename: str | None = None) -> AnalysisReport:
                     i += 1
                     if ");" in lines[i - 1]:
                         break
-                pending.append((module, inst.group(1), first + 1, "\n".join(lines[first:i])))
+                block = "\n".join(lines[first:i])
+                pending.append((module, inst.group(1), first + 1, block, dict(genvars)))
 
     # Resolve instance connections now that all modules are parsed.
     by_name = {mod.name: mod for mod in modules}
-    for parent, child_name, line_no, block in pending:
+    for parent, child_name, line_no, block, env in pending:
+        evaluated: dict[str, tuple[int, int] | None] = {}
         child = by_name.get(child_name)
         ports = child.port_dirs if child is not None else {}
         source_label = f"{child_name} output"
@@ -609,74 +697,121 @@ def lint_verilog(source: str, *, filename: str | None = None) -> AnalysisReport:
                 continue
             direction, width = ports.get(port, (None, None))
             expr = net or expr.strip()
-            if direction != "output":
-                parent.read((net,) if net else _v_idents(expr), line_no)
-            elif net or _V_WORD_RE.fullmatch(expr):
-                parent.drive(expr, source_label, line_no)
-            if net and width is not None and parent.widths.get(net, width) != width:
+            label = source_label if direction == "output" else ""
+            have = None if net else parent.access(expr, env, evaluated, label, line_no)
+            if have is None:
+                if direction != "output":
+                    parent.read((net,) if net else _v_idents(expr), line_no)
+                elif _V_WORD_RE.fullmatch(base := expr.split("[")[0].rstrip()):
+                    parent.drive(base, source_label, line_no)
+                have = parent.widths.get(net, width) if net else width
+            if width is not None and have != width:
                 report.add(
                     LINT_VERILOG_WIDTH_MISMATCH,
                     Severity.ERROR,
                     f"port {port!r} of {child_name!r} is {width} bit(s) wide "
-                    f"but is connected to {net!r} "
-                    f"({parent.widths[net]} bit(s))",
+                    f"but is connected to {expr!r} ({have} bit(s))",
                     _span(line_no, 1, filename),
                 )
 
     for mod in modules:
-        for name in sorted(mod.reads.keys() - mod.drivers.keys()):
-            kind = mod.kinds.get(name)
-            if kind is None or name in mod.params or name in mod.memories:
-                continue
-            if kind.startswith("input") or kind == "output reg":
-                # An input is driven by the parent, an output reg by a
-                # process the scan may not model; a plain net or reg with
-                # no driver anywhere is provably floating.
-                continue
-            report.add(
-                LINT_VERILOG_UNDRIVEN,
-                Severity.ERROR,
-                f"{mod.name}.{name} is read (line {mod.reads[name]}) but "
-                f"never driven",
-                _span(mod.decl_line[name], 1, filename),
-            )
-        for name, sources in sorted(mod.drivers.items()):
-            if len(sources) < 2:
-                continue
-            labels = [src for src, _ in sources]
-            if len(set(labels)) > 1 or labels.count("assign") > 1:
-                report.add(
-                    LINT_VERILOG_MULTIDRIVEN,
-                    Severity.ERROR,
-                    f"{mod.name}.{name} is driven from multiple sources: "
-                    + ", ".join(f"{src} (line {ln})" for src, ln in sources),
-                    _span(sources[0][1], 1, filename),
-                )
+        _check_drivers(report, mod, filename)
     return report
+
+
+def _elements(boxes: Iterable[Box]) -> set[tuple[int, ...]]:
+    return {e for box in boxes for e in itertools.product(*(range(a, b + 1) for a, b in box))}
+
+
+def _hole(box: Box, cover: tuple[Box, ...]) -> tuple[int, ...] | None:
+    """The lowest element of ``box`` that no box of ``cover`` holds, or None."""
+    if not cover:
+        return tuple(lo for lo, _ in box)
+    return min(_elements((box,)) - _elements(cover), default=None)
+
+
+def _clash(boxes: tuple[Box, ...]) -> tuple[int, ...] | None:
+    """The lowest element two of ``boxes`` share, or None."""
+    seen: set[tuple[int, ...]] = set()
+    for box in boxes:
+        elements = _elements((box,))
+        if not seen.isdisjoint(elements):
+            return min(seen & elements)
+        seen |= elements
+    return None
+
+
+def _check_drivers(report: AnalysisReport, mod: _VModule, filename: str | None) -> None:
+    """SA330 and SA331 over one parsed module."""
+    # An input is driven by the parent, an output reg by a process the
+    # scan may not model; a plain net or reg with no driver anywhere is
+    # provably floating, and so is a plain output.
+    outputs = {name for name, kind in mod.kinds.items() if kind == "output"}
+    exempt = mod.params | mod.memories | {
+        name for name, kind in mod.kinds.items() if kind[:5] == "input" or kind == "output reg"
+    }
+    # The chains of one grid share one layout, so each is audited once.
+    hole_of, clash_of = functools.cache(_hole), functools.cache(_clash)
+    cover = {name: tuple(b for b, src, _ in parts if src) for name, parts in mod.parts.items()}
+    candidates = (mod.reads.keys() | mod.parts.keys() | outputs) & mod.kinds.keys()
+    for name in sorted(candidates - mod.drivers.keys() - exempt):
+        boxes = cover.get(name, ())
+        wanted = [(box, ln) for box, src, ln in mod.parts.get(name, ()) if not src]
+        if name in mod.reads:
+            wanted.insert(0, (mod.spaces[name][0] if name in mod.spaces else (), mod.reads[name]))
+        message = "" if wanted or boxes else f"{mod.name}.{name} is an output but never driven"
+        for box, line in wanted:
+            hole = hole_of(box, boxes)
+            if hole is not None:
+                element = "".join(f"[{index}]" for index in hole) if boxes else ""
+                message = f"{mod.name}.{name}{element} is read (line {line}) but never driven"
+                break
+        if message:
+            span = _span(mod.decl_line[name], 1, filename)
+            report.add(LINT_VERILOG_UNDRIVEN, Severity.ERROR, message, span)
+    multiple = {name for name, sources in mod.drivers.items() if len(sources) > 1}
+    for name in sorted(multiple | {name for name, boxes in cover.items() if boxes}):
+        parts = [(src, ln) for _, src, ln in mod.parts.get(name, ()) if src]
+        if name in mod.drivers:
+            labels = [src for src, _ in mod.drivers[name]]
+            if not (parts or len(set(labels)) > 1 or labels.count("assign") > 1):
+                continue
+            element, sources = "", mod.drivers[name] + parts
+        elif (clash := clash_of(cover[name])) is not None:
+            element = "".join(f"[{index}]" for index in clash)
+            driven = [(box, src, ln) for box, src, ln in mod.parts[name] if src]
+            sources = [(src, ln) for box, src, ln in driven if clash in _elements((box,))]
+        else:
+            continue
+        report.add(
+            LINT_VERILOG_MULTIDRIVEN,
+            Severity.ERROR,
+            f"{mod.name}.{name}{element} is driven from multiple sources: "
+            + ", ".join(f"{src} (line {ln})" for src, ln in sources),
+            _span(sources[0][1], 1, filename),
+        )
 
 
 def _check_width_pair(
     report: AnalysisReport,
     module: _VModule,
     target: str,
+    width: int | None,
     rhs: str,
     line_no: int,
     filename: str | None,
 ) -> None:
-    """SA332 on plain identifier-to-identifier assignments."""
+    """SA332 on plain identifier-to-identifier assignments; ``width`` is
+    the target's (an array element's width for an indexed target)."""
     rhs = rhs.strip()
-    if not _V_NAME_RE.fullmatch(rhs):
-        return
-    if target in module.widths and rhs in module.widths:
-        tw, rw = module.widths[target], module.widths[rhs]
-        if tw != rw:
-            report.add(
-                LINT_VERILOG_WIDTH_MISMATCH,
-                Severity.ERROR,
-                f"assign joins {target!r} ({tw} bit(s)) and {rhs!r} "
-                f"({rw} bit(s))",
-                _span(line_no, 1, filename),
-            )
+    rw = module.widths.get(rhs)  # (declared names are identifiers)
+    if width is not None and rw is not None and width != rw:
+        report.add(
+            LINT_VERILOG_WIDTH_MISMATCH,
+            Severity.ERROR,
+            f"assign joins {target!r} ({width} bit(s)) and {rhs!r} ({rw} bit(s))",
+            _span(line_no, 1, filename),
+        )
 
 
 def _block(lines: list[str], line_no: int, text: str) -> Iterator[tuple[int, str]]:
@@ -691,7 +826,8 @@ def _block(lines: list[str], line_no: int, text: str) -> Iterator[tuple[int, str
     opened = False
     while True:
         yield line_no, text
-        for token in _V_BLOCK_RE.findall(text):
+        # (the substring test spares most lines the token scan)
+        for token in _V_BLOCK_RE.findall(text) if "end" in text or "begin" in text else ():
             if token == "begin":
                 depth += 1
                 opened = True
@@ -727,19 +863,23 @@ def _scan_process(
     if_count = else_count = 0
     targets: set[str] = set()
     for line_no, text in _block(lines, line_no, line[header.end():]):
-        if_count += len(_V_IF_RE.findall(text))
-        else_count += len(_V_ELSE_RE.findall(text))
+        if "if" in text:
+            if_count += len(_V_IF_RE.findall(text))
+        if "else" in text:
+            else_count += len(_V_ELSE_RE.findall(text))
         stmt = _V_STMT_RE.match(text)
         if stmt:
             target, subscript, rhs = stmt.groups()
             if target in module.kinds:
                 module.drive(target, source_label, line_no)
                 targets.add(target)
-            module.read(_v_idents(rhs), line_no)
+            module.read((rhs,) if rhs in module.widths else _v_idents(rhs), line_no)
             if subscript:
                 module.read(_v_idents(subscript), line_no)
             else:
-                _check_width_pair(report, module, target, rhs, line_no, filename)
+                _check_width_pair(
+                    report, module, target, module.widths.get(target), rhs, line_no, filename
+                )
         else:
             condition = _V_COND_RE.search(text)
             if condition:

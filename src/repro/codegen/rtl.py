@@ -17,10 +17,19 @@ Architecture emitted (paper Figs. 1–3):
   an ``err`` output, and a *ping-pong* pair of accumulator memories
   addressed by the wave's base offset plus a per-instance ``PE_OFF``
   parameter;
-* a ``systolic_top`` module instantiating the R x C array, wiring row
-  chains left-to-right and column chains top-to-bottom, with a single
-  ``bank`` selector register toggled by ``flip`` and a ``clear`` input
-  that zeroes the just-drained bank.
+* a ``systolic_top`` module holding the R x C array as one :class:`Grid`
+  node, rendered as one nested ``generate for`` over ``genvar gx, gy``
+  with a single ``pe`` instance: every chain field is a net array
+  (PE ``(gx, gy)`` reads ``[gx][gy]`` and drives ``[gx][gy + 1]`` along a
+  row or ``[gx + 1][gy]`` down a column), the per-row and per-column
+  top-level ports join element ``[x][0]`` / ``[0][y]`` with one
+  ``assign`` each, ``PE_OFF`` is ``OFF_X * gx + OFF_Y * gy``, and ``err``
+  is ``|pe_err`` over a flat vector; plus a single ``bank`` selector
+  register toggled by ``flip`` and a ``clear`` input that zeroes the
+  just-drained bank.  The text grows with rows + cols, not rows x cols.
+
+The interpreter elaborates the same grid node through
+:meth:`Grid.instances` into one ``pe_<x>_<y>`` instance per PE.
 
 Data is IEEE binary64 carried as ``[63:0]`` vectors; rendered Verilog
 converts at the boundary with ``$bitstoreal`` / ``$realtobits`` so an
@@ -31,7 +40,10 @@ Designs the structural form cannot express raise ``SA150``.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator
@@ -191,7 +203,9 @@ class MemClear:
 
 @dataclass(frozen=True)
 class Instance:
-    """A child module instantiation inside the top module.
+    """One child module instantiation, as elaboration sees it: the
+    cells of a :class:`Grid` (:meth:`Grid.instances`), which is what a
+    top module holds and the renderer writes.
 
     Attributes:
         name: instance name (``pe_0_0`` — also the hierarchical prefix).
@@ -210,6 +224,89 @@ class Instance:
 
 
 @dataclass(frozen=True)
+class Chain:
+    """One packet field shifted cell to cell through a :class:`Grid`.
+
+    Cell (x, y) reads port ``<stem>_in`` from chain element ``[x][y]``
+    and drives ``<stem>_out`` into ``[x][y + 1]`` (``along == "row"``)
+    or ``[x + 1][y]`` (``along == "col"``).  Element ``[x][0]`` of a row
+    chain is the top input ``<stem>_<x>``; ``[0][y]`` of a column chain
+    is ``<stem>_<y>``.
+    """
+
+    stem: str
+    kind: str
+    along: str  # "row" | "col"
+
+
+#: Per-direction packet fields carried by the chains, with their kinds;
+#: each packet also carries one ``val_<v>`` f64 lane per SIMD lane.
+W_FIELDS = {"valid": "bit", "tag": "int", "boff": "int", "rowok": "bit"}
+I_FIELDS = {"valid": "bit", "tag": "int", "colok": "bit"}
+
+
+def chains(vector: int) -> tuple[Chain, ...]:
+    """The shift chains in ``pe`` port order: the weight packet along
+    each row, then the input packet down each column."""
+    lanes = {f"val_{v}": "f64" for v in range(vector)}
+    return tuple(
+        Chain(f"{side}_{fld}", kind, along)
+        for side, fields, along in (("w", W_FIELDS, "row"), ("i", I_FIELDS, "col"))
+        for fld, kind in {**fields, **lanes}.items()
+    )
+
+
+@dataclass(frozen=True)
+class Grid:
+    """``rows x cols`` instances of one module, rendered as one nested
+    ``generate for`` and elaborated as :meth:`instances`.
+
+    Cell (x, y) gets ``PE_OFF = offset[0] * x + offset[1] * y``, the
+    parent nets named in ``shared`` on the same-named ports, and its
+    ``err`` output on bit ``x * cols + y`` of a flat vector whose
+    reduction OR drives the parent's ``err`` (:meth:`err_wire`).
+    """
+
+    module: str
+    rows: int
+    cols: int
+    offset: tuple[int, int]
+    shared: tuple[str, ...]
+    chains: tuple[Chain, ...]
+
+    def cell(self, x: int, y: int) -> str:
+        return f"{self.module}_{x}_{y}"
+
+    def instances(self) -> Iterator[Instance]:
+        """The grid as flat instances, row-major: ``pe_<x>_<y>``, chain
+        links as ``pe_<x>_<y>_<stem>`` wires, the last cell's chain
+        outputs unconnected."""
+        for x in range(self.rows):
+            for y in range(self.cols):
+                name = self.cell(x, y)
+                inputs = {port: sig(port) for port in self.shared}
+                outputs = {"err": f"{name}_err"}
+                for chain in self.chains:
+                    row = chain.along == "row"
+                    if (y if row else x) == 0:
+                        source = f"{chain.stem}_{x if row else y}"
+                    else:
+                        prev = self.cell(x, y - 1) if row else self.cell(x - 1, y)
+                        source = f"{prev}_{chain.stem}"
+                    inputs[f"{chain.stem}_in"] = sig(source)
+                    if (y + 1 < self.cols) if row else (x + 1 < self.rows):
+                        outputs[f"{chain.stem}_out"] = f"{name}_{chain.stem}"
+                offset = self.offset[0] * x + self.offset[1] * y
+                yield Instance(name, self.module, {"PE_OFF": offset}, inputs, outputs)
+
+    def err_wire(self) -> Wire:
+        """The parent's ``err``: every cell's ``err``, ORed row-major."""
+        cells = itertools.product(range(self.rows), range(self.cols))
+        errs = [sig(f"{self.cell(x, y)}_err") for x, y in cells]
+        return Wire("err", "bit", functools.reduce(bor, errs))
+
+
+@dataclass(frozen=True)
 class ModuleDef:
     name: str
     ports: tuple[Port, ...]
@@ -218,7 +315,7 @@ class ModuleDef:
     mems: tuple[Mem, ...] = ()
     wires: tuple[Wire, ...] = ()
     seq: tuple[Any, ...] = ()  # RegSet | MemClear | MemWrite, in commit order
-    instances: tuple[Instance, ...] = ()
+    instances: tuple[Grid | Instance, ...] = ()  # only a Grid renders
 
 
 # --------------------------------------------------------------------------
@@ -243,10 +340,7 @@ class RtlPlan:
 
     @property
     def box(self) -> int:
-        total = 1
-        for dim in self.box_dims:
-            total *= dim
-        return total
+        return math.prod(self.box_dims)
 
     def pe_offset(self, x: int, y: int) -> int:
         """The ``PE_OFF`` parameter of instance (x, y)."""
@@ -286,71 +380,43 @@ def plan_rtl(design: DesignPoint) -> RtlPlan:
         DiagnosticError: with ``SA150`` when the design cannot be
             expressed as the fixed PE-array structure.
     """
-    report = AnalysisReport()
-    nest = design.nest
-    mapping = design.mapping
-    out = nest.output
-
-    if out.depends_on(mapping.vector):
-        report.add(
-            RTL_UNSUPPORTED_DESIGN,
-            Severity.ERROR,
-            f"output access of {nest.name!r} depends on the vector "
-            f"iterator {mapping.vector!r}; a PE accumulates one whole "
-            f"SIMD dot product per output element",
+    nest, out, tiling = design.nest, design.nest.output, design.tiling
+    problems = []
+    if out.depends_on(design.mapping.vector):
+        problems.append(
+            f"output access of {nest.name!r} depends on the vector iterator "
+            f"{design.mapping.vector!r}; a PE accumulates one whole SIMD dot "
+            f"product per output element"
         )
     for expr in out.indices:
-        for it, coeff in expr.terms:
-            if coeff < 0:
-                report.add(
-                    RTL_UNSUPPORTED_DESIGN,
-                    Severity.ERROR,
-                    f"output subscript coefficient {coeff} of iterator "
-                    f"{it!r} is negative; RTL address generation requires "
-                    f"non-negative offsets",
-                )
+        problems += [
+            f"output subscript coefficient {coeff} of iterator {it!r} is negative; "
+            f"RTL address generation requires non-negative offsets"
+            for it, coeff in expr.terms
+            if coeff < 0
+        ]
         if expr.const < 0:
-            report.add(
-                RTL_UNSUPPORTED_DESIGN,
-                Severity.ERROR,
-                f"output subscript constant {expr.const} is negative",
+            problems.append(f"output subscript constant {expr.const} is negative")
+    if not problems:
+        dims = [
+            1 + sum(coeff * (tiling.s(it) * tiling.t(it) - 1) for it, coeff in expr.terms)
+            for expr in out.indices
+        ]
+        strides = [math.prod(dims[k + 1:]) for k in range(len(dims))]
+        if math.prod(dims) > RTL_MAX_BOX:
+            problems.append(
+                f"per-PE accumulator box of {math.prod(dims)} words exceeds the RTL "
+                f"local-buffer budget ({RTL_MAX_BOX})"
             )
+    report = AnalysisReport()
+    for message in problems:
+        report.add(RTL_UNSUPPORTED_DESIGN, Severity.ERROR, message)
     report.raise_if_errors()
-
-    tiling = design.tiling
-    dims = []
-    for expr in out.indices:
-        extent = 1
-        for it, coeff in expr.terms:
-            block_extent = tiling.s(it) * tiling.t(it)
-            extent += coeff * (block_extent - 1)
-        dims.append(extent)
-    strides = []
-    stride = 1
-    for dim in reversed(dims):
-        strides.append(stride)
-        stride *= dim
-    strides.reverse()
-    box = stride
-
-    if box > RTL_MAX_BOX:
-        report.add(
-            RTL_UNSUPPORTED_DESIGN,
-            Severity.ERROR,
-            f"per-PE accumulator box of {box} words exceeds the RTL "
-            f"local-buffer budget ({RTL_MAX_BOX})",
-        )
-    report.raise_if_errors()
-
     return RtlPlan(design=design, box_dims=tuple(dims), strides=tuple(strides))
 
 
 # --------------------------------------------------------------------------
 # IR construction.
-
-
-def _lane_ports(prefix: str, vector: int) -> list[str]:
-    return [f"{prefix}{v}" for v in range(vector)]
 
 
 def build_pe_module(plan: RtlPlan) -> ModuleDef:
@@ -359,30 +425,14 @@ def build_pe_module(plan: RtlPlan) -> ModuleDef:
     ports: list[Port] = []
     regs: list[Reg] = []
     seq: list[Any] = []
+    # One registered shift stage per chain field.
+    for chain in chains(vector):
+        stem, kind = chain.stem, chain.kind
+        ports += [Port(f"{stem}_in", "in", kind), Port(f"{stem}_out", "out", kind)]
+        regs.append(Reg(f"{stem}_out", kind, 0.0 if kind == "f64" else 0))
+        seq.append(RegSet(f"{stem}_out", sig(f"{stem}_in")))
 
-    def stage(in_name: str, out_name: str, kind: str) -> None:
-        ports.append(Port(in_name, "in", kind))
-        ports.append(Port(out_name, "out", kind))
-        regs.append(Reg(out_name, kind, 0.0 if kind == "f64" else 0))
-        seq.append(RegSet(out_name, sig(in_name)))
-
-    # Weight chain (shifts right along the row) with its sideband fields.
-    stage("w_valid_in", "w_valid_out", "bit")
-    stage("w_tag_in", "w_tag_out", "int")
-    stage("w_boff_in", "w_boff_out", "int")
-    stage("w_rowok_in", "w_rowok_out", "bit")
-    for v in range(vector):
-        stage(f"w_val_{v}_in", f"w_val_{v}_out", "f64")
-    # Input chain (shifts down the column).
-    stage("i_valid_in", "i_valid_out", "bit")
-    stage("i_tag_in", "i_tag_out", "int")
-    stage("i_colok_in", "i_colok_out", "bit")
-    for v in range(vector):
-        stage(f"i_val_{v}_in", f"i_val_{v}_out", "f64")
-
-    ports.append(Port("bank", "in", "bit"))
-    ports.append(Port("clear", "in", "bit"))
-    ports.append(Port("err", "out", "bit"))
+    ports += [Port("bank", "in", "bit"), Port("clear", "in", "bit"), Port("err", "out", "bit")]
 
     # Combinational: pairing, tag check, write enable, address, dot.
     both = band(sig("w_valid_out"), sig("i_valid_out"))
@@ -402,30 +452,14 @@ def build_pe_module(plan: RtlPlan) -> ModuleDef:
         dot = fadd(dot, fmul(sig(f"w_val_{v}_out"), sig(f"i_val_{v}_out")))
     wires.append(Wire("dot", "f64", dot))
 
-    mems = (
-        Mem("acc0", "f64", plan.box),
-        Mem("acc1", "f64", plan.box),
-    )
     # Clear the just-drained (pre-flip active) bank; write the active one.
     # Clears precede writes in commit order.
-    seq.append(MemClear("acc0", band(sig("clear"), bnot(sig("bank")))))
-    seq.append(MemClear("acc1", band(sig("clear"), sig("bank"))))
-    seq.append(
-        MemWrite(
-            "acc0",
-            sig("addr"),
-            fadd(memread("acc0", sig("addr")), sig("dot")),
-            band(sig("wen"), bnot(sig("bank"))),
-        )
-    )
-    seq.append(
-        MemWrite(
-            "acc1",
-            sig("addr"),
-            fadd(memread("acc1", sig("addr")), sig("dot")),
-            band(sig("wen"), sig("bank")),
-        )
-    )
+    banks = (("acc0", bnot(sig("bank"))), ("acc1", sig("bank")))
+    mems = tuple(Mem(mem, "f64", plan.box) for mem, _ in banks)
+    seq += [MemClear(mem, band(sig("clear"), active)) for mem, active in banks]
+    for mem, active in banks:
+        data = fadd(memread(mem, sig("addr")), sig("dot"))
+        seq.append(MemWrite(mem, sig("addr"), data, band(sig("wen"), active)))
 
     return ModuleDef(
         name="pe",
@@ -438,84 +472,36 @@ def build_pe_module(plan: RtlPlan) -> ModuleDef:
     )
 
 
-#: Per-direction packet fields (name suffixes) carried by the chains.
-W_FIELDS = ("valid", "tag", "boff", "rowok")
-I_FIELDS = ("valid", "tag", "colok")
-
-W_FIELD_KINDS = {"valid": "bit", "tag": "int", "boff": "int", "rowok": "bit"}
-I_FIELD_KINDS = {"valid": "bit", "tag": "int", "colok": "bit"}
-
-
-def _w_port_names(vector: int) -> list[tuple[str, str]]:
-    """(field, kind) pairs of the weight-side packet, lanes included."""
-    names = [(f, W_FIELD_KINDS[f]) for f in W_FIELDS]
-    names += [(f"val_{v}", "f64") for v in range(vector)]
-    return names
-
-
-def _i_port_names(vector: int) -> list[tuple[str, str]]:
-    names = [(f, I_FIELD_KINDS[f]) for f in I_FIELDS]
-    names += [(f"val_{v}", "f64") for v in range(vector)]
-    return names
-
 
 def build_top_module(plan: RtlPlan) -> ModuleDef:
-    """The ``systolic_top`` module: the R x C instance grid and bank reg."""
+    """The ``systolic_top`` module: the R x C grid and the bank register."""
     shape = plan.design.shape
     rows, cols, vector = shape.rows, shape.cols, shape.vector
-    ports: list[Port] = []
-    for x in range(rows):
-        for fld, kind in _w_port_names(vector):
-            ports.append(Port(f"w_{fld}_{x}", "in", kind))
-    for y in range(cols):
-        for fld, kind in _i_port_names(vector):
-            ports.append(Port(f"i_{fld}_{y}", "in", kind))
-    ports.append(Port("flip", "in", "bit"))
-    ports.append(Port("clear", "in", "bit"))
-    ports.append(Port("err", "out", "bit"))
+    grid_chains = chains(vector)
+    ports = [
+        Port(f"{chain.stem}_{k}", "in", chain.kind)
+        for along, count in (("row", rows), ("col", cols))
+        for k in range(count)
+        for chain in grid_chains
+        if chain.along == along
+    ]
+    ports += [Port("flip", "in", "bit"), Port("clear", "in", "bit"), Port("err", "out", "bit")]
 
-    instances: list[Instance] = []
-    for x in range(rows):
-        for y in range(cols):
-            inputs: dict[str, Expr] = {"bank": sig("bank"), "clear": sig("clear")}
-            for fld, _ in _w_port_names(vector):
-                if y == 0:
-                    inputs[f"w_{fld}_in"] = sig(f"w_{fld}_{x}")
-                else:
-                    inputs[f"w_{fld}_in"] = sig(f"pe_{x}_{y - 1}_w_{fld}")
-            for fld, _ in _i_port_names(vector):
-                if x == 0:
-                    inputs[f"i_{fld}_in"] = sig(f"i_{fld}_{y}")
-                else:
-                    inputs[f"i_{fld}_in"] = sig(f"pe_{x - 1}_{y}_i_{fld}")
-            outputs: dict[str, str] = {"err": f"pe_{x}_{y}_err"}
-            if y + 1 < cols:
-                for fld, _ in _w_port_names(vector):
-                    outputs[f"w_{fld}_out"] = f"pe_{x}_{y}_w_{fld}"
-            if x + 1 < rows:
-                for fld, _ in _i_port_names(vector):
-                    outputs[f"i_{fld}_out"] = f"pe_{x}_{y}_i_{fld}"
-            instances.append(
-                Instance(
-                    name=f"pe_{x}_{y}",
-                    module="pe",
-                    params={"PE_OFF": plan.pe_offset(x, y)},
-                    inputs=inputs,
-                    outputs=outputs,
-                )
-            )
-
-    err: Expr = sig("pe_0_0_err")
-    for inst in instances[1:]:
-        err = bor(err, sig(f"{inst.name}_err"))
-
+    grid = Grid(
+        module="pe",
+        rows=rows,
+        cols=cols,
+        # RtlPlan.pe_offset is linear in x and y with no constant term.
+        offset=(plan.pe_offset(1, 0), plan.pe_offset(0, 1)),
+        shared=("bank", "clear"),
+        chains=grid_chains,
+    )
     return ModuleDef(
         name="systolic_top",
         ports=tuple(ports),
         regs=(Reg("bank", "bit", 0),),
-        wires=(Wire("err", "bit", err),),
         seq=(RegSet("bank", mux(sig("flip"), bnot(sig("bank")), sig("bank"))),),
-        instances=tuple(instances),
+        instances=(grid,),
     )
 
 
@@ -535,29 +521,22 @@ def _width_decl(kind: str) -> str:
     return "" if width == 1 else f"[{width - 1}:0] "
 
 
+#: Binary IR operators and their Verilog infix operators.
+_INFIX = {"iadd": "+", "and": "&", "or": "|", "ne": "!=", "fadd": "+", "fmul": "*"}
+
+
 def _render_int_expr(expr: Expr) -> str:
     kind = expr[0]
-    if kind == "const":
+    if kind in ("const", "sig", "param"):
         return str(expr[1])
-    if kind == "sig":
-        return expr[1]
-    if kind == "param":
-        return expr[1]
-    if kind == "iadd":
-        return f"({_render_int_expr(expr[1])} + {_render_int_expr(expr[2])})"
-    if kind == "and":
-        return f"({_render_int_expr(expr[1])} & {_render_int_expr(expr[2])})"
-    if kind == "or":
-        return f"({_render_int_expr(expr[1])} | {_render_int_expr(expr[2])})"
+    if kind in ("iadd", "and", "or", "ne"):
+        left, right = _render_int_expr(expr[1]), _render_int_expr(expr[2])
+        return f"({left} {_INFIX[kind]} {right})"
     if kind == "not":
         return f"(!{_render_int_expr(expr[1])})"
-    if kind == "ne":
-        return f"({_render_int_expr(expr[1])} != {_render_int_expr(expr[2])})"
     if kind == "mux":
-        return (
-            f"({_render_int_expr(expr[1])} ? {_render_int_expr(expr[2])}"
-            f" : {_render_int_expr(expr[3])})"
-        )
+        cond, then, other = map(_render_int_expr, expr[1:])
+        return f"({cond} ? {then} : {other})"
     raise ValueError(f"not an integer/bit expression: {expr[0]!r}")
 
 
@@ -571,21 +550,24 @@ def _render_real_expr(expr: Expr) -> str:
         return f"$bitstoreal({expr[1]})"
     if kind == "memread":
         return f"$bitstoreal({expr[1]}[{_render_int_expr(expr[2])}])"
-    if kind == "fadd":
-        return f"({_render_real_expr(expr[1])} + {_render_real_expr(expr[2])})"
-    if kind == "fmul":
-        return f"({_render_real_expr(expr[1])} * {_render_real_expr(expr[2])})"
+    if kind in ("fadd", "fmul"):
+        left, right = _render_real_expr(expr[1]), _render_real_expr(expr[2])
+        return f"({left} {_INFIX[kind]} {right})"
     raise ValueError(f"not an f64 expression: {expr[0]!r}")
+
+
+def comma_lines(w: CodeWriter, items: list[str]) -> None:
+    """One item per line, each but the last followed by a comma."""
+    w.lines(*(item + ("," if k + 1 < len(items) else "") for k, item in enumerate(items)))
 
 
 def _render_module(w: CodeWriter, module: ModuleDef) -> None:
     reg_names = {r.name for r in module.regs}
-    port_list = ["clk"] + [p.name for p in module.ports]
+    port_names = {p.name for p in module.ports}
+    depths = {mem.name: mem.depth for mem in module.mems}
     w.line(f"module {module.name} (")
     with w.indented():
-        for index, name in enumerate(port_list):
-            comma = "," if index + 1 < len(port_list) else ""
-            w.line(f"{name}{comma}")
+        comma_lines(w, ["clk"] + [p.name for p in module.ports])
     w.line(");")
     with w.indented():
         for name, default in module.params:
@@ -598,18 +580,12 @@ def _render_module(w: CodeWriter, module: ModuleDef) -> None:
                 w.line(f"output reg {_width_decl(port.kind)}{port.name};")
             else:
                 w.line(f"output {_width_decl(port.kind)}{port.name};")
-        port_names = {p.name for p in module.ports}
         for reg in module.regs:
             if reg.name not in port_names:
                 w.line(f"reg {_width_decl(reg.kind)}{reg.name};")
         for mem in module.mems:
-            w.line(
-                f"reg {_width_decl(mem.kind)}{mem.name} [0:{mem.depth - 1}];"
-            )
-        needs_index = any(isinstance(op, MemClear) for op in module.seq) or bool(
-            module.mems
-        )
-        if needs_index:
+            w.line(f"reg {_width_decl(mem.kind)}{mem.name} [0:{mem.depth - 1}];")
+        if module.mems:
             w.line("integer mi;")
         w.line()
 
@@ -625,48 +601,21 @@ def _render_module(w: CodeWriter, module: ModuleDef) -> None:
             w.line()
 
         # Combinational wires: bit/int as assigns, f64 as always @* blocks.
-        declared_wires = []
         for wire in module.wires:
-            if wire.name in port_names:
-                declared_wires.append(wire)
-                continue
-            if wire.kind == "f64":
-                w.line(f"reg {_width_decl(wire.kind)}{wire.name};")
-            else:
-                w.line(f"wire {_width_decl(wire.kind)}{wire.name};")
+            if wire.name not in port_names:
+                net = "reg" if wire.kind == "f64" else "wire"
+                w.line(f"{net} {_width_decl(wire.kind)}{wire.name};")
         for wire in module.wires:
             if wire.kind == "f64":
-                w.line(
-                    f"always @* {wire.name} = "
-                    f"$realtobits({_render_real_expr(wire.expr)});"
-                )
+                real = _render_real_expr(wire.expr)
+                w.line(f"always @* {wire.name} = $realtobits({real});")
             else:
                 w.line(f"assign {wire.name} = {_render_int_expr(wire.expr)};")
         if module.wires:
             w.line()
 
-        # Instances.
-        for inst in module.instances:
-            for port_name, wire_name in sorted(inst.outputs.items()):
-                kind = _instance_port_kind(port_name)
-                w.line(f"wire {_width_decl(kind)}{wire_name};")
-        for inst in module.instances:
-            params = ", ".join(
-                f".{name}({value})" for name, value in sorted(inst.params.items())
-            )
-            override = f" #({params})" if params else ""
-            w.line(f"{inst.module}{override} {inst.name} (")
-            with w.indented():
-                conns = [".clk(clk)"]
-                for port_name, expr in sorted(inst.inputs.items()):
-                    conns.append(f".{port_name}({_render_int_expr(expr)})")
-                for port_name, wire_name in sorted(inst.outputs.items()):
-                    conns.append(f".{port_name}({wire_name})")
-                for index, conn in enumerate(conns):
-                    comma = "," if index + 1 < len(conns) else ""
-                    w.line(f"{conn}{comma}")
-            w.line(");")
-        if module.instances:
+        for grid in module.instances:
+            _render_grid(w, grid)
             w.line()
 
         # The single sequential process: registers, clears, then writes.
@@ -677,24 +626,15 @@ def _render_module(w: CodeWriter, module: ModuleDef) -> None:
                         w.line(f"{op.reg} <= {_render_int_expr(op.expr)};")
                 for op in module.seq:
                     if isinstance(op, MemClear):
-                        with vblock(
-                            w, f"if ({_render_int_expr(op.enable)}) begin"
-                        ):
-                            w.line(
-                                f"for (mi = 0; mi < "
-                                f"{_mem_depth(module, op.mem)}; mi = mi + 1)"
-                            )
+                        with vblock(w, f"if ({_render_int_expr(op.enable)}) begin"):
+                            w.line(f"for (mi = 0; mi < {depths[op.mem]}; mi = mi + 1)")
                             with w.indented():
                                 w.line(f"{op.mem}[mi] <= 0;")
                 for op in module.seq:
                     if isinstance(op, MemWrite):
-                        with vblock(
-                            w, f"if ({_render_int_expr(op.enable)}) begin"
-                        ):
-                            w.line(
-                                f"{op.mem}[{_render_int_expr(op.addr)}] <= "
-                                f"$realtobits({_render_real_expr(op.data)});"
-                            )
+                        with vblock(w, f"if ({_render_int_expr(op.enable)}) begin"):
+                            addr, data = _render_int_expr(op.addr), _render_real_expr(op.data)
+                            w.line(f"{op.mem}[{addr}] <= $realtobits({data});")
     w.line("endmodule")
 
 
@@ -708,31 +648,39 @@ def vblock(w: CodeWriter, header: str) -> Iterator[None]:
     w.line("end")
 
 
-def _mem_depth(module: ModuleDef, name: str) -> int:
-    for mem in module.mems:
-        if mem.name == name:
-            return mem.depth
-    raise KeyError(name)
-
-
-_FIELD_KINDS = {
-    "valid": "bit",
-    "rowok": "bit",
-    "colok": "bit",
-    "tag": "int",
-    "boff": "int",
-    "val": "f64",
-}
-
-
-def _instance_port_kind(port_name: str) -> str:
-    """Kind of a ``pe`` output port, recovered from its field name."""
-    if port_name == "err":
-        return "bit"
-    parts = port_name.split("_")  # w_valid_out / w_val_0_out
-    if len(parts) >= 3 and parts[1] in _FIELD_KINDS:
-        return _FIELD_KINDS[parts[1]]
-    raise ValueError(f"unknown pe port {port_name!r}")
+def _render_grid(w: CodeWriter, grid: Grid) -> None:
+    """The grid as chain arrays, port joins and one ``generate`` loop."""
+    rows, cols = grid.rows, grid.cols
+    dims = {"row": f"[0:{rows - 1}][0:{cols}]", "col": f"[0:{rows}][0:{cols - 1}]"}
+    link = {"row": "[gx][gy + 1]", "col": "[gx + 1][gy]"}
+    w.lines(f"parameter OFF_X = {grid.offset[0]};", f"parameter OFF_Y = {grid.offset[1]};")
+    w.comment("Cell (x, y) reads chain element [x][y] and drives [x][y + 1]")
+    w.comment("(a row chain) or [x + 1][y] (a column chain).")
+    for chain in grid.chains:
+        w.line(f"wire {_width_decl(chain.kind)}{chain.stem}_chain {dims[chain.along]};")
+    w.line(f"wire [{rows * cols - 1}:0] {grid.module}_err;")
+    for chain in grid.chains:  # the top ports join element [x][0] or [0][y]
+        row = chain.along == "row"
+        for k in range(rows if row else cols):
+            at = f"[{k}][0]" if row else f"[0][{k}]"
+            w.line(f"assign {chain.stem}_chain{at} = {chain.stem}_{k};")
+    w.line(f"assign err = |{grid.module}_err;")
+    w.line()
+    w.line("genvar gx, gy;")
+    w.line("generate")
+    with w.indented():
+        with vblock(w, f"for (gx = 0; gx < {rows}; gx = gx + 1) begin : row"):
+            with vblock(w, f"for (gy = 0; gy < {cols}; gy = gy + 1) begin : col"):
+                w.line(f"{grid.module} #(.PE_OFF(OFF_X * gx + OFF_Y * gy)) u (")
+                with w.indented():
+                    conns = [".clk(clk)"] + [f".{net}({net})" for net in grid.shared]
+                    for chain in grid.chains:
+                        conns.append(f".{chain.stem}_in({chain.stem}_chain[gx][gy])")
+                        conns.append(f".{chain.stem}_out({chain.stem}_chain{link[chain.along]})")
+                    conns.append(f".err({grid.module}_err[gx * {cols} + gy])")
+                    comma_lines(w, conns)
+                w.line(");")
+    w.line("endgenerate")
 
 
 def render_verilog(top: ModuleDef, pe: ModuleDef, plan: RtlPlan) -> str:
@@ -775,6 +723,8 @@ def rtl_module_hash(source: str) -> str:
 
 
 __all__ = [
+    "Chain",
+    "Grid",
     "Instance",
     "Mem",
     "MemClear",

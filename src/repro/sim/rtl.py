@@ -40,8 +40,8 @@ from repro.analysis.diagnostics import RTL_TOOLCHAIN_MISSING
 from repro.codegen.rtl import (
     I_FIELDS,
     W_FIELDS,
+    Grid,
     MemClear,
-    MemWrite,
     ModuleDef,
     RegSet,
     RtlPlan,
@@ -102,8 +102,9 @@ def _chain(expr: tuple, kinds: tuple[str, ...], *, left_only: bool) -> list[tupl
 class NetlistSimulator:
     """Two-phase eval/commit simulator of an elaborated module graph.
 
-    Elaboration flattens the instance tree (``pe_<x>_<y>.``-prefixed nets)
-    into slot-indexed storage: every net owns one slot of :attr:`values`
+    Elaboration flattens the instance tree (a :class:`Grid` through its
+    flat :meth:`~repro.codegen.rtl.Grid.instances`, ``pe_<x>_<y>.``-prefixed
+    nets) into slot-indexed storage: every net owns one slot of :attr:`values`
     and every memory one list in :attr:`mems`.  An instance port connected
     to a bare signal is an *alias*: it shares its source's slot.  The
     combinational nets (in topological order) and the sequential commit
@@ -143,44 +144,42 @@ class NetlistSimulator:
         prefix: str,
         params: dict[str, int],
     ) -> None:
-        merged = dict(module.params)
-        merged.update(params)
+        merged = {**dict(module.params), **params}
+
+        def scope(expr: tuple) -> tuple:
+            return _scoped(expr, prefix, merged)
+
+        # A grid stands for its flat instances and its err wire.
+        wires, instances = list(module.wires), []
+        for node in module.instances:
+            if isinstance(node, Grid):
+                wires.append(node.err_wire())
+                instances += node.instances()
+            else:
+                instances.append(node)
 
         for reg in module.regs:
             self._regs[prefix + reg.name] = reg.init
         for mem in module.mems:
             self._mems[prefix + mem.name] = mem.depth
-        for wire in module.wires:
-            self._wires[prefix + wire.name] = _scoped(wire.expr, prefix, merged)
-        for op in module.seq:
+        for wire in wires:
+            self._wires[prefix + wire.name] = scope(wire.expr)
+        for op in module.seq:  # RegSet | MemClear | MemWrite
             if isinstance(op, RegSet):
-                self._seq.append(
-                    ("reg", prefix + op.reg, _scoped(op.expr, prefix, merged))
-                )
+                self._seq.append(("reg", prefix + op.reg, scope(op.expr)))
             elif isinstance(op, MemClear):
-                self._seq.append(
-                    ("clear", prefix + op.mem, _scoped(op.enable, prefix, merged))
-                )
-            elif isinstance(op, MemWrite):
-                self._seq.append(
-                    (
-                        "write",
-                        prefix + op.mem,
-                        _scoped(op.addr, prefix, merged),
-                        _scoped(op.data, prefix, merged),
-                        _scoped(op.enable, prefix, merged),
-                    )
-                )
-            else:  # pragma: no cover - IR is closed
-                raise TypeError(f"unknown sequential op {op!r}")
+                self._seq.append(("clear", prefix + op.mem, scope(op.enable)))
+            else:
+                ops = (scope(op.addr), scope(op.data), scope(op.enable))
+                self._seq.append(("write", prefix + op.mem, *ops))
 
-        for inst in module.instances:
+        for inst in instances:
             child = library[inst.module]
             child_prefix = f"{prefix}{inst.name}."
             # Child input ports: aliases of bare parent signals, otherwise
             # wires computing the parent expression.
             for port_name, expr in inst.inputs.items():
-                scoped = _scoped(expr, prefix, merged)
+                scoped = scope(expr)
                 if scoped[0] == "sig":
                     self._aliases[child_prefix + port_name] = scoped[1]
                 else:
@@ -188,8 +187,7 @@ class NetlistSimulator:
             # Parent-scope wires alias the child's output signals.
             for port_name, wire_name in inst.outputs.items():
                 self._aliases[prefix + wire_name] = child_prefix + port_name
-            child_params = dict(child.params)
-            child_params.update(inst.params)
+            child_params = {**dict(child.params), **inst.params}
             self._elaborate(child, library, child_prefix, child_params)
 
     def _compile(self) -> Callable[[list, list, Sequence], None]:
@@ -551,55 +549,40 @@ def generate_rtl_testbench(
     per top-level input per step, plus a trailing control word whose
     bit 0 requests an accumulator dump *before* the step is driven.
     Dumps print every PE's active-bank words (row-major, ascending) as
-    ``D <hex>`` lines that :func:`run_iverilog_check` parses.
+    ``D <hex>`` lines that :func:`run_iverilog_check` parses; PE (x, y)
+    is the generate-scope instance ``dut.row[x].col[y].u``.
     """
     from repro.codegen.emitter import CodeWriter
-    from repro.codegen.rtl import KIND_WIDTH, vblock
+    from repro.codegen.rtl import KIND_WIDTH, comma_lines, vblock
 
     inputs = [p for p in top.ports if p.direction == "in"]
+    widths = [KIND_WIDTH[port.kind] for port in inputs]
     wps = len(inputs) + 1  # + control word
     shape = plan.design.shape
     w = CodeWriter()
     w.comment("Generated stimulus-replay testbench for systolic_top.")
     w.line("module tb;")
     with w.indented():
-        w.line("reg clk = 0;")
-        w.line("integer s, k;")
-        w.line(f"reg [63:0] stim [0:{n_steps * wps - 1}];")
-        for port in inputs:
-            width = KIND_WIDTH[port.kind]
-            decl = "" if width == 1 else f"[{width - 1}:0] "
-            w.line(f"reg {decl}{port.name};")
-        w.line("wire err;")
-        w.line("systolic_top dut (")
+        w.lines("reg clk = 0;", "integer s, k;", f"reg [63:0] stim [0:{n_steps * wps - 1}];")
+        for port, width in zip(inputs, widths):
+            w.line(f"reg {'' if width == 1 else f'[{width - 1}:0] '}{port.name};")
+        w.lines("wire err;", "systolic_top dut (")
         with w.indented():
-            conns = [".clk(clk)"] + [f".{p.name}({p.name})" for p in inputs]
-            conns.append(".err(err)")
-            for index, conn in enumerate(conns):
-                comma = "," if index + 1 < len(conns) else ""
-                w.line(f"{conn}{comma}")
-        w.line(");")
-        w.line()
+            comma_lines(w, [".clk(clk)", *(f".{p.name}({p.name})" for p in inputs), ".err(err)"])
+        w.lines(");", "")
         with vblock(w, "initial begin"):
             w.line('$readmemh("stim.hex", stim);')
             with vblock(w, f"for (s = 0; s < {n_steps}; s = s + 1) begin"):
-                with vblock(
-                    w, f"if (stim[s * {wps} + {wps - 1}] & 64'd1) begin"
-                ):
-                    for x in range(shape.rows):
-                        for y in range(shape.cols):
+                with vblock(w, f"if (stim[s * {wps} + {wps - 1}] & 64'd1) begin"):
+                    for x, y in itertools.product(range(shape.rows), range(shape.cols)):
+                        pe = f"dut.row[{x}].col[{y}].u"
+                        w.line(f"for (k = 0; k < {plan.box}; k = k + 1)")
+                        with w.indented():
                             w.line(
-                                f"for (k = 0; k < {plan.box}; k = k + 1)"
+                                f'if (dut.bank) $display("D %h", {pe}.acc1[k]); '
+                                f'else $display("D %h", {pe}.acc0[k]);'
                             )
-                            with w.indented():
-                                w.line(
-                                    f'if (dut.bank) $display("D %h", '
-                                    f"dut.pe_{x}_{y}.acc1[k]); "
-                                    f'else $display("D %h", '
-                                    f"dut.pe_{x}_{y}.acc0[k]);"
-                                )
-                for index, port in enumerate(inputs):
-                    width = KIND_WIDTH[port.kind]
+                for index, (port, width) in enumerate(zip(inputs, widths)):
                     slice_ = "[0]" if width == 1 else f"[{width - 1}:0]"
                     w.line(f"{port.name} = stim[s * {wps} + {index}]{slice_};")
                 w.line("#1 clk = 1;")

@@ -21,9 +21,10 @@ into a failure.
 
 import dataclasses
 import os
+import re
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 
 from repro.analysis.codegen_lint import lint_verilog
 from repro.analysis.diagnostics import (
@@ -33,20 +34,30 @@ from repro.analysis.diagnostics import (
     Severity,
 )
 from repro.codegen.backend import BACKENDS, CodegenBackend, get_backend
-from repro.codegen.rtl import RTL_MAX_BOX, generate_rtl, plan_rtl, rtl_module_hash
+from repro.codegen.rtl import (
+    RTL_MAX_BOX,
+    build_rtl_modules,
+    generate_rtl,
+    plan_rtl,
+    rtl_module_hash,
+)
 from repro.ir.loop import conv_loop_nest
 from repro.model.design_point import ArrayShape, DesignPoint
 from repro.model.mapping import Mapping
 from repro.resilience.faults import FaultPlan, injected
 from repro.sim import rtl as rtl_sim
 from repro.sim.engine import SystolicArrayEngine
+from repro.nn.layers import ConvLayer
 from repro.sim.rtl import (
+    NetlistSimulator,
     RtlSimulator,
     RtlToolchainUnavailable,
     iverilog_available,
     run_iverilog_check,
 )
 from repro.verify.conformance import cross_check, synthetic_arrays
+from tests.sim.oracle import flat_top_module
+from tests.sim.test_feed import feeder_designs
 from tests.strategies import seeds, small_designs
 
 
@@ -87,6 +98,68 @@ class TestEmission:
     def test_unknown_backend_names_the_options(self):
         with pytest.raises(KeyError, match="rtl"):
             get_backend("vhdl")
+
+
+#: Strided, dilated, grouped and depthwise layers whose 3x4x2 designs hit
+#: clipped last blocks, padding lanes and padding PEs (see test_feed.py).
+NAMED_LAYERS = [
+    ConvLayer("strided", 3, 4, 11, 11, kernel=3, stride=2),
+    ConvLayer("dilated", 3, 5, 9, 9, kernel=3, dilation=2),
+    ConvLayer("grouped", 6, 6, 6, 6, kernel=3, pad=1, groups=2),
+    ConvLayer("depthwise", 4, 4, 6, 6, kernel=3, pad=1, groups=4),
+]
+
+#: A ``pe`` instantiation line: the module name, then overrides or a name.
+PE_INSTANCE = re.compile(r"^\s*pe\s*(?:#|\w+\s*\()", re.MULTILINE)
+
+
+def assert_grid_is_the_flat_netlist(design):
+    """The generate grid elaborates to the per-instance netlist, net for
+    net and slot for slot."""
+    top, pe, plan = build_rtl_modules(design)
+    grid = NetlistSimulator(top, {"pe": pe})
+    flat = NetlistSimulator(flat_top_module(plan), {"pe": pe})
+    for part in ("inputs", "_aliases", "_wires", "_seq", "_regs", "_mems", "slots"):
+        assert getattr(grid, part) == getattr(flat, part), part
+
+
+class TestGridElaboration:
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(design=feeder_designs())
+    def test_property_grid_equals_the_flat_oracle(self, design):
+        try:
+            plan_rtl(design)
+        except DiagnosticError:
+            assume(False)
+        assert_grid_is_the_flat_netlist(design)
+
+    @pytest.mark.parametrize("layer", NAMED_LAYERS, ids=lambda layer: layer.name)
+    @pytest.mark.parametrize("shape", [(3, 4, 2), (1, 1, 1), (5, 1, 3)], ids=str)
+    def test_named_layers_equal_the_flat_oracle(self, layer, shape):
+        design = DesignPoint.create(
+            layer.to_loop_nest(),
+            Mapping("o", "c", "i", "IN", "W"),
+            ArrayShape(*shape),
+            {"r": 4},
+        )
+        assert_grid_is_the_flat_netlist(design)
+
+    def test_text_holds_one_pe_and_grows_with_rows_plus_cols(self):
+        """One ``pe`` instantiation at any shape; at one vector width a
+        16x16 array's text is at most 4x a 4x4 array's (16x when every
+        PE was spelled out)."""
+        nest = conv_loop_nest(32, 8, 16, 16, 3, 3, name="size")
+        lines = {}
+        for rows, cols in [(1, 1), (4, 4), (16, 16), (7, 2)]:
+            design = DesignPoint.create(
+                nest, Mapping("o", "c", "i", "IN", "W"), ArrayShape(rows, cols, 4)
+            )
+            source = generate_rtl(design)
+            assert len(PE_INSTANCE.findall(source)) == 1, (rows, cols)
+            lines[rows, cols] = len(source.splitlines())
+        assert lines[16, 16] <= 4 * lines[4, 4], lines
 
 
 class TestInterpreterIdentity:
@@ -402,6 +475,129 @@ endmodule
         ["SA333"],
     ),
 }
+
+
+#: A 2x3 generate grid of a one-bit relay: ``c`` is a row chain joined to
+#: the ports by two assigns, ``e`` a flat vector ORed into ``err``.
+_GRID = """
+module cell(clk, d, q, e);
+  input clk;
+  input d;
+  output reg q;
+  output e;
+  always @(posedge clk) begin
+    q <= d;
+  end
+  assign e = q;
+endmodule
+
+module top(clk, d_0, d_1, err);
+  input clk;
+  input d_0;
+  input d_1;
+  output err;
+  wire c [0:1][0:3];
+  wire [5:0] e;
+  assign c[0][0] = d_0;
+  assign c[1][0] = d_1;
+  assign err = |e;
+  genvar gx, gy;
+  generate
+    for (gx = 0; gx < 2; gx = gx + 1) begin : row
+      for (gy = 0; gy < 3; gy = gy + 1) begin : col
+        cell u (
+          .clk(clk),
+          .d(c[gx][gy]),
+          .q(c[gx][gy + 1]),
+          .e(e[gx * 3 + gy])
+        );
+      end
+    end
+  endgenerate
+endmodule
+"""
+
+#: Edits of :data:`_GRID` -> the findings they must produce.
+GRID_EDITS = {
+    "clean": ("", "", []),
+    "missing-join": ("  assign c[1][0] = d_1;\n", "", [("SA330", "top.c[1][0] is read")]),
+    "link-down-not-along": (
+        ".q(c[gx][gy + 1])",
+        ".q(c[gx + 1][gy])",
+        [("SA330", "top.c[0][1] is read (line 29)"), ("SA331", "top.c[1][0]")],
+    ),
+    "join-overlaps-the-loop": (
+        "assign c[1][0] = d_1;",
+        "assign c[1][0] = d_1;\n  assign c[1][2] = d_1;",
+        [
+            (
+                "SA331",
+                "top.c[1][2] is driven from multiple sources: "
+                "assign (line 22), cell output (line 31)",
+            )
+        ],
+    ),
+    "join-width": ("input d_1;", "input [1:0] d_1;", [("SA332", "'c[1][0]' (1 bit(s))")]),
+    "vector-too-long": ("wire [5:0] e;", "wire [6:0] e;", [("SA330", "top.e[6] is read")]),
+    "link-width": ("wire c [0:1][0:3];", "wire [3:0] c [0:1][0:3];", ["SA332"] * 4),
+}
+
+
+class TestGenerateGrid:
+    """How the lint reads a generate loop over net arrays."""
+
+    @pytest.mark.parametrize("case", sorted(GRID_EDITS))
+    def test_grid_edit_fires_exactly_its_findings(self, case):
+        old, new, want = GRID_EDITS[case]
+        source = _GRID.replace(old, new, 1) if old else _GRID
+        assert old == "" or source != _GRID
+        found = lint_verilog(source).diagnostics
+        if want and isinstance(want[0], str):
+            assert [d.code for d in found] == want, [d.render() for d in found]
+            return
+        assert [d.code for d in found] == [code for code, _ in want], [
+            d.render() for d in found
+        ]
+        for diagnostic, (_, text) in zip(found, want):
+            assert text in diagnostic.message
+
+    def test_floating_plain_output_is_undriven(self):
+        """A plain ``output`` nothing drives floats even when nothing in
+        its module reads it; an ``output reg`` is left to the processes."""
+        source = """
+module m(a, y, q);
+  input a;
+  output y;
+  output reg q;
+endmodule
+"""
+        found = lint_verilog(source).diagnostics
+        assert [(d.code, d.message) for d in found] == [
+            ("SA330", "m.y is an output but never driven")
+        ]
+
+    def test_output_driven_through_an_unplaced_select_is_driven(self):
+        """A select the scan cannot evaluate drives the whole net."""
+        source = """
+module cell(a, q);
+  input a;
+  output q;
+  assign q = a;
+endmodule
+
+module m(a, y, z);
+  parameter K = 1;
+  input a;
+  output [1:0] y;
+  output [1:0] z;
+  assign y[K] = a;
+  cell u (
+    .a(a),
+    .q(z[K])
+  );
+endmodule
+"""
+        assert not lint_verilog(source).diagnostics
 
 
 class TestSa33xReachability:

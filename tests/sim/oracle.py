@@ -1,4 +1,4 @@
-"""Independent scalar oracle for the cycle simulators' boundary streams.
+"""Independent oracles for the cycle simulators: boundary streams, netlist.
 
 :class:`repro.sim.feed.WaveFeeder` gathers a run's operand streams,
 masks and output keys as NumPy broadcasts over every (block, wave)
@@ -6,10 +6,27 @@ at once.  This module computes the same quantities one (block, wave,
 position, lane) at a time over plain dicts and Python ints, straight
 from ``i_l = base_l + mid_l * t_l + inner_l`` and the nest's accesses,
 and ``tests/sim/test_feed.py`` holds the feeder to it entry for entry.
+
+:func:`flat_top_module` is the per-instance ``systolic_top`` builder the
+RTL backend used before its PE grid became one ``generate`` loop.
 """
 
 from __future__ import annotations
 
+from repro.codegen.rtl import (
+    I_FIELDS,
+    W_FIELDS,
+    Instance,
+    ModuleDef,
+    Port,
+    Reg,
+    RegSet,
+    Wire,
+    bnot,
+    bor,
+    mux,
+    sig,
+)
 from repro.sim.schedule import BlockSpec
 
 
@@ -83,3 +100,69 @@ class ScalarFeeder:
         ):
             return None
         return self.nest.output.evaluate(idx)
+
+
+def flat_top_module(plan) -> ModuleDef:
+    """``systolic_top`` as one :class:`Instance` per PE — the netlist the
+    RTL backend spelled out line by line before it emitted a ``generate``
+    grid.  ``tests/codegen/test_rtl.py`` holds the grid's elaboration to
+    it, net for net."""
+    shape = plan.design.shape
+    rows, cols, vector = shape.rows, shape.cols, shape.vector
+    lanes = [(f"val_{v}", "f64") for v in range(vector)]
+    w_fields = [*W_FIELDS.items(), *lanes]
+    i_fields = [*I_FIELDS.items(), *lanes]
+    ports: list[Port] = []
+    for x in range(rows):
+        for fld, kind in w_fields:
+            ports.append(Port(f"w_{fld}_{x}", "in", kind))
+    for y in range(cols):
+        for fld, kind in i_fields:
+            ports.append(Port(f"i_{fld}_{y}", "in", kind))
+    ports.append(Port("flip", "in", "bit"))
+    ports.append(Port("clear", "in", "bit"))
+    ports.append(Port("err", "out", "bit"))
+
+    instances: list[Instance] = []
+    for x in range(rows):
+        for y in range(cols):
+            inputs = {"bank": sig("bank"), "clear": sig("clear")}
+            for fld, _ in w_fields:
+                if y == 0:
+                    inputs[f"w_{fld}_in"] = sig(f"w_{fld}_{x}")
+                else:
+                    inputs[f"w_{fld}_in"] = sig(f"pe_{x}_{y - 1}_w_{fld}")
+            for fld, _ in i_fields:
+                if x == 0:
+                    inputs[f"i_{fld}_in"] = sig(f"i_{fld}_{y}")
+                else:
+                    inputs[f"i_{fld}_in"] = sig(f"pe_{x - 1}_{y}_i_{fld}")
+            outputs = {"err": f"pe_{x}_{y}_err"}
+            if y + 1 < cols:
+                for fld, _ in w_fields:
+                    outputs[f"w_{fld}_out"] = f"pe_{x}_{y}_w_{fld}"
+            if x + 1 < rows:
+                for fld, _ in i_fields:
+                    outputs[f"i_{fld}_out"] = f"pe_{x}_{y}_i_{fld}"
+            instances.append(
+                Instance(
+                    name=f"pe_{x}_{y}",
+                    module="pe",
+                    params={"PE_OFF": plan.pe_offset(x, y)},
+                    inputs=inputs,
+                    outputs=outputs,
+                )
+            )
+
+    err = sig("pe_0_0_err")
+    for inst in instances[1:]:
+        err = bor(err, sig(f"{inst.name}_err"))
+
+    return ModuleDef(
+        name="systolic_top",
+        ports=tuple(ports),
+        regs=(Reg("bank", "bit", 0),),
+        wires=(Wire("err", "bit", err),),
+        seq=(RegSet("bank", mux(sig("flip"), bnot(sig("bank")), sig("bank"))),),
+        instances=tuple(instances),
+    )
