@@ -18,9 +18,6 @@ build on the framework:
   widths, latches), checked without a compiler?
 * :mod:`repro.analysis.check` — the combined ``systolic-synth check``
   pipeline and the :func:`check_design` machine-readable API.
-* :mod:`repro.analysis.program` — the SA6xx whole-program concurrency
-  and determinism analyzer that lints the flow's *own* sources
-  (``systolic-synth lint``; see ``docs/static_analysis.md``).
 
 Only the diagnostics framework is imported eagerly: the pass modules
 pull in the front end and the model layer, which themselves use this
@@ -52,20 +49,12 @@ _LAZY = {
     "run_checks": "repro.analysis.check",
     "check_design": "repro.analysis.check",
     "CheckResult": "repro.analysis.check",
-    "analyze_program": "repro.analysis.program",
-    "AnalyzeOptions": "repro.analysis.program",
-    "ProgramAnalysis": "repro.analysis.program",
-    "build_model": "repro.analysis.program",
 }
 
 __all__ = [
     "AnalysisReport",
-    "AnalyzeOptions",
     "CODE_CATALOG",
     "CheckResult",
-    "ProgramAnalysis",
-    "analyze_program",
-    "build_model",
     "Diagnostic",
     "DiagnosticError",
     "Severity",

@@ -33,10 +33,6 @@ Code blocks:
   plus the recovery sites it instruments): quarantined cache entries,
   resubmitted or serially replayed DSE work, degraded simulate backends
   and external-tool timeouts,
-* ``SA6xx`` — whole-program concurrency & determinism analysis
-  (:mod:`repro.analysis.program`): lock-order inversions, unguarded
-  shared state, blocking calls under a lock, exception-unsafe manual
-  lock management, and nondeterminism inside replay-critical code.
 """
 
 from __future__ import annotations
@@ -279,23 +275,6 @@ RESILIENCE_TESTBENCH_DEGRADED = register_code(
 )
 RESILIENCE_TOOL_TIMEOUT = register_code(
     "SA505", "external tool exceeded its time budget"
-)
-
-# --- SA6xx: whole-program concurrency & determinism -------------------------
-CONCURRENCY_LOCK_ORDER = register_code(
-    "SA601", "lock-order inversion: locks are acquired in conflicting orders"
-)
-CONCURRENCY_UNGUARDED_STATE = register_code(
-    "SA602", "lock-guarded attribute accessed without holding the owning lock"
-)
-CONCURRENCY_BLOCKING_UNDER_LOCK = register_code(
-    "SA603", "blocking operation performed while a lock is held"
-)
-CONCURRENCY_UNSAFE_ACQUIRE = register_code(
-    "SA604", "manual lock acquire without an exception-safe release"
-)
-CONCURRENCY_NONDETERMINISM = register_code(
-    "SA605", "nondeterministic operation inside a replay-critical code path"
 )
 
 # --- SA7xx: cluster / fleet operation ---------------------------------------

@@ -18,7 +18,7 @@ The coordinator owns four things:
 
 Locking discipline: the coordinator lock guards membership, assignment
 and counters only.  Every HTTP hop to a worker happens outside the lock
-(blocking under it would stall the whole control plane: SA603); loops
+(blocking under it would stall the whole control plane); loops
 re-take the lock to observe membership changes between hops.
 """
 
@@ -70,6 +70,7 @@ class PendingJob:
     node: str | None  # None = orphaned, waiting for a worker
     last_status: dict[str, Any] | None = None
     submitting: bool = False  # the submit hop is out: not an orphan yet
+    cancel_requested: bool = False  # the owner accepted a cancel it has not applied
 
 
 class ClusterCoordinator:
@@ -237,6 +238,11 @@ class ClusterCoordinator:
             for _, pend in stranded:
                 pend.node = None  # orphaned until re-forwarded
         for jid, pend in stranded:
+            if pend.cancel_requested:
+                # The client cancelled it; the cancel died with the owner,
+                # so settle it here rather than run it elsewhere.
+                self._settle(jid, "cancelled")
+                continue
             owner = self._forward(jid, pend)
             if owner is not None:
                 self.metrics.inc("jobs_reassigned_total", node=owner)
@@ -374,21 +380,30 @@ class ClusterCoordinator:
 
     # ------------------------------------------------------------- queries
 
+    def _route(
+        self, job_id: str
+    ) -> tuple[PendingJob | None, str | None, WorkerNode | None]:
+        """One job's pending record, settled state and live owner (None
+        when it has none or lost it)."""
+        with self._lock:
+            pend = self._pending.get(job_id)
+            node = self._nodes.get(pend.node) if pend is not None and pend.node else None
+            live = None if node is None or node.lost else node
+            return pend, self._settled.get(job_id), live
+
     def status(self, job_id: str, *, result: bool = False) -> dict[str, Any] | None:
         """Proxy one job's status from its owner (None = unknown job).
 
         A job mid-handoff (owner lost, not yet re-forwarded) reports as
         queued rather than vanishing; a terminal answer settles the
-        ledger."""
-        with self._lock:
-            pend = self._pending.get(job_id)
-            if pend is None:
-                state = self._settled.get(job_id)
-                if state is not None:
-                    return {"id": job_id, "state": state, "settled": True}
-                return None
-            node = self._nodes.get(pend.node) if pend.node else None
-        if node is None or node.lost:
+        ledger, and a settled job whose owner is gone keeps answering
+        with its settled state."""
+        pend, settled, node = self._route(job_id)
+        if settled is not None and node is None:
+            return {"id": job_id, "state": settled, "settled": True}
+        if pend is None:
+            return None
+        if node is None:
             return {
                 "id": job_id,
                 "state": "queued",
@@ -427,18 +442,20 @@ class ClusterCoordinator:
             self.journal.record_done(job_id)
 
     def cancel(self, job_id: str) -> dict[str, Any] | None:
-        with self._lock:
-            pend = self._pending.get(job_id)
-            node = self._nodes.get(pend.node) if pend and pend.node else None
+        pend, settled, node = self._route(job_id)
+        if settled is not None and node is None:
+            return {"id": job_id, "state": settled, "settled": True}
         if pend is None:
             return None
-        if node is None or node.lost:
+        if node is None:
             # Orphaned: cancel locally — it never reached a worker.
             self._settle(job_id, "cancelled")
             return {"id": job_id, "state": "cancelled", "node": None}
         answer = node.client.cancel(job_id)
         if answer.get("state") in _TERMINAL:
             self._settle(job_id, str(answer["state"]))
+        else:
+            pend.cancel_requested = True  # applied when the owner runs it
         answer["node"] = node.node_id
         return answer
 

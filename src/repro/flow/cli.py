@@ -877,129 +877,6 @@ def check_main(argv: list[str]) -> int:
     return result.exit_code
 
 
-def build_lint_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="systolic-synth lint",
-        description="Whole-program concurrency & determinism analysis "
-        "(the SA6xx passes) over the flow's own Python sources.",
-    )
-    parser.add_argument(
-        "root",
-        nargs="?",
-        default="src/repro",
-        help="package directory to analyze (default: src/repro)",
-    )
-    parser.add_argument(
-        "--select",
-        action="append",
-        default=None,
-        metavar="PREFIX",
-        help="keep findings whose code starts with PREFIX (repeatable; "
-        "default SA6)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=["text", "json"],
-        default="text",
-        help="output format (default text)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="suppression baseline: known findings listed in FILE are "
-        "reported but not fatal; only NEW findings fail the run",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite --baseline FILE to suppress exactly the current "
-        "findings, then exit 0 (the ratchet update path)",
-    )
-    parser.add_argument(
-        "--package",
-        default=None,
-        help="dotted package name of ROOT (auto-detected by default)",
-    )
-    return parser
-
-
-def lint_main(argv: list[str]) -> int:
-    """The ``lint`` subcommand: SA6xx static analysis + baseline ratchet."""
-    args = build_lint_arg_parser().parse_args(argv)
-    from repro.analysis.program import (
-        AnalyzeOptions,
-        analyze_program,
-        apply_baseline,
-        load_baseline,
-        write_baseline,
-    )
-    from repro.analysis.program.baseline import Baseline
-
-    if args.write_baseline and not args.baseline:
-        return _fail("--write-baseline requires --baseline FILE")
-    root = Path(args.root)
-    if not root.exists():
-        return _fail(f"no such analysis root: {root}")
-    select = tuple(args.select) if args.select else ("SA6",)
-    analysis = analyze_program(
-        root, AnalyzeOptions(select=select, package=args.package)
-    )
-    if args.write_baseline:
-        baseline = write_baseline(args.baseline, analysis.findings)
-        print(
-            f"wrote {args.baseline}: {len(baseline)} suppression(s) "
-            f"from {len(analysis.findings)} finding(s)"
-        )
-        return 0
-    try:
-        baseline = load_baseline(args.baseline) if args.baseline else Baseline()
-    except ValueError as exc:
-        return _fail(exc)
-    delta = apply_baseline(analysis.findings, baseline)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "root": str(root),
-                    "select": list(select),
-                    "ok": delta.ok,
-                    "findings": [
-                        {"key": f.key, **f.diagnostic.to_dict()}
-                        for f in analysis.findings
-                    ],
-                    "new": [f.key for f in delta.new],
-                    "suppressed": [f.key for f in delta.suppressed],
-                    "stale": delta.stale,
-                },
-                indent=2,
-            )
-        )
-        return delta.exit_code
-    sources = {
-        str(module.path): module.source
-        for module in analysis.model.modules.values()
-    }
-
-    def render(findings) -> None:
-        for finding in findings:
-            span = finding.diagnostic.span
-            source = None
-            if span is not None and span.filename is not None:
-                source = sources.get(str(analysis.model.root / span.filename))
-            print(finding.diagnostic.render(source))
-
-    render(delta.new)
-    if delta.suppressed:
-        print(f"{len(delta.suppressed)} known finding(s) suppressed by baseline")
-    for key in delta.stale:
-        print(f"stale baseline entry (no longer found): {key}")
-    if delta.new:
-        print(f"{len(delta.new)} new finding(s)")
-    else:
-        print("no new findings")
-    return delta.exit_code
-
-
 @contextlib.contextmanager
 def _resilience(args: argparse.Namespace) -> Iterator[None]:
     """Activate ``--inject-fault`` / ``--max-retries`` for the block (a
@@ -1049,7 +926,6 @@ def main(argv: list[str] | None = None) -> int:
         "verify": verify_main,
         "serve": serve_main,
         "submit": submit_main,
-        "lint": lint_main,
         "import": import_main,
     }
     if raw and raw[0] in subcommands:

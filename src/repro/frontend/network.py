@@ -606,11 +606,19 @@ def _signed64(value: int) -> int:
     return value - (1 << 64) if value >= 1 << 63 else value
 
 
-def _iter_fields(buf: bytes) -> Iterator[tuple[int, int, Any]]:
+# Wire types: 0 varint, 1 fixed64, 2 length-delimited, 5 fixed32.
+_VARINT, _LEN, _I32 = (0,), (2,), (5,)
+
+
+def _iter_fields(
+    buf: bytes, schema: dict[int, tuple[int, ...]]
+) -> Iterator[tuple[int, int, Any]]:
     """Yield (field_number, wire_type, value) triples from a message.
 
     Varints come back as ints, length-delimited fields as bytes, fixed32
     and fixed64 as raw bytes (callers unpack the few they care about).
+    ``schema`` maps each field number the caller reads to the wire types
+    it accepts; any other wire type on that field is malformed bytes.
     """
     pos = 0
     while pos < len(buf):
@@ -633,6 +641,8 @@ def _iter_fields(buf: bytes) -> Iterator[tuple[int, int, Any]]:
                 raise _WireError("truncated fixed32 field")
         else:
             raise _WireError(f"unsupported wire type {wire}")
+        if wire not in schema.get(number, (wire,)):
+            raise _WireError(f"field {number} has wire type {wire}")
         yield number, wire, value
 
 
@@ -663,7 +673,8 @@ def _parse_attribute(buf: bytes) -> tuple[str, Any]:
     value: Any = None
     ints: list[int] = []
     floats: list[float] = []
-    for number, wire, raw in _iter_fields(buf):
+    schema = {1: _LEN, 2: _I32, 3: _VARINT, 4: _LEN, 7: _I32 + _LEN, 8: _VARINT + _LEN}
+    for number, wire, raw in _iter_fields(buf, schema):
         if number == 1:
             name = raw.decode("utf-8", errors="replace")
         elif number == 2:
@@ -675,6 +686,8 @@ def _parse_attribute(buf: bytes) -> tuple[str, Any]:
         elif number == 7:
             if wire == 5:
                 floats.append(struct.unpack("<f", raw)[0])
+            elif len(raw) % 4:
+                raise _WireError("packed floats are not a whole number of fixed32s")
             else:
                 floats.extend(struct.unpack(f"<{len(raw) // 4}f", raw))
         elif number == 8:
@@ -689,7 +702,7 @@ def _parse_attribute(buf: bytes) -> tuple[str, Any]:
 def _parse_node(buf: bytes) -> _OnnxNode:
     # NodeProto: 1=input 2=output 3=name 4=op_type 5=attribute
     node = _OnnxNode()
-    for number, _wire, raw in _iter_fields(buf):
+    for number, _wire, raw in _iter_fields(buf, dict.fromkeys(range(1, 6), _LEN)):
         if number == 1:
             node.inputs.append(raw.decode("utf-8", errors="replace"))
         elif number == 2:
@@ -708,7 +721,7 @@ def _parse_tensor_dims(buf: bytes) -> tuple[str, tuple[int, ...]]:
     # TensorProto: 1=dims (repeated int64) 8=name
     name = ""
     dims: list[int] = []
-    for number, wire, raw in _iter_fields(buf):
+    for number, wire, raw in _iter_fields(buf, {1: _VARINT + _LEN, 8: _LEN}):
         if number == 1:
             dims.extend(_packed_varints(raw, wire))
         elif number == 8:
@@ -721,21 +734,21 @@ def _parse_value_info(buf: bytes) -> tuple[str, tuple[int | None, ...]]:
     # Tensor: 2=shape; TensorShapeProto: 1=dim; Dimension: 1=dim_value 2=dim_param
     name = ""
     dims: list[int | None] = []
-    for number, _wire, raw in _iter_fields(buf):
+    for number, _wire, raw in _iter_fields(buf, {1: _LEN, 2: _LEN}):
         if number == 1:
             name = raw.decode("utf-8", errors="replace")
         elif number == 2:
-            for t_num, _w, t_raw in _iter_fields(raw):
+            for t_num, _w, t_raw in _iter_fields(raw, {1: _LEN}):
                 if t_num != 1:
                     continue
-                for tt_num, _w2, tt_raw in _iter_fields(t_raw):
+                for tt_num, _w2, tt_raw in _iter_fields(t_raw, {2: _LEN}):
                     if tt_num != 2:
                         continue
-                    for s_num, _w3, s_raw in _iter_fields(tt_raw):
+                    for s_num, _w3, s_raw in _iter_fields(tt_raw, {1: _LEN}):
                         if s_num != 1:
                             continue
                         dim_value: int | None = None
-                        for d_num, _w4, d_raw in _iter_fields(s_raw):
+                        for d_num, _w4, d_raw in _iter_fields(s_raw, {1: _VARINT}):
                             if d_num == 1:
                                 dim_value = _signed64(d_raw)
                         dims.append(dim_value)
@@ -753,7 +766,7 @@ class _OnnxGraph:
 def _parse_graph(buf: bytes) -> _OnnxGraph:
     # GraphProto: 1=node 2=name 5=initializer 11=input
     graph = _OnnxGraph()
-    for number, _wire, raw in _iter_fields(buf):
+    for number, _wire, raw in _iter_fields(buf, dict.fromkeys((1, 2, 5, 11), _LEN)):
         if number == 1:
             graph.nodes.append(_parse_node(raw))
         elif number == 2:
@@ -770,7 +783,7 @@ def _parse_graph(buf: bytes) -> _OnnxGraph:
 def _parse_model(data: bytes) -> _OnnxGraph:
     # ModelProto: 7=graph
     graph: _OnnxGraph | None = None
-    for number, _wire, raw in _iter_fields(data):
+    for number, _wire, raw in _iter_fields(data, {7: _LEN}):
         if number == 7:
             graph = _parse_graph(raw)
     if graph is None:

@@ -341,7 +341,7 @@ class StageCache:
         # Entry I/O itself needs no mutual exclusion — stores commit
         # entries atomically — so the lock guards only the statistics
         # counters and quarantine bookkeeping, never I/O (blocking with
-        # it held would stall every worker: SA603).
+        # it held would stall every worker).
         self._lock = threading.RLock()
 
     @classmethod

@@ -343,7 +343,7 @@ class JobManager:
             )
             primary = self._live_primary(fingerprint)
             if primary is not None and primary.id != job.id:
-                self._attach(job, primary)
+                self._attach(job, primary, admission=admission)
                 return job
             self._jobs[job.id] = job
             pushed = self._queue.push(priority, job, force=not admission)
@@ -381,27 +381,25 @@ class JobManager:
             return None
         return primary
 
-    def _attach(self, job: Job, primary: Job) -> None:
+    def _attach(self, job: Job, primary: Job, *, admission: bool) -> None:
         job.primary_id = primary.id
-        job.state = primary.state if primary.state.terminal else primary.state
+        job.state = primary.state
         self._jobs[job.id] = job
         self.metrics.inc("jobs_coalesced_total")
+        # A resumed follower (admission=False) is already in the ledger.
+        if self.journal is not None and admission:
+            self.journal.record_accept(
+                job.id, job.payload, client=job.client, priority=job.priority
+            )
         if primary.state is JobState.DONE:
             job.result = primary.result
             job.result_payload = primary.result_payload
             job.finished_at = time.time()
             self.metrics.inc("jobs_completed_total", state=JobState.DONE.value)
             if self.journal is not None:
-                self.journal.record_accept(
-                    job.id, job.payload, client=job.client, priority=job.priority
-                )
                 self.journal.record_done(job.id)
         else:
             self._attachments.setdefault(primary.id, []).append(job.id)
-            if self.journal is not None:
-                self.journal.record_accept(
-                    job.id, job.payload, client=job.client, priority=job.priority
-                )
         if not primary.state.terminal:
             # a terminal primary's stream already ended with JobFinished;
             # nothing may follow the terminator
@@ -575,6 +573,9 @@ class JobManager:
                 return job
             attachments = self._attachments.get(job.id, [])
             if job.state is JobState.QUEUED and not attachments:
+                # Free its queue slot now: a cancelled job must neither
+                # turn later submissions away nor be handed back by drain().
+                self._queue.remove(job)
                 self._index.pop(job.fingerprint, None)
                 self._finish_job(job, JobState.CANCELLED)
                 self._emit(job, {"event": "JobFinished", "id": job.id,

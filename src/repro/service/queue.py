@@ -107,6 +107,13 @@ class BoundedJobQueue:
                 return None
             return heapq.heappop(self._heap)[2]
 
+    def remove(self, item: Any) -> None:
+        """Take one item out if it is still queued (a cancelled job gives
+        back its slot)."""
+        with self._cond:
+            self._heap = [entry for entry in self._heap if entry[2] is not item]
+            heapq.heapify(self._heap)
+
     def drain(self) -> list[Any]:
         """Atomically remove and return everything still queued, in pop
         order (the shutdown path journals these for the next server)."""

@@ -11,7 +11,7 @@ hand-picked example:
   tensor bytes and every emergent counter.
 * **Reachability**: each SA15x conformance diagnostic and each SA33x
   Verilog lint diagnostic is actually emitted by a crafted scenario
-  (mirroring the SA6xx/SA14x mutation audits), so a regression cannot
+  (mirroring the SA14x mutation audit), so a regression cannot
   silently retire a code while the catalog still advertises it.
 
 The native iverilog round-trip runs only where the toolchain exists;

@@ -1,6 +1,6 @@
 """The command line's flag contract, pinned.
 
-``golden/cli_contract.json`` holds, for each of the seven argument
+``golden/cli_contract.json`` holds, for each of the six argument
 parsers, every action's option strings, ``dest``, default, type name,
 ``nargs``, choices and help text.  It was recorded with the hand-written
 ``add_argument`` calls that preceded the option table of
@@ -28,7 +28,6 @@ PARSERS = {
     "serve": cli.build_serve_arg_parser,
     "submit": cli.build_submit_arg_parser,
     "import": cli.build_import_arg_parser,
-    "lint": cli.build_lint_arg_parser,
 }
 
 

@@ -317,6 +317,22 @@ class TestCancellation:
         fresh = mgr.submit(payload())
         assert not fresh.coalesced
 
+    def test_cancelled_job_gives_back_its_queue_slot(self):
+        mgr = JobManager(workers=1, queue_depth=1, cache=None)  # not started
+        first = mgr.submit(payload())
+        assert mgr.cancel(first.id).state is JobState.CANCELLED
+        assert mgr.stats()["queue_depth"] == 0
+        second = mgr.submit(payload(options={"top_n": 3}))  # was QueueFull
+        assert second.state is JobState.QUEUED
+
+    def test_drain_hands_back_only_live_jobs(self):
+        mgr = JobManager(workers=1, queue_depth=8, cache=None)  # not started
+        kept = mgr.submit(payload())
+        dropped = mgr.submit(payload(options={"top_n": 3}))
+        mgr.cancel(dropped.id)
+        assert mgr.drain(timeout=1.0) == [kept]
+        assert [e["event"] for e in dropped.events] == ["JobQueued", "JobFinished"]
+
     def test_cancel_attached_job_leaves_primary_running(self, manager):
         primary = manager.submit(payload())
         attached = manager.submit(payload())
@@ -436,6 +452,27 @@ class TestDrainResume:
             assert resumed.client == "c1"
             assert resumed.priority == 4
             assert second.wait(job.id, timeout=30.0).state is JobState.DONE
+        finally:
+            second.drain(timeout=30.0)
+
+
+    def test_resumed_follower_is_journaled_once(self, tmp_path):
+        journal = tmp_path / "journal.jsonl"
+        first = JobManager(workers=1, queue_depth=8, cache=None, journal=str(journal))
+        first.submit(payload())
+        follower = first.submit(payload())
+        assert follower.coalesced
+        second = JobManager(
+            workers=1, queue_depth=8, cache=str(tmp_path / "c"), journal=str(journal)
+        )
+        assert second.start() == 2
+        try:
+            accepts = [
+                entry
+                for entry in map(json.loads, journal.read_text().splitlines())
+                if entry["op"] == "accept" and entry["id"] == follower.id
+            ]
+            assert len(accepts) == 1
         finally:
             second.drain(timeout=30.0)
 

@@ -76,6 +76,15 @@ class TestBoundedJobQueue:
         assert q.drain() == ["high", "low"]
         assert len(q) == 0
 
+    def test_remove_frees_the_slot_and_keeps_pop_order(self):
+        q = BoundedJobQueue(3)
+        for priority, item in ((0, "low"), (9, "high"), (5, "mid")):
+            q.push(priority, item)
+        q.remove("high")
+        q.remove("absent")
+        assert q.push(0, "later")
+        assert q.drain() == ["mid", "low", "later"]
+
     def test_depth_must_be_positive(self):
         with pytest.raises(ValueError, match="depth"):
             BoundedJobQueue(0)

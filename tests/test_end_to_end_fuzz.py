@@ -17,6 +17,7 @@ from repro.nn.golden import conv2d_layer, random_layer_tensors
 from repro.nn.layers import ConvLayer
 from repro.dse.explore import DseConfig, explore
 from repro.sim.functional import audit_tiling_coverage, simulate_layer
+from tests.frontend.test_network_import import _mobilenet_style_model
 from tests.strategies import network_specs, rich_conv_layers, seeds, small_layers
 
 
@@ -71,7 +72,7 @@ def test_dse_winner_correct_for_rich_layers(layer, seed):
 
 
 def test_sa14x_corpus_reaches_every_registered_code():
-    """Mutation-reachability audit (the SA6xx audit's importer twin):
+    """Mutation-reachability audit of the importer:
     every registered SA14x diagnostic is emitted by some entry of the
     importer's bad-spec corpus — no dead codes, no undocumented exits."""
     from repro.analysis.diagnostics import CODE_CATALOG
@@ -122,6 +123,34 @@ def test_mangled_network_specs_never_traceback(spec, data):
         for diag in result.report.errors:
             assert diag.code in CODE_CATALOG
             assert diag.code.startswith("SA14")
+
+
+_ONNX_MODEL = _mobilenet_style_model()
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    edits=st.lists(
+        st.tuples(st.integers(0, len(_ONNX_MODEL) - 1), st.integers(0, 255)),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_mutated_onnx_bytes_never_traceback(edits):
+    """However a valid model's bytes are overwritten, the wire reader
+    answers with an import result (SA140 when unparseable) or a
+    structured diagnostic error — never a raw exception."""
+    from repro.analysis.diagnostics import DiagnosticError
+    from repro.frontend.network import ImportResult, import_onnx
+
+    data = bytearray(_ONNX_MODEL)
+    for position, byte in edits:
+        data[position] = byte
+    try:
+        result = import_onnx(bytes(data), strict=False)
+    except DiagnosticError:
+        return
+    assert isinstance(result, ImportResult)
 
 
 _CODE1 = """
