@@ -3,8 +3,8 @@
 Two problems (Section 3.5):
 
 * **Problem 1** — enumerate feasible systolic configurations (mapping
-  vector k + inner bounds t): :mod:`repro.dse.space`, pruned by the
-  DSP-utilization lower bound (Eq. 12);
+  vector k + inner bounds t): :class:`repro.dse.vector.CandidateTable`,
+  pruned by the DSP-utilization lower bound (Eq. 12);
 * **Problem 2** — for each configuration find the middle bounds s that
   maximize throughput under the BRAM budget: :mod:`repro.dse.tuner`,
   pruned to power-of-two candidates (the BRAM rounding argument).
@@ -22,13 +22,9 @@ from repro.dse.parallel import resolve_jobs
 from repro.dse.multi_layer import MultiLayerResult, prepare_network_nests, select_unified_design
 from repro.dse.pareto import ParetoPoint, knee_point, pareto_frontier
 from repro.dse.shared_reuse import SharedReuseResult, tune_shared_reuse
-from repro.dse.space import (
-    SystolicConfig,
-    count_design_space,
-    enumerate_configs,
-    enumerate_shapes,
-)
+from repro.dse.space import SystolicConfig
 from repro.dse.tuner import MiddleTuner, middle_candidates, tuning_space_size
+from repro.dse.vector import count_design_space
 
 __all__ = [
     "DseConfig",
@@ -43,8 +39,6 @@ __all__ = [
     "brute_force_best_middle",
     "brute_force_space_size",
     "count_design_space",
-    "enumerate_configs",
-    "enumerate_shapes",
     "explore",
     "knee_point",
     "middle_candidates",

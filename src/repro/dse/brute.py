@@ -12,12 +12,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.ir.loop import LoopNest
 from repro.model.design_point import ArrayShape, DesignPoint
-from repro.model.mapping import Mapping
+from repro.model.mapping import Mapping, feasible_mappings
 from repro.model.platform import Platform
-from repro.dse.space import DEFAULT_VECTOR_CHOICES, enumerate_configs
-from repro.dse.tuner import MiddleTuner, tuning_space_size, walk
+from repro.dse.space import DEFAULT_VECTOR_CHOICES
+from repro.dse.tuner import MiddleTuner, walk
+from repro.dse.vector import CandidateTable
 
 
 @dataclass(frozen=True)
@@ -80,10 +83,23 @@ def brute_force_space_size(
     of hours; counted analytically (no evaluation) so it can be reported
     even where walking it is impossible.
     """
-    configs = enumerate_configs(
-        nest, platform, min_dsp_utilization=0.0, vector_choices=vector_choices
+    table = CandidateTable.enumerate(
+        nest, feasible_mappings(nest), platform, vector_choices=vector_choices
     )
-    return sum(tuning_space_size(nest, c.mapping.inner_bounds(c.shape)) for c in configs)
+    # ceil(n / t) per loop (t = 1 off the mapped ones), as Python ints:
+    # the per-mapping product of the unmapped trips times the three
+    # mapped loops' middle ranges.
+    bounds = nest.bounds
+    unmapped = [
+        math.prod(n for it, n in bounds.items() if it not in m.inner_loops)
+        for m in table.mappings
+    ]
+    size = np.array(unmapped, dtype=object)[table.mapping_index]
+    for trips, inner in zip(
+        table.role_trip_counts(bounds), (table.rows, table.cols, table.vector)
+    ):
+        size = size * np.ceil(trips / inner).astype(np.int64).astype(object)
+    return int(size.sum())
 
 
 __all__ = ["BruteForceResult", "brute_force_best_middle", "brute_force_space_size"]

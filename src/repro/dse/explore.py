@@ -1,9 +1,10 @@
 """The two-phase design-space exploration driver (paper Fig. 5).
 
 Phase 1 (architectural, analytical): enumerate Problem-1 configurations
-under the Eq. 12 DSP-utilization bound; for each, solve Problem 2 with the
-pruned tiling search; keep the top-N designs by estimated throughput at
-the assumed clock.
+under the Eq. 12 DSP-utilization bound (as columns of a
+:class:`~repro.dse.vector.CandidateTable`); for each, solve Problem 2
+with the pruned tiling search; keep the top-N designs by estimated
+throughput at the assumed clock.
 
 A correctness-preserving speedup on top of the paper's pruning: every
 configuration's throughput is bounded above by its shape-only computation
@@ -11,7 +12,9 @@ throughput (PT with ideal tiling), which costs microseconds.  Walking
 configurations in descending upper-bound order lets the search stop
 tuning configurations that provably cannot enter the current top-N —
 an admissible branch-and-bound, so the returned top-N is identical to
-tuning everything (asserted in tests).
+tuning everything (asserted in tests).  The walk reads the table through
+a lazy ranked view, so only the configurations it reaches are ever built
+as objects.
 
 Phase 2 (implementation): realize each finalist's clock through the
 frequency surrogate (the P&R stand-in), re-estimate throughput at the
@@ -27,11 +30,12 @@ from typing import Callable, Iterable
 
 from repro.ir.loop import LoopNest
 from repro.model.design_point import DesignEvaluation, DesignPoint
+from repro.model.mapping import feasible_mappings
 from repro.model.platform import Platform
 from repro.dse.parallel import OnDegrade, OnRetry, TaskPool, top_n_search
-from repro.dse.space import DEFAULT_VECTOR_CHOICES, SystolicConfig, enumerate_configs
+from repro.dse.space import DEFAULT_VECTOR_CHOICES, SystolicConfig
 from repro.dse.tuner import tune_config
-from repro.dse.vector import CandidateTable, upper_bounds
+from repro.dse.vector import CandidateTable, RankedCandidates, upper_bounds
 
 ProgressFn = Callable[[int, int], None]
 """Optional progress hook: called with (configurations consumed, total)."""
@@ -50,7 +54,7 @@ class DseConfig:
 
     Attributes:
         min_dsp_utilization: Eq. 12's c_s (paper example: 0.8).
-        vector_choices: SIMD widths for Problem 1.
+        vector_choices: SIMD widths for Problem 1 (distinct, positive).
         top_n: finalists carried into phase 2 (paper uses 14 in Fig. 7b).
         include_cover: extend the power-of-two tiling candidates with the
             cover bound (see tuner docs); False = paper-faithful pruning.
@@ -75,6 +79,10 @@ class DseConfig:
             raise ValueError("c_s must be in [0, 1]")
         if self.top_n < 1:
             raise ValueError("top_n must be >= 1")
+        if not self.vector_choices or min(self.vector_choices) < 1:
+            raise ValueError("vector_choices must be one or more positive SIMD widths")
+        if len(set(self.vector_choices)) != len(self.vector_choices):
+            raise ValueError("vector_choices must not repeat a SIMD width")
 
 
 @dataclass(frozen=True)
@@ -166,22 +174,14 @@ def phase1(
         on_degrade: optional hook when work falls back to serial.
     """
     start = time.perf_counter()
-    candidates = list(
-        enumerate_configs(
-            nest,
-            platform,
-            min_dsp_utilization=config.min_dsp_utilization,
-            vector_choices=config.vector_choices,
-        )
+    table = CandidateTable.enumerate(
+        nest,
+        feasible_mappings(nest),
+        platform,
+        min_dsp_utilization=config.min_dsp_utilization,
+        vector_choices=config.vector_choices,
     )
-    # Bounds for the whole subspace in one shot; the stable sort keeps
-    # enumeration order among equal bounds.
-    bounds_by_config = upper_bounds(CandidateTable.from_configs(nest, candidates), platform)
-    ranked = sorted(
-        zip(bounds_by_config.tolist(), candidates),
-        key=lambda pair: pair[0],
-        reverse=True,
-    )
+    ranked = RankedCandidates(table, upper_bounds(table, platform))
 
     tilings = 0
 
@@ -209,7 +209,7 @@ def phase1(
 
     result = Phase1Result(
         finalists=tuple(ev for _, _, (ev, _) in finalists),
-        configs_enumerated=len(candidates),
+        configs_enumerated=len(table),
         configs_tuned=tuned,
         tilings_evaluated=tilings,
         elapsed_seconds=time.perf_counter() - start,

@@ -21,6 +21,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from repro.ir.loop import LoopNest
 from repro.model.mapping import Mapping, feasible_mappings
 from repro.model.platform import Platform
@@ -28,9 +30,9 @@ from repro.nn.folding import fold_layer
 from repro.nn.models import Network
 from repro.dse.explore import DseConfig, NoFeasibleDesign
 from repro.dse.parallel import OnDegrade, OnRetry, TaskPool, top_n_search
-from repro.dse.space import SystolicConfig, enumerate_shapes
+from repro.dse.space import SystolicConfig
 from repro.dse.tuner import TunedDesign, tune_config
-from repro.dse.vector import CandidateTable, aggregate_upper_bounds
+from repro.dse.vector import CandidateTable, RankedCandidates, aggregate_upper_bounds
 
 
 @dataclass(frozen=True)
@@ -151,26 +153,18 @@ def _common_mappings(workloads: tuple[LayerWorkload, ...]) -> tuple[Mapping, ...
 
 def unified_candidates(
     workloads: tuple[LayerWorkload, ...], platform: Platform, config: DseConfig
-) -> list[tuple[float, SystolicConfig]]:
+) -> tuple[CandidateTable, np.ndarray]:
     """Every unified-design candidate — the envelope's shapes under each
-    mapping all layers share — paired with its admissible aggregate
-    throughput bound, in enumeration order."""
-    envelope = _envelope_nest(workloads)
-    candidates = [
-        SystolicConfig(mapping, shape)
-        for mapping in _common_mappings(workloads)
-        for shape in enumerate_shapes(
-            envelope,
-            mapping,
-            platform,
-            min_dsp_utilization=config.min_dsp_utilization,
-            vector_choices=config.vector_choices,
-        )
-    ]
-    bounds = aggregate_upper_bounds(
-        workloads, CandidateTable.from_configs(envelope, candidates), platform
-    ).tolist()
-    return list(zip(bounds, candidates))
+    mapping all layers share — and its admissible aggregate throughput
+    bound, in enumeration order."""
+    table = CandidateTable.enumerate(
+        _envelope_nest(workloads),
+        _common_mappings(workloads),
+        platform,
+        min_dsp_utilization=config.min_dsp_utilization,
+        vector_choices=config.vector_choices,
+    )
+    return table, aggregate_upper_bounds(workloads, table, platform)
 
 
 class UnifiedOutcome(NamedTuple):
@@ -306,14 +300,11 @@ def select_unified_design(
         workloads = prepare_network_nests(workloads)
     if not workloads:
         raise ValueError("no conv layers to explore")
-    candidates = unified_candidates(workloads, platform, config)
-    if not candidates:
+    table, bounds = unified_candidates(workloads, platform, config)
+    if not len(table):
         raise NoFeasibleDesign("design space is empty — lower min_dsp_utilization?")
-    ranked = sorted(
-        ((bound, (candidate, None)) for bound, candidate in candidates),
-        key=lambda pair: pair[0],
-        reverse=True,
-    )
+    # Phase 1 evaluates every candidate at the assumed clock (None).
+    ranked = RankedCandidates(table, bounds, task=lambda candidate: (candidate, None))
     with TaskPool(
         evaluate_unified,
         (workloads, platform, config, {}),
@@ -367,7 +358,7 @@ def select_unified_design(
         dsp_utilization=dsp_util,
         bram_utilization=outcome.max_bram / platform.bram_total,
         logic_utilization=logic / platform.device.logic_cells,
-        configs_enumerated=len(candidates),
+        configs_enumerated=len(table),
         configs_tuned=tuned_count,
         elapsed_seconds=time.perf_counter() - start,
     )

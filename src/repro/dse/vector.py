@@ -1,8 +1,12 @@
-"""Columnar views of the Problem-1 subspace and its search bounds.
+"""The Problem-1 space as columns, and its search bounds.
 
-* :class:`CandidateTable` — a struct-of-arrays view of the Problem-1
-  subspace (mapping index + shape columns + per-loop inner bounds) built
-  from the :mod:`repro.dse.space` enumeration;
+* :class:`CandidateTable` — the Problem-1 space (paper Eq. 11) as a
+  struct-of-arrays: mapping index + shape columns, enumerated directly
+  under the Eq. 12 DSP-utilization window.  This is the only place the
+  space is enumerated; a :class:`~repro.dse.space.SystolicConfig` is
+  built only for a row a caller asks for;
+* :class:`RankedCandidates` — a table's rows in descending bound order,
+  the sequence both branch-and-bound searches walk;
 * :func:`upper_bounds` / :func:`aggregate_upper_bounds` — the phase-1 and
   unified branch-and-bound bounds for the whole table in one shot, the
   only place either bound is written.
@@ -14,28 +18,30 @@ The Problem-2 tiling kernel these bounds admit lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
 from repro.ir.loop import LoopNest
-from repro.model.mapping import Mapping
+from repro.model.design_point import ArrayShape
+from repro.model.mapping import Mapping, feasible_mappings
 from repro.model.platform import Platform
-from repro.dse.space import SystolicConfig
+from repro.dse.space import DEFAULT_VECTOR_CHOICES, SystolicConfig
 from repro.dse.tuner import MiddleTuner
 
 
 @dataclass(frozen=True)
 class CandidateTable:
-    """Struct-of-arrays view of a Problem-1 subspace.
+    """Struct-of-arrays form of a Problem-1 space.
 
-    Columns are aligned: entry ``i`` of every array describes
-    ``configs[i]``.  Mappings are interned — ``mapping_index[i]`` points
-    into ``mappings`` — because a subspace rarely has more than a dozen
-    distinct mappings while it has thousands of shapes.
+    Columns are aligned: entry ``i`` of every array describes row ``i``,
+    the configuration :meth:`config` builds.  Mappings are interned —
+    ``mapping_index[i]`` points into ``mappings`` — because a space
+    rarely has more than a dozen distinct mappings while it has
+    thousands of shapes.
     """
 
     nest: LoopNest
-    configs: tuple[SystolicConfig, ...]
     mappings: tuple[Mapping, ...]
     mapping_index: np.ndarray
     rows: np.ndarray
@@ -43,38 +49,69 @@ class CandidateTable:
     vector: np.ndarray
 
     @staticmethod
-    def from_configs(
-        nest: LoopNest, configs: list[SystolicConfig] | tuple[SystolicConfig, ...]
+    def enumerate(
+        nest: LoopNest,
+        mappings: tuple[Mapping, ...] | list[Mapping],
+        platform: Platform,
+        *,
+        min_dsp_utilization: float = 0.0,
+        vector_choices: tuple[int, ...] = DEFAULT_VECTOR_CHOICES,
     ) -> "CandidateTable":
-        """Columnarize an enumerated candidate list, preserving order."""
-        configs = tuple(configs)
-        mappings: list[Mapping] = []
-        index_of: dict[Mapping, int] = {}
-        mapping_index = np.empty(len(configs), dtype=np.int64)
-        rows = np.empty(len(configs), dtype=np.int64)
-        cols = np.empty(len(configs), dtype=np.int64)
-        vector = np.empty(len(configs), dtype=np.int64)
-        for i, config in enumerate(configs):
-            mi = index_of.get(config.mapping)
-            if mi is None:
-                mi = index_of[config.mapping] = len(mappings)
-                mappings.append(config.mapping)
-            mapping_index[i] = mi
-            rows[i] = config.shape.rows
-            cols[i] = config.shape.cols
-            vector[i] = config.shape.vector
-        return CandidateTable(
-            nest=nest,
-            configs=configs,
-            mappings=tuple(mappings),
-            mapping_index=mapping_index,
-            rows=rows,
-            cols=cols,
-            vector=vector,
-        )
+        """Every shape of each mapping within [c_s * D_total, D_total]
+        lanes, ordered by mapping, then vector, then rows, then cols.
+
+        A spatial loop's bound never usefully exceeds its trip count
+        (extra PEs would receive no work) or the budget, so per (mapping,
+        vector) the rows run 1..min(trips, D_total // vector) and each
+        row's cols the window [max(1, ceil(c_s * D_total / (rows *
+        vector))), min(trips, D_total // vector // rows)] — the ceil
+        taken of the float quotient.
+
+        Args:
+            nest: the layer's (or envelope's) loop nest.
+            mappings: feasible mappings, in the order to enumerate them.
+            platform: supplies the DSP budget (at the datatype's cost).
+            min_dsp_utilization: Eq. 12's c_s.
+            vector_choices: SIMD widths to consider.
+        """
+        lane_budget = platform.dsp_total
+        lane_floor = min_dsp_utilization * lane_budget
+        bounds = nest.bounds
+        empty = np.empty(0, dtype=np.int64)
+        parts = [(empty, empty, empty, empty)]
+        for index, mapping in enumerate(mappings):
+            row_trips, col_trips = bounds[mapping.row], bounds[mapping.col]
+            for vector in vector_choices:
+                spatial_budget = lane_budget // vector
+                if spatial_budget < 1:
+                    continue
+                rows = np.arange(1, min(row_trips, spatial_budget) + 1, dtype=np.int64)
+                # A row whose col budget is below 1 gets col_max < col_min:
+                # no entries, the scalar walk's ``col_budget < 1`` skip.
+                col_max = np.minimum(col_trips, spatial_budget // rows)
+                col_min = np.maximum(1, np.ceil(lane_floor / (rows * vector))).astype(np.int64)
+                counts = np.maximum(col_max - col_min + 1, 0)
+                total = int(counts.sum())
+                offsets = np.repeat(np.cumsum(counts) - counts - col_min, counts)
+                parts.append(
+                    (
+                        np.full(total, index, dtype=np.int64),
+                        np.repeat(rows, counts),
+                        np.arange(total, dtype=np.int64) - offsets,
+                        np.full(total, vector, dtype=np.int64),
+                    )
+                )
+        return CandidateTable(nest, tuple(mappings), *map(np.concatenate, zip(*parts)))
 
     def __len__(self) -> int:
-        return len(self.configs)
+        return len(self.rows)
+
+    def config(self, i: int) -> SystolicConfig:
+        """Row ``i`` as a configuration object."""
+        return SystolicConfig(
+            self.mappings[int(self.mapping_index[i])],
+            ArrayShape(int(self.rows[i]), int(self.cols[i]), int(self.vector[i])),
+        )
 
     @property
     def lanes(self) -> np.ndarray:
@@ -94,6 +131,61 @@ class CandidateTable:
             by_col[self.mapping_index],
             by_vec[self.mapping_index],
         )
+
+
+class RankedCandidates:
+    """A table's rows as ``(bound, task)`` pairs, best bound first.
+
+    The order is a stable descending sort of ``bounds``: equal bounds
+    keep enumeration order.  The view supports ``len`` and slicing, what
+    :func:`repro.dse.parallel.top_n_search` consumes; a slice builds the
+    configurations of its rows only, so a search that stops after a few
+    batches never materializes the rest of the space.
+
+    Args:
+        table: the enumerated space.
+        bounds: one upper bound per table row.
+        task: turns a row's configuration into the search's work item.
+    """
+
+    def __init__(
+        self,
+        table: CandidateTable,
+        bounds: np.ndarray,
+        task: Callable[[SystolicConfig], Any] = lambda config: config,
+    ) -> None:
+        self._table = table
+        self._order = np.argsort(-bounds, kind="stable")
+        self._bounds = bounds[self._order]
+        self._task = task
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def __getitem__(self, rows: slice) -> list[tuple[float, Any]]:
+        return [
+            (bound, self._task(self._table.config(i)))
+            for bound, i in zip(self._bounds[rows].tolist(), self._order[rows].tolist())
+        ]
+
+
+def count_design_space(
+    nest: LoopNest,
+    platform: Platform,
+    *,
+    min_dsp_utilization: float = 0.0,
+    vector_choices: tuple[int, ...] = DEFAULT_VECTOR_CHOICES,
+) -> int:
+    """Size of the Problem-1 space (for the 160K -> 64K pruning claim)."""
+    return len(
+        CandidateTable.enumerate(
+            nest,
+            feasible_mappings(nest),
+            platform,
+            min_dsp_utilization=min_dsp_utilization,
+            vector_choices=vector_choices,
+        )
+    )
 
 
 def _shape_efficiency(table: CandidateTable, bounds: dict[str, int]) -> np.ndarray:
@@ -150,7 +242,9 @@ VectorTuner = MiddleTuner
 
 __all__ = [
     "CandidateTable",
+    "RankedCandidates",
     "VectorTuner",
     "aggregate_upper_bounds",
+    "count_design_space",
     "upper_bounds",
 ]

@@ -24,6 +24,7 @@ from repro.dse.multi_layer import (
     realize_unified_clock,
     unified_candidates,
 )
+from repro.dse.vector import RankedCandidates
 from repro.sim.perf import simulate_performance
 from repro.experiments.common import ExperimentResult
 from repro.experiments.networks import paper_dse_config, unified_design
@@ -53,13 +54,13 @@ def run_fig7a_design_space() -> ExperimentResult:
     _, workloads = unified_design("alexnet")
     dse = paper_dse_config()
 
-    configs = [c for _, c in unified_candidates(workloads, platform, dse)]
-    sampled = configs[:: max(1, len(configs) // 60)]
+    space, _bounds = unified_candidates(workloads, platform, dse)
+    sampled = [space.config(i) for i in range(0, len(space), max(1, len(space) // 60))]
 
     result = ExperimentResult(
         name="Figure 7(a)",
         description=f"Pruned design space of AlexNet conv layers @ 280 MHz "
-        f"({len(sampled)} of {len(configs)} configs sampled)",
+        f"({len(sampled)} of {len(space)} configs sampled)",
         headers=["shape", "mapping", "DSP blocks", "BRAM blocks", "agg GFlops"],
     )
     best = None
@@ -126,11 +127,7 @@ def run_fig7b_model_accuracy() -> ExperimentResult:
     _, workloads = unified_design("alexnet")
     dse = paper_dse_config()
 
-    ranked = sorted(
-        unified_candidates(workloads, platform, dse),
-        key=lambda pair: pair[0],
-        reverse=True,
-    )[: dse.top_n]
+    ranked = RankedCandidates(*unified_candidates(workloads, platform, dse))[: dse.top_n]
 
     result = ExperimentResult(
         name="Figure 7(b)",

@@ -22,11 +22,12 @@ from __future__ import annotations
 import time
 
 from repro.ir.loop import conv_loop_nest
+from repro.model.mapping import feasible_mappings
 from repro.model.platform import Platform
 from repro.dse.brute import brute_force_space_size
 from repro.dse.explore import DseConfig, phase1
-from repro.dse.space import count_design_space, enumerate_configs
 from repro.dse.tuner import MiddleTuner, tuning_space_size
+from repro.dse.vector import CandidateTable, count_design_space
 from repro.experiments.common import ExperimentResult
 
 
@@ -55,12 +56,12 @@ def run_section4_pruning() -> ExperimentResult:
     result.metrics["config_reduction"] = full_configs / pruned_configs
 
     # --- claim 2: power-of-two tiling pruning ----------------------------
-    sample = list(
-        enumerate_configs(nest, platform, min_dsp_utilization=0.8, vector_choices=(8,))
+    space = CandidateTable.enumerate(
+        nest, feasible_mappings(nest), platform, min_dsp_utilization=0.8, vector_choices=(8,)
     )
-    step = max(1, len(sample) // 40)
+    sample = [space.config(i) for i in range(0, len(space), max(1, len(space) // 40))]
     ratios = []
-    for config in sample[::step]:
+    for config in sample:
         tuner = MiddleTuner(nest, config.mapping, config.shape, platform)
         full = tuning_space_size(nest, config.mapping.inner_bounds(config.shape))
         ratios.append(full / tuner.pruned_space_size())

@@ -1,11 +1,17 @@
-"""Independent scalar oracle for the DSE's one columnar tiling kernel.
+"""Independent scalar oracles for the DSE's columnar code.
 
-``repro.dse.tuner.walk`` prices Eq. 1/5/6/8–10 as NumPy broadcasts over
-whole candidate grids.  This module prices the same model one tiling at a
-time over plain Python ints and floats — hand-inlined, nothing
-precomputed from the kernel — and walks candidate products with
-``itertools.product``.  Tests hold the kernel to it bit-for-bit: winners,
-tie-breaks, BRAM counts, efficiencies and visit counts.
+The Problem-1 space: :func:`enumerate_shapes` / :func:`enumerate_configs`
+walk the Eq. 12 window one shape at a time, yielding objects — the
+enumeration ``repro.dse.vector.CandidateTable.enumerate`` builds as
+columns must equal it row for row.
+
+The Problem-2 kernel: ``repro.dse.tuner.walk`` prices Eq. 1/5/6/8–10 as
+NumPy broadcasts over whole candidate grids.  This module prices the
+same model one tiling at a time over plain Python ints and floats —
+hand-inlined, nothing precomputed from the kernel — and walks candidate
+products with ``itertools.product``.  Tests hold the kernel to it
+bit-for-bit: winners, tie-breaks, BRAM counts, efficiencies and visit
+counts.
 
 Python's int arithmetic is unbounded and its int/int division correctly
 rounded, so the oracle is exact at any nest size; the kernel must match
@@ -19,9 +25,50 @@ import math
 
 from repro.dse.brute import BruteForceResult
 from repro.dse.shared_reuse import SharedLayerOutcome, SharedReuseResult
+from repro.dse.space import DEFAULT_VECTOR_CHOICES, SystolicConfig
 from repro.dse.tuner import TunedDesign, middle_candidates
-from repro.model.design_point import DesignPoint
-from repro.model.mapping import array_roles
+from repro.model.design_point import ArrayShape, DesignPoint
+from repro.model.mapping import array_roles, feasible_mappings
+
+
+def enumerate_shapes(
+    nest, mapping, platform, *, min_dsp_utilization=0.0, vector_choices=DEFAULT_VECTOR_CHOICES
+):
+    """All shapes for one mapping within [c_s * D_total, D_total] lanes."""
+    lane_budget = platform.dsp_total
+    lane_floor = min_dsp_utilization * lane_budget
+    # A spatial loop's bound never usefully exceeds its trip count or the budget.
+    bounds = nest.bounds
+    row_trips, col_trips = bounds[mapping.row], bounds[mapping.col]
+    for vector in vector_choices:
+        spatial_budget = lane_budget // vector
+        if spatial_budget < 1:
+            continue
+        for rows in range(1, min(row_trips, spatial_budget) + 1):
+            col_budget = spatial_budget // rows
+            if col_budget < 1:
+                continue
+            col_max = min(col_trips, col_budget)
+            col_min = max(1, math.ceil(lane_floor / (rows * vector)))
+            for cols in range(col_min, col_max + 1):
+                yield ArrayShape(rows, cols, vector)
+
+
+def enumerate_configs(
+    nest, platform, *, min_dsp_utilization=0.0, vector_choices=DEFAULT_VECTOR_CHOICES,
+    mappings=None,
+):
+    """The Problem-1 space: ``mappings`` (default: the nest's feasible
+    ones) x admissible shapes."""
+    for mapping in feasible_mappings(nest) if mappings is None else mappings:
+        for shape in enumerate_shapes(
+            nest,
+            mapping,
+            platform,
+            min_dsp_utilization=min_dsp_utilization,
+            vector_choices=vector_choices,
+        ):
+            yield SystolicConfig(mapping, shape)
 
 
 class ScalarTuner:

@@ -121,7 +121,21 @@ class TestBruteSpaceSize:
         full = brute_force_space_size(nest, platform, vector_choices=(2, 4))
         assert full > 0
         # the full space dwarfs the configuration count alone
-        from repro.dse.space import count_design_space
+        from repro.dse.vector import count_design_space
 
         configs = count_design_space(nest, platform, vector_choices=(2, 4))
         assert full > configs
+
+    def test_columns_equal_the_scalar_sum(self):
+        """The columnar count equals summing each oracle configuration's
+        full tiling space, one object at a time."""
+        from repro.dse.tuner import tuning_space_size
+
+        platform = Platform()
+        conv5 = conv_loop_nest(128, 192, 13, 13, 3, 3, name="conv5")
+        for nest, widths in ((small_nest(), (2, 4)), (conv5, (4, 8, 16))):
+            expected = sum(
+                tuning_space_size(nest, c.mapping.inner_bounds(c.shape))
+                for c in oracle.enumerate_configs(nest, platform, vector_choices=widths)
+            )
+            assert brute_force_space_size(nest, platform, vector_choices=widths) == expected

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.ir.loop import conv_loop_nest
+from repro.model.mapping import feasible_mappings
 from repro.model.platform import Platform
 from repro.dse.explore import DseConfig, NoFeasibleDesign, explore, phase1, phase2
-from repro.dse.space import enumerate_configs
 from repro.dse.tuner import MiddleTuner
 from repro.dse.vector import CandidateTable, upper_bounds
 
@@ -34,10 +34,12 @@ class TestUpperBound:
         """UB >= tuned throughput for every config (spot-check a sample)."""
         nest = conv5()
         platform = Platform()
-        configs = list(
-            enumerate_configs(nest, platform, min_dsp_utilization=0.9, vector_choices=(8,))
-        )[::25]
-        bounds = upper_bounds(CandidateTable.from_configs(nest, configs), platform)
+        table = CandidateTable.enumerate(
+            nest, feasible_mappings(nest), platform, min_dsp_utilization=0.9,
+            vector_choices=(8,),
+        )
+        configs = [table.config(i) for i in range(0, len(table), 25)]
+        bounds = upper_bounds(table, platform)[::25]
         for ub, config in zip(bounds.tolist(), configs):
             tuned = MiddleTuner(nest, config.mapping, config.shape, platform).tune()
             assert tuned.throughput_gops <= ub * (1 + 1e-9)

@@ -169,3 +169,42 @@ class TestProgressOfTheRealSearches:
         assert walked == result.configs_enumerated
         assert ticks == self.expect(calls[:walked], result.configs_enumerated, 8)
         assert ticks
+
+
+class TestConfigurationsAreBuiltLazily:
+    """A search builds a ``SystolicConfig`` only for a row it walks: at
+    most the configurations it tuned plus the one batch the stop falls in
+    (32 for phase 1, 8 for the unified search at jobs=1) — a count, not a
+    timer.  The space itself is thousands of rows."""
+
+    @staticmethod
+    def counting_configs(monkeypatch):
+        from repro.dse.space import SystolicConfig
+
+        built = []
+        init = SystolicConfig.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SystolicConfig, "__init__", counting)
+        return built
+
+    def test_phase1_on_alexnet_conv5(self, monkeypatch):
+        from repro.nn.models import alexnet
+
+        nest = next(w.nest for w in prepare_network_nests(alexnet()) if w.name == "conv5")
+        built = self.counting_configs(monkeypatch)
+        result = phase1(nest, Platform(), DseConfig())
+        assert result.configs_enumerated > 3000
+        assert len(built) <= result.configs_tuned + 32
+
+    def test_unified_search_on_alexnet(self, monkeypatch):
+        from repro.nn.models import alexnet
+
+        workloads = prepare_network_nests(alexnet())
+        built = self.counting_configs(monkeypatch)
+        result = select_unified_design(workloads, Platform(), DseConfig())
+        assert result.configs_enumerated > 3000
+        assert len(built) <= result.configs_tuned + 8

@@ -31,11 +31,15 @@ from repro.nn.folding import fold_layer
 from repro.nn.models import alexnet, mobilenet_v1, resnet18, vgg16
 from repro.dse.explore import DseConfig, phase1, phase2
 from repro.dse.multi_layer import prepare_network_nests, select_unified_design
-from repro.dse.space import enumerate_configs
 from repro.dse.tuner import MiddleTuner
 from repro.dse.vector import CandidateTable, VectorTuner, aggregate_upper_bounds, upper_bounds
 from repro.pipeline.codecs import encode_unified
-from tests.dse.oracle import ScalarTuner, aggregate_upper_bound, throughput_upper_bound_gops
+from tests.dse.oracle import (
+    ScalarTuner,
+    aggregate_upper_bound,
+    enumerate_configs,
+    throughput_upper_bound_gops,
+)
 from tests.strategies import array_shapes, rich_conv_layers
 
 GOLDEN = Path(__file__).parent / "golden" / "dse_search.json"
@@ -253,12 +257,19 @@ class TestKernelProperty:
             self.check(nest, platform, shape, include_cover, clock, prime, exact=False)
 
 
+def columns_of(table):
+    return [table.config(i) for i in range(len(table))]
+
+
 class TestBatchedBounds:
     def test_upper_bounds_bit_identical(self):
         nest = conv5()
         platform = Platform()
+        table = CandidateTable.enumerate(
+            nest, feasible_mappings(nest), platform, min_dsp_utilization=0.6
+        )
         candidates = list(enumerate_configs(nest, platform, min_dsp_utilization=0.6))
-        table = CandidateTable.from_configs(nest, candidates)
+        assert columns_of(table) == candidates
         batched = upper_bounds(table, platform)
         for value, config in zip(batched.tolist(), candidates):
             assert value == throughput_upper_bound_gops(nest, config, platform)
@@ -267,30 +278,31 @@ class TestBatchedBounds:
         workloads = prepare_network_nests(alexnet())
         platform = Platform()
         from repro.dse.multi_layer import _common_mappings, _envelope_nest
-        from repro.dse.space import SystolicConfig, enumerate_shapes
 
         envelope = _envelope_nest(workloads)
-        candidates = [
-            SystolicConfig(mapping, shape)
-            for mapping in _common_mappings(workloads)
-            for shape in enumerate_shapes(
-                envelope, mapping, platform, min_dsp_utilization=0.8
-            )
-        ]
-        table = CandidateTable.from_configs(envelope, candidates)
+        mappings = _common_mappings(workloads)
+        candidates = list(
+            enumerate_configs(envelope, platform, min_dsp_utilization=0.8, mappings=mappings)
+        )
+        table = CandidateTable.enumerate(envelope, mappings, platform, min_dsp_utilization=0.8)
+        assert columns_of(table) == candidates
         batched = aggregate_upper_bounds(workloads, table, platform)
         for value, config in zip(batched.tolist(), candidates):
             assert value == aggregate_upper_bound(workloads, config, platform)
 
     def test_empty_table_has_no_bounds(self):
         nest = conv5()
-        assert upper_bounds(CandidateTable.from_configs(nest, []), Platform()).size == 0
+        table = CandidateTable.enumerate(nest, [], Platform())
+        assert len(table) == 0
+        assert upper_bounds(table, Platform()).size == 0
 
     def test_candidate_table_columns_align(self):
         nest = conv5()
         platform = Platform()
         candidates = list(enumerate_configs(nest, platform, min_dsp_utilization=0.8))
-        table = CandidateTable.from_configs(nest, candidates)
+        table = CandidateTable.enumerate(
+            nest, feasible_mappings(nest), platform, min_dsp_utilization=0.8
+        )
         assert len(table) == len(candidates)
         i = len(candidates) // 2
         assert (
