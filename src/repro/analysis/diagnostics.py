@@ -28,7 +28,7 @@ Code blocks:
   double-buffer discipline, and ``SA33x`` Verilog structure: undriven or
   multiply-driven nets, width mismatches, inferred latches),
 * ``SA4xx`` — differential conformance (:mod:`repro.verify`): fast-sim
-  vs. cycle-accurate engine vs. analytical model vs. golden outputs,
+  vs. analytical model vs. golden outputs (the RTL legs are ``SA15x``),
 * ``SA5xx`` — resilience / graceful degradation (:mod:`repro.resilience`
   plus the recovery sites it instruments): quarantined cache entries,
   resubmitted or serially replayed DSE work, degraded simulate backends
@@ -249,9 +249,6 @@ LINT_VERILOG_LATCH = register_code(
 # --- SA4xx: differential conformance (repro.verify) -----------------------
 VERIFY_GOLDEN_MISMATCH = register_code(
     "SA401", "simulated output diverges from the NumPy golden model"
-)
-VERIFY_ENGINE_MISMATCH = register_code(
-    "SA402", "fast wavefront simulator diverges from the cycle-accurate engine"
 )
 VERIFY_CYCLE_MODEL_MISMATCH = register_code(
     "SA403", "simulated cycle counts diverge from the analytical model"

@@ -15,6 +15,8 @@ Entry points:
 * :func:`check_program` — from a parsed :class:`Program` (AST spans).
 * :func:`check_nest` — from an IR :class:`LoopNest` (no spans; used for
   programmatically built nests, e.g. from CNN layer descriptors).
+* :func:`nest_from_source` — C text to the nest a synthesis request
+  runs on, the one parse every door into the flow shares.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from repro.analysis.diagnostics import (
 )
 from repro.frontend.ast_nodes import ArrayRef, ForLoop, MacStatement, Program
 from repro.frontend.cparser import ParseError, parse_program
-from repro.frontend.extract import extract_loop_nest
+from repro.frontend.extract import extract_loop_nest, loop_nest_from_source
 from repro.frontend.lexer import LexError
 from repro.ir.loop import LoopNest
 from repro.ir.reuse import analyze_reuse
@@ -300,6 +302,38 @@ def check_source(
     return nest, report
 
 
+def nest_from_source(
+    source: str, *, name: str, require_pragma: bool, strict: bool
+) -> LoopNest:
+    """C text to the loop nest a synthesis request runs on.
+
+    The one parse behind both doors into the flow — the pipeline's parse
+    stage (the library's C-text requests) and
+    :meth:`repro.flow.request.SynthesisRequest.from_payload` (the command
+    line, ``POST /v1/jobs`` and the coordinator) — so a request's verdict
+    does not depend on how it arrived.  Under ``strict`` the located
+    legality pass (:func:`check_source`) runs; otherwise the nest is
+    extracted as written and only the pragma is checked.
+
+    Raises:
+        ValueError: a missing pragma, or unparsable text; under
+            ``strict``, a :class:`~repro.analysis.DiagnosticError` (itself
+            a ``ValueError``) with every located finding.
+    """
+    if strict:
+        nest, report = check_source(source, name=name, require_pragma=require_pragma)
+        report.raise_if_errors()
+        assert nest is not None  # check_source only returns None with errors
+        return nest
+    nest, pragma = loop_nest_from_source(source, name=name)
+    if require_pragma and (pragma is None or "systolic" not in pragma):
+        raise ValueError(
+            "no '#pragma systolic' found; annotate the nest or set "
+            "require_pragma to false"
+        )
+    return nest
+
+
 def check_nest(nest: LoopNest, *, allow_strided: bool = False) -> AnalysisReport:
     """Check an IR-level nest (no source spans available).
 
@@ -323,4 +357,4 @@ def check_nest(nest: LoopNest, *, allow_strided: bool = False) -> AnalysisReport
     return report
 
 
-__all__ = ["check_nest", "check_program", "check_source"]
+__all__ = ["check_nest", "check_program", "check_source", "nest_from_source"]

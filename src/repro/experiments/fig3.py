@@ -2,8 +2,11 @@
 
 The paper's 3x3 example: PE(0,0) starts at the first cycle; data skews
 one cycle per hop; "all PEs are active after five cycles"; thereafter the
-array is fully synchronous.  The cycle-accurate engine regenerates these
-facts and proves the schedule computes the right convolution.
+array is fully synchronous.  The emitted Verilog, stepped edge by edge
+through the netlist interpreter, regenerates these facts on the design
+the flow ships: its wave-tag checker (the ``err`` wire) asserts on every
+cycle that each PE pairs a weight and an input of the same wave, and its
+output is held to the golden convolution.
 """
 
 from __future__ import annotations
@@ -14,8 +17,7 @@ from repro.model.design_point import ArrayShape, DesignPoint
 from repro.model.mapping import Mapping
 from repro.nn.golden import conv2d_layer, random_layer_tensors
 from repro.nn.layers import ConvLayer
-from repro.sim.engine import SystolicArrayEngine
-from repro.sim.functional import simulate_layer
+from repro.sim.rtl import RtlSimulator
 from repro.sim.schedule import first_all_active_cycle, wave_schedule_cycles
 from repro.sim.trace import schedule_waterfall
 from repro.experiments.common import ExperimentResult
@@ -31,10 +33,10 @@ def run_fig3_schedule() -> ExperimentResult:
         {"i": 2, "r": 3, "p": 3, "q": 3},
     )
     inputs, weights = random_layer_tensors(layer, seed=42, dtype=np.float64)
-    engine_result = SystolicArrayEngine(design).run({"IN": inputs, "W": weights})
-    output = simulate_layer(design, layer, inputs, weights)
+    # Unpadded, ungrouped: the nest's output tensor is the layer's.
+    rtl = RtlSimulator(design).run({"IN": inputs, "W": weights}).result
     reference = conv2d_layer(layer, inputs, weights)
-    max_err = float(np.abs(output - reference).max())
+    max_err = float(np.abs(rtl.output - reference).max())
 
     result = ExperimentResult(
         name="Figure 3",
@@ -51,8 +53,8 @@ def run_fig3_schedule() -> ExperimentResult:
     result.add_row("functional vs golden conv", "exact", f"max err {max_err:.2e}")
     result.metrics["all_active_cycle"] = float(all_active)
     result.metrics["max_error"] = max_err
-    result.metrics["blocks"] = float(engine_result.blocks)
-    result.metrics["pe_activity"] = float(engine_result.pe_active_cycles)
+    result.metrics["blocks"] = float(rtl.blocks)
+    result.metrics["pe_activity"] = float(rtl.pe_active_cycles)
     result.note("schedule waterfall (cf. the figure):\n" + schedule_waterfall(3, 3, 7))
     return result
 

@@ -66,9 +66,10 @@ server side also accepts the service's own fault points
 The ``verify`` subcommand runs the differential-conformance matrix
 (:mod:`repro.verify`) over a design — either a saved design-point JSON
 or the DSE winner of a C program — comparing the vectorized wavefront
-simulator against the cycle-accurate engine, the NumPy golden model and
-the analytical cycle counts.  Any disagreement is reported as an
-``SA4xx`` diagnostic and exits 1.  The compile flow can do the same
+simulator against the NumPy golden model and the analytical cycle
+counts, and the emitted Verilog (interpreted cycle by cycle) against
+both.  Any disagreement is reported as an ``SA4xx``/``SA15x``
+diagnostic and exits 1.  The compile flow can do the same
 in-line on its winner with ``--sim-backend fast|rtl|both`` (``both`` =
 differential mode).
 """
@@ -244,7 +245,7 @@ def build_verify_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="systolic-synth verify",
         description="Differentially verify a design: fast wavefront simulator "
-        "vs. cycle-accurate engine vs. golden model vs. analytical cycles.",
+        "vs. emitted RTL vs. golden model vs. analytical cycles.",
         parents=[_target_options()],
     )
     parser.add_argument(
@@ -263,19 +264,12 @@ def build_verify_arg_parser() -> argparse.ArgumentParser:
         help="relative tolerance of the golden-output legs (default 1e-9)",
     )
     parser.add_argument(
-        "--engine-limit",
-        type=int,
-        default=None,
-        help="skip the cycle-accurate engine leg above this iteration "
-        "count (default 200000)",
-    )
-    parser.add_argument(
         "--sim-backend",
         choices=[b for b in SIM_BACKENDS if b != "testbench"],
         default="both",
         help="legs to run: fast = simulator matrix only, rtl / both = "
         "also hold the generated Verilog (interpreter, plus iverilog "
-        "when available) bit-identical to the simulators (default both)",
+        "when available) bit-identical to the fast simulator (default both)",
     )
     parser.add_argument(
         "--rtl-limit",
@@ -832,7 +826,6 @@ def verify_main(argv: list[str]) -> int:
         design,
         seed=args.seed,
         rel_tol=args.rel_tol if args.rel_tol is not None else DEFAULT_REL_TOL,
-        engine_iteration_limit=args.engine_limit,
         rtl=args.sim_backend in ("rtl", "both"),
         rtl_iteration_limit=args.rtl_limit,
         iverilog="require" if require_iverilog else "auto",

@@ -155,9 +155,10 @@ class SynthesisRequest:
 
     Exactly one subject is set: ``nest`` (single-layer synthesis),
     ``network`` (whole-network unified DSE) or ``source`` (restricted-C
-    text the pipeline's parse stage turns into the nest, honouring
-    ``require_pragma``).  ``strict`` is synced into ``config`` on
-    construction, so stages and cache keys see one value.
+    text the pipeline's parse stage turns into the nest with
+    :func:`~repro.analysis.nest_check.nest_from_source`, the parse
+    :meth:`from_payload` also runs).  ``strict`` is synced into
+    ``config`` on construction, so stages and cache keys see one value.
     """
 
     platform: Platform = field(default_factory=Platform)
@@ -204,16 +205,14 @@ class SynthesisRequest:
             return cls(network=network, name=str(payload.get("name") or network.name), **fields)
         if design is not None:
             return cls(nest=design_from_dict(design).nest, name=name, **fields)
-        from repro.frontend.extract import loop_nest_from_source
-
         if not isinstance(source, str):
             raise ValueError("'source' must be C text")
-        nest, pragma = loop_nest_from_source(source, name=name)
-        if fields["require_pragma"] and (pragma is None or "systolic" not in pragma):
-            raise ValueError(
-                "no '#pragma systolic' found; annotate the nest or submit "
-                "with options.require_pragma=false"
-            )
+        from repro.analysis.nest_check import nest_from_source
+
+        # The parse stage's own parse: a verdict must not depend on the door.
+        nest = nest_from_source(
+            source, name=name, require_pragma=fields["require_pragma"], strict=fields["strict"]
+        )
         return cls(nest=nest, name=name, **fields)
 
     @cached_property
@@ -223,12 +222,19 @@ class SynthesisRequest:
         return None if self.network is None else prepare_network_nests(self.network)
 
     def fingerprint(self) -> str:
-        """The coalescing identity of an admitted (nest or network)
-        request: the stage cache's key function, so logically equal
-        submissions always collide.  The subject's display name is
-        normalized out — two tenants submitting the same nest under
-        different labels must still coalesce."""
+        """The coalescing identity of a request: the stage cache's key
+        function, so logically equal submissions always collide.  C text
+        is identified by the nest it parses to, and the subject's display
+        name is normalized out — two tenants submitting the same nest
+        under different labels must still coalesce."""
         subject = self.network if self.network is not None else self.nest
+        if subject is None:
+            from repro.analysis.nest_check import nest_from_source
+
+            subject = nest_from_source(
+                self.source, name=self.name, require_pragma=self.require_pragma,
+                strict=self.strict,
+            )
         return StageCache.key_for(
             "service-job",
             replace(subject, name=""),

@@ -265,7 +265,7 @@ EVALUATION = Record(
 # are named, not imported.
 MEASUREMENT = Record("repro.sim.perf:LayerMeasurement", "measurement")
 ENGINE_RESULT = Record(
-    "repro.sim.engine:EngineResult",
+    "repro.sim.fast:EngineResult",
     "engine-result",
     ENGINE_RESULT_FORMAT,
     where="inside the result payload of a `--sim-backend` run",

@@ -1,7 +1,7 @@
 """NumPy golden-model convolution.
 
-Every hardware artifact in this repository (cycle-accurate PE array
-engine, generated C testbenches, folded layers, quantized kernels) is
+Every hardware artifact in this repository (interpreted RTL, generated
+C testbenches, folded layers, quantized kernels) is
 verified against :func:`conv2d`.  A deliberately naive sextuple-loop
 implementation (:func:`conv2d_reference_loops`) — a direct transcription
 of the paper's Code 1 — is kept as a second, independent oracle and the

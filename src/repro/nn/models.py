@@ -277,7 +277,7 @@ def tiny_cnn() -> Network:
 
     Shapes are chosen to exercise every structural feature: a strided
     first layer (folding path), a grouped layer, and unit-stride padded
-    layers — at sizes where even the cycle-accurate engine is quick.
+    layers — at sizes where even the interpreted RTL is quick.
     """
     convs = (
         ConvLayer("conv1", 3, 8, 19, 19, kernel=3, stride=2),

@@ -18,7 +18,7 @@ from repro.model.design_point import DesignEvaluation
 from repro.model.platform import Platform
 from repro.dse.explore import DseConfig, Phase1Result, Phase2Result
 from repro.dse.multi_layer import LayerWorkload, MultiLayerResult
-from repro.sim.engine import EngineResult
+from repro.sim.fast import EngineResult
 from repro.sim.perf import LayerMeasurement
 from repro.verify.conformance import ConformanceReport
 

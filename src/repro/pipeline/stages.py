@@ -42,23 +42,11 @@ class ParseStage(StageBase):
             return ctx
         if ctx.source is None:
             raise ValueError("pipeline needs either C source or a loop nest")
-        if ctx.strict:
-            from repro.analysis.nest_check import check_source
+        from repro.analysis.nest_check import nest_from_source
 
-            nest, report = check_source(
-                ctx.source, name=ctx.name, require_pragma=ctx.require_pragma
-            )
-            report.raise_if_errors()
-            assert nest is not None  # check_source only returns None with errors
-            return ctx.evolve(nest=nest)
-        from repro.frontend.extract import loop_nest_from_source
-
-        nest, pragma = loop_nest_from_source(ctx.source, name=ctx.name)
-        if ctx.require_pragma and (pragma is None or "systolic" not in pragma):
-            raise ValueError(
-                "no '#pragma systolic' found; annotate the nest or pass "
-                "require_pragma=False"
-            )
+        nest = nest_from_source(
+            ctx.source, name=ctx.name, require_pragma=ctx.require_pragma, strict=ctx.strict
+        )
         return ctx.evolve(nest=nest)
 
     def info(self, ctx: SynthesisContext) -> dict[str, Any]:

@@ -1,8 +1,10 @@
 """The wavefront-simulator backends, as one ordered table.
 
-Three executors run a design on operand tensors and return the same
-:class:`~repro.sim.engine.EngineResult`, bit for bit
-(:func:`repro.verify.conformance.cross_check` holds them to it).  This
+Two executors run a design on operand tensors and return the same
+:class:`~repro.sim.fast.EngineResult`, bit for bit
+(:func:`repro.verify.conformance.cross_check` holds them to it): ``fast``,
+the vectorized reference, and ``rtl``, the emitted Verilog stepped by the
+netlist interpreter — the product's only cycle-level simulator.  This
 table is the only place that knows their class names, the
 ``RtlRun.result`` unwrap and their iteration budgets; the simulate
 stage, :func:`repro.sim.functional.simulate_layer` and the conformance
@@ -20,8 +22,7 @@ from typing import Callable
 import numpy as np
 
 from repro.model.design_point import DesignPoint
-from repro.sim.engine import EngineResult, SystolicArrayEngine
-from repro.sim.fast import FastWavefrontSimulator
+from repro.sim.fast import EngineResult, FastWavefrontSimulator
 
 #: The counters every backend reports besides the output tensor.
 COUNTERS = (
@@ -57,10 +58,6 @@ def _run_fast(design: DesignPoint, arrays: dict[str, np.ndarray]) -> EngineResul
     return FastWavefrontSimulator(design).run(arrays)
 
 
-def _run_engine(design: DesignPoint, arrays: dict[str, np.ndarray]) -> EngineResult:
-    return SystolicArrayEngine(design).run(arrays)
-
-
 def _run_rtl(design: DesignPoint, arrays: dict[str, np.ndarray]) -> EngineResult:
     # Imported here: repro.sim.rtl pulls in the RTL code generator.
     from repro.sim.rtl import RtlSimulator
@@ -69,26 +66,23 @@ def _run_rtl(design: DesignPoint, arrays: dict[str, np.ndarray]) -> EngineResult
 
 
 #: Name -> backend, reference first.  Every later entry is held
-#: bit-identical to the first by the conformance matrix.  The engine is
-#: exponential in problem size by construction and the RTL interpreter
-#: steps every net of every edge, so both carry a budget: runs above it
-#: are skipped (conformance) or refused (simulate stage), not attempted.
+#: bit-identical to the first by the conformance matrix.  The RTL
+#: interpreter steps every net of every edge, so it carries a budget:
+#: runs above it are skipped (conformance) or refused (simulate stage),
+#: not attempted.
 WAVEFRONT_BACKENDS: dict[str, SimBackend] = {
     backend.name: backend
     for backend in (
         SimBackend("fast", _run_fast, None),
-        SimBackend("engine", _run_engine, 200_000),
         SimBackend("rtl", _run_rtl, 200_000),
     )
 }
 
-DEFAULT_ENGINE_ITERATION_LIMIT = WAVEFRONT_BACKENDS["engine"].budget
 DEFAULT_RTL_ITERATION_LIMIT = WAVEFRONT_BACKENDS["rtl"].budget
 
 
 __all__ = [
     "COUNTERS",
-    "DEFAULT_ENGINE_ITERATION_LIMIT",
     "DEFAULT_RTL_ITERATION_LIMIT",
     "SimBackend",
     "WAVEFRONT_BACKENDS",

@@ -8,10 +8,11 @@ injection schedule delivers matching operands to every PE at every cycle.
 
 It executes a complete :class:`~repro.model.design_point.DesignPoint` —
 all blocks, all waves — on real tensors and returns the output array plus
-cycle statistics.  Exponential in problem size by construction; it exists
-to prove the architecture's functional correctness and the Fig. 3 timing
-facts on small problems, which the tests do against the NumPy golden
-model.
+cycle statistics.  Exponential in problem size by construction, it is
+not a product backend — the flow ships ``fast`` and ``rtl``
+(:mod:`repro.sim.backends`) — but the tests' independent oracle, which
+they hold both backends to bit for bit; no other ``repro`` module
+imports it.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.model.design_point import DesignPoint
+from repro.sim.fast import EngineResult
 from repro.sim.feed import WaveFeeder
 from repro.sim.schedule import first_all_active_cycle, wave_schedule_cycles
 
@@ -47,28 +49,6 @@ def simd_dot(weights: Sequence[float], inputs: Sequence[float]) -> float:
     for w, value in zip(weights, inputs):
         total += w * value
     return total
-
-
-@dataclass(frozen=True)
-class EngineResult:
-    """Outcome of a cycle-accurate run.
-
-    Attributes:
-        output: dense output array (shape from the written access ranges).
-        compute_cycles: total cycles spent in block pipelines.
-        blocks: number of blocks executed.
-        waves: total waves (middle iterations) executed.
-        pe_active_cycles: total PE-cycle activity (for utilization).
-        first_all_active_cycle: cycle (within a block) when the whole
-            array first computes — Fig. 3's "after five cycles" fact.
-    """
-
-    output: np.ndarray
-    compute_cycles: int
-    blocks: int
-    waves: int
-    pe_active_cycles: int
-    first_all_active_cycle: int
 
 
 class SystolicArrayEngine:
@@ -184,4 +164,4 @@ class SystolicArrayEngine:
         return cycles, active
 
 
-__all__ = ["EngineResult", "SystolicArrayEngine", "simd_dot"]
+__all__ = ["SystolicArrayEngine", "simd_dot"]

@@ -1,10 +1,10 @@
-"""Fast vectorized wavefront simulator.
+"""Fast vectorized wavefront simulator — the reference backend.
 
-The cycle-accurate engine (:mod:`repro.sim.engine`) interprets the array
-one PE and one cycle at a time and is exponential in problem size by
-construction.  This module simulates the *same architecture* — the same
-block/wave decomposition, the same skewed injection schedule, the same
-per-PE SIMD accumulation — as NumPy batch operations over whole waves:
+The emitted RTL (:mod:`repro.sim.rtl`) steps every net of the array one
+clock edge at a time.  This module simulates the *same architecture* —
+the same block/wave decomposition, the same skewed injection schedule,
+the same per-PE SIMD accumulation — as NumPy batch operations over whole
+waves:
 
 * **skewed injection as index arithmetic** — wave ``m`` meets PE
   ``(x, y)`` at cycle ``m + x + y``, so the set of (wave, PE) pairings is
@@ -13,17 +13,17 @@ per-PE SIMD accumulation — as NumPy batch operations over whole waves:
   operand's offset into the raveled tensor is ``A[m] + c_pos * position
   + c_vec * lane``: one broadcast add, one ``take`` and one mask per
   operand per chunk of waves, whatever the tensor's rank;
-* **SIMD accumulation in engine order** — per-PE dot products are
-  evaluated lane-by-lane (``D += W_lane * I_lane``), the exact
-  :func:`repro.sim.engine.simd_dot` operation sequence, over
+* **SIMD accumulation in lane order** — per-PE dot products are
+  evaluated lane-by-lane (``D += W_lane * I_lane``, a running sum from
+  +0.0: the order the emitted PE's MAC chain performs), over
   ``(position, wave)`` planes whose wave axis is contiguous, and folded
   into the accumulators with ``np.add.at`` (unbuffered, applied in array
   order), so every accumulator sees the same IEEE additions in the same
-  order as the engine's;
+  order as a per-PE accumulator would;
 * **one accumulator plane per PE coordinate the output does not already
-  determine** — the engine keeps an accumulator per PE, but when the row
+  determine** — the array keeps an accumulator per PE, but when the row
   (column) iterator is itself an output subscript, the element fixes
-  ``x`` (``y``): no two PEs of that axis share an element, the engine's
+  ``x`` (``y``): no two PEs of that axis share an element, the
   row-major drain adds exactly one non-zero to it, and one plane of the
   block's output footprint holds what ``R`` (``C``) planes held
   (``OUT[o][r][c]`` with ``row=o, col=c``: 1 plane, not ``R * C``);
@@ -35,10 +35,13 @@ per-PE SIMD accumulation — as NumPy batch operations over whole waves:
   ``M + R + C - 2`` cycles and keeps every PE busy for exactly
   ``M * R * C`` PE-cycles, so the counters need no cycle loop at all.
 
-The result is **bit-identical** to :class:`SystolicArrayEngine` — the
-output tensor equal with ``==``, every counter equal — while full
-Table-2 layer shapes complete in well under a second (see
+The result is **bit-identical** to the interpreted RTL on every design
+the RTL lowers, and to the tests' cycle engine on all of them — the
+output tensor equal with ``==``, every counter equal — while full Table-2 layer
+shapes complete in well under a second (see
 ``benchmarks/bench_sim_fast.py`` and ``docs/simulation.md``).
+:class:`EngineResult`, the result every wavefront backend returns, is
+defined here.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ import numpy as np
 from repro.ir.access import ArrayAccess
 from repro.model.design_point import DesignPoint
 from repro.resilience.faults import maybe_inject
-from repro.sim.engine import EngineResult
 from repro.sim.schedule import (
     BlockSpec,
     enumerate_blocks,
@@ -61,10 +63,32 @@ from repro.sim.schedule import (
 
 
 @dataclass(frozen=True)
+class EngineResult:
+    """Outcome of one wavefront-simulator run (any backend).
+
+    Attributes:
+        output: dense output array (shape from the written access ranges).
+        compute_cycles: total cycles spent in block pipelines.
+        blocks: number of blocks executed.
+        waves: total waves (middle iterations) executed.
+        pe_active_cycles: total PE-cycle activity (for utilization).
+        first_all_active_cycle: cycle (within a block) when the whole
+            array first computes — Fig. 3's "after five cycles" fact.
+    """
+
+    output: np.ndarray
+    compute_cycles: int
+    blocks: int
+    waves: int
+    pe_active_cycles: int
+    first_all_active_cycle: int
+
+
+@dataclass(frozen=True)
 class CycleStatistics:
     """Closed-form cycle accounting for a design (no simulation run).
 
-    These are the analytical counterparts of the engine counters, derived
+    These are the analytical counterparts of the simulator counters, derived
     from the tiling alone: under clipped-middle semantics loop ``l``
     contributes ``ceil(N_l / t_l)`` middle steps in total, so
 
@@ -108,10 +132,10 @@ _Operand = tuple[np.ndarray, int, dict[str, int]]
 
 
 class FastWavefrontSimulator:
-    """Vectorized execution of one design point; engine-bit-identical.
+    """Vectorized execution of one design point; RTL-bit-identical.
 
-    Drop-in for :class:`~repro.sim.engine.SystolicArrayEngine`: same
-    constructor, same :meth:`run` contract, same :class:`EngineResult`.
+    Same constructor and :meth:`run` contract as
+    :class:`~repro.sim.rtl.RtlSimulator`, returning an :class:`EngineResult`.
 
     Args:
         design: the design point to execute.
@@ -142,8 +166,7 @@ class FastWavefrontSimulator:
                 if expr.const < 0 or any(c < 0 for _, c in expr.terms):
                     raise ValueError(
                         f"fast simulator requires non-negative subscripts; "
-                        f"{access} is outside the systolizable subset "
-                        f"(use SystolicArrayEngine)"
+                        f"{access} is outside the systolizable subset"
                     )
         # The plane rule: an output subscript that is exactly one array
         # iterator (coefficient 1) pins that PE coordinate — i = base +
@@ -159,7 +182,7 @@ class FastWavefrontSimulator:
         #: Accumulator copies of a block's output footprint.
         self.accumulator_planes = row_planes * col_planes
         # plane of PE (x, y) = x * step[0] + y * step[1]: row-major over
-        # the coordinates that kept their planes, the engine's drain order
+        # the coordinates that kept their planes, the array's drain order
         self._plane_step = (col_planes if row_planes > 1 else 0, 1 if col_planes > 1 else 0)
         self._x_idx = np.arange(self.rows, dtype=np.int64)
         self._y_idx = np.arange(self.cols, dtype=np.int64)
@@ -168,7 +191,7 @@ class FastWavefrontSimulator:
     # ------------------------------------------------------------ execution
 
     def run(self, arrays: dict[str, np.ndarray]) -> EngineResult:
-        """Execute all blocks; same contract as ``SystolicArrayEngine.run``.
+        """Execute all blocks; returns output + cycle statistics.
 
         Args:
             arrays: name -> tensor for both read arrays, with shapes large
@@ -193,7 +216,7 @@ class FastWavefrontSimulator:
             waves = block.waves
             total_waves += waves
             total_cycles += wave_schedule_cycles(waves, self.rows, self.cols)
-            # The engine counts a PE active whenever a wave reaches it,
+            # A PE counts as active whenever a wave reaches it,
             # padding positions included: M waves x R x C PEs per block.
             active_cycles += waves * self.rows * self.cols
             self._run_block(block, operands, output)
@@ -252,7 +275,7 @@ class FastWavefrontSimulator:
         for m0 in range(0, total_waves, chunk):
             n = min(chunk, total_waves - m0)
             # Wave index -> middle vector, outermost loop slowest (the
-            # enumerate_waves order the engine consumes); then i_l = base_l
+            # enumerate_waves order the feeder streams); then i_l = base_l
             # + mid_l * t_l at lane 0 for every iterator.
             middles = np.unravel_index(np.arange(m0, m0 + n), counts)
             vals = {it: bases[it] + mid * t(it) for it, mid in zip(iterators, middles)}
@@ -288,10 +311,10 @@ class FastWavefrontSimulator:
             slot = np.where(compute_mask, slot_pe + _affine(out_const, out_coeff, vals), dump)
             # np.add.at is unbuffered: entries land in array order.  A slot
             # belongs to one PE (the plane rule), and each PE's entries are
-            # wave-ordered here — the engine's per-accumulator add order.
+            # wave-ordered here — a per-PE accumulator's add order.
             np.add.at(acc, slot.ravel(), dots.ravel())
 
-        # Drain in the engine's order: PEs row-major, one add per touched
+        # Drain in the array's order: PEs row-major, one add per touched
         # element.  Untouched box slots add +0.0, which cannot change any
         # bit: accumulators and outputs are sums seeded with +0.0 and can
         # never hold -0.0.  Along an axis the plane rule collapsed, at most
@@ -345,7 +368,7 @@ class FastWavefrontSimulator:
     ) -> np.ndarray:
         """Masked flat gather: (lanes, positions, waves) float64 values.
 
-        Matches the engine's ``_gather``: any iterator past its original
+        Matches the feeder's gather: any iterator past its original
         bound makes the value 0.0 (quantization padding contributes
         nothing); in-bounds values come from one ``take`` at
         ``A[m] + c_pos * position + c_vec * lane``.
@@ -381,4 +404,4 @@ def _affine(const: int, coeff: dict[str, int], vals: dict[str, np.ndarray]) -> n
     return const + sum(c * vals[name] for name, c in coeff.items())
 
 
-__all__ = ["CycleStatistics", "FastWavefrontSimulator", "cycle_statistics"]
+__all__ = ["CycleStatistics", "EngineResult", "FastWavefrontSimulator", "cycle_statistics"]

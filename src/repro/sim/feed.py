@@ -1,9 +1,10 @@
-"""Shared boundary-feeding math for the cycle-accurate backends.
+"""Shared boundary-feeding math for the cycle-accurate simulators.
 
-The cycle engine and the RTL harness inject the *same* operand streams:
-for every (block, wave, boundary position, SIMD lane) they must gather
-the identical element (zero on quantization padding), and every PE must
-accumulate into the identical output element.  Keeping that math in one
+The RTL harness and the cycle engine the tests keep as an oracle inject
+the *same* operand streams: for every (block, wave, boundary position,
+SIMD lane) they must gather the identical element (zero on quantization
+padding), and every PE must accumulate into the identical output
+element.  Keeping that math in one
 place is what makes "bit-identical by construction" an honest claim —
 the engine and the RTL testbench driver cannot drift apart because they
 consume the same :class:`WaveStreams`.

@@ -32,7 +32,7 @@ def simulate_layer(
     inputs: np.ndarray,
     weights: np.ndarray,
     *,
-    backend: str = "engine",
+    backend: str = "fast",
 ) -> np.ndarray:
     """Execute a conv layer under a design on a simulator backend.
 
@@ -42,9 +42,9 @@ def simulate_layer(
         inputs: (I, H, W) tensor.
         weights: (O, I/groups, K, K) tensor.
         backend: a :data:`repro.sim.backends.WAVEFRONT_BACKENDS` name —
-            ``"engine"`` (cycle-accurate, exponential; small shapes
-            only), ``"fast"`` (vectorized, Table-2 scale) or ``"rtl"``
-            (the generated Verilog, interpreted); bit-identical outputs.
+            ``"fast"`` (vectorized, Table-2 scale) or ``"rtl"`` (the
+            generated Verilog, interpreted cycle by cycle; small shapes
+            only); bit-identical outputs.
 
     Returns:
         (O, R, C) output tensor.

@@ -13,8 +13,11 @@ two-phase synchronous semantics:
 Because every arithmetic value is a Python float (IEEE binary64 — the
 same ``real`` arithmetic the rendered text performs under iverilog) and
 the boundary streams come from the shared :class:`repro.sim.feed.WaveFeeder`,
-the RTL run is bit-identical to the cycle engine and the fast simulator
-by construction, and the tests hold it to that.
+the RTL run is bit-identical to the fast simulator by construction, and
+the tests hold it to that (and to the cycle engine they keep as an
+oracle).  It is the product's only cycle-level simulator: the wave-tag
+checker in the emitted Verilog (the ``err`` wire) asserts the Fig. 3
+schedule on every edge of every run.
 
 The optional :func:`run_iverilog_check` compiles the rendered Verilog
 plus a generated ``$readmemh`` testbench under iverilog and compares the
@@ -56,7 +59,7 @@ from repro.resilience.retry import (
     ToolUnavailable,
     run_tool,
 )
-from repro.sim.engine import EngineResult
+from repro.sim.fast import EngineResult
 from repro.sim.feed import WaveFeeder, WaveStreams
 from repro.sim.schedule import first_all_active_cycle
 
@@ -324,7 +327,7 @@ class RtlRunResult:
 
     Attributes:
         result: the run's output and emergent counters, in the shared
-            :class:`~repro.sim.engine.EngineResult` shape.
+            :class:`~repro.sim.fast.EngineResult` shape.
         block_digests: per-block SHA-256 of the drained accumulator
             bytes (PE row-major, address-ascending) — the golden-corpus
             artifact.
@@ -420,8 +423,8 @@ class RtlSimulator:
 
         Raises:
             AssertionError: when the emitted schedule checker (the
-                ``err`` wire) fires — the RTL analogue of the engine's
-                wave-tag assertion.
+                ``err`` wire) fires: a weight and an input of different
+                waves met in some PE.
         """
         plan = self.plan
         out_shape = self._feeder.out_shape

@@ -6,16 +6,18 @@ and on-board measurement.  This package is the reproduction's equivalent
 court of appeal: :func:`cross_check` runs a design point through every
 oracle the repository has and demands that they agree,
 
-* **fast vs. engine** — the vectorized wavefront simulator
-  (:mod:`repro.sim.fast`) must reproduce the cycle-accurate engine's
-  :class:`~repro.sim.engine.EngineResult` *bit-for-bit* (small problems
-  only; the engine is exponential by construction);
 * **fast vs. golden** — the simulated output tensor must match an
   independent NumPy evaluation of the loop nest (and, for conv layers,
   the golden convolution) within a documented floating-point tolerance;
 * **cycles vs. model** — the simulator's emergent cycle counters must
   equal the closed-form analytical counts (Eq. 5 block domain under
-  clipped middles) exactly, fill/drain overhead included.
+  clipped middles) exactly, fill/drain overhead included;
+* **rtl vs. fast** (with ``rtl=True``) — the emitted Verilog, stepped
+  cycle by cycle through the netlist interpreter (:mod:`repro.sim.rtl`),
+  must reproduce the vectorized simulator's
+  :class:`~repro.sim.fast.EngineResult` *bit-for-bit* and the model's
+  cycle counts exactly (small problems only: the interpreter steps every
+  net of every edge).
 
 Disagreements are reported as structured ``SA4xx`` diagnostics in the
 :mod:`repro.analysis` format, so the ``systolic-synth verify`` CLI and
@@ -25,7 +27,6 @@ and tolerance policy.
 """
 
 from repro.verify.conformance import (
-    DEFAULT_ENGINE_ITERATION_LIMIT,
     DEFAULT_REL_TOL,
     ConformanceReport,
     LegResult,
@@ -36,7 +37,6 @@ from repro.verify.conformance import (
 
 __all__ = [
     "ConformanceReport",
-    "DEFAULT_ENGINE_ITERATION_LIMIT",
     "DEFAULT_REL_TOL",
     "LegResult",
     "cross_check",

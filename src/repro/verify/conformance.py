@@ -7,16 +7,17 @@ so callers get both a human summary and a machine-readable verdict.
 
 The legs are the rows of :data:`MATRIX`: the first entry of
 :data:`repro.sim.backends.WAVEFRONT_BACKENDS` (``fast``) is the reference,
-every other selected entry is run once within its budget, and each row
-names the comparator that holds one backend's result to what.
+the other (``rtl``, the emitted Verilog) is run once within its budget
+when selected, and each row names the comparator that holds one
+backend's result to what.
 
 Tolerance policy (documented in ``docs/simulation.md``), one comparator
 each:
 
 * backend vs. reference (:func:`_identity`) — **bit-exact**: equal
-  output bytes, equal counters.  The simulators perform the identical
-  sequence of IEEE double operations, so any difference is a bug, not
-  rounding.
+  output bytes, equal counters.  The RTL and the fast simulator perform
+  the identical sequence of IEEE double operations, so any difference is
+  a bug, not rounding.
 * output vs. golden (:func:`_within_tolerance`) — relative tolerance
   ``rel_tol`` (default 1e-9).
   The golden evaluations sum in a different order (einsum / flat index
@@ -44,7 +45,6 @@ from repro.analysis.diagnostics import (
     RTL_OUTPUT_MISMATCH,
     RTL_TOOLCHAIN_MISSING,
     VERIFY_CYCLE_MODEL_MISMATCH,
-    VERIFY_ENGINE_MISMATCH,
     VERIFY_GOLDEN_MISMATCH,
     VERIFY_LEG_SKIPPED,
     AnalysisReport,
@@ -53,14 +53,8 @@ from repro.analysis.diagnostics import (
 )
 from repro.ir.loop import LoopNest
 from repro.model.design_point import DesignPoint
-from repro.sim.backends import (
-    COUNTERS,
-    DEFAULT_ENGINE_ITERATION_LIMIT,
-    DEFAULT_RTL_ITERATION_LIMIT,
-    WAVEFRONT_BACKENDS,
-)
-from repro.sim.engine import EngineResult
-from repro.sim.fast import cycle_statistics
+from repro.sim.backends import COUNTERS, DEFAULT_RTL_ITERATION_LIMIT, WAVEFRONT_BACKENDS
+from repro.sim.fast import EngineResult, cycle_statistics
 
 #: Relative tolerance for output-vs-golden legs (different but valid
 #: floating-point summation orders).
@@ -137,7 +131,7 @@ class LegResult:
     """Outcome of one conformance leg.
 
     Attributes:
-        name: leg identifier, e.g. ``"fast-vs-engine"``.
+        name: leg identifier, e.g. ``"rtl-vs-fast"``.
         status: ``"ok"``, ``"mismatch"`` or ``"skipped"``.
         detail: one-line human explanation.
         metrics: (name, value) measurement pairs backing the verdict.
@@ -227,7 +221,6 @@ def cross_check(
     arrays: dict[str, np.ndarray] | None = None,
     seed: int = 0,
     rel_tol: float = DEFAULT_REL_TOL,
-    engine_iteration_limit: int | None = None,
     rtl: bool = False,
     rtl_iteration_limit: int | None = None,
     iverilog: str = "auto",
@@ -243,9 +236,6 @@ def cross_check(
             seeded tensors by default).
         seed: seed for the synthetic tensors.
         rel_tol: relative tolerance of the golden-output legs.
-        engine_iteration_limit: skip the cycle-accurate engine leg above
-            this iteration count (with an ``SA404`` note); None = the
-            ``engine`` backend's own budget.
         rtl: additionally run the generated RTL through the netlist
             interpreter and hold it bit-identical to the fast simulator
             (``SA151``) and cycle-identical to the analytical model
@@ -266,15 +256,15 @@ def cross_check(
         arrays = synthetic_arrays(design.nest, seed=seed)
     reference = WAVEFRONT_BACKENDS[REFERENCE].run(design, arrays)
     run = _Run(design, arrays, reference, AnalysisReport(), rel_tol, layer, seed, iverilog)
-    limits = {"engine": engine_iteration_limit, "rtl": rtl_iteration_limit}
-    # Per backend: its result, or the reason its legs are skipped.
+    # Per backend: its result, or the reason its legs are skipped.  The
+    # RTL runs at its first leg, so its notes follow the reference legs'.
     outcomes: dict[str, EngineResult | str] = {REFERENCE: reference}
     legs: list[LegResult] = []
     for leg in MATRIX:
         if (leg.backend == "rtl" and not rtl) or (leg.compare is _layer and layer is None):
             continue
         if leg.backend not in outcomes:
-            outcomes[leg.backend] = _run_or_skip(run, leg.backend, limits[leg.backend])
+            outcomes[leg.backend] = _run_rtl_or_skip(run, rtl_iteration_limit)
         outcome = outcomes[leg.backend]
         if isinstance(outcome, str):
             legs.append(LegResult(leg.name, "skipped", outcome))
@@ -341,31 +331,29 @@ class _Run:
         return LegResult(leg.name, "mismatch", detail, metrics)
 
 
-def _run_or_skip(run: _Run, name: str, limit: int | None) -> EngineResult | str:
-    """Run a non-reference backend, or say why its legs are skipped.
+def _run_rtl_or_skip(run: _Run, limit: int | None) -> EngineResult | str:
+    """Run the RTL backend, or say why its legs are skipped.
 
     The skip ladder (mirroring the testbench SA5xx policy): an oversized
-    design skips with an ``SA404`` note; a design the backend cannot
-    lower skips with the backend's own diagnostic (``SA150`` for RTL)
-    demoted to a note.
+    design skips with an ``SA404`` note; a design the RTL cannot lower
+    skips with its ``SA150`` demoted to a note.
     """
-    backend = WAVEFRONT_BACKENDS[name]
-    subject, budget, short = SKIP_WORDING[name]
+    backend = WAVEFRONT_BACKENDS["rtl"]
     total = run.design.nest.total_iterations
     limit = backend.over_budget(run.design, limit)
     if limit is not None:
         run.report.add(
             VERIFY_LEG_SKIPPED,
             Severity.NOTE,
-            f"{subject} skipped: {total} iterations exceed the "
-            f"{limit}-iteration {budget} budget",
+            f"RTL legs skipped: {total} iterations exceed the "
+            f"{limit}-iteration RTL interpreter budget",
         )
-        return f"{total} iterations > {short} budget {limit}"
+        return f"{total} iterations > RTL budget {limit}"
     try:
         return backend.run(run.design, run.arrays)
     except DiagnosticError as exc:
         first = exc.diagnostics[0]
-        run.report.add(first.code, Severity.NOTE, f"{subject} skipped: {first.message}")
+        run.report.add(first.code, Severity.NOTE, f"RTL legs skipped: {first.message}")
         return first.message
 
 
@@ -504,8 +492,6 @@ def _native(run: _Run, leg: Leg, result: EngineResult) -> LegResult:
 
 #: Rows in report order.
 MATRIX = (
-    Leg("fast-vs-engine", VERIFY_ENGINE_MISMATCH, "engine", _identity,
-        "fast simulator disagrees with the engine on {}"),
     Leg("fast-vs-golden", VERIFY_GOLDEN_MISMATCH, REFERENCE, _nest, "golden model"),
     Leg("cycles-vs-model", VERIFY_CYCLE_MODEL_MISMATCH, REFERENCE, _model,
         "cycle counters of {}"),
@@ -520,17 +506,9 @@ MATRIX = (
         "iverilog execution of {} diverges from the RTL interpreter"),
 )
 
-#: Per non-reference backend: (subject, budget wording in the SA404 note,
-#: budget wording in the leg detail) of its skipped legs.
-SKIP_WORDING = {
-    "engine": ("cycle-accurate engine leg", "engine", "engine"),
-    "rtl": ("RTL legs", "RTL interpreter", "RTL"),
-}
-
 
 __all__ = [
     "ConformanceReport",
-    "DEFAULT_ENGINE_ITERATION_LIMIT",
     "DEFAULT_REL_TOL",
     "DEFAULT_RTL_ITERATION_LIMIT",
     "Leg",

@@ -168,3 +168,113 @@ def test_the_documented_option_table_is_the_one_in_the_code():
     assert rows == [
         (name, option.kind.__name__, str(option.default)) for name, option in OPTIONS.items()
     ]
+
+
+# ---------------------------------------------------------------- C-text doors
+
+_LOOPS = """
+for (o = 0; o < 8; o++) for (i = 0; i < 4; i++) for (c = 0; c < 6; c++)
+  for (r = 0; r < 6; r++) for (p = 0; p < 3; p++) for (q = 0; q < 3; q++)
+"""
+
+#: kind -> C text.  ``strided`` is legal as an IR nest (layer folding
+#: writes such nests) but not as C text; ``no-reuse`` reads W through all
+#: six loops, so W has no reuse loop (SA130) and no mapping is feasible.
+DOOR_SOURCES = {
+    "legal": "#pragma systolic" + _LOOPS
+    + "    OUT[o][r][c] += W[o][i][p][q] * IN[i][r+p][c+q];\n",
+    "strided": "#pragma systolic" + _LOOPS
+    + "    OUT[o][r][c] += W[o][i][p][q] * IN[i][2*r+p][2*c+q];\n",
+    "pragma-less": _LOOPS + "    OUT[o][r][c] += W[o][i][p][q] * IN[i][r+p][c+q];\n",
+    "no-reuse": "#pragma systolic" + _LOOPS
+    + "    OUT[o][r][c] += W[o][i][r+p][c+q] * IN[i][r+p][c+q];\n",
+}
+DOOR_OPTIONS = {"cs": 0.0, "top_n": 1}
+
+
+def _rejection(exc):
+    """(SA codes, message) of a refusal; a service ``BadRequest`` carries
+    the parse error it wraps as its cause."""
+    from repro.analysis.diagnostics import DiagnosticError
+
+    cause = exc.__cause__ if isinstance(exc.__cause__, ValueError) else exc
+    codes = []
+    if isinstance(cause, DiagnosticError):
+        codes = sorted(d.code for d in cause.report.errors)
+    return ("rejected", codes, str(cause))
+
+
+def _library_door(source, strict):
+    from repro.flow.compile import compile_c_source
+
+    try:
+        result = compile_c_source(
+            source, config=DseConfig(min_dsp_utilization=0.0, top_n=1),
+            name="door", strict=strict, cache=False,
+        )
+    except ValueError as exc:
+        return _rejection(exc)
+    return ("design", result.evaluation.design.signature)
+
+
+def _payload_door(source, strict):
+    from repro.flow.request import run
+
+    payload = {"source": source, "name": "door", "options": {**DOOR_OPTIONS, "strict": strict}}
+    try:
+        result = run(SynthesisRequest.from_payload(payload), cache=False)
+    except ValueError as exc:
+        return _rejection(exc)
+    return ("design", result.evaluation.design.signature)
+
+
+@pytest.fixture(scope="module")
+def job_manager():
+    from repro.service.jobs import JobManager
+
+    manager = JobManager(workers=1, cache=False)
+    manager.start()
+    yield manager
+    manager.drain(timeout=30.0)
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+@pytest.mark.parametrize("kind", list(DOOR_SOURCES))
+def test_a_c_text_request_gets_one_verdict_at_every_door(kind, strict, job_manager):
+    """The library, the request door (CLI / coordinator) and the job
+    service parse C text with one helper: the same design, or a refusal
+    with the same SA codes and message.  A strict strided nest used to
+    raise SA110 in the library and finish ``done`` through the service."""
+    from repro.service.queue import BadRequest
+
+    source = DOOR_SOURCES[kind]
+    payload = {"source": source, "name": "door", "options": {**DOOR_OPTIONS, "strict": strict}}
+    try:
+        job = job_manager.wait(job_manager.submit(payload).id, timeout=120.0)
+    except BadRequest as exc:  # refused at admission: a 400
+        served = _rejection(exc)
+    else:
+        if job.error is None:
+            served = ("design", job.result.evaluation.design.signature)
+        else:
+            _, _, message = job.error.partition(": ")
+            served = ("rejected", [], message)
+    library = _library_door(source, strict)
+    assert _payload_door(source, strict) == library
+    assert served == library
+    if strict and kind != "legal":
+        assert library[0] == "rejected" and library[1], library
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+def test_a_c_text_request_is_fingerprinted_by_its_nest(strict):
+    """``compile_c_source`` builds a ``source`` request; its fingerprint
+    used to raise ``TypeError``.  It must equal the fingerprint of the
+    same text submitted through the payload door."""
+    source = DOOR_SOURCES["legal"]
+    options = {**DOOR_OPTIONS, "strict": strict}
+    local = SynthesisRequest(source=source, name="local", **lower_options(options))
+    submitted = SynthesisRequest.from_payload(
+        {"source": source, "name": "submitted", "options": options}
+    )
+    assert local.fingerprint() == submitted.fingerprint()

@@ -160,7 +160,7 @@ def test_infinity_where_an_int_belongs_is_malformed(samples):
 @pytest.mark.parametrize("tag", sorted(TABLE))
 class TestRecordTable:
     def test_round_trip_through_json(self, tag, samples):
-        from repro.sim.engine import EngineResult
+        from repro.sim.fast import EngineResult
 
         record, value = TABLE[tag], samples[tag]
         wire = wire_of(tag, samples)

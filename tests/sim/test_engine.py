@@ -1,5 +1,10 @@
 """Cycle-accurate engine tests: functional correctness against the golden
-model and the Fig. 3 structural facts."""
+model and the Fig. 3 structural facts, and the tripwire that keeps the
+engine a test oracle rather than a product backend."""
+
+import ast
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,9 +16,19 @@ from repro.model.design_point import ArrayShape, DesignPoint
 from repro.model.mapping import Mapping, feasible_mappings
 from repro.nn.golden import conv2d_layer, random_layer_tensors
 from repro.nn.layers import ConvLayer
+from repro.sim.backends import WAVEFRONT_BACKENDS, SimBackend
 from repro.sim.engine import SystolicArrayEngine
 from repro.sim.functional import audit_tiling_coverage, simulate_layer
 from tests.strategies import array_shapes, seeds
+
+#: The engine as a wavefront backend, for these tests only.
+ENGINE = SimBackend("engine", lambda design, arrays: SystolicArrayEngine(design).run(arrays), None)
+
+
+def engine_layer(design, layer, x, w):
+    """:func:`simulate_layer` (padding and groups) on the oracle engine."""
+    with mock.patch.dict(WAVEFRONT_BACKENDS, engine=ENGINE):
+        return simulate_layer(design, layer, x, w, backend="engine")
 
 
 def small_layer():
@@ -31,7 +46,7 @@ class TestEngineFunctional:
         layer = small_layer()
         design = design_for(layer, middle={"i": 1, "r": 2, "p": 3, "q": 3})
         x, w = random_layer_tensors(layer, seed=1, dtype=np.float64)
-        got = simulate_layer(design, layer, x, w)
+        got = engine_layer(design, layer, x, w)
         np.testing.assert_allclose(got, conv2d_layer(layer, x, w), rtol=1e-9)
 
     def test_matches_golden_with_awkward_shape(self):
@@ -39,21 +54,21 @@ class TestEngineFunctional:
         layer = small_layer()
         design = design_for(layer, shape=ArrayShape(4, 3, 4), middle={"r": 3})
         x, w = random_layer_tensors(layer, seed=2, dtype=np.float64)
-        got = simulate_layer(design, layer, x, w)
+        got = engine_layer(design, layer, x, w)
         np.testing.assert_allclose(got, conv2d_layer(layer, x, w), rtol=1e-9)
 
     def test_grouped_layer(self):
         layer = ConvLayer("g", 4, 6, 7, 7, kernel=3, pad=1, groups=2)
         design = design_for(layer, shape=ArrayShape(3, 3, 2), middle={"r": 2})
         x, w = random_layer_tensors(layer, seed=3, dtype=np.float64)
-        got = simulate_layer(design, layer, x, w)
+        got = engine_layer(design, layer, x, w)
         np.testing.assert_allclose(got, conv2d_layer(layer, x, w), rtol=1e-9)
 
     def test_padded_layer(self):
         layer = ConvLayer("p", 3, 4, 6, 6, kernel=3, pad=1)
         design = design_for(layer, shape=ArrayShape(2, 3, 3), middle={"r": 2, "p": 3})
         x, w = random_layer_tensors(layer, seed=4, dtype=np.float64)
-        got = simulate_layer(design, layer, x, w)
+        got = engine_layer(design, layer, x, w)
         np.testing.assert_allclose(got, conv2d_layer(layer, x, w), rtol=1e-9)
 
     def test_every_feasible_mapping_computes_the_same_conv(self):
@@ -65,7 +80,7 @@ class TestEngineFunctional:
         nest = layer.to_loop_nest()
         for mapping in feasible_mappings(nest):
             design = DesignPoint.create(nest, mapping, ArrayShape(2, 2, 2), {})
-            got = simulate_layer(design, layer, x, w)
+            got = engine_layer(design, layer, x, w)
             np.testing.assert_allclose(got, want, rtol=1e-9, err_msg=str(mapping))
 
     def test_design_layer_mismatch_rejected(self):
@@ -74,7 +89,7 @@ class TestEngineFunctional:
         design = design_for(other)
         x, w = random_layer_tensors(layer, seed=0, dtype=np.float64)
         with pytest.raises(ValueError):
-            simulate_layer(design, layer, x, w)
+            engine_layer(design, layer, x, w)
 
     @settings(max_examples=10, deadline=None)
     @given(shape=array_shapes(vectors=(1, 2)), seed=seeds)
@@ -82,7 +97,7 @@ class TestEngineFunctional:
         layer = ConvLayer("t", 2, 3, 5, 5, kernel=2)
         design = design_for(layer, shape=shape, middle={"r": 2})
         x, w = random_layer_tensors(layer, seed=seed, dtype=np.float64)
-        got = simulate_layer(design, layer, x, w)
+        got = engine_layer(design, layer, x, w)
         np.testing.assert_allclose(got, conv2d_layer(layer, x, w), rtol=1e-9)
 
 
@@ -147,3 +162,26 @@ class TestTilingCoverageAudit:
             nest, Mapping("o", "c", "i", "IN", "W"), ArrayShape(rows, cols, vec), {"p": 2}
         )
         audit_tiling_coverage(design)
+
+
+class TestEngineIsATestOracle:
+    def test_no_product_module_imports_the_engine(self):
+        """``repro.sim.engine`` is the tests' oracle: no ``src/repro``
+        module but the engine itself may import it."""
+        root = Path(__file__).resolve().parents[2] / "src" / "repro"
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            if path == root / "sim" / "engine.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module] + [
+                        f"{node.module}.{alias.name}" for alias in node.names
+                    ]
+                else:
+                    continue
+                if "repro.sim.engine" in names:
+                    offenders.append(f"{path.relative_to(root)}:{node.lineno}")
+        assert not offenders, offenders

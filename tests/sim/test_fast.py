@@ -232,9 +232,9 @@ class TestLayerBackend:
             {"r": 2},
         )
         x, w = random_layer_tensors(layer, seed=11, dtype=np.float64)
-        fast = simulate_layer(design, layer, x, w, backend="fast")
-        engine = simulate_layer(design, layer, x, w, backend="engine")
-        assert fast.tobytes() == engine.tobytes()
+        fast = simulate_layer(design, layer, x, w)
+        rtl = simulate_layer(design, layer, x, w, backend="rtl")
+        assert fast.tobytes() == rtl.tobytes()
         np.testing.assert_allclose(fast, conv2d_layer(layer, x, w), rtol=1e-9)
 
     def test_grouped_layer_fast_backend(self):

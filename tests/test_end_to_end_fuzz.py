@@ -1,6 +1,7 @@
 """End-to-end property fuzz: for random small layers, the winning design
 of the full DSE must (a) cover the iteration space exactly once and
-(b) compute the exact convolution in the cycle-accurate engine.
+(b) compute the exact convolution when its emitted RTL is stepped cycle
+by cycle.
 
 This chains front-end-equivalent nest construction -> DSE -> coverage
 audit -> RTL-level execution -> golden comparison, on shapes nobody
@@ -39,9 +40,9 @@ def test_dse_winner_is_functionally_correct(layer, seed):
     # (a) index-math invariant
     audit_tiling_coverage(design)
 
-    # (b) cycle-accurate execution equals the golden model
+    # (b) the emitted RTL, stepped cycle by cycle, equals the golden model
     inputs, weights = random_layer_tensors(layer, seed=seed, dtype=np.float64)
-    got = simulate_layer(design, layer, inputs, weights)
+    got = simulate_layer(design, layer, inputs, weights, backend="rtl")
     want = conv2d_layer(layer, inputs, weights)
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-11)
 

@@ -1,6 +1,6 @@
 """Conformance-harness tests: clean designs pass every leg, corrupted
-simulators are caught with the right SA4xx code, oversized problems skip
-the engine leg gracefully."""
+simulators are caught with the right SA4xx/SA15x code, oversized
+problems skip the RTL legs gracefully."""
 
 import dataclasses
 import json
@@ -90,8 +90,8 @@ class TestCrossCheckClean:
         report = cross_check(small_design())
         assert report.ok
         assert report.exit_code == 0
-        assert [leg.status for leg in report.legs] == ["ok", "ok", "ok"]
-        assert report.leg("fast-vs-engine").status == "ok"
+        assert [leg.status for leg in report.legs] == ["ok", "ok"]
+        assert report.leg("fast-vs-golden").status == "ok"
         with pytest.raises(KeyError):
             report.leg("no-such-leg")
 
@@ -105,18 +105,23 @@ class TestCrossCheckClean:
         assert report.ok
         assert report.leg("layer-vs-conv-golden").status == "ok"
 
-    def test_engine_leg_skipped_above_budget(self):
-        report = cross_check(small_design(), engine_iteration_limit=10)
+    def test_cycle_level_legs_skipped_above_budget(self):
+        report = cross_check(small_design(), rtl=True, rtl_iteration_limit=10)
         assert report.ok  # a skip is a note, not an error
-        assert report.leg("fast-vs-engine").status == "skipped"
-        assert any(d.code == "SA404" for d in report.report.diagnostics)
+        assert report.leg("rtl-vs-fast").status == "skipped"
+        assert report.leg("fast-vs-golden").status == "ok"
+        notes = [d for d in report.report.diagnostics if d.code == "SA404"]
+        assert [d.message for d in notes] == [
+            "RTL legs skipped: 5400 iterations exceed the 10-iteration "
+            "RTL interpreter budget"
+        ]
 
     def test_report_is_json_serializable(self):
         report = cross_check(small_design())
         payload = json.loads(json.dumps(report.to_dict()))
         assert payload["ok"] is True
         assert {leg["name"] for leg in payload["legs"]} == {
-            "fast-vs-engine", "fast-vs-golden", "cycles-vs-model",
+            "fast-vs-golden", "cycles-vs-model",
         }
 
     def test_render_mentions_every_leg(self):
@@ -220,20 +225,22 @@ def corrupted_reference(monkeypatch):
 
 class TestCrossCheckCatchesCorruption:
     def test_corrupted_simulator_fails_every_leg(self, corrupted_reference):
-        report = cross_check(small_design())
+        report = cross_check(small_design(), rtl=True, iverilog="off")
         assert not report.ok
         assert report.exit_code == 1
         codes = {d.code for d in report.report.diagnostics}
-        assert codes == {"SA401", "SA402", "SA403"}
-        assert report.leg("fast-vs-engine").status == "mismatch"
+        assert codes == {"SA401", "SA403", "SA151"}
         assert report.leg("fast-vs-golden").status == "mismatch"
         assert report.leg("cycles-vs-model").status == "mismatch"
+        # The emitted RTL is the independent cycle-level check.
+        assert report.leg("rtl-vs-fast").status == "mismatch"
+        assert report.leg("rtl-cycles-vs-model").status == "ok"
         with pytest.raises(Exception):
             report.report.raise_if_errors()
 
     def test_mismatch_detail_names_the_counter(self, corrupted_reference):
         report = cross_check(small_design())
-        assert "compute_cycles" in report.leg("fast-vs-engine").detail
+        assert "compute_cycles" in report.leg("cycles-vs-model").detail
 
 
 class TestConformanceReportShape:
