@@ -1,6 +1,6 @@
 """Pass 2 — design-point validation against the paper's constraints.
 
-Re-derives, from nothing but a :class:`DesignPoint` and a
+Checks, from nothing but a :class:`DesignPoint` and a
 :class:`Platform`, every invariant a legal design must satisfy:
 
 * the Eq. 2 feasibility condition of its mapping (via the reuse table,
@@ -10,8 +10,11 @@ Re-derives, from nothing but a :class:`DesignPoint` and a
 * tiling sanity: positive bounds, middle bounds only on real loops, PE
   dimensions and block extents that do not overshoot their loops.
 
-Because it recomputes everything, it can audit DSE output independently
-of the DSE code paths — :mod:`repro.dse.explore` and
+The structural, Eq. 1, Eq. 2 and Eq. 4 checks are re-derived here.  The
+BRAM budget is checked against :meth:`DesignPoint.evaluate` — the one
+Eq. 5/6 cost model, which the search also tunes with — so it audits
+that the search's feasibility verdict holds for the design it emitted,
+not a second formula.  :mod:`repro.dse.explore` and
 :mod:`repro.flow.compile` run it over their winners in strict mode.
 """
 
@@ -36,7 +39,7 @@ from repro.analysis.diagnostics import (
 from repro.model.design_point import DesignPoint
 from repro.model.mapping import is_feasible
 from repro.model.platform import Platform
-from repro.model.resources import bram_usage, dsp_usage
+from repro.model.resources import dsp_usage
 
 
 def check_design_point(design: DesignPoint, platform: Platform) -> AnalysisReport:
@@ -118,7 +121,7 @@ def check_design_point(design: DesignPoint, platform: Platform) -> AnalysisRepor
         )
 
     # --- Eq. 6: BRAM budget
-    bram = bram_usage(design.tiled, platform)
+    bram = design.evaluate(platform).bram
     if bram.total > platform.bram_total:
         report.add(
             DESIGN_BRAM_EXCEEDED,
@@ -172,9 +175,8 @@ def verify_design_points(
 ) -> AnalysisReport:
     """Validate a batch of design points into one combined report.
 
-    Used by strict-mode DSE: every emitted design is re-checked
-    independently; the combined report carries each design's signature
-    in the messages.
+    Used by strict-mode DSE: every emitted design is re-checked; the
+    combined report carries each design's signature in the messages.
     """
     combined = AnalysisReport()
     for design in designs:

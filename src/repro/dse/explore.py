@@ -59,12 +59,14 @@ class DseConfig:
         include_cover: extend the power-of-two tiling candidates with the
             cover bound (see tuner docs); False = paper-faithful pruning.
         upper_bound_pruning: enable the admissible branch-and-bound.
-        strict: re-verify every finalist with the independent
-            design-point validator (:mod:`repro.analysis.design_check`)
-            and raise :class:`repro.analysis.DiagnosticError` if any
-            violates the paper's constraints.  Off by default: the
-            validator recomputes what the search already enforced, so
-            this is a self-audit, not a correctness requirement.
+        strict: re-verify every finalist with the design-point
+            validator (:mod:`repro.analysis.design_check`) and raise
+            :class:`repro.analysis.DiagnosticError` if any violates the
+            paper's constraints.  Off by default: the validator re-derives
+            the structural and Eq. 2/4 constraints itself and checks the
+            search's BRAM feasibility against the one cost model
+            (:meth:`DesignPoint.evaluate`, not a second formula), so this
+            is a self-audit, not a correctness requirement.
     """
 
     min_dsp_utilization: float = 0.8

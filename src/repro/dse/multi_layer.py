@@ -229,9 +229,10 @@ def layer_performances(
     outcome: UnifiedOutcome,
 ) -> tuple[LayerPerformance, ...]:
     """The per-layer report rows of one outcome evaluated at
-    ``frequency_mhz`` — the only place the unified search consults the
-    object model (for each row's ``bound``), so it runs for the winner,
-    not for every layer the search tunes."""
+    ``frequency_mhz`` — the only place the unified search calls
+    :meth:`DesignPoint.evaluate` (a one-row call into the kernel the
+    search tuned with, for each row's ``bound``), so it runs for the
+    winner, not for every layer the search tunes."""
     rows = []
     for w, tuned, seconds in zip(workloads, outcome.tuned, outcome.layer_seconds):
         design = tuned.design

@@ -17,9 +17,13 @@ candidate product (:func:`walk`), precomputing everything that does not
 depend on ``s``.  The per-layer search, the unpruned brute force
 (:mod:`repro.dse.brute`) and the shared-strategy search
 (:mod:`repro.dse.shared_reuse`) are that one walk over different
-per-loop candidate lists.  Tests hold it bit-for-bit to an independent
-scalar oracle (``tests/dse/oracle.py``) — winners, tie-breaks and
-counts.
+per-loop candidate lists.  It is also the only copy of the cost model:
+:meth:`MiddleTuner.terms` and :meth:`MiddleTuner.fold` price a whole
+grid for the walk and a single tiling for
+:meth:`repro.model.design_point.DesignPoint.evaluate`, so a design's
+evaluation is the number the search ranked it by.  Tests hold it
+bit-for-bit to an independent scalar oracle (``tests/dse/oracle.py``) —
+winners, tie-breaks and counts.
 
 A search tunes the same problem many times over: the two operand
 orientations of one loop permutation, a row/col transpose, or layers of
@@ -156,7 +160,8 @@ class MiddleTuner:
 
     The constructor precomputes every s-independent quantity; :meth:`tune`
     then scores the candidate product through :func:`walk`, the one
-    columnar Problem-2 kernel.
+    columnar Problem-2 kernel, and :meth:`row` + :meth:`terms` +
+    :meth:`fold` price one tiling on the same expressions.
     """
 
     #: Rows per slab of :func:`walk`; bounds peak memory at a few MB while
@@ -199,7 +204,7 @@ class MiddleTuner:
             self._clipped_eff = self._total_iterations / math.prod(self._extent_cap)
 
         self._cb = platform.bram_buffer_constant
-        self._pe_blocks = math.ceil(platform.bram_per_pe * self._lanes)
+        self.pe_blocks = math.ceil(platform.bram_per_pe * self._lanes)
         self._bram_total = platform.bram_total
         self._bw_total = platform.memory.total_bytes_per_second
         self._bw_port = platform.memory.port_bytes_per_second
@@ -244,20 +249,30 @@ class MiddleTuner:
                 return False
         return True
 
-    def _score(self, blocks: list[Any], freq_hz: float, exact: bool) -> tuple[Any, Any, Any]:
-        """(throughput ops/s, BRAM blocks, efficiency) over the grid spanned
-        by ``blocks`` — loop ``l``'s block extents on broadcast axis ``l``
-        (a column, or a scalar for a loop held at one candidate); each
-        result is an array broadcastable to that grid, or a scalar.
+    def row(self, middle: dict[str, int]) -> list[int]:
+        """Each loop's one block extent at the middle bounds ``middle``
+        (omitted = 1), clipped as the walk clips it: the ``blocks`` of
+        :meth:`terms` for a single tiling, as Python ints."""
+        lists = self._block_lists([(middle.get(it, 1),) for it in self._iterators], False)
+        return [int(b[0]) for b in lists]
 
-        Eq. 1 + 5 + 6 + 8 + 9 + 10.  Each array's footprint is built on
-        the sub-grid of the loops its subscripts mention and widened only
-        where Eq. 6/9/10 combine arrays.  Integer products are exact, so
-        their order is free; every float expression is applied in one
-        fixed order.  With ``exact`` the columns are int64 and every
-        intermediate is below 2^53; otherwise they hold Python ints, so
-        each row is priced by Python's own big-int and correctly rounded
-        int/int arithmetic.
+    def terms(self, blocks: list[Any], freq_hz: float, exact: bool) -> tuple:
+        """The model's terms over the grid spanned by ``blocks`` — loop
+        ``l``'s block extents on broadcast axis ``l`` (a column, or a
+        scalar for a loop held at one candidate; all scalars for one
+        tiling): ``(efficiency, block iterations, PT ops/s, ops per
+        block, arrays)``, where ``arrays`` holds per array ``(name,
+        words, RAM blocks, bytes, port-limited MT ops/s)``.  Each term is
+        an array broadcastable to the grid, or a scalar.
+
+        Eq. 1 + 5 + 6 (per array) + 8 + 10.  Each array's footprint is
+        built on the sub-grid of the loops its subscripts mention and
+        widened only where :meth:`fold` combines arrays.  Integer
+        products are exact, so their order is free; every float
+        expression is applied in one fixed order.  With ``exact`` the
+        columns are int64 and every intermediate is below 2^53;
+        otherwise they hold Python ints, so each row is priced by
+        Python's own big-int and correctly rounded int/int arithmetic.
         """
         # Eq. 1 efficiency — padded or the s-independent clipped form.
         # Products fold from the innermost loop outward, so every multiply
@@ -273,17 +288,16 @@ class MiddleTuner:
         for b in reversed(blocks):
             block_iterations = block_iterations * b
 
-        # Eq. 8 computation throughput; seeds the running min of Eq. 9/10.
+        # Eq. 8 computation throughput.
         twice = eff * 2.0
-        throughput = twice * self._lanes * freq_hz
+        pt = twice * self._lanes * freq_hz
         block_ops = twice * block_iterations
         port_ops = block_ops * self._bw_port
 
-        # Eq. 5 footprints, Eq. 6 BRAM, Eq. 9/10 memory throughput.
+        # Eq. 5 footprints, Eq. 6 buffer blocks, Eq. 10 port throughput.
         steps = [b - 1 for b in blocks]
-        bram = self._pe_blocks + len(self._arrays) * self._cb
-        total_bytes = 0.0
-        for _name, array_dims, word_bytes, words_per_block in self._arrays:
+        arrays = []
+        for name, array_dims, word_bytes, words_per_block in self._arrays:
             words = 1
             for terms in array_dims:
                 span = 1
@@ -296,13 +310,34 @@ class MiddleTuner:
             # whatever NumPy's promotion rules make of frexp's int32.
             raw = -(-words // words_per_block)
             if exact:
-                bram = bram + np.left_shift(2, np.frexp(raw - 1)[1], dtype=np.int64)
+                doubled = np.left_shift(2, np.frexp(raw - 1)[1], dtype=np.int64)
             else:
-                bram = bram + (2 << _bit_length(raw - 1))
+                doubled = 2 << _bit_length(raw - 1)
             nbytes = words * word_bytes
+            arrays.append((name, words, self._cb + doubled, nbytes, port_ops / nbytes))
+        return eff, block_iterations, pt, block_ops, arrays
+
+    def fold(self, pt: Any, block_ops: Any, arrays: list) -> tuple[Any, Any, Any, Any]:
+        """Combine :meth:`terms` across arrays: ``(throughput T ops/s,
+        MT ops/s, aggregate-bandwidth MT ops/s, BRAM blocks)`` — Eq. 6's
+        sum with the PE blocks, Eq. 9's aggregate bandwidth, and the
+        ``min`` of Eq. 7/9/10."""
+        bram = self.pe_blocks
+        total_bytes = 0.0
+        for _name, _words, blocks, nbytes, _port_mt in arrays:
+            bram = bram + blocks
             total_bytes = total_bytes + nbytes
-            throughput = np.minimum(throughput, port_ops / nbytes)
-        throughput = np.minimum(throughput, block_ops * self._bw_total / total_bytes)
+        mt_total = block_ops * self._bw_total / total_bytes
+        mt = mt_total
+        for *_, port_mt in arrays:
+            mt = np.minimum(mt, port_mt)
+        return np.minimum(pt, mt), mt, mt_total, bram
+
+    def _score(self, blocks: list[Any], freq_hz: float, exact: bool) -> tuple[Any, Any, Any]:
+        """(throughput ops/s, BRAM blocks, efficiency) over the grid spanned
+        by ``blocks``: :meth:`terms` folded by :meth:`fold`."""
+        eff, _iterations, pt, block_ops, arrays = self.terms(blocks, freq_hz, exact)
+        throughput, _mt, _mt_total, bram = self.fold(pt, block_ops, arrays)
         return throughput, bram, eff
 
     def _fits(self, scores: list[tuple[Any, Any, Any]]) -> tuple[Any, Any, Any]:

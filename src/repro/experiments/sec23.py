@@ -15,14 +15,15 @@ for the interpretation).
 from __future__ import annotations
 
 from repro.ir.loop import conv_loop_nest
-from repro.ir.tiling import LoopTiling, TiledLoopNest
-from repro.model.performance import estimate_performance
+from repro.model.design_point import ArrayShape, DesignPoint
+from repro.model.mapping import Mapping
 from repro.model.platform import Platform
 from repro.experiments.common import ExperimentResult
 
 GOOD_TILING = {"i": 4, "o": 4, "r": 13, "c": 1, "p": 3, "q": 3}
 BAD_TILING = {"i": 2, "o": 2, "r": 2, "c": 2, "p": 2, "q": 2}
-SYS1_INNER = {"o": 11, "c": 13, "i": 8}
+#: sys1: o on the 11 PE rows, c on the 13 columns, i on the 8-wide vector.
+SYS1 = (Mapping("o", "c", "i", "IN", "W"), ArrayShape(11, 13, 8))
 
 
 def run_section23_tiling_example() -> ExperimentResult:
@@ -39,8 +40,7 @@ def run_section23_tiling_example() -> ExperimentResult:
     result.add_row("bad  (2,2,2,2,2,2)", "162", "-", "162 measured", "~67", "memory", "paper")
 
     for label, middle in (("good (4,4,13,1,3,3)", GOOD_TILING), ("bad  (2,2,2,2,2,2)", BAD_TILING)):
-        tiled = TiledLoopNest(nest, LoopTiling.of(middle, SYS1_INNER))
-        est = estimate_performance(tiled, platform)
+        est = DesignPoint.create(nest, *SYS1, middle).evaluate(platform).performance
         result.add_row(
             label, f"{est.pt_gops:.1f}", f"{est.mt_gops:.1f}",
             f"{est.throughput_gops:.1f}", f"{est.bandwidth_demand_gbs:.1f}",

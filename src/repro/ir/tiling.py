@@ -137,22 +137,6 @@ class TiledLoopNest:
         )
 
     @property
-    def block_domain_clipped(self) -> IterationDomain:
-        """Block domain with extents clipped at the padded loop extent.
-
-        Under clipped-middle semantics, a block whose extent exceeds
-        ``ceil(N_l / t_l) * t_l`` behaves exactly like one covering the
-        loop — smaller buffers, smaller transfers.  Models evaluating a
-        clipped platform use this domain so they agree with the DSE
-        tuner's accounting.
-        """
-        extents = []
-        for it in self.nest.iterators:
-            cap = math.ceil(self.nest.bounds[it] / self.tiling.t(it)) * self.tiling.t(it)
-            extents.append((it, min(self.tiling.block_extent(it), cap)))
-        return IterationDomain.of(extents)
-
-    @property
     def block_iterations(self) -> int:
         """Middle+inner iterations per block = Π b_l."""
         return self.block_domain.size
@@ -194,11 +178,6 @@ class TiledLoopNest:
             t = self.tiling.t(it)
             total *= math.ceil(trip / t) * t
         return total
-
-    @property
-    def clipped_efficiency(self) -> float:
-        """DSP efficiency under clipped-middle semantics (s-independent)."""
-        return self.nest.total_iterations / self.executed_iterations_clipped
 
     def efficiency_along(self, iterator: str) -> float:
         """Per-loop efficiency factor N_l / (ceil(N_l/b_l) * b_l)."""

@@ -1,19 +1,24 @@
 """Analytical models (paper Section 3).
 
-Everything the DSE needs to evaluate a candidate design without touching
-hardware: the feasible-mapping condition (Eq. 2/3), DSP and BRAM resource
-models (Eq. 4–6), DSP efficiency (Eq. 1), and the throughput model
-(Eq. 7–10), bundled around two containers:
+Everything the DSE needs to describe a candidate design without touching
+hardware: the feasible-mapping condition (Eq. 2/3), the DSP and logic
+models (Eq. 4), and the records of the BRAM (Eq. 5/6) and throughput
+(Eq. 1, 7–10) verdicts, bundled around two containers:
 
 * :class:`~repro.model.platform.Platform` — device + datatype + memory +
   frequency surrogate + model calibration constants;
 * :class:`~repro.model.design_point.DesignPoint` — one fully specified
   candidate design (nest, mapping, PE-array shape, tiling).
+
+Eq. 1 and 5–10 themselves have one copy, the DSE's tiling kernel
+(:class:`repro.dse.tuner.MiddleTuner`); :meth:`DesignPoint.evaluate` is a
+one-row call into it, so a design's evaluation is the number the search
+ranked it by.
 """
 
 from repro.model.design_point import ArrayShape, DesignEvaluation, DesignPoint
 from repro.model.mapping import Mapping, array_roles, feasible_mappings, is_feasible
-from repro.model.performance import PerformanceEstimate, estimate_performance
+from repro.model.performance import PerformanceEstimate
 from repro.model.platform import Platform
 from repro.model.serialize import (
     design_from_dict,
@@ -21,12 +26,7 @@ from repro.model.serialize import (
     load_design,
     save_design,
 )
-from repro.model.resources import (
-    BramBreakdown,
-    bram_usage,
-    dsp_usage,
-    logic_usage,
-)
+from repro.model.resources import BramBreakdown, dsp_usage, logic_usage
 
 __all__ = [
     "ArrayShape",
@@ -37,9 +37,7 @@ __all__ = [
     "PerformanceEstimate",
     "Platform",
     "array_roles",
-    "bram_usage",
     "dsp_usage",
-    "estimate_performance",
     "design_from_dict",
     "design_to_dict",
     "feasible_mappings",

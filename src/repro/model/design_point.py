@@ -2,7 +2,10 @@
 
 A design point = (loop nest, mapping, PE-array shape, data-reuse tiling).
 It owns the derived tiled nest and provides one-call evaluation against a
-platform, producing the resource + performance record the DSE ranks.
+platform, producing the resource + performance record the DSE ranks.  The
+evaluation is one row of the DSE's tiling kernel
+(:class:`repro.dse.tuner.MiddleTuner`), the only copy of Eq. 1/5–10, so
+it is bit-for-bit the number the search ranked the design by.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ from typing import Mapping as MappingT
 from repro.ir.loop import LoopNest
 from repro.ir.tiling import LoopTiling, TiledLoopNest
 from repro.model.mapping import Mapping
-from repro.model.performance import PerformanceEstimate, estimate_performance
+from repro.model.performance import PerformanceEstimate
 from repro.model.platform import Platform
-from repro.model.resources import BramBreakdown, bram_usage, dsp_usage, logic_usage
+from repro.model.resources import BramBreakdown, dsp_usage, logic_usage
 
 
 @dataclass(frozen=True)
@@ -138,32 +141,54 @@ class DesignPoint:
         """
         return replace(self, nest=nest)
 
-    def realized_frequency(self, platform: Platform) -> float:
-        """Phase-2 clock from the frequency surrogate."""
-        evaluation = self.evaluate(platform)
-        return platform.frequency_model.realize(
-            rows=self.shape.rows,
-            cols=self.shape.cols,
-            vector=self.shape.vector,
-            dsp_utilization=evaluation.dsp_utilization,
-            bram_utilization=evaluation.bram_utilization,
-            signature=self.signature,
-        )
-
     def evaluate(
         self, platform: Platform, *, frequency_mhz: float | None = None
     ) -> DesignEvaluation:
         """Run the full analytical model against a platform.
 
+        The performance and BRAM figures are one row of the DSE's tiling
+        kernel (:class:`repro.dse.tuner.MiddleTuner`), so they are
+        bit-for-bit the numbers the search ranked this design by.
+
         Args:
             platform: evaluation platform.
             frequency_mhz: clock override (phase 2 uses the realized
                 clock; phase 1 the platform's assumed clock).
+
+        Raises:
+            ValueError: if a middle bound or the mapping names a loop the
+                nest does not have.
         """
-        performance = estimate_performance(
-            self.tiled, platform, frequency_mhz=frequency_mhz
+        # Imported here: the tuner builds DesignPoints.
+        from repro.dse.tuner import MiddleTuner
+
+        tuner = MiddleTuner(self.nest, self.mapping, self.shape, platform)
+        freq_hz = (frequency_mhz or platform.assumed_clock_mhz) * 1e6
+        # Read through ``tiled``, which rejects bounds on unknown loops.
+        blocks = tuner.row(self.tiled.tiling.middle_bounds)
+        eff, block_iterations, pt, block_ops, arrays = tuner.terms(blocks, freq_hz, False)
+        throughput, mt, mt_total, _bram = tuner.fold(pt, block_ops, arrays)
+        throughput = float(throughput)
+        effective_ops = self.nest.total_operations
+        performance = PerformanceEstimate(
+            frequency_mhz=freq_hz / 1e6,
+            efficiency=eff,
+            lanes=self.shape.lanes,
+            block_iterations=block_iterations,
+            pt_gops=pt / 1e9,
+            mt_gops=float(mt) / 1e9,
+            mt_total_gops=mt_total / 1e9,
+            mt_per_array_gops={name: port_mt / 1e9 for name, *_, port_mt in arrays},
+            throughput_gops=throughput / 1e9,
+            effective_ops=effective_ops,
+            seconds=effective_ops / throughput,
+            block_bytes={name: nbytes for name, _, _, nbytes, _ in arrays},
         )
-        bram = bram_usage(self.tiled, platform)
+        bram = BramBreakdown(
+            per_array_blocks={name: ram for name, _, ram, _, _ in arrays},
+            pe_blocks=tuner.pe_blocks,
+            footprints={name: words for name, words, *_ in arrays},
+        )
         dsp_blocks = dsp_usage(self.shape.rows, self.shape.cols, self.shape.vector, platform)
         dsp_budget_blocks = platform.dsp_total * platform.dsp_per_mac
         return DesignEvaluation(

@@ -10,16 +10,17 @@ throughput is the minimum of:
   port's bandwidth.
 
 All throughputs are reported in Gops (= GFlops for float precision).
+
+This module holds the record of that verdict.  The equations have one
+copy, the DSE's tiling kernel (:meth:`repro.dse.tuner.MiddleTuner.terms`
+and :meth:`~repro.dse.tuner.MiddleTuner.fold`);
+:meth:`repro.model.design_point.DesignPoint.evaluate` fills this record
+from one row of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro.ir.domain import count_footprint
-from repro.ir.tiling import TiledLoopNest
-from repro.model.mapping import array_roles
-from repro.model.platform import Platform
 
 
 @dataclass(frozen=True)
@@ -72,80 +73,4 @@ class PerformanceEstimate:
         return self.pt_gops * bytes_per_op  # Gops * B/op = GB/s
 
 
-def estimate_performance(
-    tiled: TiledLoopNest,
-    platform: Platform,
-    *,
-    frequency_mhz: float | None = None,
-) -> PerformanceEstimate:
-    """Evaluate Eq. 7–10 for one tiled design.
-
-    Args:
-        tiled: the design's tiled loop nest (mapping + shape + tiling).
-        platform: evaluation platform.
-        frequency_mhz: clock override; defaults to the platform's phase-1
-            assumed clock.
-
-    Returns:
-        A :class:`PerformanceEstimate`.
-    """
-    freq_hz = (frequency_mhz or platform.assumed_clock_mhz) * 1e6
-    eff = (
-        tiled.efficiency
-        if platform.ragged_middle == "padded"
-        else tiled.clipped_efficiency
-    )
-
-    lanes = 1
-    for _, bound in tiled.tiling.inner:
-        lanes *= bound
-
-    # Eq. 8 — computation throughput.
-    pt = eff * 2.0 * lanes * freq_hz
-
-    # Eq. 9/10 — memory transfer throughput.  Clipped platforms use the
-    # clipped block domain so the model agrees with the DSE tuner.
-    roles = array_roles(tiled.nest)
-    domain = (
-        tiled.block_domain
-        if platform.ragged_middle == "padded"
-        else tiled.block_domain_clipped
-    )
-    block_iterations = domain.size
-    block_ops = eff * 2.0 * block_iterations
-
-    block_bytes: dict[str, int] = {}
-    for access in tiled.nest.accesses:
-        words = count_footprint(access, domain)
-        block_bytes[access.array] = words * platform.datatype.bytes_for(roles[access.array])
-
-    total_bytes = sum(block_bytes.values())
-    mt_total = block_ops / (total_bytes / platform.memory.total_bytes_per_second)
-    mt_per_array = {
-        array: block_ops / (nbytes / platform.memory.port_bytes_per_second)
-        for array, nbytes in block_bytes.items()
-    }
-    mt = min(mt_total, *mt_per_array.values())
-
-    throughput = min(pt, mt)
-    effective_ops = tiled.nest.total_operations
-    return PerformanceEstimate(
-        frequency_mhz=freq_hz / 1e6,
-        efficiency=eff,
-        lanes=lanes,
-        block_iterations=block_iterations,
-        pt_gops=pt / 1e9,
-        mt_gops=mt / 1e9,
-        mt_total_gops=mt_total / 1e9,
-        mt_per_array_gops={a: v / 1e9 for a, v in mt_per_array.items()},
-        throughput_gops=throughput / 1e9,
-        effective_ops=effective_ops,
-        seconds=effective_ops / throughput,
-        block_bytes=block_bytes,
-    )
-
-
-__all__ = [
-    "PerformanceEstimate",
-    "estimate_performance",
-]
+__all__ = ["PerformanceEstimate"]

@@ -3,11 +3,14 @@
 DSP usage is exact: the array instantiates one MAC lane per inner-loop
 iteration (Eq. 4), at the datatype's DSP cost per lane.
 
-BRAM usage follows Eq. 6.  Footprints :math:`DA_r` (Eq. 5) come from
-:mod:`repro.ir.domain`; each double-buffered reuse buffer occupies a
+BRAM usage follows Eq. 6: each double-buffered reuse buffer occupies a
 power-of-two number of RAM blocks (the Intel OpenCL flow "will allocate
-the actual memory size as the rounding up power of two value"), plus the
-constant per-buffer overhead ``c_b`` and the per-PE cost ``c_p``.
+the actual memory size as the rounding up power of two value") for its
+footprint :math:`DA_r` (Eq. 5), plus the constant per-buffer overhead
+``c_b`` and the per-PE cost ``c_p``.  Eq. 5/6 are computed once, in the
+DSE's tiling kernel (:meth:`repro.dse.tuner.MiddleTuner.terms`);
+:class:`BramBreakdown` is the record
+:meth:`repro.model.design_point.DesignPoint.evaluate` fills from it.
 
 A coarse logic (ALM/LUT) model is included for the Table 3 utilization
 columns; it is a linear calibration, documented as such.
@@ -15,12 +18,8 @@ columns; it is a linear calibration, documented as such.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from repro.ir.domain import count_footprint
-from repro.ir.tiling import TiledLoopNest
-from repro.model.mapping import array_roles
 from repro.model.platform import Platform
 
 
@@ -33,11 +32,6 @@ def dsp_usage(rows: int, cols: int, vector: int, platform: Platform) -> float:
     if min(rows, cols, vector) < 1:
         raise ValueError("array shape must be positive")
     return rows * cols * vector * platform.dsp_per_mac
-
-
-def mac_lanes(rows: int, cols: int, vector: int) -> int:
-    """Parallel MAC lanes of the array = prod(t)."""
-    return rows * cols * vector
 
 
 @dataclass(frozen=True)
@@ -61,43 +55,6 @@ class BramBreakdown:
         return sum(self.per_array_blocks.values()) + self.pe_blocks
 
 
-def bram_usage(tiled: TiledLoopNest, platform: Platform) -> BramBreakdown:
-    """Eq. 6: RAM blocks for all reuse buffers plus the PE array.
-
-    For each array ``r``:
-
-    1. footprint ``DA_r`` in words over one block's middle+inner domain
-       (Eq. 5, closed form validated against enumeration in tests);
-    2. raw blocks = ceil(words / words-per-block at the role's width);
-    3. power-of-two rounding (tool behaviour);
-    4. x2 for double buffering;
-    5. + ``c_b`` control overhead.
-
-    The PE-internal term is ``c_p x prod(t)``.
-    """
-    roles = array_roles(tiled.nest)
-    domain = (
-        tiled.block_domain
-        if platform.ragged_middle == "padded"
-        else tiled.block_domain_clipped
-    )
-    per_array: dict[str, int] = {}
-    footprints: dict[str, int] = {}
-    for access in tiled.nest.accesses:
-        words = count_footprint(access, domain)
-        footprints[access.array] = words
-        word_bytes = platform.datatype.bytes_for(roles[access.array])
-        raw_blocks = math.ceil(words / platform.device.bram_words_per_block(word_bytes))
-        rounded = 1 << math.ceil(math.log2(raw_blocks)) if raw_blocks > 1 else 1
-        per_array[access.array] = platform.bram_buffer_constant + 2 * rounded
-
-    lanes = 1
-    for _, bound in tiled.tiling.inner:
-        lanes *= bound
-    pe_blocks = math.ceil(platform.bram_per_pe * lanes)
-    return BramBreakdown(per_array, pe_blocks, footprints)
-
-
 def logic_usage(
     rows: int,
     cols: int,
@@ -113,7 +70,7 @@ def logic_usage(
     near the reported ~57-59% logic on Arria 10.  Reporting-only — no
     DSE decision depends on logic.
     """
-    return base_cells + cells_per_lane * mac_lanes(rows, cols, vector)
+    return base_cells + cells_per_lane * (rows * cols * vector)
 
 
-__all__ = ["BramBreakdown", "bram_usage", "dsp_usage", "logic_usage", "mac_lanes"]
+__all__ = ["BramBreakdown", "dsp_usage", "logic_usage"]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dse.explore import Phase1Result, phase2
 from repro.ir.loop import conv_loop_nest
 from repro.model.design_point import ArrayShape, DesignPoint
 from repro.model.mapping import Mapping
@@ -19,6 +20,12 @@ def sys1():
         ArrayShape(11, 13, 8),
         {"i": 4, "o": 4, "r": 13, "p": 3, "q": 3},
     )
+
+
+def realized(design, platform):
+    """Phase 2 over a phase 1 whose one finalist is ``design``: the design
+    evaluated at its realized clock."""
+    return phase2(Phase1Result((design.evaluate(platform),), 1, 1, 1, 0.0), platform).best
 
 
 class TestArrayShape:
@@ -85,19 +92,27 @@ class TestDesignEvaluation:
         assert not ev.feasible
 
     def test_realized_frequency_deterministic_and_plausible(self):
-        dp = sys1()
         platform = Platform()
-        f1 = dp.realized_frequency(platform)
-        f2 = dp.realized_frequency(platform)
+        f1 = realized(sys1(), platform).performance.frequency_mhz
+        f2 = realized(sys1(), platform).performance.frequency_mhz
         assert f1 == f2
         assert 200 <= f1 <= 300
 
     def test_evaluate_at_realized_frequency(self):
         dp = sys1()
         platform = Platform()
-        freq = dp.realized_frequency(platform)
-        ev = dp.evaluate(platform, frequency_mhz=freq)
-        assert ev.performance.frequency_mhz == pytest.approx(freq)
+        ev = dp.evaluate(platform)
+        freq = platform.frequency_model.realize(
+            rows=dp.shape.rows,
+            cols=dp.shape.cols,
+            vector=dp.shape.vector,
+            dsp_utilization=ev.dsp_utilization,
+            bram_utilization=ev.bram_utilization,
+            signature=dp.signature,
+        )
+        best = realized(dp, platform)
+        assert best.performance.frequency_mhz == pytest.approx(freq)
+        assert best == dp.evaluate(platform, frequency_mhz=freq)
 
     def test_throughput_shortcut(self):
         ev = sys1().evaluate(Platform())

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from repro.hw.datatype import FIXED_8_16, FIXED_16, FLOAT32
 from repro.hw.device import DEVICES
 from repro.ir.loop import conv_loop_nest
-from repro.ir.tiling import LoopTiling, TiledLoopNest
+from repro.model.design_point import ArrayShape, DesignPoint
+from repro.model.mapping import Mapping
 from repro.model.platform import Platform
-from repro.model.resources import bram_usage, dsp_usage, logic_usage, mac_lanes
+from repro.model.resources import dsp_usage, logic_usage
 
 
 def conv5():
@@ -45,7 +46,7 @@ class TestDspModel:
             dsp_usage(0, 4, 4, Platform())
 
     def test_mac_lanes(self):
-        assert mac_lanes(11, 14, 8) == 1232
+        assert ArrayShape(11, 14, 8).lanes == 1232
 
     @pytest.mark.parametrize(
         "device",
@@ -63,16 +64,23 @@ class TestDspModel:
         assert floating.dsp_total < device.mac_capacity(FLOAT32.dsp_per_mac)
 
 
+def bram_breakdown(design, platform):
+    """Eq. 6's breakdown, as the model reports it for ``design``."""
+    return design.evaluate(platform).bram
+
+
 class TestBramModel:
     def make_design(self, middle, inner):
-        return TiledLoopNest(conv5(), LoopTiling.of(middle, inner))
+        """conv5 on a SYS1-mapped array (o rows, c columns, i vector)."""
+        shape = ArrayShape(inner["o"], inner["c"], inner["i"])
+        return DesignPoint.create(conv5(), Mapping("o", "c", "i", "IN", "W"), shape, middle)
 
     def test_footprints_match_eq5_ranges(self):
         # block: o: 44, i: 32, c: 13, r: 13, p: 3, q: 3
-        tiled = self.make_design(
+        design = self.make_design(
             {"o": 4, "i": 4, "r": 13, "p": 3, "q": 3}, {"o": 11, "c": 13, "i": 8}
         )
-        bd = bram_usage(tiled, Platform())
+        bd = bram_breakdown(design, Platform())
         assert bd.footprints["W"] == 44 * 32 * 3 * 3
         assert bd.footprints["IN"] == 32 * (13 + 3 - 1) * (13 + 3 - 1)
         assert bd.footprints["OUT"] == 44 * 13 * 13
@@ -86,12 +94,12 @@ class TestBramModel:
         # verify the exact invariant instead on a clean pair below.
         a = self.make_design({"i": 2}, {"o": 11, "c": 13, "i": 8})
         b = self.make_design({"i": 2}, {"o": 11, "c": 13, "i": 8})
-        assert bram_usage(a, platform).total == bram_usage(b, platform).total
+        assert bram_breakdown(a, platform).total == bram_breakdown(b, platform).total
 
     def test_double_buffering_doubles_blocks(self):
-        tiled = self.make_design({"i": 4}, {"o": 11, "c": 13, "i": 8})
+        design = self.make_design({"i": 4}, {"o": 11, "c": 13, "i": 8})
         platform = Platform()
-        bd = bram_usage(tiled, platform)
+        bd = bram_breakdown(design, platform)
         for array, blocks in bd.per_array_blocks.items():
             words = bd.footprints[array]
             raw = math.ceil(words / 512)  # float32 -> 512 words/M20K
@@ -100,19 +108,19 @@ class TestBramModel:
 
     def test_pe_blocks_scale_with_lanes(self):
         platform = Platform()
-        small = bram_usage(self.make_design(None, {"o": 4, "c": 4, "i": 4}), platform)
-        large = bram_usage(self.make_design(None, {"o": 11, "c": 13, "i": 8}), platform)
+        small = bram_breakdown(self.make_design(None, {"o": 4, "c": 4, "i": 4}), platform)
+        large = bram_breakdown(self.make_design(None, {"o": 11, "c": 13, "i": 8}), platform)
         assert large.pe_blocks > small.pe_blocks
         assert large.pe_blocks == math.ceil(platform.bram_per_pe * 1144)
 
     def test_fixed_point_packs_more_words_per_block(self):
-        tiled = self.make_design({"i": 4}, {"o": 11, "c": 13, "i": 8})
-        float_bd = bram_usage(tiled, Platform())
-        fixed_bd = bram_usage(tiled, Platform().with_datatype(FIXED_8_16))
+        design = self.make_design({"i": 4}, {"o": 11, "c": 13, "i": 8})
+        float_bd = bram_breakdown(design, Platform())
+        fixed_bd = bram_breakdown(design, Platform().with_datatype(FIXED_8_16))
         assert fixed_bd.total <= float_bd.total
 
     def test_total_is_sum(self):
-        bd = bram_usage(self.make_design({"i": 4}, {"o": 11, "c": 13, "i": 8}), Platform())
+        bd = bram_breakdown(self.make_design({"i": 4}, {"o": 11, "c": 13, "i": 8}), Platform())
         assert bd.total == sum(bd.per_array_blocks.values()) + bd.pe_blocks
 
     @settings(max_examples=40, deadline=None)
@@ -128,7 +136,7 @@ class TestBramModel:
         grown = self.make_design(
             {"i": si * 2, "o": so, "r": sr}, {"o": 11, "c": 13, "i": 8}
         )
-        assert bram_usage(grown, platform).total >= bram_usage(base, platform).total
+        assert bram_breakdown(grown, platform).total >= bram_breakdown(base, platform).total
 
 
 class TestLogicModel:
