@@ -22,6 +22,7 @@ Entry points:
 from __future__ import annotations
 
 from collections.abc import Callable
+from dataclasses import replace
 
 from repro.analysis.diagnostics import (
     NEST_MISSING_PRAGMA,
@@ -270,34 +271,18 @@ def check_source(
     Returns (nest or None, report); lexer and parser rejections arrive
     as located diagnostics in the report.
     """
+    nest: LoopNest | None = None
     try:
         program = parse_program(source)
     except (LexError, ParseError) as exc:
-        diag = exc.diagnostic
-        if filename is not None and diag.span is not None:
-            diag = type(diag)(
-                diag.code,
-                diag.severity,
-                diag.message,
-                diag.span.with_filename(filename),
-                diag.hint,
-            )
-        return None, AnalysisReport([diag])
-    nest, report = check_program(
-        program, name=name, require_pragma=require_pragma, allow_strided=allow_strided
-    )
+        report = AnalysisReport([exc.diagnostic])
+    else:
+        nest, report = check_program(
+            program, name=name, require_pragma=require_pragma, allow_strided=allow_strided
+        )
     if filename is not None:
         report = AnalysisReport(
-            [
-                type(d)(
-                    d.code,
-                    d.severity,
-                    d.message,
-                    d.span.with_filename(filename) if d.span else None,
-                    d.hint,
-                )
-                for d in report
-            ]
+            replace(d, span=d.span.with_filename(filename)) if d.span else d for d in report
         )
     return nest, report
 

@@ -144,6 +144,9 @@ def is_feasible(nest: LoopNest, mapping: Mapping, table: ReuseTable | None = Non
     )
 
 
+_FEASIBLE: dict[tuple, tuple[Mapping, ...]] = {}
+
+
 def feasible_mappings(nest: LoopNest) -> tuple[Mapping, ...]:
     """Enumerate all feasible ordered mappings of a nest.
 
@@ -152,7 +155,26 @@ def feasible_mappings(nest: LoopNest) -> tuple[Mapping, ...]:
     this reproduces the structural analysis of Section 3.2: the IN-reuse
     loop (o) must be an inner loop, paired with one W-reuse loop (r or c)
     and one OUT-reuse loop (i, p or q).
+
+    Eq. 2 over the Eq. 3 table is syntactic — it reads which loops appear
+    in which subscripts, never a trip count — so the answer is memoized
+    per access pattern (the nest's iterators and accesses, not its bounds
+    or name): every layer of one pattern shares one enumeration.  The
+    memo is bounded, and its single dict operations are atomic, so
+    threads may share it; a nest that raises is never memoized.
     """
+    key = (nest.iterators, nest.accesses)
+    found = _FEASIBLE.get(key)
+    if found is None:
+        found = _enumerate_mappings(nest)
+        if len(_FEASIBLE) >= 256:
+            _FEASIBLE.clear()
+        _FEASIBLE[key] = found
+    return found
+
+
+def _enumerate_mappings(nest: LoopNest) -> tuple[Mapping, ...]:
+    """The uncached body of :func:`feasible_mappings`."""
     table = analyze_reuse(nest)
     reads = [a.array for a in nest.reads]
     if len(reads) != 2:

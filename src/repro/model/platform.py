@@ -97,9 +97,5 @@ class Platform:
         """Same platform at a different precision."""
         return replace(self, datatype=datatype)
 
-    def with_assumed_clock(self, mhz: float) -> "Platform":
-        """Same platform with a different phase-1 clock assumption."""
-        return replace(self, assumed_clock_mhz=mhz)
-
 
 __all__ = ["Platform"]

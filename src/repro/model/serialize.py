@@ -37,9 +37,10 @@ is not a JSON object, carries another format tag or is malformed.
 from __future__ import annotations
 
 import json
+import marshal
 import pkgutil
 from dataclasses import KW_ONLY, dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Any, Callable, Mapping as MappingT, NamedTuple
 
@@ -52,11 +53,6 @@ from repro.model.mapping import Mapping
 from repro.model.performance import PerformanceEstimate
 from repro.model.resources import BramBreakdown
 
-FORMAT = "repro-design/1"
-EVALUATION_FORMAT = "repro-evaluation/1"
-RESULT_FORMAT = "repro-result/1"
-ENGINE_RESULT_FORMAT = "repro-engine-result/1"
-
 
 # ------------------------------------------------------ the record codec
 
@@ -68,8 +64,41 @@ class Leaf(NamedTuple):
     decode: Callable[[Any], Any]
 
 
-PLAIN = Leaf(lambda value: value, lambda data: data)
-"""The default: the field's value *is* its JSON form."""
+_KINDS = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
+
+
+def _fits(annotation: str) -> Callable[[Any], bool]:
+    """The test that a value is JSON data of the annotated type.
+
+    ``int``, ``float`` (ints too), ``str`` and ``bool`` match by exact
+    type, so ``true`` is no int; ``X | None`` also admits None, and
+    ``dict[str, X]`` tests every value.  Any other annotation admits all.
+    """
+    kinds = _KINDS.get(annotation.removeprefix("dict[str, ").removesuffix("]").split(" |")[0])
+    if kinds is None:
+        return lambda value: True
+    if annotation.startswith("dict[str, "):
+        return lambda value: type(value) is dict and all(type(v) in kinds for v in value.values())
+    if annotation.endswith(" | None"):
+        return lambda value: value is None or type(value) in kinds
+    return lambda value: type(value) in kinds
+
+
+def plain(annotation: Any) -> Leaf:
+    """The default codec: the field's value *is* its JSON form, held on
+    decode to the field's annotation (a string under postponed
+    annotations; a TypeError where the value does not fit)."""
+    fits = _fits(str(annotation))
+
+    def decode(data: Any) -> Any:
+        if not fits(data):
+            raise TypeError(f"{data!r} is not {annotation}")
+        return data
+
+    return Leaf(lambda value: value, decode)
+
+
+_INT = plain("int").decode
 
 
 def sequence(codec: "Leaf | Record") -> Leaf:
@@ -87,8 +116,9 @@ class Record:
     """The two-way JSON codec of one dataclass.
 
     A field is written under its own name with its value as is, in
-    dataclass order after the ``"format"`` tag; the declaration lists
-    the exceptions.
+    dataclass order after the ``"format"`` tag, and read back only when
+    it fits the field's annotation (see :func:`plain`); the declaration
+    lists the exceptions.
 
     Attributes:
         of: the dataclass — or ``"module:Class"``, imported on first
@@ -132,9 +162,10 @@ class Record:
     @cached_property
     def _plan(self) -> list[tuple[str, str | None, "Leaf | Record"]]:
         """(field, key, codec) per written field, optional ones last."""
-        names = [f.name for f in fields(self.cls) if f.name not in self.omit]
-        names.sort(key=self.optional.__contains__)
-        return [(n, self.keys.get(n, n), self.codecs.get(n, PLAIN)) for n in names]
+        kept = [f for f in fields(self.cls) if f.name not in self.omit]
+        kept.sort(key=lambda f: f.name in self.optional)
+        return [(f.name, self.keys.get(f.name, f.name), self.codecs.get(f.name) or plain(f.type))
+                for f in kept]
 
     def encode(self, value: Any) -> dict[str, Any]:
         """The record as plain JSON-able data."""
@@ -206,8 +237,22 @@ def nest_to_dict(nest: LoopNest) -> dict[str, Any]:
 
 
 def nest_from_dict(data: dict[str, Any]) -> LoopNest:
-    """Rebuild a loop nest from :func:`nest_to_dict` data."""
-    loops = tuple(Loop(name, trip) for name, trip in data["loops"])
+    """Rebuild a loop nest from :func:`nest_to_dict` data.
+
+    Interned: one frozen :class:`LoopNest` per distinct payload (a
+    bounded, thread-safe memo keyed by the payload's version-2
+    ``marshal`` bytes, which tell ``1`` from ``1.0`` and ``true``), so the
+    phase-1 finalists and the later stages' entries of one compile share
+    one nest.  Malformed data (trip counts must be ints) raises and is
+    never interned.
+    """
+    return _nest_from_bytes(marshal.dumps(data, 2))
+
+
+@lru_cache(maxsize=256)
+def _nest_from_bytes(key: bytes) -> LoopNest:
+    data = marshal.loads(key)
+    loops = tuple(Loop(name, _INT(trip)) for name, trip in data["loops"])
     accesses = []
     for entry in data["accesses"]:
         indices = tuple(
@@ -220,9 +265,14 @@ def nest_from_dict(data: dict[str, Any]) -> LoopNest:
 
 NEST = Leaf(nest_to_dict, nest_from_dict)
 
-SHAPE = Leaf(lambda shape: [shape.rows, shape.cols, shape.vector], lambda t: ArrayShape(*t))
+SHAPE = Leaf(
+    lambda shape: [shape.rows, shape.cols, shape.vector],
+    lambda t: ArrayShape(*map(_INT, t)),
+)
 
-_MIDDLE = Leaf(dict, lambda bounds: tuple(sorted(dict(bounds or {}).items())))
+_MIDDLE = Leaf(
+    dict, lambda bounds: tuple(sorted((it, _INT(n)) for it, n in dict(bounds or {}).items()))
+)
 
 # The output tensor is stored flat plus its shape; float64 values
 # round-trip bit-for-bit through JSON's ``repr``-based float encoding, so
@@ -246,14 +296,14 @@ MAPPING = Record(
 DESIGN = Record(
     DesignPoint,
     "design",
-    FORMAT,
+    "repro-design/1",
     where="`--save-design` file; `verify design.json`; the `design` of `POST /v1/jobs`",
     codecs={"nest": NEST, "mapping": MAPPING, "shape": SHAPE, "middle": _MIDDLE},
 )
 EVALUATION = Record(
     DesignEvaluation,
     "evaluation",
-    EVALUATION_FORMAT,
+    "repro-evaluation/1",
     where="inside the phase-1, phase-2 and result payloads",
     codecs={
         "design": DESIGN,
@@ -267,7 +317,7 @@ MEASUREMENT = Record("repro.sim.perf:LayerMeasurement", "measurement")
 ENGINE_RESULT = Record(
     "repro.sim.fast:EngineResult",
     "engine-result",
-    ENGINE_RESULT_FORMAT,
+    "repro-engine-result/1",
     where="inside the result payload of a `--sim-backend` run",
     keys={"output": None},
     codecs={"output": _TENSOR},
@@ -275,7 +325,7 @@ ENGINE_RESULT = Record(
 RESULT = Record(
     "repro.pipeline.context:SynthesisResult",
     "result",
-    RESULT_FORMAT,
+    "repro-result/1",
     where="`--save-result` file; `GET /v1/jobs/{id}?result=1` of a layer job",
     codecs={
         "evaluation": EVALUATION,
@@ -320,11 +370,7 @@ def load_result(path) -> Any:
 
 
 __all__ = [
-    "ENGINE_RESULT_FORMAT",
-    "EVALUATION_FORMAT",
-    "FORMAT",
     "RECORDS",
-    "RESULT_FORMAT",
     "Leaf",
     "Record",
     "design_from_dict",
@@ -339,6 +385,7 @@ __all__ = [
     "measurement_to_dict",
     "nest_from_dict",
     "nest_to_dict",
+    "plain",
     "record_of",
     "result_from_dict",
     "result_to_dict",

@@ -44,6 +44,7 @@ import os
 import sqlite3
 import tempfile
 import threading
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Protocol, runtime_checkable
 
@@ -80,26 +81,36 @@ def code_version() -> str:
     return _CODE_VERSION
 
 
-def stable_fingerprint(value: Any) -> Any:
+@lru_cache(maxsize=256)
+def _field_names(cls: type) -> tuple[str, ...] | None:
+    """The fields an instance of ``cls`` lowers to (None: not a dataclass)."""
+    return tuple(f.name for f in dataclasses.fields(cls)) if dataclasses.is_dataclass(cls) else None
+
+
+def stable_fingerprint(value: Any, memo: dict[int, tuple[Any, Any]] | None = None) -> Any:
     """Lower an arbitrary value-object graph to canonical JSON-able data.
 
     Dataclasses (Platform, DseConfig, LoopNest, ...) reduce to their field
     dicts, tuples to lists, dict keys are stringified; the result feeds
     ``json.dumps(sort_keys=True)`` so logically equal values always hash
-    equal.
+    equal.  ``memo`` (``id -> (object, lowered)``, shared by the calls of
+    one pipeline run) lowers each dataclass object once; it holds the
+    object itself, so no other object can reuse that ``id`` while the
+    memo lives.
     """
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            "__type__": type(value).__name__,
-            **{
-                f.name: stable_fingerprint(getattr(value, f.name))
-                for f in dataclasses.fields(value)
-            },
-        }
+    names = _field_names(type(value))  # a class itself lowers to its repr
+    if names is not None:
+        if memo is not None and id(value) in memo:
+            return memo[id(value)][1]
+        lowered = {name: stable_fingerprint(getattr(value, name), memo) for name in names}
+        lowered["__type__"] = type(value).__name__
+        if memo is not None:
+            memo[id(value)] = (value, lowered)
+        return lowered
     if isinstance(value, dict):
-        return {str(k): stable_fingerprint(v) for k, v in value.items()}
+        return {str(k): stable_fingerprint(v, memo) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [stable_fingerprint(v) for v in value]
+        return [stable_fingerprint(v, memo) for v in value]
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     return repr(value)
@@ -287,14 +298,6 @@ class SqliteStore:
             return None
         return f"{self.describe()}#quarantined/{stage}/{key}"
 
-    def quarantined_payload(self, stage: str, key: str) -> str | None:
-        """Post-mortem accessor for a quarantined entry (None if absent)."""
-        row = self._conn().execute(
-            "SELECT payload FROM quarantined WHERE stage = ? AND key = ?",
-            (stage, key),
-        ).fetchone()
-        return None if row is None else str(row[0])
-
     def purge(self) -> int:
         try:
             with self._conn() as conn:
@@ -344,31 +347,23 @@ class StageCache:
         # it held would stall every worker).
         self._lock = threading.RLock()
 
-    @classmethod
-    def default(cls) -> "StageCache":
-        """A cache rooted at the resolved default directory."""
-        return cls()
-
     @property
     def root(self) -> Path | None:
         """Filesystem root when backed by one, else None."""
         return getattr(self.store, "root", None)
 
     @staticmethod
-    def key_for(stage: str, *parts: Any) -> str:
+    def key_for(stage: str, *parts: Any, memo: dict[int, tuple[Any, Any]] | None = None) -> str:
         """Content hash of (stage, code version, *parts) — the one hashing
-        recipe: stage-cache keys and a request's coalescing fingerprint."""
+        recipe: stage-cache keys and a request's coalescing fingerprint.
+        ``memo`` (see :func:`stable_fingerprint`) lets the keys of one
+        pipeline run lower each part object once; the key is the same
+        with or without it."""
         material = json.dumps(
-            [stage, code_version(), [stable_fingerprint(p) for p in parts]],
+            [stage, code_version(), [stable_fingerprint(p, memo) for p in parts]],
             sort_keys=True,
         )
         return hashlib.sha256(material.encode()).hexdigest()
-
-    def _path(self, stage: str, key: str) -> Path:
-        root = self.root
-        if root is None:
-            raise TypeError(f"{self.store.kind} store has no filesystem paths")
-        return root / stage / f"{key}.json"
 
     def get(self, stage: str, key: str) -> dict[str, Any] | None:
         """Return the stored payload, or None on miss — never raise.
@@ -506,16 +501,12 @@ def resolve_cache(cache: CacheSpec) -> StageCache | None:
     if cache is None or cache is False:
         return None
     if cache is True:
-        return StageCache.default()
+        return StageCache()
     if isinstance(cache, StageCache):
         return cache
-    if isinstance(cache, str):
-        store = _store_from_spec(cache)
-        if store is not None:
-            return StageCache(store=store)
-        return StageCache(cache)
-    if isinstance(cache, Path):
-        return StageCache(cache)
+    if isinstance(cache, (str, Path)):
+        store = _store_from_spec(cache) if isinstance(cache, str) else None
+        return StageCache(cache) if store is None else StageCache(store=store)
     if isinstance(cache, CacheStore):
         return StageCache(store=cache)
     raise TypeError(f"cannot resolve cache from {type(cache).__name__}")

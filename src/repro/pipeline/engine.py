@@ -109,6 +109,7 @@ class PipelineEngine:
         in ``--trace-json`` output.
         """
         current = {"stage": ""}
+        lowered: dict[int, tuple[Any, Any]] = {}  # one fingerprint per part object
 
         def on_fault(point: str, kind: str) -> None:
             self.events.emit(FaultInjected(current["stage"], point=point, kind=kind))
@@ -125,7 +126,7 @@ class PipelineEngine:
                 if self.cache is not None:
                     parts = stage.cache_parts(ctx)
                     if parts is not None:
-                        key = self.cache.key_for(stage.name, *parts)
+                        key = self.cache.key_for(stage.name, *parts, memo=lowered)
                         payload = self.cache.get(stage.name, key)
                         self.events.emit(
                             CacheProbe(stage.name, key=key, hit=payload is not None)

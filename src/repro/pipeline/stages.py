@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.model.serialize import measurement_from_dict, measurement_to_dict
+from repro.model.serialize import measurement_from_dict, measurement_to_dict, plain
 from repro.pipeline.codecs import (
     decode_phase1,
     decode_phase2,
@@ -123,6 +123,17 @@ class _SearchStage(StageBase):
         return result, ctx.evolve(degradations=ctx.degradations + tuple(degradations))
 
 
+def _searched(result: Any, ctx: SynthesisContext) -> Any:
+    """A decoded phase result, once every design in it is on the
+    context's nest (ValueError otherwise: the entry is malformed).
+    Decoded nests are interned, so each distinct one is compared once."""
+    evaluations = result.finalists + ((result.best,) if hasattr(result, "best") else ())
+    nests = {id(e.design.nest): e.design.nest for e in evaluations}
+    if any(nest != ctx.nest for nest in nests.values()):
+        raise ValueError("cached designs are not on this nest")
+    return result
+
+
 class DsePhase1Stage(_SearchStage):
     """Analytical filtering: enumerate configurations, tune tilings,
     keep the top-N — fanned out over ``ctx.jobs`` worker processes."""
@@ -144,7 +155,7 @@ class DsePhase1Stage(_SearchStage):
         return encode_phase1(ctx.phase1)
 
     def load(self, payload: dict[str, Any], ctx: SynthesisContext) -> SynthesisContext:
-        return ctx.evolve(phase1=decode_phase1(payload))
+        return ctx.evolve(phase1=_searched(decode_phase1(payload), ctx))
 
     def info(self, ctx: SynthesisContext) -> dict[str, Any]:
         result = ctx.phase1
@@ -179,7 +190,7 @@ class DsePhase2Stage(StageBase):
         return encode_phase2(ctx.phase2)
 
     def load(self, payload: dict[str, Any], ctx: SynthesisContext) -> SynthesisContext:
-        result = decode_phase2(payload)
+        result = _searched(decode_phase2(payload), ctx)
         return ctx.evolve(
             phase2=result, frequency_mhz=result.best.performance.frequency_mhz
         )
@@ -298,6 +309,8 @@ class CodegenStage(StageBase):
             ctx = ctx.evolve(**{name: payload[name] for name in ARTIFACT_FIELDS})
         except KeyError as exc:
             raise ValueError(f"malformed codegen payload: {exc}") from exc
+        for name in ARTIFACT_FIELDS:  # all text; only the RTL may be None
+            plain("str | None" if name == "rtl_source" else "str").decode(getattr(ctx, name))
         if ctx.rtl_source is None:
             # The entry records that the design was not lowerable, not why:
             # re-derive the degradation (the backend rejects such a design

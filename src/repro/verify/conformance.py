@@ -35,7 +35,7 @@ each:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable
 
 import numpy as np
@@ -142,17 +142,8 @@ class LegResult:
     detail: str
     metrics: tuple[tuple[str, float], ...] = ()
 
-    @property
-    def ok(self) -> bool:
-        return self.status != "mismatch"
-
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "detail": self.detail,
-            "metrics": dict(self.metrics),
-        }
+        return {**asdict(self), "metrics": dict(self.metrics)}
 
 
 @dataclass(frozen=True)
@@ -210,8 +201,7 @@ class ConformanceReport:
             lines.append("all conformance legs agree")
         return "\n".join(lines)
 
-    def __str__(self) -> str:
-        return self.render()
+    __str__ = render
 
 
 def cross_check(

@@ -224,7 +224,7 @@ class TestConcurrentAccess:
 
         cache = StageCache(tmp_path)
         key = "ab" * 32
-        path = cache._path("stage", key)
+        path = cache.store._path("stage", key)
         path.parent.mkdir(parents=True)
         path.write_text("{not json")
 
