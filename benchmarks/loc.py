@@ -3,7 +3,7 @@
 A *code line* is a physical line holding at least one token that is not
 a comment — blank lines, comment-only lines and docstrings (the leading
 string statement of a module, class or function) do not count.  ROADMAP
-item 5 states its subtraction target in this unit, because raw ``wc -l``
+item 9 states its subtraction target in this unit, because raw ``wc -l``
 moves with docstrings as much as with code.
 
     python benchmarks/loc.py                    # per package + total, src/repro

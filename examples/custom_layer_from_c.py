@@ -15,7 +15,7 @@ from pathlib import Path
 
 from repro.flow import compile_c_source
 from repro.model import Platform
-from repro.codegen import compile_and_run_testbench
+from repro.codegen import run_testbench
 from repro.dse import DseConfig
 
 CUSTOM_LAYER = """
@@ -55,9 +55,9 @@ def synthesize_and_validate(name: str, source: str) -> None:
     (out_dir / "testbench.c").write_text(result.testbench_source)
 
     if shutil.which("gcc"):
-        ok, output = compile_and_run_testbench(result.testbench_source)
-        status = output.strip().splitlines()[-1] if output.strip() else ""
-        print(f"  testbench: {'OK' if ok else 'FAILED'} ({status})")
+        run = run_testbench(result.testbench_source)
+        status = run.output.strip().splitlines()[-1] if run.output.strip() else ""
+        print(f"  testbench: {'OK' if run.passed else 'FAILED'} ({status})")
     else:
         print("  (no C compiler found — testbench written but not executed)")
 

@@ -29,10 +29,7 @@ from repro.codegen.emitter import CodeWriter
 from repro.codegen.host import generate_host
 from repro.codegen.opencl import OPENCL_SHIM, generate_kernel, generate_kernel_driver
 from repro.codegen.rtl import generate_rtl, rtl_module_hash
-from repro.codegen.testbench import (
-    compile_and_run_testbench,
-    generate_testbench,
-)
+from repro.codegen.testbench import generate_testbench, run_testbench
 from repro.codegen.unified import (
     UnifiedLayerSpec,
     generate_unified_kernel,
@@ -45,7 +42,6 @@ __all__ = [
     "CodegenBackend",
     "OPENCL_SHIM",
     "UnifiedLayerSpec",
-    "compile_and_run_testbench",
     "generate_host",
     "generate_kernel",
     "generate_kernel_driver",
@@ -55,4 +51,5 @@ __all__ = [
     "generate_unified_testbench",
     "get_backend",
     "rtl_module_hash",
+    "run_testbench",
 ]

@@ -13,7 +13,7 @@ containing
 * a ``main`` that fills the arrays with deterministic pseudo-random data,
   runs both, and compares.
 
-:func:`compile_and_run_testbench` builds it with the system C compiler
+:func:`run_testbench` builds it with the system C compiler
 and runs it, turning "the generated design is functionally correct" into
 an executable check (the RTL-simulation stand-in of this reproduction).
 
@@ -277,32 +277,11 @@ def run_testbench(
         return TestbenchRun(run.returncode == 0 and marker in output, output)
 
 
-def compile_and_run_testbench(
-    source: str, *, workdir: Path | None = None, compiler: str = "gcc"
-) -> tuple[bool, str]:
-    """Compile the testbench with the system C compiler and execute it.
-
-    Back-compatible wrapper over :func:`run_testbench`: an unavailable
-    toolchain comes back as a failed check whose output is the rendered
-    diagnostic — never a traceback.
-
-    Returns:
-        (passed, combined output).  ``passed`` requires exit code 0 and
-        the PASS marker.
-    """
-    try:
-        outcome = run_testbench(source, workdir=workdir, compiler=compiler)
-    except TestbenchUnavailable as exc:
-        return False, f"TOOLCHAIN UNAVAILABLE:\n{exc.diagnostic.render()}"
-    return outcome.passed, outcome.output
-
-
 __all__ = [
     "DEFAULT_COMPILE_TIMEOUT",
     "DEFAULT_RUN_TIMEOUT",
     "TestbenchRun",
     "TestbenchUnavailable",
-    "compile_and_run_testbench",
     "generate_testbench",
     "run_testbench",
 ]

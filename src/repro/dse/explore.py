@@ -59,14 +59,6 @@ class DseConfig:
         include_cover: extend the power-of-two tiling candidates with the
             cover bound (see tuner docs); False = paper-faithful pruning.
         upper_bound_pruning: enable the admissible branch-and-bound.
-        strict: re-verify every finalist with the design-point
-            validator (:mod:`repro.analysis.design_check`) and raise
-            :class:`repro.analysis.DiagnosticError` if any violates the
-            paper's constraints.  Off by default: the validator re-derives
-            the structural and Eq. 2/4 constraints itself and checks the
-            search's BRAM feasibility against the one cost model
-            (:meth:`DesignPoint.evaluate`, not a second formula), so this
-            is a self-audit, not a correctness requirement.
     """
 
     min_dsp_utilization: float = 0.8
@@ -74,7 +66,6 @@ class DseConfig:
     top_n: int = 14
     include_cover: bool = True
     upper_bound_pruning: bool = True
-    strict: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.min_dsp_utilization <= 1.0:
@@ -151,6 +142,7 @@ def phase1(
     platform: Platform,
     config: DseConfig = DseConfig(),
     *,
+    strict: bool = False,
     jobs: int = 1,
     progress: ProgressFn | None = None,
     on_retry: OnRetry | None = None,
@@ -162,6 +154,14 @@ def phase1(
         nest: the layer's loop nest.
         platform: evaluation platform.
         config: DSE knobs.
+        strict: re-verify every finalist with the design-point
+            validator (:mod:`repro.analysis.design_check`) and raise
+            :class:`repro.analysis.DiagnosticError` if any violates the
+            paper's constraints.  Off by default: the validator re-derives
+            the structural and Eq. 2/4 constraints itself and checks the
+            search's BRAM feasibility against the one cost model
+            (:meth:`DesignPoint.evaluate`, not a second formula), so this
+            is a self-audit, not a correctness requirement.
         jobs: worker processes for the tuning fan-out; 1 (default) runs
             in-process, <= 0 means all cores.  Any value yields
             bit-identical finalists and statistics: ranked batches are
@@ -216,7 +216,7 @@ def phase1(
         tilings_evaluated=tilings,
         elapsed_seconds=time.perf_counter() - start,
     )
-    if config.strict:
+    if strict:
         _audit_designs(
             (ev.design for ev in result.finalists), platform, "phase-1 finalist"
         )
@@ -269,11 +269,13 @@ def explore(
     platform: Platform,
     config: DseConfig = DseConfig(),
     *,
+    strict: bool = False,
     jobs: int = 1,
 ) -> Phase2Result:
-    """Full two-phase DSE for a single layer."""
+    """Full two-phase DSE for a single layer; ``strict`` audits both
+    phases' designs (see :func:`phase1`)."""
     return phase2(
-        phase1(nest, platform, config, jobs=jobs), platform, strict=config.strict
+        phase1(nest, platform, config, strict=strict, jobs=jobs), platform, strict=strict
     )
 
 

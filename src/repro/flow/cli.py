@@ -633,17 +633,20 @@ def _serve_node(args: argparse.Namespace) -> int:
     from repro.service.jobs import JobManager
 
     worker = args.role == "worker"
-    manager = JobManager(
-        workers=args.workers,
-        queue_depth=args.queue_depth,
-        # The replicated fleet cache needs the manager first (SA704
-        # degradations land on it); a worker attaches it below.
-        cache=False if worker else _cache_spec(args),
-        rate=args.rate,
-        burst=args.burst,
-        journal=args.journal,
-        pipeline_jobs=args.jobs,
-    )
+    try:  # --queue-depth, --rate and --burst are checked here
+        manager = JobManager(
+            workers=args.workers,
+            queue_depth=args.queue_depth,
+            # The replicated fleet cache needs the manager first (SA704
+            # degradations land on it); a worker attaches it below.
+            cache=False if worker else _cache_spec(args),
+            rate=args.rate,
+            burst=args.burst,
+            journal=args.journal,
+            pipeline_jobs=args.jobs,
+        )
+    except ValueError as exc:
+        return _fail(exc)
     server = _bind(args, run_server, manager)
     if server is None:
         return 2

@@ -147,7 +147,7 @@ class NetworkSynthesis:
         user) with *its* bounds as ``#define``s — it runs that layer only.
         The kernel that takes every layer's bounds as runtime arguments is
         ``repro.codegen.unified``; emitting it from here needs the
-        per-layer network pipeline of ROADMAP item 4a.
+        per-layer network pipeline of ROADMAP item 3.
         """
         largest = max(request.workloads, key=lambda w: w.nest.total_operations)
         layer_perf = {l.name: l for l in result.layers}

@@ -40,7 +40,7 @@ from repro.hw.datatype import datatype_by_name
 from repro.hw.device import device_by_name
 from repro.ir.loop import LoopNest
 from repro.model.platform import Platform
-from repro.model.serialize import design_from_dict
+from repro.model.serialize import design_from_dict, plain
 from repro.nn.models import Network, network_by_name
 from repro.pipeline.cache import CacheSpec, StageCache, resolve_cache
 from repro.pipeline.context import SynthesisContext, SynthesisResult
@@ -53,7 +53,9 @@ class Option(NamedTuple):
     """One row of :data:`OPTIONS`.
 
     Attributes:
-        kind: the value's type; wire values are cast with it.
+        kind: the value's type; a wire value must be JSON data of it
+            (:func:`repro.model.serialize.plain`'s fit rule) and is cast
+            with it.
         default: the value of an absent (or ``null``) option.
         help: help text of the generic ``--<name>`` flag; None for an
             option the command line spells its own way per subcommand
@@ -96,8 +98,10 @@ def lower_options(options: Any) -> dict[str, Any]:
     ``sim_backend``, ``require_pragma``.
 
     Raises:
-        ValueError: unknown option, uncastable or out-of-range value,
-            unknown device / datatype / simulator backend.
+        ValueError: unknown option, a value that is not JSON data of the
+            option's type (``"false"`` for a bool, ``2.7`` or ``true``
+            for an int), out-of-range value, unknown device / datatype /
+            simulator backend.
     """
     if not isinstance(options, dict):
         raise ValueError("'options' must be an object")
@@ -106,7 +110,9 @@ def lower_options(options: Any) -> dict[str, Any]:
         raise ValueError(f"unknown options: {sorted(unknown)}; supported: {sorted(OPTIONS)}")
     try:
         value = {
-            name: option.default if options.get(name) is None else option.kind(options[name])
+            name: option.default
+            if options.get(name) is None
+            else option.kind(plain(option.kind.__name__).decode(options[name]))
             for name, option in OPTIONS.items()
         }
         platform = Platform(
@@ -116,11 +122,9 @@ def lower_options(options: Any) -> dict[str, Any]:
         )
     except KeyError as exc:  # the hw registries name their choices
         raise ValueError(exc.args[0]) from exc
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:  # OverflowError: an int past float range
         raise ValueError(f"malformed option value: {exc}") from exc
-    config = DseConfig(
-        min_dsp_utilization=value["cs"], top_n=value["top_n"], strict=value["strict"]
-    )
+    config = DseConfig(min_dsp_utilization=value["cs"], top_n=value["top_n"])
     if value["sim_backend"] not in (None, *SIM_BACKENDS):
         raise ValueError(
             f"unknown sim_backend {value['sim_backend']!r}; choices: {list(SIM_BACKENDS)}"
@@ -157,8 +161,8 @@ class SynthesisRequest:
     ``network`` (whole-network unified DSE) or ``source`` (restricted-C
     text the pipeline's parse stage turns into the nest with
     :func:`~repro.analysis.nest_check.nest_from_source`, the parse
-    :meth:`from_payload` also runs).  ``strict`` is synced into
-    ``config`` on construction, so stages and cache keys see one value.
+    :meth:`from_payload` also runs).  ``strict`` is the one switch of
+    the static-analysis self-audits: every stage reads it from here.
     """
 
     platform: Platform = field(default_factory=Platform)
@@ -174,8 +178,6 @@ class SynthesisRequest:
     def __post_init__(self) -> None:
         if sum(s is not None for s in (self.nest, self.network, self.source)) != 1:
             raise ValueError("a request has exactly one of nest, network or source")
-        if self.strict and not self.config.strict:
-            object.__setattr__(self, "config", replace(self.config, strict=True))
 
     @classmethod
     def from_payload(cls, payload: Any) -> "SynthesisRequest":

@@ -40,11 +40,6 @@ class FPGADevice:
         if min(self.dsp_blocks, self.bram_blocks, self.logic_cells) < 1:
             raise ValueError(f"{self.name}: nonpositive capacity")
 
-    @property
-    def bram_bytes(self) -> int:
-        """Total on-chip RAM bytes."""
-        return self.bram_blocks * self.bram_kbits_per_block * 1024 // 8
-
     def bram_words_per_block(self, word_bytes: int) -> int:
         """Words one RAM block stores at a given word size.
 

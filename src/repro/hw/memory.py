@@ -46,19 +46,6 @@ class MemorySystem:
         """Effective per-port bandwidth in bytes/s."""
         return self.port_bandwidth_gbs * 1e9 * self.efficiency
 
-    def transfer_seconds(self, total_bytes: float, *, port_bytes: float | None = None) -> float:
-        """Time to move a block: aggregate-limited, optionally port-limited.
-
-        Args:
-            total_bytes: bytes moved across all streams.
-            port_bytes: bytes of the largest single stream, if the per-port
-                limit should also apply.
-        """
-        seconds = total_bytes / self.total_bytes_per_second
-        if port_bytes is not None:
-            seconds = max(seconds, port_bytes / self.port_bytes_per_second)
-        return seconds
-
 
 ARRIA10_DEVKIT_DDR4 = MemorySystem(
     total_bandwidth_gbs=19.2,

@@ -80,20 +80,6 @@ class ReuseTable:
         row = self.matrix[self.arrays.index(array)]
         return tuple(it for it, bit in zip(self.iterators, row) if bit)
 
-    def reuse_arrays(self, iterator: str) -> tuple[str, ...]:
-        """All arrays whose reuse is carried by ``iterator``."""
-        col = self.iterators.index(iterator)
-        return tuple(
-            array for array, row in zip(self.arrays, self.matrix) if row[col]
-        )
-
-    def as_dict(self) -> dict[str, dict[str, bool]]:
-        """Nested-dict view ``{array: {iterator: bool}}``."""
-        return {
-            array: dict(zip(self.iterators, row))
-            for array, row in zip(self.arrays, self.matrix)
-        }
-
     def __str__(self) -> str:
         width = max(len(a) for a in self.arrays) if self.arrays else 1
         header = " " * (width + 1) + " ".join(f"{it:>3}" for it in self.iterators)

@@ -80,10 +80,6 @@ class LoopTiling:
         """b_l = s_l * t_l, iterations of loop l covered by one block."""
         return self.s(iterator) * self.t(iterator)
 
-    def with_middle(self, middle: Mapping[str, int]) -> "LoopTiling":
-        """Same inner bounds, new middle bounds."""
-        return LoopTiling.of(middle, dict(self.inner))
-
 
 @dataclass(frozen=True)
 class TiledLoopNest:
@@ -178,11 +174,6 @@ class TiledLoopNest:
             t = self.tiling.t(it)
             total *= math.ceil(trip / t) * t
         return total
-
-    def efficiency_along(self, iterator: str) -> float:
-        """Per-loop efficiency factor N_l / (ceil(N_l/b_l) * b_l)."""
-        trip = self.nest.bounds[iterator]
-        return trip / (self.block_count(iterator) * self.tiling.block_extent(iterator))
 
     def __str__(self) -> str:
         parts = []

@@ -10,7 +10,7 @@ it is bit-for-bit the number the search ranked the design by.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping as MappingT
 
@@ -128,18 +128,6 @@ class DesignPoint:
         """Stable identity string (drives the frequency surrogate)."""
         mids = ",".join(f"{k}={v}" for k, v in self.middle)
         return f"{self.nest.name}|{self.mapping}|{self.shape}|{mids}"
-
-    def with_middle(self, middle: MappingT[str, int]) -> "DesignPoint":
-        """Same architecture, different data-reuse tiling."""
-        return replace(self, middle=tuple(sorted(middle.items())))
-
-    def with_nest(self, nest: LoopNest) -> "DesignPoint":
-        """Same architecture and tiling applied to a different layer.
-
-        Used by the unified multi-layer selection: one hardware design is
-        priced against every conv layer of the model.
-        """
-        return replace(self, nest=nest)
 
     def evaluate(
         self, platform: Platform, *, frequency_mhz: float | None = None

@@ -82,8 +82,8 @@ class _SearchStage(StageBase):
     parent (:class:`StageDegraded`, SA503) — bit-identical either way,
     because each task is a pure function of its candidate."""
 
-    def search(self, ctx: SynthesisContext, events: EventBus, fn, subject):
-        """Run ``fn(subject, platform, config, jobs=..., <hooks>)``;
+    def search(self, ctx: SynthesisContext, events: EventBus, fn, subject, **options):
+        """Run ``fn(subject, platform, config, **options, jobs=..., <hooks>)``;
         returns (its result, the context with any degradations added)."""
         from repro.dse.parallel import MAX_RESUBMITS
 
@@ -115,6 +115,7 @@ class _SearchStage(StageBase):
             subject,
             ctx.platform,
             ctx.config,
+            **options,
             jobs=ctx.jobs,
             progress=progress,
             on_retry=on_retry,
@@ -144,7 +145,7 @@ class DsePhase1Stage(_SearchStage):
         from repro.dse.explore import phase1
 
         assert ctx.nest is not None
-        result, ctx = self.search(ctx, events, phase1, ctx.nest)
+        result, ctx = self.search(ctx, events, phase1, ctx.nest, strict=ctx.strict)
         return ctx.evolve(phase1=result)
 
     def cache_parts(self, ctx: SynthesisContext) -> tuple | None:

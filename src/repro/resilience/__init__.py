@@ -12,11 +12,11 @@ instead of a crash:
   ...) that can raise, corrupt payloads, or delay.  Activated via
   :class:`FaultPlan` objects, the ``REPRO_FAULT_PLAN`` environment
   variable, or the ``--inject-fault`` CLI flag.
-* :mod:`repro.resilience.retry` — the :func:`retrying` policy helper
-  (max attempts, exponential backoff with deterministic jitter, a
-  per-attempt timeout budget for subprocess calls) and ``run_tool``,
-  the one place the flow shells out (gcc, the testbench binary,
-  iverilog, vvp): hard timeout, retries, and a typed
+* :mod:`repro.resilience.retry` — :func:`call_with_retry` under a
+  retry policy (max attempts, exponential backoff with deterministic
+  jitter, a per-attempt timeout budget for subprocess calls) and
+  ``run_tool``, the one place the flow shells out (gcc, the testbench
+  binary, iverilog, vvp): hard timeout, retries, and a typed
   ``ToolUnavailable`` when the tool never delivers a verdict.
 
 The recovery behaviours themselves live at the fault sites (cache
@@ -54,7 +54,6 @@ from repro.resilience.retry import (
     configure_retries,
     current_policy,
     reset_retries,
-    retrying,
 )
 
 __all__ = [
@@ -81,5 +80,4 @@ __all__ = [
     "maybe_inject",
     "remove_listener",
     "reset_retries",
-    "retrying",
 ]

@@ -152,25 +152,6 @@ def call_with_retry(
                 sleep(delay)
 
 
-def retrying(
-    policy: RetryPolicy | None = None,
-    *,
-    retry_on: tuple[type[BaseException], ...] = (Exception,),
-    on_retry: OnRetry | None = None,
-    sleep: Callable[[float], None] = time.sleep,
-) -> Callable[[Callable[[], T]], T]:
-    """The policy helper: ``retrying(policy)(fn)`` runs ``fn`` with
-    retries — a partial application of :func:`call_with_retry` that call
-    sites can build once and apply to several operations."""
-
-    def runner(fn: Callable[[], T]) -> T:
-        return call_with_retry(
-            fn, policy=policy, retry_on=retry_on, on_retry=on_retry, sleep=sleep
-        )
-
-    return runner
-
-
 class ToolUnavailable(RuntimeError):
     """An external tool delivered no verdict on any attempt — nothing
     was checked, so callers degrade or skip instead of reporting a
@@ -263,6 +244,5 @@ __all__ = [
     "configure_retries",
     "current_policy",
     "reset_retries",
-    "retrying",
     "run_tool",
 ]

@@ -40,6 +40,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Iterator, Protocol, Sequence
 from urllib.parse import parse_qs, unquote, urlparse
 
+from repro.model.serialize import plain
 from repro.resilience.faults import InjectedFault
 from repro.service.client import ServiceError
 from repro.service.jobs import JobManager
@@ -228,9 +229,9 @@ def _submit(request: ApiHandler) -> Reply:
     priority = 0
     job_id: str | None = None
     if isinstance(payload, dict):
-        try:
-            priority = int(payload.get("priority", 0))
-        except (TypeError, ValueError):
+        try:  # JSON's own int: no "3", 2.7 or true cast into one
+            priority = plain("int").decode(payload.get("priority", 0))
+        except TypeError:
             raise HttpError(400, "'priority' must be an integer") from None
         # The cluster coordinator assigns ids at its door and forwards
         # them so status/journal identities line up fleet-wide.

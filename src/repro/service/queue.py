@@ -235,12 +235,6 @@ class JobJournal:
         done = {e["id"] for e in entries if e["op"] == "done"}
         return [e for e in entries if e["op"] == "accept" and e["id"] not in done]
 
-    def done_count(self) -> int:
-        """How many jobs this journal has seen through to a terminal state."""
-        with self._lock:
-            entries = self._read()
-        return len({e["id"] for e in entries if e["op"] == "done"})
-
     def compact(self) -> int:
         """Rewrite the file down to its pending accepts; returns how many
         records survive.  Called after a drain and on startup so the

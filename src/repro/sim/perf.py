@@ -104,7 +104,6 @@ def simulate_performance(
     platform: Platform,
     *,
     frequency_mhz: float | None = None,
-    launch_overhead_cycles: int = 0,
     streaming: bool = False,
 ) -> LayerMeasurement:
     """Simulate one layer under one design.
@@ -130,12 +129,9 @@ def simulate_performance(
             kernel's fixed loop bounds).
         frequency_mhz: clock; defaults to the platform's assumed clock —
             pass the realized clock for phase-2/Fig. 7(b) comparisons.
-        launch_overhead_cycles: fixed per-invocation overhead (host
-            enqueue); 0 by default since the paper measures streaming
-            throughput where it amortizes.
         streaming: steady-state throughput accounting — image k+1's first
             blocks load while image k's last blocks drain, so the fill,
-            prologue, epilogue and launch overhead amortize to zero.  Use
+            prologue and epilogue amortize to zero.  Use
             for throughput exhibits (Fig. 7b, Tables 4/5); leave False
             for single-image latency (Table 2).
     """
@@ -186,7 +182,7 @@ def simulate_performance(
     if streaming:
         cycles = steady_sum
     else:
-        cycles = launch_overhead_cycles + prologue + steady_sum + epilogue
+        cycles = prologue + steady_sum + epilogue
 
     seconds = cycles / freq_hz
     effective_ops = nest.total_operations

@@ -1,4 +1,4 @@
-"""Cycle-level scheduling math (paper Fig. 3) and index decomposition.
+"""Cycle-level scheduling math (paper Fig. 3) and block decomposition.
 
 The systolic schedule assigns wave ``m`` (one middle-loop iteration of a
 block) to PE ``(x, y)`` at cycle ``m + x + y``: weights skew right one
@@ -11,10 +11,9 @@ needs from both directions arrives in the same cycle — the paper's
   cycles" fact for the 3 x 3 example);
 * a block of M waves completes in ``M + R + C - 2`` cycles.
 
-The index decomposition maps (block base, middle index, inner index) back
-to original loop iterations: ``i_l = base_l + mid_l * t_l + inner_l``,
-with the inner index being the PE row / column / SIMD lane for the three
-mapped loops.
+A block's base and middle index map back to original loop iterations
+as ``i_l = base_l + mid_l * t_l + inner_l``, with the inner index being
+the PE row / column / SIMD lane for the three mapped loops.
 """
 
 from __future__ import annotations
@@ -104,11 +103,6 @@ def enumerate_blocks(tiled: TiledLoopNest, *, clip: bool) -> Iterator[BlockSpec]
         )
 
 
-def block_count(tiled: TiledLoopNest) -> int:
-    """Number of blocks without enumerating them."""
-    return tiled.total_blocks
-
-
 def enumerate_waves(block: BlockSpec, iterators: tuple[str, ...]) -> Iterator[dict[str, int]]:
     """Middle index vectors of one block, outermost loop varying slowest."""
     counts = block.middle_map
@@ -117,21 +111,10 @@ def enumerate_waves(block: BlockSpec, iterators: tuple[str, ...]) -> Iterator[di
         yield dict(zip(iterators, combo))
 
 
-def original_index(
-    base: int, middle_index: int, inner_bound: int, inner_index: int
-) -> int:
-    """i_l = base_l + mid_l * t_l + inner_l."""
-    if not 0 <= inner_index < inner_bound:
-        raise ValueError(f"inner index {inner_index} out of [0, {inner_bound})")
-    return base + middle_index * inner_bound + inner_index
-
-
 __all__ = [
     "BlockSpec",
-    "block_count",
     "enumerate_blocks",
     "enumerate_waves",
     "first_all_active_cycle",
-    "original_index",
     "wave_schedule_cycles",
 ]

@@ -41,10 +41,7 @@ class TestValidDesigns:
         assert report.ok
 
     def test_strict_dse_is_silent_on_good_nests(self, nest, platform):
-        import dataclasses
-
-        strict = dataclasses.replace(FAST, strict=True)
-        best = explore(nest, platform, strict).best
+        best = explore(nest, platform, FAST, strict=True).best
         assert best.feasible
 
 
@@ -104,7 +101,10 @@ class TestViolations:
 
 class TestStrictDse:
     def test_strict_flag_default_off(self):
-        assert DseConfig().strict is False
+        import inspect
+
+        for search in (phase1, explore):
+            assert inspect.signature(search).parameters["strict"].default is False
 
     def test_strict_raise_is_diagnostic_error(self, nest, platform):
         # Force a violation by auditing against an impossible budget.

@@ -20,11 +20,7 @@ from repro.model.platform import Platform
 from repro.codegen.emitter import CodeWriter
 from repro.codegen.host import generate_host
 from repro.codegen.opencl import OPENCL_SHIM, generate_kernel, generate_kernel_driver
-from repro.codegen.testbench import (
-    compile_and_run_testbench,
-    generate_testbench,
-    run_testbench,
-)
+from repro.codegen.testbench import generate_testbench, run_testbench
 
 HAVE_CC = shutil.which("gcc") is not None
 needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C compiler available")
@@ -139,20 +135,20 @@ class TestGeneratedText:
 @needs_cc
 class TestCompiledTestbench:
     def test_float_testbench_passes(self):
-        ok, out = compile_and_run_testbench(generate_testbench(small_design(), Platform()))
-        assert ok, out
+        run = run_testbench(generate_testbench(small_design(), Platform()))
+        assert run.passed, run.output
 
     def test_fixed_testbench_passes_exactly(self):
         platform = Platform().with_datatype(FIXED_8_16)
-        ok, out = compile_and_run_testbench(generate_testbench(small_design(), platform))
-        assert ok, out
-        assert "exact" in out
+        run = run_testbench(generate_testbench(small_design(), platform))
+        assert run.passed, run.output
+        assert "exact" in run.output
 
     def test_awkward_shape_testbench(self):
         """Shape dividing nothing: guards and padding must still hold."""
         design = small_design(shape=ArrayShape(5, 3, 4), middle={"r": 2, "p": 2})
-        ok, out = compile_and_run_testbench(generate_testbench(design, Platform()))
-        assert ok, out
+        run = run_testbench(generate_testbench(design, Platform()))
+        assert run.passed, run.output
 
     def test_strided_design_testbench(self):
         """Unfolded strided conv: subscripts 2*r + p flow through codegen."""
@@ -160,16 +156,16 @@ class TestCompiledTestbench:
         design = DesignPoint.create(
             nest, Mapping("o", "c", "i", "IN", "W"), ArrayShape(2, 5, 2), {"r": 5, "p": 3, "q": 3}
         )
-        ok, out = compile_and_run_testbench(generate_testbench(design, Platform()))
-        assert ok, out
+        run = run_testbench(generate_testbench(design, Platform()))
+        assert run.passed, run.output
 
     @pytest.mark.parametrize("mapping_index", [0, 5, 11])
     def test_alternative_mappings_generate_correct_code(self, mapping_index):
         nest = conv_loop_nest(6, 4, 5, 5, 2, 2, name="alt")
         mapping = feasible_mappings(nest)[mapping_index]
         design = DesignPoint.create(nest, mapping, ArrayShape(2, 3, 2), {"p": 2, "q": 2})
-        ok, out = compile_and_run_testbench(generate_testbench(design, Platform()))
-        assert ok, out
+        run = run_testbench(generate_testbench(design, Platform()))
+        assert run.passed, run.output
 
 
 @needs_cc

@@ -56,10 +56,10 @@ class TestCompileCSource:
 
     @pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler")
     def test_generated_testbench_actually_passes(self, result):
-        from repro.codegen.testbench import compile_and_run_testbench
+        from repro.codegen.testbench import run_testbench
 
-        ok, out = compile_and_run_testbench(result.testbench_source)
-        assert ok, out
+        run = run_testbench(result.testbench_source)
+        assert run.passed, run.output
 
 
 class TestSynthesizeNest:

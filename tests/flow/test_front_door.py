@@ -102,7 +102,23 @@ def test_an_unsatisfiable_search_is_one_error_line_and_exit_2(
     assert not (tmp_path / "systolic_out").exists()  # nothing written
 
 
-@pytest.mark.parametrize("option, values", BAD_VALUES.values(), ids=list(BAD_VALUES))
+#: wire option -> JSON values of the wrong type, which only a JSON body
+#: can carry.  Each used to be cast into range: ``"false"`` ran strict,
+#: ``"no"`` kept the pragma check, 2.7 became 2, and ``true`` became a
+#: top-N of 1 or a 1 MHz clock.
+MISTYPED = {
+    "strict": ["false"],
+    "require_pragma": ["no"],
+    "top_n": [2.7, True],
+    "clock": [True],
+}
+
+
+@pytest.mark.parametrize(
+    "option, values",
+    [*BAD_VALUES.values(), *MISTYPED.items()],
+    ids=[*BAD_VALUES, *MISTYPED],
+)
 def test_the_service_door_rejects_the_same_values(option, values):
     for value in values:
         with pytest.raises(ValueError):
@@ -111,10 +127,19 @@ def test_the_service_door_rejects_the_same_values(option, values):
             lower_options({option: value})
 
 
-@pytest.mark.parametrize("value", [[1], {"a": 1}], ids=["list", "object"])
+@pytest.mark.parametrize("value", [[1], {"a": 1}, 10**400], ids=["list", "object", "huge-int"])
 def test_an_uncastable_value_is_a_value_error(value):
     with pytest.raises(ValueError, match="malformed option value"):
         lower_options({"cs": value})
+
+
+def test_an_int_where_a_float_goes_keeps_one_fingerprint():
+    requests = [
+        SynthesisRequest.from_payload({"source": SMALL_SRC, "options": {"clock": clock}})
+        for clock in (250, 250.0)
+    ]
+    assert requests[0].platform.assumed_clock_mhz == 250.0
+    assert requests[0].fingerprint() == requests[1].fingerprint()
 
 
 def test_defaults_are_read_from_the_model_not_restated():
@@ -150,12 +175,6 @@ def test_a_request_has_exactly_one_subject():
     with pytest.raises(ValueError, match="exactly one"):
         SynthesisRequest(source=SMALL_SRC, nest=SynthesisRequest.from_payload(
             {"source": SMALL_SRC}).nest)
-
-
-def test_strict_is_synced_into_the_config_once():
-    request = SynthesisRequest(source=SMALL_SRC, strict=True)
-    assert request.strict and request.config.strict
-    assert not SynthesisRequest(source=SMALL_SRC).config.strict
 
 
 def test_the_documented_option_table_is_the_one_in_the_code():
@@ -278,3 +297,63 @@ def test_a_c_text_request_is_fingerprinted_by_its_nest(strict):
         {"source": source, "name": "submitted", "options": options}
     )
     assert local.fingerprint() == submitted.fingerprint()
+
+
+# ------------------------------------------------------------ one strict switch
+
+#: The five static-analysis audits of a strict run.  Phase 1 and phase 2
+#: both call ``verify_design_points``; its ``context`` tells them apart.
+AUDITS = {"check_source", "check_nest", "phase-1 finalist", "phase-2 winner", "lint_artifacts"}
+
+
+def _nest_door(strict):
+    from repro.flow.compile import synthesize_nest
+    from repro.ir.loop import conv_loop_nest
+
+    result = synthesize_nest(
+        conv_loop_nest(8, 4, 6, 6, 3, 3), config=DseConfig(min_dsp_utilization=0.0, top_n=1),
+        strict=strict, cache=False,
+    )
+    return ("design", result.evaluation.design.signature)
+
+
+#: entry point -> (run it, the audits a strict run owes).  A nest comes
+#: with no C text, so it has no source to check.
+STRICT_DOORS = {
+    "compile_c_source": (lambda strict: _library_door(DOOR_SOURCES["legal"], strict), AUDITS),
+    "synthesize_nest": (_nest_door, AUDITS - {"check_source"}),
+    "payload": (lambda strict: _payload_door(DOOR_SOURCES["legal"], strict), AUDITS),
+}
+
+
+@pytest.fixture
+def audits(monkeypatch):
+    """The audits a run calls, in call order."""
+    from repro.analysis import codegen_lint, design_check, nest_check
+
+    seen = []
+
+    def spy(module, attr, label=None):
+        original = getattr(module, attr)
+
+        def wrapper(*args, **kwargs):
+            seen.append(attr if label is None else label(kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, wrapper)
+
+    spy(nest_check, "check_source")
+    spy(nest_check, "check_nest")
+    spy(design_check, "verify_design_points", lambda kwargs: kwargs["context"])
+    spy(codegen_lint, "lint_artifacts")
+    return seen
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+@pytest.mark.parametrize("door", list(STRICT_DOORS))
+def test_strict_is_all_or_nothing(door, strict, audits):
+    """``strict`` has one home, the request, and every stage reads it
+    there.  A search knob copy of it used to run the phase-1 audit alone."""
+    run_door, owed = STRICT_DOORS[door]
+    assert run_door(strict)[0] == "design"
+    assert set(audits) == (owed if strict else set())

@@ -35,9 +35,12 @@ class TestConvReuseTable:
         assert set(self.table.reuse_loops("IN")) == {"o"}
 
     def test_reuse_arrays_per_loop(self):
-        assert set(self.table.reuse_arrays("o")) == {"IN"}
-        assert set(self.table.reuse_arrays("c")) == {"W"}
-        assert set(self.table.reuse_arrays("i")) == {"OUT"}
+        def carried_by(loop):
+            return {array for array in self.table.arrays if self.table.carried(array, loop)}
+
+        assert carried_by("o") == {"IN"}
+        assert carried_by("c") == {"W"}
+        assert carried_by("i") == {"OUT"}
 
     def test_paper_infeasibility_example(self):
         """Mapping L3 (c) and L4 (r) together is infeasible: neither carries
@@ -49,12 +52,6 @@ class TestConvReuseTable:
         assert self.table.carried("W", "r") and self.table.carried("W", "c")
         assert not self.table.carried("IN", "r")
         assert not self.table.carried("IN", "c")
-
-    def test_as_dict_matches_carried(self):
-        d = self.table.as_dict()
-        for array in self.table.arrays:
-            for it in self.table.iterators:
-                assert d[array][it] == self.table.carried(array, it)
 
     def test_str_renders_all_arrays(self):
         text = str(self.table)

@@ -1,5 +1,7 @@
 """Tests for DesignPoint / DesignEvaluation plumbing."""
 
+import dataclasses
+
 import pytest
 
 from repro.dse.explore import Phase1Result, phase2
@@ -55,12 +57,12 @@ class TestDesignPoint:
     def test_signature_stable_and_distinct(self):
         a, b = sys1(), sys1()
         assert a.signature == b.signature
-        c = a.with_middle({"i": 8})
+        c = DesignPoint.create(a.nest, a.mapping, a.shape, {**dict(a.middle), "i": 8})
         assert c.signature != a.signature
 
     def test_with_nest_retargets_layer(self):
         other = conv_loop_nest(384, 256, 13, 13, 3, 3, name="conv3")
-        dp = sys1().with_nest(other)
+        dp = dataclasses.replace(sys1(), nest=other)
         assert dp.nest.name == "conv3"
         assert dp.shape == ArrayShape(11, 13, 8)
 

@@ -10,7 +10,6 @@ from repro.resilience.retry import (
     configure_retries,
     current_policy,
     reset_retries,
-    retrying,
 )
 
 
@@ -72,12 +71,6 @@ class TestCallWithRetry:
         call_with_retry(fn, policy=policy, sleep=slept.append)
         assert slept == [policy.delay_for(2), policy.delay_for(3)]
         assert slept[1] == pytest.approx(2 * slept[0])
-
-    def test_retrying_helper_is_a_partial_application(self):
-        run = retrying(RetryPolicy(max_attempts=2, base_delay=0.0), sleep=lambda _: None)
-        fn = Flaky(1)
-        assert run(fn) == "ok"
-        assert fn.calls == 2
 
 
 class TestRetryPolicy:

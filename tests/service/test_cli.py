@@ -53,6 +53,25 @@ class TestParsers:
         assert main(["serve", "--workers", "0"]) == 2
         assert "workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--queue-depth", "0"], ["--rate", "0"], ["--rate", "2", "--burst", "0.5"]],
+        ids=["queue-depth", "rate", "burst"],
+    )
+    def test_serve_rejects_bad_admission_flags_before_binding(
+        self, flags, capsys, monkeypatch
+    ):
+        """These used to raise out of the JobManager constructor."""
+        bound = []
+        monkeypatch.setattr(
+            "repro.service.http.run_server", lambda *args, **kwargs: bound.append(args)
+        )
+        assert main(["serve", "--port", "0", "--no-cache", *flags]) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()  # one stderr line, no traceback
+        assert line.startswith("error: ")
+        assert not bound
+
 
 class TestSubmitCommand:
     @pytest.fixture

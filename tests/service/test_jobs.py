@@ -140,7 +140,7 @@ class TestJobRequestParsing:
         )
         assert request.config.min_dsp_utilization == 0.5
         assert request.config.top_n == 7
-        assert request.config.strict and request.strict
+        assert request.strict
         assert request.platform.assumed_clock_mhz == 300.0
 
 

@@ -145,7 +145,6 @@ class TestJobJournal:
     def test_missing_file_reads_empty(self, tmp_path):
         journal = JobJournal(tmp_path / "nope.jsonl")
         assert journal.pending() == []
-        assert journal.done_count() == 0
 
     def test_torn_trailing_line_is_ignored(self, tmp_path):
         path = tmp_path / "j.jsonl"
@@ -167,13 +166,6 @@ class TestJobJournal:
         assert [(e["op"], e["id"]) for e in lines] == [("accept", "b")]
         # pending is unchanged by compaction
         assert [e["id"] for e in journal.pending()] == ["b"]
-
-    def test_done_count_counts_unique_ids(self, tmp_path):
-        journal = JobJournal(tmp_path / "j.jsonl")
-        journal.record_accept("a", {})
-        journal.record_done("a")
-        journal.record_done("a")  # idempotent settle
-        assert journal.done_count() == 1
 
     def test_concurrent_appends_never_tear(self, tmp_path):
         journal = JobJournal(tmp_path / "j.jsonl")

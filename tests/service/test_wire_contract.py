@@ -140,6 +140,9 @@ class TestSubmit:
             ({"source": TINY, "priority": None}, "'priority' must be an integer"),
             ({"source": TINY, "id": ""}, "'id' must be a non-empty string"),
             ({"source": TINY, "id": 7}, "'id' must be a non-empty string"),
+            ({"source": TINY, "priority": "3"}, "'priority' must be an integer"),
+            ({"source": TINY, "priority": 2.7}, "'priority' must be an integer"),
+            ({"source": TINY, "priority": True}, "'priority' must be an integer"),
         ],
     )
     def test_invalid_priority_or_id_is_400(self, endpoint, body, message):

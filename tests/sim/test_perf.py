@@ -98,14 +98,6 @@ class TestSimulatorInternals:
         slow = simulate_performance(bad, platform, frequency_mhz=200)
         assert fast.throughput_gops / slow.throughput_gops < 1.25
 
-    def test_launch_overhead_reduces_throughput(self):
-        platform = Platform()
-        design = conv5_design()
-        clean = simulate_performance(design, platform)
-        loaded = simulate_performance(design, platform, launch_overhead_cycles=50_000)
-        assert loaded.throughput_gops < clean.throughput_gops
-        assert loaded.cycles == clean.cycles + 50_000
-
     def test_block_count_matches_tiling(self):
         design = conv5_design()
         measured = simulate_performance(design, Platform())

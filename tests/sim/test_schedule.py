@@ -10,7 +10,6 @@ from repro.sim.schedule import (
     enumerate_blocks,
     enumerate_waves,
     first_all_active_cycle,
-    original_index,
     wave_schedule_cycles,
 )
 
@@ -82,12 +81,3 @@ class TestBlockEnumeration:
         block = next(iter(enumerate_blocks(tiled, clip=False)))
         waves = list(enumerate_waves(block, tiled.nest.iterators))
         assert len(waves) == block.waves
-
-
-class TestOriginalIndex:
-    def test_decomposition(self):
-        assert original_index(8, 3, 4, 2) == 8 + 12 + 2
-
-    def test_bounds_checked(self):
-        with pytest.raises(ValueError):
-            original_index(0, 0, 4, 4)

@@ -69,16 +69,12 @@ class TestTutorialSteps:
     @pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler")
     def test_step6_artifacts(self, best):
         from repro.model import Platform
-        from repro.codegen import (
-            compile_and_run_testbench,
-            generate_kernel,
-            generate_testbench,
-        )
+        from repro.codegen import generate_kernel, generate_testbench, run_testbench
 
         kernel = generate_kernel(best.design, Platform())
         assert "__kernel" in kernel
-        ok, log = compile_and_run_testbench(generate_testbench(best.design, Platform()))
-        assert ok, log
+        run = run_testbench(generate_testbench(best.design, Platform()))
+        assert run.passed, run.output
 
     def test_step7_measurement(self, best):
         from repro.model import Platform

@@ -225,7 +225,7 @@ def test_dse_winner_testbench_compiles_and_passes(out_ch, in_ch, size, seed):
 
     if shutil.which("gcc") is None:
         pytest.skip("no C compiler")
-    from repro.codegen.testbench import compile_and_run_testbench, generate_testbench
+    from repro.codegen.testbench import generate_testbench, run_testbench
 
     layer = ConvLayer("fuzz_c", in_ch, out_ch, size, size, kernel=2)
     result = explore(
@@ -234,5 +234,5 @@ def test_dse_winner_testbench_compiles_and_passes(out_ch, in_ch, size, seed):
         DseConfig(min_dsp_utilization=0.0, vector_choices=(2,), top_n=1),
     )
     source = generate_testbench(result.best.design, Platform())
-    ok, output = compile_and_run_testbench(source)
-    assert ok, output
+    run = run_testbench(source)
+    assert run.passed, run.output
