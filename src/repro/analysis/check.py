@@ -3,10 +3,12 @@
 Chains the three passes over a restricted-C source:
 
 1. :mod:`repro.analysis.nest_check` — is the nest systolizable at all?
-2. :mod:`repro.analysis.design_check` — run a small DSE and re-verify
-   the winning design point against the paper's constraints;
-3. :mod:`repro.analysis.codegen_lint` — generate the testbench, kernel,
-   driver and Verilog for that design and lint the emitted text
+2. :mod:`repro.analysis.design_check` — re-verify the design point the
+   flow ships (one uncached :func:`~repro.flow.compile.synthesize_nest`
+   run, the same DSE and codegen a compile without DSE flags performs)
+   against the paper's constraints;
+3. :mod:`repro.analysis.codegen_lint` — lint that run's testbench,
+   kernel, driver and Verilog
    (:func:`~repro.analysis.codegen_lint.lint_artifacts`, the same call
    a strict compile makes).
 
@@ -22,7 +24,6 @@ from typing import Any
 from repro.analysis.diagnostics import (
     NEST_NO_FEASIBLE_MAPPING,
     AnalysisReport,
-    DiagnosticError,
     Severity,
 )
 
@@ -79,9 +80,13 @@ def run_checks(
     name: str = "user_nest",
     filename: str | None = None,
     require_pragma: bool = True,
-    dse_config: Any = None,
 ) -> CheckResult:
     """Run the analysis passes over restricted-C text.
+
+    After the located nest pass, the design and artifacts come from one
+    uncached run of the flow itself (:func:`repro.flow.compile.synthesize_nest`
+    with the default :class:`~repro.dse.DseConfig`), so the
+    verdict is about the design a compile with the same platform ships.
 
     Args:
         source: the C program.
@@ -90,8 +95,6 @@ def run_checks(
         name: nest label used in messages.
         filename: attached to diagnostic spans.
         require_pragma: reject programs without ``#pragma systolic``.
-        dse_config: DSE knobs for the design pass (a cheap ``top_n=1``
-            search by default).
     """
     if level not in LEVELS:
         raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
@@ -104,14 +107,14 @@ def run_checks(
     if level == "nest" or nest is None or not report.ok:
         return result
 
-    from repro.dse.explore import DseConfig, explore
+    from repro.dse import NoFeasibleDesign
+    from repro.flow.compile import synthesize_nest
     from repro.model.platform import Platform
 
     platform = platform or Platform()
-    config = dse_config or DseConfig(top_n=1)
     try:
-        best = explore(nest, platform, config).best
-    except ValueError as exc:
+        shipped = synthesize_nest(nest, platform)
+    except NoFeasibleDesign as exc:
         report.add(
             NEST_NO_FEASIBLE_MAPPING,
             Severity.ERROR,
@@ -119,30 +122,25 @@ def run_checks(
             f"{platform.device.name}: {exc}",
         )
         return result
-    result.design = best.design
+    result.design = shipped.evaluation.design
 
     from repro.analysis.design_check import check_design_point
 
-    report.extend(check_design_point(best.design, platform))
+    report.extend(check_design_point(result.design, platform))
     if level == "design":
         return result
 
     from repro.analysis.codegen_lint import lint_artifacts
-    from repro.codegen.backend import get_backend
-    from repro.codegen.opencl import generate_kernel, generate_kernel_driver
-    from repro.codegen.testbench import generate_testbench
 
     artifacts = {
-        "testbench": generate_testbench(best.design, platform),
-        "kernel": generate_kernel(best.design, platform),
-        "driver": generate_kernel_driver(best.design, platform),
+        "testbench": shipped.testbench_source,
+        "kernel": shipped.kernel_source,
+        "driver": shipped.driver_source,
+        "rtl": shipped.rtl_source,
     }
-    try:
-        artifacts.update(get_backend("rtl").emit(best.design, platform))
-    except DiagnosticError:
-        pass  # SA150: the RTL backend cannot lower this design; no Verilog to lint
-    result.artifacts = artifacts
-    report.extend(lint_artifacts(best.design, artifacts))
+    # The RTL is None for a design that backend cannot lower (SA150).
+    result.artifacts = {label: text for label, text in artifacts.items() if text is not None}
+    report.extend(lint_artifacts(result.design, result.artifacts))
     return result
 
 

@@ -588,9 +588,12 @@ def import_main(argv: list[str]) -> int:
 
 def serve_main(argv: list[str]) -> int:
     """The ``serve`` subcommand: the flow as a daemon."""
-    args = build_serve_arg_parser().parse_args(argv)
+    parser = build_serve_arg_parser()
+    args = parser.parse_args(argv)
     with contextlib.ExitStack() as stack:
         try:
+            if args.role == "coordinator":
+                _no_node_flags(parser, args)
             if args.workers < 1:
                 raise ValueError("--workers must be >= 1")
             if args.role == "worker" and not args.coordinator:
@@ -601,6 +604,19 @@ def serve_main(argv: list[str]) -> int:
         if args.role == "coordinator":
             return _serve_coordinator(args)
         return _serve_node(args)
+
+
+def _no_node_flags(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Refuse, as a ``ValueError``, the ``serve`` flags that size a node's
+    own synthesis when given to a coordinator, which runs none."""
+    flags = ("--workers", "--queue-depth", "--rate", "--burst", "--jobs")
+    dest = {flag: flag[2:].replace("-", "_") for flag in flags}
+    given = [f for f in flags if getattr(args, dest[f]) != parser.get_default(dest[f])]
+    if given:
+        raise ValueError(
+            f"{', '.join(given)}: not used by --role coordinator, which runs no queue, "
+            "rate limiter, worker pool or DSE fan-out (set them on the workers)"
+        )
 
 
 def _bind(args: argparse.Namespace, run, backend):

@@ -5,20 +5,21 @@ of the same quantity and yields a :class:`LegResult`; disagreements also
 emit an ``SA4xx`` diagnostic into an :class:`repro.analysis.AnalysisReport`
 so callers get both a human summary and a machine-readable verdict.
 
-The legs are the rows of :data:`MATRIX`: the first entry of
-:data:`repro.sim.backends.WAVEFRONT_BACKENDS` (``fast``) is the reference,
-the other (``rtl``, the emitted Verilog) is run once within its budget
-when selected, and each row names the comparator that holds one
-backend's result to what.
+:func:`cross_check` runs the legs in report order: the fast simulator
+(the reference) against the golden model and against the cycle model,
+the optional layer leg, then — when ``rtl`` is selected — the emitted
+Verilog run once within its budget and held to the fast simulator, to
+the cycle model and to iverilog, or all three RTL legs skipped with one
+note.
 
-Tolerance policy (documented in ``docs/simulation.md``), one comparator
-each:
+Tolerance policy (documented in ``docs/simulation.md``), one per kind
+of leg:
 
-* backend vs. reference (:func:`_identity`) — **bit-exact**: equal
+* RTL vs. fast (``rtl-vs-fast``) — **bit-exact**: equal
   output bytes, equal counters.  The RTL and the fast simulator perform
   the identical sequence of IEEE double operations, so any difference is
   a bug, not rounding.
-* output vs. golden (:func:`_within_tolerance`) — relative tolerance
+* output vs. golden (:func:`_golden`) — relative tolerance
   ``rel_tol`` (default 1e-9).
   The golden evaluations sum in a different order (einsum / flat index
   chunks), so last-ulp drift is legitimate; the observed gap on real
@@ -36,7 +37,7 @@ each:
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -244,107 +245,31 @@ def cross_check(
     """
     if arrays is None:
         arrays = synthetic_arrays(design.nest, seed=seed)
-    reference = WAVEFRONT_BACKENDS[REFERENCE].run(design, arrays)
-    run = _Run(design, arrays, reference, AnalysisReport(), rel_tol, layer, seed, iverilog)
-    # Per backend: its result, or the reason its legs are skipped.  The
-    # RTL runs at its first leg, so its notes follow the reference legs'.
-    outcomes: dict[str, EngineResult | str] = {REFERENCE: reference}
-    legs: list[LegResult] = []
-    for leg in MATRIX:
-        if (leg.backend == "rtl" and not rtl) or (leg.compare is _layer and layer is None):
-            continue
-        if leg.backend not in outcomes:
-            outcomes[leg.backend] = _run_rtl_or_skip(run, rtl_iteration_limit)
-        outcome = outcomes[leg.backend]
-        if isinstance(outcome, str):
-            legs.append(LegResult(leg.name, "skipped", outcome))
-        else:
-            legs.append(leg.compare(run, leg, outcome))
-
-    return ConformanceReport(
-        design_signature=design.signature,
-        legs=tuple(legs),
-        report=run.report,
-        result=reference,
-    )
+    report = AnalysisReport()
+    fast = WAVEFRONT_BACKENDS["fast"].run(design, arrays)
+    golden = golden_nest_output(design.nest, arrays)
+    sim = fast.output[tuple(slice(0, n) for n in golden.shape)]
+    subject = f"simulated output of {design.nest.name!r}"
+    legs = [
+        _golden(report, "fast-vs-golden", "golden model", sim, golden, subject, rel_tol),
+        _model(report, "cycles-vs-model", design, fast),
+    ]
+    if layer is not None:
+        legs.append(_layer(report, design, layer, seed, rel_tol))
+    if rtl:
+        legs += _rtl_legs(report, design, arrays, fast, rtl_iteration_limit, iverilog)
+    return ConformanceReport(design.signature, tuple(legs), report, fast)
 
 
-# --------------------------------------------------------------- matrix
-
-#: The table entry every other backend is held bit-identical to.
-REFERENCE = next(iter(WAVEFRONT_BACKENDS))
-
-
-@dataclass(frozen=True)
-class Leg:
-    """One row of the matrix: a comparator holding one backend's result.
-
-    Attributes:
-        name: leg identifier in the report.
-        code: the ``SA`` diagnostic a mismatch raises.
-        backend: the :data:`WAVEFRONT_BACKENDS` entry whose result the
-            comparator receives (its legs are skipped together).
-        compare: ``(run, leg, result) -> LegResult``.
-        says: the comparator's SA message wording (``{}`` = design
-            signature).
-        counters: the counters compared.
-    """
-
-    name: str
-    code: str
-    backend: str
-    compare: Callable[[_Run, Leg, EngineResult], LegResult]
-    says: str
-    counters: tuple[str, ...] = COUNTERS
-
-
-@dataclass(frozen=True)
-class _Run:
-    """What the comparators of one :func:`cross_check` call share."""
-
-    design: DesignPoint
-    arrays: dict[str, np.ndarray]
-    reference: EngineResult
-    report: AnalysisReport
-    rel_tol: float
-    layer: Any
-    seed: int
-    iverilog: str
-
-    def settle(
-        self, leg: Leg, error: str | None, detail: str, metrics: tuple = ()
-    ) -> LegResult:
-        """Close a leg: ``ok``, or ``mismatch`` plus the leg's SA error."""
-        if error is None:
-            return LegResult(leg.name, "ok", detail, metrics)
-        self.report.add(leg.code, Severity.ERROR, error)
-        return LegResult(leg.name, "mismatch", detail, metrics)
-
-
-def _run_rtl_or_skip(run: _Run, limit: int | None) -> EngineResult | str:
-    """Run the RTL backend, or say why its legs are skipped.
-
-    The skip ladder (mirroring the testbench SA5xx policy): an oversized
-    design skips with an ``SA404`` note; a design the RTL cannot lower
-    skips with its ``SA150`` demoted to a note.
-    """
-    backend = WAVEFRONT_BACKENDS["rtl"]
-    total = run.design.nest.total_iterations
-    limit = backend.over_budget(run.design, limit)
-    if limit is not None:
-        run.report.add(
-            VERIFY_LEG_SKIPPED,
-            Severity.NOTE,
-            f"RTL legs skipped: {total} iterations exceed the "
-            f"{limit}-iteration RTL interpreter budget",
-        )
-        return f"{total} iterations > RTL budget {limit}"
-    try:
-        return backend.run(run.design, run.arrays)
-    except DiagnosticError as exc:
-        first = exc.diagnostics[0]
-        run.report.add(first.code, Severity.NOTE, f"RTL legs skipped: {first.message}")
-        return first.message
+def _settle(
+    report: AnalysisReport, name: str, code: str, error: str | None, detail: str,
+    metrics: tuple = (),
+) -> LegResult:
+    """Close a leg: ``ok``, or ``mismatch`` plus its SA error."""
+    if error is None:
+        return LegResult(name, "ok", detail, metrics)
+    report.add(code, Severity.ERROR, error)
+    return LegResult(name, "mismatch", detail, metrics)
 
 
 def _counter_diffs(
@@ -357,73 +282,56 @@ def _counter_diffs(
     ]
 
 
-def _identity(run: _Run, leg: Leg, result: EngineResult) -> LegResult:
-    """Bit-exact differential identity of a backend against the reference."""
-    reference = run.reference
-    total = run.design.nest.total_iterations
-    mismatches = _counter_diffs(reference, result, leg.counters, REFERENCE, leg.backend)
-    bit_equal = (
-        reference.output.shape == result.output.shape
-        and reference.output.tobytes() == result.output.tobytes()
-    )
-    if not bit_equal:
-        diff = int(np.sum(reference.output != result.output))
-        mismatches.append(f"output differs in {diff} element(s)")
-    if mismatches:
-        joined = "; ".join(mismatches)
-        return run.settle(leg, f"{leg.says.format(run.design.signature)}: {joined}", joined)
-    return run.settle(
-        leg, None, f"bit-identical over {total} iterations", (("iterations", float(total)),)
-    )
-
-
-def _within_tolerance(
-    run: _Run, leg: Leg, sim: np.ndarray, golden: np.ndarray, subject: str
+def _golden(
+    report: AnalysisReport, name: str, says: str, sim: np.ndarray, golden: np.ndarray,
+    subject: str, rel_tol: float,
 ) -> LegResult:
     """A simulated tensor vs. an independent evaluation, within ``rel_tol``."""
     scale = max(1.0, float(np.max(np.abs(golden))))
     max_abs = float(np.max(np.abs(sim - golden))) if golden.size else 0.0
     max_rel = max_abs / scale
     error = None
-    if not np.allclose(sim, golden, rtol=run.rel_tol, atol=run.rel_tol * scale):
+    if not np.allclose(sim, golden, rtol=rel_tol, atol=rel_tol * scale):
         error = (
-            f"{subject} deviates from the {leg.says} by {max_rel:.3e} "
-            f"(relative; tolerance {run.rel_tol:.1e})"
+            f"{subject} deviates from the {says} by {max_rel:.3e} "
+            f"(relative; tolerance {rel_tol:.1e})"
         )
     metrics = (("max_abs_error", max_abs), ("max_rel_error", max_rel))
-    return run.settle(leg, error, f"max relative error {max_rel:.3e}", metrics)
+    detail = f"max relative error {max_rel:.3e}"
+    return _settle(report, name, VERIFY_GOLDEN_MISMATCH, error, detail, metrics)
 
 
-def _nest(run: _Run, leg: Leg, result: EngineResult) -> LegResult:
-    """Simulated output vs. an independent NumPy evaluation of the nest."""
-    nest = run.design.nest
-    golden = golden_nest_output(nest, run.arrays)
-    sim = result.output[tuple(slice(0, n) for n in golden.shape)]
-    return _within_tolerance(run, leg, sim, golden, f"simulated output of {nest.name!r}")
-
-
-def _layer(run: _Run, leg: Leg, result: EngineResult) -> LegResult:
-    """Full layer (padding + groups) vs. the golden convolution."""
+def _layer(
+    report: AnalysisReport, design: DesignPoint, layer: Any, seed: int, rel_tol: float
+) -> LegResult:
+    """The full layer (padding + groups) on the fast simulator vs. the
+    golden convolution."""
     from repro.nn.golden import conv2d_layer, random_layer_tensors
     from repro.sim.functional import simulate_layer
 
-    layer, design = run.layer, run.design
-    inputs, weights = random_layer_tensors(layer, seed=run.seed)
-    sim = simulate_layer(design, layer, inputs, weights, backend=leg.backend)
+    inputs, weights = random_layer_tensors(layer, seed=seed)
+    sim = simulate_layer(design, layer, inputs, weights, backend="fast")
     golden = conv2d_layer(layer, inputs.astype(np.float64), weights.astype(np.float64))
     subject = f"layer {layer.name!r} simulated under {design.signature}"
-    return _within_tolerance(run, leg, sim, golden, subject)
+    says = "golden convolution"
+    return _golden(report, "layer-vs-conv-golden", says, sim, golden, subject, rel_tol)
 
 
-def _model(run: _Run, leg: Leg, result: EngineResult) -> LegResult:
-    """Emergent cycle counters vs. the closed-form analytical model."""
-    design = run.design
+def _model(
+    report: AnalysisReport, name: str, design: DesignPoint, result: EngineResult, rtl: bool = False
+) -> LegResult:
+    """Emergent cycle counters (of the fast simulator, or of the RTL with
+    ``rtl``) vs. the closed-form analytical model."""
     stats = cycle_statistics(design)
-    label = "simulated" if leg.backend == REFERENCE else leg.backend
-    mismatches = _counter_diffs(result, stats, leg.counters, label, "model")
-    if leg.backend == REFERENCE:
+    mismatches = _counter_diffs(result, stats, COUNTERS, "rtl" if rtl else "simulated", "model")
+    if rtl:
+        code, subject = RTL_CYCLE_DIVERGENCE, "RTL cycle counters"
+        detail = f"exact ({result.compute_cycles} cycles, {result.blocks} blocks)"
+        metrics: tuple = () if mismatches else (("rtl_cycles", float(result.compute_cycles)),)
+    else:
         # Eq. 5 ideal: executed iterations / lanes; the fill/drain term is
         # the only legitimate gap between ideal and simulated cycles.
+        code, subject = VERIFY_CYCLE_MODEL_MISMATCH, "cycle counters"
         ideal = design.tiled.executed_iterations_clipped // design.shape.lanes
         fill = stats.blocks * (design.shape.rows + design.shape.cols - 2)
         if result.compute_cycles - ideal != fill:
@@ -432,22 +340,79 @@ def _model(run: _Run, leg: Leg, result: EngineResult) -> LegResult:
                 f"expected={fill}"
             )
         detail = f"exact (+{fill} fill/drain cycles over Eq. 5 ideal)"
-        metrics: tuple = (
+        metrics = (
             ("ideal_cycles", float(ideal)),
             ("fill_overhead_cycles", float(fill)),
             ("fill_overhead_fraction", fill / ideal if ideal else 0.0),
         )
-    else:
-        detail = f"exact ({result.compute_cycles} cycles, {result.blocks} blocks)"
-        metrics = () if mismatches else ((f"{label}_cycles", float(result.compute_cycles)),)
     if not mismatches:
-        return run.settle(leg, None, detail, metrics)
+        return _settle(report, name, code, None, detail, metrics)
     joined = "; ".join(mismatches)
-    error = f"{leg.says.format(design.signature)} deviate from the analytical model: {joined}"
-    return run.settle(leg, error, joined, metrics)
+    error = f"{subject} of {design.signature} deviate from the analytical model: {joined}"
+    return _settle(report, name, code, error, joined, metrics)
 
 
-def _native(run: _Run, leg: Leg, result: EngineResult) -> LegResult:
+def _rtl_legs(
+    report: AnalysisReport, design: DesignPoint, arrays: dict[str, np.ndarray],
+    fast: EngineResult, limit: int | None, iverilog: str,
+) -> list[LegResult]:
+    """``rtl-vs-fast`` (bit-exact: the RTL and the fast simulator perform
+    the identical sequence of IEEE double operations),
+    ``rtl-cycles-vs-model`` and ``rtl-vs-iverilog`` — or all three
+    skipped for one reason."""
+    result = _run_rtl_or_skip(report, design, arrays, limit)
+    if isinstance(result, str):
+        names = ("rtl-vs-fast", "rtl-cycles-vs-model", "rtl-vs-iverilog")
+        return [LegResult(name, "skipped", result) for name in names]
+    diffs = _counter_diffs(fast, result, ("pe_active_cycles",), "fast", "rtl")
+    if fast.output.shape != result.output.shape or fast.output.tobytes() != result.output.tobytes():
+        diffs.append(f"output differs in {int(np.sum(fast.output != result.output))} element(s)")
+    if diffs:
+        joined = "; ".join(diffs)
+        error = f"RTL simulation of {design.signature} diverges from the fast simulator: {joined}"
+        identity = _settle(report, "rtl-vs-fast", RTL_OUTPUT_MISMATCH, error, joined)
+    else:
+        total = design.nest.total_iterations
+        metrics = (("iterations", float(total)),)
+        identity = LegResult("rtl-vs-fast", "ok", f"bit-identical over {total} iterations", metrics)
+    return [
+        identity,
+        _model(report, "rtl-cycles-vs-model", design, result, rtl=True),
+        _native(report, design, arrays, iverilog),
+    ]
+
+
+def _run_rtl_or_skip(
+    report: AnalysisReport, design: DesignPoint, arrays: dict[str, np.ndarray], limit: int | None
+) -> EngineResult | str:
+    """Run the RTL backend, or say why its legs are skipped.
+
+    The skip ladder (mirroring the testbench SA5xx policy): an oversized
+    design skips with an ``SA404`` note; a design the RTL cannot lower
+    skips with its ``SA150`` demoted to a note.
+    """
+    backend = WAVEFRONT_BACKENDS["rtl"]
+    total = design.nest.total_iterations
+    limit = backend.over_budget(design, limit)
+    if limit is not None:
+        report.add(
+            VERIFY_LEG_SKIPPED,
+            Severity.NOTE,
+            f"RTL legs skipped: {total} iterations exceed the "
+            f"{limit}-iteration RTL interpreter budget",
+        )
+        return f"{total} iterations > RTL budget {limit}"
+    try:
+        return backend.run(design, arrays)
+    except DiagnosticError as exc:
+        first = exc.diagnostics[0]
+        report.add(first.code, Severity.NOTE, f"RTL legs skipped: {first.message}")
+        return first.message
+
+
+def _native(
+    report: AnalysisReport, design: DesignPoint, arrays: dict[str, np.ndarray], iverilog: str
+) -> LegResult:
     """Native iverilog execution vs. the RTL interpreter.
 
     A missing iverilog skips the leg with an ``SA153`` note (or fails it
@@ -455,55 +420,38 @@ def _native(run: _Run, leg: Leg, result: EngineResult) -> LegResult:
     """
     from repro.sim import rtl
 
-    if run.iverilog == "off":
-        return LegResult(leg.name, "skipped", "native leg disabled")
-    if run.iverilog == "auto" and not rtl.iverilog_available():
-        run.report.add(
+    name = "rtl-vs-iverilog"
+    if iverilog == "off":
+        return LegResult(name, "skipped", "native leg disabled")
+    if iverilog == "auto" and not rtl.iverilog_available():
+        report.add(
             RTL_TOOLCHAIN_MISSING,
             Severity.NOTE,
             "iverilog not found on PATH; RTL checked by the Python "
             "interpreter only",
             hint="apt-get install iverilog to enable the native leg",
         )
-        return LegResult(leg.name, "skipped", "iverilog not on PATH")
+        return LegResult(name, "skipped", "iverilog not on PATH")
     try:
-        check = rtl.run_iverilog_check(run.design, run.arrays)
+        check = rtl.run_iverilog_check(design, arrays)
     except rtl.RtlToolchainUnavailable as exc:
         diag = exc.diagnostic
-        required = run.iverilog == "require"
+        required = iverilog == "require"
         severity = Severity.ERROR if required else Severity.NOTE
-        run.report.add(diag.code, severity, diag.message, hint=diag.hint)
-        return LegResult(leg.name, "mismatch" if required else "skipped", diag.message)
+        report.add(diag.code, severity, diag.message, hint=diag.hint)
+        return LegResult(name, "mismatch" if required else "skipped", diag.message)
     if check.ok:
-        return run.settle(leg, None, check.detail, (("words_compared", float(check.words)),))
-    error = f"{leg.says.format(run.design.signature)}: {check.detail}"
-    return run.settle(leg, error, check.detail)
-
-
-#: Rows in report order.
-MATRIX = (
-    Leg("fast-vs-golden", VERIFY_GOLDEN_MISMATCH, REFERENCE, _nest, "golden model"),
-    Leg("cycles-vs-model", VERIFY_CYCLE_MODEL_MISMATCH, REFERENCE, _model,
-        "cycle counters of {}"),
-    Leg("layer-vs-conv-golden", VERIFY_GOLDEN_MISMATCH, REFERENCE, _layer,
-        "golden convolution"),
-    Leg("rtl-vs-fast", RTL_OUTPUT_MISMATCH, "rtl", _identity,
-        "RTL simulation of {} diverges from the fast simulator",
-        counters=("pe_active_cycles",)),
-    Leg("rtl-cycles-vs-model", RTL_CYCLE_DIVERGENCE, "rtl", _model,
-        "RTL cycle counters of {}"),
-    Leg("rtl-vs-iverilog", RTL_OUTPUT_MISMATCH, "rtl", _native,
-        "iverilog execution of {} diverges from the RTL interpreter"),
-)
+        metrics = (("words_compared", float(check.words)),)
+        return _settle(report, name, RTL_OUTPUT_MISMATCH, None, check.detail, metrics)
+    error = f"iverilog execution of {design.signature} diverges from the RTL interpreter: "
+    return _settle(report, name, RTL_OUTPUT_MISMATCH, error + check.detail, check.detail)
 
 
 __all__ = [
     "ConformanceReport",
     "DEFAULT_REL_TOL",
     "DEFAULT_RTL_ITERATION_LIMIT",
-    "Leg",
     "LegResult",
-    "MATRIX",
     "cross_check",
     "golden_nest_output",
     "synthetic_arrays",

@@ -6,7 +6,6 @@ import json
 import pytest
 
 from repro.analysis.check import LEVELS, check_design, run_checks
-from repro.dse.explore import DseConfig
 from repro.flow import cli
 
 GOOD = """
@@ -22,12 +21,10 @@ for (o = 0; o < 16; o++)
 
 BAD = GOOD.replace("IN[i][r+p][c+q]", "IN[i*2][r+p][c+q]")
 
-FAST = DseConfig(min_dsp_utilization=0.0, vector_choices=(2, 4), top_n=1)
-
 
 class TestRunChecks:
     def test_full_level_on_good_source(self):
-        result = run_checks(GOOD, dse_config=FAST)
+        result = run_checks(GOOD)
         assert result.ok and result.exit_code == 0
         assert result.nest is not None and result.design is not None
         assert set(result.artifacts) == {"testbench", "kernel", "driver", "rtl"}
@@ -46,7 +43,7 @@ class TestRunChecks:
             return real(source, filename=filename)
 
         monkeypatch.setattr(codegen_lint, "lint_verilog", spy)
-        result = run_checks(GOOD, dse_config=FAST)
+        result = run_checks(GOOD)
         assert seen == ["<rtl>"]
         assert result.artifacts["rtl"].startswith("// Systolic array RTL")
 
@@ -63,7 +60,7 @@ class TestRunChecks:
             backend.BACKENDS["rtl"], emitters=(("rtl", cannot_lower),)
         )
         monkeypatch.setitem(backend.BACKENDS, "rtl", unable)
-        result = run_checks(GOOD, dse_config=FAST)
+        result = run_checks(GOOD)
         assert result.ok
         assert set(result.artifacts) == {"testbench", "kernel", "driver"}
 
@@ -73,15 +70,26 @@ class TestRunChecks:
         assert result.design is None and result.artifacts == {}
 
     def test_design_level_stops_before_codegen(self):
-        result = run_checks(GOOD, level="design", dse_config=FAST)
+        """The design level lints no artifact."""
+        result = run_checks(GOOD, level="design")
         assert result.ok and result.design is not None
         assert result.artifacts == {}
 
     def test_bad_source_reports_and_stops(self):
-        result = run_checks(BAD, dse_config=FAST)
+        result = run_checks(BAD)
         assert not result.ok and result.exit_code == 1
         assert "SA110" in result.report.codes()
         assert result.design is None
+
+    def test_no_feasible_design_is_a_diagnostic(self):
+        from repro.hw.device import ARRIA10_GT1150
+        from repro.model.platform import Platform
+
+        tiny = dataclasses.replace(ARRIA10_GT1150, name="tiny", dsp_blocks=4, bram_blocks=2)
+        result = run_checks(GOOD, platform=Platform(device=tiny))
+        assert not result.ok and result.design is None
+        assert result.report.codes() == ("SA131",)
+        assert "no design fitting tiny" in result.report.render()
 
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError):
@@ -96,6 +104,53 @@ class TestRunChecks:
         assert payload["design"] is None
         assert payload["diagnostics"] == []
         json.dumps(payload)  # must stay JSON-serializable
+
+
+def alexnet_conv_source(name):
+    from repro.frontend.emit import nest_to_c
+    from repro.nn.models import alexnet
+
+    return nest_to_c(alexnet().layer(name).to_loop_nest())
+
+
+class TestChecksTheShippedDesign:
+    """``check`` judges the design and artifacts a compile without DSE
+    flags ships, not a design of its own search."""
+
+    @pytest.mark.parametrize("layer", ["conv1", "conv2", "conv3", "conv4", "conv5"])
+    def test_check_audits_what_the_compile_ships(self, layer):
+        from repro.analysis.diagnostics import DiagnosticError
+        from repro.flow.compile import compile_c_source
+
+        source = alexnet_conv_source(layer)
+        checked = run_checks(source)
+        if not checked.ok:  # conv1's stride-4 subscripts: a strict compile refuses them too
+            assert set(checked.report.codes()) == {"SA110"}
+            with pytest.raises(DiagnosticError) as err:
+                compile_c_source(source, strict=True)
+            assert {d.code for d in err.value.diagnostics} == {"SA110"}
+            return
+        shipped = compile_c_source(source)
+        assert checked.design == shipped.evaluation.design
+        assert checked.artifacts == {
+            "testbench": shipped.testbench_source,
+            "kernel": shipped.kernel_source,
+            "driver": shipped.driver_source,
+            "rtl": shipped.rtl_source,
+        }
+
+    def test_verify_cross_checks_the_saved_design(self, tmp_path, capsys):
+        from repro.model.serialize import load_design
+
+        source = tmp_path / "conv5.c"
+        source.write_text(alexnet_conv_source("conv5"))
+        saved = tmp_path / "d.json"
+        argv = [str(source), "-q", "--no-cache", "-o", str(tmp_path / "out")]
+        assert cli.main([*argv, "--save-design", str(saved)]) == 0
+        capsys.readouterr()
+        assert cli.main(["verify", str(source), "--json", "--sim-backend", "fast"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["design"] == load_design(saved).signature
 
 
 class TestCli:

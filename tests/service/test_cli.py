@@ -73,6 +73,43 @@ class TestParsers:
         assert not bound
 
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--queue-depth", "0", "--rate", "0"], "--queue-depth, --rate"),
+            (["--workers", "4"], "--workers"),
+            (["--burst", "3", "-j", "2"], "--burst, --jobs"),
+        ],
+        ids=["queue-depth+rate", "workers", "burst+jobs"],
+    )
+    def test_coordinator_rejects_node_flags_before_binding(
+        self, flags, named, capsys, monkeypatch
+    ):
+        """A coordinator runs no queue, rate limiter, worker pool or DSE
+        fan-out: sizing one is a usage error, not a silently ignored flag."""
+        bound = []
+        monkeypatch.setattr(
+            "repro.cluster.http.run_coordinator", lambda *args, **kwargs: bound.append(args)
+        )
+        argv = ["serve", "--role", "coordinator", "--port", "0", "--no-cache", *flags]
+        assert main(argv) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {named}: ") and "coordinator" in line
+        assert not bound
+
+    def test_coordinator_accepts_node_flags_at_their_defaults(self, monkeypatch):
+        class Stop(Exception):
+            pass
+
+        def bind(*args, **kwargs):
+            raise Stop
+
+        monkeypatch.setattr("repro.cluster.http.run_coordinator", bind)
+        argv = ["serve", "--role", "coordinator", "--port", "0", "--no-cache"]
+        with pytest.raises(Stop):
+            main([*argv, "--workers", "2", "--queue-depth", "64", "--jobs", "1"])
+
+
 class TestSubmitCommand:
     @pytest.fixture
     def live(self, tmp_path_factory):

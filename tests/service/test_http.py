@@ -162,16 +162,32 @@ class TestEventStream:
 
 
 class TestCancel:
-    def test_delete_cancels_a_job(self, tmp_path):
+    def test_delete_cancels_a_job(self, monkeypatch):
+        """The first job holds the one worker until the DELETE has
+        answered, so the second is still queued when it lands."""
+        from repro.service import jobs
+
+        started, release = threading.Event(), threading.Event()
+        real_run = jobs.run
+
+        def held_run(request, **kwargs):
+            if request.config.top_n == FAST["top_n"]:  # the first job
+                started.set()
+                release.wait(60.0)
+            return real_run(request, **kwargs)
+
+        monkeypatch.setattr(jobs, "run", held_run)
         manager = JobManager(workers=1, queue_depth=8, cache=None)
         live = run_server(manager)
         try:
             client = ServiceClient(f"http://127.0.0.1:{live.port}")
-            first = client.submit(source=TINY, options=FAST)  # occupies the worker
-            queued = client.submit(source=TINY, options={"cs": 0.0, "top_n": 3})
-            answer = client.cancel(queued["id"])
-            # still queued -> cancelled immediately; already running -> the
-            # record flips to cancelled when the execution completes
+            try:
+                first = client.submit(source=TINY, options=FAST)
+                assert started.wait(60.0)
+                queued = client.submit(source=TINY, options={"cs": 0.0, "top_n": 3})
+                answer = client.cancel(queued["id"])
+            finally:
+                release.set()
             final = client.wait(queued["id"], timeout=30.0)
             assert final["state"] == "cancelled", (answer, final)
             assert client.wait(first["id"], timeout=30.0)["state"] == "done"

@@ -225,14 +225,30 @@ class TestStatusAndCancel:
         assert status == 200
         assert job_id in {job["id"] for job in answer["jobs"]}
 
-    def test_delete_cancels(self, endpoint):
+    def test_delete_cancels(self, endpoint, monkeypatch):
+        """The blocker holds the node's one worker until the DELETE has
+        answered, so the second job is still queued when it lands."""
+        from repro.service import jobs
+
+        started, release = threading.Event(), threading.Event()
+        real_run = jobs.run
+
+        def held_run(request, **kwargs):
+            if request.config.top_n == 7:  # the blocker
+                started.set()
+                release.wait(60.0)
+            return real_run(request, **kwargs)
+
+        monkeypatch.setattr(jobs, "run", held_run)
         client = endpoint.client()
-        blocker = client.submit(source=TINY, options={"cs": 0.0, "top_n": 7})
-        queued = endpoint.client().submit(source=TINY, options={"cs": 0.0, "top_n": 8})
-        status, _, answer = endpoint.request("DELETE", f"/v1/jobs/{queued['id']}")
+        try:
+            blocker = client.submit(source=TINY, options={"cs": 0.0, "top_n": 7})
+            assert started.wait(60.0)
+            queued = endpoint.client().submit(source=TINY, options={"cs": 0.0, "top_n": 8})
+            status, _, answer = endpoint.request("DELETE", f"/v1/jobs/{queued['id']}")
+        finally:
+            release.set()
         assert status == 200 and answer["id"] == queued["id"]
-        # still queued -> cancelled at once; already running -> the record
-        # flips to cancelled when the execution completes
         assert client.wait(queued["id"], timeout=60.0)["state"] == "cancelled"
         assert client.wait(blocker["id"], timeout=60.0)["state"] == "done"
 

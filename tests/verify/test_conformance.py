@@ -16,8 +16,6 @@ from repro.nn.layers import ConvLayer
 from repro.sim.backends import COUNTERS, WAVEFRONT_BACKENDS
 from repro.sim.fast import FastWavefrontSimulator
 from repro.verify.conformance import (
-    MATRIX,
-    REFERENCE,
     ConformanceReport,
     cross_check,
     golden_nest_output,
@@ -25,7 +23,9 @@ from repro.verify.conformance import (
 )
 from tests.strategies import small_designs
 
-OTHER_BACKENDS = [name for name in WAVEFRONT_BACKENDS if name != REFERENCE]
+#: Every backend the conformance legs hold to ``fast``, the reference.
+OTHER_BACKENDS = [name for name in WAVEFRONT_BACKENDS if name != "fast"]
+RTL_LEGS = ("rtl-vs-fast", "rtl-cycles-vs-model", "rtl-vs-iverilog")
 
 TINY_SRC = """
 #pragma systolic
@@ -150,7 +150,7 @@ class TestBackendMatrix:
     @given(design=small_designs())
     def test_property_backend_is_bit_identical_to_reference(self, name, design):
         arrays = synthetic_arrays(design.nest, seed=3)
-        want = WAVEFRONT_BACKENDS[REFERENCE].run(design, arrays)
+        want = WAVEFRONT_BACKENDS["fast"].run(design, arrays)
         got = WAVEFRONT_BACKENDS[name].run(design, arrays)
         assert got.output.shape == want.output.shape
         assert got.output.tobytes() == want.output.tobytes()
@@ -165,12 +165,11 @@ class TestBackendMatrix:
         )
         report = cross_check(small_design(), rtl=True, iverilog="off")
         assert report.ok  # a skip is a note, not an error
-        own = [leg.name for leg in MATRIX if leg.backend == name]
-        assert own
+        assert name == "rtl"  # the RTL legs are the only non-reference legs
         for leg in report.legs:
             if leg.name != "rtl-vs-iverilog":  # disabled above either way
-                assert leg.status == ("skipped" if leg.name in own else "ok"), leg
-        assert all(report.leg(leg).detail.endswith("budget 10") for leg in own)
+                assert leg.status == ("skipped" if leg.name in RTL_LEGS else "ok"), leg
+        assert all(report.leg(leg).detail.endswith("budget 10") for leg in RTL_LEGS)
         assert [d.code for d in report.report.diagnostics] == ["SA404"]
 
     def test_stage_and_cross_check_read_the_same_budget(self, monkeypatch):
@@ -217,9 +216,9 @@ def _corrupting_run(design, arrays):
 
 @pytest.fixture
 def corrupted_reference(monkeypatch):
-    entry = WAVEFRONT_BACKENDS[REFERENCE]
+    entry = WAVEFRONT_BACKENDS["fast"]
     monkeypatch.setitem(
-        WAVEFRONT_BACKENDS, REFERENCE, dataclasses.replace(entry, run=_corrupting_run)
+        WAVEFRONT_BACKENDS, "fast", dataclasses.replace(entry, run=_corrupting_run)
     )
 
 
@@ -266,9 +265,7 @@ class TestRtlLegs:
     def test_rtl_flag_adds_three_legs(self):
         report = cross_check(small_design(), rtl=True)
         assert report.ok, report.render()
-        assert [leg.name for leg in report.legs[-3:]] == [
-            "rtl-vs-fast", "rtl-cycles-vs-model", "rtl-vs-iverilog",
-        ]
+        assert tuple(leg.name for leg in report.legs[-3:]) == RTL_LEGS
         assert report.leg("rtl-vs-fast").status == "ok"
         assert report.leg("rtl-cycles-vs-model").status == "ok"
         # The native leg degrades to a skip (SA153 note) off-toolchain.
@@ -280,7 +277,7 @@ class TestRtlLegs:
     def test_rtl_budget_skips_all_rtl_legs(self):
         report = cross_check(small_design(), rtl=True, rtl_iteration_limit=10)
         assert report.ok  # a skip is a note, not an error
-        for name in ("rtl-vs-fast", "rtl-cycles-vs-model", "rtl-vs-iverilog"):
+        for name in RTL_LEGS:
             assert report.leg(name).status == "skipped"
         assert any(d.code == "SA404" for d in report.report.diagnostics)
 
