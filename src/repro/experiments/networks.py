@@ -15,7 +15,7 @@ from repro.hw.datatype import FIXED_8_16, FLOAT32
 from repro.model.platform import Platform
 from repro.nn.models import network_by_name
 from repro.dse.explore import DseConfig
-from repro.dse.multi_layer import LayerWorkload, MultiLayerResult
+from repro.dse.multi_layer import LayerWorkload, MultiLayerResult, prepare_network_nests
 from repro.flow.request import SynthesisRequest, run
 
 _CACHE: dict[tuple[str, bool], tuple[MultiLayerResult, tuple[LayerWorkload, ...]]] = {}
@@ -42,10 +42,9 @@ def unified_design(
     key = (name, fixed_point)
     if key not in _CACHE:
         datatype = FIXED_8_16 if fixed_point else FLOAT32
-        request = SynthesisRequest(
-            Platform(datatype=datatype), paper_dse_config(), network=network_by_name(name)
-        )
-        _CACHE[key] = (run(request, cache=True), request.workloads)
+        network = network_by_name(name)
+        request = SynthesisRequest(Platform(datatype=datatype), paper_dse_config(), network=network)
+        _CACHE[key] = (run(request, cache=True), prepare_network_nests(network))
     return _CACHE[key]
 
 

@@ -32,7 +32,7 @@ Every subcommand enters the flow through its one front door
 (:mod:`repro.flow.request`): the ``--device`` … ``--clock`` flags are
 derived from its option table, :func:`_payload` is the one ``args →
 payload`` function behind both the local compile and ``submit``, a local
-run is ``run(SynthesisRequest.from_payload(payload))``, and a missing
+run is ``run_context(SynthesisRequest.from_payload(payload))``, and a missing
 file or a value the table rejects is one ``error:`` line and exit 2 —
 never a traceback.
 
@@ -88,9 +88,8 @@ from typing import Any, Iterator
 
 from repro.codegen.opencl import OPENCL_SHIM
 from repro.dse.explore import NoFeasibleDesign
-from repro.flow.compile import NetworkSynthesis
 from repro.flow.report import render_network_report, render_synthesis_report
-from repro.flow.request import OPTIONS, SynthesisRequest, lower_options, run
+from repro.flow.request import OPTIONS, SynthesisRequest, lower_options, run_context
 from repro.nn.models import BUILTIN_NETWORKS
 from repro.pipeline.stages import SIM_BACKENDS
 from repro.resilience.faults import FAULT_KINDS, FAULT_POINTS
@@ -989,22 +988,21 @@ def _synthesize(args: argparse.Namespace, request: SynthesisRequest) -> int:
         if getattr(args, "trace_json", None):
             observers.append(stack.enter_context(JsonlTraceWriter(args.trace_json)))
         try:
-            result = run(request, jobs=args.jobs, cache=_cache_spec(args), observers=observers)
+            ctx = run_context(request, jobs=args.jobs, cache=_cache_spec(args), observers=observers)
         except NoFeasibleDesign as exc:
             return _fail(exc)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     if request.network is not None:
-        result = NetworkSynthesis.emit(request, result)
+        result = ctx.to_network()
         report = render_network_report(request.network.name, result)
     else:
-        if args.save_design:
-            from repro.model.serialize import save_design
+        from repro.model.serialize import save_design, save_result
 
+        result = ctx.to_result()
+        if args.save_design:
             save_design(result.evaluation.design, args.save_design)
         if args.save_result:
-            from repro.model.serialize import save_result
-
             save_result(result, args.save_result)
         report = render_synthesis_report(result)
     _write_artifacts(out_dir, result)

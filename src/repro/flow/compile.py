@@ -14,19 +14,13 @@ always returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.ir.loop import LoopNest
-from repro.model.design_point import DesignPoint
 from repro.model.platform import Platform
 from repro.nn.models import Network
-from repro.codegen.host import generate_host
-from repro.codegen.opencl import generate_kernel
 from repro.dse.explore import DseConfig
-from repro.dse.multi_layer import MultiLayerResult
-from repro.flow.request import SynthesisRequest, run
+from repro.flow.request import SynthesisRequest, run, run_context
 from repro.pipeline.cache import CacheSpec
-from repro.pipeline.context import SynthesisResult
+from repro.pipeline.context import NetworkSynthesis, SynthesisResult
 from repro.pipeline.events import Observer
 
 
@@ -123,55 +117,6 @@ def compile_c_source(
     return run(request, jobs=jobs, cache=cache, observers=observers)
 
 
-@dataclass(frozen=True)
-class NetworkSynthesis:
-    """Flow output for a whole network (one unified design).
-
-    Attributes:
-        result: the unified-design DSE outcome (per-layer performance).
-        kernel_source / host_source: artifacts for the unified design,
-            generated against the envelope nest.
-        latency_ms: conv latency per image.
-        throughput_gops: aggregate conv throughput.
-    """
-
-    result: MultiLayerResult
-    kernel_source: str
-    host_source: str
-
-    @classmethod
-    def emit(cls, request: SynthesisRequest, result: MultiLayerResult) -> "NetworkSynthesis":
-        """Attach the artifacts to a network request's unified design.
-
-        What is emitted is the kernel of the largest layer (the envelope
-        user) with *its* bounds as ``#define``s — it runs that layer only.
-        The kernel that takes every layer's bounds as runtime arguments is
-        ``repro.codegen.unified``; emitting it from here needs the
-        per-layer network pipeline of ROADMAP item 3.
-        """
-        largest = max(request.workloads, key=lambda w: w.nest.total_operations)
-        layer_perf = {l.name: l for l in result.layers}
-        design = DesignPoint.create(
-            largest.nest,
-            result.config.mapping,
-            result.config.shape,
-            layer_perf[largest.name].middle,
-        )
-        return cls(
-            result=result,
-            kernel_source=generate_kernel(design, request.platform),
-            host_source=generate_host(design, request.platform),
-        )
-
-    @property
-    def latency_ms(self) -> float:
-        return self.result.total_seconds * 1e3
-
-    @property
-    def throughput_gops(self) -> float:
-        return self.result.aggregate_gops
-
-
 def synthesize_network(
     network: Network,
     platform: Platform | None = None,
@@ -192,8 +137,7 @@ def synthesize_network(
         observers: pipeline event callbacks.
     """
     request = SynthesisRequest(platform or Platform(), config, network=network)
-    result = run(request, jobs=jobs, cache=cache, observers=observers)
-    return NetworkSynthesis.emit(request, result)
+    return run_context(request, jobs=jobs, cache=cache, observers=observers).to_network()
 
 
 __all__ = [

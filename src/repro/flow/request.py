@@ -18,10 +18,10 @@ is built from three things, each written once, here:
   restricted-C ``source``, a saved ``design`` or a ``network`` (a
   built-in name from :data:`repro.nn.models.BUILTIN_NETWORKS` or a JSON
   spec for the importer) to a loop nest or a :class:`Network`.
-* **the runner** (:func:`run`) — the only place that builds a
-  :class:`SynthesisContext` and a :class:`PipelineEngine`: the six-stage
-  layer pipeline for a nest, the one-stage ``unified-dse`` pipeline for a
-  network.
+* **the runner** (:func:`run_context`, folded by :func:`run`) — the
+  only place that builds a :class:`SynthesisContext` and a
+  :class:`PipelineEngine`: the six-stage layer pipeline for a nest, the
+  one-stage ``unified-dse`` pipeline for a network.
 
 A request's identity (:meth:`SynthesisRequest.fingerprint`) is the stage
 cache's own key function over (subject, platform, config, strict,
@@ -31,11 +31,10 @@ sim_backend), which is what lets the service coalesce equal submissions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Any, NamedTuple, Sequence
 
 from repro.dse.explore import DseConfig
-from repro.dse.multi_layer import LayerWorkload, MultiLayerResult, prepare_network_nests
+from repro.dse.multi_layer import MultiLayerResult
 from repro.hw.datatype import datatype_by_name
 from repro.hw.device import device_by_name
 from repro.ir.loop import LoopNest
@@ -217,12 +216,6 @@ class SynthesisRequest:
         )
         return cls(nest=nest, name=name, **fields)
 
-    @cached_property
-    def workloads(self) -> tuple[LayerWorkload, ...] | None:
-        """The network's conv layers lowered to loop nests (None for a
-        single-layer request)."""
-        return None if self.network is None else prepare_network_nests(self.network)
-
     def fingerprint(self) -> str:
         """The coalescing identity of a request: the stage cache's key
         function, so logically equal submissions always collide.  C text
@@ -247,6 +240,37 @@ class SynthesisRequest:
         )
 
 
+def run_context(
+    request: SynthesisRequest,
+    *,
+    jobs: int = 1,
+    cache: CacheSpec = None,
+    observers: Sequence[Observer] = (),
+) -> SynthesisContext:
+    """Run one request through the staged pipeline engine: the six-stage
+    layer pipeline for a nest, the one-stage ``unified-dse`` pipeline for
+    a network.  Arguments as :func:`run`; returns the final context."""
+    engine = PipelineEngine(
+        [UnifiedDseStage()] if request.network is not None else synthesis_stages(),
+        cache=resolve_cache(cache),
+        observers=tuple(observers),
+    )
+    return engine.run(
+        SynthesisContext(
+            platform=request.platform,
+            config=request.config,
+            name=request.name,
+            source=request.source,
+            require_pragma=request.require_pragma,
+            strict=request.strict,
+            jobs=jobs,
+            sim_backend=request.sim_backend,
+            nest=request.nest,
+            network=request.network,
+        )
+    )
+
+
 def run(
     request: SynthesisRequest,
     *,
@@ -267,27 +291,8 @@ def run(
         The layer flow's :class:`SynthesisResult`, or the unified design
         (:class:`MultiLayerResult`) of a network request.
     """
-    unified = request.network is not None
-    engine = PipelineEngine(
-        [UnifiedDseStage()] if unified else synthesis_stages(),
-        cache=resolve_cache(cache),
-        observers=tuple(observers),
-    )
-    ctx = engine.run(
-        SynthesisContext(
-            platform=request.platform,
-            config=request.config,
-            name=request.name,
-            source=request.source,
-            require_pragma=request.require_pragma,
-            strict=request.strict,
-            jobs=jobs,
-            sim_backend=request.sim_backend,
-            nest=request.nest,
-            workloads=request.workloads,
-        )
-    )
-    return ctx.unified if unified else ctx.to_result()
+    ctx = run_context(request, jobs=jobs, cache=cache, observers=observers)
+    return ctx.unified if request.network is not None else ctx.to_result()
 
 
-__all__ = ["OPTIONS", "Option", "SynthesisRequest", "lower_options", "run"]
+__all__ = ["OPTIONS", "Option", "SynthesisRequest", "lower_options", "run", "run_context"]

@@ -37,7 +37,7 @@ UNIFIED = Record(
     MultiLayerResult,
     "unified",
     UNIFIED_FORMAT,
-    where="stage cache, `unified-dse` entries; `GET /v1/jobs/{id}?result=1` of a network job",
+    where="stage cache, inside `unified-dse` entries; `GET /v1/jobs/{id}?result=1` of a network job",
     codecs={
         "config": Record(SystolicConfig, "config", codecs={"mapping": MAPPING, "shape": SHAPE}),
         "layers": sequence(Record(LayerPerformance, "layer")),

@@ -3,9 +3,10 @@
 A :class:`SynthesisContext` starts as pure inputs (source text or a loop
 nest, platform, DSE knobs, run options) and is *evolved* — never mutated —
 by each stage filling in its outputs.  The final context is folded into
-the user-facing :class:`SynthesisResult`, which keeps the exact shape the
-pre-pipeline ``repro.flow.compile`` API returned (it is re-exported from
-there for backward compatibility).
+the user-facing :class:`SynthesisResult` (or, for a network,
+:class:`NetworkSynthesis`), which keeps the exact shape the pre-pipeline
+``repro.flow.compile`` API returned (both are re-exported from there for
+backward compatibility).
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from repro.ir.loop import LoopNest
 from repro.model.design_point import DesignEvaluation
 from repro.model.platform import Platform
 from repro.dse.explore import DseConfig, Phase1Result, Phase2Result
-from repro.dse.multi_layer import LayerWorkload, MultiLayerResult
+from repro.dse.multi_layer import MultiLayerResult
+from repro.nn.models import Network
 from repro.sim.fast import EngineResult
 from repro.sim.perf import LayerMeasurement
 from repro.verify.conformance import ConformanceReport
@@ -92,6 +94,32 @@ class SynthesisResult:
 
 
 @dataclass(frozen=True)
+class NetworkSynthesis:
+    """Flow output for a whole network (one unified design).
+
+    Attributes:
+        result: the unified-design DSE outcome (per-layer performance).
+        kernel_source / host_source: artifacts for the unified design:
+            the kernel of the largest layer (the envelope user) with
+            *its* bounds as ``#define``s — it runs that layer only.
+        latency_ms: conv latency per image.
+        throughput_gops: aggregate conv throughput.
+    """
+
+    result: MultiLayerResult
+    kernel_source: str
+    host_source: str
+
+    @property
+    def latency_ms(self) -> float:
+        return self.result.total_seconds * 1e3
+
+    @property
+    def throughput_gops(self) -> float:
+        return self.result.aggregate_gops
+
+
+@dataclass(frozen=True)
 class SynthesisContext:
     """Immutable pipeline state: inputs plus every stage's outputs so far.
 
@@ -108,15 +136,16 @@ class SynthesisContext:
             conformance, or ``"testbench"`` for the generated C
             testbench; None = performance model only).
         nest: the loop nest (parse-stage output, or an input).
-        workloads: a lowered network's conv layers — the input of the
-            whole-network flow, whose one stage fills ``unified``.
+        network: the input of the whole-network flow, whose one stage
+            fills ``unified``, ``kernel_source`` and ``host_source``.
         phase1 / phase2: DSE stage outputs.
         unified: the unified-dse stage's output (network flow only).
         frequency_mhz: realized clock of the winner.
         measurement: simulator verdict on the winner.
         kernel_source / host_source / testbench_source / driver_source /
             rtl_source: codegen outputs (:data:`ARTIFACT_FIELDS`; the
-            RTL stays None for a design the backend cannot lower).
+            RTL stays None for a design the backend cannot lower; a
+            network run fills the first two only).
         engine_result / conformance: the simulate stage's wavefront run
             and differential-conformance verdict (``sim_backend`` set).
         stage_seconds: (stage, wall seconds) per executed stage.
@@ -133,7 +162,7 @@ class SynthesisContext:
     jobs: int = 1
     sim_backend: str | None = None
     nest: LoopNest | None = None
-    workloads: tuple[LayerWorkload, ...] | None = None
+    network: Network | None = None
     phase1: Phase1Result | None = None
     phase2: Phase2Result | None = None
     unified: MultiLayerResult | None = None
@@ -189,5 +218,11 @@ class SynthesisContext:
             degradations=self.degradations,
         )
 
+    def to_network(self) -> NetworkSynthesis:
+        """Fold a network run's context into its public result."""
+        if self.unified is None or self.kernel_source is None or self.host_source is None:
+            raise ValueError("pipeline did not populate every stage output")
+        return NetworkSynthesis(self.unified, self.kernel_source, self.host_source)
 
-__all__ = ["ARTIFACT_FIELDS", "SynthesisContext", "SynthesisResult"]
+
+__all__ = ["ARTIFACT_FIELDS", "NetworkSynthesis", "SynthesisContext", "SynthesisResult"]

@@ -206,29 +206,53 @@ class DsePhase2Stage(StageBase):
         }
 
 
+NETWORK_ARTIFACTS = ARTIFACT_FIELDS[:2]
+"""What a network run emits: ``kernel_source`` and ``host_source``."""
+
+
 class UnifiedDseStage(_SearchStage):
-    """The whole-network flow's one stage: the unified multi-layer
-    design selection (:mod:`repro.dse.multi_layer`, both phases) over
-    ``ctx.workloads``."""
+    """The whole-network flow's one stage: lower ``ctx.network``'s conv
+    layers, select the unified multi-layer design
+    (:mod:`repro.dse.multi_layer`, both phases) and emit its kernel and
+    host.  The key is the conv layers themselves and the entry carries
+    the two texts, so a cache-served run lowers and emits nothing."""
 
     name = "unified-dse"
 
     def run(self, ctx: SynthesisContext, events: EventBus) -> SynthesisContext:
-        from repro.dse.multi_layer import select_unified_design
+        from repro.codegen import generate_host, generate_kernel
+        from repro.dse.multi_layer import prepare_network_nests, select_unified_design
+        from repro.model.design_point import DesignPoint
 
-        assert ctx.workloads is not None
-        result, ctx = self.search(ctx, events, select_unified_design, ctx.workloads)
-        return ctx.evolve(unified=result)
+        assert ctx.network is not None
+        workloads = prepare_network_nests(ctx.network)
+        result, ctx = self.search(ctx, events, select_unified_design, workloads)
+        # The kernel of the largest layer (the envelope user) with *its*
+        # bounds as #defines.  The kernel that takes every layer's bounds
+        # as runtime arguments is ``repro.codegen.unified``; emitting it
+        # here needs the per-layer network pipeline of ROADMAP item 3.
+        largest = max(workloads, key=lambda w: w.nest.total_operations)
+        middle = {layer.name: layer.middle for layer in result.layers}[largest.name]
+        design = DesignPoint.create(largest.nest, result.config.mapping, result.config.shape, middle)
+        kernel, host = generate_kernel(design, ctx.platform), generate_host(design, ctx.platform)
+        return ctx.evolve(unified=result, kernel_source=kernel, host_source=host)
 
     def cache_parts(self, ctx: SynthesisContext) -> tuple | None:
-        return (ctx.workloads, ctx.platform, ctx.config)
+        assert ctx.network is not None
+        return (ctx.network.conv_layers, ctx.platform, ctx.config)
 
     def dump(self, ctx: SynthesisContext) -> dict[str, Any] | None:
         assert ctx.unified is not None
-        return encode_unified(ctx.unified)
+        texts = {name: getattr(ctx, name) for name in NETWORK_ARTIFACTS}
+        return {"unified": encode_unified(ctx.unified), **texts}
 
     def load(self, payload: dict[str, Any], ctx: SynthesisContext) -> SynthesisContext:
-        return ctx.evolve(unified=decode_unified(payload))
+        assert ctx.network is not None
+        result = decode_unified(payload["unified"])
+        if [layer.name for layer in result.layers] != [c.name for c in ctx.network.conv_layers]:
+            raise ValueError("cached layers are not this network's conv layers")
+        texts = {name: plain("str").decode(payload[name]) for name in NETWORK_ARTIFACTS}
+        return ctx.evolve(unified=result, **texts)
 
     def info(self, ctx: SynthesisContext) -> dict[str, Any]:
         result = ctx.unified
@@ -304,12 +328,8 @@ class CodegenStage(StageBase):
         return {name: getattr(ctx, name) for name in ARTIFACT_FIELDS}
 
     def load(self, payload: dict[str, Any], ctx: SynthesisContext) -> SynthesisContext:
-        try:
-            # Pre-RTL cache entries miss ``rtl_source``; the KeyError
-            # surfaces as a malformed payload and forces a re-emit.
-            ctx = ctx.evolve(**{name: payload[name] for name in ARTIFACT_FIELDS})
-        except KeyError as exc:
-            raise ValueError(f"malformed codegen payload: {exc}") from exc
+        # A missing artifact is a KeyError: the engine quarantines the entry.
+        ctx = ctx.evolve(**{name: payload[name] for name in ARTIFACT_FIELDS})
         for name in ARTIFACT_FIELDS:  # all text; only the RTL may be None
             plain("str | None" if name == "rtl_source" else "str").decode(getattr(ctx, name))
         if ctx.rtl_source is None:

@@ -106,7 +106,7 @@ class TestCompareRecords:
 
 
 class TestPerMetricThresholds:
-    """Noise-aware per-class thresholds (ROADMAP item 5): a deterministic
+    """Noise-aware per-class thresholds (ROADMAP item 6): a deterministic
     ratio is judged far tighter than a raw wall-clock timing."""
 
     @pytest.mark.parametrize(
