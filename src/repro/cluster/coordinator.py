@@ -45,6 +45,11 @@ HEARTBEAT_MISSES = 3
 
 _TERMINAL = ("done", "failed", "cancelled")
 
+#: The worker /healthz counters the fleet /healthz sums.
+_FLEET_COUNTERS = (
+    "submitted", "coalesce_hits", "executions", "done", "failed", "cache_hits", "cache_misses"
+)
+
 
 @dataclass
 class WorkerNode:
@@ -483,15 +488,7 @@ class ClusterCoordinator:
             pending, orphaned = self._outstanding()
             settled = len(self._settled)
         per_node: dict[str, Any] = {}
-        totals = {
-            "submitted": 0,
-            "coalesce_hits": 0,
-            "executions": 0,
-            "done": 0,
-            "failed": 0,
-            "cache_hits": 0,
-            "cache_misses": 0,
-        }
+        totals = dict.fromkeys(_FLEET_COUNTERS, 0)
         now = time.monotonic()
         for node_id, node in sorted(nodes.items()):
             view: dict[str, Any] = {

@@ -2,7 +2,7 @@
 fleet replication.
 
 :class:`HttpCacheStore` speaks the coordinator's tiny ``/v1/cache`` API
-(GET/PUT/DELETE one text entry per ``(stage, key)``) over ``urllib`` and
+(GET/PUT/DELETE one text entry per ``(stage, key)``) over ``http.client`` and
 satisfies the :class:`~repro.pipeline.cache.CacheStore` contract: absent
 entries are ``None``, transport trouble is ``OSError`` (the policy layer
 retries it), writes are atomic because the far side commits them

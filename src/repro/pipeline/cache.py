@@ -46,7 +46,7 @@ import tempfile
 import threading
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Protocol, runtime_checkable
+from typing import Any, Callable, Protocol, runtime_checkable
 
 from repro.resilience.faults import InjectedFault, corrupt_text, maybe_inject
 from repro.resilience.retry import RetryPolicy, call_with_retry
@@ -365,14 +365,16 @@ class StageCache:
         )
         return hashlib.sha256(material.encode()).hexdigest()
 
-    def get(self, stage: str, key: str) -> dict[str, Any] | None:
+    def get(
+        self, stage: str, key: str, *, on_corrupt: Callable[[str], None] | None = None
+    ) -> dict[str, Any] | None:
         """Return the stored payload, or None on miss — never raise.
 
         An unreadable entry (I/O error, injected ``cache.read`` crash) is
         retried under :attr:`IO_POLICY` and then treated as a miss; an
         entry that reads but does not parse is *corrupt* and is moved
         aside (quarantined) so the next run recomputes instead of
-        tripping over it again.
+        tripping over it again, and ``on_corrupt`` hears why.
         """
 
         def read() -> str | None:
@@ -390,14 +392,11 @@ class StageCache:
                 read, policy=self.IO_POLICY, retry_on=(OSError, InjectedFault)
             )
         except (OSError, InjectedFault):
-            with self._lock:
-                self.misses += 1
-            return None
+            text = None
         if text is None:
             with self._lock:
                 self.misses += 1
             return None
-        payload: Any
         try:
             payload = json.loads(text)
         except ValueError:
@@ -406,6 +405,8 @@ class StageCache:
             self.quarantine(stage, key)
             with self._lock:
                 self.misses += 1
+            if on_corrupt is not None:
+                on_corrupt("entry does not parse as a JSON object")
             return None
         with self._lock:
             self.hits += 1

@@ -127,7 +127,8 @@ class PipelineEngine:
                     parts = stage.cache_parts(ctx)
                     if parts is not None:
                         key = self.cache.key_for(stage.name, *parts, memo=lowered)
-                        payload = self.cache.get(stage.name, key)
+                        corrupt: list[str] = []  # why the entry was quarantined
+                        payload = self.cache.get(stage.name, key, on_corrupt=corrupt.append)
                         self.events.emit(
                             CacheProbe(stage.name, key=key, hit=payload is not None)
                         )
@@ -139,19 +140,15 @@ class PipelineEngine:
                                 # Structurally bad entry: quarantine it so
                                 # the next run recomputes too, and recompute.
                                 self.cache.quarantine(stage.name, key)
-                                reason = f"corrupt cache payload: {exc}"
-                                self.events.emit(
-                                    StageDegraded(
-                                        stage.name,
-                                        code="SA501",
-                                        reason=reason,
-                                        fallback="recompute",
-                                    )
+                                corrupt.append(str(exc))
+                        if corrupt:  # text that does not parse, or a payload that does not load
+                            reason = f"corrupt cache payload: {corrupt[0]}"
+                            self.events.emit(
+                                StageDegraded(
+                                    stage.name, code="SA501", reason=reason, fallback="recompute"
                                 )
-                                ctx = ctx.evolve(
-                                    degradations=ctx.degradations
-                                    + (("SA501", reason),)
-                                )
+                            )
+                            ctx = ctx.evolve(degradations=ctx.degradations + (("SA501", reason),))
                 if not cached:
                     ctx = stage.run(ctx, self.events)
                     if key is not None:

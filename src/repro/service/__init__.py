@@ -9,7 +9,8 @@ Modules:
     jobs: job manager — state machine, coalescing index, worker pool.
     queue: bounded priority queue, token buckets, restart journal.
     http: stdlib ThreadingHTTPServer API (submit/status/stream/metrics).
-    client: urllib client with reconnecting event streams.
+    client: http.client client on kept-alive per-thread connections,
+        with reconnecting event streams.
     metrics: Prometheus text-format counters and latency histograms.
 """
 

@@ -1,11 +1,20 @@
 """Stdlib client for the synthesis service.
 
 :class:`ServiceClient` speaks the small JSON API of
-:mod:`repro.service.http` over ``urllib`` — submit, poll, cancel, scrape
-— and follows the chunked progress stream with automatic reconnection:
-every event carries its sequence number, so a dropped connection resumes
-with ``?from=<last seq + 1>`` under the process retry policy
-(:mod:`repro.resilience`) and the caller sees each event exactly once.
+:mod:`repro.service.http` over ``http.client`` — submit, poll, cancel,
+scrape — and follows the chunked progress stream with automatic
+reconnection: every event carries its sequence number, so a dropped
+connection resumes with ``?from=<last seq + 1>`` under the process retry
+policy (:mod:`repro.resilience`) and the caller sees each event exactly
+once.
+
+Every call rides a kept-alive connection: each thread keeps one per
+host, takes it out of its pool for the length of an exchange and puts it
+back only once the answer was read to the end, so an abandoned stream,
+an exception or a ``Connection: close`` answer closes the connection
+instead of leaving it out of sync.  A *reused* connection the server
+dropped while idle is replaced once and the request resent; a fresh one
+never retries.
 
 Errors mirror the server's admission contract: any non-2xx answer raises
 :class:`ServiceError` carrying the HTTP status and the server's
@@ -16,13 +25,59 @@ from a 429 (back off and resubmit).
 from __future__ import annotations
 
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
+from contextlib import contextmanager
 from email.message import Message
+from http.client import HTTPConnection, HTTPResponse, HTTPSConnection
 from typing import Any, Callable, Iterator
+from urllib.parse import urlsplit
 
 from repro.resilience.retry import RetryPolicy, current_policy
+
+#: This thread's idle connections, one per ``scheme://host:port`` (a
+#: ``threading.local``'s ``__dict__`` is the calling thread's own).
+_POOL = threading.local()
+
+
+@contextmanager
+def _response(
+    method: str, url: str, body: bytes | None, headers: dict[str, str], timeout: float | None
+) -> Iterator[HTTPResponse]:
+    """Send one request on this thread's connection to the host and yield
+    the answer.  The connection returns to the pool only when the answer
+    was read to the end and the server keeps it open; every other exit
+    closes it.  A reused connection the server closed while idle fails
+    with a ``ConnectionResetError`` (``RemoteDisconnected`` is one) or a
+    ``BrokenPipeError`` before any answer: it is replaced and the request
+    sent once more."""
+    parts = urlsplit(url)
+    origin = f"{parts.scheme}://{parts.netloc}"
+    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    conn = vars(_POOL).pop(origin, None)
+    reused = conn is not None
+    while True:
+        if conn is None:
+            conn = (HTTPSConnection if parts.scheme == "https" else HTTPConnection)(parts.netloc)
+        elif conn.sock is not None:
+            conn.sock.settimeout(timeout)
+        conn.timeout = timeout
+        try:
+            conn.request(method, target, body=body, headers=headers)
+            response = conn.getresponse()
+            break
+        except BaseException as exc:
+            conn.close()
+            if not (reused and isinstance(exc, (ConnectionResetError, BrokenPipeError))):
+                raise
+            conn, reused = None, False
+    try:
+        yield response
+    finally:
+        if response.isclosed() and conn.sock is not None and origin not in vars(_POOL):
+            vars(_POOL)[origin] = conn
+        else:
+            conn.close()
 
 
 def http_exchange(
@@ -33,19 +88,15 @@ def http_exchange(
     headers: dict[str, str] | None = None,
     timeout: float | None = None,
 ) -> tuple[int, Message, bytes]:
-    """One HTTP request/response over ``urllib``: ``(status, headers, body)``.
+    """One HTTP request/response on a kept-alive connection:
+    ``(status, headers, body)``.
 
     Every *answered* status is returned, 4xx/5xx included — what a status
     means is the caller's policy.  Only a transport failure raises
-    (``OSError``; ``URLError`` is one).
+    (``OSError``).
     """
-    request = urllib.request.Request(url, data=body, method=method, headers=headers or {})
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            return int(response.status), response.headers, response.read()
-    except urllib.error.HTTPError as exc:
-        with exc:
-            return int(exc.code), exc.headers, exc.read()
+    with _response(method, url, body, headers or {}, timeout) as response:
+        return response.status, response.headers, response.read()
 
 
 class ServiceError(Exception):
@@ -128,37 +179,20 @@ class ServiceClient:
     # ----------------------------------------------------------------- api
 
     def submit(
-        self,
-        *,
-        source: str | None = None,
-        design: dict[str, Any] | None = None,
-        network: str | dict[str, Any] | None = None,
-        name: str | None = None,
-        priority: int = 0,
-        options: dict[str, Any] | None = None,
-        job_id: str | None = None,
+        self, *, priority: int = 0, job_id: str | None = None, **fields: Any
     ) -> dict[str, Any]:
         """POST /v1/jobs; returns the job status dict (id, state, ...).
 
         Exactly one of ``source`` (restricted-C nest), ``design`` (a saved
         design-point payload) or ``network`` (a built-in network name or a
-        JSON spec object) identifies the work.  ``job_id`` preserves an
-        externally assigned identity (the cluster coordinator's handoff).
+        JSON spec object) identifies the work; ``name`` and ``options``
+        ride along.  A field given as None (or empty ``options``) is left
+        out.  ``job_id`` preserves an externally assigned identity (the
+        cluster coordinator's handoff).
         """
-        body: dict[str, Any] = {"priority": priority}
-        if job_id is not None:
-            body["id"] = job_id
-        if source is not None:
-            body["source"] = source
-        if design is not None:
-            body["design"] = design
-        if network is not None:
-            body["network"] = network
-        if name is not None:
-            body["name"] = name
-        if options:
-            body["options"] = options
-        return self._request("POST", "/v1/jobs", body)
+        body = {"priority": priority, "id": job_id, **fields}
+        body["options"] = fields.get("options") or None
+        return self._request("POST", "/v1/jobs", {k: v for k, v in body.items() if v is not None})
 
     def submit_payload(
         self, payload: dict[str, Any], *, client_id: str | None = None
@@ -234,24 +268,21 @@ class ServiceClient:
                     sleep(delay)
 
     def _stream_once(self, job_id: str, from_seq: int) -> Iterator[dict[str, Any]]:
-        request = urllib.request.Request(
-            f"{self.base_url}/v1/jobs/{job_id}/events?from={from_seq}"
-        )
-        if self.client_id:
-            request.add_header("X-Client-Id", self.client_id)
-        try:
-            # no timeout here: the server keepalives idle streams, and a
-            # stuck connection surfaces as an OSError the retry loop owns
-            with urllib.request.urlopen(request, timeout=None) as response:
-                # urllib decodes the chunked framing transparently
-                for raw in response:
-                    line = raw.decode().strip()
-                    if not line or line.startswith(":"):
-                        continue  # keepalive
-                    yield json.loads(line)
-        except urllib.error.HTTPError as exc:
-            with exc:
-                raise ServiceError.from_answer(exc.code, exc.headers, exc.read()) from exc
+        headers = {"X-Client-Id": self.client_id} if self.client_id else {}
+        # no timeout here: the server keepalives idle streams, and a
+        # stuck connection surfaces as an OSError the retry loop owns
+        url = f"{self.base_url}/v1/jobs/{job_id}/events?from={from_seq}"
+        with _response("GET", url, None, headers, None) as response:
+            if response.status >= 400:
+                raise ServiceError.from_answer(response.status, response.headers, response.read())
+            for raw in response:  # http.client decodes the chunked framing
+                line = raw.decode().strip()
+                if not line or line.startswith(":"):
+                    continue  # keepalive
+                event = json.loads(line)
+                if event.get("event") == "JobFinished":
+                    response.read()  # the terminal chunk: the connection stays in sync
+                yield event
 
     # ---------------------------------------------------------- conveniences
 

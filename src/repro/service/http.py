@@ -29,13 +29,21 @@ a 503 so chaos runs look like a briefly unhealthy server, not a crash.
 
 The event stream is plain HTTP/1.1 chunked transfer encoding — one JSON
 object per line, terminated by a ``JobFinished`` event — so the stdlib
-client (``urllib``) can follow it with nothing but ``readline()``.
+client (``http.client``) can follow it with nothing but ``readline()``.
+
+Connections are kept alive, so an answer must leave the connection in
+sync: Nagle's algorithm is off (headers and body go out in two writes,
+which would otherwise wait on the peer's delayed ACK), a request body
+no route read is drained after the answer (or the connection closed),
+and a stopped server closes a kept-alive connection instead of
+answering on it.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+from contextlib import suppress
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Iterator, Protocol, Sequence
 from urllib.parse import parse_qs, unquote, urlparse
@@ -96,7 +104,9 @@ class ApiHandler(BaseHTTPRequestHandler):
     it live on ``self.server``."""
 
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
     query: dict[str, list[str]] = {}
+    body: bytes | None = None  # this request's body once read
 
     def version_string(self) -> str:
         return f"{self.server.banner} {self.sys_version}"  # type: ignore[attr-defined]
@@ -135,20 +145,19 @@ class ApiHandler(BaseHTTPRequestHandler):
         body = json.dumps(payload, default=lambda record: record.to_dict())
         self._send(status, body.encode(), "application/json", retry_after)
 
-    def _send_text(self, status: int, text: str, content_type: str) -> None:
-        self._send(status, text.encode(), content_type)
-
     # ------------------------------------------------------------ requests
 
     def read_body(self) -> bytes:
-        """The request body.  Its declared length is checked before the
-        read: ``rfile.read(-1)`` would park this thread until the peer
-        closes, and an unread body would desync a kept-alive connection."""
-        length = self.headers.get("Content-Length") or "0"
-        if not length.isdecimal() or int(length) > MAX_BODY_BYTES:
-            self.close_connection = True
-            raise HttpError(400, f"unreadable body: Content-Length not in 0..{MAX_BODY_BYTES}")
-        return self.rfile.read(int(length))
+        """The request body, read once.  Its declared length is checked
+        before the read: ``rfile.read(-1)`` would park this thread until
+        the peer closes."""
+        if self.body is None:
+            length = self.headers.get("Content-Length") or "0"
+            if not length.isdecimal() or int(length) > MAX_BODY_BYTES:
+                self.close_connection = True
+                raise HttpError(400, f"unreadable body: Content-Length not in 0..{MAX_BODY_BYTES}")
+            self.body = self.rfile.read(int(length))
+        return self.body
 
     def read_json(self) -> Any:
         raw = self.read_body()
@@ -165,6 +174,15 @@ class ApiHandler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------- routing
 
     def dispatch(self) -> None:
+        self.body = None
+        if self.server.socket.fileno() < 0:  # type: ignore[attr-defined]
+            self.close_connection = True  # stopped: hang up instead of answering
+            return
+        self._route()
+        with suppress(HttpError):  # too long to drain: the connection is closed instead
+            self.read_body()  # a body no route read would be parsed as the next request
+
+    def _route(self) -> None:
         parsed = urlparse(self.path)
         self.query = parse_qs(parsed.query)
         parts = [unquote(p) for p in parsed.path.split("/") if p]
@@ -190,7 +208,7 @@ class ApiHandler(BaseHTTPRequestHandler):
                 return
             status, body, *content_type = reply
             if content_type:
-                self._send_text(status, body, *content_type)
+                self._send(status, body.encode(), *content_type)
             elif body is None:
                 self._send(status, b"", None)
             else:

@@ -65,6 +65,8 @@ from repro.service.queue import (
 #: comment-line (keeps intermediaries from timing the stream out).
 STREAM_POLL_SECONDS = 5.0
 
+_DRAINING = "server is draining; resubmit to the restarted instance"
+
 
 class JobState(str, Enum):
     """Lifecycle of one submission."""
@@ -222,13 +224,12 @@ class JobManager:
                         admission=False,
                     )
                     resumed += 1
-                except BadRequest as exc:
+                except BadRequest:
                     # The payload no longer parses (code drift across the
                     # restart): settle the debt so it cannot wedge the
                     # journal forever.
                     self.journal.record_done(str(entry["id"]))
                     self.metrics.inc("jobs_resume_failures_total")
-                    _ = exc
             self.journal.compact()
         self._started = True
         for index in range(self.workers):
@@ -260,8 +261,6 @@ class JobManager:
         if self.journal is not None:
             self.journal.compact()
         return requeued
-
-    stop = drain
 
     @property
     def draining(self) -> bool:
@@ -297,9 +296,7 @@ class JobManager:
         """
         with self._lock:
             if self._draining:
-                raise Draining(
-                    "server is draining; resubmit to the restarted instance"
-                )
+                raise Draining(_DRAINING)
         maybe_inject("service.queue")
         if admission and self._buckets is not None:
             wait = self._buckets.try_acquire(client)
@@ -322,9 +319,7 @@ class JobManager:
             # queue under this same lock, so once we are past this point
             # our push cannot land in an already-drained queue.
             if self._draining:
-                raise Draining(
-                    "server is draining; resubmit to the restarted instance"
-                )
+                raise Draining(_DRAINING)
             if job_id is not None:
                 # At-least-once handoff: a coordinator may re-forward a job
                 # this node already owns (journal resume racing a
@@ -480,11 +475,7 @@ class JobManager:
                 job = self._jobs.get(job_id)
                 if job is None or job.state.terminal:
                     return job
-                source = (
-                    self._jobs.get(job.primary_id, job)
-                    if job.primary_id is not None
-                    else job
-                )
+                source = self._jobs.get(job.primary_id or job_id, job)
             remaining = 0.1
             if deadline is not None:
                 remaining = min(remaining, deadline - time.monotonic())

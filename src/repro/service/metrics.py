@@ -13,6 +13,7 @@ render.
 
 from __future__ import annotations
 
+import bisect
 import math
 import threading
 
@@ -55,12 +56,7 @@ class LatencyHistogram:
         self.count = 0
 
     def observe(self, value: float) -> None:
-        for index, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.counts[index] += 1
-                break
-        else:
-            self.counts[-1] += 1
+        self.counts[bisect.bisect_left(self.buckets, value)] += 1  # the first bound >= value
         self.sum += value
         self.count += 1
 

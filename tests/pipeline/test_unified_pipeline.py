@@ -176,14 +176,21 @@ class TestBadEntriesAreRecomputed:
         assert warm == cold
 
     def test_text_cut_mid_entry_is_quarantined_and_recomputed(self, tmp_path):
-        """An entry that no longer parses is quarantined by the store
-        reader itself and probes as a miss."""
+        """An entry that no longer parses probes as a miss and takes the
+        path of one that does not decode: one quarantine, one SA501."""
         cache = StageCache(tmp_path)
         _, cold = probes_and_output(tiny_cnn(), cache)
         (path,) = (tmp_path / STAGE_NAME).glob("*.json")
         path.write_text(path.read_text()[:40])
-        probes, again = probes_and_output(tiny_cnn(), cache)
-        assert [p.hit for p in probes] == [False]
+        seen = []
+        again = synthesize_network(
+            tiny_cnn(), Platform(), FAST, cache=cache, observers=(seen.append,)
+        )
+        assert [p.hit for p in of_type(seen, CacheProbe)] == [False]
+        (degraded,) = of_type(seen, StageDegraded)
+        assert (degraded.stage, degraded.code, degraded.fallback) == (
+            STAGE_NAME, "SA501", "recompute"
+        )
         assert cache.quarantined == 1
         assert again == cold
         probes, warm = probes_and_output(tiny_cnn(), cache)

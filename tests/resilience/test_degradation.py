@@ -105,14 +105,21 @@ class TestCacheDegradation:
         assert ("SA501",) in {(code,) for code, _ in warm.degradations}
         assert list((cache_dir / "codegen").glob("*.json.corrupt"))
 
-    def test_unparseable_cache_file_is_a_silent_miss(self, tmp_path):
+    def test_unparseable_cache_file_reports_sa501(self, tmp_path):
+        """SA501 too: a layer ``codegen`` entry that no longer parses is
+        reported like one that parses but does not decode."""
         cache_dir = tmp_path / "cache"
         with injected(FaultPlan()):
             cold = compile_small(cache=cache_dir)
-            for path in (cache_dir / "codegen").glob("*.json"):
-                path.write_text("\x00not json")
-            warm = compile_small(cache=cache_dir)
+            (path,) = (cache_dir / "codegen").glob("*.json")
+            cut = path.read_text()[:40]
+            path.write_text(cut)
+            recorder = Recorder()
+            warm = compile_small(cache=cache_dir, observers=[recorder])
         assert warm == cold
+        assert [(e.stage, e.code) for e in recorder.degraded] == [("codegen", "SA501")]
+        assert [code for code, _ in warm.degradations] == ["SA501"]
+        assert path.with_suffix(".json.corrupt").read_text() == cut
 
 
 @pytest.mark.slow

@@ -5,7 +5,10 @@ admission-control behaviours that need their own knobs (rate limits,
 drain) spin up dedicated instances.
 """
 
+import http.client
 import json
+import socket
+import sys
 import threading
 import urllib.request
 
@@ -26,9 +29,13 @@ FAST = {"cs": 0.0, "top_n": 2}
 
 
 @pytest.fixture(scope="module")
-def server(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("service")
-    manager = JobManager(workers=2, queue_depth=64, cache=str(tmp / "cache"))
+def cache_dir(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("service") / "cache")
+
+
+@pytest.fixture(scope="module")
+def server(cache_dir):
+    manager = JobManager(workers=2, queue_depth=64, cache=cache_dir)
     live = run_server(manager)
     yield live
     shutdown_server(live)
@@ -350,3 +357,117 @@ class TestRawHttp:
             assert response.headers["Transfer-Encoding"] == "chunked"
             lines = [json.loads(l) for l in response.read().splitlines() if l]
         assert lines[-1]["event"] == "JobFinished"
+
+
+@pytest.fixture
+def counted(cache_dir, monkeypatch):
+    """A fresh server on the warm cache whose accepted connections are
+    kept, server side, in ``.accepted``."""
+    live = run_server(JobManager(workers=1, queue_depth=64, cache=cache_dir))
+    live.accepted = []
+    real = live.get_request
+
+    def accept():
+        connection = real()
+        live.accepted.append(connection[0])
+        return connection
+
+    monkeypatch.setattr(live, "get_request", accept)
+    yield live
+    shutdown_server(live)
+
+
+class TestKeptAliveConnections:
+    """Every call rides this thread's one connection per host; an answer
+    leaves that connection in sync for the next call."""
+
+    def test_a_followed_job_is_one_connection(self, counted):
+        client = ServiceClient(f"http://127.0.0.1:{counted.port}")
+        job = client.submit(source=TINY, options=FAST)
+        events = list(client.events(job["id"]))
+        final = client.status(job["id"], result=True)
+        assert events[-1]["event"] == "JobFinished"
+        assert final["state"] == "done" and final["result"]["format"] == "repro-result/1"
+        assert client.health()["done"] == 1
+        assert len(counted.accepted) == 1
+
+    @pytest.mark.parametrize("method", ["GET", "POST"])
+    def test_a_connection_closed_while_idle_is_replaced(self, counted, method):
+        client = ServiceClient(f"http://127.0.0.1:{counted.port}")
+        assert client.health()["status"] == "ok"
+        counted.accepted[0].shutdown(socket.SHUT_RDWR)  # the server hangs up
+        if method == "GET":
+            assert client.health()["status"] == "ok"
+        else:
+            job = client.submit(source=TINY, options=FAST)
+            assert [entry["id"] for entry in client.jobs()] == [job["id"]]  # sent once
+        assert len(counted.accepted) == 2
+
+    def test_a_stopped_server_hangs_up_on_a_kept_alive_connection(self, counted):
+        client = ServiceClient(f"http://127.0.0.1:{counted.port}")
+        assert client.health()["status"] == "ok"
+        shutdown_server(counted)
+        with pytest.raises(OSError):  # hung up on, then refused: no second retry
+            client.health()
+        assert len(counted.accepted) == 1
+
+    def test_an_abandoned_stream_leaves_the_client_in_sync(self, client):
+        job = client.submit(source=TINY, options=FAST)
+        full = list(client.events(job["id"]))
+        for event in client.events(job["id"]):
+            break  # the stream's connection is closed, not pooled
+        assert event == full[0]
+        held = client.events(job["id"])
+        assert next(held) == full[0]  # still open: other calls go elsewhere
+        assert client.status(job["id"])["id"] == job["id"]
+        assert list(client.events(job["id"])) == full
+        assert list(held) == full[1:]
+
+    def test_threads_sharing_a_client_never_cross_answers(self, client):
+        ids = [client.submit(source=TINY, options={"cs": 0.0, "top_n": 2 + n})["id"]
+               for n in range(3)]
+        streams = {job_id: list(client.events(job_id)) for job_id in ids}
+        crossed, barrier = [], threading.Barrier(len(ids))
+
+        def poll(job_id):
+            barrier.wait()
+            try:
+                for n in range(20):
+                    answer = client.status(job_id, result=n % 2 == 1)
+                    if answer["id"] != job_id:
+                        crossed.append((job_id, answer["id"]))
+                    if n % 5 == 0 and list(client.events(job_id)) != streams[job_id]:
+                        crossed.append((job_id, "events"))
+            except Exception as exc:  # noqa: BLE001 - a torn exchange is a crossing too
+                crossed.append((job_id, repr(exc)))
+
+        threads = [threading.Thread(target=poll, args=(job_id,)) for job_id in ids]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads' exchanges finely
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert crossed == []
+
+
+class TestUnreadBodies:
+    """A body no route reads is drained, so the next request on the same
+    connection parses."""
+
+    @pytest.mark.parametrize("method, path", [("POST", "/v1/nope"), ("GET", "/healthz")])
+    def test_next_request_on_the_socket_is_answered(self, server, method, path):
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+        try:
+            conn.request(method, path, body=b'{"ignored": true}')
+            conn.getresponse().read()
+            conn.request("GET", "/healthz")
+            answer = conn.getresponse()
+            assert answer.status == 200
+            assert json.loads(answer.read())["status"] == "ok"
+        finally:
+            conn.close()
