@@ -180,8 +180,10 @@ class Record:
                 data[key] = codec.encode(item)
         return data
 
-    def decode(self, data: Any) -> Any:
-        """Rebuild the record from :meth:`encode` data.
+    def decode(self, data: Any, codecs: MappingT[str, "Leaf | Record"] | None = None) -> Any:
+        """Rebuild the record from :meth:`encode` data; ``codecs`` (field
+        -> codec) read some fields on this call only, in place of the
+        declared ones.
 
         Raises:
             ValueError: ``data`` is not a JSON object, carries another
@@ -194,9 +196,12 @@ class Record:
             raise ValueError(
                 f"unsupported {self.label} format {data.get('format')!r} (expected {self.tag!r})"
             )
+        plan = self._plan
+        if codecs is not None:
+            plan = [(name, key, codecs.get(name, codec)) for name, key, codec in plan]
         try:
             values = {}
-            for name, key, codec in self._plan:
+            for name, key, codec in plan:
                 if key is None:
                     values[name] = codec.decode(data)
                 elif key in data:
@@ -304,13 +309,24 @@ EVALUATION = Record(
     DesignEvaluation,
     "evaluation",
     "repro-evaluation/1",
-    where="inside the phase-1, phase-2 and result payloads",
+    where="inside the result payload; without its nest, inside the phase-1 and phase-2 payloads",
     codecs={
         "design": DESIGN,
         "performance": Record(PerformanceEstimate, "performance"),
         "bram": Record(BramBreakdown, "bram"),
     },
 )
+
+
+def evaluation_on(nest: LoopNest | None) -> Record:
+    """The evaluation record of a payload that writes its designs' one
+    nest apart from them: each design is written without it and decoded
+    onto ``nest`` itself."""
+    codecs = {**DESIGN.codecs, "nest": Leaf(lambda _: {}, lambda _: nest)}
+    design = Record(DesignPoint, "design", keys={"nest": None}, codecs=codecs)
+    return Record(DesignEvaluation, "evaluation", codecs={**EVALUATION.codecs, "design": design})
+
+
 # The sim and pipeline layers sit above the model layer: their classes
 # are named, not imported.
 MEASUREMENT = Record("repro.sim.perf:LayerMeasurement", "measurement")
@@ -378,6 +394,7 @@ __all__ = [
     "engine_result_from_dict",
     "engine_result_to_dict",
     "evaluation_from_dict",
+    "evaluation_on",
     "evaluation_to_dict",
     "load_design",
     "load_result",

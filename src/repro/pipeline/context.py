@@ -17,7 +17,7 @@ from typing import Any
 from repro.ir.loop import LoopNest
 from repro.model.design_point import DesignEvaluation
 from repro.model.platform import Platform
-from repro.dse.explore import DseConfig, Phase1Result, Phase2Result
+from repro.dse.explore import DseConfig, Phase1Result
 from repro.dse.multi_layer import MultiLayerResult
 from repro.nn.models import Network
 from repro.sim.fast import EngineResult
@@ -138,9 +138,9 @@ class SynthesisContext:
         nest: the loop nest (parse-stage output, or an input).
         network: the input of the whole-network flow, whose one stage
             fills ``unified``, ``kernel_source`` and ``host_source``.
-        phase1 / phase2: DSE stage outputs.
+        phase1: the dse-phase1 stage's output.
+        best: the dse-phase2 stage's winner, at its realized clock.
         unified: the unified-dse stage's output (network flow only).
-        frequency_mhz: realized clock of the winner.
         measurement: simulator verdict on the winner.
         kernel_source / host_source / testbench_source / driver_source /
             rtl_source: codegen outputs (:data:`ARTIFACT_FIELDS`; the
@@ -164,9 +164,8 @@ class SynthesisContext:
     nest: LoopNest | None = None
     network: Network | None = None
     phase1: Phase1Result | None = None
-    phase2: Phase2Result | None = None
+    best: DesignEvaluation | None = None
     unified: MultiLayerResult | None = None
-    frequency_mhz: float | None = None
     measurement: LayerMeasurement | None = None
     kernel_source: str | None = None
     host_source: str | None = None
@@ -183,20 +182,12 @@ class SynthesisContext:
         """A copy with some fields replaced (stages never mutate)."""
         return replace(self, **changes)
 
-    @property
-    def best(self) -> DesignEvaluation:
-        """The phase-2 winner; only valid after the dse-phase2 stage."""
-        if self.phase2 is None:
-            raise ValueError("pipeline has not run the dse-phase2 stage yet")
-        return self.phase2.best
-
     def to_result(self) -> SynthesisResult:
         """Fold a fully-populated context into the public result."""
         artifacts = {name: getattr(self, name) for name in ARTIFACT_FIELDS}
         if (
             self.phase1 is None
-            or self.phase2 is None
-            or self.frequency_mhz is None
+            or self.best is None
             or self.measurement is None
             # the RTL alone may be missing: a design the backend cannot
             # lower (SA150) is a degradation, not a failure
@@ -204,8 +195,8 @@ class SynthesisContext:
         ):
             raise ValueError("pipeline did not populate every stage output")
         return SynthesisResult(
-            evaluation=self.phase2.best,
-            frequency_mhz=self.frequency_mhz,
+            evaluation=self.best,
+            frequency_mhz=self.best.performance.frequency_mhz,
             measurement=self.measurement,
             **artifacts,
             configs_enumerated=self.phase1.configs_enumerated,

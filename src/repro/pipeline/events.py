@@ -141,16 +141,7 @@ class StageDegraded(PipelineEvent):
 
 #: ``event`` discriminator -> class, for rehydrating streamed events.
 EVENT_TYPES: dict[str, type[PipelineEvent]] = {
-    cls.__name__: cls
-    for cls in (
-        StageStarted,
-        StageFinished,
-        StageProgress,
-        CacheProbe,
-        StageRetried,
-        FaultInjected,
-        StageDegraded,
-    )
+    cls.__name__: cls for cls in PipelineEvent.__subclasses__()
 }
 
 
@@ -222,47 +213,25 @@ class ProgressPrinter:
         return self.stream if self.stream is not None else sys.stderr
 
     def __call__(self, event: PipelineEvent) -> None:
-        if isinstance(event, StageStarted):
-            return  # the finish line carries everything worth a line
         if isinstance(event, CacheProbe):
-            if event.hit:
-                print(f"[{event.stage}] cache hit ({event.key[:12]})", file=self._out())
-            return
-        if isinstance(event, StageProgress):
-            print(
-                f"[{event.stage}] {event.done}/{event.total} {event.message}".rstrip(),
-                file=self._out(),
-            )
-            return
-        if isinstance(event, StageRetried):
+            line = f"cache hit ({event.key[:12]})" if event.hit else ""
+        elif isinstance(event, StageProgress):
+            line = f"{event.done}/{event.total} {event.message}".rstrip()
+        elif isinstance(event, StageRetried):
             budget = f"/{event.max_attempts}" if event.max_attempts else ""
-            print(
-                f"[{event.stage}] retry {event.attempt}{budget}: {event.reason}",
-                file=self._out(),
-            )
-            return
-        if isinstance(event, FaultInjected):
-            print(
-                f"[{event.stage}] fault injected: {event.point} ({event.kind})",
-                file=self._out(),
-            )
-            return
-        if isinstance(event, StageDegraded):
-            print(
-                f"[{event.stage}] degraded to {event.fallback} "
-                f"[{event.code}]: {event.reason}",
-                file=self._out(),
-            )
-            return
-        if isinstance(event, StageFinished):
-            detail = "".join(
-                f"  {key}={value}" for key, value in sorted(event.info.items())
-            )
+            line = f"retry {event.attempt}{budget}: {event.reason}"
+        elif isinstance(event, FaultInjected):
+            line = f"fault injected: {event.point} ({event.kind})"
+        elif isinstance(event, StageDegraded):
+            line = f"degraded to {event.fallback} [{event.code}]: {event.reason}"
+        elif isinstance(event, StageFinished):
+            detail = "".join(f"  {key}={value}" for key, value in sorted(event.info.items()))
             origin = " (cached)" if event.cached else ""
-            print(
-                f"[{event.stage}] done in {event.seconds:.2f}s{origin}{detail}",
-                file=self._out(),
-            )
+            line = f"done in {event.seconds:.2f}s{origin}{detail}"
+        else:
+            return  # StageStarted: the finish line carries everything worth a line
+        if line:
+            print(f"[{event.stage}] {line}", file=self._out())
 
 
 class JsonlTraceWriter:

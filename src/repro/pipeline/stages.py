@@ -19,6 +19,7 @@ from typing import Any
 
 from repro.model.serialize import measurement_from_dict, measurement_to_dict, plain
 from repro.pipeline.codecs import (
+    Phase2Entry,
     decode_phase1,
     decode_phase2,
     decode_unified,
@@ -124,17 +125,6 @@ class _SearchStage(StageBase):
         return result, ctx.evolve(degradations=ctx.degradations + tuple(degradations))
 
 
-def _searched(result: Any, ctx: SynthesisContext) -> Any:
-    """A decoded phase result, once every design in it is on the
-    context's nest (ValueError otherwise: the entry is malformed).
-    Decoded nests are interned, so each distinct one is compared once."""
-    evaluations = result.finalists + ((result.best,) if hasattr(result, "best") else ())
-    nests = {id(e.design.nest): e.design.nest for e in evaluations}
-    if any(nest != ctx.nest for nest in nests.values()):
-        raise ValueError("cached designs are not on this nest")
-    return result
-
-
 class DsePhase1Stage(_SearchStage):
     """Analytical filtering: enumerate configurations, tune tilings,
     keep the top-N — fanned out over ``ctx.jobs`` worker processes."""
@@ -156,7 +146,7 @@ class DsePhase1Stage(_SearchStage):
         return encode_phase1(ctx.phase1)
 
     def load(self, payload: dict[str, Any], ctx: SynthesisContext) -> SynthesisContext:
-        return ctx.evolve(phase1=_searched(decode_phase1(payload), ctx))
+        return ctx.evolve(phase1=decode_phase1(payload, ctx.nest))
 
     def info(self, ctx: SynthesisContext) -> dict[str, Any]:
         result = ctx.phase1
@@ -170,7 +160,8 @@ class DsePhase1Stage(_SearchStage):
 
 
 class DsePhase2Stage(StageBase):
-    """Implementation phase: realize clocks, pick the on-board winner."""
+    """Implementation phase: realize clocks, pick the on-board winner
+    (the one output the flow reads, and the one its entry holds)."""
 
     name = "dse-phase2"
 
@@ -178,30 +169,24 @@ class DsePhase2Stage(StageBase):
         from repro.dse.explore import phase2
 
         assert ctx.phase1 is not None
-        result = phase2(ctx.phase1, ctx.platform, strict=ctx.strict)
-        return ctx.evolve(
-            phase2=result, frequency_mhz=result.best.performance.frequency_mhz
-        )
+        return ctx.evolve(best=phase2(ctx.phase1, ctx.platform, strict=ctx.strict).best)
 
     def cache_parts(self, ctx: SynthesisContext) -> tuple | None:
         return (ctx.nest, ctx.platform, ctx.config, ctx.strict, "phase2")
 
     def dump(self, ctx: SynthesisContext) -> dict[str, Any] | None:
-        assert ctx.phase2 is not None
-        return encode_phase2(ctx.phase2)
+        assert ctx.best is not None
+        return encode_phase2(Phase2Entry(ctx.best))
 
     def load(self, payload: dict[str, Any], ctx: SynthesisContext) -> SynthesisContext:
-        result = _searched(decode_phase2(payload), ctx)
-        return ctx.evolve(
-            phase2=result, frequency_mhz=result.best.performance.frequency_mhz
-        )
+        return ctx.evolve(best=decode_phase2(payload, ctx.nest).best)
 
     def info(self, ctx: SynthesisContext) -> dict[str, Any]:
-        assert ctx.phase2 is not None and ctx.frequency_mhz is not None
-        best = ctx.phase2.best
+        best = ctx.best
+        assert best is not None
         return {
             "winner": str(best.design.shape),
-            "frequency_mhz": round(ctx.frequency_mhz, 1),
+            "frequency_mhz": round(best.performance.frequency_mhz, 1),
             "gops": round(best.throughput_gops, 1),
         }
 
@@ -370,7 +355,7 @@ class SimulateStage(StageBase):
         from repro.sim.perf import simulate_performance
 
         measurement = simulate_performance(
-            ctx.best.design, ctx.platform, frequency_mhz=ctx.frequency_mhz
+            ctx.best.design, ctx.platform, frequency_mhz=ctx.best.performance.frequency_mhz
         )
         ctx = ctx.evolve(measurement=measurement)
         if ctx.sim_backend is not None:
@@ -470,7 +455,7 @@ class SimulateStage(StageBase):
     def cache_parts(self, ctx: SynthesisContext) -> tuple | None:
         if ctx.sim_backend is not None:
             return None  # wavefront/differential runs always execute
-        return (ctx.best.design, ctx.platform, ctx.frequency_mhz)
+        return (ctx.best.design, ctx.platform, ctx.best.performance.frequency_mhz)
 
     def dump(self, ctx: SynthesisContext) -> dict[str, Any] | None:
         assert ctx.measurement is not None

@@ -72,6 +72,7 @@ def samples():
     from repro.dse.multi_layer import prepare_network_nests, select_unified_design
     from repro.flow.compile import synthesize_nest
     from repro.nn.models import tiny_cnn
+    from repro.pipeline.codecs import Phase2Entry
 
     nest = conv_loop_nest(8, 4, 5, 5, 3, 3, name="layer")
     config = DseConfig(min_dsp_utilization=0.0, vector_choices=(2,), top_n=2)
@@ -94,8 +95,8 @@ def samples():
         "measurement": result.measurement,
         "repro-engine-result/1": result.engine_result,
         "repro-result/1": result,
-        "repro-phase1/1": first,
-        "repro-phase2/1": second,
+        "repro-phase1/2": first,
+        "repro-phase2/2": Phase2Entry(second.best),
         "repro-unified/1": unified,
     }
 

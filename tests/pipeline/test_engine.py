@@ -189,8 +189,7 @@ class TestObserverOutputs:
 
 class TestContext:
     def test_best_requires_phase2(self):
-        with pytest.raises(ValueError, match="dse-phase2"):
-            make_ctx().best
+        assert make_ctx().best is None  # the dse-phase2 stage fills it
 
     def test_to_result_requires_all_outputs(self):
         with pytest.raises(ValueError, match="populate"):
@@ -287,7 +286,7 @@ class TestCodegenDegradationSurvivesTheCache:
         """A design the RTL backend cannot lower (vector loop in the
         output access) reports SA150 — and a cache-served run of the same
         design must report it too, or cold and warm payloads differ."""
-        from repro.dse.explore import Phase1Result, Phase2Result
+        from repro.dse.explore import Phase1Result
         from repro.ir.loop import conv_loop_nest
         from repro.model.design_point import ArrayShape, DesignPoint
         from repro.model.mapping import Mapping
@@ -303,8 +302,7 @@ class TestCodegenDegradationSurvivesTheCache:
         ctx = make_ctx(
             nest=nest,
             phase1=Phase1Result((best,), 1, 1, 1, elapsed_seconds=0.0),
-            phase2=Phase2Result(best, (best,), (best.throughput_gops,)),
-            frequency_mhz=best.performance.frequency_mhz,
+            best=best,
         )
         events = []
         engine = PipelineEngine(
@@ -329,7 +327,7 @@ class TestTestbenchBackendChecksTheShippedKernel:
     convolution fails the stage even though the testbench passes."""
 
     def codegen_ctx(self):
-        from repro.dse.explore import Phase1Result, Phase2Result
+        from repro.dse.explore import Phase1Result
         from repro.ir.loop import conv_loop_nest
         from repro.model.design_point import ArrayShape, DesignPoint
         from repro.model.mapping import Mapping
@@ -344,8 +342,7 @@ class TestTestbenchBackendChecksTheShippedKernel:
             nest=nest,
             sim_backend="testbench",
             phase1=Phase1Result((best,), 1, 1, 1, elapsed_seconds=0.0),
-            phase2=Phase2Result(best, (best,), (best.throughput_gops,)),
-            frequency_mhz=best.performance.frequency_mhz,
+            best=best,
         )
         return CodegenStage().run(ctx, EventBus())
 

@@ -4,7 +4,8 @@ Three memos make a warm compile cheap, and none may change an answer:
 
 * ``feasible_mappings`` answers once per access pattern (Eq. 2 over the
   Eq. 3 table reads subscripts, never trip counts or names);
-* ``nest_from_dict`` returns one nest per distinct payload;
+* ``nest_from_dict`` returns one nest per distinct payload, and a phase
+  entry's designs decode onto the compile's own nest;
 * one ``PipelineEngine.run`` lowers each cache-key part object once.
 
 The tests count the uncached work, hold every memo to a fresh
@@ -24,26 +25,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dse.explore import DseConfig, phase1
+from repro.dse.explore import DseConfig, phase1, phase2
 from repro.dse.multi_layer import prepare_network_nests, select_unified_design
 from repro.flow.compile import compile_c_source
-from repro.flow.request import SynthesisRequest
+from repro.flow.request import SynthesisRequest, run_context
 from repro.frontend.emit import nest_to_c
-from repro.ir.loop import conv_loop_nest
+from repro.ir.loop import LoopNest, conv_loop_nest
 from repro.model import mapping as mapping_module
 from repro.model import serialize
+from repro.model.design_point import DesignEvaluation
 from repro.model.mapping import feasible_mappings
 from repro.model.platform import Platform
 from repro.nn.models import vgg16
 from repro.nn.folding import fold_layer
+from repro.pipeline import cache as cache_module
 from repro.pipeline import stages
 from repro.pipeline.cache import code_version, stable_fingerprint
-from repro.pipeline.codecs import decode_phase1, encode_phase1
-from repro.pipeline.events import CacheProbe, StageDegraded
+from repro.pipeline.codecs import (
+    Phase2Entry,
+    decode_phase1,
+    decode_phase2,
+    encode_phase1,
+    encode_phase2,
+)
+from repro.pipeline.events import CacheProbe, StageDegraded, StageStarted
 from tests.strategies import rich_conv_layers
 
 FAST = DseConfig(min_dsp_utilization=0.0, vector_choices=(2,), top_n=3)
 SOURCE = nest_to_c(conv_loop_nest(16, 8, 10, 10, 3, 3))
+REQUEST = SynthesisRequest(config=FAST, source=SOURCE, name="user_nest", strict=True)
 
 
 def clear_memos() -> None:
@@ -135,14 +145,61 @@ class TestFeasibilityPerAccessPattern:
 
 class TestDecodedNestsAreShared:
     def test_phase1_finalists_share_one_nest(self):
-        result = phase1(conv_loop_nest(16, 8, 10, 10, 3, 3), Platform(), FAST)
+        nest = conv_loop_nest(16, 8, 10, 10, 3, 3)
+        result = phase1(nest, Platform(), FAST)
         assert len(result.finalists) >= 2
-        decoded = decode_phase1(json.loads(json.dumps(encode_phase1(result))))
+        payload = json.loads(json.dumps(encode_phase1(result)))
+        # The nest is written once, beside the finalists, never inside one.
+        assert payload["nest"] == json.loads(json.dumps(serialize.nest_to_dict(nest)))
+        assert all("nest" not in f["design"] for f in payload["finalists"])
+        decoded = decode_phase1(payload)
         assert decoded == result
         first = decoded.finalists[0].design.nest
         assert all(f.design.nest is first for f in decoded.finalists)
-        again = decode_phase1(json.loads(json.dumps(encode_phase1(result))))
-        assert again.finalists[0].design.nest is first
+        assert decode_phase1(payload).finalists[0].design.nest is first
+        # Given the compile's nest, every finalist sits on that very object.
+        onto = decode_phase1(payload, nest)
+        assert onto == result
+        assert all(f.design.nest is nest for f in onto.finalists)
+
+    def test_phase2_entry_is_the_winner_alone(self):
+        nest = conv_loop_nest(16, 8, 10, 10, 3, 3)
+        best = phase2(phase1(nest, Platform(), FAST), Platform()).best
+        payload = json.loads(json.dumps(encode_phase2(Phase2Entry(best))))
+        assert list(payload) == ["format", "nest", "best"]
+        assert "nest" not in payload["best"]["design"]
+        assert decode_phase2(payload) == Phase2Entry(best)
+        assert decode_phase2(payload, nest).best.design.nest is nest
+
+    def test_every_decoded_design_is_on_the_context_nest(self, tmp_path):
+        run_context(REQUEST, cache=str(tmp_path))
+        ctx = run_context(REQUEST, cache=str(tmp_path))
+        assert ctx.cache_hits == ("dse-phase1", "dse-phase2", "codegen", "simulate")
+        designs = [f.design for f in ctx.phase1.finalists] + [ctx.best.design]
+        assert len(designs) >= 3
+        assert all(design.nest is ctx.nest for design in designs)
+
+    def test_warm_phase2_decodes_one_evaluation(self, monkeypatch, tmp_path):
+        compile_c_source(SOURCE, config=FAST, strict=True, cache=str(tmp_path))
+        built: dict[str, int] = {}
+        stage = {"name": ""}
+        init = DesignEvaluation.__init__
+
+        def counted(self, *args, **kwargs):
+            built[stage["name"]] = built.get(stage["name"], 0) + 1
+            init(self, *args, **kwargs)
+
+        def started(event):
+            if isinstance(event, StageStarted):
+                stage["name"] = event.stage
+
+        monkeypatch.setattr(DesignEvaluation, "__init__", counted)
+        warm = compile_c_source(
+            SOURCE, config=FAST, strict=True, cache=str(tmp_path), observers=(started,)
+        )
+        assert warm.cache_hits == ("dse-phase1", "dse-phase2", "codegen", "simulate")
+        assert built["dse-phase2"] == 1
+        assert built["dse-phase1"] == FAST.top_n
 
     def test_payloads_that_differ_only_in_type_do_not_share(self):
         data = serialize.nest_to_dict(conv_loop_nest(4, 4, 4, 4, 3, 3))
@@ -158,6 +215,22 @@ class TestDecodedNestsAreShared:
 
 
 class TestCacheKeysFollowTheRecipe:
+    def test_the_nest_is_lowered_once_across_the_four_keys(self, monkeypatch, tmp_path):
+        lowered: list[LoopNest] = []
+        real = cache_module.stable_fingerprint
+
+        def spy(value, memo=None):
+            if isinstance(value, LoopNest) and (memo is None or id(value) not in memo):
+                lowered.append(value)
+            return real(value, memo)
+
+        monkeypatch.setattr(cache_module, "stable_fingerprint", spy)
+        for run in ("cold", "warm"):
+            lowered.clear()
+            ctx = run_context(REQUEST, cache=str(tmp_path))
+            assert len(ctx.cache_hits) == (4 if run == "warm" else 0)
+            assert len(lowered) == 1 and lowered[0] is ctx.nest, run
+
     def test_every_probed_key_is_the_recipe(self, monkeypatch, tmp_path):
         seen: list[tuple[str, tuple]] = []
         for cls in (
@@ -251,8 +324,8 @@ def _mutate(data, draw) -> None:
 @pytest.mark.parametrize(
     "stage, path",
     [
-        ("dse-phase2", ("best", "design", "nest", "accesses")),
-        ("dse-phase1", ("finalists", 1, "design", "nest", "loops")),
+        ("dse-phase2", ("nest", "accesses")),
+        ("dse-phase1", ("nest", "loops")),
     ],
 )
 def test_an_entry_off_the_nest_is_quarantined(tmp_path, stage, path):
@@ -309,3 +382,42 @@ def test_mutated_entries_are_served_or_quarantined(tmp_path):
     warm = compile_c_source(SOURCE, config=FAST, strict=True, cache=clean)
     assert warm.cache_hits == ("dse-phase1", "dse-phase2", "codegen", "simulate")
     assert cold == warm == reference
+
+
+#: JSON kinds: an int and a float are one kind, a number.
+_KIND = {type(None): "null", bool: "bool", int: "number", float: "number", str: "string"}
+_RETYPES = (None, True, 0, "x", [], {})
+
+
+@pytest.mark.parametrize("stage", ("dse-phase1", "dse-phase2"))
+def test_every_leaf_retyped_is_served_equal_or_quarantined(tmp_path, stage):
+    """Each leaf of a phase entry in turn becomes a value of another JSON
+    kind.  The compile then serves a result equal to the reference, or
+    quarantines the entry (SA501) and recomputes it; never a traceback."""
+    store = tmp_path / "store"
+    reference = compile_c_source(SOURCE, config=FAST, strict=True, cache=str(store))
+    entry = next((store / stage).glob("*.json"))
+    original = entry.read_text()
+    leaves = [(p, n) for p, n in _nodes(json.loads(original)) if not isinstance(n, (dict, list))]
+    assert len(leaves) > 50
+    for index, (path, leaf) in enumerate(leaves):
+        others = [v for v in _RETYPES if _KIND.get(type(v)) != _KIND[type(leaf)]]
+        payload = json.loads(original)
+        node = payload
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = others[index % len(others)]
+        entry.write_text(json.dumps(payload))
+        events: list = []
+        out = compile_c_source(
+            SOURCE, config=FAST, strict=True, cache=str(store), observers=(events.append,)
+        )
+        quarantined = [
+            e for e in events
+            if isinstance(e, StageDegraded) and e.stage == stage and e.code == "SA501"
+        ]
+        assert out == reference, path
+        assert (stage in out.cache_hits) != bool(quarantined), path
+        entry.write_text(original)
+        for corrupt in store.rglob("*.corrupt"):
+            corrupt.unlink()
