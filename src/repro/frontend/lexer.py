@@ -1,15 +1,19 @@
 """Tokenizer for the restricted C subset.
 
-Handles identifiers, integer literals, the punctuation the loop-nest
-grammar needs, ``//`` and ``/* */`` comments, and ``#pragma`` lines
-(returned as single tokens so the parser can attach them to the following
-loop).  Tracks line/column for error messages.
+Handles identifiers, ASCII integer literals, the punctuation the
+loop-nest grammar needs, ``//`` and ``/* */`` comments, and ``#pragma``
+lines (returned as single tokens so the parser can attach them to the
+following loop).  Tracks line/column for error messages.
+
+The text is scanned once by one compiled regular expression; a token's
+column is its offset from the start of its line.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from enum import Enum
+from typing import NamedTuple
 
 from repro.analysis.diagnostics import (
     LEX_BAD_CHAR,
@@ -28,13 +32,12 @@ class TokenKind(Enum):
     EOF = "eof"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token.
 
     Attributes:
         kind: token class.
-        text: exact source text (for PRAGMA, the full line without '#').
+        text: exact source text (for PRAGMA, the line after '#', stripped).
         line: 1-based source line.
         column: 1-based source column.
     """
@@ -78,91 +81,53 @@ class LexError(ValueError):
         return Diagnostic(self.code, Severity.ERROR, str(self), self.span)
 
 
+#: One alternative per token class, tried in order at each offset.
+#: Identifiers start as ``str.isalpha`` or ``_`` and go on as
+#: ``str.isalnum`` or ``_`` (``\w``); ``[^\W\d]`` also admits the
+#: non-decimal numerics (``²``, ``½``), which :func:`tokenize` rejects.
+#: Anything else is one ``bad`` character.
+_SCAN = re.compile(
+    r"(?P<space>[ \t\r\n]+)"
+    r"|(?P<comment>//[^\n]*|/\*.*?\*/)"
+    r"|(?P<pragma>\#[^\n]*)"
+    r"|(?P<ident>[^\W\d]\w*)"
+    r"|(?P<number>[0-9]+)"
+    r"|(?P<punct>" + "|".join(map(re.escape, PUNCTUATION)) + ")"
+    r"|(?P<bad>.)",
+    re.DOTALL,
+)
+_KINDS = {kind.value: kind for kind in TokenKind}
+
+
 def tokenize(source: str) -> list[Token]:
     """Tokenize a program; returns tokens ending with one EOF token."""
     tokens: list[Token] = []
-    line = 1
-    col = 1
-    i = 0
-    n = len(source)
-
-    def advance(text: str) -> None:
-        nonlocal line, col
-        for ch in text:
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-
-    while i < n:
-        ch = source[i]
-        # whitespace
-        if ch in " \t\r\n":
-            advance(ch)
-            i += 1
+    line, line_start = 1, 0  # offset of the current line's first character
+    for match in _SCAN.finditer(source):
+        kind = match.lastgroup
+        text = match.group()
+        if kind == "space" or kind == "comment":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = match.start() + text.rindex("\n") + 1
             continue
-        # line comment
-        if source.startswith("//", i):
-            end = source.find("\n", i)
-            end = n if end == -1 else end
-            advance(source[i:end])
-            i = end
-            continue
-        # block comment
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end == -1:
+        column = match.start() - line_start + 1
+        if kind == "bad" or (kind == "ident" and not (text[0].isalpha() or text[0] == "_")):
+            if source.startswith("/*", match.start()):
                 raise LexError(
                     f"unterminated block comment at line {line}",
                     code=LEX_UNTERMINATED_COMMENT,
-                    span=SourceSpan(line, col),
+                    span=SourceSpan(line, column),
                 )
-            advance(source[i : end + 2])
-            i = end + 2
-            continue
-        # pragma: swallow the whole (possibly continued) line
-        if ch == "#":
-            end = source.find("\n", i)
-            end = n if end == -1 else end
-            text = source[i + 1 : end].strip()
-            tokens.append(Token(TokenKind.PRAGMA, text, line, col))
-            advance(source[i:end])
-            i = end
-            continue
-        # identifier / keyword
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(Token(TokenKind.IDENT, source[i:j], line, col))
-            advance(source[i:j])
-            i = j
-            continue
-        # number
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            tokens.append(Token(TokenKind.NUMBER, source[i:j], line, col))
-            advance(source[i:j])
-            i = j
-            continue
-        # punctuation (longest match first)
-        for punct in PUNCTUATION:
-            if source.startswith(punct, i):
-                tokens.append(Token(TokenKind.PUNCT, punct, line, col))
-                advance(punct)
-                i += len(punct)
-                break
-        else:
             raise LexError(
-                f"unexpected character {ch!r} at line {line}, column {col}",
+                f"unexpected character {text[0]!r} at line {line}, column {column}",
                 code=LEX_BAD_CHAR,
-                span=SourceSpan(line, col),
+                span=SourceSpan(line, column),
             )
-
-    tokens.append(Token(TokenKind.EOF, "", line, col))
+        if kind == "pragma":  # the whole line, handed to the parser
+            text = text[1:].strip()
+        tokens.append(Token(_KINDS[kind], text, line, column))
+    tokens.append(Token(TokenKind.EOF, "", line, len(source) - line_start + 1))
     return tokens
 
 

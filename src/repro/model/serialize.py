@@ -246,10 +246,9 @@ def nest_from_dict(data: dict[str, Any]) -> LoopNest:
 
     Interned: one frozen :class:`LoopNest` per distinct payload (a
     bounded, thread-safe memo keyed by the payload's version-2
-    ``marshal`` bytes, which tell ``1`` from ``1.0`` and ``true``), so the
-    phase-1 finalists and the later stages' entries of one compile share
-    one nest.  Malformed data (trip counts must be ints) raises and is
-    never interned.
+    ``marshal`` bytes, which tell ``1`` from ``1.0`` and ``true``), so
+    every payload of one nest decodes to one object.  Malformed data
+    (trip counts must be ints) raises and is never interned.
     """
     return _nest_from_bytes(marshal.dumps(data, 2))
 
@@ -309,7 +308,7 @@ EVALUATION = Record(
     DesignEvaluation,
     "evaluation",
     "repro-evaluation/1",
-    where="inside the result payload; without its nest, inside the phase-1 and phase-2 payloads",
+    where="inside the result payload; without its nest, inside the phase-2 payload",
     codecs={
         "design": DESIGN,
         "performance": Record(PerformanceEstimate, "performance"),

@@ -7,10 +7,11 @@ phase-2 winner and the unified multi-layer result.  Decoders raise
 :class:`ValueError` on any malformed or version-mismatched payload so the
 engine degrades a bad entry to a cache miss.
 
-A phase entry writes its designs' one nest once, as ``"nest"``, and each
-design without it.  Given the compile's own nest, the phase decoders put
-every design on that very object, after one check that the stored nest
-equals it.
+The phase-1 entry is the search summary alone: its finalists are phase
+2's input, and the phase-2 entry holds phase 2's one output.  That entry
+writes the winner's nest once, as ``"nest"``, and the design without it.
+Given the compile's own nest, :func:`decode_phase2` puts the winner on
+that very object, after one check that the stored nest equals it.
 """
 
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from repro.dse.explore import Phase1Result
 from repro.dse.multi_layer import LayerPerformance, MultiLayerResult
 from repro.dse.space import SystolicConfig
 
-PHASE1_FORMAT = "repro-phase1/2"
+PHASE1_FORMAT = "repro-phase1/3"
 PHASE2_FORMAT = "repro-phase2/2"
 UNIFIED_FORMAT = "repro-unified/1"
 
@@ -41,29 +42,19 @@ class Phase2Entry:
 _WITHOUT_NEST = evaluation_on(None)  # encodes every field of a design but its nest
 
 
-def _on_one_nest(key: str, nest: LoopNest | None = None) -> Leaf:
-    """Spread codec of the evaluations under ``key`` (a tuple; one for
-    ``best``): their nest once as ``"nest"`` (null when there are none,
-    and then not read), then each without it.  They decode onto
-    ``nest``, which the stored nest must equal, or without one onto the
-    stored nest."""
-    many = key != "best"
+def _on_one_nest(nest: LoopNest | None = None) -> Leaf:
+    """Spread codec of ``best``: its nest as ``"nest"``, then the
+    evaluation without it.  It decodes onto ``nest``, which the stored
+    nest must equal, or without one onto the stored nest."""
 
-    def encode(value: Any) -> dict[str, Any]:
-        values = value if many else (value,)
-        stored = nest_to_dict(values[0].design.nest) if values else None
-        written = [_WITHOUT_NEST.encode(v) for v in values]
-        return {"nest": stored, key: written if many else written[0]}
+    def encode(value: DesignEvaluation) -> dict[str, Any]:
+        return {"nest": nest_to_dict(value.design.nest), "best": _WITHOUT_NEST.encode(value)}
 
-    def decode(data: dict[str, Any]) -> Any:
-        written = data[key] if many else [data[key]]
-        if written == []:
-            return ()
+    def decode(data: dict[str, Any]) -> DesignEvaluation:
         stored = nest_from_dict(data["nest"])
         if nest is not None and stored != nest:
             raise ValueError("cached designs are not on this nest")
-        values = tuple(map(evaluation_on(stored if nest is None else nest).decode, written))
-        return values if many else values[0]
+        return evaluation_on(stored if nest is None else nest).decode(data["best"])
 
     return Leaf(encode, decode)
 
@@ -74,7 +65,7 @@ PHASE1 = Record(
     PHASE1_FORMAT,
     where="stage cache, `dse-phase1` entries",
     keys={"finalists": None},
-    codecs={"finalists": _on_one_nest("finalists")},
+    codecs={"finalists": Leaf(lambda _: {}, lambda _: ())},  # phase 2's input alone
 )
 PHASE2 = Record(
     Phase2Entry,
@@ -82,7 +73,7 @@ PHASE2 = Record(
     PHASE2_FORMAT,
     where="stage cache, `dse-phase2` entries",
     keys={"best": None},
-    codecs={"best": _on_one_nest("best")},
+    codecs={"best": _on_one_nest()},
 )
 UNIFIED = Record(
     MultiLayerResult,
@@ -95,18 +86,14 @@ UNIFIED = Record(
     },
 )
 
-encode_phase1, encode_phase2 = PHASE1.encode, PHASE2.encode
+encode_phase1, decode_phase1 = PHASE1.encode, PHASE1.decode
+encode_phase2 = PHASE2.encode
 encode_unified, decode_unified = UNIFIED.encode, UNIFIED.decode
-
-
-def decode_phase1(payload: Any, nest: LoopNest | None = None) -> Phase1Result:
-    """A ``dse-phase1`` entry, its finalists on ``nest`` when given."""
-    return PHASE1.decode(payload, {"finalists": _on_one_nest("finalists", nest)})
 
 
 def decode_phase2(payload: Any, nest: LoopNest | None = None) -> Phase2Entry:
     """A ``dse-phase2`` entry, its winner on ``nest`` when given."""
-    return PHASE2.decode(payload, {"best": _on_one_nest("best", nest)})
+    return PHASE2.decode(payload, {"best": _on_one_nest(nest)})
 
 
 __all__ = [

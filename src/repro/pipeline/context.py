@@ -138,7 +138,9 @@ class SynthesisContext:
         nest: the loop nest (parse-stage output, or an input).
         network: the input of the whole-network flow, whose one stage
             fills ``unified``, ``kernel_source`` and ``host_source``.
-        phase1: the dse-phase1 stage's output.
+        phase1: the dse-phase1 stage's output.  Served from the cache
+            it is the search summary, without finalists (they are
+            the dse-phase2 stage's input alone).
         best: the dse-phase2 stage's winner, at its realized clock.
         unified: the unified-dse stage's output (network flow only).
         measurement: simulator verdict on the winner.

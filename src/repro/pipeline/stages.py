@@ -146,7 +146,7 @@ class DsePhase1Stage(_SearchStage):
         return encode_phase1(ctx.phase1)
 
     def load(self, payload: dict[str, Any], ctx: SynthesisContext) -> SynthesisContext:
-        return ctx.evolve(phase1=decode_phase1(payload, ctx.nest))
+        return ctx.evolve(phase1=decode_phase1(payload))
 
     def info(self, ctx: SynthesisContext) -> dict[str, Any]:
         result = ctx.phase1
@@ -159,17 +159,24 @@ class DsePhase1Stage(_SearchStage):
         }
 
 
-class DsePhase2Stage(StageBase):
+class DsePhase2Stage(_SearchStage):
     """Implementation phase: realize clocks, pick the on-board winner
-    (the one output the flow reads, and the one its entry holds)."""
+    (the one output the flow reads, and the one its entry holds).  A
+    cache-served phase 1 is the search summary, without the finalists
+    this phase reads: behind it, a phase-2 miss searches again."""
 
     name = "dse-phase2"
 
     def run(self, ctx: SynthesisContext, events: EventBus) -> SynthesisContext:
-        from repro.dse.explore import phase2
+        from repro.dse.explore import phase1, phase2
 
-        assert ctx.phase1 is not None
-        return ctx.evolve(best=phase2(ctx.phase1, ctx.platform, strict=ctx.strict).best)
+        first = ctx.phase1
+        assert first is not None
+        # Every feasible configuration is a finalist until the top N are
+        # full: a phase 1 that tuned one but holds none is the cached summary.
+        if first.configs_tuned and not first.finalists:
+            first, ctx = self.search(ctx, events, phase1, ctx.nest, strict=ctx.strict)
+        return ctx.evolve(best=phase2(first, ctx.platform, strict=ctx.strict).best)
 
     def cache_parts(self, ctx: SynthesisContext) -> tuple | None:
         return (ctx.nest, ctx.platform, ctx.config, ctx.strict, "phase2")

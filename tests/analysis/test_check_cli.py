@@ -175,6 +175,15 @@ class TestCli:
         assert "layer.c" in out  # diagnostics carry the filename
         assert "Traceback" not in out
 
+    def test_non_ascii_digit_is_a_diagnostic(self, tmp_path, capsys):
+        path = tmp_path / "layer.c"
+        path.write_text("float A[\u00b2];\n" + GOOD, encoding="utf-8")
+        code = cli.main(["check", str(path), "--level", "nest"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert "SA001" in out and "layer.c:1:9" in out
+        assert "Traceback" not in out + err
+
     def test_json_output(self, tmp_path, capsys):
         code = cli.main(
             ["check", self._write(tmp_path, GOOD), "--level", "nest", "--json"]

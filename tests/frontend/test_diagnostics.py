@@ -35,6 +35,17 @@ class TestLexerGolden:
         assert err.span is not None and (err.span.line, err.span.column) == (1, 25)
         assert err.diagnostic.code == "SA001" and err.diagnostic.is_error
 
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])  # superscript 2, Arabic-Indic 3
+    def test_non_ascii_digit_sa001(self, digit):
+        """Integers are ASCII: ``str.isdigit`` admits both, and ``int()``
+        then raised a bare ValueError on one and read the other as 3."""
+        with pytest.raises(LexError) as exc:
+            tokenize(f"float A[4];\nfloat B[{digit}];")
+        err = exc.value
+        assert err.code == "SA001"
+        assert repr(digit) in str(err)
+        assert (err.span.line, err.span.column) == (2, 9)
+
     def test_unterminated_comment_sa002(self):
         with pytest.raises(LexError) as exc:
             tokenize("x = 1; /* never closed")

@@ -1,12 +1,17 @@
 """Front-end tests: lexing, parsing, and IR extraction of user C code."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.frontend.cparser import ParseError, parse_program
+from repro.frontend.emit import nest_to_c
 from repro.frontend.extract import loop_nest_from_source
 from repro.frontend.lexer import LexError, TokenKind, tokenize
 from repro.ir.loop import conv_loop_nest
 from repro.ir.reuse import analyze_reuse
+from tests.frontend import oracle
+from tests.strategies import rich_conv_layers
 
 
 CODE1 = """
@@ -52,6 +57,54 @@ class TestLexer:
             tokenize("for (o @ 0)")
         with pytest.raises(LexError):
             tokenize("/* unterminated")
+
+
+_WORDS = st.text(alphabet="abc xyz_09+=;{}()[]<*\t", max_size=12)
+
+#: What may sit between two tokens: blanks, line ends, the three kinds of
+#: comment-like line, all of them in any mix.
+_TRIVIA = st.one_of(
+    st.sampled_from([" ", "  ", "\t", "\n", "\r\n", " \t\r\n\n"]),
+    _WORDS.map(lambda text: f"// {text}\r\n"),
+    st.lists(_WORDS, max_size=3).map(lambda lines: "/*" + "\n".join(lines) + "*/"),
+    _WORDS.map(lambda text: f"\n#pragma {text}\n"),
+)
+
+
+def _lexed(lexer, source):
+    """``(kind, text, line, column)`` per token, or the rejection's
+    ``(code, message, span)``."""
+    try:
+        return [tuple(token) for token in lexer(source)]
+    except LexError as exc:
+        return (exc.code, str(exc), exc.span)
+
+
+class TestLexerMatchesTheOracle:
+    """The regex scan against the character loop it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(layer=rich_conv_layers(), data=st.data())
+    def test_emitted_layers_with_any_trivia(self, layer, data):
+        clean = nest_to_c(layer.group_view().to_loop_nest())
+        pieces = []
+        for token in oracle.tokenize(clean)[:-1]:
+            pieces.append("#" + token.text + "\n" if token.kind is TokenKind.PRAGMA else token.text)
+            pieces.append("".join(data.draw(st.lists(_TRIVIA, min_size=1, max_size=3))))
+        source = data.draw(_TRIVIA) + "".join(pieces)
+        assert _lexed(tokenize, source) == _lexed(oracle.tokenize, source)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        source=st.text(alphabet=st.characters(max_codepoint=127), max_size=40)
+        | st.lists(
+            st.sampled_from(["/*", "*/", "//", "#", "\n", "\r", "a1", "_", "09", "+", "=", "<", " "]),
+            max_size=20,
+        ).map("".join)
+    )
+    def test_any_ascii_text(self, source):
+        """Same tokens, or the same code, message and span."""
+        assert _lexed(tokenize, source) == _lexed(oracle.tokenize, source)
 
 
 class TestParser:

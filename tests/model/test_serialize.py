@@ -95,7 +95,7 @@ def samples():
         "measurement": result.measurement,
         "repro-engine-result/1": result.engine_result,
         "repro-result/1": result,
-        "repro-phase1/2": first,
+        "repro-phase1/3": dataclasses.replace(first, finalists=()),  # the entry is the summary
         "repro-phase2/2": Phase2Entry(second.best),
         "repro-unified/1": unified,
     }

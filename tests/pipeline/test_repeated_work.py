@@ -4,8 +4,9 @@ Three memos make a warm compile cheap, and none may change an answer:
 
 * ``feasible_mappings`` answers once per access pattern (Eq. 2 over the
   Eq. 3 table reads subscripts, never trip counts or names);
-* ``nest_from_dict`` returns one nest per distinct payload, and a phase
-  entry's designs decode onto the compile's own nest;
+* ``nest_from_dict`` returns one nest per distinct payload, and the
+  phase-2 winner decodes onto the compile's own nest (the phase-1 entry
+  is the search summary, with no designs);
 * one ``PipelineEngine.run`` lowers each cache-key part object once.
 
 The tests count the uncached work, hold every memo to a fresh
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import importlib
 import json
 from dataclasses import replace
 
@@ -25,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dse.explore import DseConfig, phase1, phase2
+from repro.dse.explore import DseConfig, NoFeasibleDesign, phase1, phase2
 from repro.dse.multi_layer import prepare_network_nests, select_unified_design
 from repro.flow.compile import compile_c_source
 from repro.flow.request import SynthesisRequest, run_context
@@ -41,15 +43,11 @@ from repro.nn.folding import fold_layer
 from repro.pipeline import cache as cache_module
 from repro.pipeline import stages
 from repro.pipeline.cache import code_version, stable_fingerprint
-from repro.pipeline.codecs import (
-    Phase2Entry,
-    decode_phase1,
-    decode_phase2,
-    encode_phase1,
-    encode_phase2,
-)
+from repro.pipeline.codecs import Phase2Entry, decode_phase2, encode_phase2
 from repro.pipeline.events import CacheProbe, StageDegraded, StageStarted
 from tests.strategies import rich_conv_layers
+
+explore = importlib.import_module("repro.dse.explore")  # the package exports a function of this name
 
 FAST = DseConfig(min_dsp_utilization=0.0, vector_choices=(2,), top_n=3)
 SOURCE = nest_to_c(conv_loop_nest(16, 8, 10, 10, 3, 3))
@@ -144,24 +142,6 @@ class TestFeasibilityPerAccessPattern:
 
 
 class TestDecodedNestsAreShared:
-    def test_phase1_finalists_share_one_nest(self):
-        nest = conv_loop_nest(16, 8, 10, 10, 3, 3)
-        result = phase1(nest, Platform(), FAST)
-        assert len(result.finalists) >= 2
-        payload = json.loads(json.dumps(encode_phase1(result)))
-        # The nest is written once, beside the finalists, never inside one.
-        assert payload["nest"] == json.loads(json.dumps(serialize.nest_to_dict(nest)))
-        assert all("nest" not in f["design"] for f in payload["finalists"])
-        decoded = decode_phase1(payload)
-        assert decoded == result
-        first = decoded.finalists[0].design.nest
-        assert all(f.design.nest is first for f in decoded.finalists)
-        assert decode_phase1(payload).finalists[0].design.nest is first
-        # Given the compile's nest, every finalist sits on that very object.
-        onto = decode_phase1(payload, nest)
-        assert onto == result
-        assert all(f.design.nest is nest for f in onto.finalists)
-
     def test_phase2_entry_is_the_winner_alone(self):
         nest = conv_loop_nest(16, 8, 10, 10, 3, 3)
         best = phase2(phase1(nest, Platform(), FAST), Platform()).best
@@ -175,9 +155,8 @@ class TestDecodedNestsAreShared:
         run_context(REQUEST, cache=str(tmp_path))
         ctx = run_context(REQUEST, cache=str(tmp_path))
         assert ctx.cache_hits == ("dse-phase1", "dse-phase2", "codegen", "simulate")
-        designs = [f.design for f in ctx.phase1.finalists] + [ctx.best.design]
-        assert len(designs) >= 3
-        assert all(design.nest is ctx.nest for design in designs)
+        assert ctx.phase1.finalists == ()  # the search summary alone
+        assert ctx.best.design.nest is ctx.nest
 
     def test_warm_phase2_decodes_one_evaluation(self, monkeypatch, tmp_path):
         compile_c_source(SOURCE, config=FAST, strict=True, cache=str(tmp_path))
@@ -199,7 +178,7 @@ class TestDecodedNestsAreShared:
         )
         assert warm.cache_hits == ("dse-phase1", "dse-phase2", "codegen", "simulate")
         assert built["dse-phase2"] == 1
-        assert built["dse-phase1"] == FAST.top_n
+        assert "dse-phase1" not in built
 
     def test_payloads_that_differ_only_in_type_do_not_share(self):
         data = serialize.nest_to_dict(conv_loop_nest(4, 4, 4, 4, 3, 3))
@@ -325,12 +304,13 @@ def _mutate(data, draw) -> None:
     "stage, path",
     [
         ("dse-phase2", ("nest", "accesses")),
-        ("dse-phase1", ("nest", "loops")),
+        ("dse-phase2", ("nest", "loops")),
     ],
 )
 def test_an_entry_off_the_nest_is_quarantined(tmp_path, stage, path):
-    """A well-formed entry whose designs sit on another nest (here one
-    with an access or a loop cut off) is malformed for this compile."""
+    """A well-formed entry whose winner sits on another nest (here one
+    with an access or a loop cut off) is malformed for this compile.
+    (The phase-1 entry holds no nest: its key alone names one.)"""
     store = tmp_path / "store"
     reference = compile_c_source(SOURCE, config=FAST, strict=True, cache=str(store))
     entry = next((store / stage).glob("*.json"))
@@ -399,7 +379,7 @@ def test_every_leaf_retyped_is_served_equal_or_quarantined(tmp_path, stage):
     entry = next((store / stage).glob("*.json"))
     original = entry.read_text()
     leaves = [(p, n) for p, n in _nodes(json.loads(original)) if not isinstance(n, (dict, list))]
-    assert len(leaves) > 50
+    assert len(leaves) == 5 if stage == "dse-phase1" else len(leaves) > 50
     for index, (path, leaf) in enumerate(leaves):
         others = [v for v in _RETYPES if _KIND.get(type(v)) != _KIND[type(leaf)]]
         payload = json.loads(original)
@@ -421,3 +401,51 @@ def test_every_leaf_retyped_is_served_equal_or_quarantined(tmp_path, stage):
         entry.write_text(original)
         for corrupt in store.rglob("*.corrupt"):
             corrupt.unlink()
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The subjects of the phase-1 searches run during the test."""
+    subjects = []
+    search = explore.phase1
+
+    def counted(*args, **kwargs):
+        subjects.append(args[0])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(explore, "phase1", counted)
+    return subjects
+
+
+@pytest.mark.parametrize("damage", ("deleted", "corrupt"))
+def test_a_phase2_miss_behind_a_phase1_hit_searches_once(searches, tmp_path, damage):
+    """A cache-served phase 1 is the search summary, without the
+    finalists phase 2 reads.  With the phase-2 entry gone or quarantined,
+    phase 2 runs the search once and reaches the cold result."""
+    store = tmp_path / "store"
+    reference = compile_c_source(SOURCE, config=FAST, strict=True, cache=str(store))
+    entry = next((store / "dse-phase2").glob("*.json"))
+    if damage == "deleted":
+        entry.unlink()
+    else:
+        entry.write_text(entry.read_text()[:40])
+    searches.clear()
+    warm = compile_c_source(SOURCE, config=FAST, strict=True, cache=str(store))
+    assert warm == reference
+    assert warm.cache_hits == ("dse-phase1", "codegen", "simulate")
+    assert len(searches) == 1
+    assert [code for code, _ in warm.degradations] == (["SA501"] if damage == "corrupt" else [])
+    # The recomputed winner is stored again: the next compile searches nothing.
+    again = compile_c_source(SOURCE, config=FAST, strict=True, cache=str(store))
+    assert again.cache_hits == ("dse-phase1", "dse-phase2", "codegen", "simulate")
+    assert again == reference and len(searches) == 1
+
+
+def test_a_search_that_finds_nothing_runs_once(searches, tmp_path):
+    """No feasible configuration is an answer, not a summary: phase 2
+    reports it without searching again, cold or behind the served entry."""
+    config = replace(FAST, min_dsp_utilization=1.0)
+    for _ in range(2):
+        with pytest.raises(NoFeasibleDesign):
+            compile_c_source(SOURCE, config=config, strict=True, cache=str(tmp_path))
+    assert len(searches) == 1
