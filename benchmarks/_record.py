@@ -1,8 +1,8 @@
 """Machine-readable bench records (``BENCH_*.json`` at the repo root).
 
 The engine-characterization benches (DSE wall time, pipeline parallel,
-service throughput, fast simulator, cluster scaling) dump their metrics
-to a stable JSON file next to ``pyproject.toml`` so ``benchmarks/compare.py``
+service throughput, fast simulator) dump their metrics to a stable JSON
+file next to ``pyproject.toml`` so ``benchmarks/compare.py``
 can diff runs with noise-aware thresholds.  The paper's exhibits are not
 recorded here: their numbers are pinned by
 ``tests/experiments/golden/exhibits.json``.  Each record

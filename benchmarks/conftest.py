@@ -1,7 +1,7 @@
 """Shared benchmark plumbing.
 
-Every bench here measures an engine (DSE, pipeline, simulator, service,
-cluster); the paper's exhibits and the ablations are ``python -m
+Every bench here measures an engine (DSE, pipeline, simulator,
+service); the paper's exhibits and the ablations are ``python -m
 repro.experiments`` and ``tests/experiments``.  Each times its driver once
 (seconds-to-minutes computations, not microbenchmarks), prints the table
 and archives the text under ``benchmarks/results/``.

@@ -32,7 +32,9 @@ Code blocks:
 * ``SA5xx`` — resilience / graceful degradation (:mod:`repro.resilience`
   plus the recovery sites it instruments): quarantined cache entries,
   resubmitted or serially replayed DSE work, degraded simulate backends
-  and external-tool timeouts,
+  and external-tool timeouts.
+
+The ``SA6xx`` and ``SA7xx`` blocks are retired; their codes are not reused.
 """
 
 from __future__ import annotations
@@ -272,20 +274,6 @@ RESILIENCE_TESTBENCH_DEGRADED = register_code(
 )
 RESILIENCE_TOOL_TIMEOUT = register_code(
     "SA505", "external tool exceeded its time budget"
-)
-
-# --- SA7xx: cluster / fleet operation ---------------------------------------
-CLUSTER_NODE_JOINED = register_code(
-    "SA701", "worker node joined the synthesis fleet"
-)
-CLUSTER_NODE_LOST = register_code(
-    "SA702", "worker node left the fleet (missed heartbeats or deregistered)"
-)
-CLUSTER_JOB_REASSIGNED = register_code(
-    "SA703", "journaled job reassigned to the next owner on the ring"
-)
-CLUSTER_REPLICATION_DEGRADED = register_code(
-    "SA704", "stage-cache replication degraded; node continues on its local store"
 )
 
 

@@ -295,7 +295,7 @@ def nest_from_source(
     The one parse behind both doors into the flow — the pipeline's parse
     stage (the library's C-text requests) and
     :meth:`repro.flow.request.SynthesisRequest.from_payload` (the command
-    line, ``POST /v1/jobs`` and the coordinator) — so a request's verdict
+    line and ``POST /v1/jobs``) — so a request's verdict
     does not depend on how it arrived.  Under ``strict`` the located
     legality pass (:func:`check_source`) runs; otherwise the nest is
     extracted as written and only the pragma is checked.

@@ -299,9 +299,7 @@ def build_serve_arg_parser() -> argparse.ArgumentParser:
             _run_options(
                 "DSE worker processes inside each synthesis (0 = all cores)",
                 "stage cache directory (default ~/.cache/repro-systolic); "
-                "also accepts a backend spec such as sqlite:PATH (coordinator/"
-                "standalone) — fleet workers always keep a local directory store "
-                "replicated through the coordinator",
+                "also accepts a backend spec such as sqlite:PATH",
                 cache_dir_metavar="DIR_OR_SPEC",
                 quiet=False,
             ),
@@ -349,51 +347,6 @@ def build_serve_arg_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "-v", "--verbose", action="store_true", help="log every HTTP request"
-    )
-    fleet = parser.add_argument_group(
-        "fleet", "distributed synthesis (see docs/cluster.md)"
-    )
-    fleet.add_argument(
-        "--role",
-        choices=("standalone", "coordinator", "worker"),
-        default="standalone",
-        help="standalone (default): single-node daemon; coordinator: "
-        "route jobs across registered workers by coalescing fingerprint "
-        "and serve the shared stage cache; worker: single-node daemon "
-        "that registers with a coordinator and heartbeats",
-    )
-    fleet.add_argument(
-        "--coordinator",
-        metavar="URL",
-        help="worker only: coordinator base URL, e.g. http://127.0.0.1:9300",
-    )
-    fleet.add_argument(
-        "--node-id",
-        metavar="NAME",
-        help="worker only: stable fleet identity (default: advertised "
-        "host:port)",
-    )
-    fleet.add_argument(
-        "--advertise",
-        metavar="URL",
-        help="worker only: URL the coordinator should proxy to (default: "
-        "http://HOST:PORT of this server)",
-    )
-    fleet.add_argument(
-        "--heartbeat-interval",
-        type=float,
-        default=None,
-        metavar="SEC",
-        help="coordinator: beat period handed to workers at registration; "
-        "worker: fallback period until the contract arrives",
-    )
-    fleet.add_argument(
-        "--heartbeat-misses",
-        type=int,
-        default=None,
-        metavar="N",
-        help="coordinator only: consecutive missed beats before a node is "
-        "declared lost and its journaled jobs are reassigned",
     )
     return parser
 
@@ -586,116 +539,46 @@ def import_main(argv: list[str]) -> int:
 
 
 def serve_main(argv: list[str]) -> int:
-    """The ``serve`` subcommand: the flow as a daemon."""
-    parser = build_serve_arg_parser()
-    args = parser.parse_args(argv)
-    with contextlib.ExitStack() as stack:
-        try:
-            if args.role == "coordinator":
-                _no_node_flags(parser, args)
-            if args.workers < 1:
-                raise ValueError("--workers must be >= 1")
-            if args.role == "worker" and not args.coordinator:
-                raise ValueError("--role worker requires --coordinator URL")
-            stack.enter_context(_resilience(args))
-        except ValueError as exc:
-            return _fail(exc)
-        if args.role == "coordinator":
-            return _serve_coordinator(args)
-        return _serve_node(args)
-
-
-def _no_node_flags(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Refuse, as a ``ValueError``, the ``serve`` flags that size a node's
-    own synthesis when given to a coordinator, which runs none."""
-    flags = ("--workers", "--queue-depth", "--rate", "--burst", "--jobs")
-    dest = {flag: flag[2:].replace("-", "_") for flag in flags}
-    given = [f for f in flags if getattr(args, dest[f]) != parser.get_default(dest[f])]
-    if given:
-        raise ValueError(
-            f"{', '.join(given)}: not used by --role coordinator, which runs no queue, "
-            "rate limiter, worker pool or DSE fan-out (set them on the workers)"
-        )
-
-
-def _bind(args: argparse.Namespace, run, backend):
-    """Start serving ``backend``; None (after the error line) when the
-    address cannot be bound."""
-    try:
-        return run(backend, host=args.host, port=args.port, verbose=args.verbose)
-    except OSError as exc:
-        _fail(f"cannot bind {args.host}:{args.port}: {exc}")
-        return None
-
-
-def _announce(message: str) -> None:
-    print(f"systolic-synth serve: {message}", file=sys.stderr, flush=True)
-
-
-def _run_until_signal(banner: str) -> None:
-    """Announce the daemon and block until SIGTERM/SIGINT."""
-    stopping = threading.Event()
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        signal.signal(signum, lambda *_: stopping.set())
-    _announce(banner)
-    while not stopping.wait(0.2):
-        pass
-
-
-def _serve_node(args: argparse.Namespace) -> int:
-    """``serve`` as a standalone daemon or a fleet worker."""
+    """The ``serve`` subcommand: the flow as a daemon, serving its job API
+    until SIGTERM/SIGINT and then draining."""
     from repro.service.http import run_server, shutdown_server
     from repro.service.jobs import JobManager
 
-    worker = args.role == "worker"
-    try:  # --queue-depth, --rate and --burst are checked here
-        manager = JobManager(
-            workers=args.workers,
-            queue_depth=args.queue_depth,
-            # The replicated fleet cache needs the manager first (SA704
-            # degradations land on it); a worker attaches it below.
-            cache=False if worker else _cache_spec(args),
-            rate=args.rate,
-            burst=args.burst,
-            journal=args.journal,
-            pipeline_jobs=args.jobs,
+    args = build_serve_arg_parser().parse_args(argv)
+    with contextlib.ExitStack() as stack:
+        try:
+            if args.workers < 1:
+                raise ValueError("--workers must be >= 1")
+            stack.enter_context(_resilience(args))
+            # --queue-depth, --rate and --burst are checked here
+            manager = JobManager(
+                workers=args.workers,
+                queue_depth=args.queue_depth,
+                cache=_cache_spec(args),
+                rate=args.rate,
+                burst=args.burst,
+                journal=args.journal,
+                pipeline_jobs=args.jobs,
+            )
+        except ValueError as exc:
+            return _fail(exc)
+        try:
+            server = run_server(manager, host=args.host, port=args.port, verbose=args.verbose)
+        except OSError as exc:
+            return _fail(f"cannot bind {args.host}:{args.port}: {exc}")
+        stopping = threading.Event()
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            signal.signal(signum, lambda *_: stopping.set())
+        _announce(
+            f"listening on http://{args.host}:{server.port} "
+            f"({args.workers} workers, queue depth {args.queue_depth}"
+            + (f", journal {args.journal}" if args.journal else "")
+            + ")"
         )
-    except ValueError as exc:
-        return _fail(exc)
-    server = _bind(args, run_server, manager)
-    if server is None:
-        return 2
-    agent = None
-    if worker:
-        from repro.cluster.coordinator import HEARTBEAT_INTERVAL
-        from repro.cluster.worker import WorkerAgent, make_worker_cache
-        from repro.pipeline.cache import default_cache_dir
-
-        if not args.no_cache:
-            root = args.cache_dir or str(default_cache_dir())
-            manager.cache = make_worker_cache(root, args.coordinator, manager)
-        advertise = args.advertise or f"http://{args.host}:{server.port}"
-        agent = WorkerAgent(
-            manager,
-            coordinator_url=args.coordinator,
-            advertise_url=advertise,
-            node_id=args.node_id,
-            interval=args.heartbeat_interval or HEARTBEAT_INTERVAL,
-        )
-        agent.start()
-    _run_until_signal(
-        f"listening on http://{args.host}:{server.port} "
-        f"({args.workers} workers, queue depth {args.queue_depth}"
-        + (f", journal {args.journal}" if args.journal else "")
-        + (f", worker of {args.coordinator}" if worker else "")
-        + ")"
-    )
-    _announce("draining (running jobs finish, queued jobs stay journaled)...")
-    if agent is not None:
-        # Leave the fleet first so the coordinator reassigns our
-        # journaled jobs immediately instead of after K misses.
-        agent.stop(deregister=True)
-    shutdown_server(server)
+        while not stopping.wait(0.2):
+            pass
+        _announce("draining (running jobs finish, queued jobs stay journaled)...")
+        shutdown_server(server)
     stats = manager.stats()
     _announce(
         f"drained; {stats['done']} done, {stats['failed']} failed, "
@@ -704,41 +587,8 @@ def _serve_node(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_coordinator(args: argparse.Namespace) -> int:
-    """``serve --role coordinator``: route jobs across the fleet and serve
-    the shared stage-cache store."""
-    from repro.cluster.coordinator import (
-        HEARTBEAT_INTERVAL,
-        HEARTBEAT_MISSES,
-        ClusterCoordinator,
-    )
-    from repro.cluster.http import run_coordinator, shutdown_coordinator
-    from repro.pipeline.cache import resolve_cache
-
-    store = None
-    if not args.no_cache:
-        shared = resolve_cache(args.cache_dir if args.cache_dir else True)
-        store = None if shared is None else shared.store
-    coordinator = ClusterCoordinator(
-        store=store,
-        journal=args.journal,
-        heartbeat_interval=args.heartbeat_interval or HEARTBEAT_INTERVAL,
-        heartbeat_misses=args.heartbeat_misses or HEARTBEAT_MISSES,
-    )
-    server = _bind(args, run_coordinator, coordinator)
-    if server is None:
-        return 2
-    _run_until_signal(
-        f"coordinating on http://{args.host}:{server.port}"
-        + (f" (journal {args.journal})" if args.journal else "")
-    )
-    stats = coordinator.stats()
-    _announce(
-        f"coordinator stopping; {stats['settled']} settled, {stats['pending']} "
-        "pending (journaled jobs resume on restart)"
-    )
-    shutdown_coordinator(server)
-    return 0
+def _announce(message: str) -> None:
+    print(f"systolic-synth serve: {message}", file=sys.stderr, flush=True)
 
 
 def submit_main(argv: list[str]) -> int:

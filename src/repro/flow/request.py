@@ -2,9 +2,9 @@
 
 Fig. 6 is a push-button flow with one input interface.  Every way into
 this code base — the library calls of :mod:`repro.flow.compile`, each
-``systolic-synth`` subcommand, ``POST /v1/jobs`` on the service and a
-coordinator routing a job across a fleet — describes its work as one
-:class:`SynthesisRequest` and executes it with :func:`run`.  The request
+``systolic-synth`` subcommand and ``POST /v1/jobs`` on the service —
+describes its work as one :class:`SynthesisRequest` and executes it with
+:func:`run`.  The request
 is built from three things, each written once, here:
 
 * **the option table** (:data:`OPTIONS`) — every request option's wire

@@ -13,7 +13,7 @@ Every cacheable stage result is keyed by a stable SHA-256 over
 
 The *policy* layer (:class:`StageCache`) owns hashing, retries, fault
 injection, JSON parsing, quarantine accounting and probe statistics; the
-*mechanism* is a :class:`CacheStore` backend.  Three backends ship:
+*mechanism* is a :class:`CacheStore` backend.  Two backends ship:
 
 * :class:`FilesystemStore` — JSON files under
   ``~/.cache/repro-systolic/<stage>/`` (overridable per call, via
@@ -22,9 +22,6 @@ injection, JSON parsing, quarantine accounting and probe statistics; the
   observe torn entries.
 * :class:`SqliteStore` — a single-file SQLite database (``sqlite:PATH``
   spec), WAL-journaled, one connection per thread.
-* ``repro.cluster.netstore.HttpCacheStore`` — the coordinator-served
-  network backend (``http(s)://...`` spec), resolved lazily so the
-  pipeline never imports the cluster tier unless asked to.
 
 Whatever the backend, the cache is a best-effort accelerator, never a
 correctness dependency: a corrupt or unreadable entry is *quarantined*
@@ -481,12 +478,6 @@ def _store_from_spec(spec: str) -> CacheStore | None:
         if path.startswith("//"):
             path = path[2:]
         return SqliteStore(path)
-    if spec.startswith(("http://", "https://")):
-        # Lazy: the pipeline layer must not import the cluster tier
-        # unless a network store is actually requested.
-        from repro.cluster.netstore import HttpCacheStore
-
-        return HttpCacheStore(spec)
     return None
 
 
@@ -494,10 +485,9 @@ def resolve_cache(cache: CacheSpec) -> StageCache | None:
     """Normalize the user-facing ``cache`` argument.
 
     ``None``/``False`` disable caching, ``True`` selects the default
-    directory, a path roots a filesystem cache there, ``sqlite:PATH``
-    and ``http(s)://HOST`` specs select the SQLite / coordinator-served
-    network backends, a :class:`CacheStore` is wrapped, and an existing
-    :class:`StageCache` passes through.
+    directory, a path roots a filesystem cache there, a ``sqlite:PATH``
+    spec selects the SQLite backend, a :class:`CacheStore` is wrapped,
+    and an existing :class:`StageCache` passes through.
     """
     if cache is None or cache is False:
         return None

@@ -16,8 +16,6 @@ point                boundary
 ``sim.step``         one block step of a wavefront simulator run
 ``service.queue``    admitting a job into the synthesis service's queue
 ``service.worker``   one job execution inside a service worker thread
-``cluster.heartbeat``one worker heartbeat to the fleet coordinator
-``cluster.replicate``replicating a stage-cache entry across the fleet
 ==================== =====================================================
 
 Three fault *kinds* cover the failure modes worth rehearsing:
@@ -71,8 +69,6 @@ FAULT_POINTS: tuple[str, ...] = (
     "sim.step",
     "service.queue",
     "service.worker",
-    "cluster.heartbeat",
-    "cluster.replicate",
 )
 
 FAULT_KINDS: tuple[str, ...] = ("crash", "corrupt", "delay")

@@ -178,28 +178,24 @@ class ServiceClient:
 
     # ----------------------------------------------------------------- api
 
-    def submit(
-        self, *, priority: int = 0, job_id: str | None = None, **fields: Any
-    ) -> dict[str, Any]:
+    def submit(self, *, priority: int = 0, **fields: Any) -> dict[str, Any]:
         """POST /v1/jobs; returns the job status dict (id, state, ...).
 
         Exactly one of ``source`` (restricted-C nest), ``design`` (a saved
         design-point payload) or ``network`` (a built-in network name or a
         JSON spec object) identifies the work; ``name`` and ``options``
         ride along.  A field given as None (or empty ``options``) is left
-        out.  ``job_id`` preserves an externally assigned identity (the
-        cluster coordinator's handoff).
+        out.
         """
-        body = {"priority": priority, "id": job_id, **fields}
+        body = {"priority": priority, **fields}
         body["options"] = fields.get("options") or None
         return self._request("POST", "/v1/jobs", {k: v for k, v in body.items() if v is not None})
 
     def submit_payload(
         self, payload: dict[str, Any], *, client_id: str | None = None
     ) -> dict[str, Any]:
-        """POST a raw, pre-built submission body verbatim (the coordinator
-        forwards client payloads — and the submitting tenant's fair-share
-        identity — without re-encoding them)."""
+        """POST a raw, pre-built submission body verbatim, optionally as
+        another tenant's fair-share identity."""
         return self._request("POST", "/v1/jobs", payload, client_id=client_id)
 
     def status(self, job_id: str, *, result: bool = False) -> dict[str, Any]:

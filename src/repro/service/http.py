@@ -1,10 +1,7 @@
-"""The stdlib-only HTTP core of the synthesis service, and the job API.
+"""The stdlib-only HTTP front of the synthesis service: the job API.
 
-One request handler and one :class:`ThreadingHTTPServer` serve every
-role; a role is a **route table** over an object answering the
-:class:`JobApi` calls.  A single node serves :data:`JOB_ROUTES` over its
-:class:`JobManager`; the fleet coordinator (:mod:`repro.cluster.http`)
-serves the same table over the cluster, plus its worker/cache routes.
+One request handler and one :class:`ThreadingHTTPServer` serve the
+**route table** :data:`JOB_ROUTES` over a :class:`JobManager`.
 
 ====== ============================ ===========================================
 Method Path                         Meaning
@@ -15,7 +12,7 @@ GET    /v1/jobs/{id}                job status; ``?result=1`` embeds the
                                     full synthesis result payload
 GET    /v1/jobs/{id}/events         live progress stream — chunked JSONL of
                                     the typed pipeline events; ``?from=N``
-                                    resumes after sequence number N
+                                    starts at sequence number N
 DELETE /v1/jobs/{id}                cancel
 GET    /healthz                     liveness + instantaneous counters
 GET    /metrics                     Prometheus text exposition
@@ -45,37 +42,16 @@ import json
 import threading
 from contextlib import suppress
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Iterator, Protocol, Sequence
+from typing import Any, Callable, Iterator
 from urllib.parse import parse_qs, unquote, urlparse
 
 from repro.model.serialize import plain
 from repro.resilience.faults import InjectedFault
-from repro.service.client import ServiceError
 from repro.service.jobs import JobManager
 from repro.service.queue import AdmissionError
 
 #: Request bodies above this size are refused unread (400).
 MAX_BODY_BYTES = 4 * 1024 * 1024
-
-
-class JobApi(Protocol):
-    """The calls behind the job routes.  Answers are JSON-ready dicts or
-    records with a ``to_dict()``; None means no such job; a None item in
-    an event stream asks for a keepalive.  :class:`JobManager` answers for
-    one node, :class:`~repro.cluster.coordinator.ClusterCoordinator` for
-    a fleet."""
-
-    def submit(
-        self, payload: Any, *, client: str, priority: int, job_id: str | None
-    ) -> Any: ...
-    def status(self, job_id: str, *, result: bool = False) -> dict[str, Any] | None: ...
-    def jobs(self) -> Sequence[Any]: ...
-    def cancel(self, job_id: str) -> Any: ...
-    def relay_events(
-        self, job_id: str, from_seq: int = 0
-    ) -> Iterator[dict[str, Any] | None] | None: ...
-    def stats(self) -> dict[str, Any]: ...
-    def render_metrics(self) -> str: ...
 
 
 class HttpError(Exception):
@@ -100,16 +76,14 @@ def route(method: str, pattern: str, handler: Callable[..., Reply]) -> Route:
 
 
 class ApiHandler(BaseHTTPRequestHandler):
-    """One request of any role; the route table and the object answering
-    it live on ``self.server``."""
+    """One request; the :class:`JobManager` answering it lives on
+    ``self.server``."""
 
     protocol_version = "HTTP/1.1"
+    server_version = "repro-synth"
     disable_nagle_algorithm = True
     query: dict[str, list[str]] = {}
     body: bytes | None = None  # this request's body once read
-
-    def version_string(self) -> str:
-        return f"{self.server.banner} {self.sys_version}"  # type: ignore[attr-defined]
 
     # quiet by default; the daemon's own logging is the journal + metrics
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
@@ -117,7 +91,7 @@ class ApiHandler(BaseHTTPRequestHandler):
             super().log_message(format, *args)
 
     @property
-    def api(self) -> JobApi:
+    def api(self) -> JobManager:
         return self.server.api  # type: ignore[attr-defined]
 
     # ----------------------------------------------------------- responses
@@ -186,8 +160,7 @@ class ApiHandler(BaseHTTPRequestHandler):
         parsed = urlparse(self.path)
         self.query = parse_qs(parsed.query)
         parts = [unquote(p) for p in parsed.path.split("/") if p]
-        routes: tuple[Route, ...] = self.server.routes  # type: ignore[attr-defined]
-        for method, pattern, handler in routes:
+        for method, pattern, handler in JOB_ROUTES:
             if method == self.command and len(pattern) == len(parts):
                 pairs = list(zip(pattern, parts))
                 if all(seg == part or seg[0] == "{" for seg, part in pairs):
@@ -201,8 +174,6 @@ class ApiHandler(BaseHTTPRequestHandler):
             self._send_json(exc.status, {"error": str(exc)})
         except AdmissionError as exc:
             self._send_json(exc.status, {"error": str(exc)}, retry_after=exc.retry_after)
-        except ServiceError as exc:  # a worker hop the coordinator proxied
-            self._send_json(exc.status or 502, {"error": exc.message})
         else:
             if reply is None:
                 return
@@ -245,21 +216,13 @@ class ApiHandler(BaseHTTPRequestHandler):
 def _submit(request: ApiHandler) -> Reply:
     payload = request.read_json()
     priority = 0
-    job_id: str | None = None
     if isinstance(payload, dict):
         try:  # JSON's own int: no "3", 2.7 or true cast into one
             priority = plain("int").decode(payload.get("priority", 0))
         except TypeError:
             raise HttpError(400, "'priority' must be an integer") from None
-        # The cluster coordinator assigns ids at its door and forwards
-        # them so status/journal identities line up fleet-wide.
-        job_id = payload.pop("id", None)
-        if job_id is not None and not (isinstance(job_id, str) and job_id):
-            raise HttpError(400, "'id' must be a non-empty string")
     try:
-        return 202, request.api.submit(
-            payload, client=request._client_id(), priority=priority, job_id=job_id
-        )
+        return 202, request.api.submit(payload, client=request._client_id(), priority=priority)
     except InjectedFault as exc:
         raise HttpError(503, f"injected fault: {exc}") from exc
 
@@ -276,18 +239,14 @@ def _status(request: ApiHandler, job_id: str) -> Reply:
 
 
 def _cancel(request: ApiHandler, job_id: str) -> Reply:
-    try:
-        return 200, _known(job_id, request.api.cancel(job_id))
-    except (ServiceError, OSError) as exc:
-        raise HttpError(502, str(exc)) from exc
+    return 200, _known(job_id, request.api.cancel(job_id))
 
 
 def _events(request: ApiHandler, job_id: str) -> Reply:
-    try:
-        after = int(request.query.get("from", ["0"])[0])
-    except ValueError:
-        raise HttpError(400, "'from' must be an integer") from None
-    request.stream_events(_known(job_id, request.api.relay_events(job_id, after)))
+    after = request.query.get("from", ["0"])[0]
+    if not (after.isascii() and after.isdecimal()):  # int() takes "-1", " 3" and "٣"
+        raise HttpError(400, "'from' must be a non-negative integer")
+    request.stream_events(_known(job_id, request.api.relay_events(job_id, int(after))))
     return None
 
 
@@ -309,21 +268,19 @@ JOB_ROUTES: tuple[Route, ...] = (
 # ---------------------------------------------------------------- the server
 
 
-class ApiServer(ThreadingHTTPServer):
-    """The one listener: a route table over the object answering it."""
+class ServiceServer(ThreadingHTTPServer):
+    """The one listener: the job routes over a :class:`JobManager`."""
 
     daemon_threads = True
-    routes: tuple[Route, ...] = JOB_ROUTES
-    banner = "repro-synth"
 
     def __init__(
-        self, address: tuple[str, int], api: JobApi, *, verbose: bool = False
+        self, address: tuple[str, int], api: JobManager, *, verbose: bool = False
     ) -> None:
         super().__init__(address, ApiHandler)
         self.api = api
         self.verbose = verbose
         self._serve_thread = threading.Thread(
-            target=self.serve_forever, name=self.banner, daemon=True
+            target=self.serve_forever, name=ApiHandler.server_version, daemon=True
         )
 
     @property
@@ -339,12 +296,6 @@ class ApiServer(ThreadingHTTPServer):
         self.shutdown()
         self.server_close()
         self._serve_thread.join(5.0)
-
-
-class ServiceServer(ApiServer):
-    """A single node: the job routes over its JobManager."""
-
-    api: JobManager
 
 
 def run_server(
@@ -373,9 +324,7 @@ __all__ = [
     "JOB_ROUTES",
     "MAX_BODY_BYTES",
     "ApiHandler",
-    "ApiServer",
     "HttpError",
-    "JobApi",
     "Reply",
     "ServiceServer",
     "route",

@@ -200,12 +200,6 @@ class JobManager:
         self._started = False
         self._in_flight = 0
         self._executions = 0
-        # Cluster tier hooks: a worker agent stamps its node identity and
-        # folds fleet-side facts (coordinator URL, replication state)
-        # into /healthz via stats_extra; degradations mirror the SA5xx
-        # report vocabulary (code, reason) for SA7xx fleet events.
-        self.stats_extra: dict[str, Any] = {}
-        self.degradations: list[dict[str, str]] = []
 
     # ----------------------------------------------------------- lifecycle
 
@@ -321,9 +315,8 @@ class JobManager:
             if self._draining:
                 raise Draining(_DRAINING)
             if job_id is not None:
-                # At-least-once handoff: a coordinator may re-forward a job
-                # this node already owns (journal resume racing a
-                # reassignment).  The existing record is authoritative.
+                # An id this manager already holds names that job (the
+                # journal is at-least-once): the existing record stands.
                 existing = self._jobs.get(job_id)
                 if existing is not None:
                     return existing
@@ -349,10 +342,9 @@ class JobManager:
                     f"queue is at its depth bound ({self._queue.maxsize})",
                     retry_after=1.0,
                 )
-            # Journal every fresh acceptance — including coordinator
-            # forwards that arrive with an explicit id.  Only the resume
-            # path (admission=False) skips: its entries are already in
-            # the ledger and re-appending them would double the debt.
+            # Journal every fresh acceptance.  Only the resume path
+            # (admission=False) skips: its entries are already in the
+            # ledger and re-appending them would double the debt.
             if self.journal is not None and admission:
                 self.journal.record_accept(
                     job.id, payload, client=client, priority=priority
@@ -508,8 +500,6 @@ class JobManager:
                 "cache_backend": (
                     self.cache.store.kind if self.cache is not None else "none"
                 ),
-                "degradations": list(self.degradations),
-                **self.stats_extra,
             }
         stats["status"] = "draining" if stats["draining"] else "ok"
         return stats
@@ -533,14 +523,6 @@ class JobManager:
                     - self.metrics.counter("stage_cache_misses_total"),
                 )
         return self.metrics.render(gauges)
-
-    def note_degradation(self, code: str, reason: str) -> None:
-        """Record a fleet-level degradation (SA7xx) on this node: counted
-        in /metrics, listed (bounded) in /healthz."""
-        with self._lock:
-            self.metrics.inc("degradations_total", code=code)
-            self.degradations.append({"code": code, "reason": reason})
-            del self.degradations[:-32]
 
     # ---------------------------------------------------------- cancellation
 

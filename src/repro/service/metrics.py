@@ -85,7 +85,7 @@ class ServiceMetrics:
             return self._counters.get((name, _labels(labels)), 0.0)
 
     def counter_sum(self, name: str) -> float:
-        """Total of a counter across every label set (fleet rollups)."""
+        """Total of a counter across every label set."""
         with self._lock:
             return sum(
                 value for (key, _), value in self._counters.items() if key == name

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import threading
 import time
 from pathlib import Path
@@ -126,6 +127,10 @@ class BoundedJobQueue:
 class FairShareBuckets:
     """Per-client token buckets with a shared rate and burst.
 
+    A bucket that has refilled to ``burst`` acts exactly like a missing
+    one, so it is forgotten: the map holds the clients still short of
+    tokens, not every ``X-Client-Id`` ever seen.
+
     Args:
         rate: tokens (submissions) replenished per second per client.
         burst: bucket capacity — the size of an allowed burst.
@@ -139,12 +144,14 @@ class FairShareBuckets:
         *,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if rate <= 0 or burst < 1:
+        if not (rate > 0 and burst >= 1):  # NaN too
             raise ValueError("rate must be > 0 and burst >= 1")
         self.rate = float(rate)
         self.burst = float(burst)
         self._clock = clock
-        self._buckets: dict[str, tuple[float, float]] = {}  # client -> (tokens, at)
+        # client -> (tokens, at, the first reading at which it is full)
+        self._buckets: dict[str, tuple[float, float, float]] = {}
+        self._refills: list[tuple[float, str]] = []  # heap of (full at, client)
         self._lock = threading.Lock()
 
     def try_acquire(self, client: str = "") -> float:
@@ -156,13 +163,36 @@ class FairShareBuckets:
         """
         now = self._clock()
         with self._lock:
-            tokens, at = self._buckets.get(client, (self.burst, now))
+            while self._refills and self._refills[0][0] <= now:
+                full_at, gone = heapq.heappop(self._refills)
+                if gone in self._buckets and self._buckets[gone][2] == full_at:
+                    del self._buckets[gone]
+            tokens, at, _ = self._buckets.get(client, (self.burst, now, now))
             tokens = min(self.burst, tokens + (now - at) * self.rate)
             if tokens >= 1.0:
-                self._buckets[client] = (tokens - 1.0, now)
-                return 0.0
-            self._buckets[client] = (tokens, now)
-            return (1.0 - tokens) / self.rate
+                tokens, wait = tokens - 1.0, 0.0
+            else:
+                wait = (1.0 - tokens) / self.rate
+            full_at = self._full_at(tokens, now)
+            self._buckets[client] = (tokens, now, full_at)
+            heapq.heappush(self._refills, (full_at, client))
+            if len(self._refills) > 2 * len(self._buckets) + 64:  # drop stale entries
+                self._refills = [(f, c) for c, (_, _, f) in self._buckets.items()]
+                heapq.heapify(self._refills)
+            return wait
+
+    def _full_at(self, tokens: float, at: float) -> float:
+        """The first clock reading at which ``try_acquire``'s own refill sum
+        reads ``burst`` for a bucket left with ``tokens`` at ``at`` — exact,
+        so forgetting the bucket then changes no later answer."""
+        when = at + (self.burst - tokens) / self.rate
+        if math.isinf(when):
+            return when
+        while tokens + (when - at) * self.rate < self.burst:
+            when = math.nextafter(when, math.inf)
+        while tokens + ((down := math.nextafter(when, -math.inf)) - at) * self.rate >= self.burst:
+            when = down
+        return when
 
 
 class JobJournal:
@@ -179,22 +209,16 @@ class JobJournal:
         *,
         client: str = "",
         priority: int = 0,
-        node: str = "",
     ) -> None:
         """Persist an accepted submission (its full request payload rides
-        along, so a restarted server can resubmit it verbatim).  The
-        cluster coordinator stamps ``node`` — which worker owns the job —
-        so a dead node's debt can be reassigned by fingerprint."""
-        entry: dict[str, Any] = {
+        along, so a restarted server can resubmit it verbatim)."""
+        self._append({
             "op": "accept",
             "id": job_id,
             "payload": payload,
             "client": client,
             "priority": priority,
-        }
-        if node:
-            entry["node"] = node
-        self._append(entry)
+        })
 
     def record_done(self, job_id: str) -> None:
         """Mark a job finished (DONE, FAILED or CANCELLED — any terminal

@@ -260,7 +260,7 @@ def job_manager():
 @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
 @pytest.mark.parametrize("kind", list(DOOR_SOURCES))
 def test_a_c_text_request_gets_one_verdict_at_every_door(kind, strict, job_manager):
-    """The library, the request door (CLI / coordinator) and the job
+    """The library, the request door (the CLI) and the job
     service parse C text with one helper: the same design, or a refusal
     with the same SA codes and message.  A strict strided nest used to
     raise SA110 in the library and finish ``done`` through the service."""

@@ -2,7 +2,7 @@
 
 The policy layer (:class:`StageCache`) is backend-agnostic, so the
 backends must be interchangeable: one suite, parametrized over
-filesystem, SQLite and the coordinator-served HTTP store, pins the
+filesystem and SQLite, pins the
 contract documented on the protocol — round-trip fidelity,
 miss-is-None, quarantine-on-corruption (SA501 accounting), exactly-once
 quarantine under a race, and write atomicity under concurrent writers.
@@ -23,33 +23,24 @@ from repro.pipeline.cache import (
 )
 
 #: stage/key alphabet every backend must serve (filesystem uses them as
-#: path components, HTTP as URL segments); real keys are hex digests.
+#: path components); real keys are hex digests.
 NAMES = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyz0123456789_-", min_size=1, max_size=32
 )
 PAYLOADS = st.text(max_size=400)
 
-BACKENDS = ("filesystem", "sqlite", "http")
+BACKENDS = ("filesystem", "sqlite")
 
 
 @pytest.fixture(params=BACKENDS)
 def store(request, tmp_path):
-    """A fresh backend of each kind; HTTP runs a real coordinator."""
+    """A fresh backend of each kind."""
     if request.param == "filesystem":
         yield FilesystemStore(tmp_path / "fs")
-    elif request.param == "sqlite":
+    else:
         backend = SqliteStore(tmp_path / "cache.db")
         yield backend
         backend.close()
-    else:
-        from repro.cluster.coordinator import ClusterCoordinator
-        from repro.cluster.http import run_coordinator, shutdown_coordinator
-        from repro.cluster.netstore import HttpCacheStore
-
-        coordinator = ClusterCoordinator(store=FilesystemStore(tmp_path / "shared"))
-        server = run_coordinator(coordinator)
-        yield HttpCacheStore(f"http://127.0.0.1:{server.port}")
-        shutdown_coordinator(server)
 
 
 class TestProtocol:

@@ -392,10 +392,10 @@ class TestCacheThreading:
             again.drain(timeout=30.0)
 
     def test_explicit_job_id_is_idempotent(self, manager):
-        first = manager.submit(payload(), job_id="fleet-handoff-1")
-        again = manager.submit(payload(), job_id="fleet-handoff-1")
+        first = manager.submit(payload(), job_id="resumed-1")
+        again = manager.submit(payload(), job_id="resumed-1")
         assert again is first
-        done = manager.wait("fleet-handoff-1", timeout=30.0)
+        done = manager.wait("resumed-1", timeout=30.0)
         assert done.state is JobState.DONE
         assert manager.stats()["executions"] == 1
 

@@ -4,6 +4,8 @@ import json
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.service.queue import (
     AdmissionError,
@@ -128,6 +130,62 @@ class TestFairShareBuckets:
             FairShareBuckets(0.0, 1.0)
         with pytest.raises(ValueError):
             FairShareBuckets(1.0, 0.5)
+        with pytest.raises(ValueError):
+            FairShareBuckets(float("nan"), 1.0)
+
+    def test_refilled_buckets_are_forgotten(self):
+        """One bucket per client id ever seen was a leak: 10,000 one-shot
+        ids, all refilled 0.05 s later, must leave one bucket behind."""
+        buckets, clock = self.make(rate=1000.0, burst=1000.0)
+        for n in range(10_000):
+            assert buckets.try_acquire(f"tenant-{n}") == 0.0
+        clock[0] = 0.05
+        assert buckets.try_acquire("late") == 0.0
+        assert list(buckets._buckets) == ["late"]
+        assert len(buckets._refills) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rate=st.floats(0.01, 1000.0),
+        burst=st.floats(1.0, 50.0),
+        start=st.sampled_from([0.0, 1e6, 123456.789]),
+        steps=st.lists(
+            st.tuples(
+                st.integers(0, 4),
+                st.one_of(st.just(0.0), st.floats(0.0, 5.0), st.floats(0.0, 1e-3)),
+            ),
+            max_size=60,
+        ),
+    )
+    def test_forgetting_changes_no_answer(self, rate, burst, start, steps):
+        """Admits and Retry-After values equal a reference that never
+        forgets a client, and every bucket kept is short of ``burst``."""
+        clock = [start]
+        buckets = FairShareBuckets(rate, burst, clock=lambda: clock[0])
+        reference = NeverForgets(rate, burst)
+        for client, dt in steps:
+            clock[0] += dt
+            assert buckets.try_acquire(f"c{client}") == reference.try_acquire(
+                f"c{client}", clock[0]
+            )
+            for tokens, at, _ in buckets._buckets.values():
+                assert tokens + (clock[0] - at) * rate < burst
+
+
+class NeverForgets:
+    """Token buckets that keep every client's bucket for good."""
+
+    def __init__(self, rate, burst):
+        self.rate, self.burst, self.buckets = rate, burst, {}
+
+    def try_acquire(self, client, now):
+        tokens, at = self.buckets.get(client, (self.burst, now))
+        tokens = min(self.burst, tokens + (now - at) * self.rate)
+        if tokens >= 1.0:
+            self.buckets[client] = (tokens - 1.0, now)
+            return 0.0
+        self.buckets[client] = (tokens, now)
+        return (1.0 - tokens) / self.rate
 
 
 class TestJobJournal:

@@ -1,12 +1,10 @@
-"""One wire-contract suite over both serving roles.
+"""The wire contract of the job API.
 
-Every assertion here runs twice: against a single node and against a
-coordinator fronting one in-process worker.  The job API is one route
-table (`repro.service.http.JOB_ROUTES`) answered by a `JobManager` or a
-`ClusterCoordinator`; this suite is what holds "a client pointed at the
-coordinator sees the same contract as a single node" — statuses, error
-bodies, headers and the chunked NDJSON framing, read off the raw wire
-rather than through `ServiceClient`.
+The job API is one route table (`repro.service.http.JOB_ROUTES`)
+answered by a `JobManager`; this suite holds what a client sees of it —
+statuses, error bodies, headers and the chunked NDJSON framing, read off
+the raw wire rather than through `ServiceClient` — and fuzzes the one
+entry point for answers that are not JSON or are 5xx.
 """
 
 import http.client
@@ -16,17 +14,18 @@ import struct
 import threading
 import time
 import uuid
+from unittest import mock
+from urllib.parse import quote, urlencode
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cluster.coordinator import ClusterCoordinator
-from repro.cluster.http import run_coordinator, shutdown_coordinator
-from repro.cluster.worker import WorkerAgent
 from repro.dse.explore import DseConfig
 from repro.flow.compile import compile_c_source
 from repro.model.serialize import result_to_dict
-from repro.pipeline.cache import FilesystemStore
 from repro.service.client import ServiceClient
+from repro.service import jobs
 from repro.service.http import run_server, shutdown_server
 from repro.service.jobs import JobManager
 
@@ -40,13 +39,13 @@ FAST = {"cs": 0.0, "top_n": 2}
 
 
 class Endpoint:
-    """One role's front door plus the objects behind it."""
+    """The front door plus the objects behind it."""
 
-    def __init__(self, role, server, backend):
-        self.role = role
+    def __init__(self, server, backend):
         self.server = server  # the HTTP server clients talk to
-        self.backend = backend  # the object answering its job routes
+        self.backend = backend  # the JobManager answering its job routes
         self.address = ("127.0.0.1", server.port)
+        self._finished = None
 
     def tenant(self):
         """A fresh fair-share identity: the node is rate limited to one
@@ -80,40 +79,22 @@ class Endpoint:
         assert client.wait(job["id"], timeout=60.0)["state"] == "done"
         return job["id"]
 
+    def finished_job_id(self):
+        """One finished job, submitted once and then named again."""
+        if self._finished is None:
+            self._finished = self.finished_job()
+        return self._finished
 
-@pytest.fixture(scope="module", params=["single-node", "coordinator"])
+
+@pytest.fixture(scope="module", params=["single-node"])
 def endpoint(request, tmp_path_factory):
     tmp = tmp_path_factory.mktemp("contract")
     manager = JobManager(
         workers=1, queue_depth=64, cache=str(tmp / "cache"), rate=0.001, burst=1
     )
     node = run_server(manager)
-    if request.param == "single-node":
-        yield Endpoint("single-node", node, manager)
-        shutdown_server(node)
-        return
-    coordinator = ClusterCoordinator(
-        store=FilesystemStore(tmp / "shared"),
-        heartbeat_interval=0.2,
-        heartbeat_misses=50,  # a loaded CI box must not lose the one worker
-    )
-    front = run_coordinator(coordinator)
-    agent = WorkerAgent(
-        manager,
-        coordinator_url=f"http://127.0.0.1:{front.port}",
-        advertise_url=f"http://127.0.0.1:{node.port}",
-        node_id="w0",
-        interval=0.2,
-    )
-    agent.start()
-    deadline = time.monotonic() + 5.0
-    while time.monotonic() < deadline and len(coordinator.ring) < 1:
-        time.sleep(0.05)
-    assert len(coordinator.ring) == 1
-    yield Endpoint("coordinator", front, coordinator)
-    agent.stop(deregister=True)
+    yield Endpoint(node, manager)
     shutdown_server(node)
-    shutdown_coordinator(front)
 
 
 class TestSubmit:
@@ -126,23 +107,12 @@ class TestSubmit:
         assert set(job) >= {"id", "state", "fingerprint", "coalesced", "priority"}
         assert job["priority"] == 3
 
-    def test_explicit_id_is_preserved(self, endpoint):
-        job_id = f"mine-{uuid.uuid4().hex[:6]}"
-        status, _, job = endpoint.request(
-            "POST", "/v1/jobs", {"source": TINY, "options": FAST, "id": job_id}
-        )
-        assert (status, job["id"]) == (202, job_id)
-
     @pytest.mark.parametrize(
         "body, message",
         [
-            ({"source": TINY, "priority": "high"}, "'priority' must be an integer"),
-            ({"source": TINY, "priority": None}, "'priority' must be an integer"),
-            ({"source": TINY, "id": ""}, "'id' must be a non-empty string"),
-            ({"source": TINY, "id": 7}, "'id' must be a non-empty string"),
-            ({"source": TINY, "priority": "3"}, "'priority' must be an integer"),
-            ({"source": TINY, "priority": 2.7}, "'priority' must be an integer"),
-            ({"source": TINY, "priority": True}, "'priority' must be an integer"),
+            pytest.param({"source": TINY, "priority": value}, "'priority' must be an integer",
+                         id=f"body{index}-'priority' must be an integer")
+            for index, value in [(0, "high"), (1, None), (4, "3"), (5, 2.7), (6, True)]
         ],
     )
     def test_invalid_priority_or_id_is_400(self, endpoint, body, message):
@@ -228,8 +198,6 @@ class TestStatusAndCancel:
     def test_delete_cancels(self, endpoint, monkeypatch):
         """The blocker holds the node's one worker until the DELETE has
         answered, so the second job is still queued when it lands."""
-        from repro.service import jobs
-
         started, release = threading.Event(), threading.Event()
         real_run = jobs.run
 
@@ -331,7 +299,98 @@ class TestEventStream:
     def test_non_integer_from_is_400(self, endpoint):
         job_id = endpoint.finished_job()
         status, _, answer = endpoint.request("GET", f"/v1/jobs/{job_id}/events?from=x")
-        assert (status, answer) == (400, {"error": "'from' must be an integer"})
+        assert (status, answer) == (400, {"error": "'from' must be a non-negative integer"})
+
+    @pytest.mark.parametrize("after", ["-1", "+3", " 3", "\u0663", "3.0"])
+    def test_from_that_is_not_ascii_digits_is_400(self, endpoint, after):
+        """Regression: ``int()`` took ``-1``, and the event buffer was then
+        sliced from its end — the stream repeated events out of order."""
+        job_id = endpoint.finished_job()
+        query = urlencode({"from": after})
+        status, _, answer = endpoint.request("GET", f"/v1/jobs/{job_id}/events?{query}")
+        assert (status, answer) == (400, {"error": "'from' must be a non-negative integer"})
+
+
+#: What the fuzzed requests name: every route, over a known and an
+#: unknown job, and any method on arbitrary percent-encoded text.
+METHODS = st.sampled_from(["GET", "POST", "PUT", "DELETE"])
+REQUESTS = st.one_of(
+    st.sampled_from([
+        ("POST", "/v1/jobs"), ("GET", "/v1/jobs"), ("GET", "/v1/jobs/{job}"),
+        ("GET", "/v1/jobs/{job}/events"), ("DELETE", "/v1/jobs/{job}"),
+        ("GET", "/v1/jobs/deadbeef/events"), ("DELETE", "/v1/jobs/deadbeef"),
+        ("GET", "/healthz"), ("GET", "/metrics"), ("GET", "//v1//jobs/"),
+    ]),
+    st.tuples(METHODS, st.text(max_size=12).map(lambda text: "/" + quote(text))),
+)
+QUERY_VALUES = st.one_of(
+    st.none(),
+    st.sampled_from(["0", "1", "3", "-1", "+1", "", "true", "99999"]),
+    st.text(max_size=4),
+)
+BODIES = st.one_of(
+    st.sampled_from([
+        b"", b"{}", b"[]", b"null", b"7", b'{"source": 1}', b'{"priority": "x"}',
+        b'{"design": []}', b'{"network": 7}', b'{"source": "int x;", "options": {"top_n": 0}}',
+    ]),
+    st.binary(max_size=64),
+)
+#: "exact" declares the body's length; None sends no header and no body
+#: (the body would be the next request); the rest are refused unread.
+LENGTHS = st.sampled_from(["exact", None, "-1", "abc", "1e3", "\xb2", str(4 * 1024 * 1024 + 1)])
+ANSWER_TYPES = {
+    "application/json", "application/x-ndjson", "text/plain; version=0.0.4; charset=utf-8"
+}
+
+
+class TestFuzzedRequests:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        request=REQUESTS,
+        after=QUERY_VALUES,
+        result=QUERY_VALUES,
+        length=LENGTHS,
+        body=BODIES,
+    )
+    def test_no_answer_is_a_5xx_or_a_traceback(
+        self, endpoint, request, after, result, length, body
+    ):
+        """ROADMAP 8(b): whatever a client sends, the answer is a status
+        below 500 with a JSON (or stream / metrics) body, and no handler
+        exception escapes to ``socketserver``'s traceback printer."""
+        method, path = request
+        job_id = endpoint.finished_job_id()
+        query = urlencode({k: v for k, v in (("from", after), ("result", result)) if v is not None})
+        target = path.replace("{job}", job_id) + (f"?{query}" if query else "")
+        head = f"{method} {target} HTTP/1.1\r\nHost: t\r\nX-Client-Id: {endpoint.tenant()}\r\n"
+        if length is None:
+            body = b""
+        else:
+            head += f"Content-Length: {len(body) if length == 'exact' else length}\r\n"
+        escaped = []
+        # mock.patch, not monkeypatch: examples cannot share a function-scoped fixture
+        with mock.patch.object(endpoint.server, "handle_error", lambda *r: escaped.append(r)), \
+                mock.patch.object(jobs, "STREAM_POLL_SECONDS", 0.05):
+            with socket.create_connection(endpoint.address, timeout=30.0) as sock:
+                sock.sendall(head.encode("latin-1") + b"\r\n" + body)
+                response = http.client.HTTPResponse(sock)
+                response.begin()
+                raw = response.read()
+                # EOF from the server: its handling of this connection,
+                # handle_error included, is over before the patch lifts
+                sock.shutdown(socket.SHUT_WR)
+                while sock.recv(65536):
+                    pass
+        kind = response.getheader("Content-Type")
+        assert response.status < 500 and kind in ANSWER_TYPES, (response.status, kind, raw)
+        assert b"Traceback" not in raw and escaped == []
+        if kind == "application/json":
+            answer = json.loads(raw)
+            assert response.status < 400 or set(answer) == {"error"}
+        elif kind == "application/x-ndjson":
+            for line in raw.decode().splitlines():
+                assert line.startswith(": keepalive") or isinstance(json.loads(line), dict)
+        assert endpoint.request("GET", "/healthz")[0] == 200
 
 
 class TestClientHangsUp:
